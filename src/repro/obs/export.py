@@ -373,10 +373,10 @@ def degradation_summary(recorder=None) -> str:
     """One line of registry-sourced loss accounting, or ``""``.
 
     Pulls solver retry totals, per-kind grid-point fault counts,
-    neighbor-filled cell counts, guard aborts (divergence/watchdog),
-    batch-lane evictions and sparse batch fallbacks from the current
-    metric registry -- the single place degradation is accumulated --
-    for :meth:`repro.charlib.GateLibrary.health_summary` and the
+    neighbor-filled cell counts, guard aborts (divergence/watchdog) and
+    batch-lane evictions from the current metric registry -- the
+    single place degradation is accumulated -- for
+    :meth:`repro.charlib.GateLibrary.health_summary` and the
     experiment summaries.  Routine escalation-ladder engagements
     (``spice.guard.rung``) are deliberately *not* summarized here:
     homotopy rungs and timestep cuts are healthy solver behavior, and a
@@ -404,9 +404,7 @@ def degradation_summary(recorder=None) -> str:
     kinds = labeled("charlib.points.failed{kind=")
     aborts = labeled("spice.guard.aborts{reason=")
     evictions = labeled("spice.batch.evictions{reason=")
-    sparse_fallbacks = registry.counter_total("spice.batch.sparse_fallbacks")
-    if not (retries or filled or kinds or aborts or evictions
-            or sparse_fallbacks):
+    if not (retries or filled or kinds or aborts or evictions):
         return ""
     parts = []
     if retries:
@@ -419,9 +417,6 @@ def degradation_summary(recorder=None) -> str:
         listed = ", ".join(f"{reason}={_format_number(evictions[reason])}"
                            for reason in sorted(evictions))
         parts.append(f"batch-lane evictions: {listed}")
-    if sparse_fallbacks:
-        parts.append(
-            f"sparse batch fallbacks {_format_number(sparse_fallbacks)}")
     if kinds:
         listed = ", ".join(f"{kind}={_format_number(kinds[kind])}"
                            for kind in sorted(kinds))

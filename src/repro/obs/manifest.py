@@ -48,19 +48,7 @@ from .recorder import (
 )
 
 __all__ = ["ENV_KNOBS", "git_sha", "build_manifest", "write_manifest",
-           "RunContext", "TOTALS", "run_generation"]
-
-#: Monotone counter of armed :class:`RunContext` brackets in this
-#: process.  Warn-once latches elsewhere (e.g. the batch driver's
-#: sparse-fallback notice) key on this instead of a bare module flag,
-#: so every CLI run gets its one operator-visible WARNING even when
-#: several runs share a process (the test suite, a long-lived server).
-_RUN_GENERATION = 0
-
-
-def run_generation() -> int:
-    """The current run generation (bumped by ``RunContext.arm()``)."""
-    return _RUN_GENERATION
+           "RunContext", "TOTALS"]
 
 #: The environment knobs a manifest records (set or not).  Every
 #: ``REPRO_*`` variable read anywhere under ``src/`` must appear here --
@@ -70,7 +58,7 @@ ENV_KNOBS = (
     "REPRO_WORKERS", "REPRO_BATCH", "REPRO_RETRY", "REPRO_TASK_TIMEOUT",
     "REPRO_RESUME", "REPRO_FAULTS", "REPRO_FAULTS_STATE", "REPRO_FAULT_HANG",
     "REPRO_CACHE_DIR", "REPRO_FAST_NEWTON",
-    "REPRO_SPARSE", "REPRO_SPARSE_BATCH", "REPRO_GUARD", "REPRO_GUARD_COND",
+    "REPRO_SPARSE", "REPRO_GUARD", "REPRO_GUARD_COND",
     "REPRO_GUARD_COND_EVERY", "REPRO_GUARD_DIVERGE", "REPRO_GUARD_WALL",
     "REPRO_SERVE_TTL", "REPRO_SERVE_CACHE_MAX", "REPRO_SERVE_COALESCE",
     "REPRO_SERVE_GATHER", "REPRO_SERVE_LANES",
@@ -86,7 +74,7 @@ TOTALS = (
     "cache.hits", "cache.misses", "parallel.tasks.completed",
     "charlib.points.failed",
     "spice.guard.rung", "spice.guard.aborts", "spice.guard.illconditioned",
-    "spice.batch.evictions", "spice.batch.sparse_fallbacks",
+    "spice.batch.evictions",
 )
 
 
@@ -215,8 +203,6 @@ class RunContext:
         enable-recording signal -- they never start their own
         snapshotter; the parent registry is the merged view.
         """
-        global _RUN_GENERATION
-        _RUN_GENERATION += 1
         for var, value in ((TRACE_ENV_VAR, self.trace_path),
                            (METRICS_ENV_VAR, self.metrics_path),
                            (MANIFEST_ENV_VAR, self.manifest_path),

@@ -24,19 +24,12 @@ sequential ``F[a] += ...`` ordering per cell while staying fully
 vectorized.  Results are therefore bit-identical to the scalar path;
 ``tests/spice/test_batch_equivalence.py`` enforces this.
 
-Past the sparse cutover the same lockstep structure rides the batched
-sparse kernel instead (:mod:`repro.spice.sparse_batch`): congruent
-lanes share one :class:`~repro.spice.sparse.SparsePlan` symbolic
-analysis and the per-lane numeric work runs SuperLU on the shared CSC
-pattern -- bit-identical to the scalar sparse driver, dispatched here
-exactly like the dense kernel.
-
-Fallbacks: a single lane, or a set of circuits that are not congruent
-(different node sets or device structure), is executed serially through
-:func:`~repro.spice.engine.run_plan` -- counted in
-``spice.batch.fallbacks`` (sparse-dispatched incongruent batches, and
-batches with ``REPRO_SPARSE_BATCH=0``, count per lane in
-``spice.batch.sparse_fallbacks``).
+Serial execution: a single lane, lanes that dispatch to the sparse
+backend (:func:`~repro.spice.sparse.sparse_enabled`), or a set of
+circuits that are not congruent (different node sets or device
+structure -- counted in ``spice.batch.fallbacks``) run lane by lane
+through :func:`~repro.spice.engine.run_plan`, so their results are the
+scalar driver's by construction.
 """
 
 from __future__ import annotations
@@ -47,20 +40,16 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import ConvergenceError
-from ..log import get_logger
 from ..obs import get_recorder, traced
-from ..obs.manifest import run_generation
 from ..obs.profile import PhaseProfiler
 from ..resilience import faults
 from ..resilience.retry import RetryPolicy
 from .dc import dc_plan, operating_point_from_vector
 from .engine import (
-    FastNewtonState,
     NewtonOptions,
     NewtonStats,
     SolveContext,
     _observe_solve,
-    fast_newton_enabled,
     newton_solve,
     nudge_diagonal,
     request_kwargs,
@@ -72,37 +61,11 @@ from .guard import (GuardMonitor, GuardPolicy, condition_estimate_dense,
 from .mosfet import mosfet_current_batch
 from .netlist import Circuit, CompiledCircuit
 from .sparse import sparse_enabled
-from .sparse_batch import SparseLockstep, sparse_batch_enabled
 from .stamps import CapStampArrays, MosGroup
 from .transient import TransientOptions, transient_result_plan
 
 __all__ = ["BatchIncongruent", "BatchCompiled", "run_plans_batched",
            "solve_dc_batch", "transient_batch"]
-
-_log = get_logger("spice.batch")
-
-#: The run generation (see :func:`repro.obs.manifest.run_generation`)
-#: whose sparse-fallback notice already logged at WARNING.  The first
-#: fallback of each run is operator-visible; repeats within the run
-#: drop to DEBUG so grid runs with thousands of batched calls do not
-#: flood the log.  Keying on the generation instead of a bare boolean
-#: resets the latch per :class:`~repro.obs.manifest.RunContext`, so a
-#: second CLI run in the same process (the test suite, a long-lived
-#: server) still gets its one WARNING.
-_sparse_fallback_run: Optional[int] = None
-
-
-def _warn_sparse_fallback(lanes: int, n_unknown: int) -> None:
-    global _sparse_fallback_run
-    generation = run_generation()
-    log = (_log.debug if _sparse_fallback_run == generation
-           else _log.warning)
-    _sparse_fallback_run = generation
-    log("batch of %d lanes dispatches to the sparse backend (%d unknowns "
-        ">= cutover) but cannot ride the batched sparse kernel "
-        "(incongruent lanes, or REPRO_SPARSE_BATCH=0): running the lanes "
-        "serially through the scalar sparse solver (counted per lane in "
-        "spice.batch.sparse_fallbacks)", lanes, n_unknown)
 
 
 class BatchIncongruent(ValueError):
@@ -162,7 +125,6 @@ class BatchCompiled:
 
         self.lanes = list(lanes)
         plan = base.stamp_plan
-        self.plan = plan
         self.n = plan.n
         self.n_known = plan.n_known
         self.n_res = plan.n_res
@@ -276,20 +238,13 @@ class _LockstepState:
             self.with_caps[lane] = False
 
 
-def _assemble_values(batchc: BatchCompiled, state: _LockstepState,
-                     rows: np.ndarray, with_caps: bool):
-    """Gathered state, residuals and device-axis Jacobian values.
+def _assemble(batchc: BatchCompiled, state: _LockstepState,
+              rows: np.ndarray, with_caps: bool):
+    """Residuals and dense Jacobians for the selected lanes.
 
-    The backend-independent half of batched assembly: batched device
-    evaluation plus the layered residual scatter.  Returns ``(X, F,
-    j_vals, gmin)`` -- ``X``/``F`` shaped ``(Ba, n)``, ``j_vals`` the
-    ``(Ba, n_jvals)`` Jacobian value table in the stamp plan's
-    ``j_src`` order (``[res_g | dvd | dvg | dvs (| geq)]``) -- which
-    the dense wrapper scatters into ``(Ba, n, n)`` stacks and the
-    sparse kernel (:mod:`repro.spice.sparse_batch`) into ``(Ba, nnz)``
-    CSC data rows.  Per-cell accumulation order is the scalar
-    assembler's, so both consumers stay bit-identical to their scalar
-    backends.
+    Returns ``(X, F, J)`` with shapes ``(Ba, n)``, ``(Ba, n)`` and
+    ``(Ba, n, n)``.  Per-cell accumulation order is the scalar
+    assembler's, so every lane stays bit-identical to it.
     """
     n = batchc.n
     batch = len(rows)
@@ -326,29 +281,17 @@ def _assemble_values(batchc: BatchCompiled, state: _LockstepState,
         j_vals = np.concatenate([res_g, dvd_mat, dvg_mat, dvs_mat, geq],
                                 axis=1)
         f_layers = batchc.f_layers_wc
+        j_layers = batchc.j_layers_wc
     else:
         f_vals = np.concatenate([res_cur, is_cur, id_mat], axis=1)
         j_vals = np.concatenate([res_g, dvd_mat, dvg_mat, dvs_mat], axis=1)
         f_layers = batchc.f_layers_nc
+        j_layers = batchc.j_layers_nc
 
     for cells, src, sign in f_layers:
         F[:, cells] += sign * f_vals[:, src]
-    return X, F, j_vals, gmin
-
-
-def _assemble(batchc: BatchCompiled, state: _LockstepState,
-              rows: np.ndarray, with_caps: bool):
-    """Residuals and dense Jacobians for the selected lanes.
-
-    Returns ``(X, F, J)`` with shapes ``(Ba, n)``, ``(Ba, n)`` and
-    ``(Ba, n, n)``.
-    """
-    n = batchc.n
-    batch = len(rows)
-    X, F, j_vals, gmin = _assemble_values(batchc, state, rows, with_caps)
     j_flat = np.zeros((batch, n * n))
     j_flat[:, batchc.diag] += gmin[:, None]
-    j_layers = batchc.j_layers_wc if with_caps else batchc.j_layers_nc
     for cells, src, sign in j_layers:
         j_flat[:, cells] += sign * j_vals[:, src]
     return X, F, j_flat.reshape(batch, n, n)
@@ -521,21 +464,12 @@ def _lockstep_round(batchc: BatchCompiled, state: _LockstepState,
 
 
 @traced("spice.batch")
-def _run_lockstep(batchc: BatchCompiled, entries: Sequence[tuple], *,
-                  sparse: bool = False) -> list:
+def _run_lockstep(batchc: BatchCompiled, entries: Sequence[tuple]) -> list:
     outcomes: list = [None] * len(entries)
     state = _LockstepState(batchc, len(entries))
     active: set = set()
     recorder = get_recorder()
     profile = PhaseProfiler.from_recorder(recorder)
-    # The round kernel is the only backend-dependent piece: the dense
-    # (B, n, n) stack, or per-lane SuperLU on the shared CSC pattern.
-    # Everything else -- plan advancement, guard monitors, eviction and
-    # solo retry, accounting -- is driver-invariant, labeled by
-    # ``driver``/``backend`` so telemetry tells the two apart.
-    driver = "sparse_batch" if sparse else "batch"
-    backend = "sparse" if sparse else "dense"
-    kernel = SparseLockstep(batchc, _assemble_values) if sparse else None
     # Flight records are per finished lane-solve; the evicted lanes
     # record through the scalar solver they retry on.
     flight = recorder.flight if recorder.enabled else None
@@ -570,7 +504,7 @@ def _run_lockstep(batchc: BatchCompiled, entries: Sequence[tuple], *,
                                  converged=False)
                 _observe_solve(request.options.max_iterations,
                                converged=False, recorder=recorder,
-                               backend=backend)
+                               backend="dense")
                 sent = _exhaustion_error(request.options.max_iterations,
                                          np.inf)
                 continue
@@ -597,14 +531,16 @@ def _run_lockstep(batchc: BatchCompiled, entries: Sequence[tuple], *,
         request = state.requests[lane]
         compiled, _, stats = entries[lane]
         kwargs = request_kwargs(request, stats)
+        # The solo retry runs on the dense backend the lockstep kernel
+        # uses, so an evicted lane's waveform stays bit-identical to the
+        # scalar driver's; the lockstep's profiler times it into the
+        # ``driver="dense"`` phase histograms and its flight record.
         kwargs["recorder"] = recorder
-        # The solo retry replays on the scalar solver with the *same*
-        # linear backend the lockstep kernel was using, so an evicted
-        # lane's waveform stays bit-identical to the scalar driver it
-        # is being compared against.
-        kwargs["sparse"] = sparse
+        kwargs["sparse"] = False
         if monitors[lane] is not None:
             kwargs["guard"] = monitors[lane]
+        if profile is not None:
+            kwargs["profile"] = profile
         try:
             outcome = newton_solve(compiled, request.x0, request.known,
                                    **kwargs)
@@ -620,13 +556,10 @@ def _run_lockstep(batchc: BatchCompiled, entries: Sequence[tuple], *,
         rounds += 1
         times = profile.begin() if profile is not None else None
         rows = np.fromiter(sorted(active), dtype=np.intp, count=len(active))
-        if kernel is not None:
-            finished, evicted = kernel.round(state, rows, recorder, times)
-        else:
-            finished, evicted = _lockstep_round(batchc, state, rows,
-                                                recorder, times)
+        finished, evicted = _lockstep_round(batchc, state, rows,
+                                            recorder, times)
         if profile is not None:
-            profile.finish(driver, times)
+            profile.finish("batch", times)
         for lane, reason in evicted:
             active.discard(lane)
             retry_solo(lane, reason)
@@ -635,7 +568,7 @@ def _run_lockstep(batchc: BatchCompiled, entries: Sequence[tuple], *,
             if stats is not None:
                 stats.record(iterations, converged=converged)
             _observe_solve(iterations, converged=converged,
-                           recorder=recorder, backend=backend)
+                           recorder=recorder, backend="dense")
             if flight is not None:
                 if converged:
                     label = "converged"
@@ -643,14 +576,12 @@ def _run_lockstep(batchc: BatchCompiled, entries: Sequence[tuple], *,
                     label = "singular"
                 else:
                     label = "iteration_limit"
-                flight.note_solve(driver=driver, n=batchc.n,
+                flight.note_solve(driver="batch", n=batchc.n,
                                   iterations=iterations, outcome=label)
             active.discard(lane)
             advance(lane, outcome)
     if rounds:
         recorder.counter("spice.batch.rounds").inc(rounds)
-        if sparse:
-            recorder.counter("spice.batch.sparse_rounds").inc(rounds)
     return outcomes
 
 
@@ -659,64 +590,33 @@ def run_plans_batched(entries: Sequence[tuple]) -> list:
 
     Returns one outcome per entry: the plan's return value, or the
     :class:`~repro.errors.ConvergenceError` it raised.  Congruent
-    multi-lane batches run through the lockstep kernel -- the dense
-    ``(B, n, n)`` stack below the sparse cutover, the batched sparse
-    kernel (:mod:`repro.spice.sparse_batch`, shared symbolic analysis,
-    per-lane SuperLU) when the lanes dispatch to the sparse backend
-    (:func:`~repro.spice.sparse.sparse_enabled`).  A single lane runs
-    serially (nothing to vectorize), and incongruent lanes fall back
-    to the serial driver with a ``spice.batch.fallbacks`` count --
-    counted per lane in ``spice.batch.sparse_fallbacks`` instead when
-    they would have dispatched sparse (as are congruent batches with
-    the sparse kernel disabled via ``REPRO_SPARSE_BATCH=0``); the
-    serial solves then match the scalar driver bit for bit.
+    multi-lane batches below the sparse cutover run through the dense
+    lockstep kernel.  A single lane (nothing to vectorize), lanes that
+    dispatch to the sparse backend
+    (:func:`~repro.spice.sparse.sparse_enabled`) and incongruent lanes
+    (counted in ``spice.batch.fallbacks``) run serially, one scalar
+    analysis per entry, so they match the scalar driver bit for bit.
     """
-    batchc = None
-    use_sparse = False
-    if len(entries) > 1:
-        want_sparse = sparse_enabled(entries[0][0].n_unknown)
-        if want_sparse and not sparse_batch_enabled():
-            get_recorder().counter(
-                "spice.batch.sparse_fallbacks").inc(len(entries))
-            _warn_sparse_fallback(len(entries), entries[0][0].n_unknown)
+    if len(entries) > 1 and not sparse_enabled(entries[0][0].n_unknown):
+        try:
+            batchc = BatchCompiled([entry[0] for entry in entries])
+        except BatchIncongruent:
+            get_recorder().counter("spice.batch.fallbacks").inc()
         else:
-            try:
-                batchc = BatchCompiled([entry[0] for entry in entries])
-            except BatchIncongruent:
-                if want_sparse:
-                    get_recorder().counter(
-                        "spice.batch.sparse_fallbacks").inc(len(entries))
-                    _warn_sparse_fallback(len(entries),
-                                          entries[0][0].n_unknown)
-                else:
-                    get_recorder().counter("spice.batch.fallbacks").inc()
-            else:
-                use_sparse = want_sparse
-    if batchc is None:
-        # One recorder handle (and fast-Newton state, when enabled) for
-        # the whole serial fallback, like the scalar analysis drivers.
-        recorder = get_recorder()
-        context = SolveContext(
-            recorder=recorder,
-            fast=FastNewtonState() if fast_newton_enabled() else None,
-            profile=PhaseProfiler.from_recorder(recorder),
-        )
-        guard_policy = GuardPolicy.from_env()
-        outcomes = []
-        for compiled, plan, stats in entries:
-            if guard_policy is not None:
-                # A fresh monitor per entry, exactly like the scalar
-                # drivers and the lockstep kernel's per-lane monitors:
-                # guard counters must not depend on which driver (or
-                # chunk size) executed the plan.
-                context.guard = GuardMonitor(guard_policy)
-            try:
-                outcomes.append(run_plan(compiled, plan, stats,
-                                         context=context))
-            except ConvergenceError as error:
-                outcomes.append(error)
-        return outcomes
-    return _run_lockstep(batchc, entries, sparse=use_sparse)
+            return _run_lockstep(batchc, entries)
+    # One recorder handle for the whole serial run; everything else is
+    # per entry, exactly like the scalar drivers, so guard counters and
+    # the sparse dispatch do not depend on which driver (or chunk size)
+    # executed the plan.
+    recorder = get_recorder()
+    outcomes = []
+    for compiled, plan, stats in entries:
+        context = SolveContext.for_analysis(recorder, compiled.n_unknown)
+        try:
+            outcomes.append(run_plan(compiled, plan, stats, context=context))
+        except ConvergenceError as error:
+            outcomes.append(error)
+    return outcomes
 
 
 def solve_dc_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]], *,

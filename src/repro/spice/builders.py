@@ -23,8 +23,8 @@ testbenches from the existing :class:`~repro.gates.Gate` cells:
   (cross-coupled inverters plus NMOS access transistors on driven
   word/bit lines; two unknowns per cell, so a 72x72 array passes 10k
   unknowns) and a fanout-loaded inverter delay line.  These are the
-  batched sparse kernel's scale testbenches
-  (``benchmarks/bench_sparse_batch.py``).
+  bitcell and delay-chain yardsticks of the ``flat_large`` benchmark
+  workload (``bench/workloads.py``).
 
 Builders return plain :class:`~repro.spice.Circuit` objects: every
 analysis (DC, transient, batch) and backend (dense, sparse) consumes

@@ -27,23 +27,19 @@ import numpy as np
 from ..errors import ConvergenceError
 from ..obs import get_recorder, traced
 from ..obs.flight import dump_flight
-from ..obs.profile import PhaseProfiler
 from ..resilience.retry import RetryPolicy
 from .engine import (
-    FastNewtonState,
     NewtonOptions,
     NewtonRequest,
     NewtonStats,
     SolveContext,
-    fast_newton_enabled,
     newton_solve,
     request_kwargs,
     request_solve,
     run_plan,
 )
-from .guard import GuardMonitor, record_rung
+from .guard import record_rung
 from .netlist import Circuit, CompiledCircuit
-from .sparse import sparse_enabled
 from .results import SweepResult
 
 __all__ = ["OperatingPoint", "dc_plan", "solve_dc", "dc_sweep"]
@@ -207,13 +203,7 @@ def solve_dc(circuit: Circuit | CompiledCircuit, *,
     """
     compiled = circuit if isinstance(circuit, CompiledCircuit) else circuit.compile()
     recorder = get_recorder()
-    context = SolveContext(
-        recorder=recorder,
-        fast=FastNewtonState() if fast_newton_enabled() else None,
-        sparse=sparse_enabled(compiled.n_unknown),
-        guard=GuardMonitor.from_env(),
-        profile=PhaseProfiler.from_recorder(recorder),
-    )
+    context = SolveContext.for_analysis(recorder, compiled.n_unknown)
     plan = dc_plan(compiled, initial_guess=initial_guess, time=time,
                    options=options, stats=stats, retry=retry,
                    recorder=recorder)
@@ -253,13 +243,8 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
     # dispatch -- the unknown count is sweep-invariant) for the whole
     # sweep: per-point solves skip the environment-signature check.
     recorder = get_recorder()
-    context = SolveContext(
-        recorder=recorder,
-        fast=FastNewtonState() if fast_newton_enabled() else None,
-        sparse=sparse_enabled(len(circuit.unknown_nodes())),
-        guard=GuardMonitor.from_env(),
-        profile=PhaseProfiler.from_recorder(recorder),
-    )
+    context = SolveContext.for_analysis(recorder,
+                                        len(circuit.unknown_nodes()))
     try:
         for value in grid:
             for name in source_names:

@@ -893,6 +893,23 @@ class SolveContext:
     guard: Optional[GuardMonitor] = field(default=None)
     profile: Optional[PhaseProfiler] = field(default=None)
 
+    @classmethod
+    def for_analysis(cls, recorder, n_unknown: int) -> "SolveContext":
+        """The context one analysis of ``n_unknown`` unknowns runs under.
+
+        Resolves every environment knob once: ``REPRO_FAST_NEWTON``,
+        the ``REPRO_SPARSE`` dispatch for this unknown count (it is
+        invariant across the analysis's solves), ``REPRO_GUARD``, and
+        phase profiling whenever ``recorder`` is enabled.
+        """
+        return cls(
+            recorder=recorder,
+            fast=FastNewtonState() if fast_newton_enabled() else None,
+            sparse=sparse_enabled(n_unknown),
+            guard=GuardMonitor.from_env(),
+            profile=PhaseProfiler.from_recorder(recorder),
+        )
+
     def solve_kwargs(self, request: NewtonRequest,
                      stats: Optional[NewtonStats]) -> dict:
         kwargs = request_kwargs(request, stats)

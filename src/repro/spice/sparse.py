@@ -126,7 +126,7 @@ class SparsePlan:
 
     __slots__ = ("n", "nnz", "perm", "matrix", "diag_pos",
                  "pos_wc", "src_wc", "sign_wc", "pos_nc", "src_nc",
-                 "sign_nc", "_contrib", "_rhs", "_dx", "batch_layers")
+                 "sign_nc", "_contrib", "_rhs", "_dx")
 
     def __init__(self, plan) -> None:
         if not _HAVE_SPARSE:  # pragma: no cover - scipy is a hard dependency
@@ -192,11 +192,6 @@ class SparsePlan:
         self._contrib = np.empty(cells.size)
         self._rhs = np.empty(n)
         self._dx = np.empty(n)
-        #: Lazily-compiled layered data-scatter plans for the batched
-        #: sparse kernel (:mod:`repro.spice.sparse_batch`), cached here
-        #: because congruent lanes share one plan -- and therefore one
-        #: compilation -- exactly like the CSC pattern itself.
-        self.batch_layers = None
 
     # ------------------------------------------------------------------
     def assemble(self, ws, with_caps: bool):

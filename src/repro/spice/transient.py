@@ -33,25 +33,21 @@ import numpy as np
 from ..errors import ConvergenceError
 from ..obs import get_recorder, traced
 from ..obs.flight import dump_flight
-from ..obs.profile import PhaseProfiler
 from ..resilience import faults
 from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..units import parse_quantity
 from .dc import dc_plan
 from .engine import (
-    FastNewtonState,
     NewtonOptions,
     NewtonRequest,
     NewtonStats,
     SolveContext,
-    fast_newton_enabled,
     newton_solve,
     request_kwargs,
     run_plan,
 )
-from .guard import GuardMonitor, record_rung
+from .guard import record_rung
 from .netlist import Circuit, CompiledCircuit
-from .sparse import sparse_enabled
 from .stamps import CapStampArrays
 from .results import TransientResult
 
@@ -367,13 +363,7 @@ def transient(circuit: Circuit | CompiledCircuit, t_stop: float | str, *,
     compiled = circuit if isinstance(circuit, CompiledCircuit) else circuit.compile()
     stats = NewtonStats()
     recorder = get_recorder()
-    context = SolveContext(
-        recorder=recorder,
-        fast=FastNewtonState() if fast_newton_enabled() else None,
-        sparse=sparse_enabled(compiled.n_unknown),
-        guard=GuardMonitor.from_env(),
-        profile=PhaseProfiler.from_recorder(recorder),
-    )
+    context = SolveContext.for_analysis(recorder, compiled.n_unknown)
     plan = transient_result_plan(
         compiled, t_stop, stats=stats, t_start=t_start, record=record,
         initial_op=initial_op, options=options, retry=retry,

@@ -159,22 +159,28 @@ class TestSolverWiring:
         assert phases.get("factorize", 0.0) > 0.0
         assert phases.get("scatter", 0.0) > 0.0
 
-    def test_sparse_batch_driver_phases(self, monkeypatch):
+    def test_evicted_lane_solo_solve_is_profiled(self, monkeypatch):
+        """A lane evicted from the lockstep re-solves on the scalar
+        dense solver under the lockstep's profiler: its seconds land in
+        the ``driver=dense`` histograms and its flight record."""
+        from repro.obs.flight import FLIGHT_ENV_VAR
+        from repro.resilience import FaultInjection
         from repro.spice.batch import transient_batch
-        from repro.spice.builders import inverter_chain
 
-        monkeypatch.setenv("REPRO_SPARSE", "1")  # sparse lockstep kernel
-        lanes = [inverter_chain(4) for _ in range(2)]
-        with recording() as recorder:
+        monkeypatch.setenv("REPRO_SPARSE", "0")  # pin the dense kernel
+        monkeypatch.setenv(FLIGHT_ENV_VAR, "4096")  # keep every record
+        lanes = [inverter_chain(2) for _ in range(2)]
+        with recording() as recorder, FaultInjection("lane@0:1") as fi:
             transient_batch(lanes, "0.2ns")
+            assert fi.fired_count("lane") == 1
             payload = recorder.metrics_payload()
-        phases = phase_breakdown(payload["histograms"]).get("sparse_batch", {})
-        assert phases.get("assembly", 0.0) > 0.0
-        # Per-lane SuperLU exposes the factorize/back-solve boundary,
-        # unlike the dense kernel's fused stacked gesv.
-        assert phases.get("factorize", 0.0) > 0.0
-        assert phases.get("back_solve", 0.0) > 0.0
-        assert phases.get("scatter", 0.0) > 0.0
+            records = recorder.flight.records()
+        assembly = payload["histograms"][
+            PHASE_METRIC + "{driver=dense,phase=assembly}"]
+        assert assembly["count"] == 1 and assembly["sum"] > 0.0
+        solo = [r for r in records if r.get("driver") == "dense"]
+        assert len(solo) == 1
+        assert solo[0]["phases"].get("assembly", 0.0) > 0.0
 
     def test_no_histograms_without_telemetry(self):
         transient(inverter_chain(2), "0.5ns")

@@ -12,6 +12,7 @@ is pinned elsewhere (``test_assembly_equivalence``,
 import numpy as np
 import pytest
 
+from repro.obs import recording
 from repro.spice import Circuit, NewtonStats, TransientOptions, solve_dc, transient
 from repro.spice.engine import (
     FAST_NEWTON_ENV_VAR,
@@ -109,6 +110,27 @@ class TestLuReuse:
             x = newton_solve(compiled, x, known, options=options, fast=fast)
         assert fast.refactorized >= 1
         assert fast.reused >= 1
+
+    def test_sparse_path_reuses_retained_lu(self):
+        """LU reuse holds on the sparse backend too: repeated solves
+        under one Jacobian key must not refactorize per call
+        (``spice.sparse.factorizations`` counts every sparse
+        factorization)."""
+        compiled = inverter().compile()
+        known = compiled.known_voltages(0.0)
+        fast = FastNewtonState()
+        options = NewtonOptions()
+        x = np.full(compiled.n_unknown, PROC.vdd / 2.0)
+        with recording() as rec:
+            for _ in range(3):
+                x = newton_solve(compiled, x, known, options=options,
+                                 sparse=True, fast=fast)
+        assert fast.refactorized >= 1
+        assert fast.reused >= 1
+        counters = rec.metrics_payload()["counters"]
+        # Reused iterations skip the factorization entirely.
+        assert counters["spice.sparse.factorizations"] == \
+            counters["spice.newton.iterations"] - fast.reused
 
     def test_matches_full_newton_solution(self):
         compiled = inverter().compile()

@@ -1,56 +1,38 @@
-"""Bit-equivalence of the batched sparse kernel against the scalar path.
+"""Bit-equivalence of sparse-dispatched batches against the scalar path.
 
-The batched sparse driver (:mod:`repro.spice.sparse_batch`) promises
-*bit-identical* results to the scalar sparse driver -- same waveforms,
-same Newton accounting, same solver counters -- at any batch size, on
-either side of the ``auto`` dispatch cutover (forced via
-``REPRO_SPARSE=1`` below it).  These tests enforce that contract on
-randomized congruent lanes, pin the fault/eviction parity carried over
-from the dense lockstep kernel (``sparse@factorize`` recovery,
-``lane@INDEX`` eviction with a *sparse* solo retry), the fallback
-counting rules (``spice.batch.sparse_fallbacks`` counts lanes, never
-congruent batched rounds), the once-per-run fallback warning, and the
-``--fast-newton`` LU-reuse contract through the scalar sparse path
-that the serial fallback rides.
+A batch whose lanes dispatch to the sparse backend -- auto-dispatched
+above the cutover, or forced below it with ``REPRO_SPARSE=1`` -- runs
+lane by lane on the scalar sparse solver instead of the dense lockstep
+kernel.  These tests hold ``transient_batch`` and ``solve_dc_batch`` on
+randomized congruent lanes to the scalar driver's results bit for bit:
+same waveforms and operating points, same Newton accounting, same
+solver counters at any batch size, and no lockstep round.
 """
 
 import numpy as np
 
-from repro.errors import ConvergenceError
 from repro.obs import recording
-from repro.resilience import FaultInjection
 from repro.spice import (
-    NewtonOptions,
-    NewtonStats,
     TransientOptions,
+    solve_dc,
     solve_dc_batch,
     transient,
     transient_batch,
 )
-from repro.spice.batch import run_plans_batched
 from repro.spice.builders import bitcell_array, delay_chain
-from repro.spice.engine import (
-    FastNewtonState,
-    NewtonRequest,
-    newton_solve,
-    request_solve,
-)
 from repro.spice.sparse import SPARSE_ENV_VAR, SPARSE_NODE_CUTOVER
-from repro.spice.sparse_batch import (
-    SPARSE_BATCH_ENV_VAR,
-    sparse_batch_enabled,
-)
 from repro.tech import default_process
 from repro.waveform import ramp
 
 PROC = default_process()
 FAST = TransientOptions(h_max_ratio=2e-2)
 
+
 def chain_lanes(count: int = 4, stages: int = 36, fanout: int = 3):
     """Randomized congruent delay chains above the dispatch cutover.
 
     The rng is re-seeded per call so repeated invocations hand every
-    leg (scalar, batched, serial-fallback) the *same* randomized grid.
+    leg (scalar, batched, single-lane) the *same* randomized grid.
     """
     rng = np.random.default_rng(20260808)
     lanes = []
@@ -105,47 +87,55 @@ def solver_counters(recorder) -> dict:
 
 class TestBitIdentity:
     def test_transient_above_cutover_matches_serial_sparse(self, monkeypatch):
-        """Randomized congruent lanes, auto-dispatched sparse: the
-        batched kernel and the ``REPRO_SPARSE_BATCH=0`` serial fallback
-        must produce the same bits and the same Newton accounting."""
+        """Randomized congruent lanes, auto-dispatched sparse: one batch
+        and the same lanes sent one per batch must produce the same bits
+        and the same Newton accounting, with no lockstep round."""
+        monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
         lanes = chain_lanes()
         assert lanes[0].compile().n_unknown >= SPARSE_NODE_CUTOVER
         t_stop = 15e-12
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
-        batched = transient_batch(lanes, t_stop, options=FAST)
-        monkeypatch.setenv(SPARSE_BATCH_ENV_VAR, "0")
-        serial = transient_batch(chain_lanes(), t_stop, options=FAST)
+        with recording() as rec:
+            batched = transient_batch(lanes, t_stop, options=FAST)
+        assert "spice.batch.rounds" not in rec.metrics_payload()["counters"]
+        serial = [transient_batch([c], t_stop, options=FAST)[0]
+                  for c in chain_lanes()]
         for s, b in zip(serial, batched):
             assert_result_identical(s, b)
 
     def test_matches_scalar_driver_exactly(self, monkeypatch):
-        """The batched kernel vs per-lane scalar ``transient`` calls."""
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
+        """A sparse batch vs per-lane scalar ``transient`` calls: same
+        bits and same solver counters."""
+        monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
         t_stop = 15e-12
-        scalar = [transient(c, t_stop, options=FAST) for c in chain_lanes()]
-        batched = transient_batch(chain_lanes(), t_stop, options=FAST)
+        with recording() as rec_scalar:
+            scalar = [transient(c, t_stop, options=FAST)
+                      for c in chain_lanes()]
+        with recording() as rec_batch:
+            batched = transient_batch(chain_lanes(), t_stop, options=FAST)
+        assert solver_counters(rec_batch) == solver_counters(rec_scalar)
         for s, b in zip(scalar, batched):
             assert_result_identical(s, b)
 
     def test_forced_sparse_below_cutover(self, monkeypatch):
-        """``REPRO_SPARSE=1`` rides the batched sparse kernel on small
-        lanes too; results still match the scalar (sparse) driver."""
+        """``REPRO_SPARSE=1`` sends small congruent lanes down the
+        scalar sparse solver too; results match the scalar driver."""
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         t_stop = 1.5e-9
         scalar = [transient(c, t_stop, options=FAST) for c in small_lanes()]
         with recording() as rec:
             batched = transient_batch(small_lanes(), t_stop, options=FAST)
         counters = rec.metrics_payload()["counters"]
-        assert counters["spice.batch.sparse_rounds"] > 0
-        assert "spice.batch.sparse_fallbacks" not in counters
+        assert counters["spice.newton.dispatch{backend=sparse}"] > 0
+        assert "spice.newton.dispatch{backend=dense}" not in counters
+        assert "spice.batch.rounds" not in counters
+        assert "spice.batch.fallbacks" not in counters
         for s, b in zip(scalar, batched):
             assert_result_identical(s, b)
 
     def test_dc_bitcell_batch_matches_serial(self, monkeypatch):
         """The characterization-shot shape: per-lane stored patterns on
         a shared bitcell-array structure, operating points identical
-        between kernel and fallback."""
+        between the batch driver and per-lane ``solve_dc``."""
         def lanes():
             pats = [[(i * 2654435761 + r) % 256 for r in range(4)]
                     for i in range(3)]
@@ -153,16 +143,13 @@ class TestBitIdentity:
                     for p in pats]
 
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         batched = solve_dc_batch(lanes())
-        monkeypatch.setenv(SPARSE_BATCH_ENV_VAR, "0")
-        serial = solve_dc_batch(lanes())
+        serial = [solve_dc(c) for c in lanes()]
         for b, s in zip(batched, serial):
             assert b.voltages == s.voltages
 
     def test_newton_counters_invariant_across_batch_sizes(self, monkeypatch):
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
         t_stop = 1.5e-9
         references = None
         for batch_size in (1, 2, 4):
@@ -177,148 +164,3 @@ class TestBitIdentity:
                 references = counters
             else:
                 assert counters == references
-
-
-class TestFallbackCounting:
-    def test_knob_off_counts_every_lane(self, monkeypatch):
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.setenv(SPARSE_BATCH_ENV_VAR, "0")
-        assert not sparse_batch_enabled()
-        with recording() as rec:
-            solve_dc_batch(small_lanes(4))
-        counters = rec.metrics_payload()["counters"]
-        assert counters["spice.batch.sparse_fallbacks"] == 4
-
-    def test_incongruent_sparse_lanes_count_per_lane(self, monkeypatch):
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
-        lanes = small_lanes(2) + [delay_chain(2, 2)]
-        with recording() as rec:
-            solve_dc_batch(lanes)
-        counters = rec.metrics_payload()["counters"]
-        assert counters["spice.batch.sparse_fallbacks"] == 3
-        assert "spice.batch.fallbacks" not in counters
-
-    def test_congruent_batch_never_counts_fallbacks(self, monkeypatch):
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
-        with recording() as rec:
-            solve_dc_batch(small_lanes(4))
-        counters = rec.metrics_payload()["counters"]
-        assert "spice.batch.sparse_fallbacks" not in counters
-        assert counters["spice.batch.sparse_rounds"] > 0
-
-    def test_fallback_warns_once_per_run_generation(self, monkeypatch,
-                                                    caplog):
-        import logging
-
-        import repro.obs.manifest as manifest
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.setenv(SPARSE_BATCH_ENV_VAR, "0")
-        # Any earlier CLI ``main()`` run in this process pins a stderr
-        # handler on the ``repro`` logger and stops propagation
-        # (repro.log.setup_logging); caplog captures at the root, so
-        # re-enable propagation for the duration of this test.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-        # Earlier tests in this process may have latched the current
-        # generation already; start from a fresh one.
-        monkeypatch.setattr(manifest, "_RUN_GENERATION",
-                            manifest._RUN_GENERATION + 1)
-        with caplog.at_level("DEBUG", logger="repro.spice.batch"):
-            solve_dc_batch(small_lanes(2))
-            solve_dc_batch(small_lanes(2))
-        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-        debugs = [r for r in caplog.records if r.levelname == "DEBUG"
-                  and "serially" in r.getMessage()]
-        assert len(warnings) == 1
-        assert len(debugs) == 1
-        # A new run generation (a second CLI run in the same process)
-        # re-arms the one-WARNING latch.
-        caplog.clear()
-        monkeypatch.setattr(manifest, "_RUN_GENERATION",
-                            manifest._RUN_GENERATION + 1)
-        with caplog.at_level("DEBUG", logger="repro.spice.batch"):
-            solve_dc_batch(small_lanes(2))
-        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warnings) == 1
-
-
-class TestFaultParity:
-    def test_lane_fault_evicts_and_retries_solo_sparse(self, monkeypatch):
-        """An evicted lane's solo retry must stay on the *sparse*
-        backend: the retried waveform is bit-identical to the scalar
-        sparse driver (a dense retry would only agree to tolerance)."""
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
-        t_stop = 1.5e-9
-        scalar = [transient(c, t_stop, options=FAST) for c in small_lanes(3)]
-        with recording() as rec, FaultInjection("lane@1:1") as fi:
-            batched = transient_batch(small_lanes(3), t_stop, options=FAST)
-            assert fi.fired_count("lane") == 1
-        counters = rec.metrics_payload()["counters"]
-        assert counters["spice.batch.evictions{reason=fault}"] == 1
-        for s, b in zip(scalar, batched):
-            assert_result_identical(s, b)
-
-    def test_factorization_fault_recovers_via_nudge(self, monkeypatch):
-        """``sparse@factorize`` into a batched lane walks the same
-        nudge rung as the scalar ladder; every lane still converges."""
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
-        clean = solve_dc_batch(small_lanes(3))
-        with recording() as rec, FaultInjection("sparse@factorize:1") as fi:
-            faulted = solve_dc_batch(small_lanes(3))
-            assert fi.fired_count("sparse") == 1
-        counters = rec.metrics_payload()["counters"]
-        assert counters["spice.guard.rung{rung=nudge}"] >= 1
-        for c, f in zip(clean, faulted):
-            for node, value in c.voltages.items():
-                assert abs(f.voltages[node] - value) <= 1e-9
-
-    def test_persistent_factorization_fault_fails_cleanly(self, monkeypatch):
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.delenv(SPARSE_BATCH_ENV_VAR, raising=False)
-
-        def entries():
-            out = []
-            for circuit in small_lanes(2):
-                compiled = circuit.compile()
-                request = NewtonRequest(
-                    x0=np.zeros(compiled.n_unknown),
-                    known=compiled.known_voltages(0.0),
-                    options=NewtonOptions(),
-                )
-                out.append((compiled, request_solve(request), NewtonStats()))
-            return out
-
-        with FaultInjection("sparse@factorize:always"):
-            outcomes = run_plans_batched(entries())
-        assert len(outcomes) == 2
-        for outcome in outcomes:
-            assert isinstance(outcome, ConvergenceError)
-            assert "singular" in str(outcome)
-
-
-class TestLuReuseThroughSparse:
-    def test_serial_sparse_fallback_reuses_retained_lu(self, monkeypatch):
-        """Satellite contract: ``--fast-newton`` LU reuse holds on the
-        sparse path -- repeated solves under one Jacobian key must not
-        refactorize per call (``spice.sparse.factorizations`` pins it,
-        the counter every sparse factorization increments)."""
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        compiled = small_lanes(1)[0].compile()
-        known = compiled.known_voltages(0.0)
-        fast = FastNewtonState()
-        options = NewtonOptions()
-        x = np.full(compiled.n_unknown, PROC.vdd / 2.0)
-        with recording() as rec:
-            for _ in range(3):
-                x = newton_solve(compiled, x, known, options=options,
-                                 sparse=True, fast=fast)
-        assert fast.refactorized >= 1
-        assert fast.reused >= 1
-        counters = rec.metrics_payload()["counters"]
-        # Reused iterations skip the factorization entirely.
-        total_iters = counters["spice.newton.iterations"]
-        assert counters["spice.sparse.factorizations"] == \
-            total_iters - fast.reused
