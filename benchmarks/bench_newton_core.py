@@ -82,7 +82,7 @@ def test_scalar_assembly_speedup_and_identity(benchmark, request):
             assemble_into(plan, ws, x, 1e-12, True)
 
     # Interleave the two modes so drift in box load hits both equally;
-    # best-of-REPS filters the spikes (same recipe as bench_batch).
+    # best-of-REPS filters the spikes.
     ref_times, vec_times = [], []
     for rep in range(REPS):
         t0 = time.perf_counter()

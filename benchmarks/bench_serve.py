@@ -1,10 +1,9 @@
-"""Serve daemon load benchmark: coalescing speedup + warm-cache latency.
+"""Serve daemon load benchmark: coalesced burst + warm-cache latency.
 
 The daemon's performance story has two legs.  First, *coalescing*:
-delay queries that arrive together are gathered into lanes of the
-batched lockstep kernel, so a burst of N queries costs one batched
-solve instead of N scalar solves.  Second, *warm caches*: an exact
-repeat is served from the TTL+LRU response cache as stored bytes,
+delay queries that arrive together are gathered into one batched call,
+which runs each lane on the scalar solver.  Second, *warm caches*: an
+exact repeat is served from the TTL+LRU response cache as stored bytes,
 orders of magnitude below a cold solve.
 
 This benchmark boots real in-process servers (HTTP over localhost, the
@@ -26,12 +25,11 @@ solving, not library characterization.  Bit-identity is asserted
 unconditionally: the coalesced arm's response documents must equal the
 serial arm's (computed by a different server instance), and the warm
 arm must replay byte-identical responses.  ``BENCH_serve.json`` records
-queries/sec and client-side p50/p99 per arm plus the coalescing speedup
-(floor: 1.5x, asserted live).
+queries/sec and client-side p50/p99 per arm plus the coalesced arm's
+speedup over the serial arm (recorded, not gated).
 
-Like ``bench_batch.py``, the workload is a fixed 48-query burst rather
-than a scaled sweep -- lane fill is the quantity under test, and the
-speedup floor only holds at full lanes.
+The workload is a fixed 48-query burst rather than a scaled sweep, so
+every run fills the same lanes.
 """
 
 import json
@@ -188,7 +186,4 @@ def test_serve_load_coalescing_and_warm_cache(benchmark, request):
         "coalescing_speedup": speedup,
     }
 
-    # The committed baseline records the measured ratio; the live floor
-    # leaves headroom for noisy shared runners.
-    assert speedup >= 1.5
     assert warm_stats["request_p50_ms"] < serial_stats["request_p50_ms"]

@@ -117,7 +117,7 @@ def _grid_point_task(task) -> Tuple[float, float]:
 
 
 def _grid_chunk_task(task):
-    """Worker: one batch of grid transients through the lockstep kernel.
+    """Worker: one pooled task's batch of grid transients.
 
     Returns one envelope per point -- ``("ok", (delay, ttime))`` or
     ``("err", kind, message, error_type)`` -- mirroring what the scalar
@@ -174,10 +174,10 @@ def characterize_dual_input(
     ``workers`` fans the grid's independent transients over a process
     pool (see :mod:`repro.parallel`); grid points are merged back in
     sweep order, so the resulting table is bit-identical to a serial
-    run.  ``batch`` (default: ``REPRO_BATCH``, else scalar) runs that
-    many grid points per task through the vectorized lockstep kernel,
-    composing with ``workers`` and equally bit-identical; the cache key
-    is deliberately batch-blind.
+    run.  ``batch`` (default: ``REPRO_BATCH``, else one point per task)
+    sets how many grid points one pooled task carries; results are
+    identical for any batch size, and the cache key is deliberately
+    batch-blind.
 
     A grid point whose transient fails (convergence loss past the retry
     ladder, crashed worker, task timeout) becomes a NaN cell: the loss

@@ -207,10 +207,9 @@ class GateLibrary:
 
         ``workers`` parallelizes the table-mode characterization sweeps
         over a process pool (default: serial; see :mod:`repro.parallel`).
-        ``batch`` runs that many sweep points per task through the
-        vectorized lockstep kernel (default: ``REPRO_BATCH``, else
-        scalar); the two compose, lanes x processes.  Tables are
-        deterministic regardless of the worker count or batch size.
+        ``batch`` sets how many sweep points one pooled task carries
+        (default: ``REPRO_BATCH``, else one).  Tables are deterministic
+        regardless of the worker count or batch size.
         """
         with get_recorder().span("charlib.characterize", gate=gate.name,
                                  mode=mode):

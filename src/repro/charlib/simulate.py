@@ -339,16 +339,15 @@ def multi_input_response_batch(gate: Gate, requests: Sequence[ShotRequest],
                                thresholds: Thresholds, *,
                                max_retries: int = 3,
                                retry=None) -> List[ShotOutcome]:
-    """Measure many independent edge configurations in lockstep.
+    """Measure many independent edge configurations in one call.
 
     Each request runs the *same* per-point state machine as
     :func:`multi_input_response` -- circuit built once, transient window
     doubled up to ``max_retries`` times on incomplete measurements --
-    but the transients of all still-pending requests execute together
-    through :func:`repro.spice.transient_batch`, whose lockstep kernel
-    is bit-identical per lane to the scalar engine.  Results are
-    therefore bit-identical to calling :func:`multi_input_response` per
-    request, for any batch size.
+    and the transients of all still-pending requests go to one
+    :func:`repro.spice.transient_batch` call, which runs each lane on
+    the scalar engine.  Results are therefore bit-identical to calling
+    :func:`multi_input_response` per request, for any batch size.
 
     Failures are isolated per request: instead of raising, the slot
     holds the exception the scalar call would have raised, carrying the
@@ -402,10 +401,9 @@ def single_input_response_batch(gate: Gate, input_name: str, direction: str,
                                                           MeasurementError]]:
     """Batched :func:`single_input_response` over ``(load, tau)`` points.
 
-    All points share the pin and direction (one characterization sweep),
-    so their circuits are structurally congruent and the lockstep kernel
-    engages.  Slots of failed points hold the exception the scalar call
-    would have raised, as in :func:`multi_input_response_batch`.
+    All points share the pin and direction (one characterization sweep).
+    Slots of failed points hold the exception the scalar call would have
+    raised, as in :func:`multi_input_response_batch`.
     """
     requests: List[ShotRequest] = []
     taus: List[float] = []

@@ -110,7 +110,7 @@ def _sample_task(task):
 
 
 def _sample_chunk_task(task):
-    """Worker: one batch of (load, tau) samples through the lockstep kernel.
+    """Worker: one pooled task's batch of (load, tau) samples.
 
     Returns one envelope per point -- ``("ok", (delay_norm, ttime_norm))``
     or ``("err", kind, message, error_type)`` -- so a failing point
@@ -168,10 +168,9 @@ def characterize_single_input(
     content key.  ``workers`` fans the independent (load, tau) sweep
     points over a process pool; samples merge back in sweep order, so
     the table is bit-identical to a serial run.  ``batch`` (default:
-    ``REPRO_BATCH``, else scalar) runs that many sweep points per task
-    through the vectorized lockstep kernel -- inside each pooled worker
-    when both are enabled -- and is equally bit-identical; the cache key
-    is deliberately batch-blind.
+    ``REPRO_BATCH``, else one point per task) sets how many sweep
+    points one pooled task carries; results are identical for any
+    batch size, and the cache key is deliberately batch-blind.
 
     The sweep **degrades gracefully**: a point whose simulation fails
     (convergence loss past the retry ladder, a crashed worker, a task

@@ -66,10 +66,8 @@ def _add_workers_option(parser: argparse.ArgumentParser) -> None:
              "cores; results are identical for any worker count)")
     parser.add_argument(
         "--batch", type=int, default=None, metavar="B",
-        help="simulations per task run together through the vectorized "
-             "lockstep kernel (default: REPRO_BATCH env var, else "
-             "scalar; composes with --workers; results are identical "
-             "for any batch size)")
+        help="points per pooled task; results identical "
+             "(default: REPRO_BATCH env var, else 1)")
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:

@@ -22,7 +22,7 @@ the recorder: :mod:`repro.obs.live` (periodic atomic snapshots as
 ``repro top``), :mod:`repro.obs.flight` (a per-solve ring buffer dumped
 to ``flight_*.json`` on retry-ladder exhaustion or guard aborts), and
 :mod:`repro.obs.profile` (phase-attributed solver timing histograms per
-dense/sparse/batch driver).
+dense/sparse driver).
 """
 
 from .metrics import (

@@ -131,10 +131,10 @@ def headline_summary(payload: Mapping[str, Any]) -> str:
 
     Surfaces the totals an operator actually triages by -- Newton
     solves/iterations/failures, escalation-ladder rung counts
-    (``spice.guard.rung{rung=...}``), guard aborts, batch-lane
-    evictions, the ``spice.sparse.*`` family, and flight dumps --
-    instead of leaving them buried in the raw counter listing.  Empty
-    string when none of those families recorded anything.
+    (``spice.guard.rung{rung=...}``), guard aborts, the
+    ``spice.sparse.*`` family, and flight dumps -- instead of leaving
+    them buried in the raw counter listing.  Empty string when none of
+    those families recorded anything.
     """
     counters = payload.get("counters", {})
     lines: List[str] = []
@@ -149,7 +149,6 @@ def headline_summary(payload: Mapping[str, Any]) -> str:
         lines.append(line)
     for name, label in (("spice.guard.rung", "guard rungs"),
                         ("spice.guard.aborts", "guard aborts"),
-                        ("spice.batch.evictions", "batch evictions"),
                         ("obs.flight.dumps", "flight dumps")):
         values = _labeled_counters(counters, name)
         if values:
@@ -373,9 +372,9 @@ def degradation_summary(recorder=None) -> str:
     """One line of registry-sourced loss accounting, or ``""``.
 
     Pulls solver retry totals, per-kind grid-point fault counts,
-    neighbor-filled cell counts, guard aborts (divergence/watchdog) and
-    batch-lane evictions from the current metric registry -- the
-    single place degradation is accumulated -- for
+    neighbor-filled cell counts and guard aborts (divergence/watchdog)
+    from the current metric registry -- the single place degradation
+    is accumulated -- for
     :meth:`repro.charlib.GateLibrary.health_summary` and the
     experiment summaries.  Routine escalation-ladder engagements
     (``spice.guard.rung``) are deliberately *not* summarized here:
@@ -403,8 +402,7 @@ def degradation_summary(recorder=None) -> str:
 
     kinds = labeled("charlib.points.failed{kind=")
     aborts = labeled("spice.guard.aborts{reason=")
-    evictions = labeled("spice.batch.evictions{reason=")
-    if not (retries or filled or kinds or aborts or evictions):
+    if not (retries or filled or kinds or aborts):
         return ""
     parts = []
     if retries:
@@ -413,10 +411,6 @@ def degradation_summary(recorder=None) -> str:
         listed = ", ".join(f"{reason}={_format_number(aborts[reason])}"
                            for reason in sorted(aborts))
         parts.append(f"guard aborts: {listed}")
-    if evictions:
-        listed = ", ".join(f"{reason}={_format_number(evictions[reason])}"
-                           for reason in sorted(evictions))
-        parts.append(f"batch-lane evictions: {listed}")
     if kinds:
         listed = ", ".join(f"{kind}={_format_number(kinds[kind])}"
                            for kind in sorted(kinds))

@@ -417,12 +417,6 @@ def format_top(document: Mapping[str, Any],
         parts = ", ".join(f"{reason}={int(count)}" for reason, count in aborts)
         lines.append(f"aborts     {parts}")
 
-    evictions = _labelled(counters, "spice.batch.evictions", "reason")
-    if evictions:
-        parts = ", ".join(f"{reason}={int(count)}"
-                          for reason, count in evictions)
-        lines.append(f"evictions  {parts}")
-
     sparse_bits = []
     for key, value in sorted(counters.items()):
         name, _ = parse_metric_key(key)

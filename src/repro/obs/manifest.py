@@ -67,14 +67,13 @@ ENV_KNOBS = (
 )
 
 #: The headline counter totals a manifest surfaces (summed over labels).
-#: Zero totals are filtered out, so the guard/eviction names only appear
-#: in manifests of runs where the escalation ladder actually engaged.
+#: Zero totals are filtered out, so the guard names only appear in
+#: manifests of runs where the escalation ladder actually engaged.
 TOTALS = (
     "spice.newton.iterations", "spice.newton.solves", "spice.retries",
     "cache.hits", "cache.misses", "parallel.tasks.completed",
     "charlib.points.failed",
     "spice.guard.rung", "spice.guard.aborts", "spice.guard.illconditioned",
-    "spice.batch.evictions",
 )
 
 

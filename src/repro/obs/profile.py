@@ -1,6 +1,6 @@
 """Phase-attributed solver timing: where does a Newton solve spend time?
 
-The solver stack has exactly five cost centers, and the scaling story
+The solver stack has exactly four cost centers, and the scaling story
 of each driver hangs on their ratio:
 
 * ``assembly``    -- device evaluation + residual/Jacobian scatter,
@@ -9,16 +9,12 @@ of each driver hangs on their ratio:
   dense scalar loop's whole linear solve is attributed here),
 * ``back_solve``  -- triangular back-substitution (split out on the
   sparse backend and in the LU-reusing fast-Newton mode),
-* ``scatter``     -- the batched kernel's per-round state writeback and
-  convergence bookkeeping (zero on the scalar drivers, whose update is
-  a single vector add),
 * ``guard``       -- the opt-in guard monitors: per-iteration checks
   plus condition estimates (zero with ``REPRO_GUARD`` unset).
 
-:class:`PhaseProfiler` records the per-solve (scalar drivers) or
-per-round (batched kernel) phase seconds into labelled histograms
-``spice.phase.seconds{driver=...,phase=...}`` with ``driver`` one of
-``dense | sparse | batch``.  The accumulator object
+:class:`PhaseProfiler` records the per-solve phase seconds into
+labelled histograms ``spice.phase.seconds{driver=...,phase=...}`` with
+``driver`` one of ``dense | sparse``.  The accumulator object
 (:class:`PhaseTimes`) is a plain slotted float bag and the timing
 source is ``time.monotonic()``, so an instrumented iteration pays a
 handful of clock reads -- cheap enough that the live-telemetry bench
@@ -40,9 +36,8 @@ from typing import Dict, Optional, Tuple
 __all__ = ["PHASES", "PHASE_METRIC", "PHASE_EDGES", "PhaseTimes",
            "PhaseProfiler", "phase_breakdown"]
 
-#: The five phase labels, in reporting order.
-PHASES: Tuple[str, ...] = ("assembly", "factorize", "back_solve",
-                           "scatter", "guard")
+#: The four phase labels, in reporting order.
+PHASES: Tuple[str, ...] = ("assembly", "factorize", "back_solve", "guard")
 
 #: The histogram family phase seconds are recorded under.
 PHASE_METRIC = "spice.phase.seconds"
@@ -56,7 +51,7 @@ PHASE_EDGES: Tuple[float, ...] = (
 
 
 class PhaseTimes:
-    """Per-solve (or per-round) phase-second accumulator.
+    """Per-solve phase-second accumulator.
 
     A plain slotted float bag: the hot loops add elapsed seconds to the
     named attribute directly (``times.assembly += dt``), no dict or
@@ -69,7 +64,6 @@ class PhaseTimes:
         self.assembly = 0.0
         self.factorize = 0.0
         self.back_solve = 0.0
-        self.scatter = 0.0
         self.guard = 0.0
 
     def as_dict(self) -> Dict[str, float]:
@@ -80,7 +74,7 @@ class PhaseTimes:
     @property
     def total(self) -> float:
         return (self.assembly + self.factorize + self.back_solve
-                + self.scatter + self.guard)
+                + self.guard)
 
 
 class PhaseProfiler:
@@ -89,7 +83,7 @@ class PhaseProfiler:
     One profiler per analysis (it rides on
     :class:`~repro.spice.engine.SolveContext`); histogram handles are
     resolved once per ``(driver, phase)`` and cached, so finishing a
-    solve costs five cached-dict lookups and at most five
+    solve costs four cached-dict lookups and at most four
     ``Histogram.observe`` calls -- no registry lock traffic on the
     steady state.
     """
@@ -108,7 +102,7 @@ class PhaseProfiler:
         return cls(recorder)
 
     def begin(self) -> PhaseTimes:
-        """A fresh accumulator for one solve (or one lockstep round)."""
+        """A fresh accumulator for one solve."""
         return PhaseTimes()
 
     def _handles(self, driver: str) -> tuple:

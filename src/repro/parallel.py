@@ -144,12 +144,10 @@ def resolve_batch(batch: Optional[int] = None) -> int:
 
     Resolution order: the explicit ``batch`` argument, then the
     ``REPRO_BATCH`` environment variable, then ``0``.  ``0`` and ``1``
-    both mean the scalar path (one transient per grid point); larger
-    values run that many grid points per task through the vectorized
-    lockstep kernel (:mod:`repro.spice.batch`).  Batching composes with
-    ``workers`` -- each pooled task then carries one whole batch -- and
-    never changes results: the kernel is bit-identical to the scalar
-    solver for any batch size.
+    both mean one grid point per task; larger values make each pooled
+    task carry that many grid points (:mod:`repro.spice.batch` runs
+    them lane by lane on the scalar solver).  Batching never changes
+    results.
     """
     if batch is None:
         env = os.environ.get(BATCH_ENV_VAR, "").strip()

@@ -38,12 +38,6 @@ clauses:
     produces -- exercising the diagonal-nudge rung and the homotopy
     ladder above it on sparse-dispatched solves.  (``sparse@*`` also
     matches, for symmetry with the other wildcard clauses.)
-``lane@INDEX[:times]`` / ``lane@*[:times]``
-    Mark lane ``INDEX`` (the 0-based plan index within one batched
-    call) of the lockstep batch kernel as faulted: the lane is evicted
-    from the batch and retried solo through the scalar solver --
-    exercises the eviction/solo-retry path without needing a genuinely
-    diverging lane.
 
 ``times`` is how often the clause fires (default ``1``); ``always``
 never exhausts.  Counted clauses claim *marker files* in the directory
@@ -76,7 +70,7 @@ __all__ = [
     "FAULTS_ENV_VAR", "STATE_ENV_VAR", "HANG_ENV_VAR",
     "FaultSpec", "FaultInjection", "parse_faults",
     "fire_point", "fire_task", "fire_transient", "corrupt_after_store",
-    "fire_sparse_factorize", "fire_batch_lane",
+    "fire_sparse_factorize",
 ]
 
 #: The fault plan (see module docstring for the grammar).
@@ -86,8 +80,7 @@ STATE_ENV_VAR = "REPRO_FAULTS_STATE"
 #: How long an injected hang sleeps, in seconds.
 HANG_ENV_VAR = "REPRO_FAULT_HANG"
 
-_KINDS = ("point", "crash", "hang", "transient", "corrupt", "sparse",
-          "lane")
+_KINDS = ("point", "crash", "hang", "transient", "corrupt", "sparse")
 
 
 @dataclass(frozen=True)
@@ -283,24 +276,6 @@ def fire_sparse_factorize() -> None:
 
             raise np.linalg.LinAlgError(
                 "injected sparse-factorization fault")
-
-
-def fire_batch_lane(lane: int) -> bool:
-    """Lockstep-kernel hook: mark batch lane ``lane`` as faulted.
-
-    Called by :mod:`repro.spice.batch` when a lane loads a new solve.
-    Returns ``True`` when a matching ``lane`` clause fires; the kernel
-    evicts the lane from the stacked iteration and retries it solo
-    through the scalar solver (a boolean rather than a raise: eviction
-    is recovery behavior of the *driver*, not a solver error).
-    """
-    plan = _active_plan()
-    if plan is None:
-        return False
-    for spec in plan.matches("lane", str(lane), "*"):
-        if plan.try_fire(spec):
-            return True
-    return False
 
 
 def corrupt_after_store(kind: str, path: os.PathLike) -> None:

@@ -11,7 +11,7 @@ warm in one process and serves JSON over HTTP and unix sockets:
 * :mod:`repro.serve.cache` -- the TTL + LRU response cache
   (``REPRO_SERVE_TTL`` / ``REPRO_SERVE_CACHE_MAX``);
 * :mod:`repro.serve.coalesce` -- the :class:`ShotBroker` that merges
-  concurrent simulations into lanes of the batched lockstep kernel
+  concurrent simulations into one batched call
   (``REPRO_SERVE_COALESCE`` / ``REPRO_SERVE_GATHER`` /
   ``REPRO_SERVE_LANES``);
 * :mod:`repro.serve.state` -- warm gate libraries and calculators;

@@ -1,12 +1,11 @@
 """Request coalescing: concurrent shot requests merged into batch lanes.
 
 Every delay query the server computes bottoms out in one or more
-:func:`repro.charlib.simulate.multi_input_response` transients.  Run
-serially those dominate the request latency; run *together* through
-:func:`repro.charlib.simulate.multi_input_response_batch` they share
-the lockstep Newton kernel, which is bit-identical per lane to the
-scalar engine (see ``benchmarks/bench_batch.py``) -- so coalescing
-changes throughput, never results.
+:func:`repro.charlib.simulate.multi_input_response` transients.  The
+broker gathers concurrent ones into one
+:func:`repro.charlib.simulate.multi_input_response_batch` call, which
+runs each lane on the scalar engine -- so coalescing changes
+scheduling, never results.
 
 The :class:`ShotBroker` is the shot router the server installs via
 :func:`repro.charlib.simulate.set_shot_router`: handler threads that
@@ -42,7 +41,7 @@ __all__ = [
 COALESCE_ENV_VAR = "REPRO_SERVE_COALESCE"
 #: Gather window in seconds before a partial lane group flushes.
 GATHER_ENV_VAR = "REPRO_SERVE_GATHER"
-#: Maximum requests coalesced into one batch-kernel call.
+#: Maximum requests coalesced into one batched call.
 LANES_ENV_VAR = "REPRO_SERVE_LANES"
 
 DEFAULT_GATHER = 0.002

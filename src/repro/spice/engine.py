@@ -110,11 +110,9 @@ class NewtonRequest:
     that yield these requests instead of calling :func:`newton_solve`
     directly.  A driver executes each request and sends the outcome --
     the solution vector, or the :class:`~repro.errors.ConvergenceError`
-    the solve raised -- back into the generator.  The scalar driver
+    the solve raised -- back into the generator.  The driver
     (:func:`run_plan`) executes requests one by one through
-    :func:`newton_solve`; the batched driver
-    (:mod:`repro.spice.batch`) runs many plans' requests through one
-    vectorized lockstep kernel.  Field semantics match the
+    :func:`newton_solve`.  Field semantics match the
     :func:`newton_solve` parameters of the same names.
     """
 
@@ -280,10 +278,9 @@ def assemble_system_reference(
 def singular_nudge(effective_gmin: float) -> float:
     """The diagonal escalation value for a singular Jacobian.
 
-    Both the scalar loops and the batched lockstep kernel escalate a
-    singular system by adding this to every diagonal entry; sharing the
-    expression keeps the recovery arithmetic bit-identical across the
-    scalar, fast, sparse and batched paths.
+    Both Newton loops escalate a singular system by adding this to every
+    diagonal entry; sharing the expression keeps the recovery arithmetic
+    identical across the full, fast and sparse paths.
     """
     return max(effective_gmin, 1e-9)
 
@@ -310,12 +307,10 @@ def _observe_solve(iterations: int, converged: bool, recorder=None,
 
     This is the single place Newton iterations are counted, so parent
     and worker processes account identically -- whoever runs the solve
-    records it, and pooled tasks ship the delta back.  Hot drivers that
-    perform many solves under one recorder (the lockstep kernel) pass
-    it in to skip the per-solve environment-signature check.
-    ``backend`` labels the linear-solver dispatch choice (``"dense"``
-    or ``"sparse"``) for the scalar solver; drivers with their own
-    dispatch accounting leave it unset.
+    records it, and pooled tasks ship the delta back.  Drivers that
+    perform many solves under one recorder pass it in to skip the
+    per-solve environment-signature check.  ``backend`` labels the
+    linear-solver dispatch choice (``"dense"`` or ``"sparse"``).
     """
     if recorder is None:
         recorder = get_recorder()
@@ -339,9 +334,7 @@ def _guard_abort(error, stats: Optional[NewtonStats], recorder,
 
     The burned iterations land in ``stats``/the Newton counters exactly
     like an exhausted iteration budget would, plus the abort reason in
-    ``spice.guard.aborts{reason=...}``.  The batched kernel does *not*
-    call this for an evicted lane -- the solo retry comes back through
-    here, which keeps abort accounting identical to the scalar driver.
+    ``spice.guard.aborts{reason=...}``.
 
     A guard abort is also one of the two flight-dump triggers: the
     aborted solve's record (with its phase split, when profiling) joins
@@ -811,8 +804,7 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
         if solve_guard is not None and solve_guard.check_condition:
             # After the successful linear solve: the sparse backend's
             # retained factor is current, and a nudged diagonal is
-            # estimated as-solved (matching the batched kernel, which
-            # estimates its lane Jacobians after in-place nudges).
+            # estimated as-solved.
             guard_start = _monotonic() if times is not None else 0.0
             estimate = ops.condition_estimate(J)
             if times is not None:

@@ -8,7 +8,7 @@ cheaply:
    stale LU stops contracting the residual (``spice/engine.py``),
 2. **diagonal nudge** -- a singular factorization retries once with
    :func:`~repro.spice.engine.singular_nudge` added to the diagonal
-   (scalar, fast, sparse and batched paths share the arithmetic),
+   (full, fast and sparse paths share the arithmetic),
 3. **gmin ramp** -- DC homotopy relaxing a large leak conductance decade
    by decade (``spice/dc.py``),
 4. **source stepping** -- DC homotopy ramping the sources from zero
@@ -44,11 +44,8 @@ On top sits the opt-in **guard monitor** (``REPRO_GUARD=1`` or
 The monitors never perturb the iteration itself -- with the guard on, a
 clean run produces bit-identical results to a guard-off run, which is
 what lets ``benchmarks/bench_guard.py`` gate the overhead (<5%) while
-asserting waveform equality.  The batched lockstep kernel applies the
-same per-lane checks and *evicts* a diverging, watchdog-expired or
-fault-injected lane from the stack, retrying it solo through the scalar
-solver so its escalation accounting matches the scalar driver exactly
-(``spice.batch.evictions{reason=...}`` counts the evictions).
+asserting waveform equality.  Batched calls run every lane through the
+same scalar solver, so their guard accounting is the scalar driver's.
 """
 
 from __future__ import annotations
@@ -111,8 +108,8 @@ def record_rung(rung: str, recorder=None) -> None:
     ``REPRO_GUARD``): the rung counters are how a degraded run explains
     itself, so they must not depend on the monitoring opt-in.  Counted
     where the escalation happens -- inside the shared plan/solver code
-    -- which makes the totals identical across worker counts, batch
-    sizes and the scalar/batched drivers.
+    -- which makes the totals identical across worker counts and batch
+    sizes.
     """
     rec = recorder if recorder is not None else get_recorder()
     if rec.enabled:
@@ -143,7 +140,7 @@ class GuardAbort(ConvergenceError):
     existing recovery layer -- homotopy rungs, the retry ladder, the
     NaN-cell degradation path -- handles it like any other failed
     solve; ``reason`` (``"divergence"`` or ``"watchdog"``) feeds the
-    abort/eviction accounting.
+    abort accounting.
     """
 
     def __init__(self, message: str, *, reason: str,
@@ -241,9 +238,8 @@ class GuardMonitor:
 
     One monitor per analysis (a ``solve_dc`` call, a ``transient`` call,
     one lane of a batch) keeps the condition-estimate sampling cadence a
-    function of the analysis's own solve sequence -- which is identical
-    between the scalar and batched drivers, so guard counters stay
-    batch-size invariant.  ``worst_condition`` retains the largest
+    function of the analysis's own solve sequence, so guard counters
+    stay batch-size invariant.  ``worst_condition`` retains the largest
     estimate seen, for reports and tests.
     """
 
@@ -270,11 +266,9 @@ class GuardMonitor:
 class SolveGuard:
     """Per-solve monitor: divergence streak, watchdog deadline, sampling.
 
-    Created by :meth:`GuardMonitor.start_solve`; the scalar Newton loops
-    call :meth:`check` once per iteration (after the residual, before
-    the linear solve) and the batched kernel calls it per lane per
-    round with the identical arguments, so an abort/eviction decision is
-    the same on both drivers.
+    Created by :meth:`GuardMonitor.start_solve`; the Newton loops call
+    :meth:`check` once per iteration (after the residual, before the
+    linear solve).
     """
 
     __slots__ = ("monitor", "policy", "deadline", "best", "streak",
@@ -296,9 +290,8 @@ class SolveGuard:
     def check(self, iteration: int, residual: float) -> Optional[GuardAbort]:
         """Returns the abort for this iteration, or ``None`` to continue.
 
-        Returned -- not raised -- so the scalar loops can fold the abort
-        into their stats/telemetry before raising, and the batched
-        kernel can turn the same decision into a lane eviction.
+        Returned -- not raised -- so the Newton loops can fold the abort
+        into their stats/telemetry before raising.
         """
         policy = self.policy
         if self.deadline is not None and time.monotonic() > self.deadline:

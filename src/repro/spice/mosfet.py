@@ -216,9 +216,7 @@ def device_param_rows(mosfets, indices) -> tuple[np.ndarray, np.ndarray,
     ``mosfets`` is a compiled device list (``(d, g, s, params, k)``
     tuples); ``indices`` selects the devices of one polarity/model
     group.  Returns ``(k, vt, lam, alpha)`` float arrays in selection
-    order.  Both the scalar stamp plan and the batch compiler build
-    their parameter tables through this helper, so the two engines feed
-    the batched channel model byte-identical operands.
+    order.
     """
     k = np.array([mosfets[mi][4] for mi in indices], dtype=float)
     vt = np.array([abs(mosfets[mi][3].vt0) for mi in indices], dtype=float)
@@ -231,12 +229,12 @@ def device_param_rows(mosfets, indices) -> tuple[np.ndarray, np.ndarray,
 def mosfet_current_batch(is_nmos: bool, alpha_model: bool, k: np.ndarray,
                          vt: np.ndarray, lam: np.ndarray, alpha: np.ndarray,
                          vg: np.ndarray, vd: np.ndarray, vs: np.ndarray):
-    """Vectorized :func:`mosfet_current` for one device across B lanes.
+    """Vectorized :func:`mosfet_current` over one device group.
 
-    Polarity and channel model are per-device constants (the batch
-    compiler only stacks congruent circuits); ``k``/``vt``/``lam``/
-    ``alpha`` and the terminal voltages are per-lane arrays.  Returns
-    ``(i_d, di_d/dvd, di_d/dvg, di_d/dvs)`` arrays.
+    Polarity and channel model are constants of the group;
+    ``k``/``vt``/``lam``/``alpha`` and the terminal voltages are
+    per-device arrays.  Returns ``(i_d, di_d/dvd, di_d/dvg, di_d/dvs)``
+    arrays.
     """
     if is_nmos:
         vgs = vg - vs

@@ -24,7 +24,7 @@ from ..errors import NetlistError
 from ..tech import MosfetParams
 from ..units import parse_quantity
 from ..waveform import Pwl
-from .mosfet import MosfetInstance, device_param_rows
+from .mosfet import MosfetInstance
 
 __all__ = ["GROUND_NAMES", "Circuit", "CompiledCircuit"]
 
@@ -326,8 +326,6 @@ class CompiledCircuit:
             for m in circuit._mosfets
         ]
         self.mosfet_instances = list(circuit._mosfets)
-        self._mos_param_table = None
-        self._congruence_key = None
 
         # Total capacitance anchored at each unknown node: used by the
         # transient engine to sanity-check that every unknown node has a
@@ -367,58 +365,13 @@ class CompiledCircuit:
 
     @property
     def stamp_plan(self):
-        """Compiled stamp structure shared by both engines (lazy, cached)."""
+        """Compiled stamp structure of the Newton engine (lazy, cached)."""
         plan = self._stamp_plan
         if plan is None:
             from .stamps import StampPlan
             plan = StampPlan(self)
             self._stamp_plan = plan
         return plan
-
-    @property
-    def mos_param_table(self) -> Tuple[np.ndarray, np.ndarray,
-                                       np.ndarray, np.ndarray]:
-        """``(k, vt, lam, alpha)`` rows over *all* mosfets (lazy, cached).
-
-        Built through :func:`~repro.spice.mosfet.device_param_rows` --
-        the same helper the stamp plan's device groups use -- so a
-        fancy-indexed slice of these rows is byte-identical to a group's
-        own parameter arrays.  The batch compiler gathers its per-lane
-        ``(B, m)`` stacks from here instead of re-running the Python
-        extraction loops on every :class:`BatchCompiled` build.
-        """
-        table = self._mos_param_table
-        if table is None:
-            table = device_param_rows(self.mosfets,
-                                      range(len(self.mosfets)))
-            self._mos_param_table = table
-        return table
-
-    @property
-    def congruence_key(self) -> tuple:
-        """Structural identity for batch congruence checks (lazy, cached).
-
-        Two compiled circuits with equal keys share node ordering and
-        device structure (topology, polarity, channel model) and can
-        occupy lanes of one lockstep batch; parameter *values* (widths,
-        capacitances) are free to differ.  Cached so repeated batch
-        builds over the same compiled circuits -- a characterization
-        grid, the serve broker's shot lanes -- compare tuples at C
-        speed instead of re-walking every device list per call.
-        """
-        key = self._congruence_key
-        if key is None:
-            key = (
-                tuple(self.unknown_names),
-                tuple(self._known_names),
-                tuple((a, b) for a, b, _ in self.resistors),
-                tuple((a, b) for a, b, _ in self.capacitors),
-                tuple((a, b) for a, b, _ in self.isources),
-                tuple((d, g, s, params.is_nmos, params.model)
-                      for d, g, s, params, _ in self.mosfets),
-            )
-            self._congruence_key = key
-        return key
 
     # ------------------------------------------------------------------
     def known_voltages(self, t: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Compiled stamp structure shared by the scalar and batched engines.
+"""Compiled stamp structure of the Newton engine.
 
 The KCL system of a compiled circuit has a *fixed* sparsity and
 emission order: which ``F``/``J`` cells each device touches, with which
@@ -19,34 +19,27 @@ do.  A :class:`StampPlan` compiles that structure once per
 Ordered scatter is what keeps vectorized accumulation *bit-identical*
 to the sequential scalar code.  IEEE addition is not associative, so
 the per-cell accumulation order -- not just the set of contributions
--- is part of the contract.  Two equivalent realizations exist: the
-scalar engine applies one emission-ordered ``np.add.at`` pass
-(``np.add.at`` performs repeated-index additions sequentially in
-element order), while the batch kernel uses *layered* plans -- layer
-``j`` holds the j-th contribution of every target cell, cells within a
-layer are unique, so per-lane fancy-index ``+=`` is safe and replays
-each cell's additions in scalar emission order.
-``tests/spice/test_assembly_equivalence.py`` enforces both against the
+-- is part of the contract.  The engine applies one emission-ordered
+``np.add.at`` pass (``np.add.at`` performs repeated-index additions
+sequentially in element order);
+``tests/spice/test_assembly_equivalence.py`` enforces it against the
 kept-as-reference scalar assembler.
 
-The batch kernel (:mod:`repro.spice.batch`) builds its ``(B, n)`` lane
-stacks on the *same* plan arrays; the scalar engine
-(:mod:`repro.spice.engine`) drives the plan through a preallocated
-:class:`Workspace` so a Newton iteration allocates no ``(n, n)``
-temporaries.
+The engine (:mod:`repro.spice.engine`) drives the plan through a
+preallocated :class:`Workspace` so a Newton iteration allocates no
+``(n, n)`` temporaries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .mosfet import device_param_rows, mosfet_current, mosfet_current_batch
 
 __all__ = ["CapStampArrays", "MosGroup", "StampPlan", "Workspace",
-           "layer_plan", "assemble_into", "assemble_sparse", "eval_values",
-           "load_solve"]
+           "assemble_into", "assemble_sparse", "eval_values", "load_solve"]
 
 #: Below this device count the scalar engine evaluates transistors one
 #: by one through the scalar channel model: ~35 numpy kernel launches
@@ -73,9 +66,9 @@ class CapStampArrays:
     operands, so the values are bit-identical to the tuple-built
     stamps).  Rows follow the compiled capacitor order by construction,
     which lets :meth:`StampPlan.stamps_match` reduce to an array
-    comparison and the hot loaders (:func:`load_solve`, the batch
-    kernel's ``load_request``) copy ``geq``/``ieq`` wholesale instead
-    of unpacking ``n_cap`` tuples per solve.  Iteration yields the
+    comparison and the hot loader (:func:`load_solve`) copy
+    ``geq``/``ieq`` wholesale instead of unpacking ``n_cap`` tuples per
+    solve.  Iteration yields the
     scalar ``(a, b, geq, ieq)`` tuples, so the reference assembler and
     any tuple-shaped consumer work unchanged.
     """
@@ -97,31 +90,6 @@ class CapStampArrays:
                         self.geq.tolist(), self.ieq.tolist()))
 
 
-def layer_plan(cells: Sequence[int], src: Sequence[int],
-               sign: Sequence[float]):
-    """Bucket (cell, source, sign) contributions into unique-cell layers.
-
-    Layer ``j`` holds the j-th contribution of every cell that has one,
-    in first-emission cell order.  Applying the layers in sequence with
-    fancy-index ``+=`` (safe: cells within a layer are unique) performs
-    each cell's additions in exactly the scalar emission order.
-    """
-    per_cell: Dict[int, List[Tuple[int, float]]] = {}
-    for cell, source, factor in zip(cells, src, sign):
-        per_cell.setdefault(cell, []).append((source, factor))
-    depth = max((len(v) for v in per_cell.values()), default=0)
-    layers = []
-    for j in range(depth):
-        picked = [cell for cell, v in per_cell.items() if len(v) > j]
-        layers.append((
-            _intp(picked),
-            _intp(per_cell[cell][j][0] for cell in picked),
-            np.asarray([per_cell[cell][j][1] for cell in picked],
-                       dtype=float),
-        ))
-    return layers
-
-
 class MosGroup:
     """Transistors sharing polarity and channel model.
 
@@ -129,8 +97,7 @@ class MosGroup:
     the columns of the device-axis value rows); the ``*_cols`` arrays
     are fused-vector gather columns for the three terminals, and
     ``k``/``vt``/``lam``/``alpha`` the per-device parameter rows of
-    *this* circuit (the batch compiler stacks its own per-lane rows on
-    the same structure).
+    *this* circuit.
     """
 
     __slots__ = ("is_nmos", "alpha_model", "cols", "d_cols", "g_cols",
@@ -154,7 +121,7 @@ class MosGroup:
 
 
 class StampPlan:
-    """Stamp structure of one compiled circuit, shared by both engines.
+    """Stamp structure of one compiled circuit.
 
     The contribution lists record, per KCL contribution of the scalar
     reference assembler, its target cell, its source value column and
@@ -177,7 +144,6 @@ class StampPlan:
         self.n_is = num_is
         self.n_mos = num_mos
         self.n_cap = num_cap
-        self.diag = np.arange(n) * (n + 1)
 
         def col(slot: int) -> int:
             return slot if slot >= 0 else n + (-slot - 1)
@@ -275,13 +241,6 @@ class StampPlan:
                 if a >= 0:
                     jemit(b, a, jcol, -1.0)
 
-        self.f_layers_nc = layer_plan(f_cells[:f_split], f_src[:f_split],
-                                      f_sign[:f_split])
-        self.f_layers_wc = layer_plan(f_cells, f_src, f_sign)
-        self.j_layers_nc = layer_plan(j_cells[:j_split], j_src[:j_split],
-                                      j_sign[:j_split])
-        self.j_layers_wc = layer_plan(j_cells, j_src, j_sign)
-
         # Raw Jacobian contribution triples (dense flat cell ``row * n +
         # col``, J value column, sign) in scalar emission order, plus
         # the cap-free prefix length: the sparse CSR/CSC plan compiles
@@ -290,13 +249,11 @@ class StampPlan:
                       np.asarray(j_sign, dtype=float))
         self.j_split = j_split
 
-        # Flat scatter arrays for the scalar engine: one ordered
-        # ``np.add.at`` pass replaces the per-layer loop (whose depth
-        # grows with the per-node fan-in -- a loaded output node makes
-        # layers slow at batch size 1).  ``np.add.at`` applies
-        # repeated-index additions sequentially in element order, so the
-        # emission-ordered arrays reproduce the scalar per-cell
-        # accumulation order exactly; the equivalence suite pins this.
+        # Flat scatter arrays: one ordered ``np.add.at`` pass.
+        # ``np.add.at`` applies repeated-index additions sequentially in
+        # element order, so the emission-ordered arrays reproduce the
+        # scalar per-cell accumulation order exactly; the equivalence
+        # suite pins this.
         # ``F`` and flattened ``J`` share one target buffer (``F`` in
         # the first ``n`` cells) and one value buffer (F columns first),
         # so a full assembly is a single take/multiply/scatter pass;
@@ -433,7 +390,7 @@ def load_solve(plan: StampPlan, ws: Workspace, known: np.ndarray,
 
     Scales the known voltages, evaluates the current sources once (they
     are functions of time only, constant across the iterations of one
-    solve -- the batch kernel's ``load_request`` does the same), and
+    solve), and
     unpacks the cap companion stamps into ``geq``/``ieq`` rows.
     Returns whether companion stamps are present.
     """

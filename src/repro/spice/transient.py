@@ -254,10 +254,9 @@ def transient_result_plan(compiled: CompiledCircuit, t_stop: float | str, *,
 
     Validation, the retry ladder (fault firing, escalated options,
     attempt log), step-rejection accounting and result assembly all live
-    here, so any driver -- the scalar one in :func:`transient` or the
-    batched lockstep kernel -- produces identical
-    :class:`~repro.spice.results.TransientResult` objects given faithful
-    request execution.
+    here, so :func:`transient` and :func:`~repro.spice.batch.transient_batch`
+    produce identical :class:`~repro.spice.results.TransientResult`
+    objects.
     """
     opts = options or TransientOptions()
     policy = RetryPolicy.resolve(retry)

@@ -1,8 +1,8 @@
 """Batched-vs-scalar equivalence of the characterization sweeps.
 
-The batched grid path (``batch``/``REPRO_BATCH``) chunks sweep points
-through the vectorized lockstep kernel instead of one transient per
-point.  Its contract mirrors the worker-count contract: tables are
+The batched grid path (``batch``/``REPRO_BATCH``) hands sweep points
+to the simulator in chunks instead of one transient per task.  Its
+contract mirrors the worker-count contract: tables are
 *bit-identical* to the scalar sweep for any batch size, failures degrade
 to the same NaN cells and health records, and the per-point journal
 stays interoperable between the two modes.

@@ -108,7 +108,6 @@ class TestHeadlineSummary:
         recorder.counter("spice.guard.rung", rung="gmin_ramp").inc(3)
         recorder.counter("spice.guard.rung", rung="nudge").inc(1)
         recorder.counter("spice.guard.aborts", reason="watchdog").inc(1)
-        recorder.counter("spice.batch.evictions", reason="divergence").inc(2)
         recorder.counter("spice.sparse.factorizations").inc(40)
         recorder.counter("obs.flight.dumps", reason="guard_watchdog").inc(1)
         return recorder.metrics_payload()
@@ -121,7 +120,6 @@ class TestHeadlineSummary:
         assert "solves 200" in text
         assert "guard rungs: gmin_ramp=3, nudge=1" in text
         assert "guard aborts: watchdog=1" in text
-        assert "batch evictions: divergence=2" in text
         assert "sparse: factorizations=40" in text
         assert "flight dumps: guard_watchdog=1" in text
 

@@ -58,8 +58,8 @@ class TestPhaseProfiler:
         assert PHASE_METRIC + "{driver=dense,phase=factorize}" in hists
         # Zero phases are skipped: the handle registers the family but
         # records no observation.
-        scatter = hists[PHASE_METRIC + "{driver=dense,phase=scatter}"]
-        assert scatter["count"] == 0 and scatter["sum"] == 0.0
+        back_solve = hists[PHASE_METRIC + "{driver=dense,phase=back_solve}"]
+        assert back_solve["count"] == 0 and back_solve["sum"] == 0.0
 
     def test_handles_are_cached_per_driver(self):
         profiler = PhaseProfiler.from_recorder(Recorder())
@@ -72,14 +72,14 @@ class TestPhaseBreakdown:
         histograms = {
             PHASE_METRIC + "{driver=dense,phase=assembly}": {"sum": 0.3},
             PHASE_METRIC + "{driver=dense,phase=factorize}": {"sum": 0.1},
-            PHASE_METRIC + "{driver=batch,phase=scatter}": {"sum": 0.2},
+            PHASE_METRIC + "{driver=sparse,phase=back_solve}": {"sum": 0.2},
             "spice.newton.iterations": {"sum": 99.0},  # ignored
             PHASE_METRIC + "{driver=dense}": {"sum": 1.0},  # no phase
         }
         breakdown = phase_breakdown(histograms)
         assert breakdown == {
             "dense": {"assembly": 0.3, "factorize": 0.1},
-            "batch": {"scatter": 0.2},
+            "sparse": {"back_solve": 0.2},
         }
 
     def test_malformed_sums_are_skipped(self):
@@ -127,60 +127,6 @@ class TestSolverWiring:
         monkeypatch.setenv("REPRO_GUARD", "1")
         breakdown = _run_and_breakdown()
         assert breakdown["dense"].get("guard", 0.0) > 0.0
-
-    def test_batch_driver_phases(self, monkeypatch):
-        import numpy as np
-
-        from repro.spice import Circuit
-        from repro.spice.batch import run_plans_batched
-        from repro.spice.engine import (
-            NewtonOptions, NewtonRequest, NewtonStats, request_solve)
-
-        monkeypatch.setenv("REPRO_SPARSE", "0")  # pin the dense kernel
-
-        def entry():
-            ckt = Circuit("divider")
-            ckt.add_vsource("v1", "in", 1.0)
-            ckt.add_resistor("r1", "in", "mid", 1e3)
-            ckt.add_resistor("r2", "mid", "0", 1e3)
-            compiled = ckt.compile()
-            request = NewtonRequest(
-                x0=np.zeros(compiled.n_unknown),
-                known=compiled.known_voltages(0.0),
-                options=NewtonOptions(),
-            )
-            return (compiled, request_solve(request), NewtonStats())
-
-        with recording() as recorder:
-            run_plans_batched([entry() for _ in range(3)])
-            payload = recorder.metrics_payload()
-        phases = phase_breakdown(payload["histograms"]).get("batch", {})
-        assert phases.get("assembly", 0.0) > 0.0
-        assert phases.get("factorize", 0.0) > 0.0
-        assert phases.get("scatter", 0.0) > 0.0
-
-    def test_evicted_lane_solo_solve_is_profiled(self, monkeypatch):
-        """A lane evicted from the lockstep re-solves on the scalar
-        dense solver under the lockstep's profiler: its seconds land in
-        the ``driver=dense`` histograms and its flight record."""
-        from repro.obs.flight import FLIGHT_ENV_VAR
-        from repro.resilience import FaultInjection
-        from repro.spice.batch import transient_batch
-
-        monkeypatch.setenv("REPRO_SPARSE", "0")  # pin the dense kernel
-        monkeypatch.setenv(FLIGHT_ENV_VAR, "4096")  # keep every record
-        lanes = [inverter_chain(2) for _ in range(2)]
-        with recording() as recorder, FaultInjection("lane@0:1") as fi:
-            transient_batch(lanes, "0.2ns")
-            assert fi.fired_count("lane") == 1
-            payload = recorder.metrics_payload()
-            records = recorder.flight.records()
-        assembly = payload["histograms"][
-            PHASE_METRIC + "{driver=dense,phase=assembly}"]
-        assert assembly["count"] == 1 and assembly["sum"] > 0.0
-        solo = [r for r in records if r.get("driver") == "dense"]
-        assert len(solo) == 1
-        assert solo[0]["phases"].get("assembly", 0.0) > 0.0
 
     def test_no_histograms_without_telemetry(self):
         transient(inverter_chain(2), "0.5ns")

@@ -33,6 +33,7 @@ class TestGrammar:
     @pytest.mark.parametrize("bad", [
         "pointat3",           # no @
         "explode@1",          # unknown kind
+        "lane@1",             # removed kind
         "point@",             # empty selector
         "point@3:soon",       # bad count
         "point@3:0",          # count < 1
@@ -115,14 +116,13 @@ class TestFiringBudgets:
 
 
 class TestSolverFaultHooks:
-    """The sparse-factorization and batch-lane hooks added for the
-    solver-guardrail chaos legs."""
+    """The sparse-factorization hook added for the solver-guardrail
+    chaos legs."""
 
-    def test_sparse_and_lane_clauses_parse(self):
-        specs = parse_faults("sparse@factorize:1, lane@2:3")
-        assert [s.kind for s in specs] == ["sparse", "lane"]
-        assert specs[0].selector == "factorize"
-        assert specs[1] == FaultSpec(kind="lane", selector="2", times=3)
+    def test_sparse_clause_parses(self):
+        specs = parse_faults("sparse@factorize:1")
+        assert specs == (FaultSpec(kind="sparse", selector="factorize",
+                                   times=1),)
 
     def test_sparse_factorize_raises_linalgerror_within_budget(self):
         np = pytest.importorskip("numpy")
@@ -139,25 +139,9 @@ class TestSolverFaultHooks:
                 with pytest.raises(np.linalg.LinAlgError):
                     faults.fire_sparse_factorize()
 
-    def test_batch_lane_fires_only_for_matching_index(self):
-        with FaultInjection("lane@1:1") as fi:
-            assert faults.fire_batch_lane(0) is False
-            assert faults.fire_batch_lane(1) is True
-            assert faults.fire_batch_lane(1) is False  # budget exhausted
-            assert faults.fire_batch_lane(2) is False
-            assert fi.fired_count("lane") == 1
-
-    def test_batch_lane_wildcard_respects_budget(self):
-        with FaultInjection("lane@*:2") as fi:
-            assert faults.fire_batch_lane(0) is True
-            assert faults.fire_batch_lane(5) is True
-            assert faults.fire_batch_lane(5) is False
-            assert fi.fired_count("lane") == 2
-
     def test_no_plan_means_solver_hooks_are_free(self, monkeypatch):
         monkeypatch.delenv(faults.FAULTS_ENV_VAR, raising=False)
         faults.fire_sparse_factorize()
-        assert faults.fire_batch_lane(0) is False
 
 
 class TestCorruptHook:

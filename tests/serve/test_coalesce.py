@@ -26,7 +26,7 @@ def inv_thresholds(inverter):
 
 @pytest.fixture
 def batch_spy(monkeypatch):
-    """Record every batch-kernel call the broker makes (lane sizes)."""
+    """Record every batched call the broker makes (lane sizes)."""
     real = coalesce_mod.multi_input_response_batch
     lanes = []
 

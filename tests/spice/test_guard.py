@@ -8,10 +8,9 @@ Three layers under test:
   unguarded one on the clean path, diverging solves abort early and
   enter the normal homotopy/degradation ladder, every escalation rung
   is counted;
-* the batched kernel's fault hardening -- diverging or fault-injected
-  lanes are evicted and retried solo with accounting identical to the
-  scalar driver, and sparse-dispatched solves recover from injected
-  factorization faults through the nudge rung.
+* batched and sparse hardening -- batched lanes keep accounting
+  identical to the scalar driver, and sparse-dispatched solves recover
+  from injected factorization faults through the nudge rung.
 """
 
 import logging
@@ -30,7 +29,6 @@ from repro.spice import (
     solve_dc,
     solve_dc_batch,
     transient,
-    transient_batch,
 )
 from repro.spice.engine import newton_solve
 from repro.spice.guard import (
@@ -58,10 +56,9 @@ FAST = TransientOptions(h_max_ratio=2e-2)
 @pytest.fixture(autouse=True)
 def pinned_backends(monkeypatch):
     """Pin the dense full-Newton path: the divergence/parity tests
-    monkeypatch ``np.linalg.solve`` (which SuperLU bypasses) and compare
-    scalar against the dense lockstep kernel (which the fast-Newton and
-    sparse CI legs would otherwise divert).  Tests that exercise those
-    backends opt back in explicitly."""
+    monkeypatch ``np.linalg.solve``, which SuperLU and the LU-reusing
+    fast-Newton loop bypass.  Tests that exercise those backends opt
+    back in explicitly."""
     monkeypatch.setenv(SPARSE_ENV_VAR, "0")
     monkeypatch.setenv("REPRO_FAST_NEWTON", "0")
     monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
@@ -79,11 +76,6 @@ def inverter(tau: float = 0.3e-9, cl: float = 1e-13) -> Circuit:
     ckt.add_mosfet("mp", "out", "in", "vdd", "vdd", PROC.pmos, 8e-6, 0.8e-6)
     ckt.add_capacitor("cl", "out", "0", cl)
     return ckt
-
-
-def inverter_grid(count: int):
-    return [inverter(tau=0.1e-9 + 0.05e-9 * i, cl=5e-14 + 1e-14 * (i % 7))
-            for i in range(count)]
 
 
 def dc_inverter(width: float = 4e-6) -> Circuit:
@@ -115,11 +107,7 @@ def solver_counters(recorder) -> dict:
 
 
 def runaway_solve(a, b):
-    """A ``np.linalg.solve`` stand-in whose steps never contract.
-
-    Works for both the scalar ``(n,)`` and batched ``(B, n, 1)`` right
-    hand sides, so scalar and lockstep drivers see identical garbage.
-    """
+    """A ``np.linalg.solve`` stand-in whose steps never contract."""
     return np.ones_like(b) * 10.0
 
 
@@ -382,8 +370,8 @@ class TestDivergenceAbort:
             rec.metrics_payload()["counters"]
 
     def test_batch_divergence_accounting_matches_scalar(self, monkeypatch):
-        """A diverging lane is evicted and retried solo: its stats and
-        guard counters must equal the scalar driver's, lane for lane."""
+        """A diverging lane's stats and guard counters must equal the
+        scalar driver's, lane for lane."""
         monkeypatch.setenv(GUARD_ENV_VAR, "1")
         monkeypatch.setenv(DIVERGE_ENV_VAR, "2")
         monkeypatch.setattr(np.linalg, "solve", runaway_solve)
@@ -407,12 +395,6 @@ class TestDivergenceAbort:
         for s, b in zip(scalar_stats, batch_stats):
             assert (s.iterations, s.solves, s.failures, s.retries) == \
                 (b.iterations, b.solves, b.failures, b.retries)
-        evictions = {
-            key: value
-            for key, value in rec_batch.metrics_payload()["counters"].items()
-            if key.startswith("spice.batch.evictions")
-        }
-        assert evictions["spice.batch.evictions{reason=divergence}"] >= 3
 
 
 class TestWatchdog:
@@ -473,41 +455,6 @@ class TestConditionMonitoring:
         assert rec_batch.metrics_payload()["counters"][key] == scalar
 
 
-class TestBatchLaneFaults:
-    def test_faulted_lane_is_evicted_and_retried_solo(self):
-        t_stop = 1.5e-9
-        scalar = [transient(c, t_stop, options=FAST)
-                  for c in inverter_grid(3)]
-        with recording() as rec, FaultInjection("lane@1:1") as fi:
-            batched = transient_batch(inverter_grid(3), t_stop, options=FAST)
-            assert fi.fired_count("lane") == 1
-        counters = rec.metrics_payload()["counters"]
-        assert counters["spice.batch.evictions{reason=fault}"] == 1
-        for s, b in zip(scalar, batched):
-            assert np.array_equal(s.times, b.times)
-            for name in s.node_names:
-                assert np.array_equal(s.node(name).values,
-                                      b.node(name).values), name
-
-    def test_lane_wildcard_evicts_every_first_load(self):
-        with recording() as rec, FaultInjection("lane@*:3") as fi:
-            batched = transient_batch(inverter_grid(3), 1.5e-9, options=FAST)
-            assert fi.fired_count("lane") == 3
-        assert all(not isinstance(b, ConvergenceError) for b in batched)
-        counters = rec.metrics_payload()["counters"]
-        assert counters["spice.batch.evictions{reason=fault}"] == 3
-
-    def test_solver_counters_invariant_under_lane_fault(self):
-        """The evicted lane's solo retry reproduces the scalar
-        accounting exactly: solver counters (evictions excluded) match
-        a fault-free batched run."""
-        with recording() as rec_clean:
-            transient_batch(inverter_grid(3), 1.5e-9, options=FAST)
-        with recording() as rec_faulted, FaultInjection("lane@2:1"):
-            transient_batch(inverter_grid(3), 1.5e-9, options=FAST)
-        assert solver_counters(rec_faulted) == solver_counters(rec_clean)
-
-
 class TestSparseFaultHardening:
     def test_injected_factorization_fault_recovers_via_nudge(
             self, monkeypatch):
@@ -564,14 +511,6 @@ class TestDegradationReporting:
             summary = degradation_summary(rec)
         assert "guard aborts" in summary
         assert "watchdog" in summary
-
-    def test_lane_evictions_appear_in_the_degradation_summary(self):
-        from repro.obs.export import degradation_summary
-        with recording() as rec, FaultInjection("lane@0:1"):
-            transient_batch(inverter_grid(2), 1e-9, options=FAST)
-            summary = degradation_summary(rec)
-        assert "batch-lane evictions" in summary
-        assert "fault=1" in summary
 
     def test_clean_run_reports_nothing(self):
         from repro.obs.export import degradation_summary

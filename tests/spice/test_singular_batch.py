@@ -1,20 +1,14 @@
 """Regressions for singular-Jacobian handling in the batched driver.
 
-The lockstep kernel mirrors the scalar Newton loop's nudge-then-fail
-ladder lane by lane.  Two bugs are pinned here:
+Batched lanes walk the scalar Newton loop's nudge-then-fail ladder.
+Two properties are pinned here:
 
 * a **doubly singular** lane (LU fails even after the diagonal nudge)
-  used to zero its step and could then satisfy the ``step < voltol``
-  convergence test at a near-solution iterate -- reporting *false
-  convergence* from a solve that never solved anything.  The singular
-  mask must veto convergence and finish the lane on the failure path.
-* the batched nudge once rebuilt ``J + value*np.eye(n)`` while the
-  scalar loop nudged the diagonal in place, and the two drivers could
-  disagree on the escalation value.  Both now share
-  :func:`~repro.spice.engine.nudge_diagonal` /
-  :func:`~repro.spice.engine.singular_nudge`, so recovery arithmetic is
-  bit-identical -- pinned by solving a deliberately singular circuit
-  through both drivers.
+  must finish on the failure path -- never report *false convergence*
+  from a zero step at a near-solution iterate.
+* the diagonal nudge (:func:`~repro.spice.engine.nudge_diagonal` /
+  :func:`~repro.spice.engine.singular_nudge`) gives batched and scalar
+  solves of a deliberately singular circuit bit-identical solutions.
 """
 
 import numpy as np
@@ -25,6 +19,7 @@ from repro.spice import Circuit
 from repro.spice.batch import run_plans_batched
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.spice.engine import (
+    FAST_NEWTON_ENV_VAR,
     NewtonOptions,
     NewtonRequest,
     NewtonStats,
@@ -37,12 +32,13 @@ from repro.spice.engine import (
 
 @pytest.fixture(autouse=True)
 def dense_backend(monkeypatch):
-    """Pin the dense path: the lockstep kernel under regression here is
-    dense-only, and a ``REPRO_SPARSE=1`` environment (the CI sparse
-    smoke leg) would otherwise divert every lane to the serial sparse
-    driver -- whose SuperLU solves the ``np.linalg.solve`` monkeypatch
-    cannot reach."""
+    """Pin the dense full-Newton loop: the ``np.linalg.solve`` monkeypatch
+    reaches only that loop.  A ``REPRO_SPARSE=1`` environment (the CI
+    sparse smoke leg) would divert every lane to SuperLU, and
+    ``REPRO_FAST_NEWTON=1`` to the LU-reusing loop, whose singular path
+    ``test_fast_newton.py`` covers."""
     monkeypatch.setenv(SPARSE_ENV_VAR, "0")
+    monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
 
 
 def divider() -> Circuit:
@@ -78,11 +74,9 @@ class TestDoublySingularLanes:
     def test_no_false_convergence_at_exact_solution(self, monkeypatch):
         """Lanes parked AT the solution, every LU declared singular.
 
-        The iterate already satisfies ``residual < abstol``, and the
-        doubly-singular fallback's zero step satisfies
-        ``step < voltol`` -- on the pre-fix code path (no singular veto
-        in the convergence test) both lanes would falsely converge and
-        return x0.  The fix must finish them as failures instead.
+        The iterate already satisfies ``residual < abstol``, so a zero
+        step from the failed solve would also satisfy ``step < voltol``;
+        both lanes must still finish as failures rather than return x0.
         """
         exact = [0.5]
 
