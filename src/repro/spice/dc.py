@@ -225,6 +225,12 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
     extracted.  ``record`` selects which nodes to keep (default: every
     node).  Each point warm-starts from the previous solution, which
     tracks the steep transition region of a VTC reliably.
+
+    The circuit compiles once per sweep: the swept sources become
+    constants, and each point rebinds their level on the compiled
+    circuit (:meth:`~repro.spice.netlist.CompiledCircuit.set_source_level`).
+    Every point solves exactly as a freshly compiled circuit would,
+    starting from a fresh Jacobian in ``REPRO_FAST_NEWTON`` mode too.
     """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -239,17 +245,22 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
     samples: Dict[str, list[float]] = {}
     guess: Optional[Dict[str, float]] = None
     originals = {name: circuit._vsources[name] for name in source_names}
-    # One recorder handle (and one fast-Newton state, and one sparse
-    # dispatch -- the unknown count is sweep-invariant) for the whole
-    # sweep: per-point solves skip the environment-signature check.
-    recorder = get_recorder()
-    context = SolveContext.for_analysis(recorder,
-                                        len(circuit.unknown_nodes()))
     try:
+        for name in source_names:
+            circuit.replace_vsource(name, float(grid[0]))
+        compiled = circuit.compile()
+        # One recorder handle (and one fast-Newton state, and one sparse
+        # dispatch) for the whole sweep: per-point solves skip the
+        # environment-signature check.
+        recorder = get_recorder()
+        context = SolveContext.for_analysis(recorder, compiled.n_unknown)
         for value in grid:
             for name in source_names:
-                circuit.replace_vsource(name, float(value))
-            compiled = circuit.compile()
+                compiled.set_source_level(name, float(value))
+            if context.fast is not None:
+                # No LU crosses points: each one starts from a fresh
+                # Jacobian, as it did when every point compiled anew.
+                context.fast.lu = None
             plan = dc_plan(compiled, initial_guess=guess, options=opts,
                            recorder=recorder)
             x = run_plan(compiled, plan, executor=_execute_dc_request,

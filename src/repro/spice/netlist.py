@@ -9,6 +9,11 @@ transient engines evaluate.  Compilation partitions nodes into
   is a function of time, and
 * **unknown** nodes -- everything else, solved by KCL.
 
+Compilation fixes structure only: constant source levels live in one
+base vector that :meth:`CompiledCircuit.set_source_level` rebinds in
+place (a DC sweep compiles once), and each PWL source evaluates through
+its own scalar :class:`~repro.waveform.Pwl` path per time point.
+
 Restricting voltage sources to node-to-ground keeps the formulation
 purely nodal; gate characterization never needs floating sources.
 """
@@ -28,36 +33,6 @@ from .mosfet import MosfetInstance
 
 __all__ = ["GROUND_NAMES", "Circuit", "CompiledCircuit"]
 
-
-def _stacked_interp(t: float, tpad: np.ndarray, vpad: np.ndarray,
-                    lens: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Evaluate S clamped PWL rows at scalar ``t`` in one stacked pass.
-
-    ``tpad``/``vpad`` are ``(S, L)`` breakpoint arrays padded with
-    ``+inf`` times and held last values; ``lens`` the true row lengths.
-    Bit-identical to ``np.interp(t, xp_r, fp_r)`` per row ``r``: the
-    slope/anchor arithmetic below is numpy's ``arr_interp`` formula with
-    the same operand order, including the exact-breakpoint case, the
-    clamped ends and the NaN fallbacks.
-    """
-    # j = largest index with xp[j] <= t (-1 when t precedes the row).
-    # Padding times with +inf keeps the comparison count within the
-    # real breakpoints for any finite t.
-    j = (tpad <= t).sum(axis=1) - 1
-    interior = (j >= 0) & (j < lens - 1)
-    ji = np.where(interior, j, 0)
-    xj = tpad[rows, ji]
-    yj = vpad[rows, ji]
-    slope = (vpad[rows, ji + 1] - yj) / (tpad[rows, ji + 1] - xj)
-    res = slope * (t - xj) + yj
-    if np.isnan(res).any():  # pragma: no cover - needs overflowing PWLs
-        nan = np.isnan(res)
-        res2 = slope * (t - tpad[rows, ji + 1]) + vpad[rows, ji + 1]
-        res = np.where(nan, res2, res)
-        res = np.where(np.isnan(res) & (yj == vpad[rows, ji + 1]), yj, res)
-    res = np.where(xj == t, yj, res)          # exact breakpoint hit
-    res = np.where(j < 0, vpad[:, 0], res)    # before the first point
-    return np.where(j >= lens - 1, vpad[rows, lens - 1], res)  # at/past end
 
 #: Node names treated as the global reference (0 V).
 GROUND_NAMES = frozenset({"0", "gnd", "gnd!", "vss", "ground"})
@@ -268,27 +243,25 @@ class CompiledCircuit:
         # Known nodes: slot 0 reserved for ground, then each driven node.
         # Evaluation is pre-classified so the hot loops skip the
         # per-source Python closures: constants are baked into a base
-        # vector, Pwl sources interpolate their breakpoint arrays
-        # directly, and only arbitrary callables pay a call per sample.
+        # vector, Pwl sources evaluate through their scalar path, and
+        # only arbitrary callables pay a closure call per sample.
         self._known_names: List[str] = ["0"]
-        self._known_fns: List[Callable[[float], float]] = [lambda t: 0.0]
-        self._known_pwl: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        self._known_pwl: List[Tuple[int, Pwl]] = []
         self._known_dyn: List[Tuple[int, Callable[[float], float]]] = []
         breakpoints: set[float] = set()
-        self._source_known_index: Dict[str, int] = {}
+        self._constant_index: Dict[str, int] = {}
         known_base: List[float] = [0.0]
         for src in circuit._vsources.values():
             kidx = len(self._known_names)
-            self._source_known_index[src.name] = kidx
             self._known_names.append(src.node)
-            self._known_fns.append(src.value)
             breakpoints.update(src.breakpoints)
             known_base.append(0.0)
             if isinstance(src.spec, Pwl):
-                self._known_pwl.append((kidx, src.spec.times, src.spec.values))
+                self._known_pwl.append((kidx, src.spec))
             elif callable(src.spec):
                 self._known_dyn.append((kidx, src.value))
             else:
+                self._constant_index[src.name] = kidx
                 known_base[kidx] = float(src.value(0.0))
         self._known_base = np.array(known_base, dtype=float)
         self.breakpoints: Tuple[float, ...] = tuple(sorted(breakpoints))
@@ -340,27 +313,6 @@ class CompiledCircuit:
                 cap_at[b] += c
         self.cap_at_unknown = cap_at
 
-        # Stacked PWL breakpoint arrays for the vectorized
-        # known_voltages: times padded with +inf, values held at the
-        # last breakpoint, so one _stacked_interp evaluates every PWL
-        # source at once (bit-identical to the per-source np.interp).
-        self._pwl_pack = None
-        if self._known_pwl:
-            width = max(xp.size for _, xp, _ in self._known_pwl)
-            count = len(self._known_pwl)
-            kidx = np.array([k for k, _, _ in self._known_pwl],
-                            dtype=np.intp)
-            tpad = np.full((count, width), np.inf)
-            vpad = np.empty((count, width))
-            lens = np.empty(count, dtype=np.intp)
-            for row, (_, xp, fp) in enumerate(self._known_pwl):
-                tpad[row, :xp.size] = xp
-                vpad[row, :fp.size] = fp
-                vpad[row, fp.size:] = fp[-1]
-                lens[row] = xp.size
-            self._pwl_pack = (kidx, tpad, vpad, lens,
-                              np.arange(count, dtype=np.intp))
-
         self._stamp_plan = None
 
     @property
@@ -377,18 +329,34 @@ class CompiledCircuit:
     def known_voltages(self, t: float) -> np.ndarray:
         """Voltages of the known nodes (ground first) at time ``t``.
 
-        All PWL sources evaluate through one stacked interpolation pass
-        (bit-identical to per-source ``np.interp``); only arbitrary
-        callables pay a Python call.
+        A fresh copy of the constant-level base vector; each PWL source
+        fills its slot through the scalar :class:`~repro.waveform.Pwl`
+        path (bit-identical to ``np.interp``), and only arbitrary
+        callables pay a closure call.
         """
         out = self._known_base.copy()
-        pack = self._pwl_pack
-        if pack is not None:
-            kidx, tpad, vpad, lens, rows = pack
-            out[kidx] = _stacked_interp(float(t), tpad, vpad, lens, rows)
+        if self._known_pwl:
+            tf = float(t)
+            for kidx, wave in self._known_pwl:
+                out[kidx] = wave(tf)
         for kidx, fn in self._known_dyn:
             out[kidx] = fn(t)
         return out
+
+    def set_source_level(self, name: str, level: float) -> None:
+        """Re-drive constant source ``name`` at ``level`` volts in place.
+
+        No structure depends on a constant level, so a DC sweep rebinds
+        its swept sources here instead of recompiling at every point.
+        Only :meth:`known_voltages` sees the new level: ``self.circuit``
+        keeps its own source.  Time-varying sources are rejected.
+        """
+        try:
+            kidx = self._constant_index[name]
+        except KeyError:
+            raise NetlistError(
+                f"no constant voltage source named {name!r}") from None
+        self._known_base[kidx] = level
 
     def voltage_of(self, slot_index: int, x: np.ndarray, known: np.ndarray) -> float:
         """Dereference a node slot against (unknown, known) voltage arrays."""
@@ -406,13 +374,14 @@ class CompiledCircuit:
             return np.zeros_like(times)
         if name in self.unknown_names:
             return x_series[:, self.unknown_names.index(name)]
-        for kidx, kname in enumerate(self._known_names):
-            if kname == name:
-                for pidx, xp, fp in self._known_pwl:
-                    if pidx == kidx:
-                        return np.interp(np.asarray(times, dtype=float), xp, fp)
-                for didx, fn in self._known_dyn:
-                    if didx == kidx:
-                        return np.array([fn(float(t)) for t in times])
-                return np.full(len(times), self._known_base[kidx])
-        raise NetlistError(f"node {name!r} not present in circuit")
+        if name not in self._known_names:
+            raise NetlistError(f"node {name!r} not present in circuit")
+        kidx = self._known_names.index(name)
+        for pidx, wave in self._known_pwl:
+            if pidx == kidx:
+                return np.interp(np.asarray(times, dtype=float),
+                                 wave.times, wave.values)
+        for didx, fn in self._known_dyn:
+            if didx == kidx:
+                return np.array([fn(float(t)) for t in times])
+        return np.full(len(times), self._known_base[kidx])

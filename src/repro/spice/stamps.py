@@ -59,18 +59,17 @@ class CapStampArrays:
     """Companion stamps for every compiled capacitor, as flat arrays.
 
     The transient integrator builds one of these per Newton request:
-    ``a``/``b`` are the compiled node-slot arrays (allocated once per
-    integration -- the node pairs never change), ``geq``/``ieq`` the
+    ``a``/``b`` are the plan's own ``cap_pairs_a``/``cap_pairs_b``
+    node-slot arrays (the node pairs never change), ``geq``/``ieq`` the
     per-step companion values, computed vectorized with exactly the
     scalar per-capacitor arithmetic (elementwise ops on the same
     operands, so the values are bit-identical to the tuple-built
-    stamps).  Rows follow the compiled capacitor order by construction,
-    which lets :meth:`StampPlan.stamps_match` reduce to an array
-    comparison and the hot loader (:func:`load_solve`) copy
-    ``geq``/``ieq`` wholesale instead of unpacking ``n_cap`` tuples per
-    solve.  Iteration yields the
-    scalar ``(a, b, geq, ieq)`` tuples, so the reference assembler and
-    any tuple-shaped consumer work unchanged.
+    stamps).  Sharing the plan's arrays lets
+    :meth:`StampPlan.stamps_match` recognize them by identity and the
+    hot loader (:func:`load_solve`) copy ``geq``/``ieq`` wholesale
+    instead of unpacking ``n_cap`` tuples per solve.  Iteration yields
+    the scalar ``(a, b, geq, ieq)`` tuples, so the reference assembler
+    and any tuple-shaped consumer work unchanged.
     """
 
     __slots__ = ("a", "b", "geq", "ieq")
@@ -155,6 +154,8 @@ class StampPlan:
         self.cap_pairs = [(a, b) for a, b, _ in compiled.capacitors]
         self.cap_pairs_a = _intp(a for a, _, _ in compiled.capacitors)
         self.cap_pairs_b = _intp(b for _, b, _ in compiled.capacitors)
+        self.cap_c = np.array([c for _, _, c in compiled.capacitors],
+                              dtype=float)
         self.res_g = np.array([g for _, _, g in compiled.resistors],
                               dtype=float).reshape(num_res)
 
@@ -322,16 +323,18 @@ class StampPlan:
     def stamps_match(self, cap_stamps) -> bool:
         """Whether ``cap_stamps`` follow the compiled capacitor order.
 
-        The transient integrator always builds one stamp per compiled
-        capacitor, in order; hand-crafted stamp lists (tests, external
-        callers) that do not line up fall back to the reference scalar
-        assembler.
+        The transient integrator builds its :class:`CapStampArrays` on
+        this plan's own ``cap_pairs_a``/``cap_pairs_b``, so they match
+        by identity, with no per-solve comparison.  Stamp arrays built
+        on other index arrays, and hand-crafted stamp lists (tests,
+        external callers) that do not line up, fall back to the
+        reference scalar assembler.
         """
+        if isinstance(cap_stamps, CapStampArrays):
+            return (cap_stamps.a is self.cap_pairs_a
+                    and cap_stamps.b is self.cap_pairs_b)
         if len(cap_stamps) != self.n_cap:
             return False
-        if isinstance(cap_stamps, CapStampArrays):
-            return (np.array_equal(cap_stamps.a, self.cap_pairs_a)
-                    and np.array_equal(cap_stamps.b, self.cap_pairs_b))
         return all(s[0] == p[0] and s[1] == p[1]
                    for s, p in zip(cap_stamps, self.cap_pairs))
 

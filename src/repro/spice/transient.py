@@ -113,24 +113,19 @@ def _integrate_plan(compiled: CompiledCircuit, t_start: float, t_end: float,
 
     # Per-capacitor history for the trapezoidal rule: previous branch
     # voltage and previous branch current (zero at the DC point).
-    # Everything per-capacitor is vectorized -- node slots resolve once
-    # into fused ``[x | known]`` gather columns, companion values and
-    # history updates are elementwise array expressions with the scalar
+    # Everything per-capacitor is vectorized -- the stamp plan's fused
+    # ``[x | known]`` gather columns, companion values and history
+    # updates are elementwise array expressions with the scalar
     # per-capacitor operand order, so the stamps stay bit-identical to
     # the tuple-built ones while a 10k-cap netlist builds them in a
-    # handful of numpy calls per step instead of a Python loop.
-    capacitors = compiled.capacitors
-    n_cap = len(capacitors)
-    n = compiled.n_unknown
+    # handful of numpy calls per step instead of a Python loop.  The
+    # stamps carry the plan's own node-slot arrays, which the solver
+    # recognizes by identity.
+    n_cap = len(compiled.capacitors)
     if n_cap:
-        cap_a = np.fromiter((a for a, _, _ in capacitors),
-                            dtype=np.intp, count=n_cap)
-        cap_b = np.fromiter((b for _, b, _ in capacitors),
-                            dtype=np.intp, count=n_cap)
-        cap_c = np.fromiter((c for _, _, c in capacitors),
-                            dtype=float, count=n_cap)
-        cap_af = np.where(cap_a >= 0, cap_a, n - cap_a - 1)
-        cap_bf = np.where(cap_b >= 0, cap_b, n - cap_b - 1)
+        plan = compiled.stamp_plan
+        cap_a, cap_b = plan.cap_pairs_a, plan.cap_pairs_b
+        cap_af, cap_bf, cap_c = plan.cap_a, plan.cap_b, plan.cap_c
         fused = np.concatenate([x, known])
         cap_v_prev = fused[cap_af] - fused[cap_bf]
         cap_i_prev = np.zeros(n_cap)

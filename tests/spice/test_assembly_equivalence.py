@@ -13,9 +13,9 @@ assembly, on both sides of the scalar/batched channel-model cutover.
 import numpy as np
 import pytest
 
-from repro.spice import Circuit
+from repro.spice import Circuit, engine, transient
 from repro.spice.engine import assemble_system, assemble_system_reference
-from repro.spice.stamps import SCALAR_MOS_CUTOVER
+from repro.spice.stamps import SCALAR_MOS_CUTOVER, CapStampArrays
 from repro.tech import default_process
 from repro.waveform import ramp
 from repro.waveform.pwl import Pwl
@@ -136,8 +136,9 @@ class TestRandomizedEquivalence:
 
 class TestKnownVoltages:
     def test_known_voltages_match_source_waveforms(self):
-        """The stacked interp must reproduce each source's own Pwl
-        evaluation bit for bit (same np.interp semantics)."""
+        """Each PWL source's slot must equal ``np.interp`` on its own
+        breakpoints bit for bit, at and between breakpoints and past
+        both ends."""
         ckt = Circuit()
         wave_a = ramp(0.2e-9, 0.0, 5.0, 0.3e-9)
         wave_b = ramp(0.35e-9, 5.0, 0.0, 0.1e-9)
@@ -159,6 +160,85 @@ class TestKnownVoltages:
             assert got[idx["b"]] == float(np.interp(t, wave_b.times,
                                                     wave_b.values))
             assert got[idx["0"]] == 0.0
+
+    def test_constant_callable_and_pwl_sources_together(self):
+        """Every source kind fills its own slot, in known_voltages and
+        in node_voltage_series, bit for bit."""
+        ckt = Circuit()
+        wave = ramp(0.2e-9, 0.0, 5.0, 0.3e-9)
+
+        def fn(t):
+            return 1.5 + 1e9 * t
+
+        ckt.add_vsource("vc", "c", 3.3)
+        ckt.add_vsource("vp", "p", wave)
+        ckt.add_vsource("vf", "f", fn)
+        for i, node in enumerate(("c", "p", "f")):
+            ckt.add_resistor(f"r{i}", node, "n1", 1e4)
+        ckt.add_resistor("rg", "n1", "0", 1e4)
+        compiled = ckt.compile()
+        idx = {name: i for i, name in enumerate(compiled._known_names)}
+        times = np.concatenate([wave.times,
+                                np.linspace(-0.1e-9, 0.6e-9, 29)])
+        for t in times:
+            got = compiled.known_voltages(float(t))
+            assert got[idx["0"]] == 0.0
+            assert got[idx["c"]] == 3.3
+            assert got[idx["p"]] == float(np.interp(t, wave.times,
+                                                    wave.values))
+            assert got[idx["f"]] == fn(float(t))
+        x_series = np.zeros((times.size, compiled.n_unknown))
+        series = {name: compiled.node_voltage_series(name, times, x_series)
+                  for name in ("c", "p", "f")}
+        assert series["c"].tobytes() == np.full(times.size, 3.3).tobytes()
+        assert series["p"].tobytes() == np.interp(
+            times, wave.times, wave.values).tobytes()
+        assert series["f"].tobytes() == np.array(
+            [fn(float(t)) for t in times]).tobytes()
+
+
+class TestStampMatching:
+    def test_transient_never_reaches_reference_assembler(self, monkeypatch):
+        """The integrator's stamps ride the compiled path at every step."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("transient reached the reference assembler")
+
+        monkeypatch.setattr(engine, "assemble_system_reference", forbidden)
+        ckt = random_circuit(np.random.default_rng(3), n_mos=4)
+        ckt.add_capacitor("cload", "n1", "0", 1e-13)
+        result = transient(ckt, 1e-9)
+        assert result.newton_iterations > 0
+
+    def test_foreign_index_arrays_fall_back_to_reference(self, monkeypatch):
+        """Stamp arrays on equal but distinct index arrays are not the
+        plan's own: they take the reference assembler, bit for bit."""
+        rng = np.random.default_rng(17)
+        compiled = random_circuit(rng, n_mos=3).compile()
+        plan = compiled.stamp_plan
+        geq = plan.cap_c / 1e-12
+        own = CapStampArrays(plan.cap_pairs_a, plan.cap_pairs_b,
+                             geq, geq * 0.3)
+        foreign = CapStampArrays(plan.cap_pairs_a.copy(),
+                                 plan.cap_pairs_b.copy(), geq, geq * 0.3)
+        assert plan.stamps_match(own)
+        assert not plan.stamps_match(foreign)
+        calls = []
+        reference = engine.assemble_system_reference
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "assemble_system_reference", spy)
+        x = rng.uniform(0.0, PROC.vdd, compiled.n_unknown)
+        known = compiled.known_voltages(0.13e-9)
+        got = assemble_system(compiled, x, known, gmin=1e-12,
+                              cap_stamps=foreign)
+        assert calls
+        want = reference(compiled, x, known, gmin=1e-12,
+                         cap_stamps=list(own))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestPwlScalarFastPath:

@@ -8,6 +8,18 @@ from repro.spice import Circuit, dc_sweep, solve_dc
 from repro.tech import default_process
 
 
+def nand2(proc) -> Circuit:
+    ckt = Circuit()
+    ckt.add_vsource("vvdd", "vdd", proc.vdd)
+    ckt.add_vsource("va", "a", 0.0)
+    ckt.add_vsource("vb", "b", 0.0)
+    ckt.add_mosfet("mna", "out", "a", "mid", "0", proc.nmos, 8e-6, 0.8e-6)
+    ckt.add_mosfet("mnb", "mid", "b", "0", "0", proc.nmos, 8e-6, 0.8e-6)
+    ckt.add_mosfet("mpa", "out", "a", "vdd", "vdd", proc.pmos, 8e-6, 0.8e-6)
+    ckt.add_mosfet("mpb", "out", "b", "vdd", "vdd", proc.pmos, 8e-6, 0.8e-6)
+    return ckt
+
+
 def divider(r1=1e3, r2=1e3, v=2.0) -> Circuit:
     ckt = Circuit()
     ckt.add_vsource("v1", "in", v)
@@ -86,21 +98,35 @@ class TestDcSweep:
 
     def test_multi_source_lockstep(self):
         proc = default_process()
-        ckt = Circuit()
-        ckt.add_vsource("vvdd", "vdd", proc.vdd)
-        ckt.add_vsource("va", "a", 0.0)
-        ckt.add_vsource("vb", "b", 0.0)
-        ckt.add_mosfet("mna", "out", "a", "mid", "0", proc.nmos, 8e-6, 0.8e-6)
-        ckt.add_mosfet("mnb", "mid", "b", "0", "0", proc.nmos, 8e-6, 0.8e-6)
-        ckt.add_mosfet("mpa", "out", "a", "vdd", "vdd", proc.pmos, 8e-6, 0.8e-6)
-        ckt.add_mosfet("mpb", "out", "b", "vdd", "vdd", proc.pmos, 8e-6, 0.8e-6)
         grid = np.linspace(0.0, proc.vdd, 21)
-        sweep = dc_sweep(ckt, ["va", "vb"], grid, record=["out"])
+        sweep = dc_sweep(nand2(proc), ["va", "vb"], grid, record=["out"])
         vout = sweep.node("out")
         # NAND2 VTC: monotone decreasing from ~vdd to ~0.
         assert vout[0] == pytest.approx(proc.vdd, abs=0.05)
         assert vout[-1] == pytest.approx(0.0, abs=0.05)
         assert np.all(np.diff(vout) <= 1e-6)
+
+    @pytest.mark.parametrize("fast_newton", ["0", "1"])
+    def test_matches_fresh_compile_per_point(self, monkeypatch, fast_newton):
+        """The once-compiled sweep solves every point bit for bit like a
+        freshly compiled circuit warm-started from the previous point."""
+        monkeypatch.setenv("REPRO_FAST_NEWTON", fast_newton)
+        proc = default_process()
+        grid = np.linspace(0.0, proc.vdd, 41)
+        sweep = dc_sweep(nand2(proc), ["va", "vb"], grid)
+        ckt = nand2(proc)
+        guess = None
+        expected: dict = {}
+        for value in grid:
+            for name in ("va", "vb"):
+                ckt.replace_vsource(name, float(value))
+            op = solve_dc(ckt.compile(), initial_guess=guess)
+            guess = {name: op[name] for name in ckt.unknown_nodes()}
+            for name, volts in op.voltages.items():
+                expected.setdefault(name, []).append(volts)
+        assert set(sweep.voltages) == set(expected)
+        for name, volts in expected.items():
+            assert sweep.node(name).tobytes() == np.array(volts).tobytes()
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ConvergenceError):

@@ -135,6 +135,21 @@ class TestCompilation:
         with pytest.raises(NetlistError):
             compiled.node_voltage_series("nope", times, x)
 
+    def test_set_source_level_rebinds_constants_only(self):
+        ckt = Circuit()
+        ckt.add_vsource("v1", "in", 2.0)
+        ckt.add_vsource("v2", "ramp", Pwl([0.0, 1e-9], [0.0, 5.0]))
+        ckt.add_vsource("v3", "fn", lambda t: 1.0)
+        ckt.add_resistor("r1", "in", "mid", 1e3)
+        ckt.add_resistor("r2", "mid", "0", 1e3)
+        compiled = ckt.compile()
+        compiled.set_source_level("v1", 3.25)
+        assert compiled.known_voltages(0.0)[1] == 3.25
+        assert ckt.compile().known_voltages(0.0)[1] == 2.0
+        for name in ("v2", "v3", "nope"):
+            with pytest.raises(NetlistError):
+                compiled.set_source_level(name, 1.0)
+
     def test_source_node_lookup(self):
         ckt = Circuit()
         ckt.add_vsource("v1", "in", 1.0)

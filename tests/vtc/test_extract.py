@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MeasurementError
 from repro.gates import Gate
+from repro.spice.netlist import CompiledCircuit
 from repro.vtc import extract_vtc, select_thresholds, vtc_family
 from repro.vtc.extract import gate_thresholds
 
@@ -30,6 +31,19 @@ class TestExtract:
                             dense_points=61)
         assert curve.switching == ("a",)
         assert 0.0 < curve.vil < curve.vm < curve.vih < 5.0
+
+    def test_one_compile_per_sweep(self, nand3_module, monkeypatch):
+        """The coarse and the dense sweep each compile the gate once."""
+        compiles = []
+        original = CompiledCircuit.__init__
+
+        def counting(self, circuit):
+            compiles.append(circuit)
+            original(self, circuit)
+
+        monkeypatch.setattr(CompiledCircuit, "__init__", counting)
+        extract_vtc(nand3_module, ["a"], coarse_points=11, dense_points=21)
+        assert len(compiles) == 2
 
     def test_empty_switching_rejected(self, nand3_module):
         with pytest.raises(MeasurementError):
