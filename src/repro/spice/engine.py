@@ -19,6 +19,8 @@ from time import monotonic as _monotonic
 from typing import Generator, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import ConvergenceError
 from ..obs import get_recorder
@@ -33,17 +35,11 @@ from .sparse import sparse_enabled
 from .stamps import (CapStampArrays, assemble_into, assemble_sparse,
                      load_solve)
 
-try:
-    from scipy.linalg import lu_factor, lu_solve
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _HAVE_SCIPY = False
-
 __all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "NewtonRequest",
            "assemble_system", "assemble_system_reference", "newton_solve",
            "execute_request", "request_solve", "run_plan", "SolveContext",
            "FastNewtonState", "fast_newton_enabled", "FAST_NEWTON_ENV_VAR",
-           "nudge_diagonal", "singular_nudge"]
+           "dense_solve", "nudge_diagonal", "singular_nudge"]
 
 #: Environment knob enabling the opt-in modified-Newton mode.
 FAST_NEWTON_ENV_VAR = "REPRO_FAST_NEWTON"
@@ -409,21 +405,33 @@ class FastNewtonState:
         self.refactorized = 0
 
 
+def _raise_singular(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def dense_solve(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``J @ dx = rhs`` for float64 ``J`` of shape ``(n, n)``.
+
+    Calls the LAPACK ``gesv`` gufunc :func:`numpy.linalg.solve` uses,
+    under its error state (a singular ``J`` raises ``LinAlgError``), so
+    the result is bit-identical minus the wrapper's conversion work.
+    """
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(J, rhs, signature="dd->d")
+
+
 def _fast_factorize(J: np.ndarray):
-    """LU-factorize a fresh Jacobian (scipy when present, else a copy)."""
-    if _HAVE_SCIPY:
-        with warnings.catch_warnings():
-            # A singular J makes dgetrf warn; we detect it from the
-            # non-finite solution and walk the nudge path instead.
-            warnings.simplefilter("ignore")
-            return lu_factor(J, check_finite=False)
-    return np.array(J)
+    """LU-factorize a fresh Jacobian."""
+    with warnings.catch_warnings():
+        # A singular J makes dgetrf warn; we detect it from the
+        # non-finite solution and walk the nudge path instead.
+        warnings.simplefilter("ignore")
+        return lu_factor(J, check_finite=False)
 
 
 def _fast_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    if _HAVE_SCIPY:
-        return lu_solve(lu, rhs, check_finite=False)
-    return np.linalg.solve(lu, rhs)
+    return lu_solve(lu, rhs, check_finite=False)
 
 
 #: Sentinel LU of a singular sparse factorization attempt: its solve
@@ -435,14 +443,14 @@ _SPARSE_SINGULAR = object()
 class _DenseOps:
     """Dense linear-algebra backend behind the Newton loops.
 
-    Static methods only -- the dense path carries no per-circuit state,
-    and keeping these as the exact pre-existing helper calls preserves
-    bit-identity of the default mode.
+    Static methods only -- the dense path carries no per-circuit state.
+    ``direct_solve`` calls the ``gesv`` gufunc through
+    :func:`dense_solve`, bit-identical to :func:`numpy.linalg.solve`.
     """
 
     @staticmethod
     def direct_solve(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(J, -F)
+        return dense_solve(J, -F)
 
     @staticmethod
     def fast_factorize(J: np.ndarray):
@@ -464,11 +472,13 @@ class _DenseOps:
 class _TimedDenseOps:
     """The dense backend with phase timing, substituted when profiling.
 
-    Runs the exact same LAPACK calls as :class:`_DenseOps` -- results
-    stay bit-identical -- but brackets them with monotonic reads.  The
-    fused ``gesv`` of ``direct_solve`` lands wholly in ``factorize``
-    (LAPACK does not expose the split); the fast-Newton path splits
-    ``lu_factor`` / ``lu_solve`` into factorize / back_solve properly.
+    Runs the exact same LAPACK calls as :class:`_DenseOps` (the
+    ``gesv`` gufunc through :func:`dense_solve`, scipy's ``lu_factor``
+    and ``lu_solve``) -- results stay bit-identical -- but brackets
+    them with monotonic reads.  The fused ``gesv`` of ``direct_solve``
+    lands wholly in ``factorize`` (LAPACK does not expose the split);
+    the fast-Newton path splits ``lu_factor`` / ``lu_solve`` into
+    factorize / back_solve properly.
     """
 
     __slots__ = ("times",)
@@ -478,7 +488,7 @@ class _TimedDenseOps:
 
     def direct_solve(self, J: np.ndarray, F: np.ndarray) -> np.ndarray:
         start = _monotonic()
-        dx = np.linalg.solve(J, -F)
+        dx = dense_solve(J, -F)
         self.times.factorize += _monotonic() - start
         return dx
 

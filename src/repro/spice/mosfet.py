@@ -101,13 +101,19 @@ def alpha_power_current(k: float, vt: float, lam: float, alpha: float,
     return ids, gm, gds
 
 
-def channel_current(params: MosfetParams, k: float, vgs: float,
-                    vds: float) -> tuple[float, float, float]:
-    """Dispatch to the configured channel model (NMOS convention)."""
-    if params.model == "alpha":
-        return alpha_power_current(k, abs(params.vt0), params.lam,
-                                   params.alpha, vgs, vds)
-    return nmos_like_current(k, abs(params.vt0), params.lam, vgs, vds)
+def channel_function(params: MosfetParams):
+    """The channel model of ``params`` as ``f(k, vt, lam, vgs, vds)``.
+
+    Level-1 cards get :func:`nmos_like_current` itself, alpha-power
+    cards :func:`alpha_power_current` with the card's ``alpha`` bound.
+    """
+    if params.model != "alpha":
+        return nmos_like_current
+    alpha = params.alpha
+
+    def alpha_channel(k, vt, lam, vgs, vds):
+        return alpha_power_current(k, vt, lam, alpha, vgs, vds)
+    return alpha_channel
 
 
 def mosfet_current(params: MosfetParams, k: float,
@@ -118,12 +124,14 @@ def mosfet_current(params: MosfetParams, k: float,
     current flowing *into* the drain terminal (and out of the source; the
     gate draws none).  ``k`` is the paper-convention strength K.
     """
+    channel = channel_function(params)
+    vt = abs(params.vt0)
     if params.is_nmos:
-        ids, gm, gds = channel_current(params, k, vg - vs, vd - vs)
+        ids, gm, gds = channel(k, vt, params.lam, vg - vs, vd - vs)
         return ids, gds, gm, -(gm + gds)
     # PMOS: reflect voltages.  i_d(PMOS) = -I_nmos_like(vsg - |vt|, vsd)
     # evaluated with vgs' = -(vg - vs), vds' = -(vd - vs).
-    ids, gm, gds = channel_current(params, k, -(vg - vs), -(vd - vs))
+    ids, gm, gds = channel(k, vt, params.lam, -(vg - vs), -(vd - vs))
     i_d = -ids
     # Chain rule through the sign flips:
     #   d i_d / d vg = -gm * d vgs'/d vg = -gm * (-1) = gm  -> negated once more
@@ -170,6 +178,13 @@ def nmos_like_current_batch(k: np.ndarray, vt: np.ndarray, lam: np.ndarray,
     return ids_out, gm_out, gds_out
 
 
+def _pow(base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """Same-shape ``base ** exponent`` through Python's float ``pow``."""
+    return np.array(list(map(pow, base.ravel().tolist(),
+                             exponent.ravel().tolist())),
+                    dtype=float).reshape(base.shape)
+
+
 def alpha_power_current_batch(k: np.ndarray, vt: np.ndarray, lam: np.ndarray,
                               alpha: np.ndarray, vgs: np.ndarray,
                               vds: np.ndarray):
@@ -180,6 +195,9 @@ def alpha_power_current_batch(k: np.ndarray, vt: np.ndarray, lam: np.ndarray,
     of negative numbers out of the pipeline.  Multiplication order
     matches the scalar code exactly -- IEEE products are not
     associative, so e.g. ``gm`` must accumulate ``u`` before ``clm``.
+    The three fractional powers go element by element through Python's
+    ``pow``: NumPy's SIMD ``power`` loop (AVX-512 builds) rounds some
+    results differently from the C ``pow`` behind Python floats.
     """
     neg = vds < 0.0
     vgs_eff = np.where(neg, vgs - vds, vgs)
@@ -189,9 +207,9 @@ def alpha_power_current_batch(k: np.ndarray, vt: np.ndarray, lam: np.ndarray,
     on = vov > 0.0
     safe_vov = np.where(on, vov, 1.0)
     clm = 1.0 + lam * vds_eff
-    i_sat0 = k * safe_vov ** alpha
-    vdsat = safe_vov ** (0.5 * alpha)
-    gm_base = alpha * k * safe_vov ** (alpha - 1.0)
+    i_sat0 = k * _pow(safe_vov, alpha)
+    vdsat = _pow(safe_vov, 0.5 * alpha)
+    gm_base = alpha * k * _pow(safe_vov, alpha - 1.0)
     u = vds_eff / vdsat
     core = 2.0 * u - u * u
     sat = vds_eff >= vdsat

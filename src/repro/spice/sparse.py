@@ -47,16 +47,11 @@ import os
 from time import monotonic
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu
 
 from ..resilience import faults
-
-try:
-    from scipy.sparse import csc_matrix, csr_matrix
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-    from scipy.sparse.linalg import splu
-    _HAVE_SPARSE = True
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _HAVE_SPARSE = False
 
 # The ``splu`` wrapper re-validates its input on every call (format
 # check, duplicate summing, index-dtype casting) -- tens of
@@ -75,7 +70,7 @@ _GSTRF_OPTIONS = dict(DiagPivotThresh=None, ColPerm="NATURAL",
                       PanelSize=None, Relax=None, SymmetricMode=True)
 
 __all__ = ["SPARSE_ENV_VAR", "SPARSE_NODE_CUTOVER", "SparsePlan",
-           "sparse_available", "sparse_enabled", "sparse_mode"]
+           "sparse_enabled", "sparse_mode"]
 
 #: Environment knob selecting the linear-solver backend.
 SPARSE_ENV_VAR = "REPRO_SPARSE"
@@ -86,11 +81,6 @@ SPARSE_ENV_VAR = "REPRO_SPARSE"
 #: overhead; above it SuperLU's near-linear factorization takes over
 #: (~6x at 250 unknowns, growing with n).
 SPARSE_NODE_CUTOVER = 96
-
-
-def sparse_available() -> bool:
-    """Whether scipy's sparse stack imported (it is a hard dependency)."""
-    return _HAVE_SPARSE
 
 
 def sparse_mode() -> str:
@@ -105,8 +95,6 @@ def sparse_mode() -> str:
 
 def sparse_enabled(n_unknown: int) -> bool:
     """Whether a circuit with ``n_unknown`` unknowns dispatches sparse."""
-    if not _HAVE_SPARSE:
-        return False
     mode = sparse_mode()
     if mode == "on":
         return True
@@ -129,8 +117,6 @@ class SparsePlan:
                  "sign_nc", "_contrib", "_rhs", "_dx")
 
     def __init__(self, plan) -> None:
-        if not _HAVE_SPARSE:  # pragma: no cover - scipy is a hard dependency
-            raise RuntimeError("scipy.sparse is unavailable")
         n = plan.n
         self.n = n
         j_cells, j_src, j_sign = plan.j_raw
@@ -201,9 +187,9 @@ class SparsePlan:
         else:
             pos, src, sign = self.pos_nc, self.src_nc, self.sign_nc
         data = self.matrix.data
-        data[:] = 0.0
+        data.fill(0.0)
         contrib = self._contrib[:pos.size]
-        np.take(ws.vals, src, out=contrib)
+        ws.vals.take(src, out=contrib)
         contrib *= sign
         np.add.at(data, pos, contrib)
         return self.matrix
@@ -253,7 +239,7 @@ class SparsePlan:
         ``times.back_solve``.
         """
         start = monotonic() if times is not None else 0.0
-        np.take(rhs, self.perm, out=self._rhs)
+        rhs.take(self.perm, out=self._rhs)
         self._dx[self.perm] = lu.solve(self._rhs)
         out = self._dx.copy()
         if times is not None:

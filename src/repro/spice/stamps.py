@@ -9,8 +9,11 @@ do.  A :class:`StampPlan` compiles that structure once per
 * **gather maps** resolving every device terminal to a column of the
   fused ``[x | known]`` voltage vector (slot ``>= 0`` indexes the
   unknowns, slot ``< 0`` the knowns, exactly the netlist encoding),
-* a **device-axis parameter table** so all transistors of one
-  polarity/channel-model group evaluate through a single
+* a **flat device table** for gate-sized circuits: one row of plain
+  values per transistor that one Python loop walks, calling the
+  channel model once per device,
+* a **device-axis parameter table** so larger circuits evaluate all
+  transistors of one polarity/channel-model group through a single
   :func:`~repro.spice.mosfet.mosfet_current_batch` call, and
 * **ordered scatter plans** for ``F`` and flattened ``J`` whose
   accumulation order matches the scalar loop of the original
@@ -36,7 +39,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .mosfet import device_param_rows, mosfet_current, mosfet_current_batch
+from .mosfet import channel_function, device_param_rows, mosfet_current_batch
 
 __all__ = ["CapStampArrays", "MosGroup", "StampPlan", "Workspace",
            "assemble_into", "assemble_sparse", "eval_values", "load_solve"]
@@ -167,13 +170,15 @@ class StampPlan:
             MosGroup(is_nmos, alpha_model, indices, compiled)
             for (is_nmos, alpha_model), indices in grouped.items()
         ]
-        #: Per-device scalar dispatch table (params, K, terminal columns
-        #: into the fused vector) used below :data:`SCALAR_MOS_CUTOVER`.
-        self.mos_scalar = [
-            (params, kk, col(d), col(g), col(s))
-            for d, g, s, params, kk in compiled.mosfets
-        ]
         self.use_scalar_mos = 0 < num_mos < SCALAR_MOS_CUTOVER
+        #: Flat device table used below :data:`SCALAR_MOS_CUTOVER` (empty
+        #: above it): per transistor its polarity flag, ``K``, ``abs(vt0)``,
+        #: ``lam``, channel function and drain/gate/source fused columns.
+        self.mos_scalar = [
+            (params.is_nmos, kk, abs(params.vt0), params.lam,
+             channel_function(params), col(d), col(g), col(s))
+            for d, g, s, params, kk in compiled.mosfets
+        ] if self.use_scalar_mos else []
 
         f_cells: List[int] = []
         f_src: List[int] = []
@@ -357,8 +362,8 @@ class Workspace:
 
     __slots__ = ("n", "xk", "fj", "F", "j_flat", "J", "vals",
                  "res_cur", "is_cur", "cap_geq", "cap_ieq", "cap_cur",
-                 "id_row", "dvd_row", "dvg_row", "dvs_row", "contrib",
-                 "gx")
+                 "id_row", "mos_jac", "dvd_row", "dvg_row", "dvs_row",
+                 "contrib", "gx")
 
     def __init__(self, plan: StampPlan) -> None:
         n = plan.n
@@ -377,6 +382,7 @@ class Workspace:
         self.cap_cur = self.vals[n_res + n_is + n_mos:plan.n_fvals]
         jv = self.vals[plan.n_fvals:plan.n_fvals + plan.n_jvals]
         jv[:n_res] = plan.res_g
+        self.mos_jac = jv[n_res:n_res + 3 * n_mos]
         self.dvd_row = jv[n_res:n_res + n_mos]
         self.dvg_row = jv[n_res + n_mos:n_res + 2 * n_mos]
         self.dvs_row = jv[n_res + 2 * n_mos:n_res + 3 * n_mos]
@@ -428,6 +434,10 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
     cell) that the dense and sparse scatter passes both consume.  The
     expressions mirror the reference scalar assembler's operand order
     exactly; this is the shared front half of :func:`assemble_into`.
+    Below :data:`SCALAR_MOS_CUTOVER` one flat loop walks the plan's
+    ``mos_scalar`` rows, computing each NMOS-convention ``vgs``/``vds``
+    in line with ``mosfet_current``'s operand order; the residual-only
+    call runs the same loop and skips the Jacobian write.
     """
     n = plan.n
     xk = ws.xk
@@ -438,27 +448,26 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
         ws.res_cur *= plan.res_g
     if plan.use_scalar_mos:
         xkl = xk.tolist()
-        if need_jacobian:
-            ids: List[float] = []
-            dvds: List[float] = []
-            dvgs: List[float] = []
-            dvss: List[float] = []
-            for params, kk, dcol, gcol, scol in plan.mos_scalar:
-                i_d, dvd, dvg, dvs = mosfet_current(
-                    params, kk, xkl[gcol], xkl[dcol], xkl[scol])
-                ids.append(i_d)
-                dvds.append(dvd)
-                dvgs.append(dvg)
-                dvss.append(dvs)
-            ws.dvd_row[:] = dvds
-            ws.dvg_row[:] = dvgs
-            ws.dvs_row[:] = dvss
-        else:
-            ids = [
-                mosfet_current(params, kk, xkl[gcol], xkl[dcol], xkl[scol])[0]
-                for params, kk, dcol, gcol, scol in plan.mos_scalar
-            ]
+        ids: List[float] = []
+        dvds: List[float] = []
+        dvgs: List[float] = []
+        dvss: List[float] = []
+        for is_nmos, k, vt, lam, channel, dcol, gcol, scol in plan.mos_scalar:
+            vs = xkl[scol]
+            if is_nmos:
+                i_d, gm, gds = channel(k, vt, lam, xkl[gcol] - vs,
+                                       xkl[dcol] - vs)
+            else:
+                i_d, gm, gds = channel(k, vt, lam, -(xkl[gcol] - vs),
+                                       -(xkl[dcol] - vs))
+                i_d = -i_d
+            ids.append(i_d)
+            dvds.append(gds)
+            dvgs.append(gm)
+            dvss.append(-(gm + gds))
         ws.id_row[:] = ids
+        if need_jacobian:
+            ws.mos_jac[:] = dvds + dvgs + dvss
     else:
         for grp in plan.groups:
             i_d, dvd, dvg, dvs = mosfet_current_batch(
@@ -498,15 +507,15 @@ def assemble_into(plan: StampPlan, ws: Workspace, x: np.ndarray,
     eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
     fj = ws.fj
     if need_jacobian:
-        fj[:] = 0.0
+        fj.fill(0.0)
         cells, src, sign = (plan.scatter_full_wc if with_caps
                             else plan.scatter_full_nc)
     else:
-        ws.F[:] = 0.0
+        ws.F.fill(0.0)
         cells, src, sign = (plan.scatter_f_wc if with_caps
                             else plan.scatter_f_nc)
     contrib = ws.contrib[:cells.size]
-    np.take(ws.vals, src, out=contrib)
+    ws.vals.take(src, out=contrib)
     contrib *= sign
     np.add.at(fj, cells, contrib)
     return ws.F, (ws.J if need_jacobian else None)
@@ -527,11 +536,11 @@ def assemble_sparse(plan: StampPlan, ws: Workspace, sp, x: np.ndarray,
     false).
     """
     eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
-    ws.F[:] = 0.0
+    ws.F.fill(0.0)
     cells, src, sign = (plan.scatter_f_wc if with_caps
                         else plan.scatter_f_nc)
     contrib = ws.contrib[:cells.size]
-    np.take(ws.vals, src, out=contrib)
+    ws.vals.take(src, out=contrib)
     contrib *= sign
     np.add.at(ws.fj, cells, contrib)
     if not need_jacobian:

@@ -206,15 +206,15 @@ def _integrate_plan(compiled: CompiledCircuit, t_start: float, t_end: float,
                 continue
             accepted = True
 
-        # Update capacitor history using the companion relations.
+        # Update capacitor history using the companion relations; the
+        # accepted step's ``geq`` is the rule's ``C/h`` or ``2C/h``.
         if n_cap:
             fused = np.concatenate([x_new, known_new])
             v_new = fused[cap_af] - fused[cap_bf]
             if use_be:
-                cap_i_prev = (cap_c / h) * (v_new - cap_v_prev)
+                cap_i_prev = geq * (v_new - cap_v_prev)
             else:
-                cap_i_prev = (2.0 * cap_c / h) * (v_new - cap_v_prev) \
-                    - cap_i_prev
+                cap_i_prev = geq * (v_new - cap_v_prev) - cap_i_prev
             cap_v_prev = v_new
 
         t = t_new

@@ -1,9 +1,11 @@
 """Alpha-power-law MOSFET model (Sakurai-Newton, paper ref [14])."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.spice.mosfet import alpha_power_current, nmos_like_current
+from repro.spice.mosfet import (alpha_power_current,
+                                alpha_power_current_batch, nmos_like_current)
 from repro.tech import MosfetParams, submicron_process
 
 K = 1e-4
@@ -79,6 +81,29 @@ class TestAlphaBehaviour:
         ids, _, _ = alpha_power_current(K, VT, LAM, 1.3, vgs, vds)
         ids_sw, _, _ = alpha_power_current(K, VT, LAM, 1.3, vgs - vds, -vds)
         assert ids == pytest.approx(-ids_sw)
+
+
+class TestBatchedModel:
+    def test_batch_matches_scalar_lane_by_lane(self):
+        """Bit for bit on every output of every lane: the fractional
+        powers must round exactly like Python's float ``pow``."""
+        rng = np.random.default_rng(2024)
+        lanes = 20_000
+        k = rng.uniform(1e-5, 1e-3, lanes)
+        vt = rng.uniform(0.3, 0.9, lanes)
+        lam = rng.uniform(0.0, 0.1, lanes)
+        alpha = rng.choice([1.3, 1.4, 2.0], lanes)
+        alpha[::4] = rng.uniform(1.0, 2.0, alpha[::4].size)
+        vgs = rng.uniform(-1.0, 4.0, lanes)
+        vds = rng.uniform(-3.5, 3.5, lanes)
+        got = alpha_power_current_batch(k, vt, lam, alpha, vgs, vds)
+        want = np.array([
+            alpha_power_current(*lane)
+            for lane in zip(k.tolist(), vt.tolist(), lam.tolist(),
+                            alpha.tolist(), vgs.tolist(), vds.tolist())
+        ]).T
+        for name, g, w in zip(("ids", "gm", "gds"), got, want):
+            assert g.tobytes() == w.tobytes(), name
 
 
 class TestModelValidation:

@@ -7,7 +7,9 @@ original scalar loop kept as the equivalence oracle.  IEEE addition is
 not associative, so this holds only because the plan's ordered scatter
 replays the scalar per-cell accumulation order exactly -- these tests
 enforce that contract on randomized circuits, for DC and cap-stamped
-assembly, on both sides of the scalar/batched channel-model cutover.
+assembly, on both sides of the scalar/batched channel-model cutover,
+for both channel models, and for the residual-only assembly the
+modified-Newton loop runs.
 """
 
 import numpy as np
@@ -15,20 +17,28 @@ import pytest
 
 from repro.spice import Circuit, engine, transient
 from repro.spice.engine import assemble_system, assemble_system_reference
-from repro.spice.stamps import SCALAR_MOS_CUTOVER, CapStampArrays
-from repro.tech import default_process
+from repro.spice.stamps import (SCALAR_MOS_CUTOVER, CapStampArrays,
+                                assemble_into, load_solve)
+from repro.tech import default_process, submicron_process
 from repro.waveform import ramp
 from repro.waveform.pwl import Pwl
 
 PROC = default_process()
+#: Alpha-power-law model cards (alpha 1.3 NMOS, 1.4 PMOS).
+ALPHA_PROC = submicron_process()
 
 
-def random_circuit(rng: np.random.Generator, *, n_mos: int) -> Circuit:
-    """A random connected mess of every device type the netlist has."""
+def random_circuit(rng: np.random.Generator, *, n_mos: int,
+                   process=PROC) -> Circuit:
+    """A random connected mess of every device type the netlist has.
+
+    ``process`` picks the model cards (and rail); the random draws do
+    not depend on it.
+    """
     ckt = Circuit()
     nodes = ["0", "vdd", "in", "n1", "n2", "n3"]
-    ckt.add_vsource("vvdd", "vdd", PROC.vdd)
-    ckt.add_vsource("vin", "in", ramp(0.2e-9, 0.0, PROC.vdd, 0.3e-9))
+    ckt.add_vsource("vvdd", "vdd", process.vdd)
+    ckt.add_vsource("vin", "in", ramp(0.2e-9, 0.0, process.vdd, 0.3e-9))
     for i in range(rng.integers(2, 5)):
         a, b = rng.choice(len(nodes), size=2, replace=False)
         ckt.add_resistor(f"r{i}", nodes[a], nodes[b],
@@ -42,7 +52,7 @@ def random_circuit(rng: np.random.Generator, *, n_mos: int) -> Circuit:
         ckt.add_isource(f"i{i}", nodes[a], nodes[b],
                         float(rng.uniform(-1e-5, 1e-5)))
     for i in range(n_mos):
-        model = PROC.nmos if rng.random() < 0.5 else PROC.pmos
+        model = process.nmos if rng.random() < 0.5 else process.pmos
         bulk = "0" if model.is_nmos else "vdd"
         d, g, s = (nodes[j] for j in
                    rng.choice(len(nodes), size=3, replace=False))
@@ -99,19 +109,34 @@ class TestRandomizedEquivalence:
 
     def test_above_scalar_cutover_uses_batched_model(self):
         """Large device counts take the grouped batch-model path; the
-        output must stay bit-identical there too."""
-        rng = np.random.default_rng(42)
-        ckt = random_circuit(rng, n_mos=SCALAR_MOS_CUTOVER + 3)
-        compiled = ckt.compile()
-        assert not compiled.stamp_plan.use_scalar_mos
-        assert_assembly_identical(compiled, rng,
-                                  cap_stamps=ordered_stamps(compiled))
+        output must stay bit-identical there too, for both channel
+        models (the alpha-power powers must round like Python's)."""
+        for process, seeds in ((PROC, [42]), (ALPHA_PROC, range(300, 305))):
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                ckt = random_circuit(rng, n_mos=SCALAR_MOS_CUTOVER + 3,
+                                     process=process)
+                compiled = ckt.compile()
+                assert not compiled.stamp_plan.use_scalar_mos
+                assert_assembly_identical(
+                    compiled, rng, cap_stamps=ordered_stamps(compiled))
 
     def test_below_cutover_uses_scalar_model(self):
         rng = np.random.default_rng(43)
         compiled = random_circuit(rng, n_mos=3).compile()
         assert compiled.stamp_plan.use_scalar_mos
         assert_assembly_identical(compiled, rng, cap_stamps=None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_alpha_model_below_cutover_bit_identical(self, seed):
+        """The flat device loop with the alpha channel function bound."""
+        rng = np.random.default_rng(400 + seed)
+        compiled = random_circuit(rng, n_mos=int(rng.integers(1, 7)),
+                                  process=ALPHA_PROC).compile()
+        assert compiled.stamp_plan.use_scalar_mos
+        assert_assembly_identical(compiled, rng, cap_stamps=None)
+        assert_assembly_identical(compiled, rng,
+                                  cap_stamps=ordered_stamps(compiled))
 
     def test_out_of_order_stamps_fall_back_to_reference(self):
         """Hand-built stamp lists that do not follow the compiled
@@ -132,6 +157,39 @@ class TestRandomizedEquivalence:
         assert_assembly_identical(compiled, rng, cap_stamps=stamps)
         assert_assembly_identical(compiled, rng, cap_stamps=None)
         assert_assembly_identical(compiled, rng, cap_stamps=stamps)
+
+
+class TestResidualOnlyAssembly:
+    """``need_jacobian=False`` (the modified-Newton residual check) must
+    return the full assembly's ``F`` bit for bit."""
+
+    @pytest.mark.parametrize("process", [PROC, ALPHA_PROC],
+                             ids=["level1", "alpha"])
+    @pytest.mark.parametrize("n_mos", [4, SCALAR_MOS_CUTOVER + 3],
+                             ids=["scalar", "batched"])
+    @pytest.mark.parametrize("with_caps", [False, True],
+                             ids=["dc", "caps"])
+    def test_residual_matches_full_assembly(self, process, n_mos,
+                                            with_caps):
+        rng = np.random.default_rng(500 + n_mos)
+        compiled = random_circuit(rng, n_mos=n_mos,
+                                  process=process).compile()
+        plan = compiled.stamp_plan
+        assert plan.use_scalar_mos == (n_mos < SCALAR_MOS_CUTOVER)
+        ws = plan.scratch
+        stamps = ordered_stamps(compiled) if with_caps else None
+        loaded = load_solve(plan, ws, compiled.known_voltages(0.13e-9),
+                            0.13e-9, stamps, 1.0, compiled.isources)
+        assert loaded == (with_caps and plan.n_cap > 0)
+        for _ in range(5):
+            x = rng.uniform(-1.0, process.vdd + 1.0, compiled.n_unknown)
+            F_full, J = assemble_into(plan, ws, x, 1e-12, loaded)
+            F_full = F_full.copy()
+            assert J is not None
+            F_res, J_res = assemble_into(plan, ws, x, 1e-12, loaded,
+                                         need_jacobian=False)
+            assert J_res is None
+            assert F_res.tobytes() == F_full.tobytes()
 
 
 class TestKnownVoltages:

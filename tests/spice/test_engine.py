@@ -1,11 +1,14 @@
 """Assembly and Newton solver unit tests on hand-checkable systems."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
 from repro.spice import Circuit
-from repro.spice.engine import NewtonOptions, assemble_system, newton_solve
+from repro.spice.engine import (NewtonOptions, assemble_system, dense_solve,
+                                newton_solve)
 from repro.tech import default_process
 
 
@@ -149,3 +152,41 @@ class TestNewtonStats:
         assert stats.iterations == 3
         assert stats.failures == 1
         assert stats.solves == 0
+
+
+class TestDenseSolve:
+    """:func:`dense_solve` is :func:`numpy.linalg.solve` minus the wrapper."""
+
+    def test_bit_identical_to_numpy_solve(self):
+        rng = np.random.default_rng(8)
+        mismatches = 0
+        for n in range(2, 13):
+            for _ in range(1000):
+                # Circuit-like scaling: conductances from gmin-ish to
+                # milli-siemens, rows of very different magnitude.
+                scale = 10.0 ** rng.uniform(-15.0, 2.0, (n, 1))
+                J = rng.standard_normal((n, n)) * scale
+                rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-15.0, 2.0)
+                got = dense_solve(J, rhs)
+                want = np.linalg.solve(J, rhs)
+                mismatches += got.tobytes() != want.tobytes()
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("J", [
+        np.zeros((3, 3)),
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 1.5]]),
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+    ], ids=["zero", "rank1", "duplicate-rows"])
+    def test_singular_raises_without_warning(self, J):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                dense_solve(J, np.ones(J.shape[0]))
+
+    def test_nan_input_matches_numpy_solve(self):
+        J = np.array([[2.0, np.nan, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+        rhs = np.array([1.0, 2.0, 3.0])
+        for a, b in ((J, rhs), (np.eye(3), np.array([np.nan, 1.0, 2.0]))):
+            got = dense_solve(a, b)
+            assert np.isnan(got).all()
+            assert got.tobytes() == np.linalg.solve(a, b).tobytes()

@@ -26,6 +26,7 @@ from repro.spice import (
     Circuit,
     NewtonOptions,
     TransientOptions,
+    engine,
     solve_dc,
     solve_dc_batch,
     transient,
@@ -56,9 +57,9 @@ FAST = TransientOptions(h_max_ratio=2e-2)
 @pytest.fixture(autouse=True)
 def pinned_backends(monkeypatch):
     """Pin the dense full-Newton path: the divergence/parity tests
-    monkeypatch ``np.linalg.solve``, which SuperLU and the LU-reusing
-    fast-Newton loop bypass.  Tests that exercise those backends opt
-    back in explicitly."""
+    monkeypatch :func:`repro.spice.engine.dense_solve`, which SuperLU
+    and the LU-reusing fast-Newton loop bypass.  Tests that exercise
+    those backends opt back in explicitly."""
     monkeypatch.setenv(SPARSE_ENV_VAR, "0")
     monkeypatch.setenv("REPRO_FAST_NEWTON", "0")
     monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
@@ -107,7 +108,7 @@ def solver_counters(recorder) -> dict:
 
 
 def runaway_solve(a, b):
-    """A ``np.linalg.solve`` stand-in whose steps never contract."""
+    """A ``dense_solve`` stand-in whose steps never contract."""
     return np.ones_like(b) * 10.0
 
 
@@ -347,7 +348,7 @@ class TestDivergenceAbort:
             self, monkeypatch):
         monkeypatch.setenv(GUARD_ENV_VAR, "1")
         monkeypatch.setenv(DIVERGE_ENV_VAR, "2")
-        monkeypatch.setattr(np.linalg, "solve", runaway_solve)
+        monkeypatch.setattr(engine, "dense_solve", runaway_solve)
         with recording() as rec:
             with pytest.raises(ConvergenceError):
                 solve_dc(dc_inverter())
@@ -362,7 +363,7 @@ class TestDivergenceAbort:
     def test_unguarded_runaway_burns_the_full_budget(self, monkeypatch):
         """Without the guard the same runaway run must still fail --
         the monitor only changes *when*, never *whether*."""
-        monkeypatch.setattr(np.linalg, "solve", runaway_solve)
+        monkeypatch.setattr(engine, "dense_solve", runaway_solve)
         with recording() as rec:
             with pytest.raises(ConvergenceError):
                 solve_dc(dc_inverter())
@@ -374,7 +375,7 @@ class TestDivergenceAbort:
         scalar driver's, lane for lane."""
         monkeypatch.setenv(GUARD_ENV_VAR, "1")
         monkeypatch.setenv(DIVERGE_ENV_VAR, "2")
-        monkeypatch.setattr(np.linalg, "solve", runaway_solve)
+        monkeypatch.setattr(engine, "dense_solve", runaway_solve)
         widths = [4e-6, 5e-6, 6e-6]
 
         from repro.spice import NewtonStats

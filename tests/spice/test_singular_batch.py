@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.spice import Circuit
+from repro.spice import Circuit, engine
 from repro.spice.batch import run_plans_batched
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.spice.engine import (
@@ -32,8 +32,9 @@ from repro.spice.engine import (
 
 @pytest.fixture(autouse=True)
 def dense_backend(monkeypatch):
-    """Pin the dense full-Newton loop: the ``np.linalg.solve`` monkeypatch
-    reaches only that loop.  A ``REPRO_SPARSE=1`` environment (the CI
+    """Pin the dense full-Newton loop: the
+    :func:`repro.spice.engine.dense_solve` monkeypatch reaches only that
+    loop.  A ``REPRO_SPARSE=1`` environment (the CI
     sparse smoke leg) would divert every lane to SuperLU, and
     ``REPRO_FAST_NEWTON=1`` to the LU-reusing loop, whose singular path
     ``test_fast_newton.py`` covers."""
@@ -83,7 +84,7 @@ class TestDoublySingularLanes:
         def always_singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix (forced)")
 
-        monkeypatch.setattr(np.linalg, "solve", always_singular)
+        monkeypatch.setattr(engine, "dense_solve", always_singular)
         options = NewtonOptions()
         outcomes = run_plans_batched([
             entry(divider(), exact, options=options),
@@ -99,7 +100,7 @@ class TestDoublySingularLanes:
         def always_singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix (forced)")
 
-        monkeypatch.setattr(np.linalg, "solve", always_singular)
+        monkeypatch.setattr(engine, "dense_solve", always_singular)
         entries = [entry(divider(), [0.5], options=NewtonOptions())
                    for _ in range(2)]
         run_plans_batched(entries)
