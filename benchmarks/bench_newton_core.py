@@ -79,7 +79,7 @@ def test_scalar_assembly_speedup_and_identity(benchmark, request):
         # then one assemble_into per iteration.
         load_solve(plan, ws, known, 0.0, stamps, 1.0, compiled.isources)
         for x in xs:
-            assemble_into(plan, ws, x, 1e-12, True)
+            assemble_into(plan, ws, plan.dense, x, 1e-12, True)
 
     # Interleave the two modes so drift in box load hits both equally;
     # best-of-REPS filters the spikes.

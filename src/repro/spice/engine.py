@@ -178,8 +178,8 @@ def assemble_system(compiled: CompiledCircuit, x: np.ndarray, known: np.ndarray,
     ws = plan.scratch
     with_caps = load_solve(plan, ws, np.asarray(known, dtype=float), time,
                            cap_stamps, source_scale, compiled.isources)
-    F, J = assemble_into(plan, ws, np.asarray(x, dtype=float), gmin,
-                         with_caps)
+    F, J = assemble_into(plan, ws, plan.dense, np.asarray(x, dtype=float),
+                         gmin, with_caps)
     # Fresh copies: callers compare/retain results across calls.
     return F.copy(), J.copy()
 
@@ -738,9 +738,11 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
                 return assemble_sparse(plan, ws, ops.sp, x, effective_gmin,
                                        with_caps, need_jacobian)
         else:
+            dense = plan.dense
+
             def assemble(need_jacobian: bool = True):
-                return assemble_into(plan, ws, x, effective_gmin, with_caps,
-                                     need_jacobian)
+                return assemble_into(plan, ws, dense, x, effective_gmin,
+                                     with_caps, need_jacobian)
     else:
         def assemble(need_jacobian: bool = True):
             return assemble_system_reference(

@@ -356,9 +356,9 @@ def condition_estimate_sparse(sp, lu) -> float:
     """:func:`condition_estimate_dense` against a retained SuperLU factor.
 
     ``sp`` is the :class:`~repro.spice.sparse.SparsePlan` holding the
-    assembled (RCM-permuted) matrix, ``lu`` the factorization of it that
-    the current iteration just solved with -- reusing it makes the two
-    extra triangular solves nearly free.  The 1-norm is invariant under
+    assembled matrix (permuted by its minimum-degree ordering), ``lu``
+    the factorization of it that the current iteration just solved with
+    -- reusing it makes the two extra triangular solves nearly free.  The 1-norm is invariant under
     the symmetric permutation, so the estimate matches the dense
     backend's to factorization accuracy.
     """

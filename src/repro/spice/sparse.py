@@ -15,18 +15,17 @@ factorization instead.
 * the union of Jacobian cells (gmin diagonal plus every device stamp)
   becomes a fixed CSC ``indptr``/``indices`` structure whose ``data``
   array is reused across iterations,
-* a reverse Cuthill-McKee ordering of the symmetrized stamp structure
-  is applied up front, so every factorization runs SuperLU with
-  ``permc_spec="NATURAL"`` -- the fill-reducing analysis happens once
-  per circuit and is reused across all iterations and solves, the way
-  ``--fast-newton`` reuses numeric LU factors, and
-* emission-ordered data-scatter arrays map each stamp contribution to
-  its slot in ``data``.  ``np.add.at`` applies repeated-index
-  additions sequentially in element order, and the element order here
-  replays the dense scatter's per-cell order (gmin diagonal first,
-  then device emission), so every stored entry is **bit-identical** to
-  the corresponding dense Jacobian cell
-  (``tests/spice/test_sparse_equivalence.py`` pins this).
+* SuperLU's minimum-degree ordering of ``A + A^T`` (``MMD_AT_PLUS_A``,
+  the fill-limiting choice SPICE2 makes) is computed once from the
+  stamp structure and baked into the CSC positions, so every
+  factorization runs with ``ColPerm=NATURAL`` and limits fill (bounded
+  in ``tests/spice/test_sparse_equivalence.py``), and
+* one CSR scatter operator of +/-1 signs per cap-stamp variant maps
+  ``vals`` onto the ``n`` residual cells and the ``nnz`` CSC slots.
+  Each row keeps the dense scatter's per-cell order (gmin diagonal
+  first, then device emission) and ``csr_matvec`` sums a row in that
+  order, so ``F`` and every stored entry are **bit-identical** to the
+  dense assembly (the same suite pins this).
 
 The factorizations themselves are SuperLU rather than LAPACK, so the
 Newton *steps* -- and therefore waveforms -- agree with the dense
@@ -47,9 +46,10 @@ import os
 from time import monotonic
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse import csc_matrix
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
+from scipy.sparse.linalg._dsolve import _superlu
 
 from ..resilience import faults
 
@@ -59,12 +59,8 @@ from ..resilience import faults
 # the plan's CSC buffer never changes shape.  Calling the SuperLU
 # binding directly with the exact options ``splu(permc_spec="NATURAL")``
 # would pass (including the implied ``SymmetricMode``) produces
-# bit-identical factors; fall back to the public wrapper when the
-# private binding moves.
-try:  # pragma: no cover - exercised indirectly by every sparse solve
-    from scipy.sparse.linalg._dsolve import _superlu as _superlu_direct
-except ImportError:  # pragma: no cover - older/newer scipy layout
-    _superlu_direct = None
+# bit-identical factors.  ``csr_matvec`` is likewise scipy's own CSR
+# product kernel, without the sparse-array wrapper around it.
 
 _GSTRF_OPTIONS = dict(DiagPivotThresh=None, ColPerm="NATURAL",
                       PanelSize=None, Relax=None, SymmetricMode=True)
@@ -103,49 +99,47 @@ def sparse_enabled(n_unknown: int) -> bool:
     return n_unknown >= SPARSE_NODE_CUTOVER
 
 
+def _minimum_degree(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """SuperLU's minimum-degree ordering of the pattern of ``A + A.T``.
+
+    ``rows``/``cols`` list the structural entries of ``A``.  The ordering
+    comes from one factorization of a matrix with the symmetrized
+    pattern and a dominant diagonal (so no pivot leaves the diagonal);
+    only its column permutation is kept.  Returns ``perm`` with
+    ``perm[k]`` the node placed at position ``k``.
+    """
+    pattern = csc_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    sym = (pattern + pattern.T).tocsc()
+    sym.data.fill(-1.0)
+    sym.setdiag(float(n))
+    perm_c = splu(sym, permc_spec="MMD_AT_PLUS_A").perm_c
+    return np.argsort(perm_c).astype(np.intp)
+
+
 class SparsePlan:
     """One circuit's compiled CSC scatter plan plus SuperLU bindings.
 
     Shared-mutable like the stamp plan's scalar workspace: the scalar
     Newton loop is not reentrant (plans yield requests instead of
-    recursing into the solver), so the single reused ``data`` buffer
-    is safe.
+    recursing into the solver), so the single reused ``[F | data]``
+    buffer is safe.
     """
 
-    __slots__ = ("n", "nnz", "perm", "matrix", "diag_pos",
-                 "pos_wc", "src_wc", "sign_wc", "pos_nc", "src_nc",
-                 "sign_nc", "_contrib", "_rhs", "_dx")
+    __slots__ = ("n", "nnz", "perm", "buf", "F", "matrix", "diag_pos",
+                 "op_wc", "op_nc", "_rhs", "_dx")
 
     def __init__(self, plan) -> None:
         n = plan.n
         self.n = n
-        j_cells, j_src, j_sign = plan.j_raw
+        f_cells, f_src, f_sign = plan.f_emit
+        j_cells, j_src, j_sign = plan.j_emit
+        rows = j_cells // n
+        cols = j_cells % n
 
-        # Emission order of Jacobian contributions, exactly as the
-        # dense ``scatter_full_*`` arrays order them: the gmin diagonal
-        # first (the reference assembler adds gmin before any device
-        # stamp), then the device stamps.
-        diag_cells = np.arange(n, dtype=np.intp) * (n + 1)
-        cells = np.concatenate([diag_cells, j_cells])
-        src = np.concatenate([
-            np.full(n, plan.gmin_slot, dtype=np.intp),
-            plan.n_fvals + j_src,
-        ])
-        sign = np.concatenate([np.ones(n), j_sign])
-        rows = cells // n
-        cols = cells % n
-
-        # One-time symbolic analysis: RCM on the symmetrized stamp
-        # structure.  The permuted matrix is assembled directly (the
-        # scatter positions below bake the permutation in), so every
-        # subsequent SuperLU call runs with ``permc_spec="NATURAL"``
-        # and skips its own fill-reducing ordering.
-        pattern = csr_matrix(
-            (np.ones(cells.size), (rows, cols)), shape=(n, n))
-        sym = pattern + pattern.T
-        perm = np.asarray(reverse_cuthill_mckee(sym.tocsr(),
-                                                symmetric_mode=True),
-                          dtype=np.intp)
+        # The ordering is baked into the CSC keys below, so every
+        # factorization runs SuperLU with ``ColPerm=NATURAL`` and the
+        # fill-reducing analysis happens once per circuit.
+        perm = _minimum_degree(n, rows, cols)
         self.perm = perm
         ipos = np.empty(n, dtype=np.intp)
         ipos[perm] = np.arange(n, dtype=np.intp)
@@ -157,42 +151,58 @@ class SparsePlan:
         keys = ipos[cols] * n + ipos[rows]
         unique = np.unique(keys)
         self.nnz = int(unique.size)
-        pos = np.searchsorted(unique, keys).astype(np.intp)
+        slot = n + np.searchsorted(unique, keys)
         self.diag_pos = np.searchsorted(
             unique, np.arange(n, dtype=np.intp) * (n + 1)).astype(np.intp)
 
         indices = (unique % n).astype(np.int32)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
-        self.matrix = csc_matrix(
-            (np.zeros(self.nnz), indices, indptr), shape=(n, n))
+        self.buf = np.zeros(n + self.nnz)
+        self.F = self.buf[:n]
+        self.matrix = csc_matrix((self.buf[n:], indices, indptr),
+                                 shape=(n, n))
 
-        #: Pre-sliced scatter triples, cap-companion stamps in or out.
-        #: The combined arrays are ``[gmin diag | device emission]``,
-        #: so the cap-free variant is simply the prefix.
-        split = n + plan.j_split
-        self.pos_wc, self.src_wc, self.sign_wc = pos, src, sign
-        self.pos_nc = pos[:split]
-        self.src_nc = src[:split]
-        self.sign_nc = sign[:split]
-        self._contrib = np.empty(cells.size)
+        # Scatter operators, cap-companion stamps in or out: CSR
+        # ``(indptr, indices, data)`` of the +/-1 signs, rows the ``n``
+        # residual cells then the ``nnz`` CSC slots, columns ``vals``.
+        # A stable sort by row keeps each row's terms in emission order,
+        # and duplicates stay separate terms, so ``csr_matvec`` sums
+        # every cell in the order the scalar assembler accumulates it.
+        def operator(fk: int, jk: int):
+            targets = np.concatenate([f_cells[:fk], slot[:jk]])
+            order = np.argsort(targets, kind="stable")
+            indptr = np.zeros(self.buf.size + 1, dtype=np.int32)
+            np.cumsum(np.bincount(targets, minlength=self.buf.size),
+                      out=indptr[1:])
+            src = np.concatenate([f_src[:fk], j_src[:jk]])
+            sign = np.concatenate([f_sign[:fk], j_sign[:jk]])
+            return indptr, src[order].astype(np.int32), sign[order]
+
+        self.op_wc = operator(f_cells.size, j_cells.size)
+        self.op_nc = operator(plan.f_split, plan.j_split)
         self._rhs = np.empty(n)
         self._dx = np.empty(n)
 
     # ------------------------------------------------------------------
-    def assemble(self, ws, with_caps: bool):
-        """Scatter this iteration's values into the reused CSC data."""
-        if with_caps:
-            pos, src, sign = self.pos_wc, self.src_wc, self.sign_wc
+    def assemble(self, ws, with_caps: bool, need_jacobian: bool = True):
+        """Scatter this iteration's values into ``F`` and the CSC data.
+
+        One ``csr_matvec`` of the operator against ``ws.vals`` into the
+        zeroed ``[F | data]`` buffer; the residual-only call runs just
+        the first ``n`` rows.  Returns ``(F, matrix)`` (``matrix`` is
+        ``None`` when ``need_jacobian`` is false).
+        """
+        indptr, indices, coef = self.op_wc if with_caps else self.op_nc
+        if need_jacobian:
+            self.buf.fill(0.0)
+            rows = self.buf.size
         else:
-            pos, src, sign = self.pos_nc, self.src_nc, self.sign_nc
-        data = self.matrix.data
-        data.fill(0.0)
-        contrib = self._contrib[:pos.size]
-        ws.vals.take(src, out=contrib)
-        contrib *= sign
-        np.add.at(data, pos, contrib)
-        return self.matrix
+            self.F.fill(0.0)
+            rows = self.n
+        csr_matvec(rows, ws.vals.size, indptr, indices, coef, ws.vals,
+                   self.buf)
+        return self.F, (self.matrix if need_jacobian else None)
 
     def nudge(self, value: float) -> None:
         """Add ``value`` to every diagonal entry of the assembled data."""
@@ -219,13 +229,10 @@ class SparsePlan:
         start = monotonic() if times is not None else 0.0
         matrix = self.matrix
         try:
-            if _superlu_direct is not None:
-                lu = _superlu_direct.gstrf(
-                    self.n, matrix.nnz, matrix.data, matrix.indices,
-                    matrix.indptr, csc_construct_func=csc_matrix,
-                    ilu=False, options=_GSTRF_OPTIONS)
-            else:  # pragma: no cover - private binding unavailable
-                lu = splu(matrix, permc_spec="NATURAL")
+            lu = _superlu.gstrf(
+                self.n, matrix.nnz, matrix.data, matrix.indices,
+                matrix.indptr, csc_construct_func=csc_matrix,
+                ilu=False, options=_GSTRF_OPTIONS)
         except RuntimeError as error:
             raise np.linalg.LinAlgError(str(error)) from None
         if times is not None:
@@ -233,7 +240,7 @@ class SparsePlan:
         return lu
 
     def solve_factored(self, lu, rhs: np.ndarray, times=None) -> np.ndarray:
-        """Back-substitute ``rhs`` through ``lu``, undoing the RCM perm.
+        """Back-substitute ``rhs`` through ``lu``, undoing the ordering.
 
         ``times``, when given, accumulates the wall seconds into
         ``times.back_solve``.
@@ -249,7 +256,7 @@ class SparsePlan:
     def dense_jacobian(self) -> np.ndarray:
         """The assembled matrix as a dense array in original node order.
 
-        Test/diagnostic helper: inverts the RCM permutation so entries
+        Test/diagnostic helper: inverts the ordering so entries
         compare directly against the dense backend's Jacobian.
         """
         inv = np.argsort(self.perm)

@@ -22,27 +22,33 @@ do.  A :class:`StampPlan` compiles that structure once per
 Ordered scatter is what keeps vectorized accumulation *bit-identical*
 to the sequential scalar code.  IEEE addition is not associative, so
 the per-cell accumulation order -- not just the set of contributions
--- is part of the contract.  The engine applies one emission-ordered
-``np.add.at`` pass (``np.add.at`` performs repeated-index additions
-sequentially in element order);
+-- is part of the contract.  The dense backend applies one
+emission-ordered ``np.add.at`` pass (:class:`DenseScatter`;
+``np.add.at`` performs repeated-index additions sequentially in
+element order), the sparse backend one ordered CSR product
+(:class:`~repro.spice.sparse.SparsePlan`);
 ``tests/spice/test_assembly_equivalence.py`` enforces it against the
 kept-as-reference scalar assembler.
 
 The engine (:mod:`repro.spice.engine`) drives the plan through a
 preallocated :class:`Workspace` so a Newton iteration allocates no
-``(n, n)`` temporaries.
+``(n, n)`` temporaries.  Each backend's scatter state is built on its
+first use, so a plan that only dispatches sparse never allocates the
+dense ``n + n**2`` buffer.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .mosfet import channel_function, device_param_rows, mosfet_current_batch
 
-__all__ = ["CapStampArrays", "MosGroup", "StampPlan", "Workspace",
-           "assemble_into", "assemble_sparse", "eval_values", "load_solve"]
+__all__ = ["CapStampArrays", "DenseScatter", "MosGroup", "StampPlan",
+           "Workspace", "assemble_into", "assemble_sparse", "eval_values",
+           "load_solve"]
 
 #: Below this device count the scalar engine evaluates transistors one
 #: by one through the scalar channel model: ~35 numpy kernel launches
@@ -247,83 +253,56 @@ class StampPlan:
                 if a >= 0:
                     jemit(b, a, jcol, -1.0)
 
-        # Raw Jacobian contribution triples (dense flat cell ``row * n +
-        # col``, J value column, sign) in scalar emission order, plus
-        # the cap-free prefix length: the sparse CSR/CSC plan compiles
-        # its data-scatter arrays from these.
-        self.j_raw = (_intp(j_cells), _intp(j_src),
-                      np.asarray(j_sign, dtype=float))
-        self.j_split = j_split
-
-        # Flat scatter arrays: one ordered ``np.add.at`` pass.
-        # ``np.add.at`` applies repeated-index additions sequentially in
-        # element order, so the emission-ordered arrays reproduce the
-        # scalar per-cell accumulation order exactly; the equivalence
-        # suite pins this.
-        # ``F`` and flattened ``J`` share one target buffer (``F`` in
-        # the first ``n`` cells) and one value buffer (F columns first),
-        # so a full assembly is a single take/multiply/scatter pass;
-        # the residual-only prefix serves the modified-Newton mode.
+        # ``vals`` holds the F columns, then the J columns, then the
+        # per-iteration ``gmin * x`` row (F diagonal) and one ``gmin``
+        # cell (J diagonal).
         self.n_fvals = num_res + num_is + num_mos + num_cap
         self.n_jvals = num_res + 3 * num_mos + num_cap
-        j_cells_off = [n + cell for cell in j_cells]
-        j_src_off = [self.n_fvals + src for src in j_src]
-        # The gmin terms ride in the scatter too: ``vals`` ends with the
-        # per-iteration ``gmin * x`` row (F diagonal) and one ``gmin``
-        # cell (J diagonal), and the diag contributions lead the arrays
-        # -- the reference assembler adds gmin before any device stamp.
         gx_base = self.n_fvals + self.n_jvals
         self.gmin_slot = gx_base + n
-        f_diag = (list(range(n)), [gx_base + i for i in range(n)],
-                  [1.0] * n)
-        j_diag = ([n + i * (n + 1) for i in range(n)],
-                  [self.gmin_slot] * n, [1.0] * n)
 
-        def scatter(*parts):
-            cells: List[int] = []
-            src: List[int] = []
-            sign: List[float] = []
-            for c, s, g in parts:
-                cells += c
-                src += s
-                sign += g
-            return _intp(cells), _intp(src), np.asarray(sign, dtype=float)
-
-        #: ``(cells, src, sign)`` triples, pre-sliced per case so the
-        #: hot path never re-slices: full assembly with/without cap
-        #: stamps, residual-only with/without cap stamps.
-        self.scatter_full_wc = scatter(
-            f_diag, j_diag, (f_cells, f_src, f_sign),
-            (j_cells_off, j_src_off, j_sign))
-        self.scatter_full_nc = scatter(
-            f_diag, j_diag,
-            (f_cells[:f_split], f_src[:f_split], f_sign[:f_split]),
-            (j_cells_off[:j_split], j_src_off[:j_split],
-             j_sign[:j_split]))
-        self.scatter_f_wc = scatter(f_diag, (f_cells, f_src, f_sign))
-        self.scatter_f_nc = scatter(
-            f_diag,
-            (f_cells[:f_split], f_src[:f_split], f_sign[:f_split]))
+        #: ``(cells, src, sign)`` of every F and J contribution in
+        #: scalar emission order, gmin diagonal first (the reference
+        #: assembler adds gmin before any device stamp): F cells are
+        #: node indices, J cells flat ``row * n + col``, and ``src``
+        #: indexes ``vals``.  Capacitor stamps sit at the tail, so the
+        #: first ``f_split``/``j_split`` entries serve requests without
+        #: companion stamps.  Both backends compile their scatter from
+        #: these.
+        diag = np.arange(n, dtype=np.intp)
+        self.f_emit = (np.concatenate([diag, _intp(f_cells)]),
+                       np.concatenate([gx_base + diag, _intp(f_src)]),
+                       np.concatenate([np.ones(n), f_sign]))
+        self.j_emit = (np.concatenate([diag * (n + 1), _intp(j_cells)]),
+                       np.concatenate([np.full(n, self.gmin_slot, np.intp),
+                                       self.n_fvals + _intp(j_src)]),
+                       np.concatenate([np.ones(n), j_sign]))
+        self.f_split = n + f_split
+        self.j_split = n + j_split
 
         #: Per-process scratch for the scalar engine.  The scalar Newton
         #: loop is not reentrant (plans yield requests instead of
         #: recursing into the solver), so one workspace per plan is safe.
         self.scratch = Workspace(self)
-        self._sparse_plan = None
 
-    @property
+    @cached_property
+    def dense(self) -> "DenseScatter":
+        """Scatter arrays and ``[F | J]`` buffer of the dense backend.
+
+        Built on the first dense assembly, so plans that always
+        dispatch sparse never allocate the ``n + n**2`` buffer.
+        """
+        return DenseScatter(self)
+
+    @cached_property
     def sparse(self):
-        """Compiled CSC structure for the sparse backend (lazy, cached).
+        """Compiled CSC structure for the sparse backend.
 
         Built on first use so small circuits that always dispatch dense
         never pay the symbolic analysis.
         """
-        plan = self._sparse_plan
-        if plan is None:
-            from .sparse import SparsePlan
-            plan = SparsePlan(self)
-            self._sparse_plan = plan
-        return plan
+        from .sparse import SparsePlan
+        return SparsePlan(self)
 
     def stamps_match(self, cap_stamps) -> bool:
         """Whether ``cap_stamps`` follow the compiled capacitor order.
@@ -345,25 +324,20 @@ class StampPlan:
 
 
 class Workspace:
-    """Preallocated per-solve buffers for the scalar vectorized assembly.
+    """Preallocated per-solve buffers shared by both backends.
 
     ``xk`` fuses unknown and known voltages (``[x | known]``) so device
-    gathers index one flat vector; ``fj`` fuses the accumulation
-    targets (``F`` in the first ``n`` cells, flattened ``J`` behind it)
-    and is reused across iterations -- no per-iteration
-    ``np.zeros((n, n))``, and one memset clears both.  ``vals`` holds
-    every device value column contiguously (the F columns
-    ``[res cur | isrc cur | mos i_d | cap cur]`` followed by the J
-    columns ``[res g | mos dvd | mos dvg | mos dvs | cap geq]``); the
-    named rows are views into it, so one gather feeds the whole
-    scatter.  The static columns (resistor conductances) are filled
-    once here.
+    gathers index one flat vector.  ``vals`` holds every value column
+    contiguously (the F columns ``[res cur | isrc cur | mos i_d | cap
+    cur]``, the J columns ``[res g | mos dvd | mos dvg | mos dvs | cap
+    geq]``, then the ``gmin * x`` row and the ``gmin`` cell); the named
+    rows are views into it, so one gather feeds the whole scatter.  The
+    static columns (resistor conductances) are filled once here.
     """
 
-    __slots__ = ("n", "xk", "fj", "F", "j_flat", "J", "vals",
-                 "res_cur", "is_cur", "cap_geq", "cap_ieq", "cap_cur",
-                 "id_row", "mos_jac", "dvd_row", "dvg_row", "dvs_row",
-                 "contrib", "gx")
+    __slots__ = ("n", "xk", "vals", "res_cur", "is_cur", "cap_geq",
+                 "cap_ieq", "cap_cur", "id_row", "mos_jac", "dvd_row",
+                 "dvg_row", "dvs_row", "gx")
 
     def __init__(self, plan: StampPlan) -> None:
         n = plan.n
@@ -371,10 +345,6 @@ class Workspace:
         n_mos, n_cap = plan.n_mos, plan.n_cap
         self.n = n
         self.xk = np.empty(n + plan.n_known)
-        self.fj = np.empty(n + n * n)
-        self.F = self.fj[:n]
-        self.j_flat = self.fj[n:]
-        self.J = self.j_flat.reshape(n, n)
         self.vals = np.empty(plan.gmin_slot + 1)
         self.res_cur = self.vals[:n_res]
         self.is_cur = self.vals[n_res:n_res + n_is]
@@ -388,8 +358,43 @@ class Workspace:
         self.dvs_row = jv[n_res + 2 * n_mos:n_res + 3 * n_mos]
         self.cap_geq = jv[n_res + 3 * n_mos:]
         self.cap_ieq = np.empty(n_cap)
-        self.contrib = np.empty(plan.scatter_full_wc[0].size)
         self.gx = self.vals[plan.gmin_slot - n:plan.gmin_slot]
+
+
+class DenseScatter:
+    """Ordered ``np.add.at`` scatter of the dense backend, with its buffers.
+
+    ``fj`` fuses the accumulation targets (``F`` in the first ``n``
+    cells, flattened ``J`` behind it) and is reused across iterations
+    -- no per-iteration ``np.zeros((n, n))``, and one memset clears
+    both.  ``np.add.at`` applies repeated-index additions sequentially
+    in element order, so the emission-ordered arrays reproduce the
+    scalar per-cell accumulation order exactly.  The ``(cells, src,
+    sign)`` triples are pre-sliced per case so the hot path never
+    re-slices: full assembly with/without cap stamps, residual-only
+    (the modified-Newton check) with/without cap stamps.
+    """
+
+    __slots__ = ("fj", "F", "J", "contrib", "full_wc", "full_nc",
+                 "f_wc", "f_nc")
+
+    def __init__(self, plan: StampPlan) -> None:
+        n = plan.n
+        self.fj = np.empty(n + n * n)
+        self.F = self.fj[:n]
+        self.J = self.fj[n:].reshape(n, n)
+        f_cells, f_src, f_sign = plan.f_emit
+        j_cells, j_src, j_sign = plan.j_emit
+        fs, js = plan.f_split, plan.j_split
+        self.full_wc = (np.concatenate([f_cells, n + j_cells]),
+                        np.concatenate([f_src, j_src]),
+                        np.concatenate([f_sign, j_sign]))
+        self.full_nc = (np.concatenate([f_cells[:fs], n + j_cells[:js]]),
+                        np.concatenate([f_src[:fs], j_src[:js]]),
+                        np.concatenate([f_sign[:fs], j_sign[:js]]))
+        self.f_wc = plan.f_emit
+        self.f_nc = (f_cells[:fs], f_src[:fs], f_sign[:fs])
+        self.contrib = np.empty(self.full_wc[0].size)
 
 
 def load_solve(plan: StampPlan, ws: Workspace, known: np.ndarray,
@@ -491,58 +496,44 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
         ws.vals[plan.gmin_slot] = gmin
 
 
-def assemble_into(plan: StampPlan, ws: Workspace, x: np.ndarray,
-                  gmin: float, with_caps: bool,
+def assemble_into(plan: StampPlan, ws: Workspace, dense: DenseScatter,
+                  x: np.ndarray, gmin: float, with_caps: bool,
                   need_jacobian: bool = True):
-    """Vectorized residual/Jacobian assembly into the workspace buffers.
+    """Vectorized residual/Jacobian assembly into the dense buffers.
 
-    Requires :func:`load_solve` to have loaded the solve's invariants.
-    Returns ``(F, J)`` as views of the workspace (``J`` is ``None``
-    when ``need_jacobian`` is false -- the modified-Newton residual
-    check skips the Jacobian scatter entirely).  Every expression
-    mirrors the reference scalar assembler's operand order, and the
-    ordered scatter reproduces its per-cell accumulation order, so the
-    outputs are bit-identical to it.
+    ``dense`` is the plan's :attr:`StampPlan.dense`, resolved once per
+    solve.  Requires :func:`load_solve` to have loaded the solve's
+    invariants.  Returns ``(F, J)`` as views of ``dense.fj`` (``J`` is
+    ``None`` when ``need_jacobian`` is false -- the modified-Newton
+    residual check skips the Jacobian scatter entirely).  Every
+    expression mirrors the reference scalar assembler's operand order,
+    and the ordered scatter reproduces its per-cell accumulation order,
+    so the outputs are bit-identical to it.
     """
     eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
-    fj = ws.fj
     if need_jacobian:
-        fj.fill(0.0)
-        cells, src, sign = (plan.scatter_full_wc if with_caps
-                            else plan.scatter_full_nc)
+        dense.fj.fill(0.0)
+        cells, src, sign = dense.full_wc if with_caps else dense.full_nc
     else:
-        ws.F.fill(0.0)
-        cells, src, sign = (plan.scatter_f_wc if with_caps
-                            else plan.scatter_f_nc)
-    contrib = ws.contrib[:cells.size]
+        dense.F.fill(0.0)
+        cells, src, sign = dense.f_wc if with_caps else dense.f_nc
+    contrib = dense.contrib[:cells.size]
     ws.vals.take(src, out=contrib)
     contrib *= sign
-    np.add.at(fj, cells, contrib)
-    return ws.F, (ws.J if need_jacobian else None)
+    np.add.at(dense.fj, cells, contrib)
+    return dense.F, (dense.J if need_jacobian else None)
 
 
 def assemble_sparse(plan: StampPlan, ws: Workspace, sp, x: np.ndarray,
                     gmin: float, with_caps: bool,
                     need_jacobian: bool = True):
-    """Residual into ``ws.F``, Jacobian into the CSC ``data`` array.
+    """Residual and CSC ``data`` through the sparse plan's scatter operator.
 
-    The residual scatter is the exact ``scatter_f_*`` pass of the dense
-    path (same per-cell accumulation order, bit-identical ``F``); the
-    Jacobian contributions scatter into the sparse plan's reused
-    ``data`` buffer through emission-ordered data positions, so every
-    stored entry is bit-identical to the corresponding dense ``J``
-    cell.  Returns ``(F, A)`` with ``A`` the plan's
-    ``scipy.sparse.csc_matrix`` (``None`` when ``need_jacobian`` is
-    false).
+    ``sp`` is the plan's :class:`~repro.spice.sparse.SparsePlan`.  Its
+    operator replays the dense per-cell accumulation order, so ``F``
+    and every stored entry are bit-identical to the dense assembly.
+    Returns ``(F, A)`` with ``A`` the plan's ``scipy.sparse.csc_matrix``
+    (``None`` when ``need_jacobian`` is false).
     """
     eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
-    ws.F.fill(0.0)
-    cells, src, sign = (plan.scatter_f_wc if with_caps
-                        else plan.scatter_f_nc)
-    contrib = ws.contrib[:cells.size]
-    ws.vals.take(src, out=contrib)
-    contrib *= sign
-    np.add.at(ws.fj, cells, contrib)
-    if not need_jacobian:
-        return ws.F, None
-    return ws.F, sp.assemble(ws, with_caps)
+    return sp.assemble(ws, with_caps, need_jacobian)

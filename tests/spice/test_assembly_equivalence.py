@@ -183,10 +183,10 @@ class TestResidualOnlyAssembly:
         assert loaded == (with_caps and plan.n_cap > 0)
         for _ in range(5):
             x = rng.uniform(-1.0, process.vdd + 1.0, compiled.n_unknown)
-            F_full, J = assemble_into(plan, ws, x, 1e-12, loaded)
+            F_full, J = assemble_into(plan, ws, plan.dense, x, 1e-12, loaded)
             F_full = F_full.copy()
             assert J is not None
-            F_res, J_res = assemble_into(plan, ws, x, 1e-12, loaded,
+            F_res, J_res = assemble_into(plan, ws, plan.dense, x, 1e-12, loaded,
                                          need_jacobian=False)
             assert J_res is None
             assert F_res.tobytes() == F_full.tobytes()

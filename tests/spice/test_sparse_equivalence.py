@@ -15,6 +15,8 @@ The sparse backend promises, versus the default dense path:
   circuit from its unknown count, so default-mode results never mix.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,8 @@ from repro.spice import (
     solve_dc,
     transient,
 )
-from repro.spice.builders import hierarchical_decoder, inverter_chain
+from repro.spice.builders import (bitcell_array, delay_chain,
+                                  hierarchical_decoder, inverter_chain)
 from repro.spice.engine import NewtonOptions, newton_solve
 from repro.spice.sparse import (
     SPARSE_ENV_VAR,
@@ -50,6 +53,11 @@ def random_chain(rng) -> Circuit:
     ckt.add_capacitor("cx", "n2", "0", float(rng.uniform(1e-15, 1e-13)))
     ckt.add_isource("ix", "n1", "0", float(rng.uniform(-1e-6, 1e-6)))
     return ckt
+
+
+def bit_pattern(values: np.ndarray) -> np.ndarray:
+    """The IEEE bit patterns of float64 ``values`` (tells -0.0 from 0.0)."""
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
 
 
 def switching_decoder(bits: int = 4) -> Circuit:
@@ -85,12 +93,11 @@ class TestEnvKnob:
 
 
 class TestAssemblyBitIdentity:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_randomized_jacobian_and_residual_bit_identical(self, seed):
-        """Random circuits, random states, with and without companion
-        stamps: the CSC entries must equal the dense cells bit for bit."""
-        rng = np.random.default_rng(seed)
-        compiled = random_chain(rng).compile()
+    @staticmethod
+    def check_bit_identical(compiled, rng) -> None:
+        """Random states, with and without companion stamps, full and
+        residual-only calls: the sparse ``F`` and every stored CSC entry
+        must equal the dense assembly bit for bit."""
         plan = compiled.stamp_plan
         ws = plan.scratch
         known = compiled.known_voltages(0.0)
@@ -98,16 +105,46 @@ class TestAssemblyBitIdentity:
                        float(rng.uniform(-1e-6, 1e-6)))
                       for a, b in plan.cap_pairs]
         sp = plan.sparse
+        # Dense cell of every stored entry, in original node order.
+        columns = np.repeat(np.arange(plan.n), np.diff(sp.matrix.indptr))
+        rows, cols = sp.perm[sp.matrix.indices], sp.perm[columns]
         for with_caps in (False, True):
             stamps = cap_stamps if with_caps else []
             load_solve(plan, ws, known, 0.0, stamps, 1.0, compiled.isources)
             x = rng.uniform(0.0, PROC.vdd, plan.n)
             gmin = float(rng.choice([0.0, 1e-12, 1e-9]))
-            F_d, J_d = assemble_into(plan, ws, x, gmin, with_caps)
+            F_d, J_d = assemble_into(plan, ws, plan.dense, x, gmin,
+                                     with_caps)
             F_d, J_d = F_d.copy(), J_d.copy()
             F_s, A = assemble_sparse(plan, ws, sp, x, gmin, with_caps)
-            assert np.array_equal(F_d, F_s)
+            assert np.array_equal(bit_pattern(F_s), bit_pattern(F_d))
+            assert np.array_equal(bit_pattern(A.data), bit_pattern(J_d[rows, cols]))
             assert np.array_equal(J_d, sp.dense_jacobian())
+
+            x = rng.uniform(0.0, PROC.vdd, plan.n)
+            F_d, J_none = assemble_into(plan, ws, plan.dense, x, gmin,
+                                        with_caps, need_jacobian=False)
+            assert J_none is None
+            F_d = F_d.copy()
+            F_s, A = assemble_sparse(plan, ws, sp, x, gmin, with_caps,
+                                     need_jacobian=False)
+            assert A is None
+            assert np.array_equal(bit_pattern(F_s), bit_pattern(F_d))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_jacobian_and_residual_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check_bit_identical(random_chain(rng).compile(), rng)
+
+    @pytest.mark.parametrize("build,args", [
+        pytest.param(hierarchical_decoder, (5,), id="decoder5"),
+        pytest.param(bitcell_array, (4, 4), id="bitcells4x4"),
+        pytest.param(delay_chain, (4, 2), id="delay_chain4x2"),
+    ])
+    def test_flat_netlist_families_bit_identical(self, build, args):
+        """The circuit families of the ``flat_large`` benchmark."""
+        self.check_bit_identical(build(*args).compile(),
+                                 np.random.default_rng(7))
 
     def test_structure_covers_every_dense_nonzero(self):
         rng = np.random.default_rng(99)
@@ -115,13 +152,62 @@ class TestAssemblyBitIdentity:
         plan = compiled.stamp_plan
         sp = plan.sparse
         assert isinstance(sp, SparsePlan)
-        assert plan._sparse_plan is sp  # lazy property caches
+        assert plan.sparse is sp  # built once, then cached
         ws = plan.scratch
         load_solve(plan, ws, compiled.known_voltages(0.0), 0.0, [], 1.0,
                    compiled.isources)
         x = rng.uniform(0.0, PROC.vdd, plan.n)
-        _, J = assemble_into(plan, ws, x, 1e-12, False)
+        _, J = assemble_into(plan, ws, plan.dense, x, 1e-12, False)
         assert np.count_nonzero(J) <= sp.nnz <= plan.n * plan.n
+
+
+class TestOrderingBoundsFill:
+    """SuperLU's factors stay within twice the stamp structure.
+
+    The matrix carries 1 ps companion stamps at a random state, so every
+    structural entry is stored, as in a transient's factorizations.  A
+    bandwidth ordering (reverse Cuthill-McKee) let the decoders' factors
+    grow to 7-11x the structure."""
+
+    @pytest.mark.parametrize("build,args", [
+        pytest.param(hierarchical_decoder, (6,), id="decoder6"),
+        pytest.param(hierarchical_decoder, (7,), id="decoder7"),
+        pytest.param(delay_chain, (40, 4), id="delay_chain40x4"),
+        pytest.param(bitcell_array, (8, 8), id="bitcells8x8"),
+    ])
+    def test_factor_fill_within_twice_the_structure(self, build, args):
+        compiled = build(*args).compile()
+        plan = compiled.stamp_plan
+        ws = plan.scratch
+        sp = plan.sparse
+        stamps = [(a, b, c / 1e-12, 0.0) for a, b, c in compiled.capacitors]
+        load_solve(plan, ws, compiled.known_voltages(0.0), 0.0, stamps, 1.0,
+                   compiled.isources)
+        x = np.random.default_rng(0).uniform(0.0, PROC.vdd, plan.n)
+        assemble_sparse(plan, ws, sp, x, 1e-12, True)
+        lu = sp.factorize()
+        assert lu.L.nnz + lu.U.nnz <= 2 * sp.nnz
+
+
+class TestLazyDenseState:
+    def test_sparse_dc_never_allocates_the_dense_buffer(self, monkeypatch):
+        """A sparse-dispatched circuit carries no ``n + n**2`` buffer:
+        compiling ``bitcell_array(32, 32)`` (2,048 unknowns) and solving
+        its operating point peaks below the 33.6 MB that buffer alone
+        would take."""
+        monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
+        ckt = bitcell_array(32, 32)
+        tracemalloc.start()
+        try:
+            compiled = ckt.compile()
+            solve_dc(ckt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = compiled.n_unknown
+        assert sparse_enabled(n)
+        assert peak < 8 * (n + n * n)
+        assert "dense" not in vars(compiled.stamp_plan)
 
 
 def waveform_gap(base, other, nodes, t_stop) -> float:
@@ -185,6 +271,29 @@ class TestSolveParity:
         assert sparse.rejected_steps == base.rejected_steps
         assert len(sparse.times) == len(base.times)
         assert float(np.abs(sparse.times - base.times).max()) <= 1e-15
+
+    def test_auto_dispatch_transient_matches_dense(self, monkeypatch):
+        """A decoder above the cutover, auto dispatch against forced
+        dense: crossings within 1 fs and the same Newton, step and retry
+        accounting."""
+        def run():
+            return transient(switching_decoder(5), 1.2e-9, options=FAST)
+
+        assert switching_decoder(5).compile().n_unknown >= SPARSE_NODE_CUTOVER
+        monkeypatch.setenv(SPARSE_ENV_VAR, "0")
+        base = run()
+        monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
+        auto = run()
+        level = PROC.vdd / 2.0
+        for node, direction in (("wl0", "fall"), ("wl1", "rise")):
+            t_base = base.node(node).first_crossing(level, direction)
+            t_auto = auto.node(node).first_crossing(level, direction)
+            assert abs(t_base - t_auto) <= 1e-15
+        assert auto.newton_iterations == base.newton_iterations
+        assert auto.newton_failures == base.newton_failures
+        assert auto.solver_retries == base.solver_retries
+        assert auto.rejected_steps == base.rejected_steps
+        assert len(auto.times) == len(base.times)
 
     def test_fast_newton_composes_with_sparse(self, monkeypatch):
         """The two opt-in modes stack: sparse fast-Newton must stay
