@@ -80,8 +80,8 @@ class PhaseTimes:
 class PhaseProfiler:
     """Records :class:`PhaseTimes` into per-driver labelled histograms.
 
-    One profiler per analysis (it rides on
-    :class:`~repro.spice.engine.SolveContext`); histogram handles are
+    One profiler per analysis (bound into the analysis's solver by
+    :meth:`~repro.spice.engine.SolveContext.bind`); histogram handles are
     resolved once per ``(driver, phase)`` and cached, so finishing a
     solve costs four cached-dict lookups and at most four
     ``Histogram.observe`` calls -- no registry lock traffic on the

@@ -18,6 +18,7 @@ and ``0.5ns`` are the same cache entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
@@ -68,6 +69,21 @@ def build_gate(kind: str, process_name: str, load: Any) -> Gate:
     raise ReproError(f"unknown gate {kind!r} (try nand3, nor2, inv, aoi21)")
 
 
+def _bounded_quantity(field: str, value: Any, unit: str) -> float:
+    """``value`` parsed in ``unit``: finite, and at most 1 in magnitude.
+
+    1 s and 1 F are far beyond any gate, and far below the magnitudes
+    where the oracle's femtosecond memo keys overflow; NaN would
+    otherwise slip past every ``<=`` check downstream.
+    """
+    parsed = parse_quantity(value, unit=unit)
+    if not math.isfinite(parsed) or abs(parsed) > 1.0:
+        raise BadRequest(
+            f"{field} {value!r} must be finite and at most 1 {unit} "
+            f"in magnitude")
+    return parsed
+
+
 def parse_edge_spec(spec: str) -> Tuple[str, Edge]:
     """One ``PIN:DIR:TAU[:AT]`` edge spec (the CLI's ``--edge`` syntax)."""
     parts = spec.split(":")
@@ -76,8 +92,8 @@ def parse_edge_spec(spec: str) -> Tuple[str, Edge]:
             f"edge spec {spec!r} must be PIN:DIR:TAU or PIN:DIR:TAU:AT")
     pin, direction, tau = parts[:3]
     at = parts[3] if len(parts) == 4 else "0s"
-    return pin, Edge(direction, parse_quantity(at, unit="s"),
-                     parse_quantity(tau, unit="s"))
+    return pin, Edge(direction, _bounded_quantity("at", at, "s"),
+                     _bounded_quantity("tau", tau, "s"))
 
 
 def _require(obj: Any, field: str, kind: type, default: Any = None) -> Any:
@@ -102,8 +118,8 @@ def _parse_request_edge(item: Any) -> Tuple[str, Edge]:
             if tau is None:
                 raise BadRequest("edge object is missing required field 'tau'")
             at = item.get("at", "0s")
-            return pin, Edge(direction, parse_quantity(at, unit="s"),
-                             parse_quantity(tau, unit="s"))
+            return pin, Edge(direction, _bounded_quantity("at", at, "s"),
+                             _bounded_quantity("tau", tau, "s"))
     except BadRequest:
         raise
     except (ReproError, ValueError, TypeError) as exc:
@@ -123,7 +139,7 @@ def _parse_gate_fields(obj: Dict[str, Any]) -> Tuple[str, str, float, Gate]:
     if not isinstance(load, (str, int, float)) or isinstance(load, bool):
         raise BadRequest(f"field 'load' must be a quantity, got {load!r}")
     try:
-        load_f = parse_quantity(load, unit="F")
+        load_f = _bounded_quantity("load", load, "F")
         gate = build_gate(kind, process, load_f)
     except (ReproError, ValueError) as exc:
         raise BadRequest(str(exc)) from exc

@@ -1,12 +1,14 @@
-"""Batched entry points over many independent solver plans.
+"""Batched entry points over many independent analyses.
 
 Characterization grids and the serve broker hand the simulator whole
 lists of independent DC or transient analyses.  The functions here
-accept such lists and run every analysis, lane by lane, through the
-scalar plan driver :func:`~repro.spice.engine.run_plan` -- so each
-lane's result, Newton accounting and solver counters are the scalar
-driver's by construction, for any batch size and any backend.  A lane's
-failure is returned in its slot and never aborts its siblings.
+accept such lists and run every analysis, lane by lane, on the scalar
+solver: each lane binds its own solver under
+:meth:`~repro.spice.engine.SolveContext.for_analysis`, exactly like a
+scalar analysis -- so each lane's result, Newton accounting and solver
+counters are the scalar path's by construction, for any batch size and
+any backend.  A lane's failure is returned in its slot and never aborts
+its siblings.
 """
 
 from __future__ import annotations
@@ -16,33 +18,13 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..errors import ConvergenceError
 from ..obs import get_recorder
 from ..resilience.retry import RetryPolicy
-from .dc import dc_plan, operating_point_from_vector
-from .engine import NewtonOptions, NewtonStats, SolveContext, run_plan
+from . import engine
+from .dc import dc_solution, operating_point_from_vector
+from .engine import NewtonOptions, NewtonStats, SolveContext
 from .netlist import Circuit, CompiledCircuit
-from .transient import TransientOptions, transient_result_plan
+from .transient import TransientOptions, transient_result
 
-__all__ = ["run_plans_batched", "solve_dc_batch", "transient_batch"]
-
-
-def run_plans_batched(entries: Sequence[tuple]) -> list:
-    """Execute ``(compiled, plan, stats)`` triples, one after another.
-
-    Returns one outcome per entry: the plan's return value, or the
-    :class:`~repro.errors.ConvergenceError` it raised.  Each entry runs
-    under its own :meth:`~repro.spice.engine.SolveContext.for_analysis`
-    context, exactly like a scalar analysis, so guard counters, the
-    fast-Newton mode and the sparse dispatch do not depend on how the
-    entries were batched.
-    """
-    recorder = get_recorder()
-    outcomes = []
-    for compiled, plan, stats in entries:
-        context = SolveContext.for_analysis(recorder, compiled.n_unknown)
-        try:
-            outcomes.append(run_plan(compiled, plan, stats, context=context))
-        except ConvergenceError as error:
-            outcomes.append(error)
-    return outcomes
+__all__ = ["solve_dc_batch", "transient_batch"]
 
 
 def solve_dc_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]], *,
@@ -67,19 +49,19 @@ def solve_dc_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]], *,
     if len(stats_list) != len(compiled):
         raise ValueError("stats length must match circuits")
     recorder = get_recorder()
-    entries = [
-        (c, dc_plan(c, initial_guess=guess, time=time, options=options,
-                    stats=st, retry=retry, recorder=recorder), st)
-        for c, guess, st in zip(compiled, guesses, stats_list)
-    ]
-    recorder.counter("spice.batch.lanes").inc(len(entries))
-    results = []
-    for c, outcome in zip(compiled, run_plans_batched(entries)):
-        if isinstance(outcome, ConvergenceError):
-            results.append(outcome)
-        else:
-            results.append(operating_point_from_vector(
-                c, outcome, c.known_voltages(time)))
+    recorder.counter("spice.batch.lanes").inc(len(compiled))
+    results: list = []
+    for c, guess, st in zip(compiled, guesses, stats_list):
+        solve = SolveContext.for_analysis(recorder, c.n_unknown).bind(
+            engine.newton_solve, c, st)
+        try:
+            x = dc_solution(c, solve, initial_guess=guess, time=time,
+                            options=options, stats=st, retry=retry,
+                            recorder=recorder)
+        except ConvergenceError as error:
+            results.append(error)
+            continue
+        results.append(operating_point_from_vector(c, x, c.known_voltages(time)))
     return results
 
 
@@ -106,14 +88,18 @@ def transient_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]],
             raise ValueError("t_stops length must match circuits")
     else:
         stops = [t_stops] * len(compiled)
-    stats_list = [NewtonStats() for _ in compiled]
     recorder = get_recorder()
-    entries = [
-        (c, transient_result_plan(c, stop, stats=st, t_start=t_start,
-                                  record=record, initial_op=initial_op,
-                                  options=options, retry=retry,
-                                  recorder=recorder), st)
-        for c, stop, st in zip(compiled, stops, stats_list)
-    ]
-    recorder.counter("spice.batch.lanes").inc(len(entries))
-    return run_plans_batched(entries)
+    recorder.counter("spice.batch.lanes").inc(len(compiled))
+    results: list = []
+    for c, stop in zip(compiled, stops):
+        stats = NewtonStats()
+        solve = SolveContext.for_analysis(recorder, c.n_unknown).bind(
+            engine.newton_solve, c, stats)
+        try:
+            results.append(transient_result(
+                c, stop, solve=solve, stats=stats, t_start=t_start,
+                record=record, initial_op=initial_op, options=options,
+                retry=retry, recorder=recorder))
+        except ConvergenceError as error:
+            results.append(error)
+    return results

@@ -28,21 +28,12 @@ from ..errors import ConvergenceError
 from ..obs import get_recorder, traced
 from ..obs.flight import dump_flight
 from ..resilience.retry import RetryPolicy
-from .engine import (
-    NewtonOptions,
-    NewtonRequest,
-    NewtonStats,
-    SolveContext,
-    newton_solve,
-    request_kwargs,
-    request_solve,
-    run_plan,
-)
+from .engine import NewtonOptions, NewtonStats, SolveContext, newton_solve
 from .guard import record_rung
 from .netlist import Circuit, CompiledCircuit
 from .results import SweepResult
 
-__all__ = ["OperatingPoint", "dc_plan", "solve_dc", "dc_sweep"]
+__all__ = ["OperatingPoint", "dc_solution", "solve_dc", "dc_sweep"]
 
 
 @dataclass(frozen=True)
@@ -59,56 +50,45 @@ class OperatingPoint:
         return np.array([self.voltages[name] for name in compiled.unknown_names])
 
 
-def _gmin_stepping_plan(x0: np.ndarray, known: np.ndarray,
-                        options: NewtonOptions, time: float,
-                        recorder=None):
-    rec = recorder if recorder is not None else get_recorder()
-    rec.counter("spice.dc.gmin_stepping").inc()
-    record_rung("gmin_ramp", rec)
+def _gmin_stepping(solve, x0: np.ndarray, known: np.ndarray,
+                   options: NewtonOptions, time: float, recorder) -> np.ndarray:
+    recorder.counter("spice.dc.gmin_stepping").inc()
+    record_rung("gmin_ramp", recorder)
     x = np.array(x0, dtype=float)
     gmin = 1e-2
     while gmin >= options.gmin:
-        x = yield from request_solve(NewtonRequest(
-            x0=x, known=known, options=options, gmin=gmin, time=time,
-        ))
+        x = solve(x, known, options, time=time, gmin=gmin)
         gmin /= 10.0
-    return (yield from request_solve(NewtonRequest(
-        x0=x, known=known, options=options, time=time,
-    )))
+    return solve(x, known, options, time=time)
 
 
-def _source_stepping_plan(n_unknown: int, known: np.ndarray,
-                          options: NewtonOptions, time: float,
-                          recorder=None):
-    rec = recorder if recorder is not None else get_recorder()
-    rec.counter("spice.dc.source_stepping").inc()
-    record_rung("source_step", rec)
+def _source_stepping(solve, n_unknown: int, known: np.ndarray,
+                     options: NewtonOptions, time: float,
+                     recorder) -> np.ndarray:
+    recorder.counter("spice.dc.source_stepping").inc()
+    record_rung("source_step", recorder)
     x = np.zeros(n_unknown)
     for scale in np.linspace(0.1, 1.0, 10):
-        x = yield from request_solve(NewtonRequest(
-            x0=x, known=known, options=options, time=time,
-            source_scale=float(scale),
-        ))
+        x = solve(x, known, options, time=time, source_scale=float(scale))
     return x
 
 
-def dc_plan(compiled: CompiledCircuit, *,
-            initial_guess: Optional[Dict[str, float]] = None,
-            time: float = 0.0,
-            options: Optional[NewtonOptions] = None,
-            stats: Optional[NewtonStats] = None,
-            retry: Union[RetryPolicy, int, None] = None,
-            recorder=None):
-    """Solver plan for a DC operating point; returns the unknown vector.
+def dc_solution(compiled: CompiledCircuit, solve, *,
+                initial_guess: Optional[Dict[str, float]] = None,
+                time: float = 0.0,
+                options: Optional[NewtonOptions] = None,
+                stats: Optional[NewtonStats] = None,
+                retry: Union[RetryPolicy, int, None] = None,
+                recorder=None) -> np.ndarray:
+    """The DC operating point's unknown vector, by the homotopy ladder.
 
-    Yields the exact :class:`~repro.spice.engine.NewtonRequest` sequence
-    the direct-call ladder performed -- plain Newton, then gmin
-    stepping, then source stepping, re-escalated per retry rung -- so
-    any driver that executes requests faithfully reproduces
-    :func:`solve_dc` bit for bit.  ``stats.retries`` and the homotopy
-    counters are bumped inside the plan, in the same order as before.
-    ``recorder`` pins one telemetry handle for the whole ladder; sweeps
-    pass it in so per-point solves skip the environment-signature check.
+    ``solve`` is the analysis's bound solver
+    (:meth:`~repro.spice.engine.SolveContext.bind`).  The ladder tries
+    plain Newton, then gmin stepping, then source stepping, and re-runs
+    all three per retry rung; ``stats.retries`` and the homotopy
+    counters are bumped here.  ``recorder`` pins one telemetry handle
+    for the whole ladder; sweeps pass it in so per-point solves skip the
+    environment-signature check.
     """
     opts = options or NewtonOptions()
     rec = recorder if recorder is not None else get_recorder()
@@ -129,20 +109,16 @@ def dc_plan(compiled: CompiledCircuit, *,
                 stats.retries += 1
             rec.counter("spice.retries", phase="dc", rung=attempt).inc()
         try:
-            return (yield from request_solve(NewtonRequest(
-                x0=x0, known=known, options=attempt_opts, time=time,
-            )))
+            return solve(x0, known, attempt_opts, time=time)
         except ConvergenceError:
             pass
         try:
-            return (yield from _gmin_stepping_plan(x0, known, attempt_opts,
-                                                   time, recorder=rec))
+            return _gmin_stepping(solve, x0, known, attempt_opts, time, rec)
         except ConvergenceError:
             pass
         try:
-            return (yield from _source_stepping_plan(compiled.n_unknown,
-                                                     known, attempt_opts,
-                                                     time, recorder=rec))
+            return _source_stepping(solve, compiled.n_unknown, known,
+                                    attempt_opts, time, rec)
         except ConvergenceError as error:
             last_error = error
     assert last_error is not None
@@ -157,18 +133,6 @@ def dc_plan(compiled: CompiledCircuit, *,
         f"attempts: {last_error}",
         iterations=last_error.iterations, residual=last_error.residual,
     ) from last_error
-
-
-def _execute_dc_request(compiled, request, stats, context=None):
-    # Routes through this module's ``newton_solve`` binding on purpose:
-    # the solver-fallback tests wrap ``dc.newton_solve`` to observe the
-    # homotopy ladder's call shapes.
-    kwargs = (request_kwargs(request, stats) if context is None
-              else context.solve_kwargs(request, stats))
-    try:
-        return newton_solve(compiled, request.x0, request.known, **kwargs)
-    except ConvergenceError as error:
-        return error
 
 
 def operating_point_from_vector(compiled: CompiledCircuit, x: np.ndarray,
@@ -203,12 +167,14 @@ def solve_dc(circuit: Circuit | CompiledCircuit, *,
     """
     compiled = circuit if isinstance(circuit, CompiledCircuit) else circuit.compile()
     recorder = get_recorder()
-    context = SolveContext.for_analysis(recorder, compiled.n_unknown)
-    plan = dc_plan(compiled, initial_guess=initial_guess, time=time,
-                   options=options, stats=stats, retry=retry,
-                   recorder=recorder)
-    x = run_plan(compiled, plan, stats, executor=_execute_dc_request,
-                 context=context)
+    # Binds this module's ``newton_solve`` on purpose: the
+    # solver-fallback tests wrap ``dc.newton_solve`` to observe the
+    # homotopy ladder's call shapes.
+    solve = SolveContext.for_analysis(recorder, compiled.n_unknown).bind(
+        newton_solve, compiled, stats)
+    x = dc_solution(compiled, solve, initial_guess=initial_guess, time=time,
+                    options=options, stats=stats, retry=retry,
+                    recorder=recorder)
     return operating_point_from_vector(compiled, x,
                                        compiled.known_voltages(time))
 
@@ -254,6 +220,7 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
         # environment-signature check.
         recorder = get_recorder()
         context = SolveContext.for_analysis(recorder, compiled.n_unknown)
+        solve = context.bind(newton_solve, compiled, None)
         for value in grid:
             for name in source_names:
                 compiled.set_source_level(name, float(value))
@@ -261,10 +228,8 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
                 # No LU crosses points: each one starts from a fresh
                 # Jacobian, as it did when every point compiled anew.
                 context.fast.lu = None
-            plan = dc_plan(compiled, initial_guess=guess, options=opts,
-                           recorder=recorder)
-            x = run_plan(compiled, plan, executor=_execute_dc_request,
-                         context=context)
+            x = dc_solution(compiled, solve, initial_guess=guess,
+                            options=opts, recorder=recorder)
             op = operating_point_from_vector(compiled, x,
                                              compiled.known_voltages(0.0))
             guess = {name: op[name] for name in compiled.unknown_names}

@@ -16,7 +16,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from time import monotonic as _monotonic
-from typing import Generator, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -35,9 +35,8 @@ from .sparse import sparse_enabled
 from .stamps import (CapStampArrays, assemble_into, assemble_sparse,
                      load_solve)
 
-__all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "NewtonRequest",
-           "assemble_system", "assemble_system_reference", "newton_solve",
-           "execute_request", "request_solve", "run_plan", "SolveContext",
+__all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "assemble_system",
+           "assemble_system_reference", "newton_solve", "SolveContext",
            "FastNewtonState", "fast_newton_enabled", "FAST_NEWTON_ENV_VAR",
            "dense_solve", "nudge_diagonal", "singular_nudge"]
 
@@ -96,61 +95,6 @@ class NewtonStats:
             self.solves += 1
         else:
             self.failures += 1
-
-
-@dataclass(frozen=True)
-class NewtonRequest:
-    """One Newton solve a solver *plan* asks its driver to perform.
-
-    The DC and transient analyses are written as generators ("plans")
-    that yield these requests instead of calling :func:`newton_solve`
-    directly.  A driver executes each request and sends the outcome --
-    the solution vector, or the :class:`~repro.errors.ConvergenceError`
-    the solve raised -- back into the generator.  The driver
-    (:func:`run_plan`) executes requests one by one through
-    :func:`newton_solve`.  Field semantics match the
-    :func:`newton_solve` parameters of the same names.
-    """
-
-    x0: np.ndarray
-    known: np.ndarray
-    options: NewtonOptions
-    gmin: Optional[float] = None
-    time: float = 0.0
-    #: Capacitor companion stamps: a tuple of :data:`CapStamp` tuples,
-    #: or the transient integrator's array-form
-    #: :class:`~repro.spice.stamps.CapStampArrays` (iterable as the
-    #: same tuples).
-    cap_stamps: Optional[Union[Tuple[CapStamp, ...], CapStampArrays]] = None
-    #: ``None`` means "not specified" (solve at full scale); an explicit
-    #: value -- even ``1.0``, as source stepping's last rung passes --
-    #: is forwarded as a real ``source_scale=`` keyword, preserving the
-    #: call shapes the homotopy gatekeeper tests assert on.
-    source_scale: Optional[float] = None
-
-    @property
-    def effective_scale(self) -> float:
-        return 1.0 if self.source_scale is None else self.source_scale
-
-
-#: What a driver sends back into a plan for each request.
-SolveOutcome = Union[np.ndarray, ConvergenceError]
-
-#: A solver plan: yields requests, receives outcomes, returns its result.
-SolvePlan = Generator[NewtonRequest, SolveOutcome, object]
-
-
-def request_solve(request: NewtonRequest):
-    """``yield from`` helper for plans: yield one request, unwrap the outcome.
-
-    Re-raises the :class:`~repro.errors.ConvergenceError` of a failed
-    solve inside the plan, so plan code handles failures with the same
-    ``try/except`` structure the direct-call code used.
-    """
-    outcome = yield request
-    if isinstance(outcome, ConvergenceError):
-        raise outcome
-    return outcome
 
 
 def assemble_system(compiled: CompiledCircuit, x: np.ndarray, known: np.ndarray,
@@ -854,28 +798,9 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     )
 
 
-def request_kwargs(request: NewtonRequest,
-                   stats: Optional[NewtonStats]) -> dict:
-    """The :func:`newton_solve` keyword arguments a request describes.
-
-    Optional fields left at ``None`` are *omitted* rather than passed as
-    defaults, reproducing the exact call shapes of the pre-plan analyses
-    (test gatekeepers distinguish homotopy rungs by keyword presence).
-    """
-    kwargs: dict = {"options": request.options, "time": request.time,
-                    "stats": stats}
-    if request.gmin is not None:
-        kwargs["gmin"] = request.gmin
-    if request.cap_stamps is not None:
-        kwargs["cap_stamps"] = request.cap_stamps
-    if request.source_scale is not None:
-        kwargs["source_scale"] = request.source_scale
-    return kwargs
-
-
 @dataclass
 class SolveContext:
-    """Per-analysis execution context threaded through :func:`run_plan`.
+    """Per-analysis solver state, resolved once and bound by :meth:`bind`.
 
     ``recorder`` is the telemetry handle resolved once per analysis (so
     scalar sweeps skip the per-solve environment-signature check of
@@ -914,64 +839,26 @@ class SolveContext:
             profile=PhaseProfiler.from_recorder(recorder),
         )
 
-    def solve_kwargs(self, request: NewtonRequest,
-                     stats: Optional[NewtonStats]) -> dict:
-        kwargs = request_kwargs(request, stats)
-        if self.recorder is not None:
-            kwargs["recorder"] = self.recorder
-        if self.fast is not None:
-            kwargs["fast"] = self.fast
-        if self.sparse is not None:
-            kwargs["sparse"] = self.sparse
-        if self.guard is not None:
-            kwargs["guard"] = self.guard
-        if self.profile is not None:
-            kwargs["profile"] = self.profile
-        return kwargs
+    def bind(self, solve, compiled: CompiledCircuit,
+             stats: Optional[NewtonStats]):
+        """The analysis's solver: ``solve(x0, known, options, *, time, **shape)``.
 
+        ``solve`` is a :func:`newton_solve`-shaped callable (the caller
+        picks which module's binding, so tests can wrap one analysis's
+        solver).  Every call forwards ``options``, ``time``, ``stats``
+        and this context's non-``None`` fields; ``shape`` -- ``gmin``,
+        ``cap_stamps``, ``source_scale`` -- is forwarded only when the
+        caller passes it, so each homotopy rung keeps its own keyword
+        set (the solver-fallback tests tell rungs apart by it).  A
+        failed solve raises :class:`~repro.errors.ConvergenceError`.
+        """
+        resolved = {"recorder": self.recorder, "fast": self.fast,
+                    "sparse": self.sparse, "guard": self.guard,
+                    "profile": self.profile}
+        extra = {name: value for name, value in resolved.items()
+                 if value is not None}
 
-def execute_request(compiled: CompiledCircuit, request: NewtonRequest,
-                    stats: Optional[NewtonStats] = None,
-                    context: Optional[SolveContext] = None) -> SolveOutcome:
-    """Run one :class:`NewtonRequest` through the scalar solver.
-
-    Returns the solution vector, or the raised
-    :class:`~repro.errors.ConvergenceError` (never propagates it) -- the
-    plan decides what a failure means.
-    """
-    kwargs = (request_kwargs(request, stats) if context is None
-              else context.solve_kwargs(request, stats))
-    try:
-        return newton_solve(compiled, request.x0, request.known, **kwargs)
-    except ConvergenceError as error:
-        return error
-
-
-def run_plan(compiled: CompiledCircuit, plan: SolvePlan,
-             stats: Optional[NewtonStats] = None,
-             executor=execute_request, *,
-             context: Optional[SolveContext] = None):
-    """Drive a solver plan serially, one scalar solve per request.
-
-    This is the default execution mode: the sequence of
-    :func:`newton_solve` calls (arguments, ordering, accounting) is
-    exactly what the pre-plan analyses performed, so results are
-    bit-identical to them.  ``executor`` lets :mod:`repro.spice.dc` and
-    :mod:`repro.spice.transient` route solves through their own
-    module-level ``newton_solve`` bindings (the seam their tests wrap).
-    ``context`` defaults to one recorder handle for the whole plan.
-    Exceptions raised by the plan itself (ladder exhaustion, invalid
-    arguments) propagate to the caller.
-    """
-    if context is None:
-        recorder = get_recorder()
-        context = SolveContext(recorder=recorder,
-                               guard=GuardMonitor.from_env(),
-                               profile=PhaseProfiler.from_recorder(recorder))
-    outcome: Optional[SolveOutcome] = None
-    while True:
-        try:
-            request = plan.send(outcome)
-        except StopIteration as stop:
-            return stop.value
-        outcome = executor(compiled, request, stats, context)
+        def bound(x0, known, options, *, time, **shape):
+            return solve(compiled, x0, known, options=options, time=time,
+                         stats=stats, **shape, **extra)
+        return bound

@@ -119,10 +119,9 @@ def _minimum_degree(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 class SparsePlan:
     """One circuit's compiled CSC scatter plan plus SuperLU bindings.
 
-    Shared-mutable like the stamp plan's scalar workspace: the scalar
-    Newton loop is not reentrant (plans yield requests instead of
-    recursing into the solver), so the single reused ``[F | data]``
-    buffer is safe.
+    Shared-mutable like the stamp plan's scalar workspace: each solve
+    returns before the next one starts on this plan, so the single
+    reused ``[F | data]`` buffer is safe.
     """
 
     __slots__ = ("n", "nnz", "perm", "buf", "F", "matrix", "diag_pos",

@@ -280,9 +280,9 @@ class StampPlan:
         self.f_split = n + f_split
         self.j_split = n + j_split
 
-        #: Per-process scratch for the scalar engine.  The scalar Newton
-        #: loop is not reentrant (plans yield requests instead of
-        #: recursing into the solver), so one workspace per plan is safe.
+        #: Per-process scratch for the scalar engine.  Each solve
+        #: returns before the next one starts on this plan, so one
+        #: workspace per plan is safe.
         self.scratch = Workspace(self)
 
     @cached_property

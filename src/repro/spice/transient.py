@@ -36,22 +36,14 @@ from ..obs.flight import dump_flight
 from ..resilience import faults
 from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..units import parse_quantity
-from .dc import dc_plan
-from .engine import (
-    NewtonOptions,
-    NewtonRequest,
-    NewtonStats,
-    SolveContext,
-    newton_solve,
-    request_kwargs,
-    run_plan,
-)
+from .dc import dc_solution
+from .engine import NewtonOptions, NewtonStats, SolveContext, newton_solve
 from .guard import record_rung
 from .netlist import Circuit, CompiledCircuit
 from .stamps import CapStampArrays
 from .results import TransientResult
 
-__all__ = ["TransientOptions", "transient", "transient_result_plan"]
+__all__ = ["TransientOptions", "transient", "transient_result"]
 
 
 @dataclass(frozen=True)
@@ -80,19 +72,18 @@ class TransientOptions:
             raise ConvergenceError("need 0 < dv_target < dv_reject")
 
 
-def _integrate_plan(compiled: CompiledCircuit, t_start: float, t_end: float,
-                    initial_op: Optional[Dict[str, float]],
-                    opts: TransientOptions, stats: NewtonStats,
-                    retry: Union[RetryPolicy, int, None],
-                    recorder=None):
+def _integrate(compiled: CompiledCircuit, solve, t_start: float,
+               t_end: float, initial_op: Optional[Dict[str, float]],
+               opts: TransientOptions, stats: NewtonStats,
+               retry: Union[RetryPolicy, int, None],
+               recorder=None):
     """One full integration attempt; returns ``(times, series, rejected)``.
 
-    A solver plan: every Newton solve -- the initial DC ladder included
-    -- is yielded as a :class:`~repro.spice.engine.NewtonRequest` in the
-    exact order the direct-call integrator performed them.  Raises
+    Every Newton solve -- the initial DC ladder included -- goes through
+    the bound solver ``solve``.  Raises
     :class:`~repro.errors.ConvergenceError` on step underflow or an
-    unsolvable initial operating point; the analysis plan owns the retry
-    ladder around this.
+    unsolvable initial operating point; :func:`transient_result` owns
+    the retry ladder around this.
     """
     span = t_end - t_start
     h_max = span * opts.h_max_ratio
@@ -106,9 +97,9 @@ def _integrate_plan(compiled: CompiledCircuit, t_start: float, t_end: float,
     # Initial condition: DC operating point with sources frozen at t_start.
     # ``stats`` accumulates Newton iterations over the whole analysis:
     # the DC solve plus every accepted *and* rejected timestep.
-    x = yield from dc_plan(compiled, initial_guess=initial_op, time=t_start,
-                           options=opts.newton, stats=stats, retry=retry,
-                           recorder=recorder)
+    x = dc_solution(compiled, solve, initial_guess=initial_op, time=t_start,
+                    options=opts.newton, stats=stats, retry=retry,
+                    recorder=recorder)
     known = compiled.known_voltages(t_start)
 
     # Per-capacitor history for the trapezoidal rule: previous branch
@@ -184,18 +175,16 @@ def _integrate_plan(compiled: CompiledCircuit, t_start: float, t_end: float,
                 stamps = CapStampArrays(cap_a, cap_b, geq, ieq)
             else:
                 stamps = ()
-            outcome = yield NewtonRequest(
-                x0=x, known=known_new, options=newton_opts,
-                time=t_new, cap_stamps=stamps,
-            )
-            if isinstance(outcome, ConvergenceError):
+            try:
+                x_new = solve(x, known_new, newton_opts, time=t_new,
+                              cap_stamps=stamps)
+            except ConvergenceError:
                 record_rung("timestep_cut", recorder)
                 h *= shrink
                 rejected += 1
                 hit_breakpoint = False
                 retry_with_be = True
                 continue
-            x_new = outcome
 
             dv = float(np.abs(x_new - x).max()) if has_unknown else 0.0
             if dv > dv_reject:
@@ -237,21 +226,21 @@ def _integrate_plan(compiled: CompiledCircuit, t_start: float, t_end: float,
     return times, series, rejected
 
 
-def transient_result_plan(compiled: CompiledCircuit, t_stop: float | str, *,
-                          stats: NewtonStats,
-                          t_start: float = 0.0,
-                          record: Optional[List[str]] = None,
-                          initial_op: Optional[Dict[str, float]] = None,
-                          options: Optional[TransientOptions] = None,
-                          retry: Union[RetryPolicy, int, None] = None,
-                          recorder=None):
-    """Solver plan for one full transient analysis; returns the result.
+def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
+                     solve, stats: NewtonStats,
+                     t_start: float = 0.0,
+                     record: Optional[List[str]] = None,
+                     initial_op: Optional[Dict[str, float]] = None,
+                     options: Optional[TransientOptions] = None,
+                     retry: Union[RetryPolicy, int, None] = None,
+                     recorder=None) -> TransientResult:
+    """One full transient analysis on the bound solver ``solve``.
 
     Validation, the retry ladder (fault firing, escalated options,
     attempt log), step-rejection accounting and result assembly all live
     here, so :func:`transient` and :func:`~repro.spice.batch.transient_batch`
     produce identical :class:`~repro.spice.results.TransientResult`
-    objects.
+    objects.  ``stats`` must be the one ``solve`` was bound with.
     """
     opts = options or TransientOptions()
     policy = RetryPolicy.resolve(retry)
@@ -273,10 +262,9 @@ def transient_result_plan(compiled: CompiledCircuit, t_stop: float | str, *,
                              rung=attempt).inc()
         try:
             faults.fire_transient()
-            outcome = yield from _integrate_plan(compiled, t_start, t_end,
-                                                 initial_op, attempt_opts,
-                                                 stats, policy,
-                                                 recorder=recorder)
+            outcome = _integrate(compiled, solve, t_start, t_end,
+                                 initial_op, attempt_opts, stats, policy,
+                                 recorder=recorder)
             break
         except ConvergenceError as error:
             last_error = error
@@ -321,17 +309,6 @@ def transient_result_plan(compiled: CompiledCircuit, t_stop: float | str, *,
     )
 
 
-def _execute_transient_request(compiled, request, stats, context=None):
-    # Routes through this module's ``newton_solve`` binding so tests can
-    # wrap the transient solver independently of the DC one.
-    kwargs = (request_kwargs(request, stats) if context is None
-              else context.solve_kwargs(request, stats))
-    try:
-        return newton_solve(compiled, request.x0, request.known, **kwargs)
-    except ConvergenceError as error:
-        return error
-
-
 @traced("spice.transient")
 def transient(circuit: Circuit | CompiledCircuit, t_stop: float | str, *,
               t_start: float = 0.0,
@@ -357,11 +334,12 @@ def transient(circuit: Circuit | CompiledCircuit, t_stop: float | str, *,
     compiled = circuit if isinstance(circuit, CompiledCircuit) else circuit.compile()
     stats = NewtonStats()
     recorder = get_recorder()
-    context = SolveContext.for_analysis(recorder, compiled.n_unknown)
-    plan = transient_result_plan(
-        compiled, t_stop, stats=stats, t_start=t_start, record=record,
-        initial_op=initial_op, options=options, retry=retry,
+    # Binds this module's ``newton_solve``, the initial DC ladder
+    # included, so tests can wrap the transient solver on its own.
+    solve = SolveContext.for_analysis(recorder, compiled.n_unknown).bind(
+        newton_solve, compiled, stats)
+    return transient_result(
+        compiled, t_stop, solve=solve, stats=stats, t_start=t_start,
+        record=record, initial_op=initial_op, options=options, retry=retry,
         recorder=recorder,
     )
-    return run_plan(compiled, plan, stats,
-                    executor=_execute_transient_request, context=context)

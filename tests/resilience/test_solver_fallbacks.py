@@ -4,16 +4,23 @@ These tests wrap ``newton_solve`` as seen by :mod:`repro.spice.dc` with
 a gatekeeper that vetoes selected call shapes, proving that each rung of
 the escalation actually engages (plain Newton -> gmin stepping -> source
 stepping -> retry-ladder re-run) rather than silently being skipped.
+The transient's own ``newton_solve`` binding is the seam of its every
+solve, its initial DC ladder included; the last tests pin that routing.
 """
 
+import sys
 from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.spice import Circuit, solve_dc
+from repro.spice import Circuit, solve_dc, transient
 from repro.spice import dc as dc_module
 from repro.spice.engine import NewtonOptions, NewtonStats, newton_solve
+from repro.waveform import ramp
+
+# ``repro.spice.transient`` resolves to the function, not the module.
+transient_module = sys.modules["repro.spice.transient"]
 
 
 def divider(r1=1e3, r2=3e3, v=4.0) -> Circuit:
@@ -112,3 +119,48 @@ class TestDcRetryLadder:
         assert "2 retry-ladder attempts" in message
         assert excinfo.value.iterations == 9
         assert excinfo.value.residual == pytest.approx(0.25)
+
+
+def rc_low_pass() -> Circuit:
+    ckt = Circuit()
+    ckt.add_vsource("vin", "in", ramp(0.4e-9, 0.0, 1.0, 0.3e-9))
+    ckt.add_resistor("r1", "in", "out", 1e3)
+    ckt.add_capacitor("c1", "out", "0", 1e-12)
+    return ckt
+
+
+class TestTransientSolverSeam:
+    def test_every_transient_solve_goes_through_its_binding(self, monkeypatch):
+        calls = []
+
+        def passthrough(compiled, x0, known, **kwargs):
+            calls.append(kwargs)
+            return newton_solve(compiled, x0, known, **kwargs)
+
+        monkeypatch.setattr(transient_module, "newton_solve", passthrough)
+        t_start = 0.2e-9
+        result = transient(rc_low_pass(), 2e-9, t_start=t_start)
+        dc_point, steps = calls[0], calls[1:]
+        assert "cap_stamps" not in dc_point
+        assert dc_point["time"] == t_start
+        assert all("cap_stamps" in kwargs for kwargs in steps)
+        assert len(steps) == len(result.times) - 1 + result.rejected_steps
+
+    def test_vetoed_dc_point_walks_the_gmin_ramp(self, monkeypatch):
+        seen_gmins = []
+        state = {"plain_vetoed": False}
+
+        def gatekeeper(compiled, x0, known, **kwargs):
+            if "cap_stamps" not in kwargs:
+                seen_gmins.append(kwargs.get("gmin"))
+                if "gmin" not in kwargs and not state["plain_vetoed"]:
+                    state["plain_vetoed"] = True
+                    raise ConvergenceError("injected plain-Newton failure")
+            return newton_solve(compiled, x0, known, **kwargs)
+
+        monkeypatch.setattr(transient_module, "newton_solve", gatekeeper)
+        result = transient(rc_low_pass(), 2e-9)
+        assert seen_gmins[0] is None
+        assert seen_gmins[1] == pytest.approx(1e-2)
+        assert result.times[-1] == pytest.approx(2e-9)
+        assert result.solver_retries == 0

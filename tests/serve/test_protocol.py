@@ -89,6 +89,13 @@ class TestDelayRejections:
         ("edges", ["a:fall:500ps", "a:rise:200ps"]),
         ("edges", [{"input": "a", "direction": "fall"}]),
         ("edges", [7]),
+        ("edges", [{"input": "a", "direction": "fall", "tau": float("nan")}]),
+        ("load", float("nan")),
+        ("edges", [{"input": "a", "direction": "fall", "tau": 1e300}]),
+        ("edges", [{"input": "a", "direction": "fall", "tau": "500ps",
+                    "at": float("inf")}]),
+        ("edges", ["a:fall:500ps", {"input": "b", "direction": "fall",
+                                    "tau": "700ps", "at": float("nan")}]),
     ])
     def test_invalid_field_raises_bad_request(self, field, value):
         with pytest.raises(BadRequest):

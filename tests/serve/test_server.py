@@ -123,6 +123,21 @@ class TestMalformedRequests:
         finally:
             conn.close()
 
+    def test_raw_nan_quantity_is_400(self, server):
+        """Python's JSON parser accepts a bare ``NaN``; it must end as a
+        400, never reach the oracle."""
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            body = (b'{"gate": "inv", "edges": '
+                    b'[{"input": "a", "direction": "fall", "tau": NaN}]}')
+            conn.request("POST", "/delay", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 400
+            assert b"finite" in response.read()
+        finally:
+            conn.close()
+
     def test_missing_content_length_is_400(self, server):
         conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
         try:

@@ -1,9 +1,9 @@
 """Bit-equivalence of the batched entry points against the scalar path.
 
-The batched driver (:mod:`repro.spice.batch`) promises *bit-identical*
-results to the scalar plan driver -- same waveforms, same Newton
-accounting, same solver counters -- for any partition of a grid into
-batches.  These tests enforce that contract across batch sizes, ragged
+The batched entry points (:mod:`repro.spice.batch`) promise
+*bit-identical* results to the scalar analyses -- same waveforms, same
+Newton accounting, same solver counters -- for any partition of a grid
+into batches.  These tests enforce that contract across batch sizes, ragged
 final chunks, mixed-convergence batches (one lane walking the homotopy
 ladder while siblings converge plainly) and structurally different
 lanes.

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError, ReproError
-from repro.obs import recording
+from repro.obs import get_recorder, recording
 from repro.resilience import FaultInjection
 from repro.spice import (
     Circuit,
@@ -31,7 +31,7 @@ from repro.spice import (
     solve_dc_batch,
     transient,
 )
-from repro.spice.engine import newton_solve
+from repro.spice.engine import NewtonStats, SolveContext, newton_solve
 from repro.spice.guard import (
     COND_ENV_VAR,
     COND_EVERY_ENV_VAR,
@@ -286,19 +286,18 @@ class TestRungTelemetry:
         scalar = rec_scalar.metrics_payload()["counters"]
         assert scalar["spice.guard.rung{rung=nudge}"] >= 1
 
-        from repro.spice.batch import run_plans_batched
-        from repro.spice.engine import NewtonRequest, NewtonStats, \
-            request_solve
-
-        def entry():
+        def lane():
+            # One batch lane: a solver bound under the lane's own
+            # analysis context, called once.
             c = floating_node().compile()
-            request = NewtonRequest(x0=np.zeros(c.n_unknown),
-                                    known=c.known_voltages(0.0),
-                                    options=options)
-            return (c, request_solve(request), NewtonStats())
+            solve = SolveContext.for_analysis(get_recorder(), c.n_unknown) \
+                .bind(engine.newton_solve, c, NewtonStats())
+            solve(np.zeros(c.n_unknown), c.known_voltages(0.0), options,
+                  time=0.0)
 
         with recording() as rec_batch:
-            run_plans_batched([entry(), entry()])
+            lane()
+            lane()
         batch = rec_batch.metrics_payload()["counters"]
         assert batch["spice.guard.rung{rung=nudge}"] == \
             2 * scalar["spice.guard.rung{rung=nudge}"]

@@ -1,7 +1,9 @@
-"""Regressions for singular-Jacobian handling in the batched driver.
+"""Regressions for singular-Jacobian handling in batch lanes.
 
-Batched lanes walk the scalar Newton loop's nudge-then-fail ladder.
-Two properties are pinned here:
+Each batch lane binds its own solver under
+:meth:`~repro.spice.engine.SolveContext.for_analysis` and walks the
+scalar Newton loop's nudge-then-fail ladder.  Two properties are pinned
+here:
 
 * a **doubly singular** lane (LU fails even after the diagonal nudge)
   must finish on the failure path -- never report *false convergence*
@@ -15,17 +17,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
+from repro.obs import get_recorder
 from repro.spice import Circuit, engine
-from repro.spice.batch import run_plans_batched
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.spice.engine import (
     FAST_NEWTON_ENV_VAR,
     NewtonOptions,
-    NewtonRequest,
     NewtonStats,
+    SolveContext,
     newton_solve,
     nudge_diagonal,
-    request_solve,
     singular_nudge,
 )
 
@@ -61,14 +62,26 @@ def floating_node() -> Circuit:
     return ckt
 
 
-def entry(circuit: Circuit, x0, *, options: NewtonOptions):
-    compiled = circuit.compile()
-    request = NewtonRequest(
-        x0=np.asarray(x0, dtype=float),
-        known=compiled.known_voltages(0.0),
-        options=options,
-    )
-    return (compiled, request_solve(request), NewtonStats())
+def run_lanes(lanes):
+    """Run ``(circuit, x0, options, stats)`` lanes as a batch does.
+
+    Each lane binds its own solver under its own analysis context and
+    solves once; the outcome is the solution or the lane's
+    :class:`~repro.errors.ConvergenceError`, left in its slot.
+    """
+    outcomes = []
+    for circuit, x0, options, stats in lanes:
+        compiled = circuit.compile()
+        solve = SolveContext.for_analysis(
+            get_recorder(), compiled.n_unknown).bind(
+                engine.newton_solve, compiled, stats)
+        try:
+            outcomes.append(solve(np.asarray(x0, dtype=float),
+                                  compiled.known_voltages(0.0), options,
+                                  time=0.0))
+        except ConvergenceError as error:
+            outcomes.append(error)
+    return outcomes
 
 
 class TestDoublySingularLanes:
@@ -86,9 +99,9 @@ class TestDoublySingularLanes:
 
         monkeypatch.setattr(engine, "dense_solve", always_singular)
         options = NewtonOptions()
-        outcomes = run_plans_batched([
-            entry(divider(), exact, options=options),
-            entry(divider(), exact, options=options),
+        outcomes = run_lanes([
+            (divider(), exact, options, NewtonStats()),
+            (divider(), exact, options, NewtonStats()),
         ])
         assert len(outcomes) == 2
         for outcome in outcomes:
@@ -101,10 +114,10 @@ class TestDoublySingularLanes:
             raise np.linalg.LinAlgError("singular matrix (forced)")
 
         monkeypatch.setattr(engine, "dense_solve", always_singular)
-        entries = [entry(divider(), [0.5], options=NewtonOptions())
-                   for _ in range(2)]
-        run_plans_batched(entries)
-        for _, _, stats in entries:
+        lanes = [(divider(), [0.5], NewtonOptions(), NewtonStats())
+                 for _ in range(2)]
+        run_lanes(lanes)
+        for _, _, _, stats in lanes:
             assert stats.failures == 1
             assert stats.solves == 0
 
@@ -119,9 +132,9 @@ class TestNudgeEquivalence:
         x0 = np.zeros(compiled.n_unknown)
         scalar = newton_solve(compiled, x0.copy(),
                               compiled.known_voltages(0.0), options=options)
-        outcomes = run_plans_batched([
-            entry(floating_node(), x0, options=options),
-            entry(floating_node(), x0, options=options),
+        outcomes = run_lanes([
+            (floating_node(), x0, options, NewtonStats()),
+            (floating_node(), x0, options, NewtonStats()),
         ])
         for outcome in outcomes:
             assert isinstance(outcome, np.ndarray)
