@@ -26,34 +26,14 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from ..errors import ModelError
 from ..parallel import parallel_map
 from ..waveform import Edge
 from .base import DualInputModel
+from .interp import ClampedTrilinear
 
 __all__ = ["TableDualInputModel", "SimulatorDualInputModel"]
-
-
-def _clamped_interpolator(axes, table):
-    """Trilinear interpolation that clamps queries to the grid hull.
-
-    Clamping (rather than extrapolating) is the right behaviour at the
-    grid edges: beyond the proximity window the ratios saturate at 1, and
-    the grids are built to cover the window with margin.
-    """
-    interp = RegularGridInterpolator(
-        axes, table, method="linear", bounds_error=False, fill_value=None,
-    )
-    lows = np.array([axis[0] for axis in axes])
-    highs = np.array([axis[-1] for axis in axes])
-
-    def evaluate(point: np.ndarray) -> float:
-        clamped = np.minimum(np.maximum(point, lows), highs)
-        return float(interp(clamped[None, :])[0])
-
-    return evaluate
 
 
 class TableDualInputModel(DualInputModel):
@@ -73,48 +53,27 @@ class TableDualInputModel(DualInputModel):
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         self._delay_table = np.asarray(delay_table, dtype=float)
         self._ttime_table = np.asarray(ttime_table, dtype=float)
-        shape = tuple(len(a) for a in self.axes)
-        for table, label in ((self._delay_table, "delay"), (self._ttime_table, "ttime")):
-            if table.shape != shape:
-                raise ModelError(
-                    f"{label} table shape {table.shape} does not match axes {shape}"
-                )
-        for axis in self.axes:
-            if axis.size < 2 or np.any(np.diff(axis) <= 0):
-                raise ModelError("axes must be strictly increasing with >= 2 points")
-        self._delay_eval = _clamped_interpolator(self.axes, self._delay_table)
-        self._ttime_eval = _clamped_interpolator(self.axes, self._ttime_table)
+        if any(axis.size < 2 for axis in self.axes):
+            raise ModelError("axes must have >= 2 points")
+        self._delay_eval = ClampedTrilinear(self.axes, self._delay_table)
+        self._ttime_eval = ClampedTrilinear(self.axes, self._ttime_table)
 
     def _point(self, tau_ref: float, tau_other: float, sep: float,
-               delta1: float) -> np.ndarray:
+               delta1: float) -> Tuple[float, float, float]:
         if delta1 <= 0.0:
             raise ModelError(f"delta1 must be positive, got {delta1}")
-        return np.array([tau_ref / delta1, tau_other / delta1, sep / delta1])
+        return tau_ref / delta1, tau_other / delta1, sep / delta1
 
     def delay_ratio(self, tau_ref: float, tau_other: float, sep: float, *,
                     delta1: float, load: Optional[float] = None) -> float:
-        return self._delay_eval(self._point(tau_ref, tau_other, sep, delta1))
+        return self._delay_eval(*self._point(tau_ref, tau_other, sep, delta1))
 
     def ttime_ratio(self, tau_ref: float, tau_other: float, sep: float, *,
                     tau1: float, delta1: float,
                     load: Optional[float] = None) -> float:
         if tau1 <= 0.0:
             raise ModelError(f"tau1 must be positive, got {tau1}")
-        return self._ttime_eval(self._point(tau_ref, tau_other, sep, delta1))
-
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # The clamped-interpolator closures are not picklable; drop them
-        # and rebuild on unpickling (process-pool tasks ship models).
-        state = dict(self.__dict__)
-        state.pop("_delay_eval", None)
-        state.pop("_ttime_eval", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._delay_eval = _clamped_interpolator(self.axes, self._delay_table)
-        self._ttime_eval = _clamped_interpolator(self.axes, self._ttime_table)
+        return self._ttime_eval(*self._point(tau_ref, tau_other, sep, delta1))
 
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:

@@ -18,10 +18,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ..errors import ModelError
 from .base import SingleInputModel
+from .interp import Pchip
 
 __all__ = ["TableSingleInputModel", "SimulatorSingleInputModel"]
 
@@ -74,8 +74,8 @@ class TableSingleInputModel(SingleInputModel):
         self.char_load = float(char_load)
         self.c_par = float(c_par)
         log_u = np.log(self._u)
-        self._delay_interp = PchipInterpolator(log_u, self._d, extrapolate=True)
-        self._ttime_interp = PchipInterpolator(log_u, self._t, extrapolate=True)
+        self._delay_interp = Pchip(log_u, self._d)
+        self._ttime_interp = Pchip(log_u, self._t)
 
     # ------------------------------------------------------------------
     def drive_factor(self, tau: float, load: Optional[float] = None) -> float:
@@ -89,11 +89,11 @@ class TableSingleInputModel(SingleInputModel):
 
     def delay(self, tau: float, load: Optional[float] = None) -> float:
         u = self.drive_factor(tau, load)
-        return float(self._delay_interp(np.log(u))) * tau
+        return self._delay_interp(np.log(u)) * tau
 
     def ttime(self, tau: float, load: Optional[float] = None) -> float:
         u = self.drive_factor(tau, load)
-        return float(self._ttime_interp(np.log(u))) * tau
+        return self._ttime_interp(np.log(u)) * tau
 
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:

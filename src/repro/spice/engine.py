@@ -20,7 +20,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import ConvergenceError
 from ..obs import get_recorder
@@ -365,17 +364,28 @@ def dense_solve(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return _umath_linalg.solve1(J, rhs, signature="dd->d")
 
 
+#: scipy.linalg's ``(lu_factor, lu_solve)``, bound by the first
+#: fast-Newton factorization: only opt-in ``REPRO_FAST_NEWTON`` solves
+#: use them, so the default path never imports scipy.linalg.
+_scipy_lu: Optional[tuple] = None
+
+
 def _fast_factorize(J: np.ndarray):
     """LU-factorize a fresh Jacobian."""
+    global _scipy_lu
+    if _scipy_lu is None:
+        from scipy.linalg import lu_factor, lu_solve
+        _scipy_lu = (lu_factor, lu_solve)
     with warnings.catch_warnings():
         # A singular J makes dgetrf warn; we detect it from the
         # non-finite solution and walk the nudge path instead.
         warnings.simplefilter("ignore")
-        return lu_factor(J, check_finite=False)
+        return _scipy_lu[0](J, check_finite=False)
 
 
 def _fast_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    return lu_solve(lu, rhs, check_finite=False)
+    """Back-substitute through an LU from :func:`_fast_factorize`."""
+    return _scipy_lu[1](lu, rhs, check_finite=False)
 
 
 #: Sentinel LU of a singular sparse factorization attempt: its solve

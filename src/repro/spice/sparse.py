@@ -46,13 +46,15 @@ import os
 from time import monotonic
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.linalg import splu
-from scipy.sparse.linalg._dsolve import _superlu
 
 from ..resilience import faults
 
+# scipy.sparse is imported by the first SparsePlan, not with the
+# package: circuits below SPARSE_NODE_CUTOVER unknowns never use it,
+# and its import is a large share of a process's start-up.  The plan
+# binds the kernels it calls per iteration, so no import runs inside
+# Newton.
+#
 # The ``splu`` wrapper re-validates its input on every call (format
 # check, duplicate summing, index-dtype casting) -- tens of
 # microseconds that the Newton loops pay per factorization even though
@@ -108,6 +110,9 @@ def _minimum_degree(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     only its column permutation is kept.  Returns ``perm`` with
     ``perm[k]`` the node placed at position ``k``.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     pattern = csc_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     sym = (pattern + pattern.T).tocsc()
     sym.data.fill(-1.0)
@@ -125,9 +130,17 @@ class SparsePlan:
     """
 
     __slots__ = ("n", "nnz", "perm", "buf", "F", "matrix", "diag_pos",
-                 "op_wc", "op_nc", "_rhs", "_dx")
+                 "op_wc", "op_nc", "_rhs", "_dx", "_csc", "_matvec",
+                 "_gstrf")
 
     def __init__(self, plan) -> None:
+        from scipy.sparse import csc_matrix
+        from scipy.sparse._sparsetools import csr_matvec
+        from scipy.sparse.linalg._dsolve import _superlu
+
+        self._csc = csc_matrix
+        self._matvec = csr_matvec
+        self._gstrf = _superlu.gstrf
         n = plan.n
         self.n = n
         f_cells, f_src, f_sign = plan.f_emit
@@ -199,8 +212,8 @@ class SparsePlan:
         else:
             self.F.fill(0.0)
             rows = self.n
-        csr_matvec(rows, ws.vals.size, indptr, indices, coef, ws.vals,
-                   self.buf)
+        self._matvec(rows, ws.vals.size, indptr, indices, coef, ws.vals,
+                     self.buf)
         return self.F, (self.matrix if need_jacobian else None)
 
     def nudge(self, value: float) -> None:
@@ -228,9 +241,9 @@ class SparsePlan:
         start = monotonic() if times is not None else 0.0
         matrix = self.matrix
         try:
-            lu = _superlu.gstrf(
+            lu = self._gstrf(
                 self.n, matrix.nnz, matrix.data, matrix.indices,
-                matrix.indptr, csc_construct_func=csc_matrix,
+                matrix.indptr, csc_construct_func=self._csc,
                 ilu=False, options=_GSTRF_OPTIONS)
         except RuntimeError as error:
             raise np.linalg.LinAlgError(str(error)) from None

@@ -6,7 +6,7 @@ named nets.  Each instance carries its own
 normally share one, so characterization is reused).  Structural rules:
 
 * every net has at most one driver (a gate output or a primary input),
-* the gate graph must be acyclic (checked with :mod:`networkx`),
+* the gate graph must be acyclic (checked with :mod:`graphlib`),
 * primary outputs are any nets the caller asks about; no explicit
   declaration is needed.
 """
@@ -14,9 +14,8 @@ normally share one, so characterization is reused).  Structural rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Dict, List, Mapping, Optional, Tuple
-
-import networkx as nx
 
 from ..core.api import DelayCalculator
 from ..errors import TimingError
@@ -166,11 +165,18 @@ class TimingNetlist:
 
     def topological_order(self) -> List[GateInstance]:
         """Instances in evaluation order; raises on combinational cycles
-        or floating input nets."""
-        graph = nx.DiGraph()
+        or floating input nets.
+
+        Kahn's algorithm, generation by generation: the gates no other
+        gate drives, in insertion order, then each gate as its last
+        driver is released, in the order the driver->load edges were
+        found (each counted once, however many pins share a net).
+        """
+        sorter = TopologicalSorter()
+        for name in self._instances:
+            sorter.add(name)
         for inst in self._instances.values():
-            graph.add_node(inst.name)
-        for inst in self._instances.values():
+            drivers = {}
             for net in inst.pin_nets.values():
                 owner = self._driver_of.get(net)
                 if owner is None:
@@ -179,10 +185,11 @@ class TimingNetlist:
                         f"declare it with add_input()"
                     )
                 if not owner.startswith("input:"):
-                    graph.add_edge(owner, inst.name)
+                    drivers[owner] = None
+            sorter.add(inst.name, *drivers)
         try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible:
-            cycle = nx.find_cycle(graph)
+            order = list(sorter.static_order())
+        except CycleError as error:
+            cycle = " -> ".join(error.args[1])
             raise TimingError(f"combinational cycle: {cycle}") from None
         return [self._instances[name] for name in order]

@@ -34,48 +34,38 @@ class TestOracleMode:
 
 
 class TestTableMode:
-    @pytest.fixture(scope="class")
-    def table_library(self, nand2):
-        return GateLibrary.characterize(
-            nand2, mode="table",
-            single_grid=SingleInputGrid.fast(),
-            dual_grid=DualInputGrid.fast(),
-            pairs="reference",
-            directions=(FALL,),
-        )
+    def test_model_types(self, nand2_fast_library):
+        assert isinstance(nand2_fast_library.single("a", FALL), TableSingleInputModel)
+        assert isinstance(nand2_fast_library.dual("a", "b", FALL), TableDualInputModel)
 
-    def test_model_types(self, table_library):
-        assert isinstance(table_library.single("a", FALL), TableSingleInputModel)
-        assert isinstance(table_library.dual("a", "b", FALL), TableDualInputModel)
-
-    def test_reference_pair_selection(self, table_library):
+    def test_reference_pair_selection(self, nand2_fast_library):
         # nand2: one model per reference pin.
-        assert len(table_library.dual_keys) == 2
+        assert len(nand2_fast_library.dual_keys) == 2
 
-    def test_dual_sharing_fallback(self, table_library):
+    def test_dual_sharing_fallback(self, nand2_fast_library):
         """Asking for a missing ordered pair returns a shared model for
         the same reference or direction (the paper's 'n macromodels
         suffice' observation)."""
-        model = table_library.dual("b", "a", FALL)
+        model = nand2_fast_library.dual("b", "a", FALL)
         assert model.direction == FALL
 
-    def test_missing_direction_raises(self, table_library):
+    def test_missing_direction_raises(self, nand2_fast_library):
         with pytest.raises(ModelError):
-            table_library.dual("a", "b", RISE)
+            nand2_fast_library.dual("a", "b", RISE)
 
-    def test_roundtrip_save_load(self, table_library, nand2, tmp_path):
+    def test_roundtrip_save_load(self, nand2_fast_library, nand2, tmp_path):
         path = tmp_path / "nand2.json"
-        table_library.save(path)
+        nand2_fast_library.save(path)
         loaded = GateLibrary.load(path, nand2)
         tau = 300e-12
         assert loaded.single("a", FALL).delay(tau) == pytest.approx(
-            table_library.single("a", FALL).delay(tau), rel=1e-12)
+            nand2_fast_library.single("a", FALL).delay(tau), rel=1e-12)
         assert loaded.thresholds.vil == pytest.approx(
-            table_library.thresholds.vil)
+            nand2_fast_library.thresholds.vil)
 
-    def test_load_rejects_wrong_topology(self, table_library, nor2, tmp_path):
+    def test_load_rejects_wrong_topology(self, nand2_fast_library, nor2, tmp_path):
         path = tmp_path / "nand2.json"
-        table_library.save(path)
+        nand2_fast_library.save(path)
         with pytest.raises(CharacterizationError):
             GateLibrary.load(path, nor2)
 

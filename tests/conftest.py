@@ -11,10 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro import Gate, default_process
-from repro.charlib import GateLibrary
+from repro.charlib import DualInputGrid, GateLibrary, SingleInputGrid
 from repro.charlib.library import cached_thresholds
 from repro.core import DelayCalculator
 from repro.obs.flight import FLIGHT_DIR_ENV_VAR
+from repro.waveform import FALL
 
 
 @pytest.fixture(autouse=True)
@@ -67,3 +68,15 @@ def oracle_library(nand3):
 @pytest.fixture(scope="session")
 def calculator(oracle_library):
     return DelayCalculator(oracle_library)
+
+
+@pytest.fixture(scope="session")
+def nand2_fast_library(nand2):
+    """NAND2 falling-edge table library on the fast grids."""
+    return GateLibrary.characterize(
+        nand2, mode="table",
+        single_grid=SingleInputGrid.fast(),
+        dual_grid=DualInputGrid.fast(),
+        pairs="reference",
+        directions=(FALL,),
+    )

@@ -70,6 +70,27 @@ class TestStructure:
         order = [inst.name for inst in netlist.topological_order()]
         assert order.index("g1") < order.index("g2")
 
+    def test_topological_order_pinned(self, calculator):
+        """A diamond (top -> left/right -> join) with fan-out from top
+        and mid, a gate with one driver on two pins, and an independent
+        side chain, all inserted out of order.  The expected list is
+        the order networkx's ``topological_sort`` gives for this graph;
+        flattening, STA and the event simulator walk gates in it."""
+        net = TimingNetlist("reconvergent")
+        for name in ("i0", "i1", "i2"):
+            net.add_input(name)
+        net.add_gate("join", calculator, {"a": "left", "b": "right", "c": "i0"}, "mid")
+        net.add_gate("sink", calculator, {"a": "mid", "b": "i0", "c": "i1"}, "out2")
+        net.add_gate("side", calculator, {"a": "i0", "b": "i1", "c": "i2"}, "out3")
+        net.add_gate("right", calculator, {"a": "top", "b": "top", "c": "i2"}, "right")
+        net.add_gate("top", calculator, {"a": "i0", "b": "i1", "c": "i2"}, "top")
+        net.add_gate("fan", calculator, {"a": "top", "b": "mid", "c": "side_in"}, "out1")
+        net.add_gate("left", calculator, {"a": "top", "b": "i0", "c": "i1"}, "left")
+        net.add_gate("tail", calculator, {"a": "out3", "b": "i1", "c": "i2"}, "side_in")
+        order = [inst.name for inst in net.topological_order()]
+        assert order == ["side", "top", "tail", "right", "left", "join",
+                         "sink", "fan"]
+
     def test_floating_input_detected(self, calculator):
         net = TimingNetlist()
         net.add_input("i0")
@@ -84,8 +105,9 @@ class TestStructure:
         net.add_input("i1")
         net.add_gate("g1", calculator, {"a": "i0", "b": "i1", "c": "w2"}, "w1")
         net.add_gate("g2", calculator, {"a": "w1", "b": "i0", "c": "i1"}, "w2")
-        with pytest.raises(TimingError):
+        with pytest.raises(TimingError, match="combinational cycle") as info:
             net.topological_order()
+        assert "g1" in str(info.value) and "g2" in str(info.value)
 
     def test_instance_lookup(self, netlist):
         assert netlist.instance("g1").output_net == "w1"
