@@ -17,8 +17,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..errors import ConvergenceError, MeasurementError
 from ..gates import Gate
 from ..spice import transient, transient_batch
+from ..spice.transient import SettleRule
 from ..units import parse_quantity
 from ..waveform import (
+    RISE,
     Edge,
     Pwl,
     Thresholds,
@@ -39,6 +41,11 @@ __all__ = [
     "set_shot_router",
     "get_shot_router",
 ]
+
+#: After the last input edge, a shot ends once its output is within this
+#: fraction of Vdd (10 mV at 5 V) of the rail its transition ends on.
+#: The thresholds sit far inside the rails, so no crossing is lost.
+SETTLE_TOLERANCE = 0.002
 
 #: The installed shot router (see :func:`set_shot_router`), or ``None``.
 _SHOT_ROUTER = None
@@ -89,7 +96,9 @@ class MultiShot:
     ``delay`` is measured from ``reference`` (the paper measures delay
     "relative to input x_i, the reference input").  ``vmin``/``vmax``
     record the output extrema after the first edge -- the Section-6
-    glitch observables.
+    glitch observables.  ``output`` ends where the output settled (see
+    :func:`multi_input_response`), so ``vmin``/``vmax`` are within
+    :data:`SETTLE_TOLERANCE` of Vdd of the full window's.
     """
 
     reference: str
@@ -106,7 +115,9 @@ def estimate_settle_time(gate: Gate, load: float) -> float:
     Uses the weakest saturated drive through either network:
     ``t = C_L * Vdd / I_min``, padded by an order of magnitude.  The
     transient window logic retries with doubled windows, so this only
-    needs to be the right magnitude.
+    needs to be the right magnitude.  The padding costs nothing: a shot
+    stops once its output has settled (:data:`SETTLE_TOLERANCE`), so
+    the window only bounds how long an unsettled output is followed.
     """
     vdd = gate.process.vdd
     i_n = min(
@@ -162,12 +173,31 @@ class _ShotPlan:
     ramps: Dict[str, Pwl]
     shift: float
     last_end: float
-    settle: float
+    settle_time: float
     circuit: object
+    settle_rule: Optional[SettleRule]
     attempt: int = 0
 
     def t_stop(self) -> float:
-        return self.last_end + self.settle * (2.0 ** self.attempt)
+        return self.last_end + self.settle_time * (2.0 ** self.attempt)
+
+
+def _settle_rule(gate: Gate, edges: Mapping[str, Edge],
+                 out_dir: str) -> Optional[SettleRule]:
+    """The transient's early stop: the output near the rail ``out_dir``
+    ends on.
+
+    ``None`` when the final input levels hold the output at the other
+    rail (a glitch that returns): the output could touch the measured
+    rail and leave it again.
+    """
+    final = gate.sensitizing_levels(list(edges))
+    final.update({name: edge.is_rising for name, edge in edges.items()})
+    rising = out_dir == RISE
+    if gate.logic_output(final) != rising:
+        return None
+    vdd = gate.process.vdd
+    return gate.output, (vdd if rising else 0.0), SETTLE_TOLERANCE * vdd
 
 
 def _prepare_shot(gate: Gate, edges: Mapping[str, Edge],
@@ -186,14 +216,15 @@ def _prepare_shot(gate: Gate, edges: Mapping[str, Edge],
 
     cl = gate.load if load is None else parse_quantity(load, unit="F")
     ramps, shift, last_end = _edge_ramps(gate, edges, thresholds)
-    settle = estimate_settle_time(gate, cl) + max(e.tau for e in edges.values())
+    settle_time = estimate_settle_time(gate, cl) + max(e.tau for e in edges.values())
 
     ref_edge = edges[ref]
     out_dir = gate.output_direction(ref_edge.direction)
     circuit = gate.build(ramps, load=cl, switching=list(edges))
     return _ShotPlan(edges=edges, ref=ref, ref_edge=ref_edge, out_dir=out_dir,
                      cl=cl, ramps=ramps, shift=shift, last_end=last_end,
-                     settle=settle, circuit=circuit)
+                     settle_time=settle_time, circuit=circuit,
+                     settle_rule=_settle_rule(gate, edges, out_dir))
 
 
 def _enrich_convergence(gate: Gate, plan: _ShotPlan,
@@ -266,7 +297,12 @@ def multi_input_response(gate: Gate, edges: Mapping[str, Edge],
     Undriven inputs sit at levels that sensitize the output to the driven
     set.  The transient window is sized from
     :func:`estimate_settle_time` and doubled on incomplete measurements,
-    up to ``max_retries`` times.
+    up to ``max_retries`` times.  The transient stops early, after the
+    last input edge, once the output is within :data:`SETTLE_TOLERANCE`
+    of Vdd of the rail its transition ends on, so the returned
+    ``output`` waveform ends at that settle point.  Every step up to
+    there is the full window's, and no threshold crossing comes later:
+    delay and transition time are exactly the full window's.
 
     ``retry`` is forwarded to :func:`repro.spice.transient` as its
     solver retry ladder (see :class:`~repro.resilience.RetryPolicy`); a
@@ -286,7 +322,8 @@ def multi_input_response(gate: Gate, edges: Mapping[str, Edge],
         plan.attempt = attempt
         try:
             result = transient(plan.circuit, plan.t_stop(),
-                               record=[gate.output], retry=retry)
+                               record=[gate.output], retry=retry,
+                               settle=plan.settle_rule)
         except ConvergenceError as exc:
             raise _enrich_convergence(gate, plan, exc) from exc
         shot = _measure_shot(gate, plan, result, thresholds)
@@ -369,6 +406,7 @@ def multi_input_response_batch(gate: Gate, requests: Sequence[ShotRequest],
             [plans[i].circuit for i in pending],
             [plans[i].t_stop() for i in pending],
             record=[gate.output], retry=retry,
+            settle=[plans[i].settle_rule for i in pending],
         )
         retrying: List[int] = []
         for i, outcome in zip(pending, outcomes):

@@ -130,7 +130,8 @@ def headline_summary(payload: Mapping[str, Any]) -> str:
     """The ``repro stats`` headline block: solver health at a glance.
 
     Surfaces the totals an operator actually triages by -- Newton
-    solves/iterations/failures, escalation-ladder rung counts
+    solves/iterations/failures, transient analyses and how many of them
+    a settle rule ended early, escalation-ladder rung counts
     (``spice.guard.rung{rung=...}``), guard aborts, the
     ``spice.sparse.*`` family, and flight dumps -- instead of leaving
     them buried in the raw counter listing.  Empty string when none of
@@ -147,6 +148,11 @@ def headline_summary(payload: Mapping[str, Any]) -> str:
         if failures:
             line += f", failures {_format_number(failures)}"
         lines.append(line)
+    analyses = _counter_total(counters, "spice.transient.analyses")
+    if analyses:
+        settled = _counter_total(counters, "spice.transient.settled")
+        lines.append(f"  transients: analyses {_format_number(analyses)}, "
+                     f"settled early {_format_number(settled)}")
     for name, label in (("spice.guard.rung", "guard rungs"),
                         ("spice.guard.aborts", "guard aborts"),
                         ("obs.flight.dumps", "flight dumps")):

@@ -22,7 +22,7 @@ from . import engine
 from .dc import dc_solution, operating_point_from_vector
 from .engine import NewtonOptions, NewtonStats, SolveContext
 from .netlist import Circuit, CompiledCircuit
-from .transient import TransientOptions, transient_result
+from .transient import SettleRule, TransientOptions, transient_result
 
 __all__ = ["solve_dc_batch", "transient_batch"]
 
@@ -71,11 +71,15 @@ def transient_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]],
                     record: Optional[List[str]] = None,
                     initial_op: Optional[Dict[str, float]] = None,
                     options: Optional[TransientOptions] = None,
-                    retry: Union[RetryPolicy, int, None] = None) -> list:
+                    retry: Union[RetryPolicy, int, None] = None,
+                    settle: Optional[Sequence[Optional[SettleRule]]] = None
+                    ) -> list:
     """Batched :func:`~repro.spice.transient.transient` over many circuits.
 
     ``t_stops`` is either one stop time shared by every lane or a
     per-lane sequence (characterization windows differ per point).
+    ``settle``, when given, holds one settle rule ``(node, level, tol)``
+    or ``None`` per lane (see :func:`~repro.spice.transient.transient`).
     Returns a list of :class:`~repro.spice.results.TransientResult` or
     the per-lane :class:`~repro.errors.ConvergenceError`; lane failures
     never abort sibling lanes.
@@ -88,10 +92,13 @@ def transient_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]],
             raise ValueError("t_stops length must match circuits")
     else:
         stops = [t_stops] * len(compiled)
+    rules = list(settle) if settle is not None else [None] * len(compiled)
+    if len(rules) != len(compiled):
+        raise ValueError("settle length must match circuits")
     recorder = get_recorder()
     recorder.counter("spice.batch.lanes").inc(len(compiled))
     results: list = []
-    for c, stop in zip(compiled, stops):
+    for c, stop, rule in zip(compiled, stops, rules):
         stats = NewtonStats()
         solve = SolveContext.for_analysis(recorder, c.n_unknown).bind(
             engine.newton_solve, c, stats)
@@ -99,7 +106,7 @@ def transient_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]],
             results.append(transient_result(
                 c, stop, solve=solve, stats=stats, t_start=t_start,
                 record=record, initial_op=initial_op, options=options,
-                retry=retry, recorder=recorder))
+                retry=retry, recorder=recorder, settle=rule))
         except ConvergenceError as error:
             results.append(error)
     return results

@@ -20,8 +20,9 @@ purely nodal; gate characterization never needs floating sources.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -324,6 +325,18 @@ class CompiledCircuit:
             plan = StampPlan(self)
             self._stamp_plan = plan
         return plan
+
+    @property
+    def sources_flat_from(self) -> Optional[float]:
+        """The time from which every source is constant, or ``None``.
+
+        That is the last PWL breakpoint (``-inf`` when every source is a
+        DC level).  ``None`` when a callable voltage source or any
+        current source could still move at any time.
+        """
+        if self._known_dyn or self.isources:
+            return None
+        return self.breakpoints[-1] if self.breakpoints else -math.inf
 
     # ------------------------------------------------------------------
     def known_voltages(self, t: float) -> np.ndarray:

@@ -14,6 +14,15 @@ volts; accepted steps grow or shrink the next step to target
 ``dv_target``.  Source PWL corners are hard breakpoints so that input
 ramps start and end exactly on grid.
 
+An optional *settle rule* ``(node, level, tol)`` ends the analysis
+early: at the first accepted step, at or after the last source
+breakpoint, where ``node`` sits within ``tol`` of ``level``.  Every step
+taken up to there is the full window's step, so the result is a prefix
+of the full-window result.  The rule needs the end of all source
+activity to be known, so it applies only when every time-varying source
+is a PWL (no callable voltage sources, no current sources); otherwise
+the whole window runs.
+
 On top of the in-step recovery (step halving, backward-Euler fallback)
 sits the :class:`~repro.resilience.RetryPolicy` ladder: when an analysis
 attempt still dies with :class:`~repro.errors.ConvergenceError` -- step
@@ -26,11 +35,11 @@ timestep.  Every consumed attempt is logged on the result
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, NetlistError
 from ..obs import get_recorder, traced
 from ..obs.flight import dump_flight
 from ..resilience import faults
@@ -44,6 +53,10 @@ from .stamps import CapStampArrays
 from .results import TransientResult
 
 __all__ = ["TransientOptions", "transient", "transient_result"]
+
+#: A settle rule ``(node, level, tol)``: stop once ``node`` is within
+#: ``tol`` volts of ``level`` after the sources have gone flat.
+SettleRule = Tuple[str, float, float]
 
 
 @dataclass(frozen=True)
@@ -72,15 +85,37 @@ class TransientOptions:
             raise ConvergenceError("need 0 < dv_target < dv_reject")
 
 
+def _resolve_settle(compiled: CompiledCircuit, settle: Optional[SettleRule],
+                     t_end: float):
+    """``(slot, level, tol, t_flat)`` for a settle rule, or ``None``.
+
+    ``t_flat`` is the last source breakpoint: from there on every source
+    is constant.  ``None`` when there is no rule, when some source has no
+    known end (see :attr:`CompiledCircuit.sources_flat_from`), or when
+    the sources are still moving at ``t_end``.
+    """
+    if settle is None:
+        return None
+    node, level, tol = settle
+    if node not in compiled.unknown_names:
+        raise NetlistError(f"settle node {node!r} is not a solved node")
+    t_flat = compiled.sources_flat_from
+    if t_flat is None or t_flat >= t_end:
+        return None
+    return compiled.unknown_names.index(node), float(level), float(tol), t_flat
+
+
 def _integrate(compiled: CompiledCircuit, solve, t_start: float,
                t_end: float, initial_op: Optional[Dict[str, float]],
                opts: TransientOptions, stats: NewtonStats,
                retry: Union[RetryPolicy, int, None],
-               recorder=None):
-    """One full integration attempt; returns ``(times, series, rejected)``.
+               recorder=None, settle=None):
+    """One integration attempt; returns ``(times, series, rejected, settled)``.
 
     Every Newton solve -- the initial DC ladder included -- goes through
-    the bound solver ``solve``.  Raises
+    the bound solver ``solve``.  ``settle`` is a rule resolved by
+    :func:`_resolve_settle`; ``settled`` tells whether it ended the
+    attempt.  Raises
     :class:`~repro.errors.ConvergenceError` on step underflow or an
     unsolvable initial operating point; :func:`transient_result` owns
     the retry ladder around this.
@@ -136,6 +171,7 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
     grow = opts.grow_factor
     known_voltages = compiled.known_voltages
     has_unknown = bool(compiled.n_unknown)
+    settle_slot, settle_level, settle_tol, t_settle = settle or (0, 0.0, 0.0, np.inf)
 
     while t < t_end - h_min:
         # Snap tolerance h_min: a breakpoint within one minimum step of t
@@ -210,6 +246,8 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
         x = x_new
         times.append(t)
         series.append(x.copy())
+        if t >= t_settle and abs(x[settle_slot] - settle_level) <= settle_tol:
+            return times, series, rejected, True
         force_be = hit_breakpoint  # damp the ringing right after a corner
         if hit_breakpoint:
             # Do not let a tiny breakpoint-alignment step depress the
@@ -223,7 +261,7 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
         elif dv > dv_target:
             h *= max(dv_target / dv, shrink)
 
-    return times, series, rejected
+    return times, series, rejected, False
 
 
 def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
@@ -233,7 +271,8 @@ def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
                      initial_op: Optional[Dict[str, float]] = None,
                      options: Optional[TransientOptions] = None,
                      retry: Union[RetryPolicy, int, None] = None,
-                     recorder=None) -> TransientResult:
+                     recorder=None,
+                     settle: Optional[SettleRule] = None) -> TransientResult:
     """One full transient analysis on the bound solver ``solve``.
 
     Validation, the retry ladder (fault firing, escalated options,
@@ -241,6 +280,8 @@ def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
     here, so :func:`transient` and :func:`~repro.spice.batch.transient_batch`
     produce identical :class:`~repro.spice.results.TransientResult`
     objects.  ``stats`` must be the one ``solve`` was bound with.
+    ``settle`` is the early-stop rule described in :func:`transient`;
+    every retry-ladder attempt applies it.
     """
     opts = options or TransientOptions()
     policy = RetryPolicy.resolve(retry)
@@ -248,6 +289,7 @@ def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
     if t_end <= t_start:
         raise ConvergenceError(f"t_stop ({t_end}) must exceed t_start ({t_start})")
 
+    rule = _resolve_settle(compiled, settle, t_end)
     if recorder is None:
         recorder = get_recorder()
     recorder.counter("spice.transient.analyses").inc()
@@ -264,7 +306,7 @@ def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
             faults.fire_transient()
             outcome = _integrate(compiled, solve, t_start, t_end,
                                  initial_op, attempt_opts, stats, policy,
-                                 recorder=recorder)
+                                 recorder=recorder, settle=rule)
             break
         except ConvergenceError as error:
             last_error = error
@@ -285,9 +327,11 @@ def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
             f"retry-ladder attempts: {last_error}",
             iterations=last_error.iterations, residual=last_error.residual,
         ) from last_error
-    times, series, rejected = outcome
+    times, series, rejected, settled = outcome
     if rejected:
         recorder.counter("spice.transient.rejected_steps").inc(rejected)
+    if settled:
+        recorder.counter("spice.transient.settled").inc()
 
     time_array = np.asarray(times)
     x_series = np.asarray(series)
@@ -315,7 +359,8 @@ def transient(circuit: Circuit | CompiledCircuit, t_stop: float | str, *,
               record: Optional[List[str]] = None,
               initial_op: Optional[Dict[str, float]] = None,
               options: Optional[TransientOptions] = None,
-              retry: Union[RetryPolicy, int, None] = None) -> TransientResult:
+              retry: Union[RetryPolicy, int, None] = None,
+              settle: Optional[SettleRule] = None) -> TransientResult:
     """Integrate the circuit from a DC operating point at ``t_start``.
 
     ``record`` limits which nodes end up in the result (default: all
@@ -330,6 +375,15 @@ def transient(circuit: Circuit | CompiledCircuit, t_stop: float | str, *,
     the per-attempt log rides on the result as ``retry_attempts`` and
     consumed escalations appear in ``solver_retries``.  A fault-free
     first attempt returns a result identical to the pre-ladder code.
+
+    ``settle=(node, level, tol)`` ends the analysis at the first
+    accepted step, at or after the last source breakpoint, where the
+    solved node ``node`` is within ``tol`` volts of ``level``; the
+    result is then a prefix of the full-window result, step for step.
+    It applies only when every time-varying source is a PWL (no callable
+    voltage sources, no current sources); otherwise, or when the node
+    never settles, the analysis runs to ``t_stop``.  Analyses it ends
+    count in ``spice.transient.settled``.
     """
     compiled = circuit if isinstance(circuit, CompiledCircuit) else circuit.compile()
     stats = NewtonStats()
@@ -341,5 +395,5 @@ def transient(circuit: Circuit | CompiledCircuit, t_stop: float | str, *,
     return transient_result(
         compiled, t_stop, solve=solve, stats=stats, t_start=t_start,
         record=record, initial_op=initial_op, options=options, retry=retry,
-        recorder=recorder,
+        recorder=recorder, settle=settle,
     )

@@ -123,6 +123,15 @@ class TestHeadlineSummary:
         assert "sparse: factorizations=40" in text
         assert "flight dumps: guard_watchdog=1" in text
 
+    def test_surfaces_transients_settled_early(self):
+        from repro.obs import headline_summary
+
+        recorder = Recorder()
+        recorder.counter("spice.transient.analyses").inc(12)
+        recorder.counter("spice.transient.settled").inc(9)
+        text = headline_summary(recorder.metrics_payload())
+        assert "transients: analyses 12, settled early 9" in text
+
     def test_empty_for_quiet_payload(self):
         from repro.obs import headline_summary
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.serve.protocol import (
+    MAX_GATE_INPUTS,
     BadRequest,
     build_gate,
     parse_characterize_request,
@@ -104,6 +105,22 @@ class TestDelayRejections:
     def test_message_names_the_unknown_pin(self):
         with pytest.raises(BadRequest, match="'z' is not an input"):
             parse_delay_request(query(edges=["z:fall:500ps"]))
+
+    @pytest.mark.parametrize("gate", ["nand7", "NOR8", "nand24", "nor26"])
+    def test_wide_gate_names_the_input_limit(self, gate):
+        """A VTC family costs 2^N - 1 DC sweeps: a wide gate ends in a
+        400 naming the limit, before any simulation starts."""
+        with pytest.raises(BadRequest, match=f"at most {MAX_GATE_INPUTS}"):
+            parse_delay_request(query(gate=gate))
+
+    @pytest.mark.parametrize("gate", ["nandx", "nor-2", "nand2.5"])
+    def test_malformed_width_is_unknown_gate(self, gate):
+        with pytest.raises(BadRequest, match="unknown gate"):
+            parse_delay_request(query(gate=gate))
+
+    def test_widest_gates_still_parse(self):
+        for gate in (f"nand{MAX_GATE_INPUTS}", f"nor{MAX_GATE_INPUTS}"):
+            assert parse_delay_request(query(gate=gate)).gate == gate
 
 
 class TestCharacterizeParsing:

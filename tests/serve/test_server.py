@@ -3,7 +3,6 @@
 import http.client
 import json
 import threading
-import time
 
 import pytest
 
@@ -154,6 +153,7 @@ class TestMalformedRequests:
         ({"gate": "inv", "edges": ["z:fall:500ps"]}, "not an input"),
         ({"gate": "inv", "edges": []}, "edges"),
         ({"queries": []}, "non-empty"),
+        ({"gate": "nand24", "edges": ["a:fall:500ps"]}, "at most 6"),
     ])
     def test_bad_schema_is_400(self, client, query, fragment):
         with pytest.raises(ServeError) as excinfo:
@@ -207,7 +207,19 @@ def test_ttl_expiry_recomputes_identical_bytes():
 def test_drain_completes_inflight_requests(tmp_path):
     """stop() during an in-flight request finishes it (drained=True) and
     then refuses new connections -- the SIGTERM contract."""
-    server = ReproServer(port=0, state=ServeState(), coalesce=False)
+    state = ServeState()
+    entered, release = threading.Event(), threading.Event()
+    compute = state.delay_response
+
+    def held_response(query):
+        # Hold the request in the handler until stop() has begun, so a
+        # query that answers within one poll can never slip past it.
+        entered.set()
+        release.wait(timeout=30)
+        return compute(query)
+
+    state.delay_response = held_response
+    server = ReproServer(port=0, state=state, coalesce=False)
     server.start()
     outcome = {}
 
@@ -219,10 +231,9 @@ def test_drain_completes_inflight_requests(tmp_path):
     thread = threading.Thread(target=slow_query)
     thread.start()
     # Let the request reach the handler before pulling the plug.
-    deadline = time.monotonic() + 10.0
-    while server.app.in_flight == 0 and time.monotonic() < deadline:
-        time.sleep(0.005)
+    assert entered.wait(timeout=10.0)
     assert server.app.in_flight > 0
+    threading.Timer(0.2, release.set).start()
     drained = server.stop()
     thread.join(timeout=60)
     assert drained is True

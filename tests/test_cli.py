@@ -50,6 +50,13 @@ class TestCommands:
     def test_unknown_gate(self, capsys):
         assert main(["vtc", "--gate", "xor9"]) == 1
 
+    @pytest.mark.parametrize("gate", ["nand7", "nand24", "nor26"])
+    def test_wide_gate_exits_with_the_limit(self, capsys, gate):
+        """Exit 1 before any DC sweep: nand24's VTC family alone would
+        be ~16.7 M sweeps."""
+        assert main(["delay", "--gate", gate, "--edge", "a:fall:500ps"]) == 1
+        assert "at most 6" in capsys.readouterr().err
+
     def test_experiment_e5(self, capsys):
         assert main(["experiment", "e5"]) == 0
         assert "storage" in capsys.readouterr().out
