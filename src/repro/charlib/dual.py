@@ -20,27 +20,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from time import monotonic
-
 from ..errors import CharacterizationError
 from ..gates import Gate
 from ..models.dual import TableDualInputModel
 from ..obs import get_recorder
-from ..parallel import parallel_map, resolve_batch
-from ..resilience import faults
-from ..resilience.health import FailedPoint, HealthReport, neighbor_fill
-from ..resilience.runtime import (
-    resilient_chunked_map,
-    resilient_map,
-    resolve_resume,
-)
+from ..parallel import parallel_map
+from ..resilience.health import neighbor_fill
 from ..waveform import Edge, Thresholds, normalize_direction
 from .cache import CharacterizationCache, default_cache
-from .simulate import (
-    multi_input_response,
-    multi_input_response_batch,
-    single_input_response,
-)
+from .simulate import multi_input_response
+from .sweep import GridSweep
 
 __all__ = ["DualInputGrid", "characterize_dual_input"]
 
@@ -93,66 +82,10 @@ class DualInputGrid:
 def _single_ref_task(task) -> Tuple[float, float]:
     """Worker: the single-input response for one reference tau."""
     gate, reference, direction, tau_ref, thresholds = task
-    single = single_input_response(gate, reference, direction, tau_ref,
-                                   thresholds)
+    edge = Edge(direction, 0.0, tau_ref)
+    single = multi_input_response(gate, {reference: edge}, thresholds,
+                                  reference=reference)
     return single.delay, single.out_ttime
-
-
-def _grid_point_task(task) -> Tuple[float, float]:
-    """Worker: one two-input transient of the characterization grid."""
-    index, gate, reference, edges, thresholds = task
-    faults.fire_point("dual", index)
-    recorder = get_recorder()
-    if not recorder.enabled:
-        shot = multi_input_response(gate, edges, thresholds,
-                                    reference=reference)
-        return shot.delay, shot.out_ttime
-    start = monotonic()
-    with recorder.span("charlib.point", scope="dual", index=index):
-        shot = multi_input_response(gate, edges, thresholds,
-                                    reference=reference)
-    recorder.histogram("charlib.point_seconds",
-                       scope="dual").observe(monotonic() - start)
-    return shot.delay, shot.out_ttime
-
-
-def _grid_chunk_task(task):
-    """Worker: one pooled task's batch of grid transients.
-
-    Returns one envelope per point -- ``("ok", (delay, ttime))`` or
-    ``("err", kind, message, error_type)`` -- mirroring what the scalar
-    :func:`_grid_point_task` path records for the same point.
-    """
-    gate, reference, thresholds, pairs = task
-    envelopes: list = [None] * len(pairs)
-    live = []
-    requests = []
-    for pos, (index, edges) in enumerate(pairs):
-        try:
-            faults.fire_point("dual", index)
-        except Exception as exc:
-            envelopes[pos] = ("err", "error", str(exc), type(exc).__name__)
-            continue
-        live.append(pos)
-        requests.append((edges, reference, None))
-    if requests:
-        recorder = get_recorder()
-        if not recorder.enabled:
-            shots = multi_input_response_batch(gate, requests, thresholds)
-        else:
-            start = monotonic()
-            with recorder.span("charlib.chunk", scope="dual",
-                               lanes=len(requests)):
-                shots = multi_input_response_batch(gate, requests, thresholds)
-            recorder.histogram("charlib.chunk_seconds",
-                               scope="dual").observe(monotonic() - start)
-        for pos, shot in zip(live, shots):
-            if isinstance(shot, Exception):
-                envelopes[pos] = ("err", "error", str(shot),
-                                  type(shot).__name__)
-            else:
-                envelopes[pos] = ("ok", (shot.delay, shot.out_ttime))
-    return envelopes
 
 
 def characterize_dual_input(
@@ -208,6 +141,9 @@ def characterize_dual_input(
         **grid.key(),
     }
 
+    sweep = GridSweep("dual", gate, f"{reference}->{other}/{direction}",
+                      thresholds, key, cache)
+
     def compute() -> dict:
         # Stage 1: the per-tau_ref single-input responses (the grid's
         # normalization constants), themselves independent transients.
@@ -228,49 +164,17 @@ def characterize_dual_input(
 
         # Stage 2: every grid point is one independent two-input
         # transient; fan out and merge back in sweep order.
-        edge_sets = []
+        points = []
         coords = []
         for tau_ref, (delta1, _tau1) in zip(grid.tau_refs, singles):
             for a2 in grid.a2:
                 for a3 in grid.a3:
-                    edge_sets.append({
+                    points.append(({
                         reference: Edge(direction, 0.0, tau_ref),
                         other: Edge(direction, a3 * delta1, a2 * delta1),
-                    })
+                    }, reference, None, 1.0))
                     coords.append({"tau_ref": tau_ref, "a2": a2, "a3": a3})
-        batch_size = resolve_batch(batch)
-        if batch_size > 1:
-            shots, task_failures = resilient_chunked_map(
-                _grid_chunk_task, edge_sets,
-                batch=batch_size,
-                make_chunk=lambda pairs: (gate, reference, thresholds, pairs),
-                journal_kind="dual", journal_key=key,
-                directory=cache.directory, workers=workers, decode=tuple,
-            )
-        else:
-            shots, task_failures = resilient_map(
-                _grid_point_task,
-                [(index, gate, reference, edges, thresholds)
-                 for index, edges in enumerate(edge_sets)],
-                journal_kind="dual", journal_key=key,
-                directory=cache.directory, workers=workers, decode=tuple,
-            )
-        failed = []
-        for failure in task_failures:
-            shots[failure.index] = (float("nan"), float("nan"))
-            get_recorder().counter("charlib.points.failed",
-                                   kind=failure.kind).inc()
-            failed.append({
-                "index": failure.index, "kind": failure.kind,
-                "message": failure.message,
-                "coords": coords[failure.index],
-            })
-        if len(failed) == len(edge_sets):
-            raise CharacterizationError(
-                f"dual-input sweep for {gate.name!r} "
-                f"({reference}->{other}/{direction}) lost all "
-                f"{len(edge_sets)} grid points"
-            )
+        shots, failed = sweep.run(points, coords, workers=workers, batch=batch)
 
         delay_table = np.empty((len(grid.tau_refs), len(grid.a2), len(grid.a3)))
         ttime_table = np.empty_like(delay_table)
@@ -295,12 +199,7 @@ def characterize_dual_input(
             "failed_points": failed,
         }
 
-    payload = cache.get_or_compute("dual", key, compute)
-    if payload.get("failed_points") and resolve_resume():
-        # A degraded cached sweep + --resume: the journal still holds
-        # every completed point, so only the failed cells recompute.
-        payload = compute()
-        cache.store("dual", key, payload)
+    payload = sweep.payload(compute)
 
     axes = (
         np.asarray(payload["a1"]),
@@ -316,14 +215,6 @@ def characterize_dual_input(
     model = TableDualInputModel(
         reference, other, direction, axes, delay_table, ttime_table,
     )
-    model.health = HealthReport(
-        label=f"dual {gate.name}:{reference}->{other}/{direction}",
-        total_points=grid.n_points,
-        failed=tuple(
-            FailedPoint(index=int(f["index"]), kind=f["kind"],
-                        message=f["message"], coords=dict(f["coords"]))
-            for f in payload.get("failed_points", ())
-        ),
-        filled=filled_d + filled_t,
-    )
+    model.health = sweep.health(payload, grid.n_points,
+                                filled=filled_d + filled_t)
     return model

@@ -25,8 +25,6 @@ from ..waveform import (
     Pwl,
     Thresholds,
     gate_delay,
-    normalize_direction,
-    opposite,
     transition_time,
 )
 
@@ -36,7 +34,6 @@ __all__ = [
     "estimate_settle_time",
     "single_input_response",
     "multi_input_response",
-    "single_input_response_batch",
     "multi_input_response_batch",
     "set_shot_router",
     "get_shot_router",
@@ -162,7 +159,8 @@ class _ShotPlan:
     The scalar and batched drivers share this preparation so a batched
     run makes exactly the scalar run's decisions -- same circuit, same
     window schedule, same error text.  ``attempt`` is the window-doubling
-    state the batched driver advances per lane.
+    state the batched driver advances per lane; ``glitch_returns``
+    (:func:`_glitch_returns`) gives a shot one window only.
     """
 
     edges: Mapping[str, Edge]
@@ -176,10 +174,20 @@ class _ShotPlan:
     settle_time: float
     circuit: object
     settle_rule: Optional[SettleRule]
+    glitch_returns: bool
     attempt: int = 0
 
     def t_stop(self) -> float:
         return self.last_end + self.settle_time * (2.0 ** self.attempt)
+
+
+def _glitch_returns(gate: Gate, edges: Mapping[str, Edge], out_dir: str) -> bool:
+    """Whether the final input levels (edge directions plus the
+    sensitizing levels) hold the output at the other rail from the one
+    ``out_dir`` ends on: a glitch that returns."""
+    final = gate.sensitizing_levels(list(edges))
+    final.update({name: edge.is_rising for name, edge in edges.items()})
+    return gate.logic_output(final) != (out_dir == RISE)
 
 
 def _settle_rule(gate: Gate, edges: Mapping[str, Edge],
@@ -187,16 +195,13 @@ def _settle_rule(gate: Gate, edges: Mapping[str, Edge],
     """The transient's early stop: the output near the rail ``out_dir``
     ends on.
 
-    ``None`` when the final input levels hold the output at the other
-    rail (a glitch that returns): the output could touch the measured
-    rail and leave it again.
+    ``None`` for a glitch that returns (:func:`_glitch_returns`): the
+    output could touch the measured rail and leave it again.
     """
-    final = gate.sensitizing_levels(list(edges))
-    final.update({name: edge.is_rising for name, edge in edges.items()})
-    rising = out_dir == RISE
-    if gate.logic_output(final) != rising:
+    if _glitch_returns(gate, edges, out_dir):
         return None
     vdd = gate.process.vdd
+    rising = out_dir == RISE
     return gate.output, (vdd if rising else 0.0), SETTLE_TOLERANCE * vdd
 
 
@@ -224,7 +229,8 @@ def _prepare_shot(gate: Gate, edges: Mapping[str, Edge],
     return _ShotPlan(edges=edges, ref=ref, ref_edge=ref_edge, out_dir=out_dir,
                      cl=cl, ramps=ramps, shift=shift, last_end=last_end,
                      settle_time=settle_time, circuit=circuit,
-                     settle_rule=_settle_rule(gate, edges, out_dir))
+                     settle_rule=_settle_rule(gate, edges, out_dir),
+                     glitch_returns=_glitch_returns(gate, edges, out_dir))
 
 
 def _enrich_convergence(gate: Gate, plan: _ShotPlan,
@@ -297,12 +303,16 @@ def multi_input_response(gate: Gate, edges: Mapping[str, Edge],
     Undriven inputs sit at levels that sensitize the output to the driven
     set.  The transient window is sized from
     :func:`estimate_settle_time` and doubled on incomplete measurements,
-    up to ``max_retries`` times.  The transient stops early, after the
-    last input edge, once the output is within :data:`SETTLE_TOLERANCE`
-    of Vdd of the rail its transition ends on, so the returned
-    ``output`` waveform ends at that settle point.  Every step up to
-    there is the full window's, and no threshold crossing comes later:
-    delay and transition time are exactly the full window's.
+    up to ``max_retries`` times -- except when the final input levels
+    hold the output at the other rail from the one the measured
+    transition ends on: once every input is flat no longer window can
+    complete that transition, so the first incomplete window raises.
+    The transient stops early, after the last input edge, once the
+    output is within :data:`SETTLE_TOLERANCE` of Vdd of the rail its
+    transition ends on, so the returned ``output`` waveform ends at
+    that settle point.  Every step up to there is the full window's,
+    and no threshold crossing comes later: delay and transition time
+    are exactly the full window's.
 
     ``retry`` is forwarded to :func:`repro.spice.transient` as its
     solver retry ladder (see :class:`~repro.resilience.RetryPolicy`); a
@@ -329,6 +339,8 @@ def multi_input_response(gate: Gate, edges: Mapping[str, Edge],
         shot = _measure_shot(gate, plan, result, thresholds)
         if isinstance(shot, MeasurementError):
             last_error = shot
+            if plan.glitch_returns:
+                break
             continue
         return shot
     raise _exhausted_error(gate, plan, max_retries, last_error)
@@ -420,7 +432,7 @@ def multi_input_response_batch(gate: Gate, requests: Sequence[ShotRequest],
             if isinstance(shot, MeasurementError):
                 errors[i] = shot
                 plan.attempt += 1
-                if plan.attempt >= max_retries:
+                if plan.attempt >= max_retries or plan.glitch_returns:
                     results[i] = _exhausted_error(
                         gate, plan, max_retries, errors[i])
                 else:
@@ -428,45 +440,4 @@ def multi_input_response_batch(gate: Gate, requests: Sequence[ShotRequest],
                 continue
             results[i] = shot
         pending = retrying
-    return results
-
-
-def single_input_response_batch(gate: Gate, input_name: str, direction: str,
-                                points: Sequence[Tuple[float, float]],
-                                thresholds: Thresholds, *,
-                                retry=None) -> List[Union[SingleShot,
-                                                          ConvergenceError,
-                                                          MeasurementError]]:
-    """Batched :func:`single_input_response` over ``(load, tau)`` points.
-
-    All points share the pin and direction (one characterization sweep).
-    Slots of failed points hold the exception the scalar call would have
-    raised, as in :func:`multi_input_response_batch`.
-    """
-    requests: List[ShotRequest] = []
-    taus: List[float] = []
-    loads: List[float] = []
-    for load, tau in points:
-        tau_s = parse_quantity(tau, unit="s")
-        edge = Edge(direction, t_cross=0.0, tau=tau_s)
-        requests.append(({input_name: edge}, input_name, load))
-        taus.append(tau_s)
-        loads.append(gate.load if load is None else parse_quantity(load, unit="F"))
-    outcomes = multi_input_response_batch(gate, requests, thresholds,
-                                          retry=retry)
-    direction = normalize_direction(direction)
-    results: List[Union[SingleShot, ConvergenceError, MeasurementError]] = []
-    for tau_s, cl, outcome in zip(taus, loads, outcomes):
-        if isinstance(outcome, MultiShot):
-            results.append(SingleShot(
-                input_name=input_name,
-                direction=direction,
-                tau=tau_s,
-                load=cl,
-                delay=outcome.delay,
-                out_ttime=outcome.out_ttime,
-                output=outcome.output,
-            ))
-        else:
-            results.append(outcome)
     return results

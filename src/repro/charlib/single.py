@@ -23,23 +23,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from time import monotonic
-
 from ..errors import CharacterizationError
 from ..gates import Gate
 from ..models.single import TableSingleInputModel
-from ..obs import get_recorder
-from ..parallel import resolve_batch
-from ..resilience import faults
-from ..resilience.health import FailedPoint, HealthReport
-from ..resilience.runtime import (
-    resilient_chunked_map,
-    resilient_map,
-    resolve_resume,
-)
-from ..waveform import RISE, Thresholds, normalize_direction
+from ..waveform import RISE, Edge, Thresholds, normalize_direction
 from .cache import CharacterizationCache, default_cache
-from .simulate import single_input_response, single_input_response_batch
+from .sweep import GridSweep
 
 __all__ = ["SingleInputGrid", "characterize_single_input", "drive_strength"]
 
@@ -88,73 +77,6 @@ def drive_strength(gate: Gate, input_name: str, direction: str) -> float:
     return gate.strength_p(input_name)
 
 
-def _sample_task(task):
-    """Worker: one (load, tau) sweep sample, normalized by tau."""
-    index, gate, input_name, direction, tau, thresholds, load = task
-    faults.fire_point("single", index)
-    recorder = get_recorder()
-    if not recorder.enabled:
-        shot = single_input_response(
-            gate, input_name, direction, tau, thresholds, load=load,
-        )
-        return shot.delay / tau, shot.out_ttime / tau
-    start = monotonic()
-    with recorder.span("charlib.point", scope="single", index=index,
-                       tau=tau, load=load):
-        shot = single_input_response(
-            gate, input_name, direction, tau, thresholds, load=load,
-        )
-    recorder.histogram("charlib.point_seconds",
-                       scope="single").observe(monotonic() - start)
-    return shot.delay / tau, shot.out_ttime / tau
-
-
-def _sample_chunk_task(task):
-    """Worker: one pooled task's batch of (load, tau) samples.
-
-    Returns one envelope per point -- ``("ok", (delay_norm, ttime_norm))``
-    or ``("err", kind, message, error_type)`` -- so a failing point
-    degrades exactly like its scalar :func:`_sample_task` would (same
-    kind and message in the health report) without losing its
-    chunk-mates.
-    """
-    gate, input_name, direction, thresholds, pairs = task
-    envelopes: list = [None] * len(pairs)
-    live = []
-    points = []
-    for pos, (index, (load, tau)) in enumerate(pairs):
-        try:
-            faults.fire_point("single", index)
-        except Exception as exc:
-            envelopes[pos] = ("err", "error", str(exc), type(exc).__name__)
-            continue
-        live.append((pos, tau))
-        points.append((load, tau))
-    if points:
-        recorder = get_recorder()
-        if not recorder.enabled:
-            shots = single_input_response_batch(
-                gate, input_name, direction, points, thresholds,
-            )
-        else:
-            start = monotonic()
-            with recorder.span("charlib.chunk", scope="single",
-                               lanes=len(points)):
-                shots = single_input_response_batch(
-                    gate, input_name, direction, points, thresholds,
-                )
-            recorder.histogram("charlib.chunk_seconds",
-                               scope="single").observe(monotonic() - start)
-        for (pos, tau), shot in zip(live, shots):
-            if isinstance(shot, Exception):
-                envelopes[pos] = ("err", "error", str(shot),
-                                  type(shot).__name__)
-            else:
-                envelopes[pos] = ("ok", (shot.delay / tau,
-                                         shot.out_ttime / tau))
-    return envelopes
-
-
 def characterize_single_input(
     gate: Gate, input_name: str, direction: str, thresholds: Thresholds, *,
     grid: Optional[SingleInputGrid] = None,
@@ -197,43 +119,17 @@ def characterize_single_input(
     key["schema_single"] = 2  # c_par-fitted drive factor
     points = [(gate.load * factor, tau)
               for factor in grid.load_factors for tau in grid.taus]
+    sweep = GridSweep("single", gate, f"{input_name}/{direction}",
+                      thresholds, key, cache)
 
     def compute() -> dict:
         k_drive = drive_strength(gate, input_name, direction)
-        batch_size = resolve_batch(batch)
-        if batch_size > 1:
-            shots, task_failures = resilient_chunked_map(
-                _sample_chunk_task, points,
-                batch=batch_size,
-                make_chunk=lambda pairs: (gate, input_name, direction,
-                                          thresholds, pairs),
-                journal_kind="single", journal_key=key,
-                directory=cache.directory, workers=workers, decode=tuple,
-            )
-        else:
-            shots, task_failures = resilient_map(
-                _sample_task,
-                [(index, gate, input_name, direction, tau, thresholds, load)
-                 for index, (load, tau) in enumerate(points)],
-                journal_kind="single", journal_key=key,
-                directory=cache.directory, workers=workers, decode=tuple,
-            )
-        failed = []
-        for failure in task_failures:
-            load, tau = points[failure.index]
-            shots[failure.index] = (float("nan"), float("nan"))
-            get_recorder().counter("charlib.points.failed",
-                                   kind=failure.kind).inc()
-            failed.append({
-                "index": failure.index, "kind": failure.kind,
-                "message": failure.message,
-                "coords": {"load": load, "tau": tau},
-            })
-        if len(failed) == len(points):
-            raise CharacterizationError(
-                f"single-input sweep for {gate.name!r} "
-                f"({input_name}/{direction}) lost all {len(points)} points"
-            )
+        shots, failed = sweep.run(
+            [({input_name: Edge(direction, 0.0, tau)}, input_name, load, tau)
+             for load, tau in points],
+            [{"load": load, "tau": tau} for load, tau in points],
+            workers=workers, batch=batch,
+        )
         samples = [  # (load, tau, delay_norm, ttime_norm)
             (load, tau, delay_norm, ttime_norm)
             for (load, tau), (delay_norm, ttime_norm) in zip(points, shots)
@@ -253,13 +149,7 @@ def characterize_single_input(
             "failed_points": failed,
         }
 
-    payload = cache.get_or_compute("single", key, compute)
-    if payload.get("failed_points") and resolve_resume():
-        # A degraded cached sweep + --resume: recompute just the missing
-        # points (the journal still holds the completed ones) and
-        # replace the cache entry with the repaired payload.
-        payload = compute()
-        cache.store("single", key, payload)
+    payload = sweep.payload(compute)
 
     u = np.asarray(payload["u"])
     d = np.asarray(payload["delay_norm"])
@@ -276,15 +166,7 @@ def characterize_single_input(
         k_drive=float(payload["k_drive"]), vdd=gate.process.vdd,
         char_load=gate.load, c_par=float(payload.get("c_par", 0.0)),
     )
-    model.health = HealthReport(
-        label=f"single {gate.name}:{input_name}/{direction}",
-        total_points=len(points),
-        failed=tuple(
-            FailedPoint(index=int(f["index"]), kind=f["kind"],
-                        message=f["message"], coords=dict(f["coords"]))
-            for f in payload.get("failed_points", ())
-        ),
-    )
+    model.health = sweep.health(payload, len(points))
     return model
 
 

@@ -66,8 +66,8 @@ def _add_workers_option(parser: argparse.ArgumentParser) -> None:
              "cores; results are identical for any worker count)")
     parser.add_argument(
         "--batch", type=int, default=None, metavar="B",
-        help="points per pooled task; results identical "
-             "(default: REPRO_BATCH env var, else 1)")
+        help="points per pooled task, so no effect below --workers 2; "
+             "results identical (default: REPRO_BATCH env var, else 1)")
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
@@ -122,9 +122,9 @@ def _add_resilience_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--guard", action="store_true",
         help="opt-in solver guard monitors (REPRO_GUARD): divergence "
-             "detection, per-solve watchdog and Jacobian condition "
-             "warnings; tune with REPRO_GUARD_COND / REPRO_GUARD_DIVERGE "
-             "/ REPRO_GUARD_WALL (results are unchanged on clean runs)")
+             "detection, Jacobian condition warnings and a per-solve "
+             "watchdog of REPRO_GUARD_WALL seconds (results are unchanged "
+             "on clean runs)")
 
 
 def _apply_resilience_options(args: argparse.Namespace) -> None:

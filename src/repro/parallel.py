@@ -17,7 +17,8 @@ Design rules, enforced here so every call site inherits them:
 * **Deterministic merge.**  Results always come back in input order
   regardless of completion order, so a parallel run produces tables
   bit-identical to a serial run of the same work list.
-* **Fault containment.**  Each item is its own future.  A worker that
+* **Fault containment.**  Each pooled task (one item, or a chunk of
+  ``chunksize`` items) is its own future.  A worker that
   dies (:class:`~concurrent.futures.process.BrokenProcessPool`) triggers
   an automatic pool rebuild and resubmission of the in-flight tasks,
   bounded by ``pool_retries`` per task; a task that exceeds the per-task
@@ -42,7 +43,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, _ExceptionWithTraceback
 from dataclasses import dataclass
 from time import monotonic
 from typing import Callable, Dict, Iterable, List, Optional, TypeVar, Union
@@ -140,14 +141,14 @@ def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:
 
 
 def resolve_batch(batch: Optional[int] = None) -> int:
-    """The effective simulation batch size for a characterization sweep.
+    """The effective batch size for a characterization sweep.
 
     Resolution order: the explicit ``batch`` argument, then the
-    ``REPRO_BATCH`` environment variable, then ``0``.  ``0`` and ``1``
-    both mean one grid point per task; larger values make each pooled
-    task carry that many grid points (:mod:`repro.spice.batch` runs
-    them lane by lane on the scalar solver).  Batching never changes
-    results.
+    ``REPRO_BATCH`` environment variable, then ``0``.  The batch size is
+    the number of grid points one pooled task carries (the
+    ``chunksize`` of :func:`parallel_map`); ``0`` and ``1`` both mean
+    one point per task.  It only chunks pool tasks, so it has no effect
+    at ``workers <= 1``, and it never changes results.
     """
     if batch is None:
         env = os.environ.get(BATCH_ENV_VAR, "").strip()
@@ -165,20 +166,36 @@ def resolve_batch(batch: Optional[int] = None) -> int:
     return batch
 
 
-def _invoke(fn: Callable[[T], R], index: int, item: T):
-    """Worker-side task wrapper: the fault-injection and telemetry seam.
+def _invoke(fn: Callable[[T], R], indices: range, items: List[T]) -> list:
+    """Worker-side wrapper of one pooled chunk: the fault-injection and
+    telemetry seam.
 
-    ``crash`` and ``hang`` faults (:mod:`repro.resilience.faults`) fire
-    here, addressed by task index -- only on the pool path, since they
-    model *worker* failures.  The return value is always the
-    ``(result, telemetry)`` envelope of
-    :func:`repro.obs.capture_task`: the task records into its worker's
-    recorder and ships the metric delta plus its spans back with the
-    result, which is what keeps parent-side totals invariant to the
-    worker count (``telemetry`` is ``None`` with telemetry disabled).
+    Runs ``fn`` on each item of the chunk in turn.  ``crash`` and
+    ``hang`` faults (:mod:`repro.resilience.faults`) fire before each
+    item, addressed by its index in the map -- only on the pool path,
+    since they model *worker* failures.  Returns one outcome per item:
+    the ``(result, telemetry)`` envelope of :func:`repro.obs.capture_task`
+    (the task records into its worker's recorder and ships the metric
+    delta plus its spans back with the result, which is what keeps
+    parent-side totals invariant to the worker count; ``telemetry`` is
+    ``None`` with telemetry disabled), or the :class:`TaskFailure` of an
+    item that raised, so its chunk-mates keep their results.
     """
-    faults.fire_task(index)
-    return capture_task(fn, item, index)
+    outcomes: list = []
+    for index, item in zip(indices, items):
+        faults.fire_task(index)
+        try:
+            outcomes.append(capture_task(fn, item, index))
+        except Exception as exc:
+            # The wrapper the pool itself ships exceptions in: unpickled
+            # in the parent, it is ``exc`` with the worker's traceback as
+            # its ``__cause__``.
+            outcomes.append(TaskFailure(
+                index=index, kind="error", message=str(exc),
+                error_type=type(exc).__name__,
+                exception=_ExceptionWithTraceback(exc, exc.__traceback__),
+            ))
+    return outcomes
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
@@ -193,9 +210,9 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
 
     With a resolved worker count of 0 or 1 (the default), this is a
     plain in-process loop -- same objects, same call order, no pickling.
-    Otherwise each item is submitted as its own future over a process
-    pool; ``fn`` must then be a module-level function and every item
-    picklable.
+    Otherwise each chunk of items is submitted as its own future over a
+    process pool; ``fn`` must then be a module-level function and every
+    item picklable.
 
     ``timeout`` (or ``REPRO_TASK_TIMEOUT``) bounds each task's run time
     on the pool path; a task past its deadline is abandoned and the pool
@@ -212,22 +229,31 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
     lost task's slot holds an ordered :class:`TaskFailure` record and
     every other slot its real result.
 
+    ``chunksize`` items ride in each pooled task (values below 1 mean
+    1), which saves pickling the arguments they share.  A chunk applies
+    ``fn`` to each of its items and returns a value or a failure record
+    per item, so a failing item loses only itself; a chunk lost to a
+    worker crash or a timeout fails each of its items with that record.
+    ``timeout`` and ``pool_retries`` apply to the pooled task, that is
+    to a whole chunk.  The serial path ignores chunking.
+
     ``on_result(index, value)`` is called in the parent process as each
-    task completes (in completion order); the progress journal hooks in
-    here.  ``chunksize`` is accepted for backward compatibility but
-    ignored -- per-future submission is what makes fault containment and
-    timeouts possible.
+    item completes (in completion order); the progress journal hooks in
+    here.  Like the ``parallel.tasks.*`` counters it sees one event per
+    item, whatever the chunk size.
     """
-    del chunksize  # per-future submission supersedes chunked pool.map
     if on_error not in ("raise", "collect"):
         raise ReproError(f"on_error must be 'raise' or 'collect', got {on_error!r}")
     items = list(items)
     count = resolve_workers(workers)
     limit = resolve_timeout(timeout)
-    if count <= 1 or len(items) <= 1:
+    size = max(1, int(chunksize))
+    chunks = [range(start, min(start + size, len(items)))
+              for start in range(0, len(items), size)]
+    if count <= 1 or len(chunks) <= 1:
         return _serial_map(fn, items, on_error, on_result)
-    return _pool_map(fn, items, min(count, len(items)), limit, on_error,
-                     max(0, int(pool_retries)), on_result)
+    return _pool_map(fn, items, chunks, min(count, len(chunks)), limit,
+                     on_error, max(0, int(pool_retries)), on_result)
 
 
 def _serial_map(fn, items, on_error, on_result):
@@ -282,34 +308,38 @@ def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
 _PENDING = object()
 
 
-def _pool_map(fn, items, count, limit, on_error, pool_retries, on_result):
-    n = len(items)
+def _pool_map(fn, items, chunks, count, limit, on_error, pool_retries,
+              on_result):
     recorder = get_recorder()
     recorder.gauge("parallel.workers").set(count)
-    results: List = [_PENDING] * n
-    attempts = [0] * n
-    queue = deque(range(n))  # unsubmitted task indices, ascending
+    results: List = [_PENDING] * len(items)
+    attempts = [0] * len(chunks)  # crashed runs per chunk
+    queue = deque(range(len(chunks)))  # unsubmitted chunks, ascending
     pool = ProcessPoolExecutor(max_workers=count)
-    inflight: Dict[object, int] = {}       # future -> task index
+    inflight: Dict[object, int] = {}       # future -> chunk
     deadlines: Dict[object, float] = {}    # future -> abs deadline
     submitted: Dict[object, float] = {}    # future -> submission stamp
 
-    def fail(index: int, kind: str, message: str, *,
-             error_type: str = "", exception=None, runs: int = 0) -> None:
+    def fail(indices, kind: str, message: str, *, runs: int,
+             error_type: str = "", exception=None) -> None:
+        """Record one failure per item of ``indices`` (or raise it).
+
+        ``runs`` is the number of times the chunk ran: its crashed runs,
+        plus one for an error or timeout.
+        """
         if on_error == "raise":
             if exception is not None:
                 raise exception
-            raise TaskError(f"task {index} {kind}: {message}")
-        recorder.counter("parallel.tasks.failed", kind=kind).inc()
-        # `attempts[index]` counts crashed runs; an error/timeout failure
-        # happened on one further run, a crash failure did not.
-        results[index] = TaskFailure(
-            index=index, kind=kind, message=message, error_type=error_type,
-            attempts=runs or attempts[index] + 1, exception=exception,
-        )
+            raise TaskError(f"task {indices[0]} {kind}: {message}")
+        for index in indices:
+            recorder.counter("parallel.tasks.failed", kind=kind).inc()
+            results[index] = TaskFailure(
+                index=index, kind=kind, message=message,
+                error_type=error_type, attempts=runs, exception=exception,
+            )
 
-    def absorb(future, telemetry) -> None:
-        """Fold one task's shipped telemetry into the parent recorder."""
+    def absorb(submit, telemetry) -> None:
+        """Fold one item's shipped telemetry into the parent recorder."""
         if telemetry is None or not recorder.enabled:
             return
         try:
@@ -320,60 +350,79 @@ def _pool_map(fn, items, count, limit, on_error, pool_retries, on_result):
             # beats failing the task whose *result* arrived fine.
             recorder.counter("parallel.telemetry.dropped").inc()
             return
-        submit = submitted.get(future)
         if submit is not None:
             recorder.histogram("parallel.task_queue_wait_seconds").observe(
                 max(0.0, telemetry["start"] - submit))
         recorder.histogram("parallel.task_execute_seconds").observe(
             max(0.0, telemetry["end"] - telemetry["start"]))
 
+    def complete(chunk: int, outcomes, submit) -> None:
+        """Take one finished chunk's per-item outcomes."""
+        for index, outcome in zip(chunks[chunk], outcomes):
+            if isinstance(outcome, TaskFailure):
+                fail((index,), "error", outcome.message,
+                     runs=attempts[chunk] + 1,
+                     error_type=outcome.error_type,
+                     exception=outcome.exception)
+                continue
+            value, telemetry = outcome
+            absorb(submit, telemetry)
+            recorder.counter("parallel.tasks.completed").inc()
+            results[index] = value
+            if on_result is not None:
+                on_result(index, value)
+
     def recycle_inflight(*, broken: bool) -> None:
-        """Requeue in-flight tasks around a pool rebuild.
+        """Requeue in-flight chunks around a pool rebuild.
 
         After a crash (``broken=True``) each resubmission consumes one
-        of the task's ``pool_retries`` attempts -- a task that keeps
+        of the chunk's ``pool_retries`` attempts -- a chunk that keeps
         killing workers must eventually be declared lost, not retried
-        forever.  After a timeout the surviving in-flight tasks are
+        forever.  After a timeout the surviving in-flight chunks are
         innocent bystanders and resubmit for free.
         """
-        indices = sorted(inflight.values())
+        pending = sorted(inflight.values())
         inflight.clear()
         deadlines.clear()
         submitted.clear()
-        for index in reversed(indices):  # appendleft keeps ascending order
+        for chunk in reversed(pending):  # appendleft keeps ascending order
             if broken:
-                attempts[index] += 1
-                if attempts[index] > pool_retries:
-                    fail(index, "crash",
-                         f"worker process died {attempts[index]} times "
-                         f"running this task", runs=attempts[index])
+                attempts[chunk] += 1
+                if attempts[chunk] > pool_retries:
+                    fail(chunks[chunk], "crash",
+                         f"worker process died {attempts[chunk]} times "
+                         f"running this task", runs=attempts[chunk])
                     continue
-            recorder.counter("parallel.tasks.resubmitted").inc()
-            queue.appendleft(index)
+            recorder.counter("parallel.tasks.resubmitted").inc(
+                len(chunks[chunk]))
+            queue.appendleft(chunk)
 
     try:
         while queue or inflight:
-            # Keep exactly `count` tasks in flight: a submitted task
+            # Keep exactly `count` chunks in flight: a submitted chunk
             # starts (almost) immediately, which is what makes the
             # submission-time deadline a faithful per-task timeout.
             rebuild = False
             while queue and len(inflight) < count:
-                index = queue.popleft()
+                chunk = queue.popleft()
+                indices = chunks[chunk]
                 try:
-                    future = pool.submit(_invoke, fn, index, items[index])
+                    future = pool.submit(_invoke, fn, indices,
+                                         [items[i] for i in indices])
                 except BrokenProcessPool:
-                    queue.appendleft(index)
+                    queue.appendleft(chunk)
                     rebuild = True
                     break
-                inflight[future] = index
+                inflight[future] = chunk
                 submitted[future] = monotonic()
                 if limit is not None:
                     deadlines[future] = monotonic() + limit
-            # Worker-health signal for `repro top`: how many tasks the
+            # Worker-health signal for `repro top`: how many items the
             # pool currently has in flight (live snapshots read gauges
             # from the parent recorder only, so this is pool-side state,
             # never shipped from workers).
-            recorder.gauge("parallel.tasks.inflight").set(len(inflight))
+            recorder.gauge("parallel.tasks.inflight").set(
+                sum(len(chunks[c]) for c in inflight.values()))
             if rebuild:
                 recorder.counter("parallel.pool.rebuilds", cause="crash").inc()
                 recycle_inflight(broken=True)
@@ -389,24 +438,19 @@ def _pool_map(fn, items, count, limit, on_error, pool_retries, on_result):
 
             broken = False
             for future in done:
-                index = inflight.pop(future)
+                chunk = inflight.pop(future)
                 deadlines.pop(future, None)
                 exc = future.exception()
                 if exc is None:
-                    value, telemetry = future.result()
-                    absorb(future, telemetry)
-                    submitted.pop(future, None)
-                    recorder.counter("parallel.tasks.completed").inc()
-                    results[index] = value
-                    if on_result is not None:
-                        on_result(index, value)
+                    complete(chunk, future.result(), submitted.pop(future, None))
                 elif isinstance(exc, BrokenProcessPool):
                     # Victim of a died worker; requeue with the rest.
-                    inflight[future] = index
+                    inflight[future] = chunk
                     broken = True
                 else:
                     submitted.pop(future, None)
-                    fail(index, "error", str(exc),
+                    fail(chunks[chunk], "error", str(exc),
+                         runs=attempts[chunk] + 1,
                          error_type=type(exc).__name__, exception=exc)
             if broken:
                 recorder.counter("parallel.pool.rebuilds", cause="crash").inc()
@@ -421,12 +465,13 @@ def _pool_map(fn, items, count, limit, on_error, pool_retries, on_result):
                            if deadline <= now]
                 if expired:
                     for future in expired:
-                        index = inflight.pop(future)
+                        chunk = inflight.pop(future)
                         deadlines.pop(future, None)
-                        fail(index, "timeout",
-                             f"exceeded the {limit:g}s task timeout")
+                        fail(chunks[chunk], "timeout",
+                             f"exceeded the {limit:g}s task timeout",
+                             runs=attempts[chunk] + 1)
                     # The hung workers still occupy pool slots; replace
-                    # the pool and resubmit the innocent in-flight tasks.
+                    # the pool and resubmit the innocent in-flight chunks.
                     recorder.counter("parallel.pool.rebuilds",
                                      cause="timeout").inc()
                     recycle_inflight(broken=False)

@@ -20,11 +20,13 @@ clauses:
     the fault to one sweep family (``single`` or ``dual``); a bare index
     matches every scope.
 ``crash@INDEX[:times]``
-    Kill the worker process (``os._exit``) that picks up parallel task
-    ``INDEX`` -- models a segfaulting or OOM-killed worker.
+    Kill the worker process (``os._exit``) when it reaches item
+    ``INDEX`` of a pooled map -- models a segfaulting or OOM-killed
+    worker.  The item's whole chunk is lost with it.
 ``hang@INDEX[:times]``
-    Make parallel task ``INDEX`` sleep for ``REPRO_FAULT_HANG`` seconds
-    (default 30) -- models a hung solve, for exercising task timeouts.
+    Make the worker sleep for ``REPRO_FAULT_HANG`` seconds (default 30)
+    when it reaches item ``INDEX`` -- models a hung solve, for
+    exercising task timeouts.
 ``transient@*[:times]``
     Raise a :class:`~repro.errors.ConvergenceError` at the start of a
     transient-analysis attempt -- exercises the solver retry ladder.
@@ -220,13 +222,13 @@ def fire_point(scope: str, index: int) -> None:
 
 
 def fire_task(index: int) -> None:
-    """Worker-process hook: crash or hang parallel task ``index``.
+    """Worker-process hook: crash or hang at item ``index`` of a map.
 
     Called by the process-pool task wrapper in :mod:`repro.parallel`
-    (never on the serial path -- these model *worker* faults).  A
-    ``crash`` clause terminates the worker with ``os._exit`` so not even
-    ``finally`` blocks run, exactly like a segfault; a ``hang`` clause
-    sleeps for ``REPRO_FAULT_HANG`` seconds.
+    before each item of a chunk (never on the serial path -- these
+    model *worker* faults).  A ``crash`` clause terminates the worker
+    with ``os._exit`` so not even ``finally`` blocks run, exactly like a
+    segfault; a ``hang`` clause sleeps for ``REPRO_FAULT_HANG`` seconds.
     """
     plan = _active_plan()
     if plan is None:

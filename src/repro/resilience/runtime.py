@@ -34,8 +34,7 @@ from ..obs import get_recorder
 from ..parallel import TaskFailure, parallel_map
 from .journal import ProgressJournal
 
-__all__ = ["RESUME_ENV_VAR", "resolve_resume", "resilient_map",
-           "resilient_chunked_map"]
+__all__ = ["RESUME_ENV_VAR", "resolve_resume", "resilient_map"]
 
 #: Set to a truthy value ("1", "true", "yes", "on") to resume journaled sweeps.
 RESUME_ENV_VAR = "REPRO_RESUME"
@@ -60,6 +59,7 @@ def resilient_map(fn: Callable[[Any], Any], items: Sequence[Any], *,
                   journal_key: Dict[str, Any],
                   directory: Optional[Union[str, Path]],
                   workers: Optional[int] = None,
+                  chunksize: int = 1,
                   timeout: Optional[float] = None,
                   on_error: str = "collect",
                   resume: Optional[bool] = None,
@@ -88,6 +88,11 @@ def resilient_map(fn: Callable[[Any], Any], items: Sequence[Any], *,
     When every item succeeds the journal is deleted -- the sweep's cache
     entry supersedes it.  While failures remain the journal is kept, so
     a later ``--resume`` run retries only the failed/missing points.
+
+    ``chunksize`` is handed to :func:`~repro.parallel.parallel_map`: how
+    many items one pooled task carries.  Every item is still journaled
+    and reported on its own, so a sweep interrupted under one chunk size
+    resumes under any other.
     """
     items = list(items)
     journal: Optional[ProgressJournal] = None
@@ -112,7 +117,8 @@ def resilient_map(fn: Callable[[Any], Any], items: Sequence[Any], *,
 
     computed = parallel_map(
         fn, [items[i] for i in todo],
-        workers=workers, timeout=timeout, on_error=on_error,
+        workers=workers, chunksize=chunksize, timeout=timeout,
+        on_error=on_error,
         on_result=journal_result if journal is not None else None,
     )
 
@@ -131,105 +137,6 @@ def resilient_map(fn: Callable[[Any], Any], items: Sequence[Any], *,
             )
             failures.append(value)
         results[global_index] = value
-    if journal is not None and not failures:
-        journal.clear()
-    return results, failures
-
-
-def resilient_chunked_map(chunk_fn: Callable[[Any], Sequence[Tuple]],
-                          items: Sequence[Any], *,
-                          batch: int,
-                          make_chunk: Callable[[List[Tuple[int, Any]]], Any],
-                          journal_kind: str,
-                          journal_key: Dict[str, Any],
-                          directory: Optional[Union[str, Path]],
-                          workers: Optional[int] = None,
-                          timeout: Optional[float] = None,
-                          resume: Optional[bool] = None,
-                          encode: Optional[Callable[[Any], Any]] = None,
-                          decode: Optional[Callable[[Any], Any]] = None,
-                          ) -> Tuple[List[Any], List[TaskFailure]]:
-    """:func:`resilient_map` for sweeps that batch points per task.
-
-    Instead of one task per point, the ``items`` are partitioned into
-    chunks of ``batch`` points and ``make_chunk`` builds one picklable
-    task from each chunk's ``(global_index, item)`` pairs.  The worker
-    ``chunk_fn`` returns one *envelope* per pair, in order:
-    ``("ok", value)`` for a completed point, or
-    ``("err", kind, message, error_type)`` for a point that failed --
-    so a single bad point degrades exactly as it does on the scalar
-    path (same :class:`TaskFailure` kind/message in the health report)
-    while its chunk-mates survive.
-
-    Journaling, resume and cleanup use the same per-**point** journal as
-    :func:`resilient_map` with the same kind/key identity, so a sweep
-    can be interrupted under one batch size and resumed under another
-    (or scalar) without recomputing completed points.  A chunk task the
-    pool loses wholesale (worker crash, timeout) fails all of its
-    points with that record's kind and message.
-    """
-    items = list(items)
-    journal: Optional[ProgressJournal] = None
-    if directory is not None:
-        journal = ProgressJournal.for_key(directory, journal_kind, journal_key)
-    done: Dict[int, Any] = {}
-    if journal is not None:
-        if resolve_resume(resume):
-            done = journal.load(decode=decode)
-            if done:
-                get_recorder().counter("charlib.journal.resumed_points",
-                                       kind=journal_kind).inc(len(done))
-        else:
-            journal.clear()
-
-    todo = [i for i in range(len(items)) if i not in done]
-    chunk_indices = [todo[i:i + batch] for i in range(0, len(todo), batch)]
-    tasks = [make_chunk([(i, items[i]) for i in chunk])
-             for chunk in chunk_indices]
-
-    def journal_chunk(local_index: int, envelopes: Sequence[Tuple]) -> None:
-        for global_index, envelope in zip(chunk_indices[local_index],
-                                          envelopes):
-            if envelope[0] == "ok":
-                value = envelope[1]
-                journal.record(global_index,
-                               encode(value) if encode is not None else value)
-
-    computed = parallel_map(
-        chunk_fn, tasks,
-        workers=workers, timeout=timeout, on_error="collect",
-        on_result=journal_chunk if journal is not None else None,
-    )
-
-    results: List[Any] = [None] * len(items)
-    failures: List[TaskFailure] = []
-    for global_index, value in done.items():
-        if 0 <= global_index < len(items):
-            results[global_index] = value
-    for local_index, outcome in enumerate(computed):
-        chunk = chunk_indices[local_index]
-        if isinstance(outcome, TaskFailure):
-            # The whole chunk task was lost; every point in it fails
-            # with the chunk's record.
-            for global_index in chunk:
-                failure = TaskFailure(
-                    index=global_index, kind=outcome.kind,
-                    message=outcome.message, error_type=outcome.error_type,
-                    attempts=outcome.attempts, exception=outcome.exception,
-                )
-                failures.append(failure)
-                results[global_index] = failure
-            continue
-        for global_index, envelope in zip(chunk, outcome):
-            if envelope[0] == "ok":
-                results[global_index] = envelope[1]
-            else:
-                _tag, kind, message, error_type = envelope
-                failure = TaskFailure(index=global_index, kind=kind,
-                                      message=message, error_type=error_type)
-                failures.append(failure)
-                results[global_index] = failure
-    failures.sort(key=lambda f: f.index)
     if journal is not None and not failures:
         journal.clear()
     return results, failures

@@ -1,9 +1,9 @@
 """Batched entry points over many independent analyses.
 
-Characterization grids and the serve broker hand the simulator whole
-lists of independent DC or transient analyses.  The functions here
-accept such lists and run every analysis, lane by lane, on the scalar
-solver: each lane binds its own solver under
+The serve broker hands the simulator whole lists of independent
+transient analyses.  The functions here accept such lists and run
+every analysis, lane by lane, on the scalar solver: each lane binds its
+own solver under
 :meth:`~repro.spice.engine.SolveContext.for_analysis`, exactly like a
 scalar analysis -- so each lane's result, Newton accounting and solver
 counters are the scalar path's by construction, for any batch size and

@@ -37,9 +37,12 @@ On top sits the opt-in **guard monitor** (``REPRO_GUARD=1`` or
   expiry aborts with ``reason=watchdog``.
 * **condition monitoring** -- a Hager-style 1-norm condition estimate of
   the first iteration's Jacobian (two extra triangular/dense solves,
-  sampled once per analysis by default); estimates above
-  ``REPRO_GUARD_COND`` log a ``repro.spice.guard`` warning and count
-  ``spice.guard.illconditioned``.  Warn-only: results are never changed.
+  sampled once per analysis); estimates above 1e12 log a
+  ``repro.spice.guard`` warning and count ``spice.guard.illconditioned``.
+  Warn-only: results are never changed.
+
+The thresholds other than the watchdog's are :class:`GuardPolicy`
+defaults, not environment knobs.
 
 The monitors never perturb the iteration itself -- with the guard on, a
 clean run produces bit-identical results to a guard-off run, which is
@@ -62,8 +65,7 @@ from ..log import get_logger
 from ..obs import get_recorder
 
 __all__ = [
-    "GUARD_ENV_VAR", "COND_ENV_VAR", "COND_EVERY_ENV_VAR",
-    "DIVERGE_ENV_VAR", "WALL_ENV_VAR", "ESCALATION_RUNGS",
+    "GUARD_ENV_VAR", "WALL_ENV_VAR", "ESCALATION_RUNGS",
     "GuardAbort", "GuardPolicy", "GuardMonitor", "SolveGuard",
     "guard_enabled", "record_rung", "note_illconditioned",
     "condition_estimate_dense", "condition_estimate_sparse",
@@ -71,14 +73,6 @@ __all__ = [
 
 #: Environment knob enabling the opt-in solver guard monitors.
 GUARD_ENV_VAR = "REPRO_GUARD"
-#: 1-norm condition-estimate warning threshold (default 1e12; 0 disables).
-COND_ENV_VAR = "REPRO_GUARD_COND"
-#: Condition-estimate sampling cadence in solves per analysis (default:
-#: the first solve of each analysis only; N also checks every Nth).
-COND_EVERY_ENV_VAR = "REPRO_GUARD_COND_EVERY"
-#: Residual-growth factor declaring an iteration divergent (default 1e3;
-#: 0 disables divergence detection).
-DIVERGE_ENV_VAR = "REPRO_GUARD_DIVERGE"
 #: Per-solve wall-clock budget in seconds (default: no watchdog).
 WALL_ENV_VAR = "REPRO_GUARD_WALL"
 
@@ -87,9 +81,7 @@ WALL_ENV_VAR = "REPRO_GUARD_WALL"
 ESCALATION_RUNGS = ("refresh", "nudge", "gmin_ramp", "source_step",
                     "timestep_cut")
 
-#: Consecutive growing iterations before a divergence abort.  Not an
-#: environment knob: the streak mostly trades off against
-#: ``diverge_factor``, and one dial is easier to reason about.
+#: Consecutive growing iterations before a divergence abort.
 DIVERGE_STREAK = 5
 
 _log = get_logger("spice.guard")
@@ -149,21 +141,6 @@ class GuardAbort(ConvergenceError):
         self.reason = reason
 
 
-def _parse_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip().lower()
-    if raw in ("", "default"):
-        return default
-    if raw in ("0", "off", "none", "no", "false"):
-        return float("inf")  # disabled: the threshold is never exceeded
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ReproError(f"{name} must be a number, got {raw!r}") from None
-    if value <= 0.0:
-        raise ReproError(f"{name} must be positive (or 0 to disable)")
-    return value
-
-
 def _parse_wall() -> Optional[float]:
     raw = os.environ.get(WALL_ENV_VAR, "").strip().lower()
     if raw in ("", "off", "none", "no", "false"):
@@ -176,21 +153,6 @@ def _parse_wall() -> Optional[float]:
         ) from None
     if value < 0.0:
         raise ReproError(f"{WALL_ENV_VAR} must be >= 0 seconds")
-    return value
-
-
-def _parse_every() -> int:
-    raw = os.environ.get(COND_EVERY_ENV_VAR, "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ReproError(
-            f"{COND_EVERY_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ReproError(f"{COND_EVERY_ENV_VAR} must be >= 0")
     return value
 
 
@@ -217,7 +179,8 @@ class GuardPolicy:
 
     @classmethod
     def from_env(cls) -> Optional["GuardPolicy"]:
-        """The policy ``REPRO_GUARD``/knobs describe, or ``None`` when off.
+        """The default policy with ``REPRO_GUARD_WALL``'s watchdog, or
+        ``None`` when ``REPRO_GUARD`` is off.
 
         ``None`` (the default state) means *no guard anywhere*: callers
         omit the ``guard=`` keyword entirely, so the default solver path
@@ -225,12 +188,7 @@ class GuardPolicy:
         """
         if not guard_enabled():
             return None
-        return cls(
-            condition_limit=_parse_float(COND_ENV_VAR, 1e12),
-            condition_every=_parse_every(),
-            diverge_factor=_parse_float(DIVERGE_ENV_VAR, 1e3),
-            max_wall_seconds=_parse_wall(),
-        )
+        return cls(max_wall_seconds=_parse_wall())
 
 
 class GuardMonitor:

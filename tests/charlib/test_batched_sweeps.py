@@ -1,11 +1,11 @@
 """Batched-vs-scalar equivalence of the characterization sweeps.
 
-The batched grid path (``batch``/``REPRO_BATCH``) hands sweep points
-to the simulator in chunks instead of one transient per task.  Its
-contract mirrors the worker-count contract: tables are
-*bit-identical* to the scalar sweep for any batch size, failures degrade
-to the same NaN cells and health records, and the per-point journal
-stays interoperable between the two modes.
+``batch`` (``REPRO_BATCH``) makes each pooled task carry that many sweep
+points instead of one; it only acts on a process pool, so the batched
+runs here use two workers.  Its contract mirrors the worker-count
+contract: tables are *bit-identical* to the scalar sweep for any batch
+size, failures degrade to the same NaN cells and health records, and
+the per-point journal stays interoperable between the two modes.
 """
 
 import numpy as np
@@ -44,7 +44,8 @@ class TestBatchedEquivalence:
         """Batch 2 leaves a ragged final chunk; batch 8 exceeds the
         3-point sweep, exercising the single-chunk path."""
         scalar = single(nand2, thresholds, tmp_path / "scalar", batch=0)
-        batched = single(nand2, thresholds, tmp_path / "batched", batch=batch)
+        batched = single(nand2, thresholds, tmp_path / "batched", batch=batch,
+                         workers=2)
         assert np.array_equal(scalar._u, batched._u)
         assert np.array_equal(scalar._d, batched._d)
         assert np.array_equal(scalar._t, batched._t)
@@ -52,7 +53,8 @@ class TestBatchedEquivalence:
 
     def test_dual_table_bit_identical(self, nand2, thresholds, tmp_path):
         scalar = dual(nand2, thresholds, tmp_path / "scalar", batch=0)
-        batched = dual(nand2, thresholds, tmp_path / "batched", batch=3)
+        batched = dual(nand2, thresholds, tmp_path / "batched", batch=3,
+                       workers=2)
         for axis_s, axis_b in zip(scalar.axes, batched.axes):
             assert np.array_equal(axis_s, axis_b)
         assert np.array_equal(scalar._delay_table, batched._delay_table)
@@ -69,7 +71,8 @@ class TestBatchedEquivalence:
     def test_env_var_selects_batched_path(self, nand2, thresholds, tmp_path,
                                           monkeypatch):
         scalar = single(nand2, thresholds, tmp_path / "scalar")
-        monkeypatch.setenv("REPRO_BATCH", "4")
+        monkeypatch.setenv("REPRO_BATCH", "2")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         batched = single(nand2, thresholds, tmp_path / "env")
         assert np.array_equal(scalar._u, batched._u)
         assert np.array_equal(scalar._d, batched._d)
@@ -84,7 +87,8 @@ class TestBatchedDegradation:
         with FaultInjection("point@single/1:always"):
             scalar = single(nand2, thresholds, tmp_path / "scalar")
         with FaultInjection("point@single/1:always"):
-            batched = single(nand2, thresholds, tmp_path / "batched", batch=3)
+            batched = single(nand2, thresholds, tmp_path / "batched", batch=2,
+                             workers=2)
         assert np.array_equal(scalar._u, batched._u)
         assert np.array_equal(scalar._d, batched._d)
         assert len(batched.health.failed) == 1
@@ -98,7 +102,8 @@ class TestBatchedDegradation:
         batch size): the journal holds its completed points."""
         cache_dir = tmp_path / "cache"
         with FaultInjection("point@single/1:always"):
-            degraded = single(nand2, thresholds, cache_dir, batch=3)
+            degraded = single(nand2, thresholds, cache_dir, batch=2,
+                              workers=2)
         assert len(degraded.health.failed) == 1
 
         monkeypatch.setenv("REPRO_RESUME", "1")
@@ -115,7 +120,8 @@ class TestBatchedDegradation:
         with FaultInjection("point@dual/3:always"):
             scalar = dual(nand2, thresholds, tmp_path / "scalar")
         with FaultInjection("point@dual/3:always"):
-            batched = dual(nand2, thresholds, tmp_path / "batched", batch=4)
+            batched = dual(nand2, thresholds, tmp_path / "batched", batch=4,
+                           workers=2)
         assert np.array_equal(scalar._delay_table, batched._delay_table)
         assert np.array_equal(scalar._ttime_table, batched._ttime_table)
         assert len(batched.health.failed) == 1

@@ -13,6 +13,8 @@ import pytest
 
 from repro import Gate
 from repro.charlib import simulate
+from repro.errors import MeasurementError
+from repro.obs import recording
 from repro.charlib.simulate import (
     SETTLE_TOLERANCE,
     multi_input_response,
@@ -162,3 +164,27 @@ def test_returning_glitch_runs_its_whole_window(process, thresholds):
     assert abs(full.output(b_end)) <= SETTLE_TOLERANCE * vdd
     assert len(shot.output.times) == len(full.output.times)
     assert shot.output.final_value() == pytest.approx(vdd, abs=1e-3)
+
+
+def test_returning_glitch_gives_up_after_one_window(process, thresholds):
+    """NAND2: ``b`` falls while ``a``'s rise is still discharging the
+    output, and the final inputs hold it at Vdd.  Once every input is
+    flat no longer window can complete the fall, so the shot raises
+    after one transient analysis (the 2x and 4x windows used to run
+    too) with the message those three windows produced."""
+    gate = Gate.nand(2, process)
+    edges = {"a": Edge(RISE, 0.0, 500e-12), "b": Edge(FALL, 50e-12, 50e-12)}
+    for run in (
+        lambda: multi_input_response(gate, edges, thresholds, reference="a",
+                                     load=100e-15),
+        lambda: multi_input_response_batch(
+            gate, [(edges, "a", 100e-15)], thresholds)[0],
+    ):
+        with recording() as rec:
+            outcome = _outcome(run)
+        assert type(outcome) is MeasurementError
+        assert str(outcome) == (
+            "output of 'nand2' never completed its fall transition within "
+            "3 window doublings: waveform never crosses 3.495 (fall)")
+        counters = rec.metrics_payload()["counters"]
+        assert counters["spice.transient.analyses"] == 1

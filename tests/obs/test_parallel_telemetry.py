@@ -95,3 +95,25 @@ class TestFailureAccounting:
         assert counters["parallel.tasks.completed"] == len(ITEMS) - 1
         assert counters["unit.items"] == len(ITEMS) - 1
         assert results[3].kind == "error"
+
+    def test_chunked_pool_counts_items(self, monkeypatch):
+        """Chunks change what one pooled task carries, not what the task
+        counters, spans, timings and ``on_result`` see: one per item."""
+        monkeypatch.setenv(OBS_ENV_VAR, "1")
+        runs = []
+        for workers, chunksize in ((0, 1), (2, 1), (2, 3)):
+            seen = []
+            with recording() as rec:
+                results = parallel_map(
+                    _failing, ITEMS, workers=workers, chunksize=chunksize,
+                    on_error="collect", on_result=lambda i, v: seen.append(i))
+            runs.append((results[:3] + results[4:], sorted(seen),
+                         rec.metrics_payload()["counters"]))
+            executed = rec.metrics_payload()["histograms"][
+                "parallel.task_execute_seconds"]["count"]
+            assert executed == len(ITEMS) - 1
+            assert results[3].kind == "error"
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[2][1] == [i for i in ITEMS if i != 3]
+        assert runs[2][2]["parallel.tasks.completed"] == len(ITEMS) - 1
+        assert runs[2][2]["parallel.tasks.failed{kind=error}"] == 1

@@ -27,9 +27,9 @@ FAULTS = "point@single/1:always,point@dual/3:always,point@dual/7:always,crash@2:
 
 
 def _characterize(gate, thresholds, directory, *, workers=None):
-    # Pinned to the scalar (one task per point) path: the crash fault
-    # spec targets a task index, and batching deliberately changes task
-    # granularity.  Batched degradation parity lives in
+    # Pinned to one point per pooled task: the crash fault kills the
+    # worker at point 2, and under batching its whole chunk would be
+    # resubmitted with it.  Batched degradation parity lives in
     # tests/charlib/test_batched_sweeps.py.
     cache = CharacterizationCache(directory)
     single = characterize_single_input(

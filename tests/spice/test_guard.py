@@ -33,9 +33,6 @@ from repro.spice import (
 )
 from repro.spice.engine import NewtonStats, SolveContext, newton_solve
 from repro.spice.guard import (
-    COND_ENV_VAR,
-    COND_EVERY_ENV_VAR,
-    DIVERGE_ENV_VAR,
     DIVERGE_STREAK,
     GUARD_ENV_VAR,
     WALL_ENV_VAR,
@@ -63,10 +60,13 @@ def pinned_backends(monkeypatch):
     monkeypatch.setenv(SPARSE_ENV_VAR, "0")
     monkeypatch.setenv("REPRO_FAST_NEWTON", "0")
     monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
-    monkeypatch.delenv(COND_ENV_VAR, raising=False)
-    monkeypatch.delenv(COND_EVERY_ENV_VAR, raising=False)
-    monkeypatch.delenv(DIVERGE_ENV_VAR, raising=False)
     monkeypatch.delenv(WALL_ENV_VAR, raising=False)
+
+
+def guard_with(monkeypatch, **policy):
+    """Turn the guard on with a :class:`GuardPolicy` built directly."""
+    monkeypatch.setattr(GuardPolicy, "from_env",
+                        classmethod(lambda cls: cls(**policy)))
 
 
 def inverter(tau: float = 0.3e-9, cl: float = 1e-13) -> Circuit:
@@ -131,25 +131,12 @@ class TestEnvParsing:
                                      diverge_streak=DIVERGE_STREAK,
                                      max_wall_seconds=None)
 
-    def test_zero_disables_individual_monitors(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(COND_ENV_VAR, "0")
-        monkeypatch.setenv(DIVERGE_ENV_VAR, "off")
-        policy = GuardPolicy.from_env()
-        assert policy.condition_limit == float("inf")
-        assert policy.diverge_factor == float("inf")
-
     def test_explicit_knobs(self, monkeypatch):
+        """The watchdog budget is the one tunable; the thresholds stay
+        at their defaults."""
         monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(COND_ENV_VAR, "1e8")
-        monkeypatch.setenv(COND_EVERY_ENV_VAR, "3")
-        monkeypatch.setenv(DIVERGE_ENV_VAR, "50")
         monkeypatch.setenv(WALL_ENV_VAR, "2.5")
-        policy = GuardPolicy.from_env()
-        assert policy.condition_limit == 1e8
-        assert policy.condition_every == 3
-        assert policy.diverge_factor == 50.0
-        assert policy.max_wall_seconds == 2.5
+        assert GuardPolicy.from_env() == GuardPolicy(max_wall_seconds=2.5)
 
     def test_wall_zero_is_an_immediate_deadline(self, monkeypatch):
         monkeypatch.setenv(GUARD_ENV_VAR, "1")
@@ -157,14 +144,8 @@ class TestEnvParsing:
         assert GuardPolicy.from_env().max_wall_seconds == 0.0
 
     @pytest.mark.parametrize("var,value", [
-        (COND_ENV_VAR, "bogus"),
-        (COND_ENV_VAR, "-1"),
-        (DIVERGE_ENV_VAR, "nonsense"),
-        (DIVERGE_ENV_VAR, "-2"),
         (WALL_ENV_VAR, "soon"),
         (WALL_ENV_VAR, "-1"),
-        (COND_EVERY_ENV_VAR, "x"),
-        (COND_EVERY_ENV_VAR, "-3"),
     ])
     def test_invalid_knobs_raise(self, monkeypatch, var, value):
         monkeypatch.setenv(GUARD_ENV_VAR, "1")
@@ -345,8 +326,7 @@ class TestCleanPathIdentity:
 class TestDivergenceAbort:
     def test_runaway_scalar_solve_aborts_and_walks_the_ladder(
             self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(DIVERGE_ENV_VAR, "2")
+        guard_with(monkeypatch, diverge_factor=2.0)
         monkeypatch.setattr(engine, "dense_solve", runaway_solve)
         with recording() as rec:
             with pytest.raises(ConvergenceError):
@@ -372,8 +352,7 @@ class TestDivergenceAbort:
     def test_batch_divergence_accounting_matches_scalar(self, monkeypatch):
         """A diverging lane's stats and guard counters must equal the
         scalar driver's, lane for lane."""
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(DIVERGE_ENV_VAR, "2")
+        guard_with(monkeypatch, diverge_factor=2.0)
         monkeypatch.setattr(engine, "dense_solve", runaway_solve)
         widths = [4e-6, 5e-6, 6e-6]
 
@@ -420,8 +399,7 @@ class TestConditionMonitoring:
         # The floating node's ~gmin diagonal entry puts the condition
         # estimate around 2e9, far past the 1e6 limit.
         baseline = solve_dc(floating_node())
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(COND_ENV_VAR, "1e6")
+        guard_with(monkeypatch, condition_limit=1e6)
         logger = logging.getLogger("repro")
         monkeypatch.setattr(logger, "propagate", True)
         with recording() as rec:
@@ -441,8 +419,7 @@ class TestConditionMonitoring:
             rec.metrics_payload()["counters"]
 
     def test_illconditioned_count_is_batch_invariant(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(COND_ENV_VAR, "1e6")
+        guard_with(monkeypatch, condition_limit=1e6)
         lanes = 4
         with recording() as rec_scalar:
             for _ in range(lanes):

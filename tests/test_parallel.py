@@ -104,8 +104,10 @@ class TestParallelMap:
             parallel_map(_raise_on_three, range(5), workers=0)
 
     def test_parallel_exception_propagates(self):
-        with pytest.raises(ValueError):
-            parallel_map(_raise_on_three, range(5), workers=2)
+        with pytest.raises(ValueError) as info:
+            parallel_map(_raise_on_three, range(5), workers=2, chunksize=2)
+        # The worker's traceback rides along as the exception's cause.
+        assert "_raise_on_three" in str(info.value.__cause__)
 
     def test_chunksize(self):
         items = list(range(10))
