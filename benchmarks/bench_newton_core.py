@@ -1,9 +1,9 @@
 """Newton core: vectorized assembly speedup + fast-Newton tradeoff.
 
 The solver-core claim of the compiled stamp plan: the per-iteration
-assembly the scalar transient engine runs (cap-companion stamps, the
-exact ``newton_solve`` inner path) is at least 2x faster than the
-pre-plan scalar loop -- which is kept in-tree verbatim as
+dense assembly (cap-companion stamps, through ``assemble_into``, which
+runs the plan's gate kernel on this NAND3) is at least 2x faster than
+the pre-plan scalar loop -- which is kept in-tree verbatim as
 ``assemble_system_reference``, so the comparison is against the real
 pre-refactor engine -- while staying *bit-identical* to it.
 
@@ -75,8 +75,8 @@ def test_scalar_assembly_speedup_and_identity(benchmark, request):
                                       cap_stamps=stamps)
 
     def run_vectorized():
-        # The newton_solve inner path: solve invariants loaded once,
-        # then one assemble_into per iteration.
+        # Solve invariants loaded once, then one assemble_into per
+        # iteration.
         load_solve(plan, ws, known, 0.0, stamps, 1.0, compiled.isources)
         for x in xs:
             assemble_into(plan, ws, plan.dense, x, 1e-12, True)

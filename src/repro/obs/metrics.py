@@ -29,6 +29,7 @@ compare counters, never timings.
 
 from __future__ import annotations
 
+import operator
 import threading
 from bisect import bisect_right
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
@@ -63,6 +64,17 @@ def metric_key(name: str, labels: Optional[Mapping[str, Any]] = None) -> str:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
+
+
+def _number(value) -> "int | float":
+    """A payload counter or gauge value: integers as ``int``, else ``float``.
+
+    Raises ``TypeError``/``ValueError`` on a non-numeric value.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        return float(value)
 
 
 class Counter:
@@ -224,7 +236,8 @@ class MetricRegistry:
         """Fold a payload (another process' delta or snapshot) in.
 
         Counters add, gauges take the incoming value, histograms add
-        bucket-wise (same edges required).
+        bucket-wise (same edges required).  Integer values stay integers,
+        so a pooled run's totals serialize exactly like a serial run's.
 
         Absorption is **transactional**: the whole payload is parsed
         and validated against the registry before any metric mutates.
@@ -237,9 +250,9 @@ class MetricRegistry:
         # Parse everything up front; nothing below this block may raise
         # after the first mutation.
         try:
-            counters = {key: float(value) for key, value
+            counters = {key: _number(value) for key, value
                         in dict(payload.get("counters", {})).items()}
-            gauges = {key: float(value) for key, value
+            gauges = {key: _number(value) for key, value
                       in dict(payload.get("gauges", {})).items()}
             incoming_hists = {key: Histogram.from_payload(entry)
                               for key, entry

@@ -8,6 +8,24 @@ voltages ``x`` such that KCL holds at every unknown node,
 DC analysis stamps only resistive elements (plus ``gmin`` leaks);
 transient analysis additionally passes *companion stamps* for the
 capacitors (Norton equivalents of the implicit integration rule).
+
+:func:`newton_solve` picks its loop by the circuit's transistor count.
+Gate-sized circuits (below
+:data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER`) iterate on Python
+floats: the plan's generated kernel returns ``F`` and ``J`` as lists,
+and the only numpy call per iteration is LAPACK ``gesv`` (:data:`gesv`)
+under one error state per solve.  A NumPy array op costs ~1-3 us
+whatever its size, which was most of the ~20 us the NumPy assembly of
+a 3-unknown NAND3 iteration took.  Results stay bit-identical: the
+kernel applies one IEEE add per contribution in the plan's emission
+order (never ``sum()`` or ``math.fsum``; Python 3.12's ``sum()``
+compensates float sums), the norms are NaN-propagating maxima like
+``np.abs(F).max()``, damping and the update are the same elementwise
+products and sums, and the linear solve is the same ``gesv`` on the
+same bits.  Larger circuits, sparse dispatch and the opt-in
+modified-Newton mode run the NumPy loops.  Over 10 alternating
+``bench/compare.py`` pairs on a 2-vCPU Xeon container, the kernel loop
+took ``validate_oracle`` from 7.54 to 12.47 configs/s.
 """
 
 from __future__ import annotations
@@ -32,12 +50,12 @@ from .mosfet import mosfet_current
 from .netlist import CompiledCircuit
 from .sparse import sparse_enabled
 from .stamps import (CapStampArrays, assemble_into, assemble_sparse,
-                     load_solve)
+                     load_kernel, load_solve)
 
 __all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "assemble_system",
            "assemble_system_reference", "newton_solve", "SolveContext",
            "FastNewtonState", "fast_newton_enabled", "FAST_NEWTON_ENV_VAR",
-           "dense_solve", "nudge_diagonal", "singular_nudge"]
+           "dense_solve", "gesv", "nudge_diagonal", "singular_nudge"]
 
 #: Environment knob enabling the opt-in modified-Newton mode.
 FAST_NEWTON_ENV_VAR = "REPRO_FAST_NEWTON"
@@ -325,6 +343,47 @@ def _finish_solve(profile: Optional[PhaseProfiler],
     flight.note_solve(**record)
 
 
+def _end_solve(stats: Optional[NewtonStats], recorder, backend: str,
+               profile: Optional[PhaseProfiler], times: Optional[PhaseTimes],
+               n: int, iterations: int, outcome: str,
+               condition: Optional[float] = None) -> None:
+    """Account one finished Newton solve: stats, counters, phases, flight."""
+    converged = outcome == "converged"
+    if stats is not None:
+        stats.record(iterations, converged=converged)
+    _observe_solve(iterations, converged=converged, recorder=recorder,
+                   backend=backend)
+    _finish_solve(profile, times, backend, recorder, n, iterations, outcome,
+                  condition=condition)
+
+
+def _check_guard(guard: SolveGuard, iteration: int, residual: float,
+                 stats: Optional[NewtonStats], recorder, backend: str, n: int,
+                 times: Optional[PhaseTimes],
+                 profile: Optional[PhaseProfiler]) -> None:
+    """One iteration's guard check; an abort is accounted, then raised."""
+    start = _monotonic() if times is not None else 0.0
+    abort = guard.check(iteration, residual)
+    if times is not None:
+        times.guard += _monotonic() - start
+    if abort is not None:
+        _guard_abort(abort, stats, recorder, backend, n=n, times=times,
+                     profile=profile)
+        raise abort
+
+
+def _estimate_condition(guard: SolveGuard, estimate_of, J, recorder,
+                        times: Optional[PhaseTimes]) -> float:
+    """The sampled condition estimate of the Jacobian just solved with."""
+    start = _monotonic() if times is not None else 0.0
+    estimate = estimate_of(J)
+    if times is not None:
+        times.guard += _monotonic() - start
+    if guard.note_condition(estimate):
+        note_illconditioned(estimate, guard.policy.condition_limit, recorder)
+    return estimate
+
+
 class FastNewtonState:
     """Cross-solve state of the opt-in modified-Newton mode.
 
@@ -352,16 +411,28 @@ def _raise_singular(err: str, flag: int) -> None:
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+#: The error state :func:`numpy.linalg.solve` runs ``gesv`` under: a
+#: singular matrix raises ``LinAlgError``.
+_SINGULAR_RAISES = dict(call=_raise_singular, invalid="call", over="ignore",
+                        divide="ignore", under="ignore")
+
+#: LAPACK ``gesv``, the gufunc behind :func:`numpy.linalg.solve`.  It
+#: raises on a singular matrix only under ``_SINGULAR_RAISES``.  Every
+#: dense full-Newton solve calls it through this name --
+#: :func:`dense_solve` per call, the gate-sized loop once per solve --
+#: so fault-injection tests patch it here.
+gesv = _umath_linalg.solve1
+
+
 def dense_solve(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``J @ dx = rhs`` for float64 ``J`` of shape ``(n, n)``.
 
-    Calls the LAPACK ``gesv`` gufunc :func:`numpy.linalg.solve` uses,
-    under its error state (a singular ``J`` raises ``LinAlgError``), so
-    the result is bit-identical minus the wrapper's conversion work.
+    Calls :data:`gesv` under :func:`numpy.linalg.solve`'s error state (a
+    singular ``J`` raises ``LinAlgError``), so the result is
+    bit-identical minus the wrapper's conversion work.
     """
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _umath_linalg.solve1(J, rhs, signature="dd->d")
+    with np.errstate(**_SINGULAR_RAISES):
+        return gesv(J, rhs)
 
 
 #: scipy.linalg's ``(lu_factor, lu_solve)``, bound by the first
@@ -522,7 +593,7 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
                  assemble, key, options: NewtonOptions,
                  effective_gmin: float, fast: FastNewtonState,
                  stats: Optional[NewtonStats], recorder,
-                 ops=_DenseOps, backend: Optional[str] = None,
+                 ops=_DenseOps, backend: str = "dense",
                  guard: Optional[SolveGuard] = None,
                  times: Optional[PhaseTimes] = None,
                  profile: Optional[PhaseProfiler] = None) -> np.ndarray:
@@ -559,14 +630,8 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
         else:
             fast.reused += 1
         if guard is not None:
-            guard_start = _monotonic() if times is not None else 0.0
-            abort = guard.check(iteration, residual)
-            if times is not None:
-                times.guard += _monotonic() - guard_start
-            if abort is not None:
-                _guard_abort(abort, stats, recorder, backend,
-                             n=x.shape[0], times=times, profile=profile)
-                raise abort
+            _check_guard(guard, iteration, residual, stats, recorder, backend,
+                         x.shape[0], times, profile)
         dx = ops.fast_solve(fast.lu, -F)
         if not np.all(np.isfinite(dx)):
             # Singular factorization: rebuild with a nudged diagonal.
@@ -577,12 +642,8 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
             fast.key = None  # the nudged LU must not outlive this solve
             dx = ops.fast_solve(fast.lu, -F)
             if not np.all(np.isfinite(dx)):
-                if stats is not None:
-                    stats.record(iteration, converged=False)
-                _observe_solve(iteration, converged=False, recorder=recorder,
-                               backend=backend)
-                _finish_solve(profile, times, backend or "dense", recorder,
-                              x.shape[0], iteration, "singular")
+                _end_solve(stats, recorder, backend, profile, times,
+                           x.shape[0], iteration, "singular")
                 raise ConvergenceError(
                     "singular Jacobian during Newton iteration",
                     iterations=iteration, residual=residual,
@@ -594,12 +655,8 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
         x += dx
         if step < options.voltol and residual < options.abstol:
             if fresh:
-                if stats is not None:
-                    stats.record(iteration, converged=True)
-                _observe_solve(iteration, converged=True, recorder=recorder,
-                               backend=backend)
-                _finish_solve(profile, times, backend or "dense", recorder,
-                              x.shape[0], iteration, "converged")
+                _end_solve(stats, recorder, backend, profile, times,
+                           x.shape[0], iteration, "converged")
                 return x
             # Tolerance hit on a stale step: polish with a fresh
             # Jacobian before accepting.
@@ -608,12 +665,95 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
             continue
         last_residual = residual
         fresh = False
-    if stats is not None:
-        stats.record(options.max_iterations, converged=False)
-    _observe_solve(options.max_iterations, converged=False,
-                   recorder=recorder, backend=backend)
-    _finish_solve(profile, times, backend or "dense", recorder,
-                  x.shape[0], options.max_iterations, "iteration_limit")
+    _end_solve(stats, recorder, backend, profile, times, x.shape[0],
+               options.max_iterations, "iteration_limit")
+    raise ConvergenceError(
+        f"Newton failed to converge in {options.max_iterations} iterations "
+        f"(residual {last_residual:.3e} A)",
+        iterations=options.max_iterations, residual=last_residual,
+    )
+
+
+def _max_abs(values) -> float:
+    """``float(np.abs(values).max())`` of a float list, NaN included."""
+    peak = 0.0
+    for value in values:
+        size = abs(value)
+        if size > peak or size != size:
+            peak = size
+    return peak
+
+
+def _newton_gate(x0: np.ndarray, evaluate, values: tuple,
+                 options: NewtonOptions, effective_gmin: float,
+                 stats: Optional[NewtonStats], recorder,
+                 guard: Optional[SolveGuard], times: Optional[PhaseTimes],
+                 profile: Optional[PhaseProfiler]) -> np.ndarray:
+    """The full-Newton loop of :func:`newton_solve` on Python floats.
+
+    ``evaluate``/``values`` come from :func:`~repro.spice.stamps.load_kernel`.
+    Each iteration copies the kernel's ``-F`` and ``J`` into two small
+    arrays for :data:`gesv`; everything else -- norms, guard checks,
+    the singular nudge, damping, the update, the accounting and the
+    dense backend's phase timing -- is the NumPy loop's, step for step.
+    """
+    x = np.asarray(x0, dtype=float).tolist()
+    n = len(x)
+    J = np.empty((n, n))
+    j_flat = J.reshape(-1)
+    rhs = np.empty(n)
+    solve = gesv
+    max_step, voltol, abstol = options.max_step, options.voltol, options.abstol
+    condition_seen: Optional[float] = None
+    last_residual = float("inf")
+    with np.errstate(**_SINGULAR_RAISES):
+        for iteration in range(1, options.max_iterations + 1):
+            if times is not None:
+                start = _monotonic()
+            F, j_list = evaluate(x, values)
+            rhs[:] = [-f for f in F]
+            j_flat[:] = j_list
+            if times is not None:
+                times.assembly += _monotonic() - start
+            residual = _max_abs(F)
+            if guard is not None:
+                _check_guard(guard, iteration, residual, stats, recorder,
+                             "dense", n, times, profile)
+            if times is not None:
+                start = _monotonic()
+            try:
+                dx = solve(J, rhs)
+            except np.linalg.LinAlgError:
+                record_rung("nudge", recorder)
+                nudge_diagonal(J, singular_nudge(effective_gmin))
+                try:
+                    dx = solve(J, rhs)
+                except np.linalg.LinAlgError:
+                    _end_solve(stats, recorder, "dense", profile, times, n,
+                               iteration, "singular")
+                    raise ConvergenceError(
+                        "singular Jacobian during Newton iteration",
+                        iterations=iteration, residual=residual,
+                    ) from None
+            if times is not None:
+                times.factorize += _monotonic() - start
+            if guard is not None and guard.check_condition:
+                condition_seen = _estimate_condition(
+                    guard, condition_estimate_dense, J, recorder, times)
+            dx = dx.tolist()
+            step = _max_abs(dx)
+            if step > max_step:
+                scale = max_step / step
+                dx = [d * scale for d in dx]
+            x = [a + d for a, d in zip(x, dx)]
+            if step < voltol and residual < abstol:
+                _end_solve(stats, recorder, "dense", profile, times, n,
+                           iteration, "converged", condition=condition_seen)
+                return np.array(x)
+            last_residual = residual
+    _end_solve(stats, recorder, "dense", profile, times, n,
+               options.max_iterations, "iteration_limit",
+               condition=condition_seen)
     raise ConvergenceError(
         f"Newton failed to converge in {options.max_iterations} iterations "
         f"(residual {last_residual:.3e} A)",
@@ -659,6 +799,9 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     default, and the state with ``REPRO_GUARD`` unset) leaves the
     iteration untouched.
 
+    Dense full-Newton solves of gate-sized circuits through the compiled
+    stamps run :func:`_newton_gate` (see the module docstring).
+
     ``profile``, when given, is the analysis's
     :class:`~repro.obs.profile.PhaseProfiler`: assembly, factorization,
     back-substitution and guard overhead of this solve are timed and
@@ -666,7 +809,6 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     flight record).  ``None`` -- the default, and the state whenever
     telemetry is off -- skips every timing site.
     """
-    x = np.array(x0, dtype=float)
     effective_gmin = options.gmin if gmin is None else gmin
     solve_guard = guard.start_solve() if guard is not None else None
     times = profile.begin() if profile is not None else None
@@ -675,6 +817,14 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     use_sparse = compiled_path and (
         sparse_enabled(compiled.n_unknown) if sparse is None
         else bool(sparse))
+    if (compiled_path and plan.use_scalar_mos and not use_sparse
+            and fast is None):
+        evaluate, values = load_kernel(plan, known, time, cap_stamps,
+                                       source_scale, compiled.isources,
+                                       effective_gmin)
+        return _newton_gate(x0, evaluate, values, options, effective_gmin,
+                            stats, recorder, solve_guard, times, profile)
+    x = np.array(x0, dtype=float)
     if use_sparse:
         ops = _SparseOps(plan.sparse, recorder, times)
     elif times is not None:
@@ -739,14 +889,8 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
         F, J = assemble()
         residual = float(np.abs(F).max())
         if solve_guard is not None:
-            guard_start = _monotonic() if times is not None else 0.0
-            abort = solve_guard.check(iteration, residual)
-            if times is not None:
-                times.guard += _monotonic() - guard_start
-            if abort is not None:
-                _guard_abort(abort, stats, recorder, backend,
-                             n=x.shape[0], times=times, profile=profile)
-                raise abort
+            _check_guard(solve_guard, iteration, residual, stats, recorder,
+                         backend, x.shape[0], times, profile)
         try:
             dx = ops.direct_solve(J, F)
         except np.linalg.LinAlgError:
@@ -757,12 +901,8 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
             try:
                 dx = ops.direct_solve(J, F)
             except np.linalg.LinAlgError:
-                if stats is not None:
-                    stats.record(iteration, converged=False)
-                _observe_solve(iteration, converged=False, recorder=recorder,
-                               backend=backend)
-                _finish_solve(profile, times, backend, recorder,
-                              x.shape[0], iteration, "singular")
+                _end_solve(stats, recorder, backend, profile, times,
+                           x.shape[0], iteration, "singular")
                 raise ConvergenceError(
                     "singular Jacobian during Newton iteration",
                     iterations=iteration, residual=residual,
@@ -771,36 +911,20 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
             # After the successful linear solve: the sparse backend's
             # retained factor is current, and a nudged diagonal is
             # estimated as-solved.
-            guard_start = _monotonic() if times is not None else 0.0
-            estimate = ops.condition_estimate(J)
-            if times is not None:
-                times.guard += _monotonic() - guard_start
-            condition_seen = estimate
-            if solve_guard.note_condition(estimate):
-                note_illconditioned(estimate,
-                                    solve_guard.policy.condition_limit,
-                                    recorder)
+            condition_seen = _estimate_condition(
+                solve_guard, ops.condition_estimate, J, recorder, times)
         step = float(np.abs(dx).max())
         if step > options.max_step:
             dx *= options.max_step / step
         x += dx
         if step < options.voltol and residual < options.abstol:
-            if stats is not None:
-                stats.record(iteration, converged=True)
-            _observe_solve(iteration, converged=True, recorder=recorder,
-                           backend=backend)
-            _finish_solve(profile, times, backend, recorder,
-                          x.shape[0], iteration, "converged",
-                          condition=condition_seen)
+            _end_solve(stats, recorder, backend, profile, times, x.shape[0],
+                       iteration, "converged", condition=condition_seen)
             return x
         last_residual = residual
-    if stats is not None:
-        stats.record(options.max_iterations, converged=False)
-    _observe_solve(options.max_iterations, converged=False,
-                   recorder=recorder, backend=backend)
-    _finish_solve(profile, times, backend, recorder,
-                  x.shape[0], options.max_iterations, "iteration_limit",
-                  condition=condition_seen)
+    _end_solve(stats, recorder, backend, profile, times, x.shape[0],
+               options.max_iterations, "iteration_limit",
+               condition=condition_seen)
     raise ConvergenceError(
         f"Newton failed to converge in {options.max_iterations} iterations "
         f"(residual {last_residual:.3e} A)",

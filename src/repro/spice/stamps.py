@@ -9,9 +9,10 @@ do.  A :class:`StampPlan` compiles that structure once per
 * **gather maps** resolving every device terminal to a column of the
   fused ``[x | known]`` voltage vector (slot ``>= 0`` indexes the
   unknowns, slot ``< 0`` the knowns, exactly the netlist encoding),
-* a **flat device table** for gate-sized circuits: one row of plain
-  values per transistor that one Python loop walks, calling the
-  channel model once per device,
+* a **gate kernel** for gate-sized circuits (fewer than
+  :data:`SCALAR_MOS_CUTOVER` transistors): generated straight-line
+  Python that evaluates every device and returns ``F`` and ``J`` as
+  float lists (see below),
 * a **device-axis parameter table** so larger circuits evaluate all
   transistors of one polarity/channel-model group through a single
   :func:`~repro.spice.mosfet.mosfet_current_batch` call, and
@@ -30,7 +31,24 @@ element order), the sparse backend one ordered CSR product
 ``tests/spice/test_assembly_equivalence.py`` enforces it against the
 kept-as-reference scalar assembler.
 
-The engine (:mod:`repro.spice.engine`) drives the plan through a
+The gate kernel keeps the same contract by construction.  It is
+generated from the plan's own emission lists: each cell is one
+expression that starts from ``0.0`` and applies one IEEE ``+`` or
+``-`` per contribution, in emission order, exactly the additions the
+scatter performs.  Nothing is summed with ``sum()`` or
+``math.fsum`` (Python 3.12's ``sum()`` compensates float sums), and
+the channel models are the scalar functions the reference assembler
+calls.  Generating one costs ~1.3 ms (a NAND3 transient kernel), so
+kernels are cached by structure (:class:`KernelCache`): node slots,
+emission order, polarity and channel model, never a device value, so
+every shot of one gate shares its two kernels (with and without
+capacitor stamps).  Below the
+cutover the Newton engine iterates on the kernel's floats and calls
+LAPACK only for the linear solve (``validate_oracle`` 1.65x in
+``bench/compare.py``, see :mod:`repro.spice.engine`); above it, numpy
+calls amortize over enough devices to win.
+
+The engine (:mod:`repro.spice.engine`) drives the NumPy paths through a
 preallocated :class:`Workspace` so a Newton iteration allocates no
 ``(n, n)`` temporaries.  Each backend's scatter state is built on its
 first use, so a plan that only dispatches sparse never allocates the
@@ -39,22 +57,25 @@ dense ``n + n**2`` buffer.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .mosfet import channel_function, device_param_rows, mosfet_current_batch
+from .mosfet import (alpha_power_current, device_param_rows,
+                     mosfet_current_batch, nmos_like_current)
 
-__all__ = ["CapStampArrays", "DenseScatter", "MosGroup", "StampPlan",
-           "Workspace", "assemble_into", "assemble_sparse", "eval_values",
-           "load_solve"]
+__all__ = ["CapStampArrays", "DenseScatter", "KERNELS", "KernelCache",
+           "MosGroup", "StampPlan", "Workspace", "assemble_into",
+           "assemble_sparse", "eval_values", "load_kernel", "load_solve"]
 
-#: Below this device count the scalar engine evaluates transistors one
-#: by one through the scalar channel model: ~35 numpy kernel launches
-#: per :func:`~repro.spice.mosfet.mosfet_current_batch` call cost more
-#: than they vectorize for a handful of devices (a single gate), while
-#: Python-float evaluation is bit-identical by construction.  Larger
+#: Below this device count a plan evaluates its circuit through its
+#: generated gate kernel, one scalar channel-model call per transistor:
+#: ~35 numpy kernel launches per
+#: :func:`~repro.spice.mosfet.mosfet_current_batch` call cost more than
+#: they vectorize for a handful of devices (a single gate).  Larger
 #: systems (gate chains, proximity testbenches) use the grouped batch
 #: calls.
 SCALAR_MOS_CUTOVER = 16
@@ -177,14 +198,27 @@ class StampPlan:
             for (is_nmos, alpha_model), indices in grouped.items()
         ]
         self.use_scalar_mos = 0 < num_mos < SCALAR_MOS_CUTOVER
-        #: Flat device table used below :data:`SCALAR_MOS_CUTOVER` (empty
-        #: above it): per transistor its polarity flag, ``K``, ``abs(vt0)``,
-        #: ``lam``, channel function and drain/gate/source fused columns.
-        self.mos_scalar = [
-            (params.is_nmos, kk, abs(params.vt0), params.lam,
-             channel_function(params), col(d), col(g), col(s))
-            for d, g, s, params, kk in compiled.mosfets
-        ] if self.use_scalar_mos else []
+        if self.use_scalar_mos:
+            #: What the gate kernel's code depends on: node slots, and per
+            #: transistor its polarity and whether it is an alpha-power
+            #: card.  The emission order follows from it.
+            self.structure = (
+                n, self.n_known,
+                tuple((a, b) for a, b, _ in compiled.resistors),
+                tuple((a, b) for a, b, _ in compiled.isources),
+                tuple((d, g, s, params.is_nmos, params.model == "alpha")
+                      for d, g, s, params, _ in compiled.mosfets),
+            )
+            consts: List[float] = [g for _, _, g in compiled.resistors]
+            for _, _, _, params, kk in compiled.mosfets:
+                consts += [kk, abs(params.vt0), params.lam]
+                if params.model == "alpha":
+                    consts.append(params.alpha)
+            #: The circuit's values the kernel reads: resistor
+            #: conductances, then per transistor ``K``, ``abs(vt0)``,
+            #: ``lam`` (and ``alpha``).
+            self.kernel_consts = tuple(consts)
+            self._kernels: List[object] = [None, None]
 
         f_cells: List[int] = []
         f_src: List[int] = []
@@ -304,6 +338,30 @@ class StampPlan:
         from .sparse import SparsePlan
         return SparsePlan(self)
 
+    def kernel(self, with_caps: bool):
+        """The gate kernel ``evaluate(x, values) -> (F, J)``.
+
+        ``x`` lists the unknown voltages, ``values`` is the tuple
+        :meth:`kernel_values` builds; ``F`` is the residual and ``J``
+        the row-major Jacobian, as float lists.  ``with_caps`` picks
+        the kernel with capacitor companion stamps.  Only plans with
+        :attr:`use_scalar_mos` have kernels; each is resolved from
+        :data:`KERNELS` once per plan.
+        """
+        kernel = self._kernels[with_caps]
+        if kernel is None:
+            kernel = self._kernels[with_caps] = KERNELS.get(self, with_caps)
+        return kernel
+
+    def kernel_values(self, known, isrc, gmin: float, geq=(), ieq=()) -> tuple:
+        """The kernel's ``values``: circuit constants, then one solve's inputs.
+
+        ``known`` are the (scaled) known voltages, ``isrc`` the current
+        source values, ``geq``/``ieq`` the companion stamps (empty for
+        the kernel without them).
+        """
+        return (*self.kernel_consts, *known, *isrc, *geq, *ieq, gmin)
+
     def stamps_match(self, cap_stamps) -> bool:
         """Whether ``cap_stamps`` follow the compiled capacitor order.
 
@@ -336,8 +394,8 @@ class Workspace:
     """
 
     __slots__ = ("n", "xk", "vals", "res_cur", "is_cur", "cap_geq",
-                 "cap_ieq", "cap_cur", "id_row", "mos_jac", "dvd_row",
-                 "dvg_row", "dvs_row", "gx")
+                 "cap_ieq", "cap_cur", "id_row", "dvd_row", "dvg_row",
+                 "dvs_row", "gx")
 
     def __init__(self, plan: StampPlan) -> None:
         n = plan.n
@@ -352,7 +410,6 @@ class Workspace:
         self.cap_cur = self.vals[n_res + n_is + n_mos:plan.n_fvals]
         jv = self.vals[plan.n_fvals:plan.n_fvals + plan.n_jvals]
         jv[:n_res] = plan.res_g
-        self.mos_jac = jv[n_res:n_res + 3 * n_mos]
         self.dvd_row = jv[n_res:n_res + n_mos]
         self.dvg_row = jv[n_res + n_mos:n_res + 2 * n_mos]
         self.dvs_row = jv[n_res + 2 * n_mos:n_res + 3 * n_mos]
@@ -397,6 +454,130 @@ class DenseScatter:
         self.contrib = np.empty(self.full_wc[0].size)
 
 
+def _kernel_source(plan: StampPlan, with_caps: bool) -> str:
+    """Python source of ``evaluate(x, values)`` for ``plan``'s structure.
+
+    Translates the plan's emission lists (the cap-free prefix unless
+    ``with_caps``) term by term: F value columns ``[res cur | isrc cur |
+    mos i_d | cap cur]``, J value columns ``[res g | mos dvd | mos dvg |
+    mos dvs | cap geq]``, then the ``gmin * x`` row and ``gmin``.  Each
+    device is evaluated with the reference assembler's operand order,
+    and only when one of its terms is emitted.
+    """
+    n = plan.n
+    n_known, resistors, _, mosfets = plan.structure[1:]
+    n_res, n_is, n_mos, n_cap = plan.n_res, plan.n_is, plan.n_mos, plan.n_cap
+
+    def volt(slot: int) -> str:
+        return f"x{slot}" if slot >= 0 else f"v{-slot - 1}"
+
+    def names(*prefixes: str, count: int) -> List[str]:
+        return [f"{prefix}{i}" for prefix in prefixes for i in range(count)]
+
+    terms = (names("ri", count=n_res) + names("si", count=n_is)
+             + names("id", count=n_mos) + names("cc", count=n_cap)
+             + names("rg", count=n_res) + names("gd", "gm", "gs", count=n_mos)
+             + names("cg", count=n_cap)
+             + [f"x{i} * gmin" for i in range(n)] + ["gmin"])
+    f_cells: List[List[str]] = [["0.0"] for _ in range(n)]
+    j_cells: List[List[str]] = [["0.0"] for _ in range(n * n)]
+    used = set()
+    for cells, emit, split in ((f_cells, plan.f_emit, plan.f_split),
+                               (j_cells, plan.j_emit, plan.j_split)):
+        end = emit[0].size if with_caps else split
+        for cell, src, sign in zip(*(column[:end].tolist()
+                                     for column in emit)):
+            cells[cell].append(("+ " if sign > 0 else "- ") + terms[src])
+            used.add(terms[src])
+
+    params = names("rg", count=n_res)
+    for m, (*_, alpha) in enumerate(mosfets):
+        params += [f"k{m}", f"vt{m}", f"lam{m}"] + ([f"al{m}"] if alpha else [])
+    params += names("v", count=n_known) + names("si", count=n_is)
+    if with_caps:
+        params += names("cg", "ci", count=n_cap)
+    params.append("gmin")
+    lines = ["def evaluate(x, values):",
+             f"    {', '.join(names('x', count=n))}, = x",
+             f"    {', '.join(params)}, = values"]
+    for i, (a, b) in enumerate(resistors):
+        if f"ri{i}" in used:
+            lines.append(f"    ri{i} = rg{i} * ({volt(a)} - {volt(b)})")
+    for m, (d, g, s, is_nmos, alpha) in enumerate(mosfets):
+        if not used & {f"id{m}", f"gd{m}", f"gm{m}", f"gs{m}"}:
+            continue
+        vgs, vds = f"{volt(g)} - {volt(s)}", f"{volt(d)} - {volt(s)}"
+        if not is_nmos:
+            vgs, vds = f"-({vgs})", f"-({vds})"
+        model = (f"alpha_power_current(k{m}, vt{m}, lam{m}, al{m}, " if alpha
+                 else f"nmos_like_current(k{m}, vt{m}, lam{m}, ")
+        lines.append(f"    id{m}, gm{m}, gd{m} = {model}{vgs}, {vds})")
+        if not is_nmos:
+            lines.append(f"    id{m} = -id{m}")
+        if f"gs{m}" in used:
+            lines.append(f"    gs{m} = -(gm{m} + gd{m})")
+    if with_caps:
+        for c, (a, b) in enumerate(plan.cap_pairs):
+            if f"cc{c}" in used:
+                lines.append(
+                    f"    cc{c} = cg{c} * ({volt(a)} - {volt(b)}) - ci{c}")
+    lines.append("    return ([{}],".format(
+        ", ".join(" ".join(cell) for cell in f_cells)))
+    lines.append("            [{}])".format(
+        ", ".join(" ".join(cell) for cell in j_cells)))
+    return "\n".join(lines) + "\n"
+
+
+class KernelCache:
+    """Generated gate kernels by circuit structure; bounded, thread-safe.
+
+    A key holds what the kernel's code depends on -- node slots, the
+    emission order they imply, each transistor's polarity and channel
+    model, the capacitor slots when stamps are present -- and never a
+    device value, load or waveform, so every shot of one gate shares its
+    two kernels whatever its load or stimuli.  Past ``size`` kernels the
+    least recently used is dropped.  Generation runs outside the lock:
+    threads that miss the same key together each generate it, and the
+    first one stored wins.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._kernels: "OrderedDict[tuple, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._kernels)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._kernels.clear()
+
+    def get(self, plan: StampPlan, with_caps: bool):
+        """The kernel of ``plan``'s structure, generated on first use."""
+        key = (plan.structure, tuple(plan.cap_pairs) if with_caps else None)
+        with self._lock:
+            kernel = self._kernels.get(key)
+            if kernel is not None:
+                self._kernels.move_to_end(key)
+                return kernel
+        namespace = {"alpha_power_current": alpha_power_current,
+                     "nmos_like_current": nmos_like_current}
+        exec(compile(_kernel_source(plan, with_caps), "<gate kernel>",
+                     "exec"), namespace)
+        with self._lock:
+            kernel = self._kernels.setdefault(key, namespace["evaluate"])
+            self._kernels.move_to_end(key)
+            while len(self._kernels) > self.size:
+                self._kernels.popitem(last=False)
+        return kernel
+
+
+#: The process's gate kernels, shared by every plan and thread.
+KERNELS = KernelCache(size=256)
+
+
 def load_solve(plan: StampPlan, ws: Workspace, known: np.ndarray,
                time: float, cap_stamps, source_scale: float,
                isources) -> bool:
@@ -429,6 +610,31 @@ def load_solve(plan: StampPlan, ws: Workspace, known: np.ndarray,
     return False
 
 
+def load_kernel(plan: StampPlan, known: np.ndarray, time: float, cap_stamps,
+                source_scale: float, isources, gmin: float):
+    """The gate kernel and its ``values`` for one Newton solve.
+
+    :func:`load_solve` for the kernel path: the same iteration-invariant
+    inputs, as Python floats -- the known voltages times
+    ``source_scale``, the current sources at ``time``, the companion
+    stamps when present.  Returns ``(evaluate, values)``.
+    """
+    known = np.asarray(known, dtype=float)
+    if source_scale != 1.0:
+        known = known * source_scale
+    isrc = [float(fn(time) * source_scale) for _, _, fn in isources]
+    if isinstance(cap_stamps, CapStampArrays):
+        caps = ((cap_stamps.geq.tolist(), cap_stamps.ieq.tolist())
+                if len(cap_stamps) else ())
+    elif cap_stamps:
+        caps = ([float(stamp[2]) for stamp in cap_stamps],
+                [float(stamp[3]) for stamp in cap_stamps])
+    else:
+        caps = ()
+    return (plan.kernel(bool(caps)),
+            plan.kernel_values(known.tolist(), isrc, gmin, *caps))
+
+
 def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
                 gmin: float, with_caps: bool,
                 need_jacobian: bool = True) -> None:
@@ -439,10 +645,8 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
     cell) that the dense and sparse scatter passes both consume.  The
     expressions mirror the reference scalar assembler's operand order
     exactly; this is the shared front half of :func:`assemble_into`.
-    Below :data:`SCALAR_MOS_CUTOVER` one flat loop walks the plan's
-    ``mos_scalar`` rows, computing each NMOS-convention ``vgs``/``vds``
-    in line with ``mosfet_current``'s operand order; the residual-only
-    call runs the same loop and skips the Jacobian write.
+    Transistors go through one :func:`mosfet_current_batch` call per
+    group, bit-identical to the scalar channel model lane by lane.
     """
     n = plan.n
     xk = ws.xk
@@ -451,40 +655,17 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
     if plan.n_res:
         np.subtract(xk[plan.res_a], xk[plan.res_b], out=ws.res_cur)
         ws.res_cur *= plan.res_g
-    if plan.use_scalar_mos:
-        xkl = xk.tolist()
-        ids: List[float] = []
-        dvds: List[float] = []
-        dvgs: List[float] = []
-        dvss: List[float] = []
-        for is_nmos, k, vt, lam, channel, dcol, gcol, scol in plan.mos_scalar:
-            vs = xkl[scol]
-            if is_nmos:
-                i_d, gm, gds = channel(k, vt, lam, xkl[gcol] - vs,
-                                       xkl[dcol] - vs)
-            else:
-                i_d, gm, gds = channel(k, vt, lam, -(xkl[gcol] - vs),
-                                       -(xkl[dcol] - vs))
-                i_d = -i_d
-            ids.append(i_d)
-            dvds.append(gds)
-            dvgs.append(gm)
-            dvss.append(-(gm + gds))
-        ws.id_row[:] = ids
+    for grp in plan.groups:
+        i_d, dvd, dvg, dvs = mosfet_current_batch(
+            grp.is_nmos, grp.alpha_model,
+            grp.k, grp.vt, grp.lam, grp.alpha,
+            xk[grp.g_cols], xk[grp.d_cols], xk[grp.s_cols],
+        )
+        ws.id_row[grp.cols] = i_d
         if need_jacobian:
-            ws.mos_jac[:] = dvds + dvgs + dvss
-    else:
-        for grp in plan.groups:
-            i_d, dvd, dvg, dvs = mosfet_current_batch(
-                grp.is_nmos, grp.alpha_model,
-                grp.k, grp.vt, grp.lam, grp.alpha,
-                xk[grp.g_cols], xk[grp.d_cols], xk[grp.s_cols],
-            )
-            ws.id_row[grp.cols] = i_d
-            if need_jacobian:
-                ws.dvd_row[grp.cols] = dvd
-                ws.dvg_row[grp.cols] = dvg
-                ws.dvs_row[grp.cols] = dvs
+            ws.dvd_row[grp.cols] = dvd
+            ws.dvg_row[grp.cols] = dvg
+            ws.dvs_row[grp.cols] = dvs
 
     if with_caps:
         np.subtract(xk[plan.cap_a], xk[plan.cap_b], out=ws.cap_cur)
@@ -499,17 +680,29 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
 def assemble_into(plan: StampPlan, ws: Workspace, dense: DenseScatter,
                   x: np.ndarray, gmin: float, with_caps: bool,
                   need_jacobian: bool = True):
-    """Vectorized residual/Jacobian assembly into the dense buffers.
+    """Residual/Jacobian assembly into the dense buffers.
 
     ``dense`` is the plan's :attr:`StampPlan.dense`, resolved once per
     solve.  Requires :func:`load_solve` to have loaded the solve's
     invariants.  Returns ``(F, J)`` as views of ``dense.fj`` (``J`` is
     ``None`` when ``need_jacobian`` is false -- the modified-Newton
-    residual check skips the Jacobian scatter entirely).  Every
-    expression mirrors the reference scalar assembler's operand order,
-    and the ordered scatter reproduces its per-cell accumulation order,
-    so the outputs are bit-identical to it.
+    residual check skips the Jacobian scatter entirely).  Gate-sized
+    plans run their kernel; larger ones evaluate vectorized and apply
+    the ordered scatter.  Either way every entry is bit-identical to
+    the reference scalar assembler.
     """
+    if plan.use_scalar_mos:
+        n = plan.n
+        caps = (ws.cap_geq.tolist(), ws.cap_ieq.tolist()) if with_caps else ()
+        F, J = plan.kernel(with_caps)(
+            x.tolist(),
+            plan.kernel_values(ws.xk[n:].tolist(), ws.is_cur.tolist(), gmin,
+                               *caps))
+        dense.F[:] = F
+        if not need_jacobian:
+            return dense.F, None
+        dense.fj[n:] = J
+        return dense.F, dense.J
     eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
     if need_jacobian:
         dense.fj.fill(0.0)

@@ -139,3 +139,27 @@ class TestRunContext:
             assert get_recorder().enabled
         finally:
             assert context.finalize() == []  # nothing to write, state clean
+
+
+class TestWorkerCountInvariance:
+    def test_pooled_totals_serialize_like_serial(self, tmp_path,
+                                                 monkeypatch, capsys):
+        """Pooled workers ship counter deltas back to the parent; the
+        merged totals must be the same JSON text as a serial run's
+        (``110288``, not ``110288.0``)."""
+        from repro.cli import main
+
+        texts = []
+        for workers in ("0", "2"):
+            monkeypatch.setenv("REPRO_CACHE_DIR",
+                               str(tmp_path / f"cache-{workers}"))
+            manifest = tmp_path / f"manifest-{workers}.json"
+            assert main(["characterize", "--gate", "nand2", "--fast",
+                         "--workers", workers,
+                         "--output", str(tmp_path / f"lib-{workers}.json"),
+                         "--manifest", str(manifest)]) == 0
+            totals = json.loads(manifest.read_text())["totals"]
+            assert totals["spice.newton.iterations"] > 0
+            texts.append(json.dumps(totals, sort_keys=True))
+        capsys.readouterr()
+        assert texts[0] == texts[1]

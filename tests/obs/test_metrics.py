@@ -105,6 +105,13 @@ class TestPayloadAlgebra:
         assert left["counters"]["units"] == 7
         assert left["histograms"]["seconds"]["counts"] == [1, 2, 1]
 
+    def test_integer_values_merge_as_integers(self):
+        merged = merge_payloads({"counters": {"x": 5}, "gauges": {"g": 3}},
+                                {"counters": {"x": 7, "y": 0.5}})
+        assert merged["counters"] == {"x": 12, "y": 0.5}
+        assert type(merged["counters"]["x"]) is int
+        assert type(merged["gauges"]["g"]) is int
+
     def test_subtract_drops_zero_deltas(self):
         registry = MetricRegistry()
         registry.counter("a").inc(3)

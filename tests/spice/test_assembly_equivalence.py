@@ -129,7 +129,7 @@ class TestRandomizedEquivalence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_alpha_model_below_cutover_bit_identical(self, seed):
-        """The flat device loop with the alpha channel function bound."""
+        """The gate kernel with alpha-power model cards."""
         rng = np.random.default_rng(400 + seed)
         compiled = random_circuit(rng, n_mos=int(rng.integers(1, 7)),
                                   process=ALPHA_PROC).compile()

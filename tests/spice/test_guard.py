@@ -54,9 +54,9 @@ FAST = TransientOptions(h_max_ratio=2e-2)
 @pytest.fixture(autouse=True)
 def pinned_backends(monkeypatch):
     """Pin the dense full-Newton path: the divergence/parity tests
-    monkeypatch :func:`repro.spice.engine.dense_solve`, which SuperLU
-    and the LU-reusing fast-Newton loop bypass.  Tests that exercise
-    those backends opt back in explicitly."""
+    monkeypatch :data:`repro.spice.engine.gesv`, which SuperLU and the
+    LU-reusing fast-Newton loop bypass.  Tests that exercise those
+    backends opt back in explicitly."""
     monkeypatch.setenv(SPARSE_ENV_VAR, "0")
     monkeypatch.setenv("REPRO_FAST_NEWTON", "0")
     monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
@@ -108,7 +108,7 @@ def solver_counters(recorder) -> dict:
 
 
 def runaway_solve(a, b):
-    """A ``dense_solve`` stand-in whose steps never contract."""
+    """A ``gesv`` stand-in whose steps never contract."""
     return np.ones_like(b) * 10.0
 
 
@@ -327,7 +327,7 @@ class TestDivergenceAbort:
     def test_runaway_scalar_solve_aborts_and_walks_the_ladder(
             self, monkeypatch):
         guard_with(monkeypatch, diverge_factor=2.0)
-        monkeypatch.setattr(engine, "dense_solve", runaway_solve)
+        monkeypatch.setattr(engine, "gesv", runaway_solve)
         with recording() as rec:
             with pytest.raises(ConvergenceError):
                 solve_dc(dc_inverter())
@@ -342,7 +342,7 @@ class TestDivergenceAbort:
     def test_unguarded_runaway_burns_the_full_budget(self, monkeypatch):
         """Without the guard the same runaway run must still fail --
         the monitor only changes *when*, never *whether*."""
-        monkeypatch.setattr(engine, "dense_solve", runaway_solve)
+        monkeypatch.setattr(engine, "gesv", runaway_solve)
         with recording() as rec:
             with pytest.raises(ConvergenceError):
                 solve_dc(dc_inverter())
@@ -353,7 +353,7 @@ class TestDivergenceAbort:
         """A diverging lane's stats and guard counters must equal the
         scalar driver's, lane for lane."""
         guard_with(monkeypatch, diverge_factor=2.0)
-        monkeypatch.setattr(engine, "dense_solve", runaway_solve)
+        monkeypatch.setattr(engine, "gesv", runaway_solve)
         widths = [4e-6, 5e-6, 6e-6]
 
         from repro.spice import NewtonStats

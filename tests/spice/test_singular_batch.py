@@ -33,9 +33,9 @@ from repro.spice.engine import (
 
 @pytest.fixture(autouse=True)
 def dense_backend(monkeypatch):
-    """Pin the dense full-Newton loop: the
-    :func:`repro.spice.engine.dense_solve` monkeypatch reaches only that
-    loop.  A ``REPRO_SPARSE=1`` environment (the CI
+    """Pin the dense full-Newton loops: the
+    :data:`repro.spice.engine.gesv` monkeypatch reaches only those
+    loops.  A ``REPRO_SPARSE=1`` environment (the CI
     sparse smoke leg) would divert every lane to SuperLU, and
     ``REPRO_FAST_NEWTON=1`` to the LU-reusing loop, whose singular path
     ``test_fast_newton.py`` covers."""
@@ -97,7 +97,7 @@ class TestDoublySingularLanes:
         def always_singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix (forced)")
 
-        monkeypatch.setattr(engine, "dense_solve", always_singular)
+        monkeypatch.setattr(engine, "gesv", always_singular)
         options = NewtonOptions()
         outcomes = run_lanes([
             (divider(), exact, options, NewtonStats()),
@@ -113,7 +113,7 @@ class TestDoublySingularLanes:
         def always_singular(*args, **kwargs):
             raise np.linalg.LinAlgError("singular matrix (forced)")
 
-        monkeypatch.setattr(engine, "dense_solve", always_singular)
+        monkeypatch.setattr(engine, "gesv", always_singular)
         lanes = [(divider(), [0.5], NewtonOptions(), NewtonStats())
                  for _ in range(2)]
         run_lanes(lanes)
