@@ -52,6 +52,9 @@ class SingleInputGrid:
             raise CharacterizationError("taus must be positive and non-empty")
         if not self.load_factors or any(f <= 0 for f in self.load_factors):
             raise CharacterizationError("load_factors must be positive and non-empty")
+        if len(self.taus) * len(self.load_factors) < 2:
+            raise CharacterizationError(
+                "taus x load_factors must be >= 2 (load factor, tau) points")
 
     @classmethod
     def fast(cls) -> "SingleInputGrid":
@@ -156,9 +159,11 @@ def characterize_single_input(
     t = np.asarray(payload["ttime_norm"])
     keep = np.isfinite(d) & np.isfinite(t)
     if keep.sum() < 2:
+        lost = int(keep.size - keep.sum())
         raise CharacterizationError(
             f"single-input sweep for {gate.name!r} ({input_name}/{direction}) "
-            f"has fewer than 2 surviving points; re-run with --resume"
+            f"has fewer than 2 surviving points: {lost} of {keep.size} lost"
+            + ("; re-run with --resume" if lost else "")
         )
     u, d, t = _merge_duplicates(u[keep], d[keep], t[keep])
     model = TableSingleInputModel(

@@ -100,11 +100,12 @@ def transient_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]],
     results: list = []
     for c, stop, rule in zip(compiled, stops, rules):
         stats = NewtonStats()
-        solve = SolveContext.for_analysis(recorder, c.n_unknown).bind(
-            engine.newton_solve, c, stats)
+        context = SolveContext.for_analysis(recorder, c.n_unknown)
+        solve = context.bind(engine.newton_solve, c, stats)
         try:
             results.append(transient_result(
-                c, stop, solve=solve, stats=stats, t_start=t_start,
+                c, stop, solve=solve, stats=stats, context=context,
+                t_start=t_start,
                 record=record, initial_op=initial_op, options=options,
                 retry=retry, recorder=recorder, settle=rule))
         except ConvergenceError as error:

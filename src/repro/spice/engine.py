@@ -12,20 +12,33 @@ capacitors (Norton equivalents of the implicit integration rule).
 :func:`newton_solve` picks its loop by the circuit's transistor count.
 Gate-sized circuits (below
 :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER`) iterate on Python
-floats: the plan's generated kernel returns ``F`` and ``J`` as lists,
-and the only numpy call per iteration is LAPACK ``gesv`` (:data:`gesv`)
-under one error state per solve.  A NumPy array op costs ~1-3 us
-whatever its size, which was most of the ~20 us the NumPy assembly of
-a 3-unknown NAND3 iteration took.  Results stay bit-identical: the
-kernel applies one IEEE add per contribution in the plan's emission
-order (never ``sum()`` or ``math.fsum``; Python 3.12's ``sum()``
-compensates float sums), the norms are NaN-propagating maxima like
+floats (:func:`_newton_kernel`): the plan's generated kernel returns
+``[-F | J]`` as one list with its residual, each iteration copies it
+into a preallocated buffer with one slice assignment, and the only
+numpy call per iteration is LAPACK ``gesv`` (:data:`gesv`) reading
+that buffer through two views, under one error state per solve.  A
+NumPy array op costs ~1-3 us whatever its size, which was most of the
+~20 us the NumPy assembly of a 3-unknown NAND3 iteration took.
+Results stay bit-identical: the kernel applies one IEEE add per
+contribution in the plan's emission order (never ``sum()`` or
+``math.fsum``; Python 3.12's ``sum()`` compensates float sums),
+negating ``F`` is exact, the norms are NaN-propagating maxima like
 ``np.abs(F).max()``, damping and the update are the same elementwise
 products and sums, and the linear solve is the same ``gesv`` on the
 same bits.  Larger circuits, sparse dispatch and the opt-in
 modified-Newton mode run the NumPy loops.  Over 10 alternating
 ``bench/compare.py`` pairs on a 2-vCPU Xeon container, the kernel loop
 took ``validate_oracle`` from 7.54 to 12.47 configs/s.
+
+A gate-sized transient skips :func:`newton_solve` for its steps:
+:meth:`SolveContext.kernel_newton` hands it a :class:`KernelNewton`,
+and the integrator's float state calls the same loop with float lists,
+with no array round trip and no per-step
+:func:`~repro.spice.stamps.load_kernel`
+(see :mod:`repro.spice.transient`).  Its DC point still goes through
+the bound solver.  Over 10 alternating ``bench/compare.py`` pairs on
+the same container, that took ``validate_oracle`` from 12.49 to 17.69
+configs/s.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from time import monotonic as _monotonic
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -55,7 +68,8 @@ from .stamps import (CapStampArrays, assemble_into, assemble_sparse,
 __all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "assemble_system",
            "assemble_system_reference", "newton_solve", "SolveContext",
            "FastNewtonState", "fast_newton_enabled", "FAST_NEWTON_ENV_VAR",
-           "dense_solve", "gesv", "nudge_diagonal", "singular_nudge"]
+           "KernelNewton", "dense_solve", "gesv", "kernel_buffers", "max_abs",
+           "nudge_diagonal", "singular_nudge"]
 
 #: Environment knob enabling the opt-in modified-Newton mode.
 FAST_NEWTON_ENV_VAR = "REPRO_FAST_NEWTON"
@@ -674,8 +688,11 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
     )
 
 
-def _max_abs(values) -> float:
-    """``float(np.abs(values).max())`` of a float list, NaN included."""
+def max_abs(values: List[float]) -> float:
+    """``float(np.abs(values).max())`` of a float list, NaN included.
+
+    Python's ``max`` would skip a NaN behind a finite entry.
+    """
     peak = 0.0
     for value in values:
         size = abs(value)
@@ -684,24 +701,33 @@ def _max_abs(values) -> float:
     return peak
 
 
-def _newton_gate(x0: np.ndarray, evaluate, values: tuple,
-                 options: NewtonOptions, effective_gmin: float,
-                 stats: Optional[NewtonStats], recorder,
-                 guard: Optional[SolveGuard], times: Optional[PhaseTimes],
-                 profile: Optional[PhaseProfiler]) -> np.ndarray:
+def kernel_buffers(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(fj, rhs, J)`` for the kernel loop: ``fj`` holds ``[-F | J]``,
+    and ``rhs`` and ``J`` are its views for :data:`gesv`."""
+    fj = np.empty(n + n * n)
+    return fj, fj[:n], fj[n:].reshape(n, n)
+
+
+def _newton_kernel(x: List[float], evaluate, values: tuple, buffers: tuple,
+                   options: NewtonOptions, effective_gmin: float,
+                   stats: Optional[NewtonStats], recorder,
+                   guard: Optional[SolveGuard], times: Optional[PhaseTimes],
+                   profile: Optional[PhaseProfiler]) -> List[float]:
     """The full-Newton loop of :func:`newton_solve` on Python floats.
 
-    ``evaluate``/``values`` come from :func:`~repro.spice.stamps.load_kernel`.
-    Each iteration copies the kernel's ``-F`` and ``J`` into two small
-    arrays for :data:`gesv`; everything else -- norms, guard checks,
-    the singular nudge, damping, the update, the accounting and the
-    dense backend's phase timing -- is the NumPy loop's, step for step.
+    ``x`` lists the unknown voltages (not modified); ``evaluate`` is a
+    :class:`~repro.spice.stamps.GateKernel`'s and ``values`` its inputs;
+    ``buffers`` come from :func:`kernel_buffers`.  Each iteration copies
+    the kernel's flat ``[-F | J]`` into ``fj`` with one slice assignment
+    and :data:`gesv` reads it through the ``rhs`` and ``J`` views; the
+    kernel's residual is ``np.abs(F).max()``'s.  Everything else --
+    guard checks, the singular nudge, damping, the update, the
+    accounting and the dense backend's phase timing -- is the NumPy
+    loop's, step for step, under one error state per solve.  Returns
+    the solution as a new list.
     """
-    x = np.asarray(x0, dtype=float).tolist()
+    fj, rhs, J = buffers
     n = len(x)
-    J = np.empty((n, n))
-    j_flat = J.reshape(-1)
-    rhs = np.empty(n)
     solve = gesv
     max_step, voltol, abstol = options.max_step, options.voltol, options.abstol
     condition_seen: Optional[float] = None
@@ -710,12 +736,10 @@ def _newton_gate(x0: np.ndarray, evaluate, values: tuple,
         for iteration in range(1, options.max_iterations + 1):
             if times is not None:
                 start = _monotonic()
-            F, j_list = evaluate(x, values)
-            rhs[:] = [-f for f in F]
-            j_flat[:] = j_list
+            out, residual = evaluate(x, values)
+            fj[:] = out
             if times is not None:
                 times.assembly += _monotonic() - start
-            residual = _max_abs(F)
             if guard is not None:
                 _check_guard(guard, iteration, residual, stats, recorder,
                              "dense", n, times, profile)
@@ -741,7 +765,7 @@ def _newton_gate(x0: np.ndarray, evaluate, values: tuple,
                 condition_seen = _estimate_condition(
                     guard, condition_estimate_dense, J, recorder, times)
             dx = dx.tolist()
-            step = _max_abs(dx)
+            step = max_abs(dx)
             if step > max_step:
                 scale = max_step / step
                 dx = [d * scale for d in dx]
@@ -749,7 +773,7 @@ def _newton_gate(x0: np.ndarray, evaluate, values: tuple,
             if step < voltol and residual < abstol:
                 _end_solve(stats, recorder, "dense", profile, times, n,
                            iteration, "converged", condition=condition_seen)
-                return np.array(x)
+                return x
             last_residual = residual
     _end_solve(stats, recorder, "dense", profile, times, n,
                options.max_iterations, "iteration_limit",
@@ -759,6 +783,49 @@ def _newton_gate(x0: np.ndarray, evaluate, values: tuple,
         f"(residual {last_residual:.3e} A)",
         iterations=options.max_iterations, residual=last_residual,
     )
+
+
+class KernelNewton:
+    """A transient's step solves on its plan's gate kernel, on floats.
+
+    :meth:`SolveContext.kernel_newton` builds one for an analysis whose
+    companion-stamped solves :func:`newton_solve` would send to its
+    kernel loop.  :meth:`solve` is that loop without the bound solver's
+    array round trip or :func:`~repro.spice.stamps.load_kernel`: lists
+    in, a list out.  Like a solve through :func:`newton_solve`, each
+    starts its own guard and phase accumulator and runs under its own
+    error state.
+    """
+
+    __slots__ = ("n", "evaluate", "stats", "recorder", "guard", "profile")
+
+    def __init__(self, plan, stats: Optional[NewtonStats], recorder,
+                 guard: Optional[GuardMonitor],
+                 profile: Optional[PhaseProfiler]) -> None:
+        self.n = plan.n
+        self.evaluate = plan.kernel(True).evaluate
+        self.stats = stats
+        self.recorder = recorder
+        self.guard = guard
+        self.profile = profile
+
+    def buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fresh :func:`kernel_buffers` for one analysis attempt."""
+        return kernel_buffers(self.n)
+
+    def solve(self, x: List[float], values: tuple, options: NewtonOptions,
+              buffers: tuple) -> List[float]:
+        """One step's Newton solve; ``values`` as
+        :meth:`~repro.spice.stamps.StampPlan.kernel_values` builds them
+        with the live capacitors' stamps.  Raises
+        :class:`~repro.errors.ConvergenceError` like :func:`newton_solve`.
+        """
+        guard, profile = self.guard, self.profile
+        return _newton_kernel(
+            x, self.evaluate, values, buffers, options, options.gmin,
+            self.stats, self.recorder,
+            guard.start_solve() if guard is not None else None,
+            profile.begin() if profile is not None else None, profile)
 
 
 def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
@@ -800,7 +867,7 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     iteration untouched.
 
     Dense full-Newton solves of gate-sized circuits through the compiled
-    stamps run :func:`_newton_gate` (see the module docstring).
+    stamps run :func:`_newton_kernel` (see the module docstring).
 
     ``profile``, when given, is the analysis's
     :class:`~repro.obs.profile.PhaseProfiler`: assembly, factorization,
@@ -822,8 +889,10 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
         evaluate, values = load_kernel(plan, known, time, cap_stamps,
                                        source_scale, compiled.isources,
                                        effective_gmin)
-        return _newton_gate(x0, evaluate, values, options, effective_gmin,
-                            stats, recorder, solve_guard, times, profile)
+        return np.array(_newton_kernel(
+            np.asarray(x0, dtype=float).tolist(), evaluate, values,
+            kernel_buffers(plan.n), options, effective_gmin, stats, recorder,
+            solve_guard, times, profile))
     x = np.array(x0, dtype=float)
     if use_sparse:
         ops = _SparseOps(plan.sparse, recorder, times)
@@ -985,6 +1054,10 @@ class SolveContext:
         caller passes it, so each homotopy rung keeps its own keyword
         set (the solver-fallback tests tell rungs apart by it).  A
         failed solve raises :class:`~repro.errors.ConvergenceError`.
+
+        A gate-sized transient's steps do not come through here: they
+        call the kernel loop directly (:meth:`kernel_newton`), and only
+        its DC point uses the bound solver.
         """
         resolved = {"recorder": self.recorder, "fast": self.fast,
                     "sparse": self.sparse, "guard": self.guard,
@@ -996,3 +1069,23 @@ class SolveContext:
             return solve(compiled, x0, known, options=options, time=time,
                          stats=stats, **shape, **extra)
         return bound
+
+    def kernel_newton(self, compiled: CompiledCircuit,
+                      stats: Optional[NewtonStats]) -> Optional[KernelNewton]:
+        """The kernel loop for a transient's steps, or ``None``.
+
+        A :class:`KernelNewton` when :func:`newton_solve` would send
+        this analysis's companion-stamped solves to its kernel loop: a
+        gate-sized plan (below
+        :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors),
+        dense dispatch and no fast Newton.  It accounts into ``stats``
+        and this context's recorder, guard and profiler, as the bound
+        solver would.  ``None`` leaves every step on the bound solver.
+        """
+        plan = compiled.stamp_plan
+        sparse = (sparse_enabled(compiled.n_unknown) if self.sparse is None
+                  else self.sparse)
+        if not plan.use_scalar_mos or sparse or self.fast is not None:
+            return None
+        return KernelNewton(plan, stats, self.recorder, self.guard,
+                            self.profile)

@@ -339,22 +339,26 @@ class CompiledCircuit:
         return self.breakpoints[-1] if self.breakpoints else -math.inf
 
     # ------------------------------------------------------------------
-    def known_voltages(self, t: float) -> np.ndarray:
-        """Voltages of the known nodes (ground first) at time ``t``.
+    def known_list(self, t: float) -> List[float]:
+        """Voltages of the known nodes (ground first) at time ``t``, as floats.
 
-        A fresh copy of the constant-level base vector; each PWL source
-        fills its slot through the scalar :class:`~repro.waveform.Pwl`
-        path (bit-identical to ``np.interp``), and only arbitrary
-        callables pay a closure call.
+        The constant levels of the base vector; each PWL source fills
+        its slot through the scalar :class:`~repro.waveform.Pwl` path
+        (bit-identical to ``np.interp``), and only arbitrary callables
+        pay a closure call.
         """
-        out = self._known_base.copy()
+        out = self._known_base.tolist()
         if self._known_pwl:
             tf = float(t)
             for kidx, wave in self._known_pwl:
                 out[kidx] = wave(tf)
         for kidx, fn in self._known_dyn:
-            out[kidx] = fn(t)
+            out[kidx] = float(fn(t))
         return out
+
+    def known_voltages(self, t: float) -> np.ndarray:
+        """:meth:`known_list` as a fresh array."""
+        return np.array(self.known_list(t))
 
     def set_source_level(self, name: str, level: float) -> None:
         """Re-drive constant source ``name`` at ``level`` volts in place.

@@ -11,8 +11,9 @@ do.  A :class:`StampPlan` compiles that structure once per
   unknowns, slot ``< 0`` the knowns, exactly the netlist encoding),
 * a **gate kernel** for gate-sized circuits (fewer than
   :data:`SCALAR_MOS_CUTOVER` transistors): generated straight-line
-  Python that evaluates every device and returns ``F`` and ``J`` as
-  float lists (see below),
+  Python that evaluates every device and returns ``[-F | J]`` as one
+  float list with its residual, plus the transient's companion and
+  history code (see below),
 * a **device-axis parameter table** so larger circuits evaluate all
   transistors of one polarity/channel-model group through a single
   :func:`~repro.spice.mosfet.mosfet_current_batch` call, and
@@ -38,15 +39,30 @@ expression that starts from ``0.0`` and applies one IEEE ``+`` or
 scatter performs.  Nothing is summed with ``sum()`` or
 ``math.fsum`` (Python 3.12's ``sum()`` compensates float sums), and
 the channel models are the scalar functions the reference assembler
-calls.  Generating one costs ~1.3 ms (a NAND3 transient kernel), so
-kernels are cached by structure (:class:`KernelCache`): node slots,
-emission order, polarity and channel model, never a device value, so
-every shot of one gate shares its two kernels (with and without
-capacitor stamps).  Below the
-cutover the Newton engine iterates on the kernel's floats and calls
-LAPACK only for the linear solve (``validate_oracle`` 1.65x in
-``bench/compare.py``, see :mod:`repro.spice.engine`); above it, numpy
-calls amortize over enough devices to win.
+calls.  The kernel returns ``-F`` (negation is exact), so the Newton
+loop copies one list into its ``gesv`` buffer per iteration, and the
+residual ``max |F|`` is computed inline, NaN-propagating like
+``np.abs(F).max()``.  Only the *live* capacitors
+(:attr:`StampPlan.live_caps`, those with an unknown terminal) take
+companion stamps: one between two known nodes never reaches ``F`` or
+``J``.  The transient kernel also
+carries generated backward-Euler and trapezoidal companion and history
+functions over the live capacitors, written with the array
+integrator's elementwise operand order (``c / h``, ``2.0 * c / h``,
+``g * v + i``, ``g * (v_new - v) - i``), so the float step path of
+:mod:`repro.spice.transient` computes the same bits.  Generating a
+NAND3 transient kernel costs a few milliseconds, so kernels are cached
+by structure (:class:`KernelCache`): node slots, emission order,
+polarity and channel model, and the live capacitors' slots, never a
+device value, so every shot of one gate shares its two kernels (with
+and without capacitor stamps).  Below the cutover the Newton engine
+iterates on the kernel's floats and calls LAPACK only for the linear
+solve, and the transient steps on floats too (``validate_oracle``:
+7.54 -> 12.47 configs/s for the kernel loop, then 12.49 -> 17.69 for
+the float steps, 10 alternating ``bench/compare.py`` pairs each on a
+2-vCPU Xeon container; see :mod:`repro.spice.engine` and
+:mod:`repro.spice.transient`); above it, numpy calls amortize over
+enough devices to win.
 
 The engine (:mod:`repro.spice.engine`) drives the NumPy paths through a
 preallocated :class:`Workspace` so a Newton iteration allocates no
@@ -60,16 +76,17 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .mosfet import (alpha_power_current, device_param_rows,
                      mosfet_current_batch, nmos_like_current)
 
-__all__ = ["CapStampArrays", "DenseScatter", "KERNELS", "KernelCache",
-           "MosGroup", "StampPlan", "Workspace", "assemble_into",
-           "assemble_sparse", "eval_values", "load_kernel", "load_solve"]
+__all__ = ["CapStampArrays", "DenseScatter", "GateKernel", "KERNELS",
+           "KernelCache", "MosGroup", "StampPlan", "Workspace",
+           "assemble_into", "assemble_sparse", "eval_values", "load_kernel",
+           "load_solve", "source_currents"]
 
 #: Below this device count a plan evaluates its circuit through its
 #: generated gate kernel, one scalar channel-model call per transistor:
@@ -88,15 +105,15 @@ def _intp(values) -> np.ndarray:
 class CapStampArrays:
     """Companion stamps for every compiled capacitor, as flat arrays.
 
-    The transient integrator builds one of these per Newton request:
-    ``a``/``b`` are the plan's own ``cap_pairs_a``/``cap_pairs_b``
-    node-slot arrays (the node pairs never change), ``geq``/``ieq`` the
-    per-step companion values, computed vectorized with exactly the
-    scalar per-capacitor arithmetic (elementwise ops on the same
-    operands, so the values are bit-identical to the tuple-built
-    stamps).  Sharing the plan's arrays lets
-    :meth:`StampPlan.stamps_match` recognize them by identity and the
-    hot loader (:func:`load_solve`) copy ``geq``/``ieq`` wholesale
+    The transient's array step path builds one of these per Newton
+    request: ``a``/``b`` are the plan's own
+    ``cap_pairs_a``/``cap_pairs_b`` node-slot arrays (the node pairs
+    never change), ``geq``/``ieq`` the per-step companion values,
+    computed vectorized with exactly the scalar per-capacitor
+    arithmetic (elementwise ops on the same operands, so the values are
+    bit-identical to the tuple-built stamps).  Sharing the plan's arrays
+    lets :meth:`StampPlan.stamps_match` recognize them by identity and
+    the hot loader (:func:`load_solve`) copy ``geq``/``ieq`` wholesale
     instead of unpacking ``n_cap`` tuples per solve.  Iteration yields
     the scalar ``(a, b, geq, ieq)`` tuples, so the reference assembler
     and any tuple-shaped consumer work unchanged.
@@ -218,7 +235,17 @@ class StampPlan:
             #: conductances, then per transistor ``K``, ``abs(vt0)``,
             #: ``lam`` (and ``alpha``).
             self.kernel_consts = tuple(consts)
-            self._kernels: List[object] = [None, None]
+            #: Capacitors with an unknown terminal, in compiled order,
+            #: and their capacitances.  Only these reach ``F`` or ``J``
+            #: (one between two known nodes never does), so only these
+            #: carry companion stamps into the kernel and history on
+            #: the float step path.
+            self.live_caps = [ci for ci, (a, b, _) in
+                              enumerate(compiled.capacitors)
+                              if a >= 0 or b >= 0]
+            self.live_c = [compiled.capacitors[ci][2]
+                           for ci in self.live_caps]
+            self._kernels: List[Optional[GateKernel]] = [None, None]
 
         f_cells: List[int] = []
         f_src: List[int] = []
@@ -338,35 +365,38 @@ class StampPlan:
         from .sparse import SparsePlan
         return SparsePlan(self)
 
-    def kernel(self, with_caps: bool):
-        """The gate kernel ``evaluate(x, values) -> (F, J)``.
+    def kernel(self, with_caps: bool) -> "GateKernel":
+        """The plan's :class:`GateKernel`.
 
-        ``x`` lists the unknown voltages, ``values`` is the tuple
-        :meth:`kernel_values` builds; ``F`` is the residual and ``J``
-        the row-major Jacobian, as float lists.  ``with_caps`` picks
-        the kernel with capacitor companion stamps.  Only plans with
-        :attr:`use_scalar_mos` have kernels; each is resolved from
-        :data:`KERNELS` once per plan.
+        ``with_caps`` picks the kernel with the live capacitors'
+        companion stamps (and the integrator's generated functions).
+        Only plans with :attr:`use_scalar_mos` have kernels; each is
+        resolved from :data:`KERNELS` once per plan.
         """
         kernel = self._kernels[with_caps]
         if kernel is None:
             kernel = self._kernels[with_caps] = KERNELS.get(self, with_caps)
         return kernel
 
-    def kernel_values(self, known, isrc, gmin: float, geq=(), ieq=()) -> tuple:
+    def kernel_values(self, known: List[float], isrc: List[float],
+                      gmin: float, caps: Sequence[float] = ()) -> tuple:
         """The kernel's ``values``: circuit constants, then one solve's inputs.
 
         ``known`` are the (scaled) known voltages, ``isrc`` the current
-        source values, ``geq``/``ieq`` the companion stamps (empty for
-        the kernel without them).
+        source values, ``caps`` the live capacitors' ``geq`` then their
+        ``ieq`` (empty for the kernel without stamps).
         """
-        return (*self.kernel_consts, *known, *isrc, *geq, *ieq, gmin)
+        return (*self.kernel_consts, *known, *isrc, *caps, gmin)
+
+    def live(self, per_cap: List[float]) -> List[float]:
+        """The :attr:`live_caps` entries of a per-capacitor list."""
+        return [per_cap[ci] for ci in self.live_caps]
 
     def stamps_match(self, cap_stamps) -> bool:
         """Whether ``cap_stamps`` follow the compiled capacitor order.
 
-        The transient integrator builds its :class:`CapStampArrays` on
-        this plan's own ``cap_pairs_a``/``cap_pairs_b``, so they match
+        The transient's array step path builds its :class:`CapStampArrays`
+        on this plan's own ``cap_pairs_a``/``cap_pairs_b``, so they match
         by identity, with no per-solve comparison.  Stamp arrays built
         on other index arrays, and hand-crafted stamp lists (tests,
         external callers) that do not line up, fall back to the
@@ -454,22 +484,31 @@ class DenseScatter:
         self.contrib = np.empty(self.full_wc[0].size)
 
 
-def _kernel_source(plan: StampPlan, with_caps: bool) -> str:
-    """Python source of ``evaluate(x, values)`` for ``plan``'s structure.
+def _volt(slot: int) -> str:
+    """The generated code's name for the voltage at node slot ``slot``."""
+    return f"x{slot}" if slot >= 0 else f"v{-slot - 1}"
 
-    Translates the plan's emission lists (the cap-free prefix unless
-    ``with_caps``) term by term: F value columns ``[res cur | isrc cur |
-    mos i_d | cap cur]``, J value columns ``[res g | mos dvd | mos dvg |
-    mos dvs | cap geq]``, then the ``gmin * x`` row and ``gmin``.  Each
-    device is evaluated with the reference assembler's operand order,
-    and only when one of its terms is emitted.
+
+def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
+    """Python sources of the gate kernel for ``plan``'s structure.
+
+    ``evaluate(x, values)`` translates the plan's emission lists (the
+    cap-free prefix unless ``with_caps``) term by term: F value columns
+    ``[res cur | isrc cur | mos i_d | cap cur]``, J value columns ``[res
+    g | mos dvd | mos dvg | mos dvs | cap geq]``, then the ``gmin * x``
+    row and ``gmin``.  Each device is evaluated with the reference
+    assembler's operand order, and only when one of its terms is
+    emitted.  It returns the flat list ``[-F | J]`` and the residual
+    ``max |F|``, NaN-propagating like ``np.abs(F).max()`` (Python's
+    ``max`` would skip a NaN behind a finite entry).  With capacitor
+    stamps the functions of :func:`_integrator_sources` follow.  Each
+    function is its own source, so compiling them one at a time keeps
+    the parser's peak memory at one function's.
     """
     n = plan.n
     n_known, resistors, _, mosfets = plan.structure[1:]
     n_res, n_is, n_mos, n_cap = plan.n_res, plan.n_is, plan.n_mos, plan.n_cap
-
-    def volt(slot: int) -> str:
-        return f"x{slot}" if slot >= 0 else f"v{-slot - 1}"
+    live = plan.live_caps if with_caps else []
 
     def names(*prefixes: str, count: int) -> List[str]:
         return [f"{prefix}{i}" for prefix in prefixes for i in range(count)]
@@ -494,19 +533,18 @@ def _kernel_source(plan: StampPlan, with_caps: bool) -> str:
     for m, (*_, alpha) in enumerate(mosfets):
         params += [f"k{m}", f"vt{m}", f"lam{m}"] + ([f"al{m}"] if alpha else [])
     params += names("v", count=n_known) + names("si", count=n_is)
-    if with_caps:
-        params += names("cg", "ci", count=n_cap)
+    params += [f"cg{c}" for c in live] + [f"ci{c}" for c in live]
     params.append("gmin")
     lines = ["def evaluate(x, values):",
              f"    {', '.join(names('x', count=n))}, = x",
              f"    {', '.join(params)}, = values"]
     for i, (a, b) in enumerate(resistors):
         if f"ri{i}" in used:
-            lines.append(f"    ri{i} = rg{i} * ({volt(a)} - {volt(b)})")
+            lines.append(f"    ri{i} = rg{i} * ({_volt(a)} - {_volt(b)})")
     for m, (d, g, s, is_nmos, alpha) in enumerate(mosfets):
         if not used & {f"id{m}", f"gd{m}", f"gm{m}", f"gs{m}"}:
             continue
-        vgs, vds = f"{volt(g)} - {volt(s)}", f"{volt(d)} - {volt(s)}"
+        vgs, vds = f"{_volt(g)} - {_volt(s)}", f"{_volt(d)} - {_volt(s)}"
         if not is_nmos:
             vgs, vds = f"-({vgs})", f"-({vds})"
         model = (f"alpha_power_current(k{m}, vt{m}, lam{m}, al{m}, " if alpha
@@ -516,16 +554,89 @@ def _kernel_source(plan: StampPlan, with_caps: bool) -> str:
             lines.append(f"    id{m} = -id{m}")
         if f"gs{m}" in used:
             lines.append(f"    gs{m} = -(gm{m} + gd{m})")
-    if with_caps:
-        for c, (a, b) in enumerate(plan.cap_pairs):
-            if f"cc{c}" in used:
-                lines.append(
-                    f"    cc{c} = cg{c} * ({volt(a)} - {volt(b)}) - ci{c}")
-    lines.append("    return ([{}],".format(
-        ", ".join(" ".join(cell) for cell in f_cells)))
-    lines.append("            [{}])".format(
-        ", ".join(" ".join(cell) for cell in j_cells)))
-    return "\n".join(lines) + "\n"
+    for c in live:
+        a, b = plan.cap_pairs[c]
+        lines.append(f"    cc{c} = cg{c} * ({_volt(a)} - {_volt(b)}) - ci{c}")
+    lines += [f"    f{i} = {' '.join(cell)}" for i, cell in enumerate(f_cells)]
+    lines.append("    r = abs(f0)")
+    for i in range(1, n):
+        lines += [f"    a = abs(f{i})", "    if a > r or a != a:",
+                  "        r = a"]
+    lines.append("    return [{}], r".format(", ".join(
+        [f"-f{i}" for i in range(n)] + [" ".join(cell) for cell in j_cells])))
+    source = "\n".join(lines) + "\n"
+    return [source] + (_integrator_sources(plan) if with_caps else [])
+
+
+def _integrator_sources(plan: StampPlan) -> List[str]:
+    """Sources of the transient's per-step functions over the live capacitors.
+
+    For each rule (``be``, ``trap``), ``companion_<rule>(h, c, u, i)``
+    returns the kernel's capacitor values -- every ``geq``, then every
+    ``ieq`` -- from the capacitances ``c`` and the previous branch
+    voltages ``u`` and currents ``i``; ``history_<rule>(x, v, g, u, i)``
+    returns the accepted step's branch voltages and currents from its
+    unknowns ``x``, known voltages ``v`` and companion values ``g``.
+    ``branches(x, v)`` gives the branch voltages of one solution.  The
+    operand order is the array path's elementwise numpy order:
+    ``c / h`` and ``g * u`` (backward Euler), ``2.0 * c / h`` and
+    ``g * u + i`` (trapezoidal); ``g * (w - u)`` and
+    ``g * (w - u) - i``.
+    """
+    pairs = [plan.cap_pairs[c] for c in plan.live_caps]
+    count = len(pairs)
+
+    def unpack(prefix: str, size: int, name: str) -> List[str]:
+        items = ", ".join(f"{prefix}{j}" for j in range(size))
+        return [f"    {items}, = {name}"] if size else []
+
+    def items(pattern: str) -> List[str]:
+        return [pattern.format(j=j) for j in range(count)]
+
+    nodes = unpack("x", plan.n, "x") + unpack("v", plan.n_known, "v")
+    branch = [f"{_volt(a)} - {_volt(b)}" for a, b in pairs]
+    functions = [["def branches(x, v):", *nodes,
+                  "    return [{}]".format(", ".join(branch))]]
+    for rule, geq, ieq, current in (
+            ("be", "c{j} / h", "g{j} * u{j}", "g[{j}] * (w{j} - u{j})"),
+            ("trap", "2.0 * c{j} / h", "g{j} * u{j} + i{j}",
+             "g[{j}] * (w{j} - u{j}) - i{j}")):
+        previous = unpack("u", count, "u")
+        if rule == "trap":
+            previous += unpack("i", count, "i")
+        functions += [
+            [f"def companion_{rule}(h, c, u, i):",
+             *unpack("c", count, "c"), *previous,
+             *(f"    g{j} = {expr}" for j, expr in enumerate(items(geq))),
+             f"    return [{', '.join(items('g{j}') + items(ieq))}]"],
+            [f"def history_{rule}(x, v, g, u, i):", *nodes, *previous,
+             *(f"    w{j} = {expr}" for j, expr in enumerate(branch)),
+             f"    return [{', '.join(items('w{j}'))}], "
+             f"[{', '.join(items(current))}]"]]
+    return ["\n".join(lines) + "\n" for lines in functions]
+
+
+class GateKernel:
+    """The generated code of one circuit structure.
+
+    ``evaluate(x, values)`` takes the unknown voltages and the tuple
+    :meth:`StampPlan.kernel_values` builds, and returns the flat list
+    ``[-F | J]`` (``J`` row-major) and the NaN-propagating residual
+    ``max |F|``.  A kernel with capacitor stamps also carries the
+    transient's per-step functions (:func:`_integrator_sources`), each
+    pair indexed by ``use_be``: ``companion[use_be]``,
+    ``history[use_be]``, and ``branches``.
+    """
+
+    __slots__ = ("evaluate", "companion", "history", "branches")
+
+    def __init__(self, namespace: dict) -> None:
+        self.evaluate = namespace["evaluate"]
+        self.companion = (namespace.get("companion_trap"),
+                          namespace.get("companion_be"))
+        self.history = (namespace.get("history_trap"),
+                        namespace.get("history_be"))
+        self.branches = namespace.get("branches")
 
 
 class KernelCache:
@@ -533,17 +644,17 @@ class KernelCache:
 
     A key holds what the kernel's code depends on -- node slots, the
     emission order they imply, each transistor's polarity and channel
-    model, the capacitor slots when stamps are present -- and never a
-    device value, load or waveform, so every shot of one gate shares its
-    two kernels whatever its load or stimuli.  Past ``size`` kernels the
-    least recently used is dropped.  Generation runs outside the lock:
-    threads that miss the same key together each generate it, and the
-    first one stored wins.
+    model, the live capacitors' slots when stamps are present -- and
+    never a device value, load or waveform, so every shot of one gate
+    shares its two kernels whatever its load or stimuli.  Past ``size``
+    kernels the least recently used is dropped.  Generation runs outside
+    the lock: threads that miss the same key together each generate it,
+    and the first one stored wins.
     """
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self._kernels: "OrderedDict[tuple, object]" = OrderedDict()
+        self._kernels: "OrderedDict[tuple, GateKernel]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -555,8 +666,11 @@ class KernelCache:
             self._kernels.clear()
 
     def get(self, plan: StampPlan, with_caps: bool):
-        """The kernel of ``plan``'s structure, generated on first use."""
-        key = (plan.structure, tuple(plan.cap_pairs) if with_caps else None)
+        """The :class:`GateKernel` of ``plan``'s structure, generated on
+        first use."""
+        key = (plan.structure,
+               tuple(plan.cap_pairs[c] for c in plan.live_caps)
+               if with_caps else None)
         with self._lock:
             kernel = self._kernels.get(key)
             if kernel is not None:
@@ -564,10 +678,10 @@ class KernelCache:
                 return kernel
         namespace = {"alpha_power_current": alpha_power_current,
                      "nmos_like_current": nmos_like_current}
-        exec(compile(_kernel_source(plan, with_caps), "<gate kernel>",
-                     "exec"), namespace)
+        for source in _kernel_sources(plan, with_caps):
+            exec(compile(source, "<gate kernel>", "exec"), namespace)
         with self._lock:
-            kernel = self._kernels.setdefault(key, namespace["evaluate"])
+            kernel = self._kernels.setdefault(key, GateKernel(namespace))
             self._kernels.move_to_end(key)
             while len(self._kernels) > self.size:
                 self._kernels.popitem(last=False)
@@ -610,29 +724,37 @@ def load_solve(plan: StampPlan, ws: Workspace, known: np.ndarray,
     return False
 
 
+def source_currents(isources, time: float,
+                    source_scale: float = 1.0) -> List[float]:
+    """The current sources' values at ``time``, times ``source_scale``."""
+    return [float(fn(time) * source_scale) for _, _, fn in isources]
+
+
 def load_kernel(plan: StampPlan, known: np.ndarray, time: float, cap_stamps,
                 source_scale: float, isources, gmin: float):
-    """The gate kernel and its ``values`` for one Newton solve.
+    """The gate kernel's ``evaluate`` and its ``values`` for one Newton solve.
 
     :func:`load_solve` for the kernel path: the same iteration-invariant
     inputs, as Python floats -- the known voltages times
-    ``source_scale``, the current sources at ``time``, the companion
-    stamps when present.  Returns ``(evaluate, values)``.
+    ``source_scale``, the current sources at ``time``, the live
+    capacitors' companion stamps when stamps are present.  Returns
+    ``(evaluate, values)``.
     """
     known = np.asarray(known, dtype=float)
     if source_scale != 1.0:
         known = known * source_scale
-    isrc = [float(fn(time) * source_scale) for _, _, fn in isources]
-    if isinstance(cap_stamps, CapStampArrays):
-        caps = ((cap_stamps.geq.tolist(), cap_stamps.ieq.tolist())
-                if len(cap_stamps) else ())
-    elif cap_stamps:
-        caps = ([float(stamp[2]) for stamp in cap_stamps],
-                [float(stamp[3]) for stamp in cap_stamps])
-    else:
-        caps = ()
-    return (plan.kernel(bool(caps)),
-            plan.kernel_values(known.tolist(), isrc, gmin, *caps))
+    known_list = known.tolist()
+    isrc = source_currents(isources, time, source_scale)
+    if not cap_stamps:
+        return (plan.kernel(False).evaluate,
+                plan.kernel_values(known_list, isrc, gmin))
+    # Transients step on floats without this loader, so stamps arrive
+    # here only from direct callers: the tuple form is enough.
+    geq = [float(stamp[2]) for stamp in cap_stamps]
+    ieq = [float(stamp[3]) for stamp in cap_stamps]
+    return (plan.kernel(True).evaluate,
+            plan.kernel_values(known_list, isrc, gmin,
+                               plan.live(geq) + plan.live(ieq)))
 
 
 def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
@@ -693,16 +815,19 @@ def assemble_into(plan: StampPlan, ws: Workspace, dense: DenseScatter,
     """
     if plan.use_scalar_mos:
         n = plan.n
-        caps = (ws.cap_geq.tolist(), ws.cap_ieq.tolist()) if with_caps else ()
-        F, J = plan.kernel(with_caps)(
+        caps = (plan.live(ws.cap_geq.tolist()) + plan.live(ws.cap_ieq.tolist())
+                if with_caps else ())
+        out, _ = plan.kernel(with_caps).evaluate(
             x.tolist(),
             plan.kernel_values(ws.xk[n:].tolist(), ws.is_cur.tolist(), gmin,
-                               *caps))
-        dense.F[:] = F
-        if not need_jacobian:
-            return dense.F, None
-        dense.fj[n:] = J
-        return dense.F, dense.J
+                               caps))
+        if need_jacobian:
+            dense.fj[:] = out
+        else:
+            dense.F[:] = out[:n]
+        # The kernel returns ``-F``; negating it back is exact.
+        np.negative(dense.F, out=dense.F)
+        return dense.F, (dense.J if need_jacobian else None)
     eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
     if need_jacobian:
         dense.fj.fill(0.0)

@@ -23,6 +23,39 @@ activity to be known, so it applies only when every time-varying source
 is a PWL (no callable voltage sources, no current sources); otherwise
 the whole window runs.
 
+One step controller serves every circuit: breakpoints, rejection,
+backward Euler after corners, step adaptation, the settle rule and the
+underflow error live once, in :func:`_integrate`.  The per-step numeric
+work -- companion stamps, the Newton solve, the acceptance norm, the
+capacitor history -- is a small state object that the analysis's
+:class:`~repro.spice.engine.SolveContext` picks once:
+
+* **floats** (:class:`_FloatSteps`) for gate-sized plans whose solves
+  dispatch dense full Newton (fewer than
+  :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors, no
+  ``REPRO_SPARSE``/``REPRO_FAST_NEWTON``).  The unknowns, known voltages
+  and history are Python float lists, only capacitors with an unknown
+  terminal carry stamps or history, the plan's generated code computes
+  the companion values and the history, and each step calls the kernel
+  Newton loop directly
+  (:meth:`~repro.spice.engine.SolveContext.kernel_newton`).  On arrays
+  of 3 to 21 entries a numpy call costs more than its arithmetic: an
+  accepted NAND3 step went from 64 to 42 us of thread time, and
+  ``validate_oracle`` from 12.49 to 17.69 configs/s over 10
+  alternating ``bench/compare.py`` pairs (2-vCPU Xeon container).
+* **arrays** (:class:`_ArraySteps`) for everything else, every solve
+  through the bound solver.
+
+The two are bit-identical: the generated code applies the same IEEE
+operations in the same order as the elementwise numpy expressions
+(``2.0 * c / h``, ``g * v + i``, ``g * (v_new - v) - i``), a capacitor
+between two known nodes never reaches ``F`` or ``J``, the acceptance
+norm is NaN-propagating like ``np.abs(dx).max()``, and the kernel loop
+is the one :func:`~repro.spice.engine.newton_solve` runs for these
+plans.  ``tests/spice/test_gate_kernel.py`` holds the float path to the
+array path on gates, step-control branches, devices and guard settings.
+The DC point always goes through the bound solver.
+
 On top of the in-step recovery (step halving, backward-Euler fallback)
 sits the :class:`~repro.resilience.RetryPolicy` ladder: when an analysis
 attempt still dies with :class:`~repro.errors.ConvergenceError` -- step
@@ -46,10 +79,11 @@ from ..resilience import faults
 from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..units import parse_quantity
 from .dc import dc_solution
-from .engine import NewtonOptions, NewtonStats, SolveContext, newton_solve
+from .engine import (KernelNewton, NewtonOptions, NewtonStats, SolveContext,
+                     max_abs, newton_solve)
 from .guard import record_rung
 from .netlist import Circuit, CompiledCircuit
-from .stamps import CapStampArrays
+from .stamps import CapStampArrays, source_currents
 from .results import TransientResult
 
 __all__ = ["TransientOptions", "transient", "transient_result"]
@@ -105,20 +139,147 @@ def _resolve_settle(compiled: CompiledCircuit, settle: Optional[SettleRule],
     return compiled.unknown_names.index(node), float(level), float(tol), t_flat
 
 
+class _ArraySteps:
+    """One attempt's per-step numeric work on arrays, every solve through ``solve``.
+
+    Holds the unknowns, the capacitor history (previous branch voltage
+    and current, zero current at the DC point) and the series.  The
+    companion values and history updates are elementwise array
+    expressions over every compiled capacitor with the scalar
+    per-capacitor operand order, so a 10k-cap netlist builds them in a
+    handful of numpy calls per step, and the stamps carry the plan's own
+    node-slot arrays, which the solver recognizes by identity.
+    """
+
+    __slots__ = ("solve", "known_voltages", "x", "series", "n_cap", "cap_a",
+                 "cap_b", "cap_af", "cap_bf", "cap_c", "v", "i", "pending")
+
+    def __init__(self, compiled: CompiledCircuit, solve, x: np.ndarray,
+                 t: float) -> None:
+        plan = compiled.stamp_plan
+        self.solve = solve
+        self.known_voltages = compiled.known_voltages
+        self.x = x
+        self.series = [x.copy()]
+        self.n_cap = plan.n_cap
+        if self.n_cap:
+            self.cap_a, self.cap_b = plan.cap_pairs_a, plan.cap_pairs_b
+            self.cap_af, self.cap_bf = plan.cap_a, plan.cap_b
+            self.cap_c = plan.cap_c
+            fused = np.concatenate([x, compiled.known_voltages(t)])
+            self.v = fused[self.cap_af] - fused[self.cap_bf]
+            self.i = np.zeros(self.n_cap)
+
+    def step(self, t_new: float, h: float, use_be: bool,
+             options: NewtonOptions) -> float:
+        """Solve the step to ``t_new``; returns the largest node move."""
+        known = self.known_voltages(t_new)
+        geq = None
+        stamps: object = ()
+        if self.n_cap:
+            if use_be:
+                geq = self.cap_c / h
+                ieq = geq * self.v
+            else:
+                geq = 2.0 * self.cap_c / h
+                ieq = geq * self.v + self.i
+            stamps = CapStampArrays(self.cap_a, self.cap_b, geq, ieq)
+        x_new = self.solve(self.x, known, options, time=t_new,
+                           cap_stamps=stamps)
+        self.pending = (x_new, known, geq)
+        return float(np.abs(x_new - self.x).max())
+
+    def accept(self, use_be: bool) -> np.ndarray:
+        """Take the last solved step; returns its unknowns.
+
+        The history update is the companion relation with the accepted
+        step's ``geq`` (the rule's ``C/h`` or ``2C/h``).
+        """
+        x_new, known, geq = self.pending
+        if self.n_cap:
+            fused = np.concatenate([x_new, known])
+            v_new = fused[self.cap_af] - fused[self.cap_bf]
+            if use_be:
+                self.i = geq * (v_new - self.v)
+            else:
+                self.i = geq * (v_new - self.v) - self.i
+            self.v = v_new
+        self.x = x_new
+        self.series.append(x_new.copy())
+        return x_new
+
+
+class _FloatSteps:
+    """One attempt's per-step numeric work on Python floats.
+
+    For gate-sized plans whose solves run the kernel loop
+    (:meth:`~repro.spice.engine.SolveContext.kernel_newton`).  The
+    unknowns, the known voltages and the history are float lists, and
+    only the live capacitors (an unknown terminal; one between two
+    known nodes never reaches ``F`` or ``J``) carry stamps or history.
+    The plan's generated companion and history code computes them with
+    the array path's operand order, and each step calls the kernel loop
+    directly, so every value is the array path's, bit for bit.
+    """
+
+    __slots__ = ("newton", "buffers", "companion", "history", "known_list",
+                 "isources", "head", "caps", "x", "u", "i", "series",
+                 "pending")
+
+    def __init__(self, compiled: CompiledCircuit, newton: KernelNewton,
+                 x: np.ndarray, t: float) -> None:
+        plan = compiled.stamp_plan
+        code = plan.kernel(True)
+        self.newton = newton
+        self.buffers = newton.buffers()
+        self.companion, self.history = code.companion, code.history
+        self.known_list = compiled.known_list
+        self.isources = compiled.isources
+        self.head = plan.kernel_consts
+        self.caps = plan.live_c
+        self.x: List[float] = x.tolist()
+        self.u = code.branches(self.x, compiled.known_list(t))
+        self.i = [0.0] * len(self.caps)
+        self.series = [self.x]
+
+    def step(self, t_new: float, h: float, use_be: bool,
+             options: NewtonOptions) -> float:
+        """Solve the step to ``t_new``; returns the largest node move."""
+        known = self.known_list(t_new)
+        caps = self.companion[use_be](h, self.caps, self.u, self.i)
+        values = (*self.head, *known,
+                  *source_currents(self.isources, t_new), *caps,
+                  options.gmin)
+        x_new = self.newton.solve(self.x, values, options, self.buffers)
+        self.pending = (x_new, known, caps)
+        return max_abs([a - b for a, b in zip(x_new, self.x)])
+
+    def accept(self, use_be: bool) -> List[float]:
+        """Take the last solved step; returns its unknowns."""
+        x_new, known, caps = self.pending
+        self.u, self.i = self.history[use_be](x_new, known, caps, self.u,
+                                              self.i)
+        self.x = x_new
+        self.series.append(x_new)
+        return x_new
+
+
 def _integrate(compiled: CompiledCircuit, solve, t_start: float,
                t_end: float, initial_op: Optional[Dict[str, float]],
                opts: TransientOptions, stats: NewtonStats,
                retry: Union[RetryPolicy, int, None],
-               recorder=None, settle=None):
+               recorder=None, settle=None,
+               newton: Optional[KernelNewton] = None):
     """One integration attempt; returns ``(times, series, rejected, settled)``.
 
-    Every Newton solve -- the initial DC ladder included -- goes through
-    the bound solver ``solve``.  ``settle`` is a rule resolved by
-    :func:`_resolve_settle`; ``settled`` tells whether it ended the
-    attempt.  Raises
-    :class:`~repro.errors.ConvergenceError` on step underflow or an
-    unsolvable initial operating point; :func:`transient_result` owns
-    the retry ladder around this.
+    The initial DC ladder goes through the bound solver ``solve``.  The
+    steps go through ``newton`` on floats (:class:`_FloatSteps`) when it
+    is given, else through ``solve`` on arrays (:class:`_ArraySteps`);
+    the step control here is the same either way.  ``settle`` is a rule
+    resolved by :func:`_resolve_settle`; ``settled`` tells whether it
+    ended the attempt.  Raises :class:`~repro.errors.ConvergenceError` on
+    step underflow or an unsolvable initial operating point;
+    :func:`transient_result` owns the retry ladder around this.
     """
     span = t_end - t_start
     h_max = span * opts.h_max_ratio
@@ -135,29 +296,12 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
     x = dc_solution(compiled, solve, initial_guess=initial_op, time=t_start,
                     options=opts.newton, stats=stats, retry=retry,
                     recorder=recorder)
-    known = compiled.known_voltages(t_start)
-
-    # Per-capacitor history for the trapezoidal rule: previous branch
-    # voltage and previous branch current (zero at the DC point).
-    # Everything per-capacitor is vectorized -- the stamp plan's fused
-    # ``[x | known]`` gather columns, companion values and history
-    # updates are elementwise array expressions with the scalar
-    # per-capacitor operand order, so the stamps stay bit-identical to
-    # the tuple-built ones while a 10k-cap netlist builds them in a
-    # handful of numpy calls per step instead of a Python loop.  The
-    # stamps carry the plan's own node-slot arrays, which the solver
-    # recognizes by identity.
-    n_cap = len(compiled.capacitors)
-    if n_cap:
-        plan = compiled.stamp_plan
-        cap_a, cap_b = plan.cap_pairs_a, plan.cap_pairs_b
-        cap_af, cap_bf, cap_c = plan.cap_a, plan.cap_b, plan.cap_c
-        fused = np.concatenate([x, known])
-        cap_v_prev = fused[cap_af] - fused[cap_bf]
-        cap_i_prev = np.zeros(n_cap)
+    state: Union[_ArraySteps, _FloatSteps] = (
+        _FloatSteps(compiled, newton, x, t_start) if newton is not None
+        else _ArraySteps(compiled, solve, x, t_start))
+    step, accept = state.step, state.accept
 
     times = [t_start]
-    series = [x.copy()]
     t = t_start
     rejected = 0
     force_be = True  # first step: backward Euler
@@ -169,8 +313,6 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
     dv_reject = opts.dv_reject
     dv_target = opts.dv_target
     grow = opts.grow_factor
-    known_voltages = compiled.known_voltages
-    has_unknown = bool(compiled.n_unknown)
     settle_slot, settle_level, settle_tol, t_settle = settle or (0, 0.0, 0.0, np.inf)
 
     while t < t_end - h_min:
@@ -196,24 +338,12 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
                     f"(h={h:.3e} after {rejected} rejections)"
                 )
             t_new = t + h
-            known_new = known_voltages(t_new)
             # Retries after a Newton failure fall back to backward Euler:
             # trapezoidal's current history can drive the iteration into
             # a corner near sharp source breakpoints.
             use_be = force_be or retry_with_be or method_be
-            if n_cap:
-                if use_be:
-                    geq = cap_c / h
-                    ieq = geq * cap_v_prev
-                else:
-                    geq = 2.0 * cap_c / h
-                    ieq = geq * cap_v_prev + cap_i_prev
-                stamps = CapStampArrays(cap_a, cap_b, geq, ieq)
-            else:
-                stamps = ()
             try:
-                x_new = solve(x, known_new, newton_opts, time=t_new,
-                              cap_stamps=stamps)
+                dv = step(t_new, h, use_be, newton_opts)
             except ConvergenceError:
                 record_rung("timestep_cut", recorder)
                 h *= shrink
@@ -222,7 +352,6 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
                 retry_with_be = True
                 continue
 
-            dv = float(np.abs(x_new - x).max()) if has_unknown else 0.0
             if dv > dv_reject:
                 record_rung("timestep_cut", recorder)
                 h *= shrink
@@ -231,23 +360,11 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
                 continue
             accepted = True
 
-        # Update capacitor history using the companion relations; the
-        # accepted step's ``geq`` is the rule's ``C/h`` or ``2C/h``.
-        if n_cap:
-            fused = np.concatenate([x_new, known_new])
-            v_new = fused[cap_af] - fused[cap_bf]
-            if use_be:
-                cap_i_prev = geq * (v_new - cap_v_prev)
-            else:
-                cap_i_prev = geq * (v_new - cap_v_prev) - cap_i_prev
-            cap_v_prev = v_new
-
+        x = accept(use_be)
         t = t_new
-        x = x_new
         times.append(t)
-        series.append(x.copy())
         if t >= t_settle and abs(x[settle_slot] - settle_level) <= settle_tol:
-            return times, series, rejected, True
+            return times, state.series, rejected, True
         force_be = hit_breakpoint  # damp the ringing right after a corner
         if hit_breakpoint:
             # Do not let a tiny breakpoint-alignment step depress the
@@ -261,11 +378,11 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
         elif dv > dv_target:
             h *= max(dv_target / dv, shrink)
 
-    return times, series, rejected, False
+    return times, state.series, rejected, False
 
 
 def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
-                     solve, stats: NewtonStats,
+                     solve, stats: NewtonStats, context: SolveContext,
                      t_start: float = 0.0,
                      record: Optional[List[str]] = None,
                      initial_op: Optional[Dict[str, float]] = None,
@@ -279,9 +396,13 @@ def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
     attempt log), step-rejection accounting and result assembly all live
     here, so :func:`transient` and :func:`~repro.spice.batch.transient_batch`
     produce identical :class:`~repro.spice.results.TransientResult`
-    objects.  ``stats`` must be the one ``solve`` was bound with.
-    ``settle`` is the early-stop rule described in :func:`transient`;
-    every retry-ladder attempt applies it.
+    objects.  ``stats`` must be the one ``solve`` was bound with, and
+    ``context`` the :class:`~repro.spice.engine.SolveContext` it was
+    bound under: the context picks, once per analysis, whether the steps
+    run on floats through its kernel loop
+    (:meth:`~repro.spice.engine.SolveContext.kernel_newton`) or through
+    ``solve``.  ``settle`` is the early-stop rule described in
+    :func:`transient`; every retry-ladder attempt applies it.
     """
     opts = options or TransientOptions()
     policy = RetryPolicy.resolve(retry)
@@ -293,6 +414,7 @@ def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
     if recorder is None:
         recorder = get_recorder()
     recorder.counter("spice.transient.analyses").inc()
+    newton = context.kernel_newton(compiled, stats)
     attempt_log: List[AttemptRecord] = []
     last_error: Optional[ConvergenceError] = None
     outcome = None
@@ -306,7 +428,8 @@ def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
             faults.fire_transient()
             outcome = _integrate(compiled, solve, t_start, t_end,
                                  initial_op, attempt_opts, stats, policy,
-                                 recorder=recorder, settle=rule)
+                                 recorder=recorder, settle=rule,
+                                 newton=newton)
             break
         except ConvergenceError as error:
             last_error = error
@@ -388,12 +511,13 @@ def transient(circuit: Circuit | CompiledCircuit, t_stop: float | str, *,
     compiled = circuit if isinstance(circuit, CompiledCircuit) else circuit.compile()
     stats = NewtonStats()
     recorder = get_recorder()
-    # Binds this module's ``newton_solve``, the initial DC ladder
-    # included, so tests can wrap the transient solver on its own.
-    solve = SolveContext.for_analysis(recorder, compiled.n_unknown).bind(
-        newton_solve, compiled, stats)
+    # Binds this module's ``newton_solve``, so tests can wrap the
+    # transient solver on its own: the DC ladder always goes through it,
+    # and so do the steps unless the context's kernel loop takes them.
+    context = SolveContext.for_analysis(recorder, compiled.n_unknown)
+    solve = context.bind(newton_solve, compiled, stats)
     return transient_result(
-        compiled, t_stop, solve=solve, stats=stats, t_start=t_start,
-        record=record, initial_op=initial_op, options=options, retry=retry,
-        recorder=recorder, settle=settle,
+        compiled, t_stop, solve=solve, stats=stats, context=context,
+        t_start=t_start, record=record, initial_op=initial_op,
+        options=options, retry=retry, recorder=recorder, settle=settle,
     )

@@ -47,6 +47,13 @@ class TestGrid:
         with pytest.raises(CharacterizationError):
             SingleInputGrid(load_factors=(0.0,))
 
+    def test_single_point_grid_rejected(self):
+        with pytest.raises(CharacterizationError, match=">= 2"):
+            SingleInputGrid(taus=(300e-12,), load_factors=(1.0,))
+        # Two points along either axis are enough.
+        SingleInputGrid(taus=(300e-12, 600e-12), load_factors=(1.0,))
+        SingleInputGrid(taus=(300e-12,), load_factors=(1.0, 2.0))
+
     def test_key_is_json_friendly(self):
         key = SingleInputGrid.fast().key()
         assert isinstance(key["taus"], list)
@@ -100,6 +107,32 @@ class TestCharacterization:
         with pytest.raises(CharacterizationError):
             characterize_single_input(
                 nand3_m, "x", FALL, thresholds_m, cache=tmp_cache)
+
+
+class TestTooFewSurvivingPoints:
+    def test_lost_points_counted_and_resume_suggested(
+            self, nand3_m, thresholds_m, tmp_path):
+        from repro.resilience import FaultInjection
+        grid = SingleInputGrid(taus=(300e-12, 600e-12), load_factors=(1.0,))
+        with FaultInjection("point@single/0:always"):
+            with pytest.raises(CharacterizationError) as excinfo:
+                characterize_single_input(
+                    nand3_m, "a", FALL, thresholds_m, grid=grid, workers=0,
+                    cache=CharacterizationCache(tmp_path))
+        assert "1 of 2 lost" in str(excinfo.value)
+        assert "--resume" in str(excinfo.value)
+
+    def test_short_grid_without_losses_does_not_suggest_resume(
+            self, nand3_m, thresholds_m, tmp_path):
+        grid = SingleInputGrid(taus=(300e-12, 600e-12), load_factors=(1.0,))
+        # A one-point grid that skipped validation: nothing was lost.
+        object.__setattr__(grid, "taus", (300e-12,))
+        with pytest.raises(CharacterizationError) as excinfo:
+            characterize_single_input(
+                nand3_m, "a", FALL, thresholds_m, grid=grid, workers=0,
+                cache=CharacterizationCache(tmp_path))
+        assert "0 of 1 lost" in str(excinfo.value)
+        assert "--resume" not in str(excinfo.value)
 
 
 class TestMergeDuplicates:

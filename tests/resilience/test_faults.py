@@ -49,12 +49,23 @@ class TestGrammar:
 
 class TestFaultInjectionContext:
     def test_sets_and_restores_environment(self, monkeypatch):
+        # Both variables: a run under an outer fault state (CI's chaos
+        # job exports REPRO_FAULTS_STATE) must not leak it in here.
         monkeypatch.delenv(faults.FAULTS_ENV_VAR, raising=False)
+        monkeypatch.delenv(faults.STATE_ENV_VAR, raising=False)
         with FaultInjection("point@1") as fi:
             assert os.environ[faults.FAULTS_ENV_VAR] == "point@1"
             assert os.environ[faults.STATE_ENV_VAR] == str(fi.state_dir)
         assert faults.FAULTS_ENV_VAR not in os.environ
         assert faults.STATE_ENV_VAR not in os.environ
+
+    def test_restores_an_outer_state_dir(self, monkeypatch, tmp_path):
+        outer = str(tmp_path / "outer-state")
+        monkeypatch.setenv(faults.STATE_ENV_VAR, outer)
+        with FaultInjection("point@1") as fi:
+            assert os.environ[faults.STATE_ENV_VAR] == str(fi.state_dir)
+            assert str(fi.state_dir) != outer
+        assert os.environ[faults.STATE_ENV_VAR] == outer
 
     def test_invalid_spec_rejected_eagerly(self):
         with pytest.raises(ReproError):

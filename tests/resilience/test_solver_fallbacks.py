@@ -4,8 +4,10 @@ These tests wrap ``newton_solve`` as seen by :mod:`repro.spice.dc` with
 a gatekeeper that vetoes selected call shapes, proving that each rung of
 the escalation actually engages (plain Newton -> gmin stepping -> source
 stepping -> retry-ladder re-run) rather than silently being skipped.
-The transient's own ``newton_solve`` binding is the seam of its every
-solve, its initial DC ladder included; the last tests pin that routing.
+The transient's own ``newton_solve`` binding is the seam of its initial
+DC ladder and, on the array step path, of its every step; the last
+tests pin that routing on an RC circuit (no transistors, so no
+gate-sized float steps, which call the kernel loop directly).
 """
 
 import sys

@@ -1,14 +1,20 @@
-"""The gate-sized Newton loop against the NumPy loop it replaces.
+"""The gate-sized float paths against the NumPy paths they replace.
 
 Circuits below :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors
 solve on Python floats through their plan's generated kernel
-(:func:`repro.spice.engine._newton_gate`).  Patching the cutover to 0
-sends the same solves through the NumPy full-Newton loop and the grouped
-channel model, which ``test_assembly_equivalence.py`` already holds to
-the reference assembler.  Every result here must match that path bit for
-bit: times and waveforms by ``tobytes()``, Newton accounting by ``==``.
+(:func:`repro.spice.engine._newton_kernel`), and their transients step
+on floats too: the plan's generated companion and history code, with
+each step calling the kernel loop directly
+(:meth:`~repro.spice.engine.SolveContext.kernel_newton`).  Patching the
+cutover to 0 sends the same analyses through the array integrator, the
+NumPy full-Newton loop and the grouped channel model, which
+``test_assembly_equivalence.py`` already holds to the reference
+assembler.  Every result here must match that path bit for bit: times
+and waveforms by ``tobytes()``, Newton accounting and solver counters by
+``==``.
 """
 
+import math
 import sys
 import threading
 
@@ -17,18 +23,23 @@ import pytest
 
 from repro.charlib import GateLibrary, SingleInputGrid
 from repro.charlib.library import cached_thresholds
+from repro.charlib.simulate import (multi_input_response,
+                                    multi_input_response_batch)
 from repro.errors import ConvergenceError
 from repro.gates import Gate
 from repro.obs import get_recorder, recording
-from repro.spice import engine, solve_dc, stamps, transient
+from repro.obs.flight import FLIGHT_ENV_VAR
+from repro.resilience.retry import RetryPolicy
+from repro.spice import (Circuit, TransientOptions, engine, solve_dc, stamps,
+                         transient)
 from repro.spice.dc import _source_stepping
 from repro.spice.engine import (FAST_NEWTON_ENV_VAR, NewtonOptions,
                                 NewtonStats, SolveContext, newton_solve)
-from repro.spice.guard import GUARD_ENV_VAR
+from repro.spice.guard import GUARD_ENV_VAR, GuardPolicy
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.spice.stamps import KERNELS, KernelCache
 from repro.tech import default_process, submicron_process
-from repro.waveform import FALL, RISE, ramp
+from repro.waveform import FALL, RISE, Edge, ramp
 
 from .test_assembly_equivalence import ordered_stamps, random_circuit
 
@@ -76,26 +87,38 @@ def stimuli(gate: Gate, direction: str):
     return waves
 
 
-def shot(gate: Gate, direction: str):
-    """One transient of ``gate`` and the solver counters it recorded."""
+def recorded(run):
+    """``run()`` under a fresh recorder: the result and its ``spice.*``
+    counters."""
     with recording() as rec:
-        result = transient(gate.build(stimuli(gate, direction)), 2e-9)
+        result = run()
     counters = rec.metrics_payload()["counters"]
     return result, {key: value for key, value in counters.items()
-                    if key.startswith("spice.newton")}
+                    if key.startswith("spice.")}
 
 
-def assert_same_transient(got, want) -> None:
-    (result, counters), (ref, ref_counters) = got, want
+def shot(gate: Gate, direction: str):
+    """One transient of ``gate`` and the solver counters it recorded."""
+    return recorded(
+        lambda: transient(gate.build(stimuli(gate, direction)), 2e-9))
+
+
+def assert_same_result(result, ref) -> None:
     assert result.times.tobytes() == ref.times.tobytes()
     assert result.node_names == ref.node_names
     for name in ref.node_names:
         assert result.node(name).values.tobytes() == \
             ref.node(name).values.tobytes(), name
     assert (result.newton_iterations, result.newton_failures,
-            result.rejected_steps, result.solver_retries) == \
+            result.rejected_steps, result.solver_retries,
+            result.retry_attempts) == \
         (ref.newton_iterations, ref.newton_failures, ref.rejected_steps,
-         ref.solver_retries)
+         ref.solver_retries, ref.retry_attempts)
+
+
+def assert_same_transient(got, want) -> None:
+    (result, counters), (ref, ref_counters) = got, want
+    assert_same_result(result, ref)
     assert counters == ref_counters
     assert counters["spice.newton.solves"] > 0
 
@@ -146,6 +169,173 @@ class TestTransientIdentity:
             assert not get_recorder().enabled
             result = transient(circuit, 2e-9)
         assert result.newton_iterations > 0
+
+    @pytest.mark.parametrize("telemetry", [False, True],
+                             ids=["off", "on"])
+    def test_gate_steps_never_reach_the_array_path(self, monkeypatch,
+                                                   telemetry):
+        """Scalar and batched measurement shots never build
+        ``CapStampArrays``, and call ``load_kernel`` only for their DC
+        points: every step runs on floats."""
+        thresholds = cached_thresholds(NAND3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gate-sized step took the array path")
+
+        real_load = engine.load_kernel
+        stamps_seen = []
+
+        def load_kernel(plan, known, time, cap_stamps, *args):
+            stamps_seen.append(cap_stamps)
+            return real_load(plan, known, time, cap_stamps, *args)
+
+        monkeypatch.setattr(sys.modules["repro.spice.transient"],
+                            "CapStampArrays", forbidden)
+        monkeypatch.setattr(engine, "load_kernel", load_kernel)
+        edges = {"a": Edge(FALL, 0.0, 300e-12), "b": Edge(FALL, 80e-12, 500e-12),
+                 "c": Edge(FALL, 150e-12, 200e-12)}
+
+        def shots():
+            multi_input_response(NAND3, edges, thresholds, reference="a")
+            multi_input_response_batch(
+                NAND3, [(edges, "b", None), ({"c": edges["c"]}, "c", None)],
+                thresholds)
+
+        if telemetry:
+            with recording() as rec:
+                shots()
+            analyses = rec.metrics_payload()["counters"][
+                "spice.transient.analyses"]
+        else:
+            assert not get_recorder().enabled
+            shots()
+            analyses = 3
+        assert len(stamps_seen) >= analyses >= 3
+        assert all(seen is None for seen in stamps_seen)
+
+
+def nand2_with(extra: str) -> Circuit:
+    """A falling NAND2 shot plus one ``extra`` element or source."""
+    process = PROCESSES["level1"]
+    gate = Gate.nand(2, process)
+    vdd = process.vdd
+    waves = stimuli(gate, "fall")
+    if extra == "callable_source":
+        waves["a"] = lambda t: vdd * min(1.0, max(0.0, (0.5e-9 - t) / 0.3e-9))
+    circuit = gate.build(waves)
+    if extra == "cap_between_unknowns":
+        circuit.add_capacitor("cx", "pd1", gate.output, 7e-15)
+    elif extra == "cap_between_knowns":
+        circuit.add_capacitor("cx", "a", "b", 5e-15)
+    elif extra == "current_source":
+        circuit.add_isource("ix", gate.output, "0",
+                            lambda t: 2e-6 * math.sin(3e9 * t))
+    return circuit
+
+
+NAND3 = GATES["nand3"](PROCESSES["level1"])
+VDD = PROCESSES["level1"].vdd
+
+#: Transient runs that reach the step controller's other branches, and
+#: what each must show to prove it did.
+SCENARIOS = {
+    "dv_reject": (
+        dict(options=TransientOptions(h_initial_ratio=0.02, h_max_ratio=0.05,
+                                      dv_target=0.05, dv_reject=0.1)),
+        lambda r: r.rejected_steps > 0 and r.newton_failures == 0),
+    "newton_failure": (  # dv never rejects: every rejection is a BE retry
+        dict(options=TransientOptions(
+            h_initial_ratio=0.02, h_max_ratio=0.05, dv_reject=50.0,
+            newton=NewtonOptions(max_iterations=3))),
+        lambda r: r.rejected_steps > 0 and r.newton_failures > 0),
+    "second_attempt": (  # attempt 0 underflows mid-window
+        dict(options=TransientOptions(
+            h_min_ratio=1e-4, newton=NewtonOptions(max_iterations=2)),
+             retry=RetryPolicy(max_attempts=2, iteration_step=3.0,
+                               damping_step=1.0, gmin_step=1.0,
+                               timestep_step=1.0)),
+        lambda r: r.solver_retries == 1
+        and "underflow" in r.retry_attempts[0].message),
+    "backward_euler": (dict(options=TransientOptions(method="be")),
+                       lambda r: len(r.times) > 2),
+    "t_start": (dict(t_start=0.3e-9), lambda r: r.times[0] == 0.3e-9),
+    "settle": (dict(settle=(NAND3.output, VDD, 0.002 * VDD)),
+               lambda r: r.times[-1] < 2e-9),
+}
+
+
+class TestFloatSteps:
+    """Step-controller branches and devices the default shots miss, on
+    the float path against the array path."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_step_control_branches(self, monkeypatch, scenario):
+        kwargs, reached = SCENARIOS[scenario]
+        circuit = NAND3.build(stimuli(NAND3, "fall"))
+        floats, arrays = both_loops(monkeypatch, lambda: recorded(
+            lambda: transient(circuit, 2e-9, **kwargs)))
+        assert reached(floats[0])
+        assert_same_transient(floats, arrays)
+
+    @pytest.mark.parametrize("extra", ["cap_between_unknowns",
+                                       "cap_between_knowns",
+                                       "current_source", "callable_source"])
+    def test_device_mix(self, monkeypatch, extra):
+        circuit = nand2_with(extra)
+        plan = circuit.compile().stamp_plan
+        assert plan.use_scalar_mos and len(plan.live_caps) < plan.n_cap
+        floats, arrays = both_loops(monkeypatch, lambda: recorded(
+            lambda: transient(circuit, 2e-9)))
+        assert_same_transient(floats, arrays)
+
+    def test_telemetry_off(self, monkeypatch):
+        assert not get_recorder().enabled
+        gate = GATES["nand3"](PROCESSES["alpha"])
+        circuit = gate.build(stimuli(gate, "mixed"))
+        floats, arrays = both_loops(monkeypatch,
+                                    lambda: transient(circuit, 2e-9))
+        assert_same_result(floats, arrays)
+
+    @pytest.mark.parametrize("scenario", ["default", "newton_failure"])
+    def test_guard_on(self, monkeypatch, scenario):
+        """``REPRO_GUARD=1``: divergence checks on every iteration and
+        a condition estimate of the first solve."""
+        monkeypatch.setenv(GUARD_ENV_VAR, "1")
+        monkeypatch.setenv(FLIGHT_ENV_VAR, "100000")
+        kwargs = SCENARIOS[scenario][0] if scenario in SCENARIOS else {}
+        circuit = NAND3.build(stimuli(NAND3, "rise"))
+        floats, arrays = both_loops(monkeypatch, lambda: flight(
+            lambda: transient(circuit, 2e-9, **kwargs)))
+        assert_same_transient(floats[:2], arrays[:2])
+        assert floats[2] == arrays[2]
+        assert "condition" in floats[2][0]
+
+    def test_guard_samples_step_conditions(self, monkeypatch):
+        """A policy sampling every other solve estimates the condition
+        of step Jacobians on both paths, to the same bits."""
+        monkeypatch.setenv(GUARD_ENV_VAR, "1")
+        monkeypatch.setenv(FLIGHT_ENV_VAR, "100000")
+        monkeypatch.setattr(GuardPolicy, "from_env", classmethod(
+            lambda cls: cls(condition_every=2)))
+        circuit = NAND3.build(stimuli(NAND3, "fall"))
+        floats, arrays = both_loops(monkeypatch, lambda: flight(
+            lambda: transient(circuit, 2e-9)))
+        assert_same_transient(floats[:2], arrays[:2])
+        assert floats[2] == arrays[2]
+        assert sum("condition" in record for record in floats[2]) > 5
+
+
+def flight(run):
+    """:func:`recorded`, plus the flight ring's solve records without
+    their timings (set ``REPRO_FLIGHT`` to hold every solve)."""
+    with recording() as rec:
+        result = run()
+    counters = rec.metrics_payload()["counters"]
+    solves = [{key: value for key, value in record.items()
+               if key not in ("t", "phases")}
+              for record in rec.flight.records() if record["event"] == "solve"]
+    return result, {key: value for key, value in counters.items()
+                    if key.startswith("spice.")}, solves
 
 
 def dc_outcome(run):
@@ -282,19 +472,50 @@ class TestDcIdentity:
         for values in ([0.0], [-0.0, 0.0], [1.0, -2.0, 0.5], [1.0, nan],
                        [nan, 1.0], [-inf, nan, 2.0], [-inf, 1.0],
                        [1e-300, -1e300]):
-            got = engine._max_abs(values)
+            got = engine.max_abs(values)
             want = float(np.abs(np.array(values)).max())
             assert got == want or (got != got and want != want), values
+
+    def test_kernel_residual_is_max_abs(self):
+        """The kernel's inline residual on the same cases: one current
+        source per unknown node puts each value into ``F`` as is."""
+        nan, inf = float("nan"), float("inf")
+        for values in ([0.0], [-0.0, 0.0], [1.0, -2.0, 0.5], [1.0, nan],
+                       [nan, 1.0], [-inf, nan, 2.0], [-inf, 1.0],
+                       [1e-300, -1e300]):
+            circuit = Circuit()
+            circuit.add_vsource("vd", "d", 1.0)
+            # Every terminal known: the transistor never reaches F or J.
+            circuit.add_mosfet("m0", "d", "d", "0", "0",
+                               PROCESSES["level1"].nmos, 4e-6, 0.8e-6,
+                               with_parasitics=False)
+            for i, value in enumerate(values):
+                circuit.add_isource(f"i{i}", f"n{i}", "0", value)
+            plan = circuit.compile().stamp_plan
+            assert plan.use_scalar_mos
+            out, residual = plan.kernel(False).evaluate(
+                [0.0] * len(values), plan.kernel_values([0.0, 1.0], values,
+                                                        0.0))
+            # F is ``0.0 + x * gmin + value``: a -0.0 value reads 0.0.
+            assert np.array(out[:len(values)]).tobytes() == \
+                np.array([-(0.0 + value) for value in values]).tobytes()
+            want = engine.max_abs(values)
+            assert residual == want or (residual != residual
+                                        and want != want), values
 
 
 class TestKernelCache:
     def test_loads_and_directions_share_two_kernels(self, monkeypatch):
         """Loads and input directions change values, never structure:
-        the first load adds the DC and the transient kernel, and no
-        later load or direction adds another."""
+        the first load adds the DC kernel and the transient kernel (with
+        its generated step code, keyed on the live capacitors' slots),
+        and no later load or direction adds another."""
         monkeypatch.setenv("REPRO_CACHE_DIR", "off")
         gate = Gate.nand(3, PROCESSES["level1"], load=100e-15)
         thresholds = cached_thresholds(gate)
+        plan = gate.build().compile().stamp_plan
+        live_pairs = tuple(plan.cap_pairs[c] for c in plan.live_caps)
+        assert 0 < len(live_pairs) < plan.n_cap
 
         def characterize(load_factors):
             grid = SingleInputGrid(taus=(200e-12, 600e-12),
@@ -303,11 +524,12 @@ class TestKernelCache:
                 gate, mode="table", directions=(RISE, FALL),
                 single_grid=grid, pairs=[], thresholds=thresholds, workers=0)
 
+        want = {(plan.structure, None), (plan.structure, live_pairs)}
         KERNELS.clear()
         characterize((1.0,))
-        assert len(KERNELS) == 2
+        assert set(KERNELS._kernels) == want
         characterize((0.5, 1.5, 2.0))
-        assert len(KERNELS) == 2
+        assert set(KERNELS._kernels) == want
 
     def test_bounded_least_recently_used(self):
         cache = KernelCache(size=2)
@@ -338,7 +560,7 @@ class TestKernelCache:
                 for _ in range(20):
                     for plan, x, vals in zip(plans, xs, values):
                         results.append((plan.structure,
-                                        cache.get(plan, False)(x, vals)))
+                                        cache.get(plan, False).evaluate(x, vals)))
             except Exception as error:  # reported by the assertion below
                 errors.append(error)
 
