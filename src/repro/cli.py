@@ -58,6 +58,18 @@ def _add_gate_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--load", default="100f", help="output load (e.g. 100f)")
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_workers_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -195,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_option(p_val)
     _add_resilience_options(p_val)
     _add_obs_options(p_val)
-    p_val.add_argument("--configs", type=int, default=100)
+    p_val.add_argument("--configs", type=_count, default=100)
     p_val.add_argument("--seed", type=int, default=1996)
 
     p_exp = sub.add_parser("experiment", help="run a paper experiment by id")

@@ -34,6 +34,7 @@ from ..obs import degradation_summary, traced
 from ..charlib.cache import default_cache
 from ..core import DelayCalculator
 from ..core.algorithm import CorrectionPolicy
+from ..errors import ReproError
 from ..resilience.runtime import resilient_map
 from ..tech import Process
 from ..waveform import Edge, FALL
@@ -197,7 +198,11 @@ def run(process: Optional[Process] = None, *,
     remaining 30.  A case that fails still aborts the experiment -- a
     validation with holes would misreport the error statistics -- but
     the journal survives the abort, so the fix-and-resume loop is cheap.
+    Raises :class:`~repro.errors.ReproError` for ``n_configs < 1``: the
+    statistics of no configurations are undefined.
     """
+    if n_configs < 1:
+        raise ReproError(f"n_configs must be at least 1, got {n_configs}")
     gate = paper_gate(process, load=load)
     thresholds = paper_thresholds(process, load=load)
     calc = calculator or paper_calculator(

@@ -88,8 +88,10 @@ def build_gate(kind: str, process_name: str, load: Any) -> Gate:
     raise ReproError(f"unknown gate {kind!r} (try nand3, nor2, inv, aoi21)")
 
 
-def _bounded_quantity(field: str, value: Any, unit: str) -> float:
-    """``value`` parsed in ``unit``: finite, and at most 1 in magnitude.
+def _bounded_quantity(field: str, value: Any, unit: str,
+                      floor: float = -math.inf) -> float:
+    """``value`` parsed in ``unit``: finite, at most 1 in magnitude, and
+    at least ``floor``.
 
     1 s and 1 F are far beyond any gate, and far below the magnitudes
     where the oracle's femtosecond memo keys overflow; NaN would
@@ -100,7 +102,18 @@ def _bounded_quantity(field: str, value: Any, unit: str) -> float:
         raise BadRequest(
             f"{field} {value!r} must be finite and at most 1 {unit} "
             f"in magnitude")
+    if parsed < floor:
+        raise BadRequest(f"{field} {value!r} must be at least "
+                         f"{format_quantity(floor, unit)}")
     return parsed
+
+
+def _edge(direction: str, at: Any, tau: Any) -> Edge:
+    """An edge from request fields.  A transition shorter than 1 fs is
+    no ramp the simulator can step: its end rounds onto its start, or
+    its steps underflow the integrator's minimum."""
+    return Edge(direction, _bounded_quantity("at", at, "s"),
+                _bounded_quantity("tau", tau, "s", floor=1e-15))
 
 
 def parse_edge_spec(spec: str) -> Tuple[str, Edge]:
@@ -111,8 +124,7 @@ def parse_edge_spec(spec: str) -> Tuple[str, Edge]:
             f"edge spec {spec!r} must be PIN:DIR:TAU or PIN:DIR:TAU:AT")
     pin, direction, tau = parts[:3]
     at = parts[3] if len(parts) == 4 else "0s"
-    return pin, Edge(direction, _bounded_quantity("at", at, "s"),
-                     _bounded_quantity("tau", tau, "s"))
+    return pin, _edge(direction, at, tau)
 
 
 def _require(obj: Any, field: str, kind: type, default: Any = None) -> Any:
@@ -136,9 +148,7 @@ def _parse_request_edge(item: Any) -> Tuple[str, Edge]:
             tau = item.get("tau")
             if tau is None:
                 raise BadRequest("edge object is missing required field 'tau'")
-            at = item.get("at", "0s")
-            return pin, Edge(direction, _bounded_quantity("at", at, "s"),
-                             _bounded_quantity("tau", tau, "s"))
+            return pin, _edge(direction, item.get("at", "0s"), tau)
     except BadRequest:
         raise
     except (ReproError, ValueError, TypeError) as exc:

@@ -12,13 +12,15 @@ capacitors (Norton equivalents of the implicit integration rule).
 :func:`newton_solve` picks its loop by the circuit's transistor count.
 Gate-sized circuits (below
 :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER`) iterate on Python
-floats (:func:`_newton_kernel`): the plan's generated kernel returns
-``[-F | J]`` as one list with its residual, each iteration copies it
-into a preallocated buffer with one slice assignment, and the only
-numpy call per iteration is LAPACK ``gesv`` (:data:`gesv`) reading
-that buffer through two views, under one error state per solve.  A
-NumPy array op costs ~1-3 us whatever its size, which was most of the
-~20 us the NumPy assembly of a 3-unknown NAND3 iteration took.
+floats (:func:`_newton_kernel`): the plan's generated kernel evaluates
+the transistors inline, packs ``[-F | J]`` into a preallocated buffer
+with one ``struct`` call and returns its residual, and the only numpy
+call per iteration is LAPACK ``gesv`` (:data:`gesv`), reading that
+buffer through two views and solving into a preallocated ``dx``.  A
+singular Jacobian raises only under :data:`_SINGULAR_RAISES`, which
+:func:`newton_solve` enters once per solve.  A NumPy array op costs
+~1-3 us whatever its size, which was most of the ~20 us the NumPy
+assembly of a 3-unknown NAND3 iteration took.
 Results stay bit-identical: the kernel applies one IEEE add per
 contribution in the plan's emission order (never ``sum()`` or
 ``math.fsum``; Python 3.12's ``sum()`` compensates float sums),
@@ -35,10 +37,16 @@ A gate-sized transient skips :func:`newton_solve` for its steps:
 and the integrator's float state calls the same loop with float lists,
 with no array round trip and no per-step
 :func:`~repro.spice.stamps.load_kernel`
-(see :mod:`repro.spice.transient`).  Its DC point still goes through
-the bound solver.  Over 10 alternating ``bench/compare.py`` pairs on
-the same container, that took ``validate_oracle`` from 12.49 to 17.69
-configs/s.
+(see :mod:`repro.spice.transient`), under one error state per
+integration attempt (:meth:`KernelNewton.error_state`; entering one
+costs ~2-3 us, and a NAND3 shot makes ~160 step solves).  Its DC point
+still goes through the bound solver.  Over 10 alternating
+``bench/compare.py`` pairs on the same container, that took
+``validate_oracle`` from 12.49 to 17.69 configs/s, and then from 17.48
+to 22.01 with the inline channel models, the packed buffer, the
+preallocated ``dx`` and the per-attempt error state (8.53 -> 7.19 us
+per kernel call, and 8.81 -> 5.00 us of the loop's own work per
+iteration, perf_counter wrappers over 40 configs, best of four runs).
 """
 
 from __future__ import annotations
@@ -433,8 +441,9 @@ _SINGULAR_RAISES = dict(call=_raise_singular, invalid="call", over="ignore",
 #: LAPACK ``gesv``, the gufunc behind :func:`numpy.linalg.solve`.  It
 #: raises on a singular matrix only under ``_SINGULAR_RAISES``.  Every
 #: dense full-Newton solve calls it through this name --
-#: :func:`dense_solve` per call, the gate-sized loop once per solve --
-#: so fault-injection tests patch it here.
+#: :func:`dense_solve` per call, the gate-sized loop once per solve,
+#: as ``gesv(J, rhs, out=dx)`` -- so fault-injection tests patch it
+#: here.
 gesv = _umath_linalg.solve1
 
 
@@ -701,11 +710,16 @@ def max_abs(values: List[float]) -> float:
     return peak
 
 
-def kernel_buffers(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(fj, rhs, J)`` for the kernel loop: ``fj`` holds ``[-F | J]``,
-    and ``rhs`` and ``J`` are its views for :data:`gesv`."""
+def kernel_buffers(n: int) -> Tuple[memoryview, np.ndarray, np.ndarray,
+                                    np.ndarray]:
+    """``(out, rhs, J, dx)`` for the kernel loop.
+
+    ``out`` is a memoryview of one ``n + n * n`` buffer, which the
+    kernel packs ``[-F | J]`` into; ``rhs`` and ``J`` are its views for
+    :data:`gesv`, and ``dx`` is the array ``gesv`` solves into.
+    """
     fj = np.empty(n + n * n)
-    return fj, fj[:n], fj[n:].reshape(n, n)
+    return memoryview(fj), fj[:n], fj[n:].reshape(n, n), np.empty(n)
 
 
 def _newton_kernel(x: List[float], evaluate, values: tuple, buffers: tuple,
@@ -717,64 +731,64 @@ def _newton_kernel(x: List[float], evaluate, values: tuple, buffers: tuple,
 
     ``x`` lists the unknown voltages (not modified); ``evaluate`` is a
     :class:`~repro.spice.stamps.GateKernel`'s and ``values`` its inputs;
-    ``buffers`` come from :func:`kernel_buffers`.  Each iteration copies
-    the kernel's flat ``[-F | J]`` into ``fj`` with one slice assignment
-    and :data:`gesv` reads it through the ``rhs`` and ``J`` views; the
-    kernel's residual is ``np.abs(F).max()``'s.  Everything else --
-    guard checks, the singular nudge, damping, the update, the
-    accounting and the dense backend's phase timing -- is the NumPy
-    loop's, step for step, under one error state per solve.  Returns
-    the solution as a new list.
+    ``buffers`` come from :func:`kernel_buffers`.  Each iteration the
+    kernel packs ``[-F | J]`` into ``out`` and returns the residual
+    ``np.abs(F).max()`` would give, and :data:`gesv` reads the ``rhs``
+    and ``J`` views and solves into ``dx``.  Everything else -- guard
+    checks, the singular nudge, damping, the update, the accounting and
+    the dense backend's phase timing -- is the NumPy loop's, step for
+    step.  The caller holds the error state a singular ``J`` raises
+    under (:data:`_SINGULAR_RAISES`): per solve in :func:`newton_solve`,
+    per transient attempt on the float step path.  Returns the solution
+    as a new list.
     """
-    fj, rhs, J = buffers
+    out, rhs, J, dx = buffers
     n = len(x)
     solve = gesv
     max_step, voltol, abstol = options.max_step, options.voltol, options.abstol
     condition_seen: Optional[float] = None
     last_residual = float("inf")
-    with np.errstate(**_SINGULAR_RAISES):
-        for iteration in range(1, options.max_iterations + 1):
-            if times is not None:
-                start = _monotonic()
-            out, residual = evaluate(x, values)
-            fj[:] = out
-            if times is not None:
-                times.assembly += _monotonic() - start
-            if guard is not None:
-                _check_guard(guard, iteration, residual, stats, recorder,
-                             "dense", n, times, profile)
-            if times is not None:
-                start = _monotonic()
+    for iteration in range(1, options.max_iterations + 1):
+        if times is not None:
+            start = _monotonic()
+        residual = evaluate(x, values, out)
+        if times is not None:
+            times.assembly += _monotonic() - start
+        if guard is not None:
+            _check_guard(guard, iteration, residual, stats, recorder,
+                         "dense", n, times, profile)
+        if times is not None:
+            start = _monotonic()
+        try:
+            solve(J, rhs, out=dx)
+        except np.linalg.LinAlgError:
+            record_rung("nudge", recorder)
+            nudge_diagonal(J, singular_nudge(effective_gmin))
             try:
-                dx = solve(J, rhs)
+                solve(J, rhs, out=dx)
             except np.linalg.LinAlgError:
-                record_rung("nudge", recorder)
-                nudge_diagonal(J, singular_nudge(effective_gmin))
-                try:
-                    dx = solve(J, rhs)
-                except np.linalg.LinAlgError:
-                    _end_solve(stats, recorder, "dense", profile, times, n,
-                               iteration, "singular")
-                    raise ConvergenceError(
-                        "singular Jacobian during Newton iteration",
-                        iterations=iteration, residual=residual,
-                    ) from None
-            if times is not None:
-                times.factorize += _monotonic() - start
-            if guard is not None and guard.check_condition:
-                condition_seen = _estimate_condition(
-                    guard, condition_estimate_dense, J, recorder, times)
-            dx = dx.tolist()
-            step = max_abs(dx)
-            if step > max_step:
-                scale = max_step / step
-                dx = [d * scale for d in dx]
-            x = [a + d for a, d in zip(x, dx)]
-            if step < voltol and residual < abstol:
                 _end_solve(stats, recorder, "dense", profile, times, n,
-                           iteration, "converged", condition=condition_seen)
-                return x
-            last_residual = residual
+                           iteration, "singular")
+                raise ConvergenceError(
+                    "singular Jacobian during Newton iteration",
+                    iterations=iteration, residual=residual,
+                ) from None
+        if times is not None:
+            times.factorize += _monotonic() - start
+        if guard is not None and guard.check_condition:
+            condition_seen = _estimate_condition(
+                guard, condition_estimate_dense, J, recorder, times)
+        delta = dx.tolist()
+        step = max_abs(delta)
+        if step > max_step:
+            scale = max_step / step
+            delta = [d * scale for d in delta]
+        x = [a + d for a, d in zip(x, delta)]
+        if step < voltol and residual < abstol:
+            _end_solve(stats, recorder, "dense", profile, times, n,
+                       iteration, "converged", condition=condition_seen)
+            return x
+        last_residual = residual
     _end_solve(stats, recorder, "dense", profile, times, n,
                options.max_iterations, "iteration_limit",
                condition=condition_seen)
@@ -793,8 +807,8 @@ class KernelNewton:
     kernel loop.  :meth:`solve` is that loop without the bound solver's
     array round trip or :func:`~repro.spice.stamps.load_kernel`: lists
     in, a list out.  Like a solve through :func:`newton_solve`, each
-    starts its own guard and phase accumulator and runs under its own
-    error state.
+    starts its own guard and phase accumulator.  The error state is the
+    caller's to hold, once for many solves: :meth:`error_state`.
     """
 
     __slots__ = ("n", "evaluate", "stats", "recorder", "guard", "profile")
@@ -809,15 +823,22 @@ class KernelNewton:
         self.guard = guard
         self.profile = profile
 
-    def buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def buffers(self) -> tuple:
         """Fresh :func:`kernel_buffers` for one analysis attempt."""
         return kernel_buffers(self.n)
+
+    @staticmethod
+    def error_state() -> np.errstate:
+        """The error state :meth:`solve` must run under: a singular
+        Jacobian raises inside it, as in :func:`numpy.linalg.solve`."""
+        return np.errstate(**_SINGULAR_RAISES)
 
     def solve(self, x: List[float], values: tuple, options: NewtonOptions,
               buffers: tuple) -> List[float]:
         """One step's Newton solve; ``values`` as
         :meth:`~repro.spice.stamps.StampPlan.kernel_values` builds them
-        with the live capacitors' stamps.  Raises
+        with the live capacitors' stamps.  Call it inside
+        :meth:`error_state`.  Raises
         :class:`~repro.errors.ConvergenceError` like :func:`newton_solve`.
         """
         guard, profile = self.guard, self.profile
@@ -889,10 +910,11 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
         evaluate, values = load_kernel(plan, known, time, cap_stamps,
                                        source_scale, compiled.isources,
                                        effective_gmin)
-        return np.array(_newton_kernel(
-            np.asarray(x0, dtype=float).tolist(), evaluate, values,
-            kernel_buffers(plan.n), options, effective_gmin, stats, recorder,
-            solve_guard, times, profile))
+        with np.errstate(**_SINGULAR_RAISES):
+            return np.array(_newton_kernel(
+                np.asarray(x0, dtype=float).tolist(), evaluate, values,
+                kernel_buffers(plan.n), options, effective_gmin, stats,
+                recorder, solve_guard, times, profile))
     x = np.array(x0, dtype=float)
     if use_sparse:
         ops = _SparseOps(plan.sparse, recorder, times)

@@ -12,11 +12,22 @@ drain and source are swapped internally.  PMOS devices are evaluated by
 polarity reflection.  Current and its first derivative are continuous at
 the triode/saturation boundary; the only derivative kink is at
 ``v_ov = 0``, which the damped Newton solver handles.
+
+The scalar functions (:func:`nmos_like_current`,
+:func:`alpha_power_current`) are the reference.  Two other forms must
+reproduce them bit for bit: the vectorized ``*_batch`` functions that
+larger circuits evaluate per device group, and :func:`channel_source`,
+the same equations written out as Python source, which gate-sized
+circuits' generated kernels (:mod:`repro.spice.stamps`) inline instead
+of calling a function per transistor.  ``tests/spice/test_mosfet.py``
+holds the generated form to the scalar functions on signed zeros,
+region boundaries, reversed devices, NaN and infinities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -24,7 +35,7 @@ from ..tech import MosfetParams
 
 __all__ = ["nmos_like_current", "mosfet_current", "MosfetInstance",
            "nmos_like_current_batch", "alpha_power_current_batch",
-           "mosfet_current_batch", "device_param_rows"]
+           "mosfet_current_batch", "device_param_rows", "channel_source"]
 
 
 def nmos_like_current(k: float, vt: float, lam: float,
@@ -99,6 +110,87 @@ def alpha_power_current(k: float, vt: float, lam: float, alpha: float,
     gm = alpha * k * vov ** (alpha - 1.0) * u * clm
     gds = i_sat0 * ((2.0 - 2.0 * u) / vdsat * clm + core * lam)
     return ids, gm, gds
+
+
+#: :func:`nmos_like_current` past its drain/source swap, as gate-kernel
+#: source (see :func:`channel_source`): the same expressions in the same
+#: operand order, reading ``vgs``/``vds`` and assigning ``{ids}``,
+#: ``{gm}``, ``{gds}``.
+_SQUARE_LAW = """\
+vov = vgs - {vt}
+if vov <= 0.0:
+    {ids}, {gm}, {gds} = 0.0, 0.0, 0.0
+else:
+    clm = 1.0 + {lam} * vds
+    if vds < vov:
+        core = 2.0 * vov * vds - vds * vds
+        {ids} = {k} * core * clm
+        {gm} = 2.0 * {k} * vds * clm
+        {gds} = {k} * (2.0 * vov - 2.0 * vds) * clm + {k} * core * {lam}
+    else:
+        core = vov * vov
+        {ids} = {k} * core * clm
+        {gm} = 2.0 * {k} * vov * clm
+        {gds} = {k} * core * {lam}
+"""
+
+#: :func:`alpha_power_current` past its drain/source swap, like
+#: :data:`_SQUARE_LAW`.
+_ALPHA_POWER = """\
+vov = vgs - {vt}
+if vov <= 0.0:
+    {ids}, {gm}, {gds} = 0.0, 0.0, 0.0
+else:
+    clm = 1.0 + {lam} * vds
+    i_sat0 = {k} * vov ** {al}
+    vdsat = vov ** (0.5 * {al})
+    if vds >= vdsat:
+        {ids} = i_sat0 * clm
+        {gm} = {al} * {k} * vov ** ({al} - 1.0) * clm
+        {gds} = i_sat0 * {lam}
+    else:
+        u = vds / vdsat
+        core = 2.0 * u - u * u
+        {ids} = i_sat0 * core * clm
+        {gm} = {al} * {k} * vov ** ({al} - 1.0) * u * clm
+        {gds} = i_sat0 * ((2.0 - 2.0 * u) / vdsat * clm + core * {lam})
+"""
+
+
+def channel_source(m: int, is_nmos: bool, alpha_model: bool,
+                   vg: str, vd: str, vs: str) -> List[str]:
+    """Python lines that evaluate transistor ``m`` inline, for generated code.
+
+    The lines read the parameters ``k{m}``, ``vt{m}`` (``abs(vt0)``),
+    ``lam{m}`` (and ``al{m}`` for an alpha-power card) and the terminal
+    voltage expressions ``vg``, ``vd``, ``vs``, and assign ``id{m}``
+    (current into the drain), ``gm{m}`` and ``gd{m}``: the ``i_d``,
+    ``di_d/dvg`` and ``di_d/dvd`` of :func:`mosfet_current`, bit for
+    bit.  They are the scalar channel function written out -- the same
+    comparisons, the swap for ``vds < 0``, and every expression in the
+    same operand order -- so a gate kernel pays no call per device.
+    Indented for a function body; the locals they use (``vgs``,
+    ``vds``, ``vov``, ...) are reassigned per device.
+    """
+    if is_nmos:
+        lines = [f"vgs = {vg} - {vs}", f"vds = {vd} - {vs}"]
+    else:
+        lines = [f"vgs = -({vg} - {vs})", f"vds = -({vd} - {vs})"]
+    params = dict(k=f"k{m}", vt=f"vt{m}", lam=f"lam{m}", al=f"al{m}")
+    body = _ALPHA_POWER if alpha_model else _SQUARE_LAW
+
+    def inner(ids: str, gm: str, gds: str) -> List[str]:
+        text = body.format(ids=ids, gm=gm, gds=gds, **params)
+        return ["    " + line for line in text.splitlines()]
+
+    # I(vgs, vds < 0) = -I'(vgs - vds, -vds): the scalar's recursion.
+    lines += ["if vds < 0.0:", "    vgs, vds = vgs - vds, -vds",
+              *inner("ids", "gms", "gds"),
+              f"    id{m}, gm{m}, gd{m} = -ids, -gms, gms + gds",
+              "else:", *inner(f"id{m}", f"gm{m}", f"gd{m}")]
+    if not is_nmos:
+        lines.append(f"id{m} = -id{m}")
+    return ["    " + line for line in lines]
 
 
 def channel_function(params: MosfetParams):

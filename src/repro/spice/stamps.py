@@ -11,9 +11,9 @@ do.  A :class:`StampPlan` compiles that structure once per
   unknowns, slot ``< 0`` the knowns, exactly the netlist encoding),
 * a **gate kernel** for gate-sized circuits (fewer than
   :data:`SCALAR_MOS_CUTOVER` transistors): generated straight-line
-  Python that evaluates every device and returns ``[-F | J]`` as one
-  float list with its residual, plus the transient's companion and
-  history code (see below),
+  Python that evaluates every device inline, packs ``[-F | J]`` into
+  the caller's buffer and returns its residual, plus the transient's
+  companion, history and move-norm code (see below),
 * a **device-axis parameter table** so larger circuits evaluate all
   transistors of one polarity/channel-model group through a single
   :func:`~repro.spice.mosfet.mosfet_current_batch` call, and
@@ -38,10 +38,12 @@ expression that starts from ``0.0`` and applies one IEEE ``+`` or
 ``-`` per contribution, in emission order, exactly the additions the
 scatter performs.  Nothing is summed with ``sum()`` or
 ``math.fsum`` (Python 3.12's ``sum()`` compensates float sums), and
-the channel models are the scalar functions the reference assembler
-calls.  The kernel returns ``-F`` (negation is exact), so the Newton
-loop copies one list into its ``gesv`` buffer per iteration, and the
-residual ``max |F|`` is computed inline, NaN-propagating like
+the channel models are the reference assembler's scalar functions
+written out inline (:func:`~repro.spice.mosfet.channel_source`: the
+same comparisons and operand order, no call per transistor).  The
+kernel packs ``-F`` (negation is exact) and ``J`` straight into the
+Newton loop's ``gesv`` buffer with one ``struct`` call, and computes
+the residual ``max |F|`` inline, NaN-propagating like
 ``np.abs(F).max()``.  Only the *live* capacitors
 (:attr:`StampPlan.live_caps`, those with an unknown terminal) take
 companion stamps: one between two known nodes never reaches ``F`` or
@@ -49,18 +51,20 @@ companion stamps: one between two known nodes never reaches ``F`` or
 carries generated backward-Euler and trapezoidal companion and history
 functions over the live capacitors, written with the array
 integrator's elementwise operand order (``c / h``, ``2.0 * c / h``,
-``g * v + i``, ``g * (v_new - v) - i``), so the float step path of
-:mod:`repro.spice.transient` computes the same bits.  Generating a
-NAND3 transient kernel costs a few milliseconds, so kernels are cached
-by structure (:class:`KernelCache`): node slots, emission order,
-polarity and channel model, and the live capacitors' slots, never a
-device value, so every shot of one gate shares its two kernels (with
-and without capacitor stamps).  Below the cutover the Newton engine
-iterates on the kernel's floats and calls LAPACK only for the linear
-solve, and the transient steps on floats too (``validate_oracle``:
-7.54 -> 12.47 configs/s for the kernel loop, then 12.49 -> 17.69 for
-the float steps, 10 alternating ``bench/compare.py`` pairs each on a
-2-vCPU Xeon container; see :mod:`repro.spice.engine` and
+``g * v + i``, ``g * (v_new - v) - i``), and the step's move norm, so
+the float step path of :mod:`repro.spice.transient` computes the same
+bits.  Generating a NAND3 transient kernel costs a few milliseconds,
+so kernels are cached by structure (:class:`KernelCache`): node slots,
+emission order, polarity and channel model, and the live capacitors'
+slots, never a device value, so every shot of one gate shares its two
+kernels (with and without capacitor stamps).  Below the cutover the
+Newton engine iterates on the kernel's floats and calls LAPACK only
+for the linear solve, and the transient steps on floats too
+(``validate_oracle``: 7.54 -> 12.47 configs/s for the kernel loop,
+12.49 -> 17.69 for the float steps, then 17.48 -> 22.01 for the inline
+channel models, the packed buffer and one error state per attempt;
+10 alternating ``bench/compare.py`` pairs each on a 2-vCPU Xeon
+container; see :mod:`repro.spice.engine` and
 :mod:`repro.spice.transient`); above it, numpy calls amortize over
 enough devices to win.
 
@@ -73,6 +77,7 @@ dense ``n + n**2`` buffer.
 
 from __future__ import annotations
 
+import struct
 import threading
 from collections import OrderedDict
 from functools import cached_property
@@ -80,8 +85,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mosfet import (alpha_power_current, device_param_rows,
-                     mosfet_current_batch, nmos_like_current)
+from .mosfet import channel_source, device_param_rows, mosfet_current_batch
 
 __all__ = ["CapStampArrays", "DenseScatter", "GateKernel", "KERNELS",
            "KernelCache", "MosGroup", "StampPlan", "Workspace",
@@ -89,8 +93,8 @@ __all__ = ["CapStampArrays", "DenseScatter", "GateKernel", "KERNELS",
            "load_solve", "source_currents"]
 
 #: Below this device count a plan evaluates its circuit through its
-#: generated gate kernel, one scalar channel-model call per transistor:
-#: ~35 numpy kernel launches per
+#: generated gate kernel, the scalar channel equations inline per
+#: transistor: ~35 numpy kernel launches per
 #: :func:`~repro.spice.mosfet.mosfet_current_batch` call cost more than
 #: they vectorize for a handful of devices (a single gate).  Larger
 #: systems (gate chains, proximity testbenches) use the grouped batch
@@ -492,18 +496,19 @@ def _volt(slot: int) -> str:
 def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
     """Python sources of the gate kernel for ``plan``'s structure.
 
-    ``evaluate(x, values)`` translates the plan's emission lists (the
-    cap-free prefix unless ``with_caps``) term by term: F value columns
-    ``[res cur | isrc cur | mos i_d | cap cur]``, J value columns ``[res
-    g | mos dvd | mos dvg | mos dvs | cap geq]``, then the ``gmin * x``
-    row and ``gmin``.  Each device is evaluated with the reference
-    assembler's operand order, and only when one of its terms is
-    emitted.  It returns the flat list ``[-F | J]`` and the residual
-    ``max |F|``, NaN-propagating like ``np.abs(F).max()`` (Python's
-    ``max`` would skip a NaN behind a finite entry).  With capacitor
-    stamps the functions of :func:`_integrator_sources` follow.  Each
-    function is its own source, so compiling them one at a time keeps
-    the parser's peak memory at one function's.
+    ``evaluate(x, values, out)`` translates the plan's emission lists
+    (the cap-free prefix unless ``with_caps``) term by term: F value
+    columns ``[res cur | isrc cur | mos i_d | cap cur]``, J value
+    columns ``[res g | mos dvd | mos dvg | mos dvs | cap geq]``, then
+    the ``gmin * x`` row and ``gmin``.  Each transistor is evaluated
+    inline (:func:`~repro.spice.mosfet.channel_source`), and only when
+    one of its terms is emitted.  It packs ``[-F | J]`` into the
+    writable buffer ``out`` (``n + n * n`` doubles) with one
+    ``struct`` call, ``_pack``, and returns the residual ``max |F|``,
+    NaN-propagating like ``np.abs(F).max()``.  With capacitor stamps the
+    functions of :func:`_integrator_sources` follow.  Each function is
+    its own source, so compiling them one at a time keeps the parser's
+    peak memory at one function's.
     """
     n = plan.n
     n_known, resistors, _, mosfets = plan.structure[1:]
@@ -535,7 +540,7 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
     params += names("v", count=n_known) + names("si", count=n_is)
     params += [f"cg{c}" for c in live] + [f"ci{c}" for c in live]
     params.append("gmin")
-    lines = ["def evaluate(x, values):",
+    lines = ["def evaluate(x, values, out):",
              f"    {', '.join(names('x', count=n))}, = x",
              f"    {', '.join(params)}, = values"]
     for i, (a, b) in enumerate(resistors):
@@ -544,28 +549,30 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
     for m, (d, g, s, is_nmos, alpha) in enumerate(mosfets):
         if not used & {f"id{m}", f"gd{m}", f"gm{m}", f"gs{m}"}:
             continue
-        vgs, vds = f"{_volt(g)} - {_volt(s)}", f"{_volt(d)} - {_volt(s)}"
-        if not is_nmos:
-            vgs, vds = f"-({vgs})", f"-({vds})"
-        model = (f"alpha_power_current(k{m}, vt{m}, lam{m}, al{m}, " if alpha
-                 else f"nmos_like_current(k{m}, vt{m}, lam{m}, ")
-        lines.append(f"    id{m}, gm{m}, gd{m} = {model}{vgs}, {vds})")
-        if not is_nmos:
-            lines.append(f"    id{m} = -id{m}")
+        lines += channel_source(m, is_nmos, alpha,
+                                _volt(g), _volt(d), _volt(s))
         if f"gs{m}" in used:
             lines.append(f"    gs{m} = -(gm{m} + gd{m})")
     for c in live:
         a, b = plan.cap_pairs[c]
         lines.append(f"    cc{c} = cg{c} * ({_volt(a)} - {_volt(b)}) - ci{c}")
     lines += [f"    f{i} = {' '.join(cell)}" for i, cell in enumerate(f_cells)]
-    lines.append("    r = abs(f0)")
-    for i in range(1, n):
-        lines += [f"    a = abs(f{i})", "    if a > r or a != a:",
-                  "        r = a"]
-    lines.append("    return [{}], r".format(", ".join(
+    lines.append("    _pack(out, 0, {})".format(", ".join(
         [f"-f{i}" for i in range(n)] + [" ".join(cell) for cell in j_cells])))
+    lines += _max_abs_lines([f"f{i}" for i in range(n)])
     source = "\n".join(lines) + "\n"
     return [source] + (_integrator_sources(plan) if with_caps else [])
+
+
+def _max_abs_lines(terms: List[str]) -> List[str]:
+    """Lines returning the largest ``abs`` of ``terms``, NaN-propagating
+    like ``np.abs(values).max()`` (Python's ``max`` would skip a NaN
+    behind a finite entry)."""
+    lines = [f"    r = abs({terms[0]})"]
+    for term in terms[1:]:
+        lines += [f"    a = abs({term})", "    if a > r or a != a:",
+                  "        r = a"]
+    return lines + ["    return r"]
 
 
 def _integrator_sources(plan: StampPlan) -> List[str]:
@@ -577,11 +584,12 @@ def _integrator_sources(plan: StampPlan) -> List[str]:
     voltages ``u`` and currents ``i``; ``history_<rule>(x, v, g, u, i)``
     returns the accepted step's branch voltages and currents from its
     unknowns ``x``, known voltages ``v`` and companion values ``g``.
-    ``branches(x, v)`` gives the branch voltages of one solution.  The
-    operand order is the array path's elementwise numpy order:
-    ``c / h`` and ``g * u`` (backward Euler), ``2.0 * c / h`` and
-    ``g * u + i`` (trapezoidal); ``g * (w - u)`` and
-    ``g * (w - u) - i``.
+    ``branches(x, v)`` gives the branch voltages of one solution, and
+    ``move(x, y)`` the step's largest node move ``max |x - y|``,
+    NaN-propagating like ``np.abs(x - y).max()``.  The operand order is
+    the array path's elementwise numpy order: ``c / h`` and ``g * u``
+    (backward Euler), ``2.0 * c / h`` and ``g * u + i`` (trapezoidal);
+    ``g * (w - u)`` and ``g * (w - u) - i``.
     """
     pairs = [plan.cap_pairs[c] for c in plan.live_caps]
     count = len(pairs)
@@ -596,7 +604,10 @@ def _integrator_sources(plan: StampPlan) -> List[str]:
     nodes = unpack("x", plan.n, "x") + unpack("v", plan.n_known, "v")
     branch = [f"{_volt(a)} - {_volt(b)}" for a, b in pairs]
     functions = [["def branches(x, v):", *nodes,
-                  "    return [{}]".format(", ".join(branch))]]
+                  "    return [{}]".format(", ".join(branch))],
+                 ["def move(x, y):", *unpack("x", plan.n, "x"),
+                  *unpack("y", plan.n, "y"),
+                  *_max_abs_lines([f"x{i} - y{i}" for i in range(plan.n)])]]
     for rule, geq, ieq, current in (
             ("be", "c{j} / h", "g{j} * u{j}", "g[{j}] * (w{j} - u{j})"),
             ("trap", "2.0 * c{j} / h", "g{j} * u{j} + i{j}",
@@ -619,16 +630,17 @@ def _integrator_sources(plan: StampPlan) -> List[str]:
 class GateKernel:
     """The generated code of one circuit structure.
 
-    ``evaluate(x, values)`` takes the unknown voltages and the tuple
-    :meth:`StampPlan.kernel_values` builds, and returns the flat list
-    ``[-F | J]`` (``J`` row-major) and the NaN-propagating residual
-    ``max |F|``.  A kernel with capacitor stamps also carries the
-    transient's per-step functions (:func:`_integrator_sources`), each
-    pair indexed by ``use_be``: ``companion[use_be]``,
-    ``history[use_be]``, and ``branches``.
+    ``evaluate(x, values, out)`` takes the unknown voltages, the tuple
+    :meth:`StampPlan.kernel_values` builds and a writable buffer of
+    ``n + n * n`` doubles; it packs ``[-F | J]`` (``J`` row-major) into
+    ``out`` and returns the NaN-propagating residual ``max |F|``.  A
+    kernel with capacitor stamps also carries the transient's per-step
+    functions (:func:`_integrator_sources`), each pair indexed by
+    ``use_be``: ``companion[use_be]``, ``history[use_be]``, then
+    ``branches`` and ``move``.
     """
 
-    __slots__ = ("evaluate", "companion", "history", "branches")
+    __slots__ = ("evaluate", "companion", "history", "branches", "move")
 
     def __init__(self, namespace: dict) -> None:
         self.evaluate = namespace["evaluate"]
@@ -637,6 +649,7 @@ class GateKernel:
         self.history = (namespace.get("history_trap"),
                         namespace.get("history_be"))
         self.branches = namespace.get("branches")
+        self.move = namespace.get("move")
 
 
 class KernelCache:
@@ -676,8 +689,8 @@ class KernelCache:
             if kernel is not None:
                 self._kernels.move_to_end(key)
                 return kernel
-        namespace = {"alpha_power_current": alpha_power_current,
-                     "nmos_like_current": nmos_like_current}
+        namespace = {"_pack": struct.Struct(f"{plan.n + plan.n ** 2}d")
+                     .pack_into}
         for source in _kernel_sources(plan, with_caps):
             exec(compile(source, "<gate kernel>", "exec"), namespace)
         with self._lock:
@@ -817,16 +830,15 @@ def assemble_into(plan: StampPlan, ws: Workspace, dense: DenseScatter,
         n = plan.n
         caps = (plan.live(ws.cap_geq.tolist()) + plan.live(ws.cap_ieq.tolist())
                 if with_caps else ())
-        out, _ = plan.kernel(with_caps).evaluate(
+        # A residual-only call leaves ``J`` as it is: the kernel packs
+        # into a scratch buffer, and only ``F`` is copied over.
+        out = dense.fj if need_jacobian else np.empty(dense.fj.size)
+        plan.kernel(with_caps).evaluate(
             x.tolist(),
             plan.kernel_values(ws.xk[n:].tolist(), ws.is_cur.tolist(), gmin,
-                               caps))
-        if need_jacobian:
-            dense.fj[:] = out
-        else:
-            dense.F[:] = out[:n]
-        # The kernel returns ``-F``; negating it back is exact.
-        np.negative(dense.F, out=dense.F)
+                               caps), out)
+        # The kernel packs ``-F``; negating it back is exact.
+        np.negative(out[:n], out=dense.F)
         return dense.F, (dense.J if need_jacobian else None)
     eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
     if need_jacobian:

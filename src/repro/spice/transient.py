@@ -25,7 +25,7 @@ the whole window runs.
 
 One step controller serves every circuit: breakpoints, rejection,
 backward Euler after corners, step adaptation, the settle rule and the
-underflow error live once, in :func:`_integrate`.  The per-step numeric
+underflow error live once, in :func:`_march`.  The per-step numeric
 work -- companion stamps, the Newton solve, the acceptance norm, the
 capacitor history -- is a small state object that the analysis's
 :class:`~repro.spice.engine.SolveContext` picks once:
@@ -36,13 +36,19 @@ capacitor history -- is a small state object that the analysis's
   ``REPRO_SPARSE``/``REPRO_FAST_NEWTON``).  The unknowns, known voltages
   and history are Python float lists, only capacitors with an unknown
   terminal carry stamps or history, the plan's generated code computes
-  the companion values and the history, and each step calls the kernel
-  Newton loop directly
-  (:meth:`~repro.spice.engine.SolveContext.kernel_newton`).  On arrays
-  of 3 to 21 entries a numpy call costs more than its arithmetic: an
-  accepted NAND3 step went from 64 to 42 us of thread time, and
-  ``validate_oracle`` from 12.49 to 17.69 configs/s over 10
-  alternating ``bench/compare.py`` pairs (2-vCPU Xeon container).
+  the companion values, the history and the step's move norm, and each
+  step calls the kernel Newton loop directly
+  (:meth:`~repro.spice.engine.SolveContext.kernel_newton`), all of an
+  attempt's steps under one error state (a singular Jacobian raises
+  inside it; source callables run under the caller's, which is back
+  when the attempt ends).  On arrays of 3 to 21 entries a numpy call
+  costs more than its arithmetic: an accepted NAND3 step went from 64
+  to 42 us of thread time, and ``validate_oracle`` from 12.49 to 17.69
+  configs/s over 10 alternating ``bench/compare.py`` pairs (2-vCPU Xeon
+  container).  The inline channel models, the packed ``gesv`` buffer
+  and the one error state per attempt then took the step from 56.8 to
+  46.4 us (best of four runs of 30 configs), and ``validate_oracle``
+  from 17.48 to 22.01 configs/s.
 * **arrays** (:class:`_ArraySteps`) for everything else, every solve
   through the bound solver.
 
@@ -67,6 +73,7 @@ timestep.  Every consumed attempt is logged on the result
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -80,7 +87,7 @@ from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..units import parse_quantity
 from .dc import dc_solution
 from .engine import (KernelNewton, NewtonOptions, NewtonStats, SolveContext,
-                     max_abs, newton_solve)
+                     newton_solve)
 from .guard import record_rung
 from .netlist import Circuit, CompiledCircuit
 from .stamps import CapStampArrays, source_currents
@@ -217,14 +224,17 @@ class _FloatSteps:
     unknowns, the known voltages and the history are float lists, and
     only the live capacitors (an unknown terminal; one between two
     known nodes never reaches ``F`` or ``J``) carry stamps or history.
-    The plan's generated companion and history code computes them with
-    the array path's operand order, and each step calls the kernel loop
-    directly, so every value is the array path's, bit for bit.
+    The plan's generated companion, history and move-norm code computes
+    them with the array path's operand order, and each step calls the
+    kernel loop directly, so every value is the array path's, bit for
+    bit.  Steps run inside the attempt's
+    :meth:`~repro.spice.engine.KernelNewton.error_state`; source
+    callables, under the caller's.
     """
 
-    __slots__ = ("newton", "buffers", "companion", "history", "known_list",
-                 "isources", "head", "caps", "x", "u", "i", "series",
-                 "pending")
+    __slots__ = ("newton", "buffers", "companion", "history", "move",
+                 "known_list", "isources", "caller", "head", "caps", "x",
+                 "u", "i", "series", "pending")
 
     def __init__(self, compiled: CompiledCircuit, newton: KernelNewton,
                  x: np.ndarray, t: float) -> None:
@@ -233,8 +243,13 @@ class _FloatSteps:
         self.newton = newton
         self.buffers = newton.buffers()
         self.companion, self.history = code.companion, code.history
+        self.move = code.move
         self.known_list = compiled.known_list
         self.isources = compiled.isources
+        #: The caller's error state when the circuit has source callables
+        #: (callable voltage sources, current sources), else ``None``.
+        self.caller = (None if compiled.sources_flat_from is not None
+                       else dict(np.geterr(), call=np.geterrcall()))
         self.head = plan.kernel_consts
         self.caps = plan.live_c
         self.x: List[float] = x.tolist()
@@ -245,14 +260,20 @@ class _FloatSteps:
     def step(self, t_new: float, h: float, use_be: bool,
              options: NewtonOptions) -> float:
         """Solve the step to ``t_new``; returns the largest node move."""
-        known = self.known_list(t_new)
+        if self.caller is None:
+            known, isrc = self.known_list(t_new), ()
+        else:
+            # Source callables run under the caller's error state, as on
+            # the array path: inside the attempt's, an invalid value
+            # would raise as a singular matrix.
+            with np.errstate(**self.caller):
+                known = self.known_list(t_new)
+                isrc = source_currents(self.isources, t_new)
         caps = self.companion[use_be](h, self.caps, self.u, self.i)
-        values = (*self.head, *known,
-                  *source_currents(self.isources, t_new), *caps,
-                  options.gmin)
+        values = (*self.head, *known, *isrc, *caps, options.gmin)
         x_new = self.newton.solve(self.x, values, options, self.buffers)
         self.pending = (x_new, known, caps)
-        return max_abs([a - b for a, b in zip(x_new, self.x)])
+        return self.move(x_new, self.x)
 
     def accept(self, use_be: bool) -> List[float]:
         """Take the last solved step; returns its unknowns."""
@@ -274,12 +295,39 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
 
     The initial DC ladder goes through the bound solver ``solve``.  The
     steps go through ``newton`` on floats (:class:`_FloatSteps`) when it
-    is given, else through ``solve`` on arrays (:class:`_ArraySteps`);
-    the step control here is the same either way.  ``settle`` is a rule
+    is given, all under one error state, else through ``solve`` on
+    arrays (:class:`_ArraySteps`); the step control (:func:`_march`) is
+    the same either way.  ``settle`` is a rule
     resolved by :func:`_resolve_settle`; ``settled`` tells whether it
     ended the attempt.  Raises :class:`~repro.errors.ConvergenceError` on
     step underflow or an unsolvable initial operating point;
     :func:`transient_result` owns the retry ladder around this.
+    """
+    # Initial condition: DC operating point with sources frozen at t_start.
+    # ``stats`` accumulates Newton iterations over the whole analysis:
+    # the DC solve plus every accepted *and* rejected timestep.
+    x = dc_solution(compiled, solve, initial_guess=initial_op, time=t_start,
+                    options=opts.newton, stats=stats, retry=retry,
+                    recorder=recorder)
+    state: Union[_ArraySteps, _FloatSteps]
+    if newton is None:
+        # Each solve enters its own error state in the bound solver.
+        state = _ArraySteps(compiled, solve, x, t_start)
+        errors = nullcontext()
+    else:
+        state = _FloatSteps(compiled, newton, x, t_start)
+        errors = newton.error_state()
+    with errors:
+        return _march(state, compiled, t_start, t_end, opts, recorder, settle)
+
+
+def _march(state, compiled: CompiledCircuit, t_start: float, t_end: float,
+           opts: TransientOptions, recorder, settle):
+    """The step controller of :func:`_integrate`, from its DC point on.
+
+    Breakpoints, rejection, backward Euler after corners, adaptation,
+    the settle rule and the underflow error, the same for both step
+    states; returns ``(times, series, rejected, settled)``.
     """
     span = t_end - t_start
     h_max = span * opts.h_max_ratio
@@ -289,16 +337,6 @@ def _integrate(compiled: CompiledCircuit, solve, t_start: float,
     breakpoints = sorted(
         {t for t in compiled.breakpoints if t_start < t < t_end} | {t_end}
     )
-
-    # Initial condition: DC operating point with sources frozen at t_start.
-    # ``stats`` accumulates Newton iterations over the whole analysis:
-    # the DC solve plus every accepted *and* rejected timestep.
-    x = dc_solution(compiled, solve, initial_guess=initial_op, time=t_start,
-                    options=opts.newton, stats=stats, retry=retry,
-                    recorder=recorder)
-    state: Union[_ArraySteps, _FloatSteps] = (
-        _FloatSteps(compiled, newton, x, t_start) if newton is not None
-        else _ArraySteps(compiled, solve, x, t_start))
     step, accept = state.step, state.accept
 
     times = [t_start]

@@ -102,6 +102,24 @@ class TestDelayRejections:
         with pytest.raises(BadRequest):
             parse_delay_request(query(**{field: value}))
 
+    @pytest.mark.parametrize("tau", ["1e-300s", "1e-20s", "1e-17s", "0.9fs",
+                                     9.99e-16, 0.0, "-5ps"])
+    def test_transition_below_one_femtosecond(self, tau):
+        """Edge specs and edge objects share the floor, and the 400
+        names it."""
+        spec = f"a:fall:{tau}" if isinstance(tau, str) else f"a:fall:{tau}s"
+        edge = {"input": "a", "direction": "fall", "tau": tau}
+        for edges in ([spec], [edge]):
+            with pytest.raises(BadRequest, match="must be at least 1fs"):
+                parse_delay_request(query(edges=edges))
+
+    def test_one_femtosecond_transition_parses(self):
+        via_spec = parse_delay_request(query(edges=["a:fall:1fs"]))
+        via_obj = parse_delay_request(query(edges=[
+            {"input": "a", "direction": "fall", "tau": 1e-15}]))
+        assert via_spec == via_obj
+        assert dict(via_spec.edges)["a"].tau == 1e-15
+
     def test_message_names_the_unknown_pin(self):
         with pytest.raises(BadRequest, match="'z' is not an input"):
             parse_delay_request(query(edges=["z:fall:500ps"]))

@@ -161,7 +161,8 @@ class TestRandomizedEquivalence:
 
 class TestResidualOnlyAssembly:
     """``need_jacobian=False`` (the modified-Newton residual check) must
-    return the full assembly's ``F`` bit for bit."""
+    return the full assembly's ``F`` bit for bit, and leave the ``J``
+    cells as they were."""
 
     @pytest.mark.parametrize("process", [PROC, ALPHA_PROC],
                              ids=["level1", "alpha"])
@@ -186,10 +187,12 @@ class TestResidualOnlyAssembly:
             F_full, J = assemble_into(plan, ws, plan.dense, x, 1e-12, loaded)
             F_full = F_full.copy()
             assert J is not None
+            J.fill(7.0)
             F_res, J_res = assemble_into(plan, ws, plan.dense, x, 1e-12, loaded,
                                          need_jacobian=False)
             assert J_res is None
             assert F_res.tobytes() == F_full.tobytes()
+            assert (J == 7.0).all()
 
 
 class TestKnownVoltages:

@@ -325,6 +325,106 @@ class TestFloatSteps:
         assert sum("condition" in record for record in floats[2]) > 5
 
 
+def floating_stack() -> Circuit:
+    """A NAND2 without parasitics whose stack node has no capacitance.
+
+    Once both inputs have fallen, no transistor conducts into ``mid``,
+    so with gmin 0 its row of every step Jacobian is zero.
+    """
+    process = PROCESSES["level1"]
+    circuit = Circuit()
+    circuit.add_vsource("vdd", "vdd", VDD)
+    circuit.add_vsource("va", "a", ramp(0.2e-9, VDD, 0.0, 0.3e-9))
+    circuit.add_vsource("vb", "b", ramp(0.35e-9, VDD, 0.0, 0.3e-9))
+    for name, drain, gate, source, bulk, params, width in (
+            ("mpa", "out", "a", "vdd", "vdd", process.pmos, 8e-6),
+            ("mpb", "out", "b", "vdd", "vdd", process.pmos, 8e-6),
+            ("mna", "out", "a", "mid", "0", process.nmos, 4e-6),
+            ("mnb", "mid", "b", "0", "0", process.nmos, 4e-6)):
+        circuit.add_mosfet(name, drain, gate, source, bulk, params, width,
+                           0.8e-6, with_parasitics=False)
+    circuit.add_capacitor("cl", "out", "0", 50e-15)
+    return circuit
+
+
+def caller_handler(kind, flag):
+    """The caller's floating-point error callback in the tests below."""
+
+
+class TestErrorState:
+    """The float step path enters the singular-raising error state once
+    per attempt, and hands the caller's back however the attempt ends."""
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        """Counts :meth:`KernelNewton.error_state` entries."""
+        count = []
+        real = engine.KernelNewton.error_state
+
+        def counted():
+            count.append(1)
+            return real()
+        monkeypatch.setattr(engine.KernelNewton, "error_state",
+                            staticmethod(counted))
+        return count
+
+    def run_under_caller_state(self, run):
+        with np.errstate(all="warn", under="print", call=caller_handler):
+            state = np.geterr()
+            try:
+                run()
+            finally:
+                assert np.geterr() == state
+                assert np.geterrcall() is caller_handler
+
+    def test_restored_after_a_transient(self, entries):
+        circuit = NAND3.build(stimuli(NAND3, "fall"))
+        self.run_under_caller_state(lambda: transient(circuit, 2e-9))
+        assert len(entries) == 1
+
+    def test_restored_after_a_convergence_error(self, entries):
+        circuit = NAND3.build(stimuli(NAND3, "fall"))
+        options = TransientOptions(h_min_ratio=1e-4,
+                                   newton=NewtonOptions(max_iterations=2))
+        with pytest.raises(ConvergenceError, match="underflow"):
+            self.run_under_caller_state(
+                lambda: transient(circuit, 2e-9, options=options, retry=2))
+        assert len(entries) == 2  # one per retry-ladder attempt
+
+    def test_singular_step_takes_the_nudge_rung(self, monkeypatch, entries):
+        """Mid-transient singular Jacobians raise inside the attempt's
+        error state and walk the nudge rung as on the array path, with
+        the same rung and Newton counts."""
+        circuit = floating_stack()
+        options = TransientOptions(newton=NewtonOptions(gmin=0.0))
+        _, early = recorded(lambda: transient(circuit, 0.3e-9,
+                                              options=options))
+        assert "spice.guard.rung{rung=nudge}" not in early  # b still high
+        floats, arrays = both_loops(monkeypatch, lambda: recorded(
+            lambda: transient(circuit, 2e-9, options=options)))
+        assert floats[1]["spice.guard.rung{rung=nudge}"] >= 1
+        assert_same_transient(floats, arrays)
+        assert len(entries) == 2  # the float runs; the array run has none
+
+    def test_source_callables_run_under_the_callers_state(self, monkeypatch):
+        """A NumPy source that turns invalid mid-transient warns and
+        fails the analysis as on the array path, not as a singular
+        matrix inside the attempt's error state."""
+        gate = Gate.nand(2, PROCESSES["level1"])
+        waves = stimuli(gate, "fall")
+        waves["a"] = lambda t: float(VDD * np.sqrt(np.float64(1.0 - t / 0.5e-9)))
+        circuit = gate.build(waves)
+
+        def run():
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                with pytest.raises(ConvergenceError) as info:
+                    transient(circuit, 2e-9)
+            return str(info.value), info.value.iterations
+
+        floats, arrays = both_loops(monkeypatch, lambda: recorded(run))
+        assert floats == arrays
+
+
 def flight(run):
     """:func:`recorded`, plus the flight ring's solve records without
     their timings (set ``REPRO_FLIGHT`` to hold every solve)."""
@@ -493,11 +593,12 @@ class TestDcIdentity:
                 circuit.add_isource(f"i{i}", f"n{i}", "0", value)
             plan = circuit.compile().stamp_plan
             assert plan.use_scalar_mos
-            out, residual = plan.kernel(False).evaluate(
+            out = np.empty(plan.n + plan.n ** 2)
+            residual = plan.kernel(False).evaluate(
                 [0.0] * len(values), plan.kernel_values([0.0, 1.0], values,
-                                                        0.0))
+                                                        0.0), out)
             # F is ``0.0 + x * gmin + value``: a -0.0 value reads 0.0.
-            assert np.array(out[:len(values)]).tobytes() == \
+            assert out[:len(values)].tobytes() == \
                 np.array([-(0.0 + value) for value in values]).tobytes()
             want = engine.max_abs(values)
             assert residual == want or (residual != residual
@@ -555,12 +656,17 @@ class TestKernelCache:
         xs = [[1.25] * plan.n for plan in plans]
         results, errors = [], []
 
+        def evaluate(plan, x, vals):
+            out = np.empty(plan.n + plan.n ** 2)
+            residual = cache.get(plan, False).evaluate(x, vals, out)
+            return out.tolist(), residual
+
         def worker():
             try:
                 for _ in range(20):
                     for plan, x, vals in zip(plans, xs, values):
                         results.append((plan.structure,
-                                        cache.get(plan, False).evaluate(x, vals)))
+                                        evaluate(plan, x, vals)))
             except Exception as error:  # reported by the assertion below
                 errors.append(error)
 

@@ -1,9 +1,14 @@
 """Level-1 MOSFET model: regions, symmetry, continuity, derivatives."""
 
+import itertools
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.spice.mosfet import MosfetInstance, mosfet_current, nmos_like_current
+from repro.spice.mosfet import (MosfetInstance, channel_source, mosfet_current,
+                                nmos_like_current)
 from repro.tech import MosfetParams
 
 K = 1e-4
@@ -166,3 +171,61 @@ class TestMosfetInstance:
         params = MosfetParams("nmos", vt0=VT, kp=60e-6)
         inst = MosfetInstance("m1", "d", "g", "s", "b", params, 2e-6, 0.8e-6)
         assert inst.parasitic_caps() == []
+
+
+def generated_device(m: int, is_nmos: bool, alpha_model: bool):
+    """:func:`channel_source`'s lines as ``f(vg, vd, vs) -> (id, gm, gd)``
+    over the gate kernel's parameter names."""
+    params = f"k{m}, vt{m}, lam{m}, al{m}"
+    source = "\n".join([
+        f"def device({params}, vg, vd, vs):",
+        *channel_source(m, is_nmos, alpha_model, "vg", "vd", "vs"),
+        f"    return id{m}, gm{m}, gd{m}"]) + "\n"
+    namespace: dict = {}
+    exec(compile(source, "<device>", "exec"), namespace)
+    return namespace["device"]
+
+
+#: Terminal voltages: with ``|vt0| = 0.5`` and a source at 0 they reach
+#: ``vov`` exactly 0 and ``vds == vov`` (``vdsat`` is 1 at ``vov = 1``)
+#: in both frames and polarities, reversed devices, signed zeros, a
+#: subnormal, NaN and both infinities; the inexact values make operand
+#: order show in the rounding.
+ADVERSARIAL = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 0.3, 1.7, -2.9,
+               5e-324, float("nan"), float("inf"), float("-inf"))
+
+
+def outcome(device, *args):
+    """``(id, gm, gd)`` as their IEEE bits, signed zeros and NaN
+    included, or the arithmetic error raised."""
+    try:
+        return tuple(struct.pack("d", value) for value in device(*args))
+    except ArithmeticError as error:
+        return type(error).__name__
+
+
+class TestGeneratedChannel:
+    """The gate kernel's inline channel code against the scalar channel
+    functions, bit for bit."""
+
+    @pytest.mark.parametrize("model", ["level1", "alpha"])
+    @pytest.mark.parametrize("polarity", ["nmos", "pmos"])
+    def test_matches_the_scalar_function(self, polarity, model):
+        params = MosfetParams(polarity, vt0=0.5 if polarity == "nmos" else -0.5,
+                              kp=60e-6, lam=0.0537, model=model, alpha=1.3)
+        k = 1.234567e-4
+        device = generated_device(3, polarity == "nmos", model == "alpha")
+        rng = random.Random(2024)
+        triples = list(itertools.product(ADVERSARIAL, repeat=3)) + [
+            tuple(rng.uniform(-3.0, 3.0) for _ in range(3))
+            for _ in range(2000)]
+
+        def scalar(vg, vd, vs):
+            i_d, di_dvd, di_dvg, _ = mosfet_current(params, k, vg, vd, vs)
+            return i_d, di_dvg, di_dvd
+
+        mismatches = [
+            (vg, vd, vs) for vg, vd, vs in triples
+            if outcome(device, k, abs(params.vt0), params.lam, params.alpha,
+                       vg, vd, vs) != outcome(scalar, vg, vd, vs)]
+        assert mismatches == []

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ReproError
+from repro.experiments import table5_1
 
 
 class TestParser:
@@ -75,6 +77,36 @@ class TestCommands:
         # Shrink the run via argv; 3 configs keeps it quick.
         assert main(["validate", "--configs", "3", "--seed", "5"]) == 0
         assert "Table 5-1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["0", "-3", "two"])
+    def test_validate_rejects_config_counts_below_one(self, capsys, count):
+        """A usage error (exit 2) before any simulation, not a numpy
+        traceback from the statistics of no configurations."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--configs", count])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--configs" in err
+        assert ("at least 1" in err) == (count != "two")
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_table5_1_run_rejects_config_counts_below_one(self, count):
+        with pytest.raises(ReproError, match="at least 1"):
+            table5_1.run(n_configs=count)
+
+    @pytest.mark.parametrize("tau", ["1e-300s", "1e-20s", "1e-17s",
+                                     "0.9fs", "0s", "-5ps"])
+    def test_delay_rejects_transitions_below_one_femtosecond(self, capsys,
+                                                               tau):
+        """Exit 1 naming the floor, where a too-short ramp used to end
+        in an internal PWL error or a step-size underflow."""
+        assert main(["delay", "--gate", "nand3",
+                     "--edge", f"a:fall:{tau}"]) == 1
+        assert f"tau '{tau}' must be at least 1fs" in capsys.readouterr().err
+
+    def test_delay_answers_a_one_femtosecond_transition(self, capsys):
+        assert main(["delay", "--gate", "nand3", "--edge", "a:fall:1fs"]) == 0
+        assert "delay:" in capsys.readouterr().out
 
     def test_glitch_command(self, capsys):
         assert main(["glitch", "--gate", "nand2"]) == 0
