@@ -314,6 +314,9 @@ def _pool_map(fn, items, chunks, count, limit, on_error, pool_retries,
     recorder.gauge("parallel.workers").set(count)
     results: List = [_PENDING] * len(items)
     attempts = [0] * len(chunks)  # crashed runs per chunk
+    # Chunks in flight at a crash that they may not have caused: they
+    # run one at a time until each completes or crashes alone.
+    suspects: set = set()
     queue = deque(range(len(chunks)))  # unsubmitted chunks, ascending
     pool = ProcessPoolExecutor(max_workers=count)
     inflight: Dict[object, int] = {}       # future -> chunk
@@ -375,20 +378,25 @@ def _pool_map(fn, items, chunks, count, limit, on_error, pool_retries,
     def recycle_inflight(*, broken: bool) -> None:
         """Requeue in-flight chunks around a pool rebuild.
 
-        After a crash (``broken=True``) each resubmission consumes one
-        of the chunk's ``pool_retries`` attempts -- a chunk that keeps
-        killing workers must eventually be declared lost, not retried
-        forever.  After a timeout the surviving in-flight chunks are
-        innocent bystanders and resubmit for free.
+        After a crash (``broken=True``) of a chunk that was alone in
+        flight, its resubmission consumes one of its ``pool_retries``
+        attempts -- a chunk that keeps killing workers must eventually
+        be declared lost, not retried forever.  A crash with several
+        chunks in flight names no culprit: they become suspects and
+        rerun one at a time, for free.  After a timeout the surviving
+        in-flight chunks are innocent bystanders and resubmit for free.
         """
         pending = sorted(inflight.values())
         inflight.clear()
         deadlines.clear()
         submitted.clear()
+        if broken:
+            suspects.update(pending)
         for chunk in reversed(pending):  # appendleft keeps ascending order
-            if broken:
+            if broken and len(pending) == 1:
                 attempts[chunk] += 1
                 if attempts[chunk] > pool_retries:
+                    suspects.discard(chunk)
                     fail(chunks[chunk], "crash",
                          f"worker process died {attempts[chunk]} times "
                          f"running this task", runs=attempts[chunk])
@@ -403,7 +411,7 @@ def _pool_map(fn, items, chunks, count, limit, on_error, pool_retries,
             # starts (almost) immediately, which is what makes the
             # submission-time deadline a faithful per-task timeout.
             rebuild = False
-            while queue and len(inflight) < count:
+            while queue and len(inflight) < (1 if suspects else count):
                 chunk = queue.popleft()
                 indices = chunks[chunk]
                 try:
@@ -441,12 +449,14 @@ def _pool_map(fn, items, chunks, count, limit, on_error, pool_retries,
                 chunk = inflight.pop(future)
                 deadlines.pop(future, None)
                 exc = future.exception()
-                if exc is None:
-                    complete(chunk, future.result(), submitted.pop(future, None))
-                elif isinstance(exc, BrokenProcessPool):
+                if isinstance(exc, BrokenProcessPool):
                     # Victim of a died worker; requeue with the rest.
                     inflight[future] = chunk
                     broken = True
+                    continue
+                suspects.discard(chunk)
+                if exc is None:
+                    complete(chunk, future.result(), submitted.pop(future, None))
                 else:
                     submitted.pop(future, None)
                     fail(chunks[chunk], "error", str(exc),
@@ -467,6 +477,7 @@ def _pool_map(fn, items, chunks, count, limit, on_error, pool_retries,
                     for future in expired:
                         chunk = inflight.pop(future)
                         deadlines.pop(future, None)
+                        suspects.discard(chunk)
                         fail(chunks[chunk], "timeout",
                              f"exceeded the {limit:g}s task timeout",
                              runs=attempts[chunk] + 1)

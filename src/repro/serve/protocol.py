@@ -95,9 +95,13 @@ def _bounded_quantity(field: str, value: Any, unit: str,
 
     1 s and 1 F are far beyond any gate, and far below the magnitudes
     where the oracle's femtosecond memo keys overflow; NaN would
-    otherwise slip past every ``<=`` check downstream.
+    otherwise slip past every ``<=`` check downstream.  A JSON integer
+    too large for a float is out of bounds too.
     """
-    parsed = parse_quantity(value, unit=unit)
+    try:
+        parsed = parse_quantity(value, unit=unit)
+    except OverflowError:
+        parsed = math.inf
     if not math.isfinite(parsed) or abs(parsed) > 1.0:
         raise BadRequest(
             f"{field} {value!r} must be finite and at most 1 {unit} "

@@ -11,42 +11,44 @@ capacitors (Norton equivalents of the implicit integration rule).
 
 :func:`newton_solve` picks its loop by the circuit's transistor count.
 Gate-sized circuits (below
-:data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER`) iterate on Python
-floats (:func:`_newton_kernel`): the plan's generated kernel evaluates
-the transistors inline, packs ``[-F | J]`` into a preallocated buffer
-with one ``struct`` call and returns its residual, and the only numpy
-call per iteration is LAPACK ``gesv`` (:data:`gesv`), reading that
-buffer through two views and solving into a preallocated ``dx``.  A
+:data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER`) run one generated loop
+per circuit structure (:attr:`~repro.spice.stamps.GateKernel.newton`,
+through a :class:`KernelNewton`).  It unpacks the circuit's constants
+and the solve's inputs once, evaluates the transistors inline, packs
+``[-F | J]`` into a preallocated buffer with one ``struct`` call, and
+computes the residual, the step norm, the damping and the update as
+straight-line float code.  The only numpy call per iteration is LAPACK
+``gesv`` (:data:`gesv`, looked up on every solve), reading that buffer
+through two views and solving into a preallocated ``dx``.  Guard
+checks, the singular nudge, condition estimates and the accounting are
+:class:`KernelNewton` methods, called only where they apply.  A
 singular Jacobian raises only under :data:`_SINGULAR_RAISES`, which
 :func:`newton_solve` enters once per solve.  A NumPy array op costs
 ~1-3 us whatever its size, which was most of the ~20 us the NumPy
 assembly of a 3-unknown NAND3 iteration took.
-Results stay bit-identical: the kernel applies one IEEE add per
+Results stay bit-identical: the loop applies one IEEE add per
 contribution in the plan's emission order (never ``sum()`` or
 ``math.fsum``; Python 3.12's ``sum()`` compensates float sums),
 negating ``F`` is exact, the norms are NaN-propagating maxima like
 ``np.abs(F).max()``, damping and the update are the same elementwise
 products and sums, and the linear solve is the same ``gesv`` on the
 same bits.  Larger circuits, sparse dispatch and the opt-in
-modified-Newton mode run the NumPy loops.  Over 10 alternating
-``bench/compare.py`` pairs on a 2-vCPU Xeon container, the kernel loop
-took ``validate_oracle`` from 7.54 to 12.47 configs/s.
+modified-Newton mode run the NumPy loops.
 
 A gate-sized transient skips :func:`newton_solve` for its steps:
 :meth:`SolveContext.kernel_newton` hands it a :class:`KernelNewton`,
-and the integrator's float state calls the same loop with float lists,
-with no array round trip and no per-step
-:func:`~repro.spice.stamps.load_kernel`
-(see :mod:`repro.spice.transient`), under one error state per
-integration attempt (:meth:`KernelNewton.error_state`; entering one
-costs ~2-3 us, and a NAND3 shot makes ~160 step solves).  Its DC point
-still goes through the bound solver.  Over 10 alternating
-``bench/compare.py`` pairs on the same container, that took
-``validate_oracle`` from 12.49 to 17.69 configs/s, and then from 17.48
-to 22.01 with the inline channel models, the packed buffer, the
-preallocated ``dx`` and the per-attempt error state (8.53 -> 7.19 us
-per kernel call, and 8.81 -> 5.00 us of the loop's own work per
-iteration, perf_counter wrappers over 40 configs, best of four runs).
+and the integrator's float state calls the same loop with float lists
+and the capacitors' history, from which the loop computes the step's
+companion stamps (see :mod:`repro.spice.transient`), under one error
+state per integration attempt (:meth:`KernelNewton.error_state`;
+entering one costs ~2-3 us, and a NAND3 shot makes ~160 step solves).
+Its DC point still goes through the bound solver.  Over 10 alternating
+``bench/compare.py`` pairs each on a 2-vCPU Xeon container,
+``validate_oracle`` went from 7.54 to 12.47 configs/s with the first
+kernel loop, from 12.49 to 17.69 with float steps, from 17.48 to 22.01
+with inline channel models, the packed buffer and the per-attempt
+error state, and from 21.23 to 24.19 with the whole loop generated
+(26.3 -> 20.8 us per float step, best of 12 passes of 40 configs).
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from time import monotonic as _monotonic
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -76,8 +78,8 @@ from .stamps import (CapStampArrays, assemble_into, assemble_sparse,
 __all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "assemble_system",
            "assemble_system_reference", "newton_solve", "SolveContext",
            "FastNewtonState", "fast_newton_enabled", "FAST_NEWTON_ENV_VAR",
-           "KernelNewton", "dense_solve", "gesv", "kernel_buffers", "max_abs",
-           "nudge_diagonal", "singular_nudge"]
+           "KernelNewton", "dense_solve", "gesv", "nudge_diagonal",
+           "singular_nudge"]
 
 #: Environment knob enabling the opt-in modified-Newton mode.
 FAST_NEWTON_ENV_VAR = "REPRO_FAST_NEWTON"
@@ -369,14 +371,29 @@ def _end_solve(stats: Optional[NewtonStats], recorder, backend: str,
                profile: Optional[PhaseProfiler], times: Optional[PhaseTimes],
                n: int, iterations: int, outcome: str,
                condition: Optional[float] = None) -> None:
-    """Account one finished Newton solve: stats, counters, phases, flight."""
+    """Account one finished Newton solve: stats, counters, phases, flight.
+
+    With telemetry off (a disabled recorder, no profiler) that is the
+    ``stats`` alone, and the per-solve cost stays at one call.
+    """
     converged = outcome == "converged"
     if stats is not None:
         stats.record(iterations, converged=converged)
-    _observe_solve(iterations, converged=converged, recorder=recorder,
-                   backend=backend)
-    _finish_solve(profile, times, backend, recorder, n, iterations, outcome,
-                  condition=condition)
+    if recorder is None:
+        recorder = get_recorder()
+    if recorder.enabled or profile is not None:
+        _observe_solve(iterations, converged=converged, recorder=recorder,
+                       backend=backend)
+        _finish_solve(profile, times, backend, recorder, n, iterations,
+                      outcome, condition=condition)
+
+
+def _not_converged(iterations: int, residual: float) -> ConvergenceError:
+    """The error of a solve that ran out of Newton iterations."""
+    return ConvergenceError(
+        f"Newton failed to converge in {iterations} iterations "
+        f"(residual {residual:.3e} A)",
+        iterations=iterations, residual=residual)
 
 
 def _check_guard(guard: SolveGuard, iteration: int, residual: float,
@@ -690,163 +707,91 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
         fresh = False
     _end_solve(stats, recorder, backend, profile, times, x.shape[0],
                options.max_iterations, "iteration_limit")
-    raise ConvergenceError(
-        f"Newton failed to converge in {options.max_iterations} iterations "
-        f"(residual {last_residual:.3e} A)",
-        iterations=options.max_iterations, residual=last_residual,
-    )
-
-
-def max_abs(values: List[float]) -> float:
-    """``float(np.abs(values).max())`` of a float list, NaN included.
-
-    Python's ``max`` would skip a NaN behind a finite entry.
-    """
-    peak = 0.0
-    for value in values:
-        size = abs(value)
-        if size > peak or size != size:
-            peak = size
-    return peak
-
-
-def kernel_buffers(n: int) -> Tuple[memoryview, np.ndarray, np.ndarray,
-                                    np.ndarray]:
-    """``(out, rhs, J, dx)`` for the kernel loop.
-
-    ``out`` is a memoryview of one ``n + n * n`` buffer, which the
-    kernel packs ``[-F | J]`` into; ``rhs`` and ``J`` are its views for
-    :data:`gesv`, and ``dx`` is the array ``gesv`` solves into.
-    """
-    fj = np.empty(n + n * n)
-    return memoryview(fj), fj[:n], fj[n:].reshape(n, n), np.empty(n)
-
-
-def _newton_kernel(x: List[float], evaluate, values: tuple, buffers: tuple,
-                   options: NewtonOptions, effective_gmin: float,
-                   stats: Optional[NewtonStats], recorder,
-                   guard: Optional[SolveGuard], times: Optional[PhaseTimes],
-                   profile: Optional[PhaseProfiler]) -> List[float]:
-    """The full-Newton loop of :func:`newton_solve` on Python floats.
-
-    ``x`` lists the unknown voltages (not modified); ``evaluate`` is a
-    :class:`~repro.spice.stamps.GateKernel`'s and ``values`` its inputs;
-    ``buffers`` come from :func:`kernel_buffers`.  Each iteration the
-    kernel packs ``[-F | J]`` into ``out`` and returns the residual
-    ``np.abs(F).max()`` would give, and :data:`gesv` reads the ``rhs``
-    and ``J`` views and solves into ``dx``.  Everything else -- guard
-    checks, the singular nudge, damping, the update, the accounting and
-    the dense backend's phase timing -- is the NumPy loop's, step for
-    step.  The caller holds the error state a singular ``J`` raises
-    under (:data:`_SINGULAR_RAISES`): per solve in :func:`newton_solve`,
-    per transient attempt on the float step path.  Returns the solution
-    as a new list.
-    """
-    out, rhs, J, dx = buffers
-    n = len(x)
-    solve = gesv
-    max_step, voltol, abstol = options.max_step, options.voltol, options.abstol
-    condition_seen: Optional[float] = None
-    last_residual = float("inf")
-    for iteration in range(1, options.max_iterations + 1):
-        if times is not None:
-            start = _monotonic()
-        residual = evaluate(x, values, out)
-        if times is not None:
-            times.assembly += _monotonic() - start
-        if guard is not None:
-            _check_guard(guard, iteration, residual, stats, recorder,
-                         "dense", n, times, profile)
-        if times is not None:
-            start = _monotonic()
-        try:
-            solve(J, rhs, out=dx)
-        except np.linalg.LinAlgError:
-            record_rung("nudge", recorder)
-            nudge_diagonal(J, singular_nudge(effective_gmin))
-            try:
-                solve(J, rhs, out=dx)
-            except np.linalg.LinAlgError:
-                _end_solve(stats, recorder, "dense", profile, times, n,
-                           iteration, "singular")
-                raise ConvergenceError(
-                    "singular Jacobian during Newton iteration",
-                    iterations=iteration, residual=residual,
-                ) from None
-        if times is not None:
-            times.factorize += _monotonic() - start
-        if guard is not None and guard.check_condition:
-            condition_seen = _estimate_condition(
-                guard, condition_estimate_dense, J, recorder, times)
-        delta = dx.tolist()
-        step = max_abs(delta)
-        if step > max_step:
-            scale = max_step / step
-            delta = [d * scale for d in delta]
-        x = [a + d for a, d in zip(x, delta)]
-        if step < voltol and residual < abstol:
-            _end_solve(stats, recorder, "dense", profile, times, n,
-                       iteration, "converged", condition=condition_seen)
-            return x
-        last_residual = residual
-    _end_solve(stats, recorder, "dense", profile, times, n,
-               options.max_iterations, "iteration_limit",
-               condition=condition_seen)
-    raise ConvergenceError(
-        f"Newton failed to converge in {options.max_iterations} iterations "
-        f"(residual {last_residual:.3e} A)",
-        iterations=options.max_iterations, residual=last_residual,
-    )
+    raise _not_converged(options.max_iterations, last_residual)
 
 
 class KernelNewton:
-    """A transient's step solves on its plan's gate kernel, on floats.
+    """Gate-sized Newton solves on the plan's generated loop.
 
-    :meth:`SolveContext.kernel_newton` builds one for an analysis whose
-    companion-stamped solves :func:`newton_solve` would send to its
-    kernel loop.  :meth:`solve` is that loop without the bound solver's
-    array round trip or :func:`~repro.spice.stamps.load_kernel`: lists
-    in, a list out.  Like a solve through :func:`newton_solve`, each
-    starts its own guard and phase accumulator.  The error state is the
-    caller's to hold, once for many solves: :meth:`error_state`.
+    ``newton`` is the :class:`~repro.spice.stamps.GateKernel`'s loop
+    (with capacitor stamps or without), called as ``newton(self, x,
+    ...)``: :func:`newton_solve`'s full-Newton iteration on Python
+    floats, which returns the solution as a new list.  This object holds
+    what the loop reads besides a solve's inputs -- the circuit's
+    constants, the ``[-F | J]`` buffer (a memoryview the loop packs
+    into, and its ``rhs`` and ``J`` views), the ``dx`` that
+    :data:`gesv` solves into, and the analysis's stats, recorder, guard
+    and profiler -- and the loop's rare exits, which account like the
+    NumPy loop's.  Like a solve through :func:`newton_solve`, each solve
+    starts its own guard and phase accumulator.  :func:`newton_solve`
+    builds one per gate-sized solve, and
+    :meth:`SolveContext.kernel_newton` one per transient for its step
+    solves.  The error state is the caller's to hold, once for many
+    solves: :meth:`error_state`.
     """
 
-    __slots__ = ("n", "evaluate", "stats", "recorder", "guard", "profile")
+    __slots__ = ("n", "newton", "consts", "caps", "buffers", "stats",
+                 "recorder", "guard", "profile")
 
-    def __init__(self, plan, stats: Optional[NewtonStats], recorder,
-                 guard: Optional[GuardMonitor],
+    def __init__(self, plan, with_caps: bool, stats: Optional[NewtonStats],
+                 recorder, guard: Optional[GuardMonitor],
                  profile: Optional[PhaseProfiler]) -> None:
-        self.n = plan.n
-        self.evaluate = plan.kernel(True).evaluate
+        n = self.n = plan.n
+        self.newton = plan.kernel(with_caps).newton
+        self.consts, self.caps = plan.kernel_consts, plan.live_c
+        fj = np.empty(n + n * n)
+        self.buffers = (memoryview(fj), fj[:n], fj[n:].reshape(n, n),
+                        np.empty(n))
         self.stats = stats
         self.recorder = recorder
         self.guard = guard
         self.profile = profile
 
-    def buffers(self) -> tuple:
-        """Fresh :func:`kernel_buffers` for one analysis attempt."""
-        return kernel_buffers(self.n)
-
     @staticmethod
     def error_state() -> np.errstate:
-        """The error state :meth:`solve` must run under: a singular
+        """The error state the loop must run under: a singular
         Jacobian raises inside it, as in :func:`numpy.linalg.solve`."""
         return np.errstate(**_SINGULAR_RAISES)
 
-    def solve(self, x: List[float], values: tuple, options: NewtonOptions,
-              buffers: tuple) -> List[float]:
-        """One step's Newton solve; ``values`` as
-        :meth:`~repro.spice.stamps.StampPlan.kernel_values` builds them
-        with the live capacitors' stamps.  Call it inside
-        :meth:`error_state`.  Raises
-        :class:`~repro.errors.ConvergenceError` like :func:`newton_solve`.
-        """
-        guard, profile = self.guard, self.profile
-        return _newton_kernel(
-            x, self.evaluate, values, buffers, options, options.gmin,
-            self.stats, self.recorder,
-            guard.start_solve() if guard is not None else None,
-            profile.begin() if profile is not None else None, profile)
+    @property
+    def gesv(self):
+        """:data:`gesv` as it is bound when a solve starts."""
+        return gesv
+
+    def check(self, guard: SolveGuard, iteration: int, residual: float,
+              times: Optional[PhaseTimes]) -> None:
+        _check_guard(guard, iteration, residual, self.stats, self.recorder,
+                     "dense", self.n, times, self.profile)
+
+    def nudge(self, solve, gmin: float, iteration: int, residual: float,
+              times: Optional[PhaseTimes]) -> None:
+        """The singular rung: solve again on a nudged diagonal."""
+        _, rhs, J, dx = self.buffers
+        record_rung("nudge", self.recorder)
+        nudge_diagonal(J, singular_nudge(gmin))
+        try:
+            solve(J, rhs, out=dx)
+        except np.linalg.LinAlgError:
+            self.end(times, iteration, "singular", None)
+            raise ConvergenceError(
+                "singular Jacobian during Newton iteration",
+                iterations=iteration, residual=residual,
+            ) from None
+
+    def condition(self, guard: SolveGuard,
+                  times: Optional[PhaseTimes]) -> float:
+        return _estimate_condition(guard, condition_estimate_dense,
+                                   self.buffers[2], self.recorder, times)
+
+    def end(self, times: Optional[PhaseTimes], iterations: int,
+            outcome: str, condition: Optional[float]) -> None:
+        _end_solve(self.stats, self.recorder, "dense", self.profile, times,
+                   self.n, iterations, outcome, condition=condition)
+
+    def give_up(self, times: Optional[PhaseTimes], iterations: int,
+                residual: float, condition: Optional[float]) -> None:
+        self.end(times, iterations, "iteration_limit", condition)
+        raise _not_converged(iterations, residual)
 
 
 def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
@@ -888,7 +833,8 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     iteration untouched.
 
     Dense full-Newton solves of gate-sized circuits through the compiled
-    stamps run :func:`_newton_kernel` (see the module docstring).
+    stamps run the plan's generated loop through :class:`KernelNewton`
+    (see the module docstring).
 
     ``profile``, when given, is the analysis's
     :class:`~repro.obs.profile.PhaseProfiler`: assembly, factorization,
@@ -898,8 +844,6 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     telemetry is off -- skips every timing site.
     """
     effective_gmin = options.gmin if gmin is None else gmin
-    solve_guard = guard.start_solve() if guard is not None else None
-    times = profile.begin() if profile is not None else None
     plan = compiled.stamp_plan
     compiled_path = cap_stamps is None or plan.stamps_match(cap_stamps)
     use_sparse = compiled_path and (
@@ -907,14 +851,16 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
         else bool(sparse))
     if (compiled_path and plan.use_scalar_mos and not use_sparse
             and fast is None):
-        evaluate, values = load_kernel(plan, known, time, cap_stamps,
-                                       source_scale, compiled.isources,
-                                       effective_gmin)
+        kernel = KernelNewton(plan, bool(cap_stamps), stats, recorder,
+                              guard, profile)
+        known_list, isrc, geq, ieq = load_kernel(
+            plan, known, time, cap_stamps, source_scale, compiled.isources)
         with np.errstate(**_SINGULAR_RAISES):
-            return np.array(_newton_kernel(
-                np.asarray(x0, dtype=float).tolist(), evaluate, values,
-                kernel_buffers(plan.n), options, effective_gmin, stats,
-                recorder, solve_guard, times, profile))
+            return np.array(kernel.newton(
+                kernel, np.asarray(x0, dtype=float).tolist(), known_list,
+                isrc, effective_gmin, options, None, False, geq, ieq))
+    solve_guard = guard.start_solve() if guard is not None else None
+    times = profile.begin() if profile is not None else None
     x = np.array(x0, dtype=float)
     if use_sparse:
         ops = _SparseOps(plan.sparse, recorder, times)
@@ -1016,11 +962,7 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     _end_solve(stats, recorder, backend, profile, times, x.shape[0],
                options.max_iterations, "iteration_limit",
                condition=condition_seen)
-    raise ConvergenceError(
-        f"Newton failed to converge in {options.max_iterations} iterations "
-        f"(residual {last_residual:.3e} A)",
-        iterations=options.max_iterations, residual=last_residual,
-    )
+    raise _not_converged(options.max_iterations, last_residual)
 
 
 @dataclass
@@ -1109,5 +1051,5 @@ class SolveContext:
                   else self.sparse)
         if not plan.use_scalar_mos or sparse or self.fast is not None:
             return None
-        return KernelNewton(plan, stats, self.recorder, self.guard,
+        return KernelNewton(plan, True, stats, self.recorder, self.guard,
                             self.profile)

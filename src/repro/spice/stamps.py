@@ -11,9 +11,10 @@ do.  A :class:`StampPlan` compiles that structure once per
   unknowns, slot ``< 0`` the knowns, exactly the netlist encoding),
 * a **gate kernel** for gate-sized circuits (fewer than
   :data:`SCALAR_MOS_CUTOVER` transistors): generated straight-line
-  Python that evaluates every device inline, packs ``[-F | J]`` into
-  the caller's buffer and returns its residual, plus the transient's
-  companion, history and move-norm code (see below),
+  Python that evaluates every device inline and packs ``[-F | J]``
+  into a buffer, once (``evaluate``) or as the whole Newton loop of a
+  solve (``newton``), plus the transient's history and move-norm code
+  (see below),
 * a **device-axis parameter table** so larger circuits evaluate all
   transistors of one polarity/channel-model group through a single
   :func:`~repro.spice.mosfet.mosfet_current_batch` call, and
@@ -42,31 +43,28 @@ the channel models are the reference assembler's scalar functions
 written out inline (:func:`~repro.spice.mosfet.channel_source`: the
 same comparisons and operand order, no call per transistor).  The
 kernel packs ``-F`` (negation is exact) and ``J`` straight into the
-Newton loop's ``gesv`` buffer with one ``struct`` call, and computes
-the residual ``max |F|`` inline, NaN-propagating like
-``np.abs(F).max()``.  Only the *live* capacitors
-(:attr:`StampPlan.live_caps`, those with an unknown terminal) take
-companion stamps: one between two known nodes never reaches ``F`` or
-``J``.  The transient kernel also
-carries generated backward-Euler and trapezoidal companion and history
-functions over the live capacitors, written with the array
-integrator's elementwise operand order (``c / h``, ``2.0 * c / h``,
-``g * v + i``, ``g * (v_new - v) - i``), and the step's move norm, so
-the float step path of :mod:`repro.spice.transient` computes the same
+``gesv`` buffer with one ``struct`` call, and computes the residual
+``max |F|`` inline, NaN-propagating like ``np.abs(F).max()``.  Its
+``newton`` loop wraps the same body in the full-Newton iteration of
+:func:`~repro.spice.engine.newton_solve`, with the step norm, the
+damping and the update written out per unknown.  Only the *live*
+capacitors (:attr:`StampPlan.live_caps`, those with an unknown
+terminal) take companion stamps: one between two known nodes never
+reaches ``F`` or ``J``.  On the transient's float steps the loop computes the live
+capacitors' backward-Euler or trapezoidal stamps itself, and the
+transient kernel carries the history functions and the step's move
+norm, all in the array integrator's elementwise operand order (``c /
+h``, ``2.0 * c / h``, ``g * v + i``, ``g * (v_new - v) - i``), so the
+float step path of :mod:`repro.spice.transient` computes the same
 bits.  Generating a NAND3 transient kernel costs a few milliseconds,
 so kernels are cached by structure (:class:`KernelCache`): node slots,
 emission order, polarity and channel model, and the live capacitors'
 slots, never a device value, so every shot of one gate shares its two
-kernels (with and without capacitor stamps).  Below the cutover the
-Newton engine iterates on the kernel's floats and calls LAPACK only
-for the linear solve, and the transient steps on floats too
-(``validate_oracle``: 7.54 -> 12.47 configs/s for the kernel loop,
-12.49 -> 17.69 for the float steps, then 17.48 -> 22.01 for the inline
-channel models, the packed buffer and one error state per attempt;
-10 alternating ``bench/compare.py`` pairs each on a 2-vCPU Xeon
-container; see :mod:`repro.spice.engine` and
-:mod:`repro.spice.transient`); above it, numpy calls amortize over
-enough devices to win.
+kernels (with and without capacitor stamps).  Below the cutover
+Newton iterates on floats and calls LAPACK only for the linear solve,
+and the transient steps on floats too (see :mod:`repro.spice.engine`
+for the measured gains); above it, numpy calls amortize over enough
+devices to win.
 
 The engine (:mod:`repro.spice.engine`) drives the NumPy paths through a
 preallocated :class:`Workspace` so a Newton iteration allocates no
@@ -81,6 +79,7 @@ import struct
 import threading
 from collections import OrderedDict
 from functools import cached_property
+from time import monotonic
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -493,22 +492,31 @@ def _volt(slot: int) -> str:
     return f"x{slot}" if slot >= 0 else f"v{-slot - 1}"
 
 
+def _unpack(items: List[str], name: str, depth: int = 1) -> List[str]:
+    """A line unpacking ``name`` into ``items`` (none for no items)."""
+    return [f"{'    ' * depth}{', '.join(items)}, = {name}"] if items else []
+
+
 def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
     """Python sources of the gate kernel for ``plan``'s structure.
 
-    ``evaluate(x, values, out)`` translates the plan's emission lists
-    (the cap-free prefix unless ``with_caps``) term by term: F value
-    columns ``[res cur | isrc cur | mos i_d | cap cur]``, J value
-    columns ``[res g | mos dvd | mos dvg | mos dvs | cap geq]``, then
-    the ``gmin * x`` row and ``gmin``.  Each transistor is evaluated
-    inline (:func:`~repro.spice.mosfet.channel_source`), and only when
-    one of its terms is emitted.  It packs ``[-F | J]`` into the
-    writable buffer ``out`` (``n + n * n`` doubles) with one
-    ``struct`` call, ``_pack``, and returns the residual ``max |F|``,
-    NaN-propagating like ``np.abs(F).max()``.  With capacitor stamps the
-    functions of :func:`_integrator_sources` follow.  Each function is
-    its own source, so compiling them one at a time keeps the parser's
-    peak memory at one function's.
+    One body translates the plan's emission lists (the cap-free prefix
+    unless ``with_caps``) term by term: F value columns ``[res cur |
+    isrc cur | mos i_d | cap cur]``, J value columns ``[res g | mos dvd
+    | mos dvg | mos dvs | cap geq]``, then the ``gmin * x`` row and
+    ``gmin``.  Each transistor is evaluated inline
+    (:func:`~repro.spice.mosfet.channel_source`), and only when one of
+    its terms is emitted.  The body packs ``[-F | J]`` into the writable
+    buffer ``out`` (``n + n * n`` doubles) with one ``struct`` call,
+    ``_pack``, and leaves the residual ``max |F|`` in ``r``,
+    NaN-propagating like ``np.abs(F).max()``.  ``evaluate`` runs the
+    body once; ``newton`` runs it as the loop of a full-Newton solve,
+    with the constants and the solve's inputs unpacked once and the
+    step norm, damping and update written out per unknown (see
+    :class:`GateKernel`).  With capacitor stamps the functions of
+    :func:`_integrator_sources` follow.  Each function is its own
+    source, so compiling them one at a time keeps the parser's peak
+    memory at one function's.
     """
     n = plan.n
     n_known, resistors, _, mosfets = plan.structure[1:]
@@ -534,96 +542,139 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
             cells[cell].append(("+ " if sign > 0 else "- ") + terms[src])
             used.add(terms[src])
 
-    params = names("rg", count=n_res)
+    consts = names("rg", count=n_res)
     for m, (*_, alpha) in enumerate(mosfets):
-        params += [f"k{m}", f"vt{m}", f"lam{m}"] + ([f"al{m}"] if alpha else [])
-    params += names("v", count=n_known) + names("si", count=n_is)
-    params += [f"cg{c}" for c in live] + [f"ci{c}" for c in live]
-    params.append("gmin")
-    lines = ["def evaluate(x, values, out):",
-             f"    {', '.join(names('x', count=n))}, = x",
-             f"    {', '.join(params)}, = values"]
+        consts += [f"k{m}", f"vt{m}", f"lam{m}"] + ([f"al{m}"] if alpha else [])
+    xs, ds = names("x", count=n), names("d", count=n)
+    vs, sis = names("v", count=n_known), names("si", count=n_is)
+    geq, ieq = [f"cg{c}" for c in live], [f"ci{c}" for c in live]
+    body = []
     for i, (a, b) in enumerate(resistors):
         if f"ri{i}" in used:
-            lines.append(f"    ri{i} = rg{i} * ({_volt(a)} - {_volt(b)})")
+            body.append(f"    ri{i} = rg{i} * ({_volt(a)} - {_volt(b)})")
     for m, (d, g, s, is_nmos, alpha) in enumerate(mosfets):
         if not used & {f"id{m}", f"gd{m}", f"gm{m}", f"gs{m}"}:
             continue
-        lines += channel_source(m, is_nmos, alpha,
-                                _volt(g), _volt(d), _volt(s))
+        body += channel_source(m, is_nmos, alpha,
+                               _volt(g), _volt(d), _volt(s))
         if f"gs{m}" in used:
-            lines.append(f"    gs{m} = -(gm{m} + gd{m})")
+            body.append(f"    gs{m} = -(gm{m} + gd{m})")
     for c in live:
         a, b = plan.cap_pairs[c]
-        lines.append(f"    cc{c} = cg{c} * ({_volt(a)} - {_volt(b)}) - ci{c}")
-    lines += [f"    f{i} = {' '.join(cell)}" for i, cell in enumerate(f_cells)]
-    lines.append("    _pack(out, 0, {})".format(", ".join(
+        body.append(f"    cc{c} = cg{c} * ({_volt(a)} - {_volt(b)}) - ci{c}")
+    body += [f"    f{i} = {' '.join(cell)}" for i, cell in enumerate(f_cells)]
+    body.append("    _pack(out, 0, {})".format(", ".join(
         [f"-f{i}" for i in range(n)] + [" ".join(cell) for cell in j_cells])))
-    lines += _max_abs_lines([f"f{i}" for i in range(n)])
-    source = "\n".join(lines) + "\n"
-    return [source] + (_integrator_sources(plan) if with_caps else [])
+    body += _max_abs_lines([f"f{i}" for i in range(n)], "r")
+    evaluate = ["def evaluate(x, values, out):", *_unpack(xs, "x"),
+                *_unpack(consts + vs + sis + geq + ieq + ["gmin"], "values"),
+                *body, "    return r"]
+
+    def companion(geq_of: str, ieq_of: str) -> List[str]:
+        return ([f"            cg{c} = {geq_of.format(c=c)}" for c in live]
+                + [f"            ci{c} = {ieq_of.format(c=c)}" for c in live])
+    newton = ["def newton(kn, x, v, isrc, gmin, options, h, be, bv, bi):",
+              "    solve, guard, times = kn.gesv, kn.guard, kn.profile",
+              "    if guard is not None:", "        guard = guard.start_solve()",
+              "    if times is not None:", "        times = times.begin()",
+              *_unpack(consts, "kn.consts"), *_unpack(xs, "x"),
+              *_unpack(vs, "v"), *_unpack(sis, "isrc")]
+    if live:
+        newton += ["    if h is None:", *_unpack(geq, "bv", 2),
+                   *_unpack(ieq, "bi", 2), "    else:",
+                   *_unpack([f"cap{c}" for c in live], "kn.caps", 2),
+                   *_unpack([f"bv{c}" for c in live], "bv", 2),
+                   "        if be:", *companion("cap{c} / h", "cg{c} * bv{c}"),
+                   "        else:",
+                   *_unpack([f"bi{c}" for c in live], "bi", 3),
+                   *companion("2.0 * cap{c} / h", "cg{c} * bv{c} + bi{c}")]
+    newton += [
+        "    out, rhs, J, dx = kn.buffers",
+        "    max_step, voltol, abstol = "
+        "options.max_step, options.voltol, options.abstol",
+        "    condition, last = None, inf",
+        "    for iteration in range(1, options.max_iterations + 1):",
+        "        if times is not None:", "            start = monotonic()",
+        *("    " + line for line in body),
+        "        if times is not None:",
+        "            times.assembly += monotonic() - start",
+        "        if guard is not None:",
+        "            kn.check(guard, iteration, r, times)",
+        "        if times is not None:", "            start = monotonic()",
+        "        try:", "            solve(J, rhs, out=dx)",
+        "        except LinAlgError:",
+        "            kn.nudge(solve, gmin, iteration, r, times)",
+        "        if times is not None:",
+        "            times.factorize += monotonic() - start",
+        "        if guard is not None and guard.check_condition:",
+        "            condition = kn.condition(guard, times)",
+        *_unpack(ds, "dx.tolist()", 2),
+        *("    " + line for line in _max_abs_lines(ds, "step")),
+        "        if step > max_step:", "            scale = max_step / step",
+        *(f"            {d} = {d} * scale" for d in ds),
+        *(f"        {x} = {x} + {d}" for x, d in zip(xs, ds)),
+        "        if step < voltol and r < abstol:",
+        "            kn.end(times, iteration, 'converged', condition)",
+        f"            return [{', '.join(xs)}]",
+        "        last = r",
+        "    kn.give_up(times, options.max_iterations, last, condition)"]
+    sources = ["\n".join(lines) + "\n" for lines in (evaluate, newton)]
+    return sources + (_integrator_sources(plan) if with_caps else [])
 
 
-def _max_abs_lines(terms: List[str]) -> List[str]:
-    """Lines returning the largest ``abs`` of ``terms``, NaN-propagating
-    like ``np.abs(values).max()`` (Python's ``max`` would skip a NaN
-    behind a finite entry)."""
-    lines = [f"    r = abs({terms[0]})"]
+def _max_abs_lines(terms: List[str], name: str) -> List[str]:
+    """Lines setting ``name`` to the largest ``abs`` of ``terms``,
+    NaN-propagating like ``np.abs(values).max()`` (Python's ``max``
+    would skip a NaN behind a finite entry)."""
+    lines = [f"    {name} = abs({terms[0]})"]
     for term in terms[1:]:
-        lines += [f"    a = abs({term})", "    if a > r or a != a:",
-                  "        r = a"]
-    return lines + ["    return r"]
+        lines += [f"    a = abs({term})", f"    if a > {name} or a != a:",
+                  f"        {name} = a"]
+    return lines
 
 
 def _integrator_sources(plan: StampPlan) -> List[str]:
     """Sources of the transient's per-step functions over the live capacitors.
 
-    For each rule (``be``, ``trap``), ``companion_<rule>(h, c, u, i)``
-    returns the kernel's capacitor values -- every ``geq``, then every
-    ``ieq`` -- from the capacitances ``c`` and the previous branch
-    voltages ``u`` and currents ``i``; ``history_<rule>(x, v, g, u, i)``
-    returns the accepted step's branch voltages and currents from its
-    unknowns ``x``, known voltages ``v`` and companion values ``g``.
-    ``branches(x, v)`` gives the branch voltages of one solution, and
-    ``move(x, y)`` the step's largest node move ``max |x - y|``,
-    NaN-propagating like ``np.abs(x - y).max()``.  The operand order is
-    the array path's elementwise numpy order: ``c / h`` and ``g * u``
-    (backward Euler), ``2.0 * c / h`` and ``g * u + i`` (trapezoidal);
-    ``g * (w - u)`` and ``g * (w - u) - i``.
+    For each rule (``be``, ``trap``), ``history_<rule>(x, v, h, c, u,
+    i)`` returns the accepted step's branch voltages and currents from
+    its unknowns ``x``, known voltages ``v``, step ``h``, the
+    capacitances ``c`` and the previous branch voltages ``u`` and
+    currents ``i``, through the rule's companion conductance, which the
+    step's solve used too.  ``branches(x, v)`` gives the branch voltages
+    of one solution, and ``move(x, y)`` the step's largest node move
+    ``max |x - y|``, NaN-propagating like ``np.abs(x - y).max()``.  The
+    operand order is the array path's elementwise numpy order: ``c /
+    h`` (backward Euler) and ``2.0 * c / h`` (trapezoidal); ``g * (w -
+    u)`` and ``g * (w - u) - i``.
     """
     pairs = [plan.cap_pairs[c] for c in plan.live_caps]
     count = len(pairs)
 
-    def unpack(prefix: str, size: int, name: str) -> List[str]:
-        items = ", ".join(f"{prefix}{j}" for j in range(size))
-        return [f"    {items}, = {name}"] if size else []
-
     def items(pattern: str) -> List[str]:
         return [pattern.format(j=j) for j in range(count)]
 
-    nodes = unpack("x", plan.n, "x") + unpack("v", plan.n_known, "v")
+    xs = [f"x{i}" for i in range(plan.n)]
+    nodes = _unpack(xs, "x") + _unpack(
+        [f"v{k}" for k in range(plan.n_known)], "v")
     branch = [f"{_volt(a)} - {_volt(b)}" for a, b in pairs]
     functions = [["def branches(x, v):", *nodes,
                   "    return [{}]".format(", ".join(branch))],
-                 ["def move(x, y):", *unpack("x", plan.n, "x"),
-                  *unpack("y", plan.n, "y"),
-                  *_max_abs_lines([f"x{i} - y{i}" for i in range(plan.n)])]]
-    for rule, geq, ieq, current in (
-            ("be", "c{j} / h", "g{j} * u{j}", "g[{j}] * (w{j} - u{j})"),
-            ("trap", "2.0 * c{j} / h", "g{j} * u{j} + i{j}",
-             "g[{j}] * (w{j} - u{j}) - i{j}")):
-        previous = unpack("u", count, "u")
-        if rule == "trap":
-            previous += unpack("i", count, "i")
-        functions += [
-            [f"def companion_{rule}(h, c, u, i):",
-             *unpack("c", count, "c"), *previous,
+                 ["def move(x, y):", *_unpack(xs, "x"),
+                  *_unpack([f"y{i}" for i in range(plan.n)], "y"),
+                  *_max_abs_lines([f"x{i} - y{i}" for i in range(plan.n)],
+                                  "r"), "    return r"]]
+    for rule, geq, current in (
+            ("be", "c{j} / h", "g{j} * (w{j} - u{j})"),
+            ("trap", "2.0 * c{j} / h", "g{j} * (w{j} - u{j}) - i{j}")):
+        functions.append(
+            [f"def history_{rule}(x, v, h, c, u, i):", *nodes,
+             *_unpack(items("c{j}"), "c"), *_unpack(items("u{j}"), "u"),
+             *(_unpack(items("i{j}"), "i") if rule == "trap" else []),
              *(f"    g{j} = {expr}" for j, expr in enumerate(items(geq))),
-             f"    return [{', '.join(items('g{j}') + items(ieq))}]"],
-            [f"def history_{rule}(x, v, g, u, i):", *nodes, *previous,
              *(f"    w{j} = {expr}" for j, expr in enumerate(branch)),
              f"    return [{', '.join(items('w{j}'))}], "
-             f"[{', '.join(items(current))}]"]]
+             f"[{', '.join(items(current))}]"])
     return ["\n".join(lines) + "\n" for lines in functions]
 
 
@@ -633,19 +684,31 @@ class GateKernel:
     ``evaluate(x, values, out)`` takes the unknown voltages, the tuple
     :meth:`StampPlan.kernel_values` builds and a writable buffer of
     ``n + n * n`` doubles; it packs ``[-F | J]`` (``J`` row-major) into
-    ``out`` and returns the NaN-propagating residual ``max |F|``.  A
-    kernel with capacitor stamps also carries the transient's per-step
-    functions (:func:`_integrator_sources`), each pair indexed by
-    ``use_be``: ``companion[use_be]``, ``history[use_be]``, then
+    ``out`` and returns the NaN-propagating residual ``max |F|``.
+
+    ``newton(kn, x, v, isrc, gmin, options, h, be, bv, bi)`` is the
+    full-Newton loop of one solve on the same body, from the unknowns
+    ``x``, the known voltages ``v`` and the current sources ``isrc``;
+    it returns the solution as a new list.  Its capacitor stamps come
+    from the live capacitors' previous branch voltages ``bv`` and
+    currents ``bi`` by the step ``h``'s backward-Euler (``be``) or
+    trapezoidal companion model, or, with ``h`` ``None``, are the
+    stamps' ``geq`` in ``bv`` and ``ieq`` in ``bi``.  ``kn`` is the
+    :class:`~repro.spice.engine.KernelNewton` holding the rest: the
+    constants (``consts``, ``caps``), the buffers, ``gesv``, the guard
+    and profiler, and the rare exits (guard checks, the singular nudge,
+    condition estimates, the accounting).
+
+    A kernel with capacitor stamps also carries the transient's per-step
+    functions (:func:`_integrator_sources`): ``history[use_be]``,
     ``branches`` and ``move``.
     """
 
-    __slots__ = ("evaluate", "companion", "history", "branches", "move")
+    __slots__ = ("evaluate", "newton", "history", "branches", "move")
 
     def __init__(self, namespace: dict) -> None:
         self.evaluate = namespace["evaluate"]
-        self.companion = (namespace.get("companion_trap"),
-                          namespace.get("companion_be"))
+        self.newton = namespace["newton"]
         self.history = (namespace.get("history_trap"),
                         namespace.get("history_be"))
         self.branches = namespace.get("branches")
@@ -690,7 +753,8 @@ class KernelCache:
                 self._kernels.move_to_end(key)
                 return kernel
         namespace = {"_pack": struct.Struct(f"{plan.n + plan.n ** 2}d")
-                     .pack_into}
+                     .pack_into, "LinAlgError": np.linalg.LinAlgError,
+                     "monotonic": monotonic, "inf": float("inf")}
         for source in _kernel_sources(plan, with_caps):
             exec(compile(source, "<gate kernel>", "exec"), namespace)
         with self._lock:
@@ -744,30 +808,25 @@ def source_currents(isources, time: float,
 
 
 def load_kernel(plan: StampPlan, known: np.ndarray, time: float, cap_stamps,
-                source_scale: float, isources, gmin: float):
-    """The gate kernel's ``evaluate`` and its ``values`` for one Newton solve.
+                source_scale: float, isources):
+    """The kernel loop's inputs for one Newton solve, as Python floats.
 
-    :func:`load_solve` for the kernel path: the same iteration-invariant
-    inputs, as Python floats -- the known voltages times
-    ``source_scale``, the current sources at ``time``, the live
-    capacitors' companion stamps when stamps are present.  Returns
-    ``(evaluate, values)``.
+    :func:`load_solve` for the kernel path: the known voltages times
+    ``source_scale``, the current sources at ``time``, and the live
+    capacitors' ``geq`` and ``ieq`` when stamps are present (empty
+    lists otherwise).  Returns ``(known, isrc, geq, ieq)``.
     """
     known = np.asarray(known, dtype=float)
     if source_scale != 1.0:
         known = known * source_scale
-    known_list = known.tolist()
     isrc = source_currents(isources, time, source_scale)
     if not cap_stamps:
-        return (plan.kernel(False).evaluate,
-                plan.kernel_values(known_list, isrc, gmin))
+        return known.tolist(), isrc, [], []
     # Transients step on floats without this loader, so stamps arrive
     # here only from direct callers: the tuple form is enough.
-    geq = [float(stamp[2]) for stamp in cap_stamps]
-    ieq = [float(stamp[3]) for stamp in cap_stamps]
-    return (plan.kernel(True).evaluate,
-            plan.kernel_values(known_list, isrc, gmin,
-                               plan.live(geq) + plan.live(ieq)))
+    return (known.tolist(), isrc,
+            plan.live([float(stamp[2]) for stamp in cap_stamps]),
+            plan.live([float(stamp[3]) for stamp in cap_stamps]))
 
 
 def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,

@@ -34,21 +34,20 @@ capacitor history -- is a small state object that the analysis's
   dispatch dense full Newton (fewer than
   :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors, no
   ``REPRO_SPARSE``/``REPRO_FAST_NEWTON``).  The unknowns, known voltages
-  and history are Python float lists, only capacitors with an unknown
-  terminal carry stamps or history, the plan's generated code computes
-  the companion values, the history and the step's move norm, and each
-  step calls the kernel Newton loop directly
-  (:meth:`~repro.spice.engine.SolveContext.kernel_newton`), all of an
-  attempt's steps under one error state (a singular Jacobian raises
-  inside it; source callables run under the caller's, which is back
-  when the attempt ends).  On arrays of 3 to 21 entries a numpy call
-  costs more than its arithmetic: an accepted NAND3 step went from 64
-  to 42 us of thread time, and ``validate_oracle`` from 12.49 to 17.69
-  configs/s over 10 alternating ``bench/compare.py`` pairs (2-vCPU Xeon
-  container).  The inline channel models, the packed ``gesv`` buffer
-  and the one error state per attempt then took the step from 56.8 to
-  46.4 us (best of four runs of 30 configs), and ``validate_oracle``
-  from 17.48 to 22.01 configs/s.
+  and history are Python float lists, and only capacitors with an
+  unknown terminal carry stamps or history.  Each step calls the
+  plan's generated Newton loop directly
+  (:meth:`~repro.spice.engine.SolveContext.kernel_newton`) with the
+  history, from which the loop computes the companion stamps, and the
+  plan's generated code computes the history and the step's move norm;
+  all of an attempt's steps run under one error state (a singular
+  Jacobian raises inside it; source callables run under the caller's,
+  which is back when the attempt ends).  On arrays of 3 to 21 entries
+  a numpy call costs more than its arithmetic: an accepted NAND3 step
+  went from 64 to 42 us of thread time, and ``validate_oracle`` from
+  12.49 to 17.69 configs/s over 10 alternating ``bench/compare.py``
+  pairs (2-vCPU Xeon container); see :mod:`repro.spice.engine` for the
+  gains of the generated loop since.
 * **arrays** (:class:`_ArraySteps`) for everything else, every solve
   through the bound solver.
 
@@ -56,10 +55,10 @@ The two are bit-identical: the generated code applies the same IEEE
 operations in the same order as the elementwise numpy expressions
 (``2.0 * c / h``, ``g * v + i``, ``g * (v_new - v) - i``), a capacitor
 between two known nodes never reaches ``F`` or ``J``, the acceptance
-norm is NaN-propagating like ``np.abs(dx).max()``, and the kernel loop
-is the one :func:`~repro.spice.engine.newton_solve` runs for these
-plans.  ``tests/spice/test_gate_kernel.py`` holds the float path to the
-array path on gates, step-control branches, devices and guard settings.
+norm is NaN-propagating like ``np.abs(dx).max()``, and the loop is the
+one :func:`~repro.spice.engine.newton_solve` runs for these plans.
+``tests/spice/test_gate_kernel.py`` holds the float path to the array
+path on gates, step-control branches, devices and guard settings.
 The DC point always goes through the bound solver.
 
 On top of the in-step recovery (step halving, backward-Euler fallback)
@@ -75,6 +74,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -224,34 +224,29 @@ class _FloatSteps:
     unknowns, the known voltages and the history are float lists, and
     only the live capacitors (an unknown terminal; one between two
     known nodes never reaches ``F`` or ``J``) carry stamps or history.
-    The plan's generated companion, history and move-norm code computes
-    them with the array path's operand order, and each step calls the
-    kernel loop directly, so every value is the array path's, bit for
-    bit.  Steps run inside the attempt's
+    Each step's solve computes the companion values from the history
+    itself, and the plan's generated history and move-norm code keeps
+    the array path's operand order, so every value is the array path's,
+    bit for bit.  Steps run inside the attempt's
     :meth:`~repro.spice.engine.KernelNewton.error_state`; source
     callables, under the caller's.
     """
 
-    __slots__ = ("newton", "buffers", "companion", "history", "move",
-                 "known_list", "isources", "caller", "head", "caps", "x",
-                 "u", "i", "series", "pending")
+    __slots__ = ("solve", "history", "move", "known_list", "isources",
+                 "caller", "caps", "x", "u", "i", "series", "pending")
 
     def __init__(self, compiled: CompiledCircuit, newton: KernelNewton,
                  x: np.ndarray, t: float) -> None:
-        plan = compiled.stamp_plan
-        code = plan.kernel(True)
-        self.newton = newton
-        self.buffers = newton.buffers()
-        self.companion, self.history = code.companion, code.history
-        self.move = code.move
+        code = compiled.stamp_plan.kernel(True)
+        self.solve = partial(newton.newton, newton)
+        self.history, self.move = code.history, code.move
         self.known_list = compiled.known_list
         self.isources = compiled.isources
         #: The caller's error state when the circuit has source callables
         #: (callable voltage sources, current sources), else ``None``.
         self.caller = (None if compiled.sources_flat_from is not None
                        else dict(np.geterr(), call=np.geterrcall()))
-        self.head = plan.kernel_consts
-        self.caps = plan.live_c
+        self.caps = newton.caps
         self.x: List[float] = x.tolist()
         self.u = code.branches(self.x, compiled.known_list(t))
         self.i = [0.0] * len(self.caps)
@@ -269,17 +264,16 @@ class _FloatSteps:
             with np.errstate(**self.caller):
                 known = self.known_list(t_new)
                 isrc = source_currents(self.isources, t_new)
-        caps = self.companion[use_be](h, self.caps, self.u, self.i)
-        values = (*self.head, *known, *isrc, *caps, options.gmin)
-        x_new = self.newton.solve(self.x, values, options, self.buffers)
-        self.pending = (x_new, known, caps)
+        x_new = self.solve(self.x, known, isrc, options.gmin, options, h,
+                           use_be, self.u, self.i)
+        self.pending = (x_new, known, h)
         return self.move(x_new, self.x)
 
     def accept(self, use_be: bool) -> List[float]:
         """Take the last solved step; returns its unknowns."""
-        x_new, known, caps = self.pending
-        self.u, self.i = self.history[use_be](x_new, known, caps, self.u,
-                                              self.i)
+        x_new, known, h = self.pending
+        self.u, self.i = self.history[use_be](x_new, known, h, self.caps,
+                                              self.u, self.i)
         self.x = x_new
         self.series.append(x_new)
         return x_new

@@ -18,6 +18,14 @@ def _double(x):
     return 2 * x
 
 
+def _slow_first(x):
+    """``_double``, but item 0 runs long enough to be in flight at every
+    crash of the item beside it."""
+    if x == 0:
+        time.sleep(2.0)
+    return 2 * x
+
+
 def _flaky(x):
     if x == 3:
         raise ValueError(f"bad item {x}")
@@ -101,6 +109,19 @@ class TestWorkerCrash:
         assert results.index(failure) == 1
         assert failure.kind == "crash"
         assert failure.attempts == 3  # initial + pool_retries resubmissions
+        assert [r for r in results if not isinstance(r, TaskFailure)] == [0, 4, 6]
+
+    def test_slow_bystander_is_not_charged_for_crashes(self):
+        """A crash with several tasks in flight names no culprit: the
+        slow bystander reruns alone and completes, and only the crasher,
+        charged once per crash alone, is declared lost."""
+        with FaultInjection("crash@1:always"):
+            results = parallel_map(_slow_first, range(4), workers=2,
+                                   on_error="collect", pool_retries=2)
+        (failure,) = [r for r in results if isinstance(r, TaskFailure)]
+        assert results.index(failure) == 1
+        assert failure.kind == "crash"
+        assert failure.attempts == 3
         assert [r for r in results if not isinstance(r, TaskFailure)] == [0, 4, 6]
 
     def test_persistent_crasher_raises_task_error_in_raise_mode(self):

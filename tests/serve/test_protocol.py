@@ -97,6 +97,10 @@ class TestDelayRejections:
                     "at": float("inf")}]),
         ("edges", ["a:fall:500ps", {"input": "b", "direction": "fall",
                                     "tau": "700ps", "at": float("nan")}]),
+        # JSON integer literals too large for a float.
+        pytest.param("load", 10 ** 400, id="load-huge-int"),
+        pytest.param("edges", [{"input": "a", "direction": "fall",
+                                "tau": 10 ** 400}], id="edges-huge-int"),
     ])
     def test_invalid_field_raises_bad_request(self, field, value):
         with pytest.raises(BadRequest):

@@ -1,10 +1,11 @@
 """The gate-sized float paths against the NumPy paths they replace.
 
 Circuits below :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors
-solve on Python floats through their plan's generated kernel
-(:func:`repro.spice.engine._newton_kernel`), and their transients step
-on floats too: the plan's generated companion and history code, with
-each step calling the kernel loop directly
+solve on Python floats through their plan's generated Newton loop
+(:class:`repro.spice.engine.KernelNewton`), and their transients step
+on floats too: each step's solve computes its companion stamps, the
+plan's generated history code updates the capacitors, and each step
+calls the loop directly
 (:meth:`~repro.spice.engine.SolveContext.kernel_newton`).  Patching the
 cutover to 0 sends the same analyses through the array integrator, the
 NumPy full-Newton loop and the grouped channel model, which
@@ -29,6 +30,9 @@ from repro.errors import ConvergenceError
 from repro.gates import Gate
 from repro.obs import get_recorder, recording
 from repro.obs.flight import FLIGHT_ENV_VAR
+from repro.obs.live import LIVE_ENV_VAR
+from repro.obs.recorder import (MANIFEST_ENV_VAR, METRICS_ENV_VAR,
+                                OBS_ENV_VAR, TRACE_ENV_VAR)
 from repro.resilience.retry import RetryPolicy
 from repro.spice import (Circuit, TransientOptions, engine, solve_dc, stamps,
                          transient)
@@ -66,6 +70,13 @@ def default_solver(monkeypatch):
     monkeypatch.setenv(SPARSE_ENV_VAR, "auto")
     monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
     monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+
+
+def telemetry_off(monkeypatch):
+    """Switch off telemetry that the environment may have switched on."""
+    for name in (OBS_ENV_VAR, TRACE_ENV_VAR, METRICS_ENV_VAR,
+                 MANIFEST_ENV_VAR, LIVE_ENV_VAR):
+        monkeypatch.delenv(name, raising=False)
 
 
 def both_loops(monkeypatch, run):
@@ -166,6 +177,7 @@ class TestTransientIdentity:
             with recording():
                 result = transient(circuit, 2e-9)
         else:
+            telemetry_off(monkeypatch)
             assert not get_recorder().enabled
             result = transient(circuit, 2e-9)
         assert result.newton_iterations > 0
@@ -207,6 +219,7 @@ class TestTransientIdentity:
             analyses = rec.metrics_payload()["counters"][
                 "spice.transient.analyses"]
         else:
+            telemetry_off(monkeypatch)
             assert not get_recorder().enabled
             shots()
             analyses = 3
@@ -289,6 +302,7 @@ class TestFloatSteps:
         assert_same_transient(floats, arrays)
 
     def test_telemetry_off(self, monkeypatch):
+        telemetry_off(monkeypatch)
         assert not get_recorder().enabled
         gate = GATES["nand3"](PROCESSES["alpha"])
         circuit = gate.build(stimuli(gate, "mixed"))
@@ -565,16 +579,42 @@ class TestDcIdentity:
         assert iterations == NewtonOptions().max_iterations
         assert_same_dc(kernel, numpy_loop)
 
-    def test_norm_is_numpys_max_abs(self):
-        """The loop's residual and step norm, NaN behind finite entries
-        included (Python's ``max`` would skip it)."""
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_norm_is_numpys_max_abs(self, monkeypatch):
+        """The loop's step norm, NaN behind finite entries included
+        (Python's ``max`` would skip it): a ``gesv`` stand-in writes each
+        case into ``dx``, and the kernel loop damps, updates and accepts
+        or rejects it as the NumPy loop's ``np.abs(dx).max()`` does."""
         nan, inf = float("nan"), float("inf")
+        options = NewtonOptions(max_iterations=1, max_step=0.5, voltol=inf,
+                                abstol=inf)
         for values in ([0.0], [-0.0, 0.0], [1.0, -2.0, 0.5], [1.0, nan],
                        [nan, 1.0], [-inf, nan, 2.0], [-inf, 1.0],
-                       [1e-300, -1e300]):
-            got = engine.max_abs(values)
-            want = float(np.abs(np.array(values)).max())
-            assert got == want or (got != got and want != want), values
+                       [1e-300, -1e300], [0.25, -0.125]):
+            def writes(a, b, out=None, values=values):
+                out = np.empty_like(b) if out is None else out
+                out[...] = values
+                return out
+
+            circuit = Circuit()
+            circuit.add_vsource("vd", "d", 1.0)
+            circuit.add_mosfet("m0", "d", "d", "0", "0",
+                               PROCESSES["level1"].nmos, 4e-6, 0.8e-6,
+                               with_parasitics=False)
+            for i in range(len(values)):
+                circuit.add_isource(f"i{i}", f"n{i}", "0", 0.0)
+
+            def run(stats):
+                compiled = circuit.compile()
+                return newton_solve(compiled, np.zeros(compiled.n_unknown),
+                                    compiled.known_voltages(0.0),
+                                    options=options, stats=stats)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "gesv", writes)
+                kernel, numpy_loop = both_loops(monkeypatch,
+                                                lambda: dc_outcome(run))
+            assert_same_dc(kernel, numpy_loop)
 
     def test_kernel_residual_is_max_abs(self):
         """The kernel's inline residual on the same cases: one current
@@ -600,7 +640,7 @@ class TestDcIdentity:
             # F is ``0.0 + x * gmin + value``: a -0.0 value reads 0.0.
             assert out[:len(values)].tobytes() == \
                 np.array([-(0.0 + value) for value in values]).tobytes()
-            want = engine.max_abs(values)
+            want = float(np.abs(np.array(values)).max())
             assert residual == want or (residual != residual
                                         and want != want), values
 
