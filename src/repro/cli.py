@@ -131,12 +131,6 @@ def _add_resilience_options(parser: argparse.ArgumentParser) -> None:
         help="linear-solver backend (REPRO_SPARSE): auto dispatches "
              "dense vs sparse SuperLU by unknown-node count, 1 forces "
              "sparse, 0 forces dense (default: auto)")
-    parser.add_argument(
-        "--guard", action="store_true",
-        help="opt-in solver guard monitors (REPRO_GUARD): divergence "
-             "detection, Jacobian condition warnings and a per-solve "
-             "watchdog of REPRO_GUARD_WALL seconds (results are unchanged "
-             "on clean runs)")
 
 
 def _apply_resilience_options(args: argparse.Namespace) -> None:
@@ -153,7 +147,6 @@ def _apply_resilience_options(args: argparse.Namespace) -> None:
     from .resilience.retry import RETRY_ENV_VAR
     from .resilience.runtime import RESUME_ENV_VAR
     from .spice.engine import FAST_NEWTON_ENV_VAR
-    from .spice.guard import GUARD_ENV_VAR
     from .spice.sparse import SPARSE_ENV_VAR
 
     if getattr(args, "retry", None) is not None:
@@ -168,8 +161,6 @@ def _apply_resilience_options(args: argparse.Namespace) -> None:
         os.environ[FAST_NEWTON_ENV_VAR] = "1"
     if getattr(args, "sparse", None) is not None:
         os.environ[SPARSE_ENV_VAR] = args.sparse
-    if getattr(args, "guard", False):
-        os.environ[GUARD_ENV_VAR] = "1"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ The live-telemetry plane (this PR's additions) layers three modules on
 the recorder: :mod:`repro.obs.live` (periodic atomic snapshots as
 ``metrics.json`` + OpenMetrics ``metrics.prom``, tailed by
 ``repro top``), :mod:`repro.obs.flight` (a per-solve ring buffer dumped
-to ``flight_*.json`` on retry-ladder exhaustion or guard aborts), and
+to ``flight_*.json`` on retry-ladder exhaustion), and
 :mod:`repro.obs.profile` (phase-attributed solver timing histograms per
 dense/sparse driver).
 """

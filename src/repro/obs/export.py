@@ -132,10 +132,10 @@ def headline_summary(payload: Mapping[str, Any]) -> str:
     Surfaces the totals an operator actually triages by -- Newton
     solves/iterations/failures, transient analyses and how many of them
     a settle rule ended early, escalation-ladder rung counts
-    (``spice.guard.rung{rung=...}``), guard aborts, the
-    ``spice.sparse.*`` family, and flight dumps -- instead of leaving
-    them buried in the raw counter listing.  Empty string when none of
-    those families recorded anything.
+    (``spice.guard.rung{rung=...}``), the ``spice.sparse.*`` family,
+    and flight dumps -- instead of leaving them buried in the raw
+    counter listing.  Empty string when none of those families recorded
+    anything.
     """
     counters = payload.get("counters", {})
     lines: List[str] = []
@@ -154,7 +154,6 @@ def headline_summary(payload: Mapping[str, Any]) -> str:
         lines.append(f"  transients: analyses {_format_number(analyses)}, "
                      f"settled early {_format_number(settled)}")
     for name, label in (("spice.guard.rung", "guard rungs"),
-                        ("spice.guard.aborts", "guard aborts"),
                         ("obs.flight.dumps", "flight dumps")):
         values = _labeled_counters(counters, name)
         if values:
@@ -377,10 +376,9 @@ def bench_trend(baseline_dir: str | Path,
 def degradation_summary(recorder=None) -> str:
     """One line of registry-sourced loss accounting, or ``""``.
 
-    Pulls solver retry totals, per-kind grid-point fault counts,
-    neighbor-filled cell counts and guard aborts (divergence/watchdog)
-    from the current metric registry -- the single place degradation
-    is accumulated -- for
+    Pulls solver retry totals, per-kind grid-point fault counts and
+    neighbor-filled cell counts from the current metric registry -- the
+    single place degradation is accumulated -- for
     :meth:`repro.charlib.GateLibrary.health_summary` and the
     experiment summaries.  Routine escalation-ladder engagements
     (``spice.guard.rung``) are deliberately *not* summarized here:
@@ -397,26 +395,15 @@ def degradation_summary(recorder=None) -> str:
     registry = recorder.registry
     retries = registry.counter_total("spice.retries")
     filled = registry.counter_total("charlib.cells.filled")
-    payload = registry.snapshot()["counters"]
-
-    def labeled(prefix: str) -> dict:
-        return {
-            key[len(prefix):-1]: value
-            for key, value in payload.items()
-            if key.startswith(prefix)
-        }
-
-    kinds = labeled("charlib.points.failed{kind=")
-    aborts = labeled("spice.guard.aborts{reason=")
-    if not (retries or filled or kinds or aborts):
+    prefix = "charlib.points.failed{kind="
+    kinds = {key[len(prefix):-1]: value
+             for key, value in registry.snapshot()["counters"].items()
+             if key.startswith(prefix)}
+    if not (retries or filled or kinds):
         return ""
     parts = []
     if retries:
         parts.append(f"solver retries {_format_number(retries)}")
-    if aborts:
-        listed = ", ".join(f"{reason}={_format_number(aborts[reason])}"
-                           for reason in sorted(aborts))
-        parts.append(f"guard aborts: {listed}")
     if kinds:
         listed = ", ".join(f"{kind}={_format_number(kinds[kind])}"
                            for kind in sorted(kinds))

@@ -4,10 +4,9 @@ A ``ConvergenceError`` postmortem used to say only *that* the retry
 ladder ran out -- nothing about the iterations that led up to it.  The
 flight recorder turns every such failure into an actionable artifact:
 each Newton solve appends a small record (circuit size, driver, iteration
-count, guard rungs walked, condition estimates when ``REPRO_GUARD=1``,
-phase timings, outcome) to a fixed-size ring, and when a solve exhausts
-the retry ladder or a guard abort fires the whole ring is dumped --
-atomically, temp-file + rename -- to ``flight_<ts>_<pid>_<seq>.json``.
+count, phase timings, outcome) to a fixed-size ring, and when a solve
+exhausts the retry ladder the whole ring is dumped -- atomically,
+temp-file + rename -- to ``flight_<ts>_<pid>_<seq>.json``.
 
 Escalation rungs are recorded as their own ring entries (via
 :meth:`FlightRecorder.note_rung`), interleaved with the solve records,
@@ -71,7 +70,7 @@ class FlightRecorder:
 
     Entries are plain dicts.  Solve records carry ``"event": "solve"``
     plus whatever the solver attached (driver, n, iterations, outcome,
-    phases, condition); rung records carry ``"event": "rung"`` and the
+    phases); rung records carry ``"event": "rung"`` and the
     rung name.  Every entry is stamped with a monotonic ``t`` so dump
     readers can order and interval the history.
     """

@@ -412,10 +412,6 @@ def format_top(document: Mapping[str, Any],
     if rungs:
         parts = ", ".join(f"{rung}={int(count)}" for rung, count in rungs)
         lines.append(f"rungs      {parts}")
-    aborts = _labelled(counters, "spice.guard.aborts", "reason")
-    if aborts:
-        parts = ", ".join(f"{reason}={int(count)}" for reason, count in aborts)
-        lines.append(f"aborts     {parts}")
 
     sparse_bits = []
     for key, value in sorted(counters.items()):

@@ -1,6 +1,6 @@
 """Phase-attributed solver timing: where does a Newton solve spend time?
 
-The solver stack has exactly four cost centers, and the scaling story
+The solver stack has exactly three cost centers, and the scaling story
 of each driver hangs on their ratio:
 
 * ``assembly``    -- device evaluation + residual/Jacobian scatter,
@@ -8,9 +8,7 @@ of each driver hangs on their ratio:
   ``gesv`` call fuses factorization and back-substitution, so the
   dense scalar loop's whole linear solve is attributed here),
 * ``back_solve``  -- triangular back-substitution (split out on the
-  sparse backend and in the LU-reusing fast-Newton mode),
-* ``guard``       -- the opt-in guard monitors: per-iteration checks
-  plus condition estimates (zero with ``REPRO_GUARD`` unset).
+  sparse backend and in the LU-reusing fast-Newton mode).
 
 :class:`PhaseProfiler` records the per-solve phase seconds into
 labelled histograms ``spice.phase.seconds{driver=...,phase=...}`` with
@@ -36,8 +34,8 @@ from typing import Dict, Optional, Tuple
 __all__ = ["PHASES", "PHASE_METRIC", "PHASE_EDGES", "PhaseTimes",
            "PhaseProfiler", "phase_breakdown"]
 
-#: The four phase labels, in reporting order.
-PHASES: Tuple[str, ...] = ("assembly", "factorize", "back_solve", "guard")
+#: The three phase labels, in reporting order.
+PHASES: Tuple[str, ...] = ("assembly", "factorize", "back_solve")
 
 #: The histogram family phase seconds are recorded under.
 PHASE_METRIC = "spice.phase.seconds"
@@ -64,7 +62,6 @@ class PhaseTimes:
         self.assembly = 0.0
         self.factorize = 0.0
         self.back_solve = 0.0
-        self.guard = 0.0
 
     def as_dict(self) -> Dict[str, float]:
         """The non-zero phases, for flight-recorder records."""
@@ -73,8 +70,7 @@ class PhaseTimes:
 
     @property
     def total(self) -> float:
-        return (self.assembly + self.factorize + self.back_solve
-                + self.guard)
+        return self.assembly + self.factorize + self.back_solve
 
 
 class PhaseProfiler:
@@ -83,7 +79,7 @@ class PhaseProfiler:
     One profiler per analysis (bound into the analysis's solver by
     :meth:`~repro.spice.engine.SolveContext.bind`); histogram handles are
     resolved once per ``(driver, phase)`` and cached, so finishing a
-    solve costs four cached-dict lookups and at most four
+    solve costs three cached-dict lookups and at most three
     ``Histogram.observe`` calls -- no registry lock traffic on the
     steady state.
     """

@@ -53,7 +53,7 @@ MAX_GATE_INPUTS = 6
 
 def _input_count(kind: str, prefix: str) -> int:
     digits = kind[len(prefix):] or "2"
-    if not digits.isdecimal():
+    if not (digits.isascii() and digits.isdecimal()):
         raise ReproError(f"unknown gate {kind!r} (try nand3, nor2, inv, aoi21)")
     n = int(digits)
     if n > MAX_GATE_INPUTS:
@@ -67,8 +67,11 @@ def build_gate(kind: str, process_name: str, load: Any) -> Gate:
     """Build the gate a ``--gate/--process/--load`` triple names.
 
     This is the CLI's cell-naming rule (``nandN``, ``norN`` up to
-    :data:`MAX_GATE_INPUTS` inputs, ``inv``, ``aoi21``, ``oai21``,
-    ``aoi22``); the serve protocol accepts exactly the same names.
+    :data:`MAX_GATE_INPUTS` inputs, ``N`` in ASCII digits, ``inv``,
+    ``aoi21``, ``oai21``, ``aoi22``); the serve protocol accepts exactly
+    the same names.  Several spellings name one cell (``nand``,
+    ``nand02`` and ``NAND2`` build ``nand2``); the built gate's ``name``
+    is the canonical one, and building it again gives the same gate.
     """
     process = PROCESSES[process_name]()
     kind = kind.lower()
@@ -162,8 +165,11 @@ def _parse_request_edge(item: Any) -> Tuple[str, Edge]:
         f"got {type(item).__name__}")
 
 
-def _parse_gate_fields(obj: Dict[str, Any]) -> Tuple[str, str, float, Gate]:
-    kind = _require(obj, "gate", str, "nand3").lower()
+def _parse_gate_fields(obj: Dict[str, Any]) -> Tuple[str, float, Gate]:
+    """The request's process, load and gate.  A query keys by
+    ``gate.name``, so every spelling of one cell shares its warm context
+    and cache entries."""
+    kind = _require(obj, "gate", str, "nand3")
     process = _require(obj, "process", str, "default")
     if process not in PROCESSES:
         raise BadRequest(
@@ -176,7 +182,7 @@ def _parse_gate_fields(obj: Dict[str, Any]) -> Tuple[str, str, float, Gate]:
         gate = build_gate(kind, process, load_f)
     except (ReproError, ValueError) as exc:
         raise BadRequest(str(exc)) from exc
-    return kind, process, load_f, gate
+    return process, load_f, gate
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,7 @@ def parse_delay_request(obj: Any) -> DelayQuery:
     if not isinstance(obj, dict):
         raise BadRequest(
             f"delay request must be a JSON object, got {type(obj).__name__}")
-    kind, process, load_f, gate = _parse_gate_fields(obj)
+    process, load_f, gate = _parse_gate_fields(obj)
     mode = _require(obj, "mode", str, "oracle")
     if mode not in MODES:
         raise BadRequest(f"unknown mode {mode!r} (known: {', '.join(MODES)})")
@@ -252,8 +258,8 @@ def parse_delay_request(obj: Any) -> DelayQuery:
             raise BadRequest(f"duplicate edge for input {pin!r}")
         seen.add(pin)
         edges.append((pin, edge))
-    return DelayQuery(gate=kind, process=process, load=load_f, mode=mode,
-                      correction=correction, edges=tuple(edges))
+    return DelayQuery(gate=gate.name, process=process, load=load_f,
+                      mode=mode, correction=correction, edges=tuple(edges))
 
 
 def parse_characterize_request(obj: Any) -> CharacterizeQuery:
@@ -262,11 +268,11 @@ def parse_characterize_request(obj: Any) -> CharacterizeQuery:
         raise BadRequest(
             f"characterize request must be a JSON object, "
             f"got {type(obj).__name__}")
-    kind, process, load_f, _ = _parse_gate_fields(obj)
+    process, load_f, gate = _parse_gate_fields(obj)
     fast = obj.get("fast", False)
     if not isinstance(fast, bool):
         raise BadRequest(f"field 'fast' must be a boolean, got {fast!r}")
-    return CharacterizeQuery(gate=kind, process=process, load=load_f,
+    return CharacterizeQuery(gate=gate.name, process=process, load=load_f,
                              fast=fast)
 
 

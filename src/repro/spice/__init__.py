@@ -23,7 +23,6 @@ systems tiny and dense.
 from .netlist import Circuit
 from .mosfet import mosfet_current, MosfetInstance
 from .engine import NewtonOptions, NewtonStats
-from .guard import GuardPolicy
 from .dc import solve_dc, dc_sweep, OperatingPoint
 from .transient import transient, TransientOptions
 from .batch import solve_dc_batch, transient_batch
@@ -36,7 +35,6 @@ __all__ = [
     "mosfet_current",
     "NewtonOptions",
     "NewtonStats",
-    "GuardPolicy",
     "solve_dc",
     "dc_sweep",
     "OperatingPoint",

@@ -19,13 +19,13 @@ and the solve's inputs once, evaluates the transistors inline, packs
 computes the residual, the step norm, the damping and the update as
 straight-line float code.  The only numpy call per iteration is LAPACK
 ``gesv`` (:data:`gesv`, looked up on every solve), reading that buffer
-through two views and solving into a preallocated ``dx``.  Guard
-checks, the singular nudge, condition estimates and the accounting are
-:class:`KernelNewton` methods, called only where they apply.  A
-singular Jacobian raises only under :data:`_SINGULAR_RAISES`, which
-:func:`newton_solve` enters once per solve.  A NumPy array op costs
-~1-3 us whatever its size, which was most of the ~20 us the NumPy
-assembly of a 3-unknown NAND3 iteration took.
+through two views and solving into a preallocated ``dx``.  The
+singular nudge and the accounting are :class:`KernelNewton` methods,
+called only where they apply.  A singular Jacobian raises only under
+:data:`_SINGULAR_RAISES`, which :func:`newton_solve` enters once per
+solve.  A NumPy array op costs ~1-3 us whatever its size, which was
+most of the ~20 us the NumPy assembly of a 3-unknown NAND3 iteration
+took.
 Results stay bit-identical: the loop applies one IEEE add per
 contribution in the plan's emission order (never ``sum()`` or
 ``math.fsum``; Python 3.12's ``sum()`` compensates float sums),
@@ -64,11 +64,8 @@ from numpy.linalg import _umath_linalg
 
 from ..errors import ConvergenceError
 from ..obs import get_recorder
-from ..obs.flight import dump_flight
 from ..obs.profile import PhaseProfiler, PhaseTimes
-from .guard import (GuardMonitor, SolveGuard, condition_estimate_dense,
-                    condition_estimate_sparse, note_illconditioned,
-                    record_rung)
+from .guard import record_rung
 from .mosfet import mosfet_current
 from .netlist import CompiledCircuit
 from .sparse import sparse_enabled
@@ -282,17 +279,26 @@ def nudge_diagonal(J: np.ndarray, value: float) -> None:
         np.einsum("ii->i", J)[...] += value
 
 
-def _observe_solve(iterations: int, converged: bool, recorder=None,
-                   backend: Optional[str] = None) -> None:
-    """Fold one Newton solve into the metric registry (if enabled).
+def _end_solve(stats: Optional[NewtonStats], recorder, backend: str,
+               profile: Optional[PhaseProfiler], times: Optional[PhaseTimes],
+               n: int, iterations: int, outcome: str) -> None:
+    """Account one finished Newton solve: stats, counters, phases, flight.
 
+    Called at every solve exit (converged, iteration limit, singular).
     This is the single place Newton iterations are counted, so parent
     and worker processes account identically -- whoever runs the solve
-    records it, and pooled tasks ship the delta back.  Drivers that
-    perform many solves under one recorder pass it in to skip the
-    per-solve environment-signature check.  ``backend`` labels the
-    linear-solver dispatch choice (``"dense"`` or ``"sparse"``).
+    records it, and pooled tasks ship the delta back.  ``backend``
+    labels the linear-solver dispatch choice (``"dense"`` or
+    ``"sparse"``).  Every solve appends a flight record, so the ring
+    holds failures *and* the healthy solves around them.  With telemetry
+    off (a disabled recorder, no profiler) that is the ``stats`` alone,
+    and the per-solve cost stays at one call.
     """
+    converged = outcome == "converged"
+    if stats is not None:
+        stats.record(iterations, converged=converged)
+    if profile is not None and times is not None:
+        profile.finish(backend, times)
     if recorder is None:
         recorder = get_recorder()
     if not recorder.enabled:
@@ -302,58 +308,8 @@ def _observe_solve(iterations: int, converged: bool, recorder=None,
         recorder.counter("spice.newton.solves").inc()
     else:
         recorder.counter("spice.newton.failures").inc()
-    if backend is not None:
-        recorder.counter("spice.newton.dispatch", backend=backend).inc()
-
-
-def _guard_abort(error, stats: Optional[NewtonStats], recorder,
-                 backend: Optional[str], *,
-                 n: Optional[int] = None,
-                 times: Optional[PhaseTimes] = None,
-                 profile: Optional[PhaseProfiler] = None) -> None:
-    """Account one guard-aborted solve before the abort is raised.
-
-    The burned iterations land in ``stats``/the Newton counters exactly
-    like an exhausted iteration budget would, plus the abort reason in
-    ``spice.guard.aborts{reason=...}``.
-
-    A guard abort is also one of the two flight-dump triggers: the
-    aborted solve's record (with its phase split, when profiling) joins
-    the ring, then the whole ring dumps to ``flight_*.json``.
-    """
-    if stats is not None:
-        stats.record(error.iterations, converged=False)
-    _observe_solve(error.iterations, converged=False, recorder=recorder,
-                   backend=backend)
-    rec = recorder if recorder is not None else get_recorder()
-    if rec.enabled:
-        rec.counter("spice.guard.aborts", reason=error.reason).inc()
-    outcome = f"guard_{error.reason}"
-    _finish_solve(profile, times, backend or "dense", recorder,
-                  n, error.iterations, outcome)
-    if rec.enabled:
-        dump_flight(rec, outcome,
-                    context={"driver": backend, "n": n,
-                             "reason": error.reason,
-                             "iterations": error.iterations})
-
-
-def _finish_solve(profile: Optional[PhaseProfiler],
-                  times: Optional[PhaseTimes], backend: str, recorder,
-                  n: Optional[int], iterations: int, outcome: str,
-                  condition: Optional[float] = None) -> None:
-    """Close out one solve: fold phase timings, append the flight record.
-
-    Called at every solve exit (converged, iteration limit, singular,
-    guard abort), so the flight ring holds failures *and* the healthy
-    solves around them.
-    """
-    if profile is not None and times is not None:
-        profile.finish(backend, times)
-    rec = recorder if recorder is not None else get_recorder()
-    if not rec.enabled:
-        return
-    flight = rec.flight
+    recorder.counter("spice.newton.dispatch", backend=backend).inc()
+    flight = recorder.flight
     if not flight.enabled:
         return
     record = {"driver": backend, "n": n, "iterations": iterations,
@@ -362,30 +318,7 @@ def _finish_solve(profile: Optional[PhaseProfiler],
         phases = times.as_dict()
         if phases:
             record["phases"] = phases
-    if condition is not None:
-        record["condition"] = condition
     flight.note_solve(**record)
-
-
-def _end_solve(stats: Optional[NewtonStats], recorder, backend: str,
-               profile: Optional[PhaseProfiler], times: Optional[PhaseTimes],
-               n: int, iterations: int, outcome: str,
-               condition: Optional[float] = None) -> None:
-    """Account one finished Newton solve: stats, counters, phases, flight.
-
-    With telemetry off (a disabled recorder, no profiler) that is the
-    ``stats`` alone, and the per-solve cost stays at one call.
-    """
-    converged = outcome == "converged"
-    if stats is not None:
-        stats.record(iterations, converged=converged)
-    if recorder is None:
-        recorder = get_recorder()
-    if recorder.enabled or profile is not None:
-        _observe_solve(iterations, converged=converged, recorder=recorder,
-                       backend=backend)
-        _finish_solve(profile, times, backend, recorder, n, iterations,
-                      outcome, condition=condition)
 
 
 def _not_converged(iterations: int, residual: float) -> ConvergenceError:
@@ -394,33 +327,6 @@ def _not_converged(iterations: int, residual: float) -> ConvergenceError:
         f"Newton failed to converge in {iterations} iterations "
         f"(residual {residual:.3e} A)",
         iterations=iterations, residual=residual)
-
-
-def _check_guard(guard: SolveGuard, iteration: int, residual: float,
-                 stats: Optional[NewtonStats], recorder, backend: str, n: int,
-                 times: Optional[PhaseTimes],
-                 profile: Optional[PhaseProfiler]) -> None:
-    """One iteration's guard check; an abort is accounted, then raised."""
-    start = _monotonic() if times is not None else 0.0
-    abort = guard.check(iteration, residual)
-    if times is not None:
-        times.guard += _monotonic() - start
-    if abort is not None:
-        _guard_abort(abort, stats, recorder, backend, n=n, times=times,
-                     profile=profile)
-        raise abort
-
-
-def _estimate_condition(guard: SolveGuard, estimate_of, J, recorder,
-                        times: Optional[PhaseTimes]) -> float:
-    """The sampled condition estimate of the Jacobian just solved with."""
-    start = _monotonic() if times is not None else 0.0
-    estimate = estimate_of(J)
-    if times is not None:
-        times.guard += _monotonic() - start
-    if guard.note_condition(estimate):
-        note_illconditioned(estimate, guard.policy.condition_limit, recorder)
-    return estimate
 
 
 class FastNewtonState:
@@ -529,10 +435,6 @@ class _DenseOps:
     def nudge(J: np.ndarray, value: float) -> None:
         nudge_diagonal(J, value)
 
-    @staticmethod
-    def condition_estimate(J: np.ndarray) -> float:
-        return condition_estimate_dense(J)
-
 
 class _TimedDenseOps:
     """The dense backend with phase timing, substituted when profiling.
@@ -573,20 +475,15 @@ class _TimedDenseOps:
     def nudge(J: np.ndarray, value: float) -> None:
         nudge_diagonal(J, value)
 
-    @staticmethod
-    def condition_estimate(J: np.ndarray) -> float:
-        return condition_estimate_dense(J)
-
 
 class _SparseOps:
     """SuperLU backend: factorizations count into the metric registry."""
 
-    __slots__ = ("sp", "recorder", "last_lu", "times")
+    __slots__ = ("sp", "recorder", "times")
 
     def __init__(self, sp, recorder, times: Optional[PhaseTimes] = None) -> None:
         self.sp = sp
         self.recorder = recorder
-        self.last_lu = None
         self.times = times
 
     def factorize(self):
@@ -605,9 +502,7 @@ class _SparseOps:
         return lu
 
     def direct_solve(self, A, F: np.ndarray) -> np.ndarray:
-        lu = self.factorize()
-        self.last_lu = lu
-        return self.sp.solve_factored(lu, -F, times=self.times)
+        return self.sp.solve_factored(self.factorize(), -F, times=self.times)
 
     def fast_factorize(self, A):
         try:
@@ -623,18 +518,12 @@ class _SparseOps:
     def nudge(self, A, value: float) -> None:
         self.sp.nudge(value)
 
-    def condition_estimate(self, A) -> float:
-        # The factor the iteration just solved with is retained, so the
-        # estimate's two extra triangular solves are nearly free.
-        return condition_estimate_sparse(self.sp, self.last_lu)
-
 
 def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
                  assemble, key, options: NewtonOptions,
                  effective_gmin: float, fast: FastNewtonState,
                  stats: Optional[NewtonStats], recorder,
                  ops=_DenseOps, backend: str = "dense",
-                 guard: Optional[SolveGuard] = None,
                  times: Optional[PhaseTimes] = None,
                  profile: Optional[PhaseProfiler] = None) -> np.ndarray:
     """Modified-Newton loop: reuse the LU factorization while it contracts.
@@ -669,9 +558,6 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
             fast.refactorized += 1
         else:
             fast.reused += 1
-        if guard is not None:
-            _check_guard(guard, iteration, residual, stats, recorder, backend,
-                         x.shape[0], times, profile)
         dx = ops.fast_solve(fast.lu, -F)
         if not np.all(np.isfinite(dx)):
             # Singular factorization: rebuild with a nudged diagonal.
@@ -720,22 +606,21 @@ class KernelNewton:
     what the loop reads besides a solve's inputs -- the circuit's
     constants, the ``[-F | J]`` buffer (a memoryview the loop packs
     into, and its ``rhs`` and ``J`` views), the ``dx`` that
-    :data:`gesv` solves into, and the analysis's stats, recorder, guard
-    and profiler -- and the loop's rare exits, which account like the
-    NumPy loop's.  Like a solve through :func:`newton_solve`, each solve
-    starts its own guard and phase accumulator.  :func:`newton_solve`
-    builds one per gate-sized solve, and
+    :data:`gesv` solves into, and the analysis's stats, recorder and
+    profiler -- and the loop's rare exits, which account like the NumPy
+    loop's.  Like a solve through :func:`newton_solve`, each solve
+    starts its own phase accumulator.  :func:`newton_solve` builds one
+    per gate-sized solve, and
     :meth:`SolveContext.kernel_newton` one per transient for its step
     solves.  The error state is the caller's to hold, once for many
     solves: :meth:`error_state`.
     """
 
     __slots__ = ("n", "newton", "consts", "caps", "buffers", "stats",
-                 "recorder", "guard", "profile")
+                 "recorder", "profile")
 
     def __init__(self, plan, with_caps: bool, stats: Optional[NewtonStats],
-                 recorder, guard: Optional[GuardMonitor],
-                 profile: Optional[PhaseProfiler]) -> None:
+                 recorder, profile: Optional[PhaseProfiler]) -> None:
         n = self.n = plan.n
         self.newton = plan.kernel(with_caps).newton
         self.consts, self.caps = plan.kernel_consts, plan.live_c
@@ -744,7 +629,6 @@ class KernelNewton:
                         np.empty(n))
         self.stats = stats
         self.recorder = recorder
-        self.guard = guard
         self.profile = profile
 
     @staticmethod
@@ -758,11 +642,6 @@ class KernelNewton:
         """:data:`gesv` as it is bound when a solve starts."""
         return gesv
 
-    def check(self, guard: SolveGuard, iteration: int, residual: float,
-              times: Optional[PhaseTimes]) -> None:
-        _check_guard(guard, iteration, residual, self.stats, self.recorder,
-                     "dense", self.n, times, self.profile)
-
     def nudge(self, solve, gmin: float, iteration: int, residual: float,
               times: Optional[PhaseTimes]) -> None:
         """The singular rung: solve again on a nudged diagonal."""
@@ -772,25 +651,20 @@ class KernelNewton:
         try:
             solve(J, rhs, out=dx)
         except np.linalg.LinAlgError:
-            self.end(times, iteration, "singular", None)
+            self.end(times, iteration, "singular")
             raise ConvergenceError(
                 "singular Jacobian during Newton iteration",
                 iterations=iteration, residual=residual,
             ) from None
 
-    def condition(self, guard: SolveGuard,
-                  times: Optional[PhaseTimes]) -> float:
-        return _estimate_condition(guard, condition_estimate_dense,
-                                   self.buffers[2], self.recorder, times)
-
     def end(self, times: Optional[PhaseTimes], iterations: int,
-            outcome: str, condition: Optional[float]) -> None:
+            outcome: str) -> None:
         _end_solve(self.stats, self.recorder, "dense", self.profile, times,
-                   self.n, iterations, outcome, condition=condition)
+                   self.n, iterations, outcome)
 
     def give_up(self, times: Optional[PhaseTimes], iterations: int,
-                residual: float, condition: Optional[float]) -> None:
-        self.end(times, iterations, "iteration_limit", condition)
+                residual: float) -> None:
+        self.end(times, iterations, "iteration_limit")
         raise _not_converged(iterations, residual)
 
 
@@ -803,7 +677,6 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
                  recorder=None,
                  fast: Optional[FastNewtonState] = None,
                  sparse: Optional[bool] = None,
-                 guard: Optional[GuardMonitor] = None,
                  profile: Optional[PhaseProfiler] = None) -> np.ndarray:
     """Damped Newton-Raphson solve of the KCL system.
 
@@ -824,21 +697,13 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     backend requires the compiled stamp path; hand-built cap-stamp
     lists fall back to the dense reference assembler.
 
-    ``guard``, when given, is the analysis's
-    :class:`~repro.spice.guard.GuardMonitor`: each iteration is checked
-    for divergence and watchdog expiry (aborting with a
-    :class:`~repro.spice.guard.GuardAbort`), and sampled solves get a
-    1-norm condition estimate of their first Jacobian.  ``None`` (the
-    default, and the state with ``REPRO_GUARD`` unset) leaves the
-    iteration untouched.
-
     Dense full-Newton solves of gate-sized circuits through the compiled
     stamps run the plan's generated loop through :class:`KernelNewton`
     (see the module docstring).
 
     ``profile``, when given, is the analysis's
-    :class:`~repro.obs.profile.PhaseProfiler`: assembly, factorization,
-    back-substitution and guard overhead of this solve are timed and
+    :class:`~repro.obs.profile.PhaseProfiler`: assembly, factorization
+    and back-substitution of this solve are timed and
     folded into the per-driver phase histograms (and the per-solve
     flight record).  ``None`` -- the default, and the state whenever
     telemetry is off -- skips every timing site.
@@ -852,14 +717,13 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     if (compiled_path and plan.use_scalar_mos and not use_sparse
             and fast is None):
         kernel = KernelNewton(plan, bool(cap_stamps), stats, recorder,
-                              guard, profile)
+                              profile)
         known_list, isrc, geq, ieq = load_kernel(
             plan, known, time, cap_stamps, source_scale, compiled.isources)
         with np.errstate(**_SINGULAR_RAISES):
             return np.array(kernel.newton(
                 kernel, np.asarray(x0, dtype=float).tolist(), known_list,
                 isrc, effective_gmin, options, None, False, geq, ieq))
-    solve_guard = guard.start_solve() if guard is not None else None
     times = profile.begin() if profile is not None else None
     x = np.array(x0, dtype=float)
     if use_sparse:
@@ -912,22 +776,15 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
         else:
             geq_key = tuple(s[2] for s in cap_stamps)
         key = (backend, effective_gmin, source_scale, geq_key)
-        # Condition sampling is skipped in fast mode: stale-LU steps
-        # have no fresh Jacobian to estimate, and the mode already
-        # refactorizes whenever contraction stalls.
         return _newton_fast(compiled, x, assemble, key, options,
                             effective_gmin, fast, stats, recorder,
-                            ops=ops, backend=backend, guard=solve_guard,
-                            times=times, profile=profile)
+                            ops=ops, backend=backend, times=times,
+                            profile=profile)
 
-    condition_seen: Optional[float] = None
     last_residual = np.inf
     for iteration in range(1, options.max_iterations + 1):
         F, J = assemble()
         residual = float(np.abs(F).max())
-        if solve_guard is not None:
-            _check_guard(solve_guard, iteration, residual, stats, recorder,
-                         backend, x.shape[0], times, profile)
         try:
             dx = ops.direct_solve(J, F)
         except np.linalg.LinAlgError:
@@ -944,24 +801,17 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
                     "singular Jacobian during Newton iteration",
                     iterations=iteration, residual=residual,
                 ) from None
-        if solve_guard is not None and solve_guard.check_condition:
-            # After the successful linear solve: the sparse backend's
-            # retained factor is current, and a nudged diagonal is
-            # estimated as-solved.
-            condition_seen = _estimate_condition(
-                solve_guard, ops.condition_estimate, J, recorder, times)
         step = float(np.abs(dx).max())
         if step > options.max_step:
             dx *= options.max_step / step
         x += dx
         if step < options.voltol and residual < options.abstol:
             _end_solve(stats, recorder, backend, profile, times, x.shape[0],
-                       iteration, "converged", condition=condition_seen)
+                       iteration, "converged")
             return x
         last_residual = residual
     _end_solve(stats, recorder, backend, profile, times, x.shape[0],
-               options.max_iterations, "iteration_limit",
-               condition=condition_seen)
+               options.max_iterations, "iteration_limit")
     raise _not_converged(options.max_iterations, last_residual)
 
 
@@ -975,18 +825,14 @@ class SolveContext:
     modified-Newton state when ``REPRO_FAST_NEWTON`` is on; ``sparse``
     is the linear-backend choice resolved once per analysis from
     ``REPRO_SPARSE`` and the circuit's unknown count (``None`` lets
-    each solve re-dispatch); ``guard`` carries the analysis's
-    :class:`~repro.spice.guard.GuardMonitor` when ``REPRO_GUARD`` is on
-    (``None``, the default, omits the keyword so the ungated solver
-    path is byte-for-byte the unguarded one); ``profile`` carries the
-    analysis's :class:`~repro.obs.profile.PhaseProfiler` when telemetry
-    is enabled (``None`` skips every timing site).
+    each solve re-dispatch); ``profile`` carries the analysis's
+    :class:`~repro.obs.profile.PhaseProfiler` when telemetry is enabled
+    (``None`` skips every timing site).
     """
 
     recorder: object = None
     fast: Optional[FastNewtonState] = field(default=None)
     sparse: Optional[bool] = field(default=None)
-    guard: Optional[GuardMonitor] = field(default=None)
     profile: Optional[PhaseProfiler] = field(default=None)
 
     @classmethod
@@ -995,14 +841,13 @@ class SolveContext:
 
         Resolves every environment knob once: ``REPRO_FAST_NEWTON``,
         the ``REPRO_SPARSE`` dispatch for this unknown count (it is
-        invariant across the analysis's solves), ``REPRO_GUARD``, and
-        phase profiling whenever ``recorder`` is enabled.
+        invariant across the analysis's solves), and phase profiling
+        whenever ``recorder`` is enabled.
         """
         return cls(
             recorder=recorder,
             fast=FastNewtonState() if fast_newton_enabled() else None,
             sparse=sparse_enabled(n_unknown),
-            guard=GuardMonitor.from_env(),
             profile=PhaseProfiler.from_recorder(recorder),
         )
 
@@ -1024,8 +869,7 @@ class SolveContext:
         its DC point uses the bound solver.
         """
         resolved = {"recorder": self.recorder, "fast": self.fast,
-                    "sparse": self.sparse, "guard": self.guard,
-                    "profile": self.profile}
+                    "sparse": self.sparse, "profile": self.profile}
         extra = {name: value for name, value in resolved.items()
                  if value is not None}
 
@@ -1043,13 +887,12 @@ class SolveContext:
         gate-sized plan (below
         :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors),
         dense dispatch and no fast Newton.  It accounts into ``stats``
-        and this context's recorder, guard and profiler, as the bound
-        solver would.  ``None`` leaves every step on the bound solver.
+        and this context's recorder and profiler, as the bound solver
+        would.  ``None`` leaves every step on the bound solver.
         """
         plan = compiled.stamp_plan
         sparse = (sparse_enabled(compiled.n_unknown) if self.sparse is None
                   else self.sparse)
         if not plan.use_scalar_mos or sparse or self.fast is not None:
             return None
-        return KernelNewton(plan, True, stats, self.recorder, self.guard,
-                            self.profile)
+        return KernelNewton(plan, True, stats, self.recorder, self.profile)

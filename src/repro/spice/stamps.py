@@ -574,8 +574,7 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
         return ([f"            cg{c} = {geq_of.format(c=c)}" for c in live]
                 + [f"            ci{c} = {ieq_of.format(c=c)}" for c in live])
     newton = ["def newton(kn, x, v, isrc, gmin, options, h, be, bv, bi):",
-              "    solve, guard, times = kn.gesv, kn.guard, kn.profile",
-              "    if guard is not None:", "        guard = guard.start_solve()",
+              "    solve, times = kn.gesv, kn.profile",
               "    if times is not None:", "        times = times.begin()",
               *_unpack(consts, "kn.consts"), *_unpack(xs, "x"),
               *_unpack(vs, "v"), *_unpack(sis, "isrc")]
@@ -592,32 +591,28 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
         "    out, rhs, J, dx = kn.buffers",
         "    max_step, voltol, abstol = "
         "options.max_step, options.voltol, options.abstol",
-        "    condition, last = None, inf",
+        "    last = inf",
         "    for iteration in range(1, options.max_iterations + 1):",
         "        if times is not None:", "            start = monotonic()",
         *("    " + line for line in body),
         "        if times is not None:",
         "            times.assembly += monotonic() - start",
-        "        if guard is not None:",
-        "            kn.check(guard, iteration, r, times)",
-        "        if times is not None:", "            start = monotonic()",
+        "            start = monotonic()",
         "        try:", "            solve(J, rhs, out=dx)",
         "        except LinAlgError:",
         "            kn.nudge(solve, gmin, iteration, r, times)",
         "        if times is not None:",
         "            times.factorize += monotonic() - start",
-        "        if guard is not None and guard.check_condition:",
-        "            condition = kn.condition(guard, times)",
         *_unpack(ds, "dx.tolist()", 2),
         *("    " + line for line in _max_abs_lines(ds, "step")),
         "        if step > max_step:", "            scale = max_step / step",
         *(f"            {d} = {d} * scale" for d in ds),
         *(f"        {x} = {x} + {d}" for x, d in zip(xs, ds)),
         "        if step < voltol and r < abstol:",
-        "            kn.end(times, iteration, 'converged', condition)",
+        "            kn.end(times, iteration, 'converged')",
         f"            return [{', '.join(xs)}]",
         "        last = r",
-        "    kn.give_up(times, options.max_iterations, last, condition)"]
+        "    kn.give_up(times, options.max_iterations, last)"]
     sources = ["\n".join(lines) + "\n" for lines in (evaluate, newton)]
     return sources + (_integrator_sources(plan) if with_caps else [])
 
@@ -695,9 +690,9 @@ class GateKernel:
     trapezoidal companion model, or, with ``h`` ``None``, are the
     stamps' ``geq`` in ``bv`` and ``ieq`` in ``bi``.  ``kn`` is the
     :class:`~repro.spice.engine.KernelNewton` holding the rest: the
-    constants (``consts``, ``caps``), the buffers, ``gesv``, the guard
-    and profiler, and the rare exits (guard checks, the singular nudge,
-    condition estimates, the accounting).
+    constants (``consts``, ``caps``), the buffers, ``gesv``, the
+    profiler, and the rare exits (the singular nudge and the
+    accounting).
 
     A kernel with capacitor stamps also carries the transient's per-step
     functions (:func:`_integrator_sources`): ``history[use_be]``,

@@ -58,7 +58,7 @@ between two known nodes never reaches ``F`` or ``J``, the acceptance
 norm is NaN-propagating like ``np.abs(dx).max()``, and the loop is the
 one :func:`~repro.spice.engine.newton_solve` runs for these plans.
 ``tests/spice/test_gate_kernel.py`` holds the float path to the array
-path on gates, step-control branches, devices and guard settings.
+path on gates, step-control branches, devices and flight records.
 The DC point always goes through the bound solver.
 
 On top of the in-step recovery (step halving, backward-Euler fallback)

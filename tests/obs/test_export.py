@@ -107,9 +107,9 @@ class TestHeadlineSummary:
         recorder.counter("spice.newton.iterations").inc(640)
         recorder.counter("spice.guard.rung", rung="gmin_ramp").inc(3)
         recorder.counter("spice.guard.rung", rung="nudge").inc(1)
-        recorder.counter("spice.guard.aborts", reason="watchdog").inc(1)
         recorder.counter("spice.sparse.factorizations").inc(40)
-        recorder.counter("obs.flight.dumps", reason="guard_watchdog").inc(1)
+        recorder.counter("obs.flight.dumps",
+                         reason="retry_ladder_exhausted").inc(1)
         return recorder.metrics_payload()
 
     def test_surfaces_guard_eviction_and_sparse_families(self):
@@ -119,9 +119,8 @@ class TestHeadlineSummary:
         assert text.startswith("headline:")
         assert "solves 200" in text
         assert "guard rungs: gmin_ramp=3, nudge=1" in text
-        assert "guard aborts: watchdog=1" in text
         assert "sparse: factorizations=40" in text
-        assert "flight dumps: guard_watchdog=1" in text
+        assert "flight dumps: retry_ladder_exhausted=1" in text
 
     def test_surfaces_transients_settled_early(self):
         from repro.obs import headline_summary

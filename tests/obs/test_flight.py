@@ -1,8 +1,7 @@
 """Flight recorder: ring semantics, dump artifacts, failure triggers.
 
-The headline acceptance scenario: a run whose retry ladder exhausts (or
-whose guard aborts) under injected faults must leave a
-``flight_*.json`` postmortem carrying the recent solve records -- phase
+The headline acceptance scenario: a run whose retry ladder exhausts
+under injected faults must leave a ``flight_*.json`` postmortem carrying the recent solve records -- phase
 timings, rung history, outcomes -- plus the trigger context.
 """
 
@@ -150,9 +149,9 @@ class TestDumpArtifact:
         monkeypatch.setenv(FLIGHT_DIR_ENV_VAR, str(tmp_path))
         recorder = Recorder()
         recorder.flight.note_solve(n=1)
-        assert dump_flight(recorder, "guard_watchdog") is not None
+        assert dump_flight(recorder, "retry_ladder_exhausted") is not None
         counters = recorder.metrics_payload()["counters"]
-        assert counters["obs.flight.dumps{reason=guard_watchdog}"] == 1
+        assert counters["obs.flight.dumps{reason=retry_ladder_exhausted}"] == 1
 
     def test_dump_flight_none_recorder_is_noop(self):
         assert dump_flight(None, "anything") is None
@@ -203,20 +202,6 @@ class TestFailureTriggers:
         assert dumps
         assert dumps[-1]["reason"] == "retry_ladder_exhausted"
         assert "injected" in dumps[-1]["context"]["error"]
-
-    def test_guard_watchdog_abort_dumps(self, flight_env, monkeypatch):
-        """``REPRO_GUARD_WALL=0`` expires the per-solve watchdog on its
-        first check; the guard abort is the second flight-dump
-        trigger."""
-        monkeypatch.setenv("REPRO_GUARD", "1")
-        monkeypatch.setenv("REPRO_GUARD_WALL", "0")
-        with recording() as recorder:
-            with pytest.raises(ConvergenceError):
-                transient(inverter_chain(2), "0.2ns")
-            counters = recorder.metrics_payload()["counters"]
-        assert counters.get("spice.guard.aborts{reason=watchdog}", 0) > 0
-        reasons = {_load(p)["reason"] for p in _dumps_in(flight_env)}
-        assert "guard_watchdog" in reasons
 
     def test_flight_disabled_leaves_no_dumps(self, flight_env, monkeypatch):
         monkeypatch.setenv(FLIGHT_ENV_VAR, "0")

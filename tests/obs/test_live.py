@@ -260,7 +260,7 @@ class TestFormatTop:
     def test_rung_and_eviction_lines(self):
         text = format_top(self._document(**{
             "spice.guard.rung{rung=nudge}": 3.0,
-            "obs.flight.dumps{reason=guard_divergence}": 1.0,
+            "obs.flight.dumps{reason=retry_ladder_exhausted}": 1.0,
         }), now=1000.5)
         assert "rungs" in text and "nudge=3" in text
         assert "flight" in text and "1 dump(s)" in text

@@ -30,8 +30,8 @@ class TestPhaseTimes:
     def test_as_dict_keeps_only_nonzero_phases(self):
         times = PhaseTimes()
         times.assembly += 0.25
-        times.guard += 0.05
-        assert times.as_dict() == {"assembly": 0.25, "guard": 0.05}
+        times.back_solve += 0.05
+        assert times.as_dict() == {"assembly": 0.25, "back_solve": 0.05}
         assert times.total == pytest.approx(0.30)
 
     def test_slots_reject_unknown_phases(self):
@@ -122,11 +122,6 @@ class TestSolverWiring:
         assert phases.get("assembly", 0.0) > 0.0
         assert phases.get("factorize", 0.0) > 0.0
         assert phases.get("back_solve", 0.0) > 0.0
-
-    def test_guard_phase_appears_when_guarded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD", "1")
-        breakdown = _run_and_breakdown()
-        assert breakdown["dense"].get("guard", 0.0) > 0.0
 
     def test_no_histograms_without_telemetry(self):
         transient(inverter_chain(2), "0.5ns")

@@ -66,6 +66,21 @@ class TestDelayParsing:
         b = parse_delay_request(query(edges=["b:fall:500ps", "a:fall:500ps"]))
         assert a.signature() != b.signature()
 
+    @pytest.mark.parametrize("spelling,canonical", [
+        ("nand", "nand2"), ("nand03", "nand3"), ("NAND3", "nand3"),
+        ("inverter", "inv"),
+    ])
+    def test_spellings_share_the_canonical_cell(self, spelling, canonical):
+        """Every spelling of one cell keys the same warm context and
+        response-cache entry."""
+        spelled = parse_delay_request(query(gate=spelling,
+                                            edges=["a:fall:500ps"]))
+        ref = parse_delay_request(query(gate=canonical,
+                                        edges=["a:fall:500ps"]))
+        assert spelled.gate == canonical
+        assert spelled.config_signature() == ref.config_signature()
+        assert spelled.signature() == ref.signature()
+
 
 class TestDelayRejections:
     @pytest.mark.parametrize("bad", [
@@ -135,8 +150,12 @@ class TestDelayRejections:
         with pytest.raises(BadRequest, match=f"at most {MAX_GATE_INPUTS}"):
             parse_delay_request(query(gate=gate))
 
-    @pytest.mark.parametrize("gate", ["nandx", "nor-2", "nand2.5"])
+    @pytest.mark.parametrize("gate", ["nandx", "nor-2", "nand2.5",
+                                      "nand\u0663", "nor\uff12"])
     def test_malformed_width_is_unknown_gate(self, gate):
+        """Widths are ASCII digits: an Arabic-Indic three or a
+        full-width two would otherwise build a NAND3 or a NOR2 under a
+        second name."""
         with pytest.raises(BadRequest, match="unknown gate"):
             parse_delay_request(query(gate=gate))
 

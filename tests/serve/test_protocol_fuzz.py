@@ -12,14 +12,16 @@ never another exception (a 500).  ``parse_edge_spec`` is also the CLI's
 :class:`~repro.errors.ReproError`, which the request path wraps.  Every
 accepted ``tau``, ``at`` and ``load`` is finite and within the bounds of
 ``_bounded_quantity``: at most 1 s or 1 F in magnitude, and ``tau`` at
-least 1 fs.
+least 1 fs, and every accepted ``gate`` is the canonical name of the
+cell it builds, so the server rebuilds the same gate from it.
 """
 
 import math
 import random
 
 from repro.errors import ReproError
-from repro.serve.protocol import (BadRequest, parse_characterize_request,
+from repro.serve.protocol import (BadRequest, build_gate,
+                                  parse_characterize_request,
                                   parse_delay_request, parse_edge_spec)
 
 SEED = 20241019
@@ -168,6 +170,12 @@ def assert_edge(edge) -> None:
     assert_bounded(edge.t_cross)
 
 
+def assert_canonical(query) -> None:
+    """``query.gate`` is the built cell's own name."""
+    assert build_gate(query.gate, query.process, query.load).name == \
+        query.gate
+
+
 def test_generated_requests_parse_or_answer_400():
     rng = random.Random(SEED)
     accepted = rejected = 0
@@ -180,6 +188,7 @@ def test_generated_requests_parse_or_answer_400():
             continue
         accepted += 1
         assert_bounded(query.load)
+        assert_canonical(query)
         pins = [pin for pin, _ in query.edges]
         assert pins and len(set(pins)) == len(pins)
         for _, edge in query.edges:
@@ -193,6 +202,7 @@ def test_generated_requests_parse_or_answer_400():
             continue
         accepted += 1
         assert_bounded(query.load)
+        assert_canonical(query)
         assert isinstance(query.fast, bool)
     for _ in range(SPECS):
         spec = edge_spec(rng, rng.choice("abc"))

@@ -39,7 +39,6 @@ from repro.spice import (Circuit, TransientOptions, engine, solve_dc, stamps,
 from repro.spice.dc import _source_stepping
 from repro.spice.engine import (FAST_NEWTON_ENV_VAR, NewtonOptions,
                                 NewtonStats, SolveContext, newton_solve)
-from repro.spice.guard import GUARD_ENV_VAR, GuardPolicy
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.spice.stamps import KERNELS, KernelCache
 from repro.tech import default_process, submicron_process
@@ -66,10 +65,9 @@ DIRECTIONS = ("fall", "rise", "mixed")
 
 @pytest.fixture(autouse=True)
 def default_solver(monkeypatch):
-    """The default dispatch: dense, full Newton, no guard."""
+    """The default dispatch: dense, full Newton."""
     monkeypatch.setenv(SPARSE_ENV_VAR, "auto")
     monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
-    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
 
 
 def telemetry_off(monkeypatch):
@@ -311,32 +309,17 @@ class TestFloatSteps:
         assert_same_result(floats, arrays)
 
     @pytest.mark.parametrize("scenario", ["default", "newton_failure"])
-    def test_guard_on(self, monkeypatch, scenario):
-        """``REPRO_GUARD=1``: divergence checks on every iteration and
-        a condition estimate of the first solve."""
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
+    def test_flight_records(self, monkeypatch, scenario):
+        """Every solve's flight record -- driver, size, iterations and
+        outcome, failed solves included -- matches the array path's, in
+        order."""
         monkeypatch.setenv(FLIGHT_ENV_VAR, "100000")
         kwargs = SCENARIOS[scenario][0] if scenario in SCENARIOS else {}
         circuit = NAND3.build(stimuli(NAND3, "rise"))
         floats, arrays = both_loops(monkeypatch, lambda: flight(
             lambda: transient(circuit, 2e-9, **kwargs)))
         assert_same_transient(floats[:2], arrays[:2])
-        assert floats[2] == arrays[2]
-        assert "condition" in floats[2][0]
-
-    def test_guard_samples_step_conditions(self, monkeypatch):
-        """A policy sampling every other solve estimates the condition
-        of step Jacobians on both paths, to the same bits."""
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(FLIGHT_ENV_VAR, "100000")
-        monkeypatch.setattr(GuardPolicy, "from_env", classmethod(
-            lambda cls: cls(condition_every=2)))
-        circuit = NAND3.build(stimuli(NAND3, "fall"))
-        floats, arrays = both_loops(monkeypatch, lambda: flight(
-            lambda: transient(circuit, 2e-9)))
-        assert_same_transient(floats[:2], arrays[:2])
-        assert floats[2] == arrays[2]
-        assert sum("condition" in record for record in floats[2]) > 5
+        assert floats[2] and floats[2] == arrays[2]
 
 
 def floating_stack() -> Circuit:

@@ -1,25 +1,19 @@
-"""Solver guardrails: escalation accounting, health monitors, hardening.
+"""Solver guardrails: escalation accounting and hardening.
 
-Three layers under test:
+Two layers under test:
 
-* the :mod:`repro.spice.guard` primitives themselves -- env parsing,
-  divergence streaks, watchdog deadlines, condition-estimate sampling;
-* the scalar integration -- a guarded run is bit-identical to an
-  unguarded one on the clean path, diverging solves abort early and
-  enter the normal homotopy/degradation ladder, every escalation rung
-  is counted;
+* the scalar integration -- every escalation rung is counted, and a
+  runaway solve burns its iteration budget, then walks the normal
+  homotopy/degradation ladder;
 * batched and sparse hardening -- batched lanes keep accounting
   identical to the scalar driver, and sparse-dispatched solves recover
   from injected factorization faults through the nudge rung.
 """
 
-import logging
-import time
-
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, ReproError
+from repro.errors import ConvergenceError
 from repro.obs import get_recorder, recording
 from repro.resilience import FaultInjection
 from repro.spice import (
@@ -32,17 +26,7 @@ from repro.spice import (
     transient,
 )
 from repro.spice.engine import NewtonStats, SolveContext, newton_solve
-from repro.spice.guard import (
-    DIVERGE_STREAK,
-    GUARD_ENV_VAR,
-    WALL_ENV_VAR,
-    GuardAbort,
-    GuardMonitor,
-    GuardPolicy,
-    condition_estimate_dense,
-    guard_enabled,
-    record_rung,
-)
+from repro.spice.guard import record_rung
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.tech import default_process
 from repro.waveform import ramp
@@ -59,14 +43,6 @@ def pinned_backends(monkeypatch):
     backends opt back in explicitly."""
     monkeypatch.setenv(SPARSE_ENV_VAR, "0")
     monkeypatch.setenv("REPRO_FAST_NEWTON", "0")
-    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
-    monkeypatch.delenv(WALL_ENV_VAR, raising=False)
-
-
-def guard_with(monkeypatch, **policy):
-    """Turn the guard on with a :class:`GuardPolicy` built directly."""
-    monkeypatch.setattr(GuardPolicy, "from_env",
-                        classmethod(lambda cls: cls(**policy)))
 
 
 def inverter(tau: float = 0.3e-9, cl: float = 1e-13) -> Circuit:
@@ -115,128 +91,6 @@ def runaway_solve(a, b, out=None):
     return out
 
 
-class TestEnvParsing:
-    def test_guard_off_by_default(self):
-        assert not guard_enabled()
-        assert GuardPolicy.from_env() is None
-        assert GuardMonitor.from_env() is None
-
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off", ""])
-    def test_falsey_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(GUARD_ENV_VAR, value)
-        assert GuardPolicy.from_env() is None
-
-    def test_default_policy(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        policy = GuardPolicy.from_env()
-        assert policy == GuardPolicy(condition_limit=1e12, condition_every=0,
-                                     diverge_factor=1e3,
-                                     diverge_streak=DIVERGE_STREAK,
-                                     max_wall_seconds=None)
-
-    def test_explicit_knobs(self, monkeypatch):
-        """The watchdog budget is the one tunable; the thresholds stay
-        at their defaults."""
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(WALL_ENV_VAR, "2.5")
-        assert GuardPolicy.from_env() == GuardPolicy(max_wall_seconds=2.5)
-
-    def test_wall_zero_is_an_immediate_deadline(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(WALL_ENV_VAR, "0")
-        assert GuardPolicy.from_env().max_wall_seconds == 0.0
-
-    @pytest.mark.parametrize("var,value", [
-        (WALL_ENV_VAR, "soon"),
-        (WALL_ENV_VAR, "-1"),
-    ])
-    def test_invalid_knobs_raise(self, monkeypatch, var, value):
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(var, value)
-        with pytest.raises(ReproError):
-            GuardPolicy.from_env()
-
-
-class TestSolveGuard:
-    def test_divergence_needs_a_full_streak(self):
-        guard = GuardMonitor(GuardPolicy(diverge_factor=10.0)).start_solve()
-        assert guard.check(1, 1.0) is None  # establishes best
-        for k in range(2, 2 + DIVERGE_STREAK - 1):
-            assert guard.check(k, 100.0) is None
-        abort = guard.check(2 + DIVERGE_STREAK - 1, 100.0)
-        assert isinstance(abort, GuardAbort)
-        assert abort.reason == "divergence"
-        assert isinstance(abort, ConvergenceError)
-
-    def test_one_contracting_iteration_resets_the_streak(self):
-        guard = GuardMonitor(GuardPolicy(diverge_factor=10.0)).start_solve()
-        guard.check(1, 1.0)
-        for k in range(2, 2 + DIVERGE_STREAK - 1):
-            assert guard.check(k, 100.0) is None
-        assert guard.check(10, 2.0) is None  # below factor x best: reset
-        for k in range(11, 11 + DIVERGE_STREAK - 1):
-            assert guard.check(k, 100.0) is None, k
-
-    def test_improving_residuals_never_abort(self):
-        guard = GuardMonitor(GuardPolicy(diverge_factor=2.0)).start_solve()
-        residual = 1.0
-        for k in range(1, 50):
-            assert guard.check(k, residual) is None
-            residual *= 0.5
-
-    def test_watchdog_expiry(self):
-        policy = GuardPolicy(max_wall_seconds=0.0)
-        guard = GuardMonitor(policy).start_solve()
-        time.sleep(0.002)
-        abort = guard.check(3, 1.0)
-        assert isinstance(abort, GuardAbort)
-        assert abort.reason == "watchdog"
-        assert abort.iterations == 3
-
-    def test_condition_sampling_cadence(self):
-        monitor = GuardMonitor(GuardPolicy(condition_every=2))
-        sampled = [monitor.start_solve().check_condition for _ in range(5)]
-        assert sampled == [True, False, True, False, True]
-
-    def test_default_cadence_is_first_solve_only(self):
-        monitor = GuardMonitor(GuardPolicy())
-        sampled = [monitor.start_solve().check_condition for _ in range(4)]
-        assert sampled == [True, False, False, False]
-
-    def test_infinite_limit_disables_sampling(self):
-        monitor = GuardMonitor(GuardPolicy(condition_limit=float("inf")))
-        assert monitor.start_solve().check_condition is False
-
-    def test_note_condition_tracks_worst_and_breach(self):
-        monitor = GuardMonitor(GuardPolicy(condition_limit=100.0))
-        guard = monitor.start_solve()
-        assert guard.note_condition(5.0) is False
-        assert guard.check_condition is False  # one sample per solve
-        assert monitor.worst_condition == 5.0
-        assert monitor.start_solve().note_condition(500.0) is True
-        assert monitor.worst_condition == 500.0
-
-
-class TestConditionEstimate:
-    def test_lower_bound_on_a_known_matrix(self):
-        J = np.diag([1.0, 2.0, 100.0])
-        true_cond = 100.0 * 1.0  # ||J||_1 * ||J^-1||_1
-        estimate = condition_estimate_dense(J)
-        assert 0 < estimate <= true_cond * (1 + 1e-12)
-        assert estimate > 1.0
-
-    def test_identity_is_well_conditioned(self):
-        assert condition_estimate_dense(np.eye(4)) == pytest.approx(1.0)
-
-    def test_singular_matrix_reports_inf(self):
-        assert condition_estimate_dense(np.zeros((3, 3))) == float("inf")
-        J = np.ones((2, 2))  # rank 1
-        assert condition_estimate_dense(J) == float("inf")
-
-    def test_empty_system(self):
-        assert condition_estimate_dense(np.zeros((0, 0))) == 0.0
-
-
 class TestRungTelemetry:
     def test_record_rung_counts_under_recording(self):
         with recording() as rec:
@@ -249,7 +103,7 @@ class TestRungTelemetry:
 
     def test_homotopy_rungs_match_dc_counters(self):
         """The gmin/source rungs are counted exactly where the existing
-        homotopy counters are, guard on or off (always-on telemetry)."""
+        homotopy counters are (always-on telemetry)."""
         with recording() as rec:
             solve_dc(dc_inverter(), initial_guess={"out": 80.0})
         counters = rec.metrics_payload()["counters"]
@@ -304,58 +158,28 @@ class TestRungTelemetry:
         assert counters.get("spice.guard.rung{rung=refresh}", 0) >= 1
 
 
-class TestCleanPathIdentity:
-    def test_guarded_transient_is_bit_identical(self, monkeypatch):
-        baseline = transient(inverter(), 2e-9, options=FAST)
-        with recording() as rec_off:
-            transient(inverter(), 2e-9, options=FAST)
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        with recording() as rec_on:
-            guarded = transient(inverter(), 2e-9, options=FAST)
-        assert np.array_equal(baseline.times, guarded.times)
-        for name in baseline.node_names:
-            assert np.array_equal(baseline.node(name).values,
-                                  guarded.node(name).values), name
-        # The monitors only watch: counters match the unguarded run too
-        # (no aborts, no ill-conditioning on a healthy circuit).
-        assert solver_counters(rec_on) == solver_counters(rec_off)
-
-    def test_guarded_dc_is_bit_identical(self, monkeypatch):
-        baseline = solve_dc(dc_inverter())
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        assert solve_dc(dc_inverter()).voltages == baseline.voltages
-
-
 class TestDivergenceAbort:
-    def test_runaway_scalar_solve_aborts_and_walks_the_ladder(
-            self, monkeypatch):
-        guard_with(monkeypatch, diverge_factor=2.0)
+    def test_unguarded_runaway_burns_the_full_budget(self, monkeypatch):
+        """A runaway solve fails only once its iteration budget is
+        spent, and the DC ladder walks its gmin and source-stepping
+        rungs before giving up.  One retry attempt keeps every solve's
+        budget at ``max_iterations``."""
         monkeypatch.setattr(engine, "gesv", runaway_solve)
+        options = NewtonOptions()
+        stats = NewtonStats()
         with recording() as rec:
             with pytest.raises(ConvergenceError):
-                solve_dc(dc_inverter())
+                solve_dc(dc_inverter(), options=options, stats=stats,
+                         retry=1)
+        assert stats.solves == 0 and stats.failures >= 3
+        assert stats.iterations == stats.failures * options.max_iterations
         counters = rec.metrics_payload()["counters"]
-        # Every rung of the DC ladder was tried, each attempt aborted
-        # early by the divergence monitor rather than burning the full
-        # iteration budget.
-        assert counters["spice.guard.aborts{reason=divergence}"] >= 1
         assert counters["spice.guard.rung{rung=gmin_ramp}"] >= 1
         assert counters["spice.guard.rung{rung=source_step}"] >= 1
 
-    def test_unguarded_runaway_burns_the_full_budget(self, monkeypatch):
-        """Without the guard the same runaway run must still fail --
-        the monitor only changes *when*, never *whether*."""
-        monkeypatch.setattr(engine, "gesv", runaway_solve)
-        with recording() as rec:
-            with pytest.raises(ConvergenceError):
-                solve_dc(dc_inverter())
-        assert "spice.guard.aborts{reason=divergence}" not in \
-            rec.metrics_payload()["counters"]
-
     def test_batch_divergence_accounting_matches_scalar(self, monkeypatch):
-        """A diverging lane's stats and guard counters must equal the
+        """A diverging lane's stats and solver counters must equal the
         scalar driver's, lane for lane."""
-        guard_with(monkeypatch, diverge_factor=2.0)
         monkeypatch.setattr(engine, "gesv", runaway_solve)
         widths = [4e-6, 5e-6, 6e-6]
 
@@ -366,7 +190,7 @@ class TestDivergenceAbort:
                 with pytest.raises(ConvergenceError):
                     solve_dc(dc_inverter(w), stats=st)
         scalar_counters = solver_counters(rec_scalar)
-        assert scalar_counters["spice.guard.aborts{reason=divergence}"] >= 3
+        assert scalar_counters["spice.newton.failures"] >= 3
 
         with recording() as rec_batch:
             batch_stats = [NewtonStats() for _ in widths]
@@ -377,62 +201,6 @@ class TestDivergenceAbort:
         for s, b in zip(scalar_stats, batch_stats):
             assert (s.iterations, s.solves, s.failures, s.retries) == \
                 (b.iterations, b.solves, b.failures, b.retries)
-
-
-class TestWatchdog:
-    def test_zero_budget_aborts_every_solve(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(WALL_ENV_VAR, "0")
-        with recording() as rec:
-            with pytest.raises(ConvergenceError, match="watchdog"):
-                solve_dc(dc_inverter())
-        counters = rec.metrics_payload()["counters"]
-        assert counters["spice.guard.aborts{reason=watchdog}"] >= 1
-
-    def test_generous_budget_never_fires(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(WALL_ENV_VAR, "3600")
-        baseline = solve_dc(dc_inverter())
-        assert solve_dc(dc_inverter()).voltages == baseline.voltages
-
-
-class TestConditionMonitoring:
-    def test_breach_warns_and_counts_but_does_not_change_results(
-            self, monkeypatch, caplog):
-        # The floating node's ~gmin diagonal entry puts the condition
-        # estimate around 2e9, far past the 1e6 limit.
-        baseline = solve_dc(floating_node())
-        guard_with(monkeypatch, condition_limit=1e6)
-        logger = logging.getLogger("repro")
-        monkeypatch.setattr(logger, "propagate", True)
-        with recording() as rec:
-            with caplog.at_level(logging.WARNING, logger="repro.spice.guard"):
-                guarded = solve_dc(floating_node())
-        assert guarded.voltages == baseline.voltages  # warn-only
-        counters = rec.metrics_payload()["counters"]
-        assert counters["spice.guard.illconditioned"] >= 1
-        assert any("ill-conditioned" in message
-                   for message in caplog.messages)
-
-    def test_well_conditioned_solves_stay_silent(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")  # default 1e12 limit
-        with recording() as rec:
-            solve_dc(dc_inverter())
-        assert "spice.guard.illconditioned" not in \
-            rec.metrics_payload()["counters"]
-
-    def test_illconditioned_count_is_batch_invariant(self, monkeypatch):
-        guard_with(monkeypatch, condition_limit=1e6)
-        lanes = 4
-        with recording() as rec_scalar:
-            for _ in range(lanes):
-                solve_dc(floating_node())
-        with recording() as rec_batch:
-            solve_dc_batch([floating_node() for _ in range(lanes)])
-        key = "spice.guard.illconditioned"
-        scalar = rec_scalar.metrics_payload()["counters"][key]
-        assert scalar >= lanes
-        assert rec_batch.metrics_payload()["counters"][key] == scalar
 
 
 class TestSparseFaultHardening:
@@ -462,36 +230,8 @@ class TestSparseFaultHardening:
                 newton_solve(compiled, x0, compiled.known_voltages(0.0),
                              options=NewtonOptions(), sparse=True)
 
-    def test_guarded_sparse_solve_matches_dense(self, monkeypatch):
-        """Condition monitoring on the sparse backend (retained-factor
-        estimate) must not perturb the solution."""
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        compiled = dc_inverter().compile()
-        x0 = np.zeros(compiled.n_unknown)
-        known = compiled.known_voltages(0.0)
-        dense = newton_solve(compiled, x0.copy(), known,
-                             options=NewtonOptions(), sparse=False)
-        monitor = GuardMonitor(GuardPolicy())
-        sparse = newton_solve(compiled, x0.copy(), known,
-                              options=NewtonOptions(), sparse=True,
-                              guard=monitor)
-        assert np.allclose(sparse, dense, rtol=1e-9, atol=1e-12)
-        assert monitor.worst_condition > 0.0  # the estimate actually ran
-
 
 class TestDegradationReporting:
-    def test_guard_aborts_appear_in_the_degradation_summary(
-            self, monkeypatch):
-        from repro.obs.export import degradation_summary
-        monkeypatch.setenv(GUARD_ENV_VAR, "1")
-        monkeypatch.setenv(WALL_ENV_VAR, "0")
-        with recording() as rec:
-            with pytest.raises(ConvergenceError):
-                solve_dc(dc_inverter())
-            summary = degradation_summary(rec)
-        assert "guard aborts" in summary
-        assert "watchdog" in summary
-
     def test_clean_run_reports_nothing(self):
         from repro.obs.export import degradation_summary
         with recording() as rec:
