@@ -20,6 +20,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.obs.metrics import counter_total
 from repro.obs.profile import phase_breakdown
 
 BENCH_DIR_ENV_VAR = "REPRO_BENCH_DIR"
@@ -33,12 +34,6 @@ def telemetry_enabled() -> bool:
 
 def bench_output_dir() -> Path:
     return Path(os.environ.get(BENCH_DIR_ENV_VAR, "") or ".")
-
-
-def _counter_total(counters: Dict[str, float], name: str) -> float:
-    prefix = name + "{"
-    return sum(value for key, value in counters.items()
-               if key == name or key.startswith(prefix))
 
 
 def write_bench_result(module_stem: str, test_name: str,
@@ -58,17 +53,17 @@ def write_bench_result(module_stem: str, test_name: str,
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"BENCH_{name}.json"
     counters = payload.get("counters", {})
-    hits = _counter_total(counters, "cache.hits")
-    misses = _counter_total(counters, "cache.misses")
+    hits = counter_total(counters, "cache.hits")
+    misses = counter_total(counters, "cache.misses")
     lookups = hits + misses
     entry = {
         "wall_seconds": wall_seconds,
         "scale": scale,
-        "newton_iterations": _counter_total(counters, "spice.newton.iterations"),
-        "newton_solves": _counter_total(counters, "spice.newton.solves"),
-        "solver_retries": _counter_total(counters, "spice.retries"),
-        "transient_analyses": _counter_total(counters, "spice.transient.analyses"),
-        "tasks_completed": _counter_total(counters, "parallel.tasks.completed"),
+        "newton_iterations": counter_total(counters, "spice.newton.iterations"),
+        "newton_solves": counter_total(counters, "spice.newton.solves"),
+        "solver_retries": counter_total(counters, "spice.retries"),
+        "transient_analyses": counter_total(counters, "spice.transient.analyses"),
+        "tasks_completed": counter_total(counters, "parallel.tasks.completed"),
         "cache_hits": hits,
         "cache_misses": misses,
         "cache_hit_rate": (hits / lookups) if lookups else None,

@@ -41,17 +41,19 @@ def nand3_assembly_workload():
     gate = Gate.nand(3, default_process(), load=100e-15)
     ckt = gate.build({"a": 2.5, "b": 2.5, "c": 2.5})
     compiled = ckt.compile()
-    # Companion stamps exactly as the integrator builds them: one per
-    # compiled capacitor, in order (geq = C/h for a representative h).
+    # Companion stamps as the integrator builds them: one per compiled
+    # capacitor, in order (geq = C/h for a representative h), as the
+    # reference assembler's tuples and as the engine's caps arrays.
     stamps = tuple((a, b, c / 1e-12, (c / 1e-12) * 0.3)
                    for a, b, c in compiled.capacitors)
+    caps = (np.array([s[2] for s in stamps]), np.array([s[3] for s in stamps]))
     rng = np.random.default_rng(7)
     xs = rng.uniform(0.0, 5.0, (200, compiled.n_unknown))
-    return compiled, stamps, xs
+    return compiled, stamps, caps, xs
 
 
 def test_scalar_assembly_speedup_and_identity(benchmark, request):
-    compiled, stamps, xs = nand3_assembly_workload()
+    compiled, stamps, caps, xs = nand3_assembly_workload()
     known = compiled.known_voltages(0.0)
     rounds = scaled(10, minimum=2)
 
@@ -59,7 +61,7 @@ def test_scalar_assembly_speedup_and_identity(benchmark, request):
     # the pre-plan scalar loop on every probe point, bit for bit.
     for x in xs[:50]:
         F_vec, J_vec = assemble_system(compiled, x, known, gmin=1e-12,
-                                       cap_stamps=stamps)
+                                       caps=caps)
         F_ref, J_ref = assemble_system_reference(compiled, x, known,
                                                  gmin=1e-12,
                                                  cap_stamps=stamps)
@@ -77,7 +79,7 @@ def test_scalar_assembly_speedup_and_identity(benchmark, request):
     def run_vectorized():
         # Solve invariants loaded once, then one assemble_into per
         # iteration.
-        load_solve(plan, ws, known, 0.0, stamps, 1.0, compiled.isources)
+        load_solve(plan, ws, known, 0.0, caps, 1.0, compiled.isources)
         for x in xs:
             assemble_into(plan, ws, plan.dense, x, 1e-12, True)
 

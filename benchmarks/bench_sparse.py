@@ -44,7 +44,7 @@ def solve_workload(circuit):
     plan = compiled.stamp_plan
     ws = plan.scratch
     known = compiled.known_voltages(0.0)
-    load_solve(plan, ws, known, 0.0, [], 1.0, compiled.isources)
+    load_solve(plan, ws, known, 0.0, None, 1.0, compiled.isources)
     x = np.full(plan.n, float(known.max()) / 2.0)
     F, J = assemble_into(plan, ws, plan.dense, x, 1e-12, False)
     F, J = F.copy(), J.copy()

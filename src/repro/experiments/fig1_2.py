@@ -27,7 +27,7 @@ import numpy as np
 from ..obs import traced
 from ..tech import Process
 from ..units import parse_quantity
-from ..waveform import Edge, FALL, RISE
+from ..waveform import Edge, FALL
 from ..charlib.simulate import multi_input_response
 from .common import paper_gate, paper_thresholds
 from .report import format_table, series_plot
@@ -114,11 +114,3 @@ def run(process: Optional[Process] = None, *,
         direction=direction, tau_a=tau_a_s, tau_b=tau_b_s,
         separations=seps, delays=delays, ttimes=ttimes,
     )
-
-
-def run_both(process: Optional[Process] = None, **kwargs) -> Dict[str, Fig12Result]:
-    """Both panels: falling inputs (a,b) and rising inputs (c,d)."""
-    return {
-        FALL: run(process, direction=FALL, **kwargs),
-        RISE: run(process, direction=RISE, **kwargs),
-    }

@@ -19,7 +19,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
-from .metrics import Histogram
+from .metrics import Histogram, counter_total, labelled_counters
 
 __all__ = [
     "METRICS_SCHEMA", "trace_document", "write_chrome_trace",
@@ -109,23 +109,6 @@ def _histogram_line(key: str, entry: Mapping[str, Any]) -> str:
             f"sum={hist.sum:.4g}")
 
 
-def _labeled_counters(counters: Mapping[str, float],
-                      name: str) -> Dict[str, float]:
-    """``{label-suffix: value}`` for every ``name{...}`` counter key."""
-    prefix = name + "{"
-    return {
-        key[len(prefix):-1]: value
-        for key, value in counters.items()
-        if key.startswith(prefix) and key.endswith("}")
-    }
-
-
-def _counter_total(counters: Mapping[str, float], name: str) -> float:
-    prefix = name + "{"
-    return sum(value for key, value in counters.items()
-               if key == name or key.startswith(prefix))
-
-
 def headline_summary(payload: Mapping[str, Any]) -> str:
     """The ``repro stats`` headline block: solver health at a glance.
 
@@ -139,28 +122,27 @@ def headline_summary(payload: Mapping[str, Any]) -> str:
     """
     counters = payload.get("counters", {})
     lines: List[str] = []
-    solves = _counter_total(counters, "spice.newton.solves")
+    solves = counter_total(counters, "spice.newton.solves")
     if solves:
-        iters = _counter_total(counters, "spice.newton.iterations")
-        failures = _counter_total(counters, "spice.newton.failures")
+        iters = counter_total(counters, "spice.newton.iterations")
+        failures = counter_total(counters, "spice.newton.failures")
         line = (f"  newton: solves {_format_number(solves)}, "
                 f"iterations {_format_number(iters)}")
         if failures:
             line += f", failures {_format_number(failures)}"
         lines.append(line)
-    analyses = _counter_total(counters, "spice.transient.analyses")
+    analyses = counter_total(counters, "spice.transient.analyses")
     if analyses:
-        settled = _counter_total(counters, "spice.transient.settled")
+        settled = counter_total(counters, "spice.transient.settled")
         lines.append(f"  transients: analyses {_format_number(analyses)}, "
                      f"settled early {_format_number(settled)}")
-    for name, label in (("spice.guard.rung", "guard rungs"),
-                        ("obs.flight.dumps", "flight dumps")):
-        values = _labeled_counters(counters, name)
+    for name, label, title in (("spice.guard.rung", "rung", "guard rungs"),
+                               ("obs.flight.dumps", "reason", "flight dumps")):
+        values = labelled_counters(counters, name, label)
         if values:
-            listed = ", ".join(
-                f"{key.partition('=')[2] or key}={_format_number(values[key])}"
-                for key in sorted(values))
-            lines.append(f"  {label}: {listed}")
+            listed = ", ".join(f"{value}={_format_number(count)}"
+                               for value, count in values)
+            lines.append(f"  {title}: {listed}")
     sparse = {
         key: value for key, value in counters.items()
         if key.startswith("spice.sparse.")

@@ -48,6 +48,7 @@ import threading
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from .metrics import counter_total, labelled_counters, parse_metric_key
 from .profile import phase_breakdown
 
 __all__ = [
@@ -112,20 +113,6 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def parse_metric_key(key: str) -> Tuple[str, Dict[str, str]]:
-    """Split a registry key ``name{k=v,...}`` into (name, labels)."""
-    if not key.endswith("}") or "{" not in key:
-        return key, {}
-    name, _, inner = key.partition("{")
-    labels: Dict[str, str] = {}
-    for part in inner[:-1].split(","):
-        if not part:
-            continue
-        label, _, value = part.partition("=")
-        labels[label] = value
-    return name, labels
 
 
 # ----------------------------------------------------------------------
@@ -338,23 +325,6 @@ def read_snapshot(path: str) -> Optional[Dict[str, Any]]:
     return document
 
 
-def _counter_total(counters: Mapping[str, float], name: str) -> float:
-    prefix = name + "{"
-    return sum(value for key, value in counters.items()
-               if key == name or key.startswith(prefix))
-
-
-def _labelled(counters: Mapping[str, float], name: str,
-              label: str) -> List[Tuple[str, float]]:
-    """(label value, count) pairs for ``name{...label=...}`` keys."""
-    out = []
-    for key, value in sorted(counters.items()):
-        key_name, labels = parse_metric_key(key)
-        if key_name == name and label in labels:
-            out.append((labels[label], value))
-    return out
-
-
 def _fmt_rate(value: float) -> str:
     if value >= 100:
         return f"{value:.0f}"
@@ -379,13 +349,13 @@ def format_top(document: Mapping[str, Any],
     uptime = float(document.get("uptime", 0.0))
     age = max(0.0, (now if now is not None else time.time()) - wall)
 
-    solves = _counter_total(counters, "spice.newton.solves")
-    iterations = _counter_total(counters, "spice.newton.iterations")
-    failures = _counter_total(counters, "spice.newton.failures")
+    solves = counter_total(counters, "spice.newton.solves")
+    iterations = counter_total(counters, "spice.newton.iterations")
+    failures = counter_total(counters, "spice.newton.failures")
 
     if previous is not None:
         dt = max(1e-9, wall - float(previous.get("time", 0.0)))
-        prev_solves = _counter_total(previous.get("counters", {}),
+        prev_solves = counter_total(previous.get("counters", {}),
                                      "spice.newton.solves")
         rate = max(0.0, solves - prev_solves) / dt
         rate_src = f"over last {dt:.1f}s"
@@ -402,13 +372,13 @@ def format_top(document: Mapping[str, Any],
         f"iterations {int(iterations):>10d}   failures {int(failures)}",
     ]
 
-    dispatch = _labelled(counters, "spice.newton.dispatch", "backend")
+    dispatch = labelled_counters(counters, "spice.newton.dispatch", "backend")
     if dispatch:
         parts = ", ".join(f"{backend}={int(count)}"
                           for backend, count in dispatch)
         lines.append(f"dispatch   {parts}")
 
-    rungs = _labelled(counters, "spice.guard.rung", "rung")
+    rungs = labelled_counters(counters, "spice.guard.rung", "rung")
     if rungs:
         parts = ", ".join(f"{rung}={int(count)}" for rung, count in rungs)
         lines.append(f"rungs      {parts}")
@@ -421,7 +391,7 @@ def format_top(document: Mapping[str, Any],
     if sparse_bits:
         lines.append(f"sparse     {', '.join(sparse_bits)}")
 
-    dumps = _counter_total(counters, "obs.flight.dumps")
+    dumps = counter_total(counters, "obs.flight.dumps")
     if dumps:
         lines.append(f"flight     {int(dumps)} dump(s) written")
 
@@ -442,8 +412,8 @@ def format_top(document: Mapping[str, Any],
             lines.append(f"  {driver:<7s} {total:8.3f}s  {parts}")
 
     workers = gauges.get("parallel.workers")
-    completed = _counter_total(counters, "parallel.tasks.completed")
-    failed = _counter_total(counters, "parallel.tasks.failed")
+    completed = counter_total(counters, "parallel.tasks.completed")
+    failed = counter_total(counters, "parallel.tasks.failed")
     inflight = gauges.get("parallel.tasks.inflight")
     if workers is not None or completed or failed:
         lines.append("")
@@ -455,7 +425,7 @@ def format_top(document: Mapping[str, Any],
         bits.append(f"tasks ok={int(completed)}")
         if failed:
             bits.append(f"failed={int(failed)}")
-        resub = _counter_total(counters, "parallel.tasks.resubmitted")
+        resub = counter_total(counters, "parallel.tasks.resubmitted")
         if resub:
             bits.append(f"resubmitted={int(resub)}")
         lines.append("pool       " + "  ".join(bits))

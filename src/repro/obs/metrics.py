@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 import threading
 from bisect import bisect_right
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 
@@ -64,6 +64,40 @@ def metric_key(name: str, labels: Optional[Mapping[str, Any]] = None) -> str:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
+
+
+def parse_metric_key(key: str) -> Tuple[str, Dict[str, str]]:
+    """Split a registry key ``name{k=v,...}`` into (name, labels)."""
+    if not key.endswith("}") or "{" not in key:
+        return key, {}
+    name, _, inner = key.partition("{")
+    labels: Dict[str, str] = {}
+    for part in inner[:-1].split(","):
+        if not part:
+            continue
+        label, _, value = part.partition("=")
+        labels[label] = value
+    return name, labels
+
+
+def counter_total(counters: Mapping[str, float], name: str) -> float:
+    """Counter ``name`` summed over every label set in a payload's
+    ``counters``."""
+    prefix = name + "{"
+    return sum(value for key, value in counters.items()
+               if key == name or key.startswith(prefix))
+
+
+def labelled_counters(counters: Mapping[str, float], name: str,
+                      label: str) -> List[Tuple[str, float]]:
+    """``(label value, count)`` for every ``name{...}`` counter key that
+    carries ``label``, in key order."""
+    out = []
+    for key, value in sorted(counters.items()):
+        key_name, labels = parse_metric_key(key)
+        if key_name == name and label in labels:
+            out.append((labels[label], value))
+    return out
 
 
 def _number(value) -> "int | float":
@@ -297,24 +331,6 @@ class MetricRegistry:
                     self._histograms[key] = incoming
                 else:
                     existing.merge(incoming)
-
-    def counter_by_key(self, key: str) -> Counter:
-        """Get-or-create a counter by its canonical key string."""
-        with self._lock:
-            metric = self._counters.get(key)
-            if metric is None:
-                self._check_free(key, self._counters)
-                metric = self._counters[key] = Counter()
-        return metric
-
-    def gauge_by_key(self, key: str) -> Gauge:
-        """Get-or-create a gauge by its canonical key string."""
-        with self._lock:
-            metric = self._gauges.get(key)
-            if metric is None:
-                self._check_free(key, self._gauges)
-                metric = self._gauges[key] = Gauge()
-        return metric
 
     def mark(self) -> Dict[str, Any]:
         """A snapshot suitable for :meth:`delta_since`."""

@@ -76,8 +76,8 @@ class PhaseTimes:
 class PhaseProfiler:
     """Records :class:`PhaseTimes` into per-driver labelled histograms.
 
-    One profiler per analysis (bound into the analysis's solver by
-    :meth:`~repro.spice.engine.SolveContext.bind`); histogram handles are
+    One profiler per analysis (held by the analysis's
+    :class:`~repro.spice.engine.SolveContext`); histogram handles are
     resolved once per ``(driver, phase)`` and cached, so finishing a
     solve costs three cached-dict lookups and at most three
     ``Histogram.observe`` calls -- no registry lock traffic on the

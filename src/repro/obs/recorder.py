@@ -223,11 +223,6 @@ class Recorder:
         with self._lock:
             return list(self._events)
 
-    @property
-    def span_count(self) -> int:
-        with self._lock:
-            return len(self._events)
-
     # -- metrics --------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
         return self.registry.counter(name, **labels)

@@ -16,8 +16,12 @@ same class of circuits:
 
 The simulator is deliberately restricted to what CMOS gate
 characterization needs: all voltage sources are node-to-ground, which
-keeps the formulation purely nodal (no MNA branch currents) and the
-systems tiny and dense.
+keeps the formulation purely nodal (no MNA branch currents).  Gate
+testbenches are tiny dense systems (a handful of unknowns, solved on a
+generated kernel); flat netlists of up to ~10k unknowns
+(:mod:`repro.spice.builders`) solve on the sparse SuperLU backend
+(:mod:`repro.spice.sparse`).  Every analysis solves through one
+:class:`~repro.spice.engine.SolveContext`, which picks the backend.
 """
 
 from .netlist import Circuit

@@ -2,9 +2,9 @@
 
 The serve broker hands the simulator whole lists of independent
 transient analyses.  The functions here accept such lists and run
-every analysis, lane by lane, on the scalar solver: each lane binds its
-own solver under
-:meth:`~repro.spice.engine.SolveContext.for_analysis`, exactly like a
+every analysis, lane by lane, on the scalar solver: each lane solves
+through its own :class:`~repro.spice.engine.SolveContext`
+(:meth:`~repro.spice.engine.SolveContext.for_analysis`), exactly like a
 scalar analysis -- so each lane's result, Newton accounting and solver
 counters are the scalar path's by construction, for any batch size and
 any backend.  A lane's failure is returned in its slot and never aborts
@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..errors import ConvergenceError
 from ..obs import get_recorder
 from ..resilience.retry import RetryPolicy
-from . import engine
 from .dc import dc_solution, operating_point_from_vector
 from .engine import NewtonOptions, NewtonStats, SolveContext
 from .netlist import Circuit, CompiledCircuit
@@ -52,12 +51,10 @@ def solve_dc_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]], *,
     recorder.counter("spice.batch.lanes").inc(len(compiled))
     results: list = []
     for c, guess, st in zip(compiled, guesses, stats_list):
-        solve = SolveContext.for_analysis(recorder, c.n_unknown).bind(
-            engine.newton_solve, c, st)
+        context = SolveContext.for_analysis(c, stats=st, recorder=recorder)
         try:
-            x = dc_solution(c, solve, initial_guess=guess, time=time,
-                            options=options, stats=st, retry=retry,
-                            recorder=recorder)
+            x = dc_solution(context, initial_guess=guess, time=time,
+                            options=options, retry=retry)
         except ConvergenceError as error:
             results.append(error)
             continue
@@ -99,15 +96,12 @@ def transient_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]],
     recorder.counter("spice.batch.lanes").inc(len(compiled))
     results: list = []
     for c, stop, rule in zip(compiled, stops, rules):
-        stats = NewtonStats()
-        context = SolveContext.for_analysis(recorder, c.n_unknown)
-        solve = context.bind(engine.newton_solve, c, stats)
+        context = SolveContext.for_analysis(c, recorder=recorder)
         try:
             results.append(transient_result(
-                c, stop, solve=solve, stats=stats, context=context,
-                t_start=t_start,
-                record=record, initial_op=initial_op, options=options,
-                retry=retry, recorder=recorder, settle=rule))
+                context, stop, t_start=t_start, record=record,
+                initial_op=initial_op, options=options, retry=retry,
+                settle=rule))
         except ConvergenceError as error:
             results.append(error)
     return results

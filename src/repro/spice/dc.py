@@ -15,6 +15,12 @@ When the whole ladder fails, the solve re-runs under the
 :class:`~repro.resilience.RetryPolicy` escalation (raised gmin, larger
 iteration budget, stronger damping); every escalation is counted in
 ``stats.retries``.
+
+Every rung solves through the analysis's one
+:class:`~repro.spice.engine.SolveContext`: :func:`solve_dc` and each
+:func:`dc_sweep` build one, and :func:`dc_solution` takes it, so the
+ladder's solves share one backend decision, one ``NewtonStats`` and one
+recorder.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ from typing import Dict, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import ConvergenceError
-from ..obs import get_recorder, traced
+from ..obs import traced
 from ..obs.flight import dump_flight
 from ..resilience.retry import RetryPolicy
-from .engine import NewtonOptions, NewtonStats, SolveContext, newton_solve
+from .engine import NewtonOptions, NewtonStats, SolveContext
 from .guard import record_rung
 from .netlist import Circuit, CompiledCircuit
 from .results import SweepResult
@@ -50,48 +56,45 @@ class OperatingPoint:
         return np.array([self.voltages[name] for name in compiled.unknown_names])
 
 
-def _gmin_stepping(solve, x0: np.ndarray, known: np.ndarray,
-                   options: NewtonOptions, time: float, recorder) -> np.ndarray:
-    recorder.counter("spice.dc.gmin_stepping").inc()
-    record_rung("gmin_ramp", recorder)
+def _gmin_stepping(context: SolveContext, x0: np.ndarray, known: np.ndarray,
+                   options: NewtonOptions, time: float) -> np.ndarray:
+    context.recorder.counter("spice.dc.gmin_stepping").inc()
+    record_rung("gmin_ramp", context.recorder)
     x = np.array(x0, dtype=float)
     gmin = 1e-2
     while gmin >= options.gmin:
-        x = solve(x, known, options, time=time, gmin=gmin)
+        x = context.solve(x, known, options, time=time, gmin=gmin)
         gmin /= 10.0
-    return solve(x, known, options, time=time)
+    return context.solve(x, known, options, time=time)
 
 
-def _source_stepping(solve, n_unknown: int, known: np.ndarray,
-                     options: NewtonOptions, time: float,
-                     recorder) -> np.ndarray:
-    recorder.counter("spice.dc.source_stepping").inc()
-    record_rung("source_step", recorder)
-    x = np.zeros(n_unknown)
+def _source_stepping(context: SolveContext, known: np.ndarray,
+                     options: NewtonOptions, time: float) -> np.ndarray:
+    context.recorder.counter("spice.dc.source_stepping").inc()
+    record_rung("source_step", context.recorder)
+    x = np.zeros(context.compiled.n_unknown)
     for scale in np.linspace(0.1, 1.0, 10):
-        x = solve(x, known, options, time=time, source_scale=float(scale))
+        x = context.solve(x, known, options, time=time,
+                          source_scale=float(scale))
     return x
 
 
-def dc_solution(compiled: CompiledCircuit, solve, *,
+def dc_solution(context: SolveContext, *,
                 initial_guess: Optional[Dict[str, float]] = None,
                 time: float = 0.0,
                 options: Optional[NewtonOptions] = None,
-                stats: Optional[NewtonStats] = None,
-                retry: Union[RetryPolicy, int, None] = None,
-                recorder=None) -> np.ndarray:
+                retry: Union[RetryPolicy, int, None] = None) -> np.ndarray:
     """The DC operating point's unknown vector, by the homotopy ladder.
 
-    ``solve`` is the analysis's bound solver
-    (:meth:`~repro.spice.engine.SolveContext.bind`).  The ladder tries
-    plain Newton, then gmin stepping, then source stepping, and re-runs
-    all three per retry rung; ``stats.retries`` and the homotopy
-    counters are bumped here.  ``recorder`` pins one telemetry handle
-    for the whole ladder; sweeps pass it in so per-point solves skip the
-    environment-signature check.
+    Solves ``context.compiled`` through the analysis's
+    :class:`~repro.spice.engine.SolveContext`.  The ladder tries plain
+    Newton, then gmin stepping, then source stepping, and re-runs all
+    three per retry rung; the context's ``stats.retries`` and the
+    homotopy counters are bumped here.
     """
+    compiled = context.compiled
     opts = options or NewtonOptions()
-    rec = recorder if recorder is not None else get_recorder()
+    rec = context.recorder
     policy = RetryPolicy.resolve(retry)
     known = compiled.known_voltages(time)
     mid = 0.5 * (float(known.max()) + float(known.min()))
@@ -105,20 +108,18 @@ def dc_solution(compiled: CompiledCircuit, solve, *,
     for attempt in range(policy.max_attempts):
         attempt_opts = policy.escalate_newton(opts, attempt)
         if attempt > 0:
-            if stats is not None:
-                stats.retries += 1
+            context.stats.retries += 1
             rec.counter("spice.retries", phase="dc", rung=attempt).inc()
         try:
-            return solve(x0, known, attempt_opts, time=time)
+            return context.solve(x0, known, attempt_opts, time=time)
         except ConvergenceError:
             pass
         try:
-            return _gmin_stepping(solve, x0, known, attempt_opts, time, rec)
+            return _gmin_stepping(context, x0, known, attempt_opts, time)
         except ConvergenceError:
             pass
         try:
-            return _source_stepping(solve, compiled.n_unknown, known,
-                                    attempt_opts, time, rec)
+            return _source_stepping(context, known, attempt_opts, time)
         except ConvergenceError as error:
             last_error = error
     assert last_error is not None
@@ -166,15 +167,9 @@ def solve_dc(circuit: Circuit | CompiledCircuit, *,
     A solve that succeeds on attempt 0 is untouched by the ladder.
     """
     compiled = circuit if isinstance(circuit, CompiledCircuit) else circuit.compile()
-    recorder = get_recorder()
-    # Binds this module's ``newton_solve`` on purpose: the
-    # solver-fallback tests wrap ``dc.newton_solve`` to observe the
-    # homotopy ladder's call shapes.
-    solve = SolveContext.for_analysis(recorder, compiled.n_unknown).bind(
-        newton_solve, compiled, stats)
-    x = dc_solution(compiled, solve, initial_guess=initial_guess, time=time,
-                    options=options, stats=stats, retry=retry,
-                    recorder=recorder)
+    x = dc_solution(SolveContext.for_analysis(compiled, stats=stats),
+                    initial_guess=initial_guess, time=time, options=options,
+                    retry=retry)
     return operating_point_from_vector(compiled, x,
                                        compiled.known_voltages(time))
 
@@ -215,12 +210,10 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
         for name in source_names:
             circuit.replace_vsource(name, float(grid[0]))
         compiled = circuit.compile()
-        # One recorder handle (and one fast-Newton state, and one sparse
-        # dispatch) for the whole sweep: per-point solves skip the
-        # environment-signature check.
-        recorder = get_recorder()
-        context = SolveContext.for_analysis(recorder, compiled.n_unknown)
-        solve = context.bind(newton_solve, compiled, None)
+        # One context for the whole sweep: one recorder handle (per-point
+        # solves skip the environment-signature check), one backend
+        # decision, one fast-Newton state.
+        context = SolveContext.for_analysis(compiled)
         for value in grid:
             for name in source_names:
                 compiled.set_source_level(name, float(value))
@@ -228,8 +221,7 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
                 # No LU crosses points: each one starts from a fresh
                 # Jacobian, as it did when every point compiled anew.
                 context.fast.lu = None
-            x = dc_solution(compiled, solve, initial_guess=guess,
-                            options=opts, recorder=recorder)
+            x = dc_solution(context, initial_guess=guess, options=opts)
             op = operating_point_from_vector(compiled, x,
                                              compiled.known_voltages(0.0))
             guess = {name: op[name] for name in compiled.unknown_names}

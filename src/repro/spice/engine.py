@@ -7,16 +7,24 @@ voltages ``x`` such that KCL holds at every unknown node,
 
 DC analysis stamps only resistive elements (plus ``gmin`` leaks);
 transient analysis additionally passes *companion stamps* for the
-capacitors (Norton equivalents of the implicit integration rule).
+capacitors (Norton equivalents of the implicit integration rule), in
+one form: ``caps=(geq, ieq)``, one value each per compiled capacitor.
 
-:func:`newton_solve` picks its loop by the circuit's transistor count.
+Every analysis solves through one :class:`SolveContext`
+(:meth:`SolveContext.for_analysis`), which decides the backend once --
+``kernel``, ``dense`` or ``sparse`` -- and owns the analysis's
+:class:`NewtonStats`, recorder, phase profiler and fast-Newton state.
+:meth:`SolveContext.solve` calls :func:`newton_solve`, which reads that
+decision.
+
 Gate-sized circuits (below
-:data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER`) run one generated loop
-per circuit structure (:attr:`~repro.spice.stamps.GateKernel.newton`,
-through a :class:`KernelNewton`).  It unpacks the circuit's constants
-and the solve's inputs once, evaluates the transistors inline, packs
-``[-F | J]`` into a preallocated buffer with one ``struct`` call, and
-computes the residual, the step norm, the damping and the update as
+:data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors) on dense
+full Newton take the ``kernel`` backend: one generated loop per circuit
+structure (:attr:`~repro.spice.stamps.GateKernel.newton`, through a
+:class:`KernelNewton`).  It unpacks the circuit's constants and the
+solve's inputs once, evaluates the transistors inline, packs ``[-F |
+J]`` into a preallocated buffer with one ``struct`` call, and computes
+the residual, the step norm, the damping and the update as
 straight-line float code.  The only numpy call per iteration is LAPACK
 ``gesv`` (:data:`gesv`, looked up on every solve), reading that buffer
 through two views and solving into a preallocated ``dx``.  The
@@ -32,17 +40,17 @@ contribution in the plan's emission order (never ``sum()`` or
 negating ``F`` is exact, the norms are NaN-propagating maxima like
 ``np.abs(F).max()``, damping and the update are the same elementwise
 products and sums, and the linear solve is the same ``gesv`` on the
-same bits.  Larger circuits, sparse dispatch and the opt-in
-modified-Newton mode run the NumPy loops.
+same bits.  The ``dense`` and ``sparse`` backends, and the opt-in
+modified-Newton mode, run the NumPy loops.
 
-A gate-sized transient skips :func:`newton_solve` for its steps:
-:meth:`SolveContext.kernel_newton` hands it a :class:`KernelNewton`,
-and the integrator's float state calls the same loop with float lists
-and the capacitors' history, from which the loop computes the step's
-companion stamps (see :mod:`repro.spice.transient`), under one error
-state per integration attempt (:meth:`KernelNewton.error_state`;
-entering one costs ~2-3 us, and a NAND3 shot makes ~160 step solves).
-Its DC point still goes through the bound solver.  Over 10 alternating
+A gate-sized transient skips :func:`newton_solve` for its steps: its
+context's :meth:`SolveContext.kernel_newton` is the same loop, which
+the integrator's float state calls with float lists and the
+capacitors' history, from which the loop computes the step's companion
+stamps (see :mod:`repro.spice.transient`), under one error state per
+integration attempt (:meth:`KernelNewton.error_state`; entering one
+costs ~2-3 us, and a NAND3 shot makes ~160 step solves).  Its DC point
+still goes through :meth:`SolveContext.solve`.  Over 10 alternating
 ``bench/compare.py`` pairs each on a 2-vCPU Xeon container,
 ``validate_oracle`` went from 7.54 to 12.47 configs/s with the first
 kernel loop, from 12.49 to 17.69 with float steps, from 17.48 to 22.01
@@ -55,9 +63,9 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import monotonic as _monotonic
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -69,8 +77,8 @@ from .guard import record_rung
 from .mosfet import mosfet_current
 from .netlist import CompiledCircuit
 from .sparse import sparse_enabled
-from .stamps import (CapStampArrays, assemble_into, assemble_sparse,
-                     load_kernel, load_solve)
+from .stamps import (CapArrays, assemble_into, assemble_sparse, load_kernel,
+                     load_solve, stamped)
 
 __all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "assemble_system",
            "assemble_system_reference", "newton_solve", "SolveContext",
@@ -87,8 +95,8 @@ def fast_newton_enabled() -> bool:
     value = os.environ.get(FAST_NEWTON_ENV_VAR, "").strip().lower()
     return value not in ("", "0", "false", "no", "off")
 
-#: Companion-model stamp for one capacitor: current (a -> b) is
-#: ``geq * (va - vb) - ieq``.
+#: One capacitor's companion stamp in the reference assembler's input:
+#: current (a -> b) is ``geq * (va - vb) - ieq``.
 CapStamp = Tuple[int, int, float, float]
 
 
@@ -137,29 +145,25 @@ class NewtonStats:
 
 def assemble_system(compiled: CompiledCircuit, x: np.ndarray, known: np.ndarray,
                     *, gmin: float, time: float = 0.0,
-                    cap_stamps: Optional[Sequence[CapStamp]] = None,
+                    caps: Optional[CapArrays] = None,
                     source_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the KCL residual ``F`` and Jacobian ``J = dF/dx``.
 
     ``known`` holds the known-node voltages (ground first); it is scaled
-    by ``source_scale`` to support source stepping.  ``cap_stamps`` adds
-    the transient companion models.
+    by ``source_scale`` to support source stepping.  ``caps`` adds the
+    transient companion models: ``(geq, ieq)``, one value each per
+    compiled capacitor (:func:`~repro.spice.stamps.load_solve` raises
+    ``ValueError`` on any other length).
 
-    Assembly is vectorized through the circuit's compiled
+    Assembly runs through the circuit's compiled
     :class:`~repro.spice.stamps.StampPlan`, bit-identical to
     :func:`assemble_system_reference` (the original scalar loop, kept
-    as the equivalence oracle).  Stamp lists that do not follow the
-    compiled capacitor order -- hand-built test stamps -- fall back to
-    the reference assembler.
+    as the equivalence oracle).
     """
     plan = compiled.stamp_plan
-    if cap_stamps is not None and not plan.stamps_match(cap_stamps):
-        return assemble_system_reference(
-            compiled, x, known, gmin=gmin, time=time,
-            cap_stamps=cap_stamps, source_scale=source_scale)
     ws = plan.scratch
     with_caps = load_solve(plan, ws, np.asarray(known, dtype=float), time,
-                           cap_stamps, source_scale, compiled.isources)
+                           caps, source_scale, compiled.isources)
     F, J = assemble_into(plan, ws, plan.dense, np.asarray(x, dtype=float),
                          gmin, with_caps)
     # Fresh copies: callers compare/retain results across calls.
@@ -174,10 +178,9 @@ def assemble_system_reference(
     """The original scalar-loop assembler, kept as the bit-identity oracle.
 
     Walks every device in Python, accumulating ``F``/``J`` cell by cell.
-    The vectorized :func:`assemble_system` must reproduce this output
-    bit for bit (``tests/spice/test_assembly_equivalence.py``); it is
-    also the fallback for cap-stamp lists that do not line up with the
-    compiled capacitors.
+    The compiled :func:`assemble_system` must reproduce this output
+    bit for bit (``tests/spice/test_assembly_equivalence.py``).  Its
+    companion stamps are ``(a, b, geq, ieq)`` tuples in any order.
     """
     n = compiled.n_unknown
     F = np.zeros(n)
@@ -279,48 +282,6 @@ def nudge_diagonal(J: np.ndarray, value: float) -> None:
         np.einsum("ii->i", J)[...] += value
 
 
-def _end_solve(stats: Optional[NewtonStats], recorder, backend: str,
-               profile: Optional[PhaseProfiler], times: Optional[PhaseTimes],
-               n: int, iterations: int, outcome: str) -> None:
-    """Account one finished Newton solve: stats, counters, phases, flight.
-
-    Called at every solve exit (converged, iteration limit, singular).
-    This is the single place Newton iterations are counted, so parent
-    and worker processes account identically -- whoever runs the solve
-    records it, and pooled tasks ship the delta back.  ``backend``
-    labels the linear-solver dispatch choice (``"dense"`` or
-    ``"sparse"``).  Every solve appends a flight record, so the ring
-    holds failures *and* the healthy solves around them.  With telemetry
-    off (a disabled recorder, no profiler) that is the ``stats`` alone,
-    and the per-solve cost stays at one call.
-    """
-    converged = outcome == "converged"
-    if stats is not None:
-        stats.record(iterations, converged=converged)
-    if profile is not None and times is not None:
-        profile.finish(backend, times)
-    if recorder is None:
-        recorder = get_recorder()
-    if not recorder.enabled:
-        return
-    recorder.counter("spice.newton.iterations").inc(iterations)
-    if converged:
-        recorder.counter("spice.newton.solves").inc()
-    else:
-        recorder.counter("spice.newton.failures").inc()
-    recorder.counter("spice.newton.dispatch", backend=backend).inc()
-    flight = recorder.flight
-    if not flight.enabled:
-        return
-    record = {"driver": backend, "n": n, "iterations": iterations,
-              "outcome": outcome}
-    if times is not None:
-        phases = times.as_dict()
-        if phases:
-            record["phases"] = phases
-    flight.note_solve(**record)
-
-
 def _not_converged(iterations: int, residual: float) -> ConvergenceError:
     """The error of a solve that ran out of Newton iterations."""
     return ConvergenceError(
@@ -332,20 +293,19 @@ def _not_converged(iterations: int, residual: float) -> ConvergenceError:
 class FastNewtonState:
     """Cross-solve state of the opt-in modified-Newton mode.
 
-    Holds the most recent LU factorization together with the key it was
-    computed under: the compiled circuit (by reference), the effective
-    gmin, the source scale and the capacitor companion conductances.
-    Consecutive accepted timesteps of the same ``h`` share the same
-    ``geq`` vector, so their solves start from the previous step's LU;
-    a key mismatch (new ``h``, a homotopy rung, a different circuit)
-    forces refactorization on the first iteration.  ``reused`` and
-    ``refactorized`` count factorization reuse for tests/telemetry.
+    Holds one analysis's most recent LU factorization together with the
+    key it was computed under: the backend, the effective gmin, the
+    source scale and the capacitor companion conductances.  Consecutive
+    accepted timesteps of the same ``h`` share the same ``geq`` vector,
+    so their solves start from the previous step's LU; a key mismatch
+    (new ``h``, a homotopy rung) forces refactorization on the first
+    iteration.  ``reused`` and ``refactorized`` count factorization
+    reuse for tests/telemetry.
     """
 
-    __slots__ = ("compiled", "key", "lu", "reused", "refactorized")
+    __slots__ = ("key", "lu", "reused", "refactorized")
 
     def __init__(self) -> None:
-        self.compiled = None
         self.key = None
         self.lu = None
         self.reused = 0
@@ -400,11 +360,6 @@ def _fast_factorize(J: np.ndarray):
         return _scipy_lu[0](J, check_finite=False)
 
 
-def _fast_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    """Back-substitute through an LU from :func:`_fast_factorize`."""
-    return _scipy_lu[1](lu, rhs, check_finite=False)
-
-
 #: Sentinel LU of a singular sparse factorization attempt: its solve
 #: returns all-inf, steering the modified-Newton loop onto the same
 #: non-finite nudge path a singular dense factorization takes.
@@ -412,62 +367,43 @@ _SPARSE_SINGULAR = object()
 
 
 class _DenseOps:
-    """Dense linear-algebra backend behind the Newton loops.
+    """LAPACK backend of the NumPy Newton loops.
 
-    Static methods only -- the dense path carries no per-circuit state.
     ``direct_solve`` calls the ``gesv`` gufunc through
-    :func:`dense_solve`, bit-identical to :func:`numpy.linalg.solve`.
-    """
-
-    @staticmethod
-    def direct_solve(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-        return dense_solve(J, -F)
-
-    @staticmethod
-    def fast_factorize(J: np.ndarray):
-        return _fast_factorize(J)
-
-    @staticmethod
-    def fast_solve(lu, rhs: np.ndarray) -> np.ndarray:
-        return _fast_solve(lu, rhs)
-
-    @staticmethod
-    def nudge(J: np.ndarray, value: float) -> None:
-        nudge_diagonal(J, value)
-
-
-class _TimedDenseOps:
-    """The dense backend with phase timing, substituted when profiling.
-
-    Runs the exact same LAPACK calls as :class:`_DenseOps` (the
-    ``gesv`` gufunc through :func:`dense_solve`, scipy's ``lu_factor``
-    and ``lu_solve``) -- results stay bit-identical -- but brackets
-    them with monotonic reads.  The fused ``gesv`` of ``direct_solve``
-    lands wholly in ``factorize`` (LAPACK does not expose the split);
-    the fast-Newton path splits ``lu_factor`` / ``lu_solve`` into
-    factorize / back_solve properly.
+    :func:`dense_solve`, bit-identical to :func:`numpy.linalg.solve`;
+    the fast-Newton pair is scipy's ``lu_factor``/``lu_solve``.  With a
+    :class:`~repro.obs.profile.PhaseTimes` in ``times`` (telemetry on)
+    the same calls are bracketed by monotonic reads: the fused ``gesv``
+    lands wholly in ``factorize`` (LAPACK does not expose the split),
+    ``lu_factor``/``lu_solve`` split into factorize and back_solve.
     """
 
     __slots__ = ("times",)
 
-    def __init__(self, times: PhaseTimes) -> None:
+    def __init__(self, times: Optional[PhaseTimes]) -> None:
         self.times = times
 
     def direct_solve(self, J: np.ndarray, F: np.ndarray) -> np.ndarray:
+        if self.times is None:
+            return dense_solve(J, -F)
         start = _monotonic()
         dx = dense_solve(J, -F)
         self.times.factorize += _monotonic() - start
         return dx
 
     def fast_factorize(self, J: np.ndarray):
+        if self.times is None:
+            return _fast_factorize(J)
         start = _monotonic()
         lu = _fast_factorize(J)
         self.times.factorize += _monotonic() - start
         return lu
 
     def fast_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
+        if self.times is None:
+            return _scipy_lu[1](lu, rhs, check_finite=False)
         start = _monotonic()
-        out = _fast_solve(lu, rhs)
+        out = _scipy_lu[1](lu, rhs, check_finite=False)
         self.times.back_solve += _monotonic() - start
         return out
 
@@ -481,7 +417,7 @@ class _SparseOps:
 
     __slots__ = ("sp", "recorder", "times")
 
-    def __init__(self, sp, recorder, times: Optional[PhaseTimes] = None) -> None:
+    def __init__(self, sp, recorder, times: Optional[PhaseTimes]) -> None:
         self.sp = sp
         self.recorder = recorder
         self.times = times
@@ -490,14 +426,12 @@ class _SparseOps:
         """Factorize the assembled matrix; raises ``LinAlgError`` if
         singular, and records factorization/fill telemetry."""
         lu = self.sp.factorize(times=self.times)
-        recorder = self.recorder if self.recorder is not None \
-            else get_recorder()
-        if recorder.enabled:
-            recorder.counter("spice.sparse.factorizations").inc()
+        if self.recorder.enabled:
+            self.recorder.counter("spice.sparse.factorizations").inc()
             # SuperLU drops numerically-zero pattern entries (common when
             # many devices are cut off), so L+U can hold fewer entries
             # than the structural pattern: report that as zero fill.
-            recorder.counter("spice.sparse.fill_nnz").inc(
+            self.recorder.counter("spice.sparse.fill_nnz").inc(
                 max(0, int(lu.L.nnz + lu.U.nnz) - self.sp.nnz))
         return lu
 
@@ -519,13 +453,9 @@ class _SparseOps:
         self.sp.nudge(value)
 
 
-def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
-                 assemble, key, options: NewtonOptions,
-                 effective_gmin: float, fast: FastNewtonState,
-                 stats: Optional[NewtonStats], recorder,
-                 ops=_DenseOps, backend: str = "dense",
-                 times: Optional[PhaseTimes] = None,
-                 profile: Optional[PhaseProfiler] = None) -> np.ndarray:
+def _newton_fast(context: SolveContext, x: np.ndarray, assemble, key,
+                 options: NewtonOptions, effective_gmin: float, ops,
+                 times: Optional[PhaseTimes]) -> np.ndarray:
     """Modified-Newton loop: reuse the LU factorization while it contracts.
 
     A *stale* iteration evaluates only the residual and steps with the
@@ -533,14 +463,14 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
     residual stops contracting (safeguarded fallback to full Newton),
     or on the accepting iteration -- convergence is only declared on a
     fresh-Jacobian step, which polishes the solution to well inside the
-    full-Newton tolerances.  ``ops`` selects the linear-algebra backend
-    (dense LAPACK or the compiled sparse SuperLU plan); a singular
-    sparse factorization surfaces as an all-inf solve, joining the
-    dense path's non-finite nudge ladder.
+    full-Newton tolerances.  ``ops`` is the context's linear-algebra
+    backend (dense LAPACK or the compiled sparse SuperLU plan); a
+    singular sparse factorization surfaces as an all-inf solve, joining
+    the dense path's non-finite nudge ladder.
     """
+    fast, recorder = context.fast, context.recorder
     nudge = singular_nudge(effective_gmin)
-    fresh = (fast.lu is None or fast.compiled is not compiled
-             or fast.key != key)
+    fresh = fast.lu is None or fast.key != key
     last_residual = np.inf
     for iteration in range(1, options.max_iterations + 1):
         if not fresh:
@@ -553,7 +483,6 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
             F, J = assemble()
             residual = float(np.abs(F).max())
             fast.lu = ops.fast_factorize(J)
-            fast.compiled = compiled
             fast.key = key
             fast.refactorized += 1
         else:
@@ -568,8 +497,7 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
             fast.key = None  # the nudged LU must not outlive this solve
             dx = ops.fast_solve(fast.lu, -F)
             if not np.all(np.isfinite(dx)):
-                _end_solve(stats, recorder, backend, profile, times,
-                           x.shape[0], iteration, "singular")
+                context.end(times, iteration, "singular")
                 raise ConvergenceError(
                     "singular Jacobian during Newton iteration",
                     iterations=iteration, residual=residual,
@@ -581,8 +509,7 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
         x += dx
         if step < options.voltol and residual < options.abstol:
             if fresh:
-                _end_solve(stats, recorder, backend, profile, times,
-                           x.shape[0], iteration, "converged")
+                context.end(times, iteration, "converged")
                 return x
             # Tolerance hit on a stale step: polish with a fresh
             # Jacobian before accepting.
@@ -591,8 +518,7 @@ def _newton_fast(compiled: CompiledCircuit, x: np.ndarray,
             continue
         last_residual = residual
         fresh = False
-    _end_solve(stats, recorder, backend, profile, times, x.shape[0],
-               options.max_iterations, "iteration_limit")
+    context.end(times, options.max_iterations, "iteration_limit")
     raise _not_converged(options.max_iterations, last_residual)
 
 
@@ -606,30 +532,29 @@ class KernelNewton:
     what the loop reads besides a solve's inputs -- the circuit's
     constants, the ``[-F | J]`` buffer (a memoryview the loop packs
     into, and its ``rhs`` and ``J`` views), the ``dx`` that
-    :data:`gesv` solves into, and the analysis's stats, recorder and
-    profiler -- and the loop's rare exits, which account like the NumPy
-    loop's.  Like a solve through :func:`newton_solve`, each solve
-    starts its own phase accumulator.  :func:`newton_solve` builds one
-    per gate-sized solve, and
-    :meth:`SolveContext.kernel_newton` one per transient for its step
-    solves.  The error state is the caller's to hold, once for many
-    solves: :meth:`error_state`.
+    :data:`gesv` solves into, and its :class:`SolveContext`'s profiler
+    -- and the loop's rare exits, which account through the context
+    like the NumPy loop's.  Like a solve through :func:`newton_solve`,
+    each solve starts its own phase accumulator.
+    :meth:`SolveContext.kernel_newton` builds one per gate-sized
+    :func:`newton_solve` and one per transient for its step solves.  The
+    error state is the caller's to hold, once for many solves:
+    :meth:`error_state`.
     """
 
-    __slots__ = ("n", "newton", "consts", "caps", "buffers", "stats",
-                 "recorder", "profile")
+    __slots__ = ("newton", "consts", "caps", "buffers", "context",
+                 "profile")
 
-    def __init__(self, plan, with_caps: bool, stats: Optional[NewtonStats],
-                 recorder, profile: Optional[PhaseProfiler]) -> None:
-        n = self.n = plan.n
+    def __init__(self, plan, with_caps: bool,
+                 context: SolveContext) -> None:
+        n = plan.n
         self.newton = plan.kernel(with_caps).newton
         self.consts, self.caps = plan.kernel_consts, plan.live_c
         fj = np.empty(n + n * n)
         self.buffers = (memoryview(fj), fj[:n], fj[n:].reshape(n, n),
                         np.empty(n))
-        self.stats = stats
-        self.recorder = recorder
-        self.profile = profile
+        self.context = context
+        self.profile = context.profile
 
     @staticmethod
     def error_state() -> np.errstate:
@@ -646,7 +571,7 @@ class KernelNewton:
               times: Optional[PhaseTimes]) -> None:
         """The singular rung: solve again on a nudged diagonal."""
         _, rhs, J, dx = self.buffers
-        record_rung("nudge", self.recorder)
+        record_rung("nudge", self.context.recorder)
         nudge_diagonal(J, singular_nudge(gmin))
         try:
             solve(J, rhs, out=dx)
@@ -659,8 +584,7 @@ class KernelNewton:
 
     def end(self, times: Optional[PhaseTimes], iterations: int,
             outcome: str) -> None:
-        _end_solve(self.stats, self.recorder, "dense", self.profile, times,
-                   self.n, iterations, outcome)
+        self.context.end(times, iterations, outcome)
 
     def give_up(self, times: Optional[PhaseTimes], iterations: int,
                 residual: float) -> None:
@@ -670,89 +594,63 @@ class KernelNewton:
 
 def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
                  *, options: NewtonOptions, gmin: Optional[float] = None,
-                 time: float = 0.0,
-                 cap_stamps: Optional[Sequence[CapStamp]] = None,
+                 time: float = 0.0, caps: Optional[CapArrays] = None,
                  source_scale: float = 1.0,
-                 stats: Optional[NewtonStats] = None,
-                 recorder=None,
-                 fast: Optional[FastNewtonState] = None,
-                 sparse: Optional[bool] = None,
-                 profile: Optional[PhaseProfiler] = None) -> np.ndarray:
+                 context: Optional[SolveContext] = None) -> np.ndarray:
     """Damped Newton-Raphson solve of the KCL system.
 
     Raises :class:`~repro.errors.ConvergenceError` when the iteration
     fails; callers (gmin stepping, transient step halving) catch it and
-    retry on an easier problem.  ``stats``, when given, accumulates the
-    iteration count of this solve whether it converges or not (the
-    raised error also carries its count in ``iterations``).
+    retry on an easier problem.  ``caps`` are the transient's companion
+    stamps, ``(geq, ieq)`` with one value each per compiled capacitor.
 
-    ``recorder``, when given, skips the per-solve recorder lookup
-    (drivers resolve one handle per analysis).  ``fast`` opts this
-    solve into the tolerance-gated modified-Newton mode; the default
-    ``None`` keeps the bit-identical full-Newton iteration.  ``sparse``
-    selects the linear-solver backend: ``None`` dispatches by unknown
-    count through :func:`~repro.spice.sparse.sparse_enabled` (drivers
-    resolve this once per analysis and pass the choice down), an
-    explicit bool forces dense LAPACK or sparse SuperLU.  The sparse
-    backend requires the compiled stamp path; hand-built cap-stamp
-    lists fall back to the dense reference assembler.
+    ``context`` is the analysis's :class:`SolveContext`
+    (:meth:`SolveContext.solve` passes it): the solve runs on the
+    backend the context decided, accounts its iterations into the
+    context's stats whether it converges or not (the raised error also
+    carries its count in ``iterations``), records into its recorder,
+    times its phases when it has a profiler, and reuses its LU under
+    ``REPRO_FAST_NEWTON``.  ``None`` makes the solve an analysis of its
+    own (:meth:`SolveContext.for_analysis`).
 
-    Dense full-Newton solves of gate-sized circuits through the compiled
-    stamps run the plan's generated loop through :class:`KernelNewton`
-    (see the module docstring).
-
-    ``profile``, when given, is the analysis's
-    :class:`~repro.obs.profile.PhaseProfiler`: assembly, factorization
-    and back-substitution of this solve are timed and
-    folded into the per-driver phase histograms (and the per-solve
-    flight record).  ``None`` -- the default, and the state whenever
-    telemetry is off -- skips every timing site.
+    On the ``kernel`` backend the solve runs the plan's generated loop
+    through a :class:`KernelNewton` (see the module docstring); on
+    ``dense`` and ``sparse``, the NumPy full-Newton loop below, or the
+    modified-Newton loop when the context has fast-Newton state.
     """
+    if context is None:
+        context = SolveContext.for_analysis(compiled)
     effective_gmin = options.gmin if gmin is None else gmin
     plan = compiled.stamp_plan
-    compiled_path = cap_stamps is None or plan.stamps_match(cap_stamps)
-    use_sparse = compiled_path and (
-        sparse_enabled(compiled.n_unknown) if sparse is None
-        else bool(sparse))
-    if (compiled_path and plan.use_scalar_mos and not use_sparse
-            and fast is None):
-        kernel = KernelNewton(plan, bool(cap_stamps), stats, recorder,
-                              profile)
+    backend = context.backend
+    if backend == "kernel":
         known_list, isrc, geq, ieq = load_kernel(
-            plan, known, time, cap_stamps, source_scale, compiled.isources)
+            plan, known, time, caps, source_scale, compiled.isources)
+        kernel = context.kernel_newton(stamped(plan, caps))
         with np.errstate(**_SINGULAR_RAISES):
             return np.array(kernel.newton(
                 kernel, np.asarray(x0, dtype=float).tolist(), known_list,
                 isrc, effective_gmin, options, None, False, geq, ieq))
-    times = profile.begin() if profile is not None else None
+    times = context.profile.begin() if context.profile is not None else None
     x = np.array(x0, dtype=float)
-    if use_sparse:
-        ops = _SparseOps(plan.sparse, recorder, times)
-    elif times is not None:
-        ops = _TimedDenseOps(times)
-    else:
-        ops = _DenseOps
-    backend = "sparse" if use_sparse else "dense"
-    if compiled_path:
-        ws = plan.scratch
-        with_caps = load_solve(plan, ws, np.asarray(known, dtype=float),
-                               time, cap_stamps, source_scale,
-                               compiled.isources)
-        if use_sparse:
-            def assemble(need_jacobian: bool = True):
-                return assemble_sparse(plan, ws, ops.sp, x, effective_gmin,
-                                       with_caps, need_jacobian)
-        else:
-            dense = plan.dense
+    ws = plan.scratch
+    with_caps = load_solve(plan, ws, np.asarray(known, dtype=float), time,
+                           caps, source_scale, compiled.isources)
+    ops: Union[_DenseOps, _SparseOps]
+    if backend == "sparse":
+        sp = plan.sparse
+        ops = _SparseOps(sp, context.recorder, times)
 
-            def assemble(need_jacobian: bool = True):
-                return assemble_into(plan, ws, dense, x, effective_gmin,
-                                     with_caps, need_jacobian)
-    else:
         def assemble(need_jacobian: bool = True):
-            return assemble_system_reference(
-                compiled, x, known, gmin=effective_gmin, time=time,
-                cap_stamps=cap_stamps, source_scale=source_scale)
+            return assemble_sparse(plan, ws, sp, x, effective_gmin,
+                                   with_caps, need_jacobian)
+    else:
+        ops = _DenseOps(times)
+        dense = plan.dense
+
+        def assemble(need_jacobian: bool = True):
+            return assemble_into(plan, ws, dense, x, effective_gmin,
+                                 with_caps, need_jacobian)
 
     if times is not None:
         # One wrapper times every assembly call of both Newton loops;
@@ -765,21 +663,15 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
             times.assembly += _monotonic() - start
             return result
 
-    if fast is not None:
-        if cap_stamps is None:
-            geq_key: object = ()
-        elif isinstance(cap_stamps, CapStampArrays):
-            # Bytes of the geq array: equal exactly when the per-cap
-            # conductances are equal, like the tuple key -- consecutive
-            # same-``h`` timesteps share it and reuse the LU.
-            geq_key = cap_stamps.geq.tobytes()
-        else:
-            geq_key = tuple(s[2] for s in cap_stamps)
+    if context.fast is not None:
+        # Bytes of the geq array: equal exactly when the per-cap
+        # conductances are equal, so consecutive same-``h`` timesteps
+        # share the key and reuse the LU.
+        geq_key = (np.asarray(caps[0], dtype=float).tobytes()
+                   if with_caps else ())
         key = (backend, effective_gmin, source_scale, geq_key)
-        return _newton_fast(compiled, x, assemble, key, options,
-                            effective_gmin, fast, stats, recorder,
-                            ops=ops, backend=backend, times=times,
-                            profile=profile)
+        return _newton_fast(context, x, assemble, key, options,
+                            effective_gmin, ops, times)
 
     last_residual = np.inf
     for iteration in range(1, options.max_iterations + 1):
@@ -790,13 +682,12 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
         except np.linalg.LinAlgError:
             # Singular Jacobian: nudge the diagonal in place (the
             # buffer is reassembled next iteration anyway) and retry.
-            record_rung("nudge", recorder)
+            record_rung("nudge", context.recorder)
             ops.nudge(J, singular_nudge(effective_gmin))
             try:
                 dx = ops.direct_solve(J, F)
             except np.linalg.LinAlgError:
-                _end_solve(stats, recorder, backend, profile, times,
-                           x.shape[0], iteration, "singular")
+                context.end(times, iteration, "singular")
                 raise ConvergenceError(
                     "singular Jacobian during Newton iteration",
                     iterations=iteration, residual=residual,
@@ -806,93 +697,137 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
             dx *= options.max_step / step
         x += dx
         if step < options.voltol and residual < options.abstol:
-            _end_solve(stats, recorder, backend, profile, times, x.shape[0],
-                       iteration, "converged")
+            context.end(times, iteration, "converged")
             return x
         last_residual = residual
-    _end_solve(stats, recorder, backend, profile, times, x.shape[0],
-               options.max_iterations, "iteration_limit")
+    context.end(times, options.max_iterations, "iteration_limit")
     raise _not_converged(options.max_iterations, last_residual)
 
 
-@dataclass
 class SolveContext:
-    """Per-analysis solver state, resolved once and bound by :meth:`bind`.
+    """One analysis's Newton solver, decided once.
 
-    ``recorder`` is the telemetry handle resolved once per analysis (so
-    scalar sweeps skip the per-solve environment-signature check of
-    :func:`~repro.obs.get_recorder`); ``fast`` carries the
-    modified-Newton state when ``REPRO_FAST_NEWTON`` is on; ``sparse``
-    is the linear-backend choice resolved once per analysis from
-    ``REPRO_SPARSE`` and the circuit's unknown count (``None`` lets
-    each solve re-dispatch); ``profile`` carries the analysis's
-    :class:`~repro.obs.profile.PhaseProfiler` when telemetry is enabled
-    (``None`` skips every timing site).
+    Every analysis -- a DC operating point, a sweep, a transient, one
+    batch lane -- builds one context (:meth:`for_analysis`) and solves
+    through it (:meth:`solve`).  The context holds what its solves
+    share:
+
+    * ``backend``: ``"kernel"`` (the plan's generated loop, for
+      gate-sized circuits on dense full Newton), ``"dense"`` (the NumPy
+      loops on LAPACK) or ``"sparse"`` (the NumPy loops on SuperLU);
+    * ``stats``: the analysis's :class:`NewtonStats`, which every solve
+      accounts into and the retry ladders count their escalations in;
+    * ``recorder``, the telemetry handle, and ``profile``, its
+      :class:`~repro.obs.profile.PhaseProfiler` (``None`` with telemetry
+      off, which skips every timing site);
+    * ``fast``, the modified-Newton state under ``REPRO_FAST_NEWTON``.
+
+    The ``kernel`` backend's loops (:meth:`kernel_newton`) refer to it.
     """
 
-    recorder: object = None
-    fast: Optional[FastNewtonState] = field(default=None)
-    sparse: Optional[bool] = field(default=None)
-    profile: Optional[PhaseProfiler] = field(default=None)
+    __slots__ = ("compiled", "backend", "stats", "recorder", "profile",
+                 "fast")
+
+    def __init__(self, compiled: CompiledCircuit, backend: str,
+                 stats: NewtonStats, recorder,
+                 profile: Optional[PhaseProfiler],
+                 fast: Optional[FastNewtonState]) -> None:
+        self.compiled = compiled
+        self.backend = backend
+        self.stats = stats
+        self.recorder = recorder
+        self.profile = profile
+        self.fast = fast
 
     @classmethod
-    def for_analysis(cls, recorder, n_unknown: int) -> "SolveContext":
-        """The context one analysis of ``n_unknown`` unknowns runs under.
+    def for_analysis(cls, compiled: CompiledCircuit, *,
+                     stats: Optional[NewtonStats] = None,
+                     recorder=None) -> SolveContext:
+        """The context one analysis of ``compiled`` runs under.
 
-        Resolves every environment knob once: ``REPRO_FAST_NEWTON``,
-        the ``REPRO_SPARSE`` dispatch for this unknown count (it is
-        invariant across the analysis's solves), and phase profiling
-        whenever ``recorder`` is enabled.
+        Resolves every solver knob once: ``REPRO_FAST_NEWTON``, the
+        ``REPRO_SPARSE`` dispatch for the circuit's unknown count (an
+        unknown value raises :class:`~repro.errors.ReproError`), and
+        phase profiling whenever the recorder is enabled.  The backend
+        is ``sparse`` when ``REPRO_SPARSE`` dispatches this circuit
+        there, else ``kernel`` for plans below
+        :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors
+        without fast Newton, else ``dense``.  ``stats`` defaults to a
+        fresh :class:`NewtonStats`, ``recorder`` to the process's.
         """
-        return cls(
-            recorder=recorder,
-            fast=FastNewtonState() if fast_newton_enabled() else None,
-            sparse=sparse_enabled(n_unknown),
-            profile=PhaseProfiler.from_recorder(recorder),
-        )
+        if recorder is None:
+            recorder = get_recorder()
+        fast = FastNewtonState() if fast_newton_enabled() else None
+        if sparse_enabled(compiled.n_unknown):
+            backend = "sparse"
+        elif compiled.stamp_plan.use_scalar_mos and fast is None:
+            backend = "kernel"
+        else:
+            backend = "dense"
+        return cls(compiled, backend,
+                   stats if stats is not None else NewtonStats(), recorder,
+                   PhaseProfiler.from_recorder(recorder), fast)
 
-    def bind(self, solve, compiled: CompiledCircuit,
-             stats: Optional[NewtonStats]):
-        """The analysis's solver: ``solve(x0, known, options, *, time, **shape)``.
+    def solve(self, x0, known, options: NewtonOptions, *, time: float,
+              **shape) -> np.ndarray:
+        """One Newton solve of this analysis.
 
-        ``solve`` is a :func:`newton_solve`-shaped callable (the caller
-        picks which module's binding, so tests can wrap one analysis's
-        solver).  Every call forwards ``options``, ``time``, ``stats``
-        and this context's non-``None`` fields; ``shape`` -- ``gmin``,
-        ``cap_stamps``, ``source_scale`` -- is forwarded only when the
-        caller passes it, so each homotopy rung keeps its own keyword
-        set (the solver-fallback tests tell rungs apart by it).  A
-        failed solve raises :class:`~repro.errors.ConvergenceError`.
-
-        A gate-sized transient's steps do not come through here: they
-        call the kernel loop directly (:meth:`kernel_newton`), and only
-        its DC point uses the bound solver.
+        Calls :func:`newton_solve` as this module binds it at call time,
+        so a test can wrap every solve of every analysis at one seam.
+        ``shape`` -- ``gmin``, ``caps``, ``source_scale`` -- is
+        forwarded only when the caller passes it, so each homotopy rung
+        keeps its own keyword set (the solver-fallback tests tell rungs
+        apart by it).  A gate-sized transient's steps do not come
+        through here: they call :meth:`kernel_newton`'s loop directly.
         """
-        resolved = {"recorder": self.recorder, "fast": self.fast,
-                    "sparse": self.sparse, "profile": self.profile}
-        extra = {name: value for name, value in resolved.items()
-                 if value is not None}
+        return newton_solve(self.compiled, x0, known, options=options,
+                            time=time, context=self, **shape)
 
-        def bound(x0, known, options, *, time, **shape):
-            return solve(compiled, x0, known, options=options, time=time,
-                         stats=stats, **shape, **extra)
-        return bound
+    def kernel_newton(self, with_caps: bool = True) -> KernelNewton:
+        """The ``kernel`` backend's loop, with capacitor stamps or without.
 
-    def kernel_newton(self, compiled: CompiledCircuit,
-                      stats: Optional[NewtonStats]) -> Optional[KernelNewton]:
-        """The kernel loop for a transient's steps, or ``None``.
-
-        A :class:`KernelNewton` when :func:`newton_solve` would send
-        this analysis's companion-stamped solves to its kernel loop: a
-        gate-sized plan (below
-        :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors),
-        dense dispatch and no fast Newton.  It accounts into ``stats``
-        and this context's recorder and profiler, as the bound solver
-        would.  ``None`` leaves every step on the bound solver.
+        A new one per call, which accounts into this context: one per
+        gate-sized DC solve, and one per transient for its steps when
+        ``backend`` is ``"kernel"``.  The context keeps no reference to
+        it, so an analysis leaves no reference cycle behind.
         """
-        plan = compiled.stamp_plan
-        sparse = (sparse_enabled(compiled.n_unknown) if self.sparse is None
-                  else self.sparse)
-        if not plan.use_scalar_mos or sparse or self.fast is not None:
-            return None
-        return KernelNewton(plan, True, stats, self.recorder, self.profile)
+        return KernelNewton(self.compiled.stamp_plan, with_caps, self)
+
+    def end(self, times: Optional[PhaseTimes], iterations: int,
+            outcome: str) -> None:
+        """Account one finished Newton solve: stats, counters, phases, flight.
+
+        Called at every solve exit (converged, iteration limit,
+        singular).  This is the single place Newton iterations are
+        counted, so parent and worker processes account identically --
+        whoever runs the solve records it, and pooled tasks ship the
+        delta back.  The telemetry labels the linear solver: ``sparse``,
+        or ``dense`` for the ``dense`` and ``kernel`` backends alike.
+        Every solve appends a flight record, so the ring holds failures
+        *and* the healthy solves around them.  With telemetry off (a
+        disabled recorder, no profiler) that is the stats alone.
+        """
+        solver = "sparse" if self.backend == "sparse" else "dense"
+        converged = outcome == "converged"
+        self.stats.record(iterations, converged=converged)
+        if times is not None:
+            self.profile.finish(solver, times)
+        recorder = self.recorder
+        if not recorder.enabled:
+            return
+        recorder.counter("spice.newton.iterations").inc(iterations)
+        if converged:
+            recorder.counter("spice.newton.solves").inc()
+        else:
+            recorder.counter("spice.newton.failures").inc()
+        recorder.counter("spice.newton.dispatch", backend=solver).inc()
+        flight = recorder.flight
+        if not flight.enabled:
+            return
+        record = {"driver": solver, "n": self.compiled.n_unknown,
+                  "iterations": iterations, "outcome": outcome}
+        if times is not None:
+            phases = times.as_dict()
+            if phases:
+                record["phases"] = phases
+        flight.note_solve(**record)

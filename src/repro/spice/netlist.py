@@ -375,12 +375,6 @@ class CompiledCircuit:
                 f"no constant voltage source named {name!r}") from None
         self._known_base[kidx] = level
 
-    def voltage_of(self, slot_index: int, x: np.ndarray, known: np.ndarray) -> float:
-        """Dereference a node slot against (unknown, known) voltage arrays."""
-        if slot_index >= 0:
-            return float(x[slot_index])
-        return float(known[-slot_index - 1])
-
     def known_name(self, slot_index: int) -> str:
         return self._known_names[-slot_index - 1]
 

@@ -33,11 +33,13 @@ backend to solver tolerance (the suite pins <= 1 nV / 1 fs and
 identical iteration counts), not bit-for-bit; dispatch picks exactly
 one backend per circuit, so default-mode results stay deterministic.
 
-Dispatch is by unknown-node count: ``REPRO_SPARSE=auto`` (default)
-switches to the sparse backend at :data:`SPARSE_NODE_CUTOVER` unknowns
-(benchmarked in ``benchmarks/bench_sparse.py``; dense LAPACK wins
-below it, SuperLU above), ``1`` forces sparse everywhere and ``0``
-forces dense.
+Dispatch is by unknown-node count, decided once per analysis by
+:meth:`~repro.spice.engine.SolveContext.for_analysis`:
+``REPRO_SPARSE=auto`` (default) switches to the sparse backend at
+:data:`SPARSE_NODE_CUTOVER` unknowns (benchmarked in
+``benchmarks/bench_sparse.py``; dense LAPACK wins below it, SuperLU
+above), ``1`` forces sparse everywhere and ``0`` forces dense; any
+other value is an error.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from time import monotonic
 
 import numpy as np
 
+from ..errors import ReproError
 from ..resilience import faults
 
 # scipy.sparse is imported by the first SparsePlan, not with the
@@ -82,13 +85,22 @@ SPARSE_NODE_CUTOVER = 96
 
 
 def sparse_mode() -> str:
-    """The ``REPRO_SPARSE`` setting: ``"auto"``, ``"on"`` or ``"off"``."""
+    """The ``REPRO_SPARSE`` setting: ``"auto"``, ``"on"`` or ``"off"``.
+
+    Empty or ``auto``, ``0/false/no/off`` and ``1/true/yes/on`` (any
+    case); anything else raises :class:`~repro.errors.ReproError`
+    rather than silently forcing one backend.
+    """
     value = os.environ.get(SPARSE_ENV_VAR, "").strip().lower()
     if value in ("", "auto"):
         return "auto"
     if value in ("0", "false", "no", "off"):
         return "off"
-    return "on"
+    if value in ("1", "true", "yes", "on"):
+        return "on"
+    raise ReproError(
+        f"{SPARSE_ENV_VAR} must be auto, 0/false/no/off or 1/true/yes/on, "
+        f"got {value!r}")
 
 
 def sparse_enabled(n_unknown: int) -> bool:

@@ -71,6 +71,12 @@ preallocated :class:`Workspace` so a Newton iteration allocates no
 ``(n, n)`` temporaries.  Each backend's scatter state is built on its
 first use, so a plan that only dispatches sparse never allocates the
 dense ``n + n**2`` buffer.
+
+Companion stamps enter in one form, :data:`CapArrays`: ``(geq, ieq)``
+with one value each per compiled capacitor, in compiled order, which
+the loaders copy wholesale into the ``geq``/``ieq`` rows.  Any other
+length raises (:func:`stamped`) rather than assembling as if some
+capacitors were absent.
 """
 
 from __future__ import annotations
@@ -86,10 +92,10 @@ import numpy as np
 
 from .mosfet import channel_source, device_param_rows, mosfet_current_batch
 
-__all__ = ["CapStampArrays", "DenseScatter", "GateKernel", "KERNELS",
+__all__ = ["CapArrays", "DenseScatter", "GateKernel", "KERNELS",
            "KernelCache", "MosGroup", "StampPlan", "Workspace",
            "assemble_into", "assemble_sparse", "eval_values", "load_kernel",
-           "load_solve", "source_currents"]
+           "load_solve", "source_currents", "stamped"]
 
 #: Below this device count a plan evaluates its circuit through its
 #: generated gate kernel, the scalar channel equations inline per
@@ -100,43 +106,15 @@ __all__ = ["CapStampArrays", "DenseScatter", "GateKernel", "KERNELS",
 #: calls.
 SCALAR_MOS_CUTOVER = 16
 
+#: The transient's companion stamps, ``(geq, ieq)``: one conductance and
+#: one current per compiled capacitor, in compiled order.  Capacitor
+#: ``k`` between slots ``a`` and ``b`` contributes ``geq[k] * (va - vb)
+#: - ieq[k]`` to the current leaving ``a``.
+CapArrays = Tuple[np.ndarray, np.ndarray]
+
 
 def _intp(values) -> np.ndarray:
     return np.asarray(list(values), dtype=np.intp)
-
-
-class CapStampArrays:
-    """Companion stamps for every compiled capacitor, as flat arrays.
-
-    The transient's array step path builds one of these per Newton
-    request: ``a``/``b`` are the plan's own
-    ``cap_pairs_a``/``cap_pairs_b`` node-slot arrays (the node pairs
-    never change), ``geq``/``ieq`` the per-step companion values,
-    computed vectorized with exactly the scalar per-capacitor
-    arithmetic (elementwise ops on the same operands, so the values are
-    bit-identical to the tuple-built stamps).  Sharing the plan's arrays
-    lets :meth:`StampPlan.stamps_match` recognize them by identity and
-    the hot loader (:func:`load_solve`) copy ``geq``/``ieq`` wholesale
-    instead of unpacking ``n_cap`` tuples per solve.  Iteration yields
-    the scalar ``(a, b, geq, ieq)`` tuples, so the reference assembler
-    and any tuple-shaped consumer work unchanged.
-    """
-
-    __slots__ = ("a", "b", "geq", "ieq")
-
-    def __init__(self, a: np.ndarray, b: np.ndarray,
-                 geq: np.ndarray, ieq: np.ndarray) -> None:
-        self.a = a
-        self.b = b
-        self.geq = geq
-        self.ieq = ieq
-
-    def __len__(self) -> int:
-        return self.geq.size
-
-    def __iter__(self):
-        return iter(zip(self.a.tolist(), self.b.tolist(),
-                        self.geq.tolist(), self.ieq.tolist()))
 
 
 class MosGroup:
@@ -202,8 +180,6 @@ class StampPlan:
         self.cap_a = _intp(col(a) for a, _, _ in compiled.capacitors)
         self.cap_b = _intp(col(b) for _, b, _ in compiled.capacitors)
         self.cap_pairs = [(a, b) for a, b, _ in compiled.capacitors]
-        self.cap_pairs_a = _intp(a for a, _, _ in compiled.capacitors)
-        self.cap_pairs_b = _intp(b for _, b, _ in compiled.capacitors)
         self.cap_c = np.array([c for _, _, c in compiled.capacitors],
                               dtype=float)
         self.res_g = np.array([g for _, _, g in compiled.resistors],
@@ -394,24 +370,6 @@ class StampPlan:
     def live(self, per_cap: List[float]) -> List[float]:
         """The :attr:`live_caps` entries of a per-capacitor list."""
         return [per_cap[ci] for ci in self.live_caps]
-
-    def stamps_match(self, cap_stamps) -> bool:
-        """Whether ``cap_stamps`` follow the compiled capacitor order.
-
-        The transient's array step path builds its :class:`CapStampArrays`
-        on this plan's own ``cap_pairs_a``/``cap_pairs_b``, so they match
-        by identity, with no per-solve comparison.  Stamp arrays built
-        on other index arrays, and hand-crafted stamp lists (tests,
-        external callers) that do not line up, fall back to the
-        reference scalar assembler.
-        """
-        if isinstance(cap_stamps, CapStampArrays):
-            return (cap_stamps.a is self.cap_pairs_a
-                    and cap_stamps.b is self.cap_pairs_b)
-        if len(cap_stamps) != self.n_cap:
-            return False
-        return all(s[0] == p[0] and s[1] == p[1]
-                   for s, p in zip(cap_stamps, self.cap_pairs))
 
 
 class Workspace:
@@ -764,16 +722,33 @@ class KernelCache:
 KERNELS = KernelCache(size=256)
 
 
+def stamped(plan: StampPlan, caps: Optional[CapArrays]) -> bool:
+    """Whether ``caps`` puts companion stamps into ``plan``'s system.
+
+    ``None`` carries none, and neither does a plan without capacitors.
+    Raises ``ValueError`` unless ``geq`` and ``ieq`` hold one value per
+    compiled capacitor.
+    """
+    if caps is None:
+        return False
+    geq, ieq = caps
+    if len(geq) != plan.n_cap or len(ieq) != plan.n_cap:
+        raise ValueError(
+            f"companion stamps need one geq and one ieq per compiled "
+            f"capacitor ({plan.n_cap}), got {len(geq)} and {len(ieq)}")
+    return plan.n_cap > 0
+
+
 def load_solve(plan: StampPlan, ws: Workspace, known: np.ndarray,
-               time: float, cap_stamps, source_scale: float,
+               time: float, caps: Optional[CapArrays], source_scale: float,
                isources) -> bool:
     """Load the iteration-invariant inputs of one Newton solve.
 
     Scales the known voltages, evaluates the current sources once (they
     are functions of time only, constant across the iterations of one
-    solve), and
-    unpacks the cap companion stamps into ``geq``/``ieq`` rows.
-    Returns whether companion stamps are present.
+    solve), and copies the companion stamps ``caps`` into the ``geq``
+    and ``ieq`` rows.  Returns whether companion stamps are present
+    (:func:`stamped`).
     """
     if source_scale != 1.0:
         np.multiply(known, source_scale, out=ws.xk[plan.n:])
@@ -782,18 +757,11 @@ def load_solve(plan: StampPlan, ws: Workspace, known: np.ndarray,
     is_cur = ws.is_cur
     for i, (_, _, fn) in enumerate(isources):
         is_cur[i] = fn(time) * source_scale
-    if isinstance(cap_stamps, CapStampArrays) and len(cap_stamps):
-        ws.cap_geq[:] = cap_stamps.geq
-        ws.cap_ieq[:] = cap_stamps.ieq
-        return True
-    if cap_stamps:
-        geq_row = ws.cap_geq
-        ieq_row = ws.cap_ieq
-        for ci, (_, _, geq, ieq) in enumerate(cap_stamps):
-            geq_row[ci] = geq
-            ieq_row[ci] = ieq
-        return True
-    return False
+    if not stamped(plan, caps):
+        return False
+    ws.cap_geq[:] = caps[0]
+    ws.cap_ieq[:] = caps[1]
+    return True
 
 
 def source_currents(isources, time: float,
@@ -802,8 +770,8 @@ def source_currents(isources, time: float,
     return [float(fn(time) * source_scale) for _, _, fn in isources]
 
 
-def load_kernel(plan: StampPlan, known: np.ndarray, time: float, cap_stamps,
-                source_scale: float, isources):
+def load_kernel(plan: StampPlan, known: np.ndarray, time: float,
+                caps: Optional[CapArrays], source_scale: float, isources):
     """The kernel loop's inputs for one Newton solve, as Python floats.
 
     :func:`load_solve` for the kernel path: the known voltages times
@@ -815,13 +783,12 @@ def load_kernel(plan: StampPlan, known: np.ndarray, time: float, cap_stamps,
     if source_scale != 1.0:
         known = known * source_scale
     isrc = source_currents(isources, time, source_scale)
-    if not cap_stamps:
+    if not stamped(plan, caps):
         return known.tolist(), isrc, [], []
     # Transients step on floats without this loader, so stamps arrive
-    # here only from direct callers: the tuple form is enough.
-    return (known.tolist(), isrc,
-            plan.live([float(stamp[2]) for stamp in cap_stamps]),
-            plan.live([float(stamp[3]) for stamp in cap_stamps]))
+    # here only from direct callers.
+    geq, ieq = (np.asarray(values, dtype=float).tolist() for values in caps)
+    return known.tolist(), isrc, plan.live(geq), plan.live(ieq)
 
 
 def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,

@@ -27,11 +27,11 @@ One step controller serves every circuit: breakpoints, rejection,
 backward Euler after corners, step adaptation, the settle rule and the
 underflow error live once, in :func:`_march`.  The per-step numeric
 work -- companion stamps, the Newton solve, the acceptance norm, the
-capacitor history -- is a small state object that the analysis's
-:class:`~repro.spice.engine.SolveContext` picks once:
+capacitor history -- is a small state object picked by the backend the
+analysis's :class:`~repro.spice.engine.SolveContext` decided:
 
-* **floats** (:class:`_FloatSteps`) for gate-sized plans whose solves
-  dispatch dense full Newton (fewer than
+* **floats** (:class:`_FloatSteps`) on the ``kernel`` backend:
+  gate-sized plans on dense full Newton (fewer than
   :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors, no
   ``REPRO_SPARSE``/``REPRO_FAST_NEWTON``).  The unknowns, known voltages
   and history are Python float lists, and only capacitors with an
@@ -48,8 +48,10 @@ capacitor history -- is a small state object that the analysis's
   12.49 to 17.69 configs/s over 10 alternating ``bench/compare.py``
   pairs (2-vCPU Xeon container); see :mod:`repro.spice.engine` for the
   gains of the generated loop since.
-* **arrays** (:class:`_ArraySteps`) for everything else, every solve
-  through the bound solver.
+* **arrays** (:class:`_ArraySteps`) on ``dense`` and ``sparse``, every
+  solve through :meth:`~repro.spice.engine.SolveContext.solve` with the
+  companion stamps as ``caps=(geq, ieq)`` arrays over the compiled
+  capacitors.
 
 The two are bit-identical: the generated code applies the same IEEE
 operations in the same order as the elementwise numpy expressions
@@ -59,7 +61,8 @@ norm is NaN-propagating like ``np.abs(dx).max()``, and the loop is the
 one :func:`~repro.spice.engine.newton_solve` runs for these plans.
 ``tests/spice/test_gate_kernel.py`` holds the float path to the array
 path on gates, step-control branches, devices and flight records.
-The DC point always goes through the bound solver.
+The DC point always goes through
+:meth:`~repro.spice.engine.SolveContext.solve`.
 
 On top of the in-step recovery (step halving, backward-Euler fallback)
 sits the :class:`~repro.resilience.RetryPolicy` ladder: when an analysis
@@ -80,17 +83,16 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import ConvergenceError, NetlistError
-from ..obs import get_recorder, traced
+from ..obs import traced
 from ..obs.flight import dump_flight
 from ..resilience import faults
 from ..resilience.retry import AttemptRecord, RetryPolicy
 from ..units import parse_quantity
 from .dc import dc_solution
-from .engine import (KernelNewton, NewtonOptions, NewtonStats, SolveContext,
-                     newton_solve)
+from .engine import KernelNewton, NewtonOptions, SolveContext
 from .guard import record_rung
 from .netlist import Circuit, CompiledCircuit
-from .stamps import CapStampArrays, source_currents
+from .stamps import source_currents
 from .results import TransientResult
 
 __all__ = ["TransientOptions", "transient", "transient_result"]
@@ -151,15 +153,14 @@ class _ArraySteps:
 
     Holds the unknowns, the capacitor history (previous branch voltage
     and current, zero current at the DC point) and the series.  The
-    companion values and history updates are elementwise array
-    expressions over every compiled capacitor with the scalar
-    per-capacitor operand order, so a 10k-cap netlist builds them in a
-    handful of numpy calls per step, and the stamps carry the plan's own
-    node-slot arrays, which the solver recognizes by identity.
+    companion stamps ``(geq, ieq)`` and the history updates are
+    elementwise array expressions over every compiled capacitor with the
+    scalar per-capacitor operand order, so a 10k-cap netlist builds them
+    in a handful of numpy calls per step.
     """
 
-    __slots__ = ("solve", "known_voltages", "x", "series", "n_cap", "cap_a",
-                 "cap_b", "cap_af", "cap_bf", "cap_c", "v", "i", "pending")
+    __slots__ = ("solve", "known_voltages", "x", "series", "cap_a", "cap_b",
+                 "cap_c", "v", "i", "pending")
 
     def __init__(self, compiled: CompiledCircuit, solve, x: np.ndarray,
                  t: float) -> None:
@@ -168,31 +169,23 @@ class _ArraySteps:
         self.known_voltages = compiled.known_voltages
         self.x = x
         self.series = [x.copy()]
-        self.n_cap = plan.n_cap
-        if self.n_cap:
-            self.cap_a, self.cap_b = plan.cap_pairs_a, plan.cap_pairs_b
-            self.cap_af, self.cap_bf = plan.cap_a, plan.cap_b
-            self.cap_c = plan.cap_c
-            fused = np.concatenate([x, compiled.known_voltages(t)])
-            self.v = fused[self.cap_af] - fused[self.cap_bf]
-            self.i = np.zeros(self.n_cap)
+        self.cap_a, self.cap_b, self.cap_c = plan.cap_a, plan.cap_b, plan.cap_c
+        fused = np.concatenate([x, compiled.known_voltages(t)])
+        self.v = fused[self.cap_a] - fused[self.cap_b]
+        self.i = np.zeros(plan.n_cap)
 
     def step(self, t_new: float, h: float, use_be: bool,
              options: NewtonOptions) -> float:
         """Solve the step to ``t_new``; returns the largest node move."""
         known = self.known_voltages(t_new)
-        geq = None
-        stamps: object = ()
-        if self.n_cap:
-            if use_be:
-                geq = self.cap_c / h
-                ieq = geq * self.v
-            else:
-                geq = 2.0 * self.cap_c / h
-                ieq = geq * self.v + self.i
-            stamps = CapStampArrays(self.cap_a, self.cap_b, geq, ieq)
+        if use_be:
+            geq = self.cap_c / h
+            ieq = geq * self.v
+        else:
+            geq = 2.0 * self.cap_c / h
+            ieq = geq * self.v + self.i
         x_new = self.solve(self.x, known, options, time=t_new,
-                           cap_stamps=stamps)
+                           caps=(geq, ieq))
         self.pending = (x_new, known, geq)
         return float(np.abs(x_new - self.x).max())
 
@@ -203,14 +196,13 @@ class _ArraySteps:
         step's ``geq`` (the rule's ``C/h`` or ``2C/h``).
         """
         x_new, known, geq = self.pending
-        if self.n_cap:
-            fused = np.concatenate([x_new, known])
-            v_new = fused[self.cap_af] - fused[self.cap_bf]
-            if use_be:
-                self.i = geq * (v_new - self.v)
-            else:
-                self.i = geq * (v_new - self.v) - self.i
-            self.v = v_new
+        fused = np.concatenate([x_new, known])
+        v_new = fused[self.cap_a] - fused[self.cap_b]
+        if use_be:
+            self.i = geq * (v_new - self.v)
+        else:
+            self.i = geq * (v_new - self.v) - self.i
+        self.v = v_new
         self.x = x_new
         self.series.append(x_new.copy())
         return x_new
@@ -279,40 +271,42 @@ class _FloatSteps:
         return x_new
 
 
-def _integrate(compiled: CompiledCircuit, solve, t_start: float,
-               t_end: float, initial_op: Optional[Dict[str, float]],
-               opts: TransientOptions, stats: NewtonStats,
-               retry: Union[RetryPolicy, int, None],
-               recorder=None, settle=None,
-               newton: Optional[KernelNewton] = None):
+def _integrate(context: SolveContext, t_start: float, t_end: float,
+               initial_op: Optional[Dict[str, float]],
+               opts: TransientOptions,
+               retry: Union[RetryPolicy, int, None], settle,
+               newton: Optional[KernelNewton]):
     """One integration attempt; returns ``(times, series, rejected, settled)``.
 
-    The initial DC ladder goes through the bound solver ``solve``.  The
-    steps go through ``newton`` on floats (:class:`_FloatSteps`) when it
-    is given, all under one error state, else through ``solve`` on
-    arrays (:class:`_ArraySteps`); the step control (:func:`_march`) is
-    the same either way.  ``settle`` is a rule
-    resolved by :func:`_resolve_settle`; ``settled`` tells whether it
-    ended the attempt.  Raises :class:`~repro.errors.ConvergenceError` on
-    step underflow or an unsolvable initial operating point;
+    The initial DC ladder solves through ``context``.  The steps go
+    through ``newton`` on floats (:class:`_FloatSteps`) when it is
+    given, all under one error state, else through
+    :meth:`~repro.spice.engine.SolveContext.solve` on arrays
+    (:class:`_ArraySteps`); the step control (:func:`_march`) is the
+    same either way.  ``settle`` is a rule resolved by
+    :func:`_resolve_settle`; ``settled`` tells whether it ended the
+    attempt.  Raises :class:`~repro.errors.ConvergenceError` on step
+    underflow or an unsolvable initial operating point;
     :func:`transient_result` owns the retry ladder around this.
     """
-    # Initial condition: DC operating point with sources frozen at t_start.
-    # ``stats`` accumulates Newton iterations over the whole analysis:
-    # the DC solve plus every accepted *and* rejected timestep.
-    x = dc_solution(compiled, solve, initial_guess=initial_op, time=t_start,
-                    options=opts.newton, stats=stats, retry=retry,
-                    recorder=recorder)
+    # Initial condition: DC operating point with sources frozen at
+    # t_start.  The context's stats accumulate Newton iterations over
+    # the whole analysis: the DC solve plus every accepted *and*
+    # rejected timestep.
+    compiled = context.compiled
+    x = dc_solution(context, initial_guess=initial_op, time=t_start,
+                    options=opts.newton, retry=retry)
     state: Union[_ArraySteps, _FloatSteps]
     if newton is None:
-        # Each solve enters its own error state in the bound solver.
-        state = _ArraySteps(compiled, solve, x, t_start)
+        # Each solve enters its own error state in newton_solve.
+        state = _ArraySteps(compiled, context.solve, x, t_start)
         errors = nullcontext()
     else:
         state = _FloatSteps(compiled, newton, x, t_start)
         errors = newton.error_state()
     with errors:
-        return _march(state, compiled, t_start, t_end, opts, recorder, settle)
+        return _march(state, compiled, t_start, t_end, opts,
+                      context.recorder, settle)
 
 
 def _march(state, compiled: CompiledCircuit, t_start: float, t_end: float,
@@ -413,28 +407,27 @@ def _march(state, compiled: CompiledCircuit, t_start: float, t_end: float,
     return times, state.series, rejected, False
 
 
-def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
-                     solve, stats: NewtonStats, context: SolveContext,
+def transient_result(context: SolveContext, t_stop: float | str, *,
                      t_start: float = 0.0,
                      record: Optional[List[str]] = None,
                      initial_op: Optional[Dict[str, float]] = None,
                      options: Optional[TransientOptions] = None,
                      retry: Union[RetryPolicy, int, None] = None,
-                     recorder=None,
                      settle: Optional[SettleRule] = None) -> TransientResult:
-    """One full transient analysis on the bound solver ``solve``.
+    """One full transient analysis of ``context.compiled``.
 
     Validation, the retry ladder (fault firing, escalated options,
     attempt log), step-rejection accounting and result assembly all live
     here, so :func:`transient` and :func:`~repro.spice.batch.transient_batch`
     produce identical :class:`~repro.spice.results.TransientResult`
-    objects.  ``stats`` must be the one ``solve`` was bound with, and
-    ``context`` the :class:`~repro.spice.engine.SolveContext` it was
-    bound under: the context picks, once per analysis, whether the steps
-    run on floats through its kernel loop
+    objects.  ``context`` is the analysis's
+    :class:`~repro.spice.engine.SolveContext`: its stats and recorder
+    account the analysis, and its backend decides whether the steps run
+    on floats through its kernel loop
     (:meth:`~repro.spice.engine.SolveContext.kernel_newton`) or through
-    ``solve``.  ``settle`` is the early-stop rule described in
-    :func:`transient`; every retry-ladder attempt applies it.
+    :meth:`~repro.spice.engine.SolveContext.solve`.  ``settle`` is the
+    early-stop rule described in :func:`transient`; every retry-ladder
+    attempt applies it.
     """
     opts = options or TransientOptions()
     policy = RetryPolicy.resolve(retry)
@@ -442,11 +435,10 @@ def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
     if t_end <= t_start:
         raise ConvergenceError(f"t_stop ({t_end}) must exceed t_start ({t_start})")
 
+    compiled, stats, recorder = context.compiled, context.stats, context.recorder
     rule = _resolve_settle(compiled, settle, t_end)
-    if recorder is None:
-        recorder = get_recorder()
     recorder.counter("spice.transient.analyses").inc()
-    newton = context.kernel_newton(compiled, stats)
+    newton = context.kernel_newton() if context.backend == "kernel" else None
     attempt_log: List[AttemptRecord] = []
     last_error: Optional[ConvergenceError] = None
     outcome = None
@@ -458,10 +450,8 @@ def transient_result(compiled: CompiledCircuit, t_stop: float | str, *,
                              rung=attempt).inc()
         try:
             faults.fire_transient()
-            outcome = _integrate(compiled, solve, t_start, t_end,
-                                 initial_op, attempt_opts, stats, policy,
-                                 recorder=recorder, settle=rule,
-                                 newton=newton)
+            outcome = _integrate(context, t_start, t_end, initial_op,
+                                 attempt_opts, policy, rule, newton)
             break
         except ConvergenceError as error:
             last_error = error
@@ -541,15 +531,8 @@ def transient(circuit: Circuit | CompiledCircuit, t_stop: float | str, *,
     count in ``spice.transient.settled``.
     """
     compiled = circuit if isinstance(circuit, CompiledCircuit) else circuit.compile()
-    stats = NewtonStats()
-    recorder = get_recorder()
-    # Binds this module's ``newton_solve``, so tests can wrap the
-    # transient solver on its own: the DC ladder always goes through it,
-    # and so do the steps unless the context's kernel loop takes them.
-    context = SolveContext.for_analysis(recorder, compiled.n_unknown)
-    solve = context.bind(newton_solve, compiled, stats)
     return transient_result(
-        compiled, t_stop, solve=solve, stats=stats, context=context,
-        t_start=t_start, record=record, initial_op=initial_op,
-        options=options, retry=retry, recorder=recorder, settle=settle,
+        SolveContext.for_analysis(compiled), t_stop, t_start=t_start,
+        record=record, initial_op=initial_op, options=options, retry=retry,
+        settle=settle,
     )

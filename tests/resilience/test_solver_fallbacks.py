@@ -1,28 +1,24 @@
 """DC homotopy fallbacks and the retry ladder around them.
 
-These tests wrap ``newton_solve`` as seen by :mod:`repro.spice.dc` with
-a gatekeeper that vetoes selected call shapes, proving that each rung of
-the escalation actually engages (plain Newton -> gmin stepping -> source
-stepping -> retry-ladder re-run) rather than silently being skipped.
-The transient's own ``newton_solve`` binding is the seam of its initial
-DC ladder and, on the array step path, of its every step; the last
-tests pin that routing on an RC circuit (no transistors, so no
-gate-sized float steps, which call the kernel loop directly).
+These tests wrap :func:`repro.spice.engine.newton_solve`, which every
+:meth:`~repro.spice.engine.SolveContext.solve` looks up at call time,
+with a gatekeeper that vetoes selected call shapes, proving that each
+rung of the escalation actually engages (plain Newton -> gmin stepping
+-> source stepping -> retry-ladder re-run) rather than silently being
+skipped.  The same seam carries a transient's initial DC ladder and, on
+the array step path, its every step; the last tests pin that routing on
+an RC circuit (no transistors, so no gate-sized float steps, which call
+the kernel loop directly).
 """
 
-import sys
 from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.spice import Circuit, solve_dc, transient
-from repro.spice import dc as dc_module
+from repro.spice import Circuit, engine, solve_dc, transient
 from repro.spice.engine import NewtonOptions, NewtonStats, newton_solve
 from repro.waveform import ramp
-
-# ``repro.spice.transient`` resolves to the function, not the module.
-transient_module = sys.modules["repro.spice.transient"]
 
 
 def divider(r1=1e3, r2=3e3, v=4.0) -> Circuit:
@@ -45,7 +41,7 @@ class TestHomotopyLadder:
                 raise ConvergenceError("injected plain-Newton failure")
             return newton_solve(compiled, x0, known, **kwargs)
 
-        monkeypatch.setattr(dc_module, "newton_solve", gatekeeper)
+        monkeypatch.setattr(engine, "newton_solve", gatekeeper)
         op = solve_dc(divider())
         assert op["mid"] == pytest.approx(3.0, rel=1e-6)
         ramp = [g for g in seen_gmins if g is not None]
@@ -63,7 +59,7 @@ class TestHomotopyLadder:
             scales.append(kwargs["source_scale"])
             return newton_solve(compiled, x0, known, **kwargs)
 
-        monkeypatch.setattr(dc_module, "newton_solve", gatekeeper)
+        monkeypatch.setattr(engine, "newton_solve", gatekeeper)
         op = solve_dc(divider())
         assert op["mid"] == pytest.approx(3.0, rel=1e-6)
         assert scales[0] == pytest.approx(0.1)
@@ -84,7 +80,7 @@ class TestHomotopyLadder:
                 kwargs = dict(kwargs, options=crippled)
             return newton_solve(compiled, x0, known, **kwargs)
 
-        monkeypatch.setattr(dc_module, "newton_solve", gatekeeper)
+        monkeypatch.setattr(engine, "newton_solve", gatekeeper)
         stats = NewtonStats()
         op = solve_dc(divider(), stats=stats)
         assert op["mid"] == pytest.approx(3.0, rel=1e-6)
@@ -104,7 +100,7 @@ class TestDcRetryLadder:
                 raise ConvergenceError("needs a raised gmin floor")
             return newton_solve(compiled, x0, known, **kwargs)
 
-        monkeypatch.setattr(dc_module, "newton_solve", gatekeeper)
+        monkeypatch.setattr(engine, "newton_solve", gatekeeper)
         stats = NewtonStats()
         op = solve_dc(divider(), stats=stats)
         assert op["mid"] == pytest.approx(3.0, rel=1e-6)
@@ -114,7 +110,7 @@ class TestDcRetryLadder:
         def gatekeeper(compiled, x0, known, **kwargs):
             raise ConvergenceError("hopeless", iterations=9, residual=0.25)
 
-        monkeypatch.setattr(dc_module, "newton_solve", gatekeeper)
+        monkeypatch.setattr(engine, "newton_solve", gatekeeper)
         with pytest.raises(ConvergenceError) as excinfo:
             solve_dc(divider(), retry=2)
         message = str(excinfo.value)
@@ -139,13 +135,13 @@ class TestTransientSolverSeam:
             calls.append(kwargs)
             return newton_solve(compiled, x0, known, **kwargs)
 
-        monkeypatch.setattr(transient_module, "newton_solve", passthrough)
+        monkeypatch.setattr(engine, "newton_solve", passthrough)
         t_start = 0.2e-9
         result = transient(rc_low_pass(), 2e-9, t_start=t_start)
         dc_point, steps = calls[0], calls[1:]
-        assert "cap_stamps" not in dc_point
+        assert "caps" not in dc_point
         assert dc_point["time"] == t_start
-        assert all("cap_stamps" in kwargs for kwargs in steps)
+        assert all("caps" in kwargs for kwargs in steps)
         assert len(steps) == len(result.times) - 1 + result.rejected_steps
 
     def test_vetoed_dc_point_walks_the_gmin_ramp(self, monkeypatch):
@@ -153,14 +149,14 @@ class TestTransientSolverSeam:
         state = {"plain_vetoed": False}
 
         def gatekeeper(compiled, x0, known, **kwargs):
-            if "cap_stamps" not in kwargs:
+            if "caps" not in kwargs:
                 seen_gmins.append(kwargs.get("gmin"))
                 if "gmin" not in kwargs and not state["plain_vetoed"]:
                     state["plain_vetoed"] = True
                     raise ConvergenceError("injected plain-Newton failure")
             return newton_solve(compiled, x0, known, **kwargs)
 
-        monkeypatch.setattr(transient_module, "newton_solve", gatekeeper)
+        monkeypatch.setattr(engine, "newton_solve", gatekeeper)
         result = transient(rc_low_pass(), 2e-9)
         assert seen_gmins[0] is None
         assert seen_gmins[1] == pytest.approx(1e-2)

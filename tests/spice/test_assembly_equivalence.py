@@ -15,10 +15,12 @@ modified-Newton loop runs.
 import numpy as np
 import pytest
 
+from repro.gates import Gate
 from repro.spice import Circuit, engine, transient
-from repro.spice.engine import assemble_system, assemble_system_reference
-from repro.spice.stamps import (SCALAR_MOS_CUTOVER, CapStampArrays,
-                                assemble_into, load_solve)
+from repro.spice.engine import (NewtonOptions, assemble_system,
+                                assemble_system_reference, newton_solve)
+from repro.spice.sparse import SPARSE_ENV_VAR
+from repro.spice.stamps import SCALAR_MOS_CUTOVER, assemble_into, load_solve
 from repro.tech import default_process, submicron_process
 from repro.waveform import ramp
 from repro.waveform.pwl import Pwl
@@ -65,12 +67,14 @@ def random_circuit(rng: np.random.Generator, *, n_mos: int,
 def assert_assembly_identical(compiled, rng: np.random.Generator,
                               *, cap_stamps, source_scale: float = 1.0,
                               gmin: float = 1e-12) -> None:
+    """The compiled assembly with ``caps_of(cap_stamps)`` against the
+    reference assembler with the tuple stamps, bit for bit."""
     n = compiled.n_unknown
     known = compiled.known_voltages(0.13e-9)
     for _ in range(5):
         x = rng.uniform(-1.0, PROC.vdd + 1.0, n)
         got = assemble_system(compiled, x, known, gmin=gmin, time=0.13e-9,
-                              cap_stamps=cap_stamps,
+                              caps=caps_of(cap_stamps),
                               source_scale=source_scale)
         want = assemble_system_reference(
             compiled, x, known, gmin=gmin, time=0.13e-9,
@@ -84,6 +88,14 @@ def ordered_stamps(compiled):
     """Companion stamps in compiled capacitor order (the transient's)."""
     return [(a, b, c / 1e-12, (c / 1e-12) * 0.3)
             for a, b, c in compiled.capacitors]
+
+
+def caps_of(stamps):
+    """The ``caps=(geq, ieq)`` arrays of compiled-order tuple stamps."""
+    if stamps is None:
+        return None
+    return (np.array([stamp[2] for stamp in stamps], dtype=float),
+            np.array([stamp[3] for stamp in stamps], dtype=float))
 
 
 class TestRandomizedEquivalence:
@@ -138,16 +150,6 @@ class TestRandomizedEquivalence:
         assert_assembly_identical(compiled, rng,
                                   cap_stamps=ordered_stamps(compiled))
 
-    def test_out_of_order_stamps_fall_back_to_reference(self):
-        """Hand-built stamp lists that do not follow the compiled
-        capacitor order must still assemble correctly (via fallback)."""
-        rng = np.random.default_rng(7)
-        compiled = random_circuit(rng, n_mos=2).compile()
-        stamps = list(reversed(ordered_stamps(compiled)))
-        if len(stamps) > 1:
-            assert not compiled.stamp_plan.stamps_match(stamps)
-        assert_assembly_identical(compiled, rng, cap_stamps=stamps)
-
     def test_workspace_reuse_does_not_leak_state(self):
         """Back-to-back assemblies with different shapes (DC after
         cap-stamped, residual after full) share one workspace."""
@@ -180,7 +182,7 @@ class TestResidualOnlyAssembly:
         ws = plan.scratch
         stamps = ordered_stamps(compiled) if with_caps else None
         loaded = load_solve(plan, ws, compiled.known_voltages(0.13e-9),
-                            0.13e-9, stamps, 1.0, compiled.isources)
+                            0.13e-9, caps_of(stamps), 1.0, compiled.isources)
         assert loaded == (with_caps and plan.n_cap > 0)
         for _ in range(5):
             x = rng.uniform(-1.0, process.vdd + 1.0, compiled.n_unknown)
@@ -259,6 +261,9 @@ class TestKnownVoltages:
 
 
 class TestStampMatching:
+    """The one stamp form, ``caps=(geq, ieq)`` over the compiled
+    capacitors, and the reference assembler kept out of every solve."""
+
     def test_transient_never_reaches_reference_assembler(self, monkeypatch):
         """The integrator's stamps ride the compiled path at every step."""
         def forbidden(*args, **kwargs):
@@ -270,36 +275,41 @@ class TestStampMatching:
         result = transient(ckt, 1e-9)
         assert result.newton_iterations > 0
 
-    def test_foreign_index_arrays_fall_back_to_reference(self, monkeypatch):
-        """Stamp arrays on equal but distinct index arrays are not the
-        plan's own: they take the reference assembler, bit for bit."""
-        rng = np.random.default_rng(17)
-        compiled = random_circuit(rng, n_mos=3).compile()
-        plan = compiled.stamp_plan
-        geq = plan.cap_c / 1e-12
-        own = CapStampArrays(plan.cap_pairs_a, plan.cap_pairs_b,
-                             geq, geq * 0.3)
-        foreign = CapStampArrays(plan.cap_pairs_a.copy(),
-                                 plan.cap_pairs_b.copy(), geq, geq * 0.3)
-        assert plan.stamps_match(own)
-        assert not plan.stamps_match(foreign)
-        calls = []
-        reference = engine.assemble_system_reference
+    @pytest.mark.parametrize("count", [0, 1, 13, 15])
+    def test_caps_of_the_wrong_length_raise(self, count):
+        """``caps`` holds one ``geq`` and one ``ieq`` per compiled
+        capacitor: a NAND2 has 14, and any other count is refused by the
+        assembler and by the Newton solve, never assembled as if the
+        missing capacitors were absent."""
+        compiled = Gate.nand(2, PROC).build().compile()
+        assert compiled.stamp_plan.n_cap == 14
+        geq, ieq = caps_of(ordered_stamps(compiled))
+        short = (np.resize(geq, count), np.resize(ieq, count))
+        x = np.full(compiled.n_unknown, PROC.vdd / 2.0)
+        known = compiled.known_voltages(0.0)
+        with pytest.raises(ValueError, match="per compiled capacitor"):
+            assemble_system(compiled, x, known, gmin=1e-12, caps=short)
+        with pytest.raises(ValueError, match="per compiled capacitor"):
+            assemble_system(compiled, x, known, gmin=1e-12,
+                            caps=(geq, short[1]))
+        with pytest.raises(ValueError, match="per compiled capacitor"):
+            newton_solve(compiled, x, known, options=NewtonOptions(),
+                         caps=short)
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return reference(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "assemble_system_reference", spy)
-        x = rng.uniform(0.0, PROC.vdd, compiled.n_unknown)
-        known = compiled.known_voltages(0.13e-9)
-        got = assemble_system(compiled, x, known, gmin=1e-12,
-                              cap_stamps=foreign)
-        assert calls
-        want = reference(compiled, x, known, gmin=1e-12,
-                         cap_stamps=list(own))
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+    @pytest.mark.parametrize("n_mos", [2, SCALAR_MOS_CUTOVER + 3])
+    def test_newton_refuses_the_wrong_length_on_every_backend(
+            self, monkeypatch, n_mos):
+        compiled = random_circuit(np.random.default_rng(23),
+                                  n_mos=n_mos).compile()
+        assert compiled.stamp_plan.n_cap > 0
+        geq, ieq = caps_of(ordered_stamps(compiled))
+        x = np.zeros(compiled.n_unknown)
+        known = compiled.known_voltages(0.0)
+        for mode in ("0", "1"):
+            monkeypatch.setenv(SPARSE_ENV_VAR, mode)
+            with pytest.raises(ValueError, match="per compiled capacitor"):
+                newton_solve(compiled, x, known, options=NewtonOptions(),
+                             caps=(geq[1:], ieq[1:]))
 
 
 class TestPwlScalarFastPath:

@@ -1,15 +1,21 @@
 """Assembly and Newton solver unit tests on hand-checkable systems."""
 
+import gc
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.spice import Circuit
-from repro.spice.engine import (NewtonOptions, assemble_system, dense_solve,
-                                newton_solve)
+from repro.gates import Gate
+from repro.spice import Circuit, solve_dc, transient, transient_batch
+from repro.spice.builders import delay_chain, inverter_chain
+from repro.spice.engine import (FAST_NEWTON_ENV_VAR, NewtonOptions,
+                                NewtonStats, SolveContext, assemble_system,
+                                dense_solve, newton_solve)
+from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.tech import default_process
+from repro.waveform import ramp
 
 
 def divider():
@@ -51,12 +57,17 @@ class TestAssembly:
         assert F[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_cap_stamp_contribution(self):
-        compiled = divider()
+        ckt = Circuit()
+        ckt.add_vsource("v1", "in", 2.0)
+        ckt.add_resistor("r1", "in", "mid", 1e3)
+        ckt.add_resistor("r2", "mid", "0", 1e3)
+        ckt.add_capacitor("c1", "mid", "0", 1e-15)
+        compiled = ckt.compile()
         known = compiled.known_voltages(0.0)
         # Companion conductance pulling 'mid' toward 0.
-        stamps = [(0, -1, 1e-3, 0.0)]  # between mid (slot 0) and ground
+        caps = (np.array([1e-3]), np.array([0.0]))  # c1: mid -> ground
         F, J = assemble_system(compiled, np.array([1.0]), known,
-                               gmin=0.0, cap_stamps=stamps)
+                               gmin=0.0, caps=caps)
         assert F[0] == pytest.approx(1e-3)
         assert J[0, 0] == pytest.approx(3e-3)
 
@@ -122,36 +133,82 @@ class TestNewton:
 
 class TestNewtonStats:
     def test_stats_accumulate_on_success(self):
-        from repro.spice.engine import NewtonStats
-
         compiled = divider()
         known = compiled.known_voltages(0.0)
         stats = NewtonStats()
         newton_solve(compiled, np.array([0.0]), known,
-                     options=NewtonOptions(), stats=stats)
+                     options=NewtonOptions(),
+                     context=SolveContext.for_analysis(compiled, stats=stats))
         assert stats.iterations >= 1
         assert stats.solves == 1
         assert stats.failures == 0
         first = stats.iterations
         # A second solve keeps accumulating into the same object.
         newton_solve(compiled, np.array([0.0]), known,
-                     options=NewtonOptions(), stats=stats)
+                     options=NewtonOptions(),
+                     context=SolveContext.for_analysis(compiled, stats=stats))
         assert stats.iterations == 2 * first
         assert stats.solves == 2
 
     def test_stats_accumulate_on_failure(self):
-        from repro.spice.engine import NewtonStats
-
         compiled = divider()
         known = compiled.known_voltages(0.0)
         stats = NewtonStats()
         opts = NewtonOptions(max_step=1e-4, max_iterations=3)
         with pytest.raises(ConvergenceError):
             newton_solve(compiled, np.array([5.0]), known, options=opts,
-                         stats=stats)
+                         context=SolveContext.for_analysis(compiled,
+                                                           stats=stats))
         assert stats.iterations == 3
         assert stats.failures == 1
         assert stats.solves == 0
+
+
+class TestSolveContext:
+    @pytest.mark.parametrize("build,sparse,fast,backend", [
+        (lambda: Gate.nand(2, default_process()).build(), "auto", "0",
+         "kernel"),
+        (lambda: Gate.nand(2, default_process()).build(), "1", "0", "sparse"),
+        (lambda: Gate.nand(2, default_process()).build(), "auto", "1",
+         "dense"),
+        (lambda: inverter_chain(20), "auto", "0", "dense"),
+        (lambda: inverter_chain(20), "1", "1", "sparse"),
+        (lambda: delay_chain(40, 4), "auto", "0", "sparse"),
+        (lambda: delay_chain(40, 4), "0", "0", "dense"),
+    ], ids=["gate", "gate-sparse", "gate-fast", "chain", "chain-sparse-fast",
+            "netlist", "netlist-dense"])
+    def test_backend_decided_by_size_and_knobs(self, monkeypatch, build,
+                                               sparse, fast, backend):
+        monkeypatch.setenv(SPARSE_ENV_VAR, sparse)
+        monkeypatch.setenv(FAST_NEWTON_ENV_VAR, fast)
+        context = SolveContext.for_analysis(build().compile())
+        assert context.backend == backend
+        assert (context.fast is not None) == (fast == "1")
+
+    def test_analyses_leave_no_reference_cycles(self):
+        """An analysis's context, its kernel loops and its compiled
+        circuit go by reference counting: a cycle through them would
+        hold every analysis's circuit until the cyclic collector ran."""
+        proc = default_process()
+        gate = Gate.nand(3, proc).build(
+            {"a": ramp(0.2e-9, proc.vdd, 0.0, 0.3e-9)})
+        netlist = delay_chain(4, 2, input_stimulus=ramp(50e-12, 0.0, proc.vdd,
+                                                        100e-12))
+
+        def analyses():
+            transient(gate, 1e-9)
+            solve_dc(gate)
+            transient_batch([gate], 1e-9)
+            transient(netlist, 2e-10)
+
+        analyses()  # generated kernels and lazy plans built once
+        gc.collect()
+        gc.disable()
+        try:
+            analyses()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDenseSolve:

@@ -16,17 +16,32 @@ from repro.obs import recording
 from repro.spice import Circuit, NewtonStats, TransientOptions, solve_dc, transient
 from repro.spice.engine import (
     FAST_NEWTON_ENV_VAR,
-    FastNewtonState,
     NewtonOptions,
+    SolveContext,
     fast_newton_enabled,
     newton_solve,
 )
+from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.tech import default_process
 from repro.waveform import ramp
 
 PROC = default_process()
 
 FAST_OPTS = TransientOptions(h_max_ratio=2e-2)
+
+
+def fast_context(monkeypatch, compiled, **kwargs):
+    """An analysis context with ``REPRO_FAST_NEWTON`` on."""
+    monkeypatch.setenv(FAST_NEWTON_ENV_VAR, "1")
+    context = SolveContext.for_analysis(compiled, **kwargs)
+    assert context.fast is not None
+    return context
+
+
+def full_context(monkeypatch, compiled):
+    """An analysis context on full Newton."""
+    monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
+    return SolveContext.for_analysis(compiled)
 
 
 def inverter(tau: float = 0.3e-9) -> Circuit:
@@ -97,34 +112,36 @@ class TestToleranceContract:
 
 
 class TestLuReuse:
-    def test_reuse_counter_advances(self):
+    def test_reuse_counter_advances(self, monkeypatch):
         """Across repeated solves under one key, the retained LU must
         actually be reused (otherwise the mode is full Newton in
         disguise)."""
         compiled = inverter().compile()
         known = compiled.known_voltages(0.0)
-        fast = FastNewtonState()
+        context = fast_context(monkeypatch, compiled)
+        fast = context.fast
         options = NewtonOptions()
         x = np.full(compiled.n_unknown, PROC.vdd / 2.0)
         for _ in range(3):
-            x = newton_solve(compiled, x, known, options=options, fast=fast)
+            x = context.solve(x, known, options, time=0.0)
         assert fast.refactorized >= 1
         assert fast.reused >= 1
 
-    def test_sparse_path_reuses_retained_lu(self):
+    def test_sparse_path_reuses_retained_lu(self, monkeypatch):
         """LU reuse holds on the sparse backend too: repeated solves
         under one Jacobian key must not refactorize per call
         (``spice.sparse.factorizations`` counts every sparse
         factorization)."""
         compiled = inverter().compile()
         known = compiled.known_voltages(0.0)
-        fast = FastNewtonState()
         options = NewtonOptions()
         x = np.full(compiled.n_unknown, PROC.vdd / 2.0)
+        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
         with recording() as rec:
+            context = fast_context(monkeypatch, compiled)
+            fast = context.fast
             for _ in range(3):
-                x = newton_solve(compiled, x, known, options=options,
-                                 sparse=True, fast=fast)
+                x = context.solve(x, known, options, time=0.0)
         assert fast.refactorized >= 1
         assert fast.reused >= 1
         counters = rec.metrics_payload()["counters"]
@@ -132,27 +149,30 @@ class TestLuReuse:
         assert counters["spice.sparse.factorizations"] == \
             counters["spice.newton.iterations"] - fast.reused
 
-    def test_matches_full_newton_solution(self):
+    def test_matches_full_newton_solution(self, monkeypatch):
         compiled = inverter().compile()
         known = compiled.known_voltages(0.0)
         options = NewtonOptions()
         x0 = np.full(compiled.n_unknown, PROC.vdd / 2.0)
-        ref = newton_solve(compiled, x0, known, options=options)
+        ref = newton_solve(compiled, x0, known, options=options,
+                           context=full_context(monkeypatch, compiled))
         fast = newton_solve(compiled, x0, known, options=options,
-                            fast=FastNewtonState())
+                            context=fast_context(monkeypatch, compiled))
         assert float(np.abs(ref - fast).max()) <= 1e-9
 
-    def test_stats_still_recorded(self):
+    def test_stats_still_recorded(self, monkeypatch):
         compiled = inverter().compile()
         known = compiled.known_voltages(0.0)
         stats = NewtonStats()
         x0 = np.full(compiled.n_unknown, PROC.vdd / 2.0)
         newton_solve(compiled, x0, known, options=NewtonOptions(),
-                     stats=stats, fast=FastNewtonState())
+                     context=fast_context(monkeypatch, compiled,
+                                          stats=stats))
         assert stats.solves == 1
         assert stats.iterations >= 1
 
-    def test_singular_jacobian_recovers_or_raises_like_default(self):
+    def test_singular_jacobian_recovers_or_raises_like_default(
+            self, monkeypatch):
         """A floating node (gmin=0) gives a singular J; the fast path
         must walk the same nudge-then-raise ladder as full Newton."""
         ckt = Circuit()
@@ -164,14 +184,15 @@ class TestLuReuse:
         known = compiled.known_voltages(0.0)
         options = NewtonOptions(gmin=0.0)
         x0 = np.zeros(compiled.n_unknown)
-        def attempt(**kwargs):
+        def attempt(make_context):
             try:
-                return newton_solve(compiled, x0, known,
-                                    options=options, **kwargs)
+                return newton_solve(compiled, x0, known, options=options,
+                                    context=make_context(monkeypatch,
+                                                         compiled))
             except Exception as exc:  # ConvergenceError
                 return type(exc).__name__
-        ref = attempt()
-        fast = attempt(fast=FastNewtonState())
+        ref = attempt(full_context)
+        fast = attempt(fast_context)
         if isinstance(ref, str):
             assert fast == ref
         else:

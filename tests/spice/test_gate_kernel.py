@@ -5,7 +5,7 @@ solve on Python floats through their plan's generated Newton loop
 (:class:`repro.spice.engine.KernelNewton`), and their transients step
 on floats too: each step's solve computes its companion stamps, the
 plan's generated history code updates the capacitors, and each step
-calls the loop directly
+calls the loop of the analysis's context directly
 (:meth:`~repro.spice.engine.SolveContext.kernel_newton`).  Patching the
 cutover to 0 sends the same analyses through the array integrator, the
 NumPy full-Newton loop and the grouped channel model, which
@@ -44,7 +44,7 @@ from repro.spice.stamps import KERNELS, KernelCache
 from repro.tech import default_process, submicron_process
 from repro.waveform import FALL, RISE, Edge, ramp
 
-from .test_assembly_equivalence import ordered_stamps, random_circuit
+from .test_assembly_equivalence import caps_of, ordered_stamps, random_circuit
 
 PROCESSES = {"level1": default_process(), "alpha": submicron_process()}
 
@@ -184,9 +184,9 @@ class TestTransientIdentity:
                              ids=["off", "on"])
     def test_gate_steps_never_reach_the_array_path(self, monkeypatch,
                                                    telemetry):
-        """Scalar and batched measurement shots never build
-        ``CapStampArrays``, and call ``load_kernel`` only for their DC
-        points: every step runs on floats."""
+        """Scalar and batched measurement shots never build the array
+        step state, and call ``load_kernel`` only for their DC points:
+        every step runs on floats."""
         thresholds = cached_thresholds(NAND3)
 
         def forbidden(*args, **kwargs):
@@ -195,12 +195,12 @@ class TestTransientIdentity:
         real_load = engine.load_kernel
         stamps_seen = []
 
-        def load_kernel(plan, known, time, cap_stamps, *args):
-            stamps_seen.append(cap_stamps)
-            return real_load(plan, known, time, cap_stamps, *args)
+        def load_kernel(plan, known, time, caps, *args):
+            stamps_seen.append(caps)
+            return real_load(plan, known, time, caps, *args)
 
         monkeypatch.setattr(sys.modules["repro.spice.transient"],
-                            "CapStampArrays", forbidden)
+                            "_ArraySteps", forbidden)
         monkeypatch.setattr(engine, "load_kernel", load_kernel)
         edges = {"a": Edge(FALL, 0.0, 300e-12), "b": Edge(FALL, 80e-12, 500e-12),
                  "c": Edge(FALL, 150e-12, 200e-12)}
@@ -479,12 +479,9 @@ class TestDcIdentity:
 
         def run(stats):
             compiled = cell.build({"a": cell.process.vdd}).compile()
-            solve = SolveContext.for_analysis(
-                get_recorder(), compiled.n_unknown).bind(
-                    newton_solve, compiled, stats)
-            return _source_stepping(solve, compiled.n_unknown,
-                                    compiled.known_voltages(0.0),
-                                    NewtonOptions(), 0.0, get_recorder())
+            context = SolveContext.for_analysis(compiled, stats=stats)
+            return _source_stepping(context, compiled.known_voltages(0.0),
+                                    NewtonOptions(), 0.0)
 
         kernel, numpy_loop = both_loops(monkeypatch, lambda: dc_outcome(run))
         assert kernel[1][1] == 10  # one solve per source scale
@@ -506,8 +503,10 @@ class TestDcIdentity:
             circuit = compiled.circuit.compile()
             return newton_solve(circuit, x0, circuit.known_voltages(0.13e-9),
                                 options=NewtonOptions(), time=0.13e-9,
-                                cap_stamps=ordered_stamps(circuit),
-                                source_scale=0.625, stats=stats)
+                                caps=caps_of(ordered_stamps(circuit)),
+                                source_scale=0.625,
+                                context=SolveContext.for_analysis(
+                                    circuit, stats=stats))
 
         kernel, numpy_loop = both_loops(monkeypatch, lambda: dc_outcome(run))
         assert_same_dc(kernel, numpy_loop)
@@ -521,7 +520,9 @@ class TestDcIdentity:
             compiled = cell.build({name: 0.0 for name in cell.inputs}).compile()
             return newton_solve(compiled, np.zeros(compiled.n_unknown),
                                 compiled.known_voltages(0.0),
-                                options=NewtonOptions(gmin=0.0), stats=stats)
+                                options=NewtonOptions(gmin=0.0),
+                                context=SolveContext.for_analysis(
+                                    compiled, stats=stats))
 
         kernel, numpy_loop = both_loops(monkeypatch, lambda: dc_outcome(run))
         assert kernel[2]["spice.guard.rung{rung=nudge}"] >= 1
@@ -538,7 +539,9 @@ class TestDcIdentity:
             compiled = cell.build().compile()
             return newton_solve(compiled, np.zeros(compiled.n_unknown),
                                 compiled.known_voltages(0.0),
-                                options=NewtonOptions(), stats=stats)
+                                options=NewtonOptions(),
+                                context=SolveContext.for_analysis(
+                                    compiled, stats=stats))
 
         kernel, numpy_loop = both_loops(monkeypatch, lambda: dc_outcome(run))
         assert "singular" in kernel[0][0]
@@ -554,7 +557,9 @@ class TestDcIdentity:
             compiled = cell.build().compile()
             x0 = np.full(compiled.n_unknown, np.nan)
             return newton_solve(compiled, x0, compiled.known_voltages(0.0),
-                                options=NewtonOptions(), stats=stats)
+                                options=NewtonOptions(),
+                                context=SolveContext.for_analysis(
+                                    compiled, stats=stats))
 
         kernel, numpy_loop = both_loops(monkeypatch, lambda: dc_outcome(run))
         message, iterations = kernel[0]
@@ -591,7 +596,9 @@ class TestDcIdentity:
                 compiled = circuit.compile()
                 return newton_solve(compiled, np.zeros(compiled.n_unknown),
                                     compiled.known_voltages(0.0),
-                                    options=options, stats=stats)
+                                    options=options,
+                                    context=SolveContext.for_analysis(
+                                        compiled, stats=stats))
 
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "gesv", writes)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.obs import get_recorder, recording
+from repro.obs import recording
 from repro.resilience import FaultInjection
 from repro.spice import (
     Circuit,
@@ -125,13 +125,12 @@ class TestRungTelemetry:
         assert scalar["spice.guard.rung{rung=nudge}"] >= 1
 
         def lane():
-            # One batch lane: a solver bound under the lane's own
-            # analysis context, called once.
+            # One batch lane: a solve through the lane's own analysis
+            # context.
             c = floating_node().compile()
-            solve = SolveContext.for_analysis(get_recorder(), c.n_unknown) \
-                .bind(engine.newton_solve, c, NewtonStats())
-            solve(np.zeros(c.n_unknown), c.known_voltages(0.0), options,
-                  time=0.0)
+            SolveContext.for_analysis(c, stats=NewtonStats()).solve(
+                np.zeros(c.n_unknown), c.known_voltages(0.0), options,
+                time=0.0)
 
         with recording() as rec_batch:
             lane()
@@ -204,17 +203,20 @@ class TestDivergenceAbort:
 
 
 class TestSparseFaultHardening:
+    """Solves whose context decided the sparse backend
+    (``REPRO_SPARSE=1``)."""
+
     def test_injected_factorization_fault_recovers_via_nudge(
             self, monkeypatch):
+        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
         compiled = dc_inverter().compile()
         x0 = np.zeros(compiled.n_unknown)
         known = compiled.known_voltages(0.0)
         options = NewtonOptions()
-        clean = newton_solve(compiled, x0.copy(), known, options=options,
-                             sparse=True)
+        clean = newton_solve(compiled, x0.copy(), known, options=options)
         with recording() as rec, FaultInjection("sparse@factorize:1") as fi:
             recovered = newton_solve(compiled, x0.copy(), known,
-                                     options=options, sparse=True)
+                                     options=options)
             assert fi.fired_count("sparse") == 1
         # The nudge perturbs one early step; Newton still lands on the
         # same operating point to solver tolerance.
@@ -222,13 +224,14 @@ class TestSparseFaultHardening:
         counters = rec.metrics_payload()["counters"]
         assert counters["spice.guard.rung{rung=nudge}"] >= 1
 
-    def test_persistent_factorization_fault_fails_cleanly(self):
+    def test_persistent_factorization_fault_fails_cleanly(self, monkeypatch):
+        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
         compiled = dc_inverter().compile()
         x0 = np.zeros(compiled.n_unknown)
         with FaultInjection("sparse@factorize:always"):
             with pytest.raises(ConvergenceError, match="singular"):
                 newton_solve(compiled, x0, compiled.known_voltages(0.0),
-                             options=NewtonOptions(), sparse=True)
+                             options=NewtonOptions())
 
 
 class TestDegradationReporting:

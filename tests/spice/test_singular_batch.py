@@ -1,8 +1,8 @@
 """Regressions for singular-Jacobian handling in batch lanes.
 
-Each batch lane binds its own solver under
-:meth:`~repro.spice.engine.SolveContext.for_analysis` and walks the
-scalar Newton loop's nudge-then-fail ladder.  Two properties are pinned
+Each batch lane solves through its own
+:class:`~repro.spice.engine.SolveContext` and walks the scalar Newton
+loop's nudge-then-fail ladder.  Two properties are pinned
 here:
 
 * a **doubly singular** lane (LU fails even after the diagonal nudge)
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.obs import get_recorder
 from repro.spice import Circuit, engine
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.spice.engine import (
@@ -65,20 +64,18 @@ def floating_node() -> Circuit:
 def run_lanes(lanes):
     """Run ``(circuit, x0, options, stats)`` lanes as a batch does.
 
-    Each lane binds its own solver under its own analysis context and
-    solves once; the outcome is the solution or the lane's
-    :class:`~repro.errors.ConvergenceError`, left in its slot.
+    Each lane solves once through its own analysis context; the outcome
+    is the solution or the lane's :class:`~repro.errors.ConvergenceError`,
+    left in its slot.
     """
     outcomes = []
     for circuit, x0, options, stats in lanes:
         compiled = circuit.compile()
-        solve = SolveContext.for_analysis(
-            get_recorder(), compiled.n_unknown).bind(
-                engine.newton_solve, compiled, stats)
+        context = SolveContext.for_analysis(compiled, stats=stats)
         try:
-            outcomes.append(solve(np.asarray(x0, dtype=float),
-                                  compiled.known_voltages(0.0), options,
-                                  time=0.0))
+            outcomes.append(context.solve(np.asarray(x0, dtype=float),
+                                          compiled.known_voltages(0.0),
+                                          options, time=0.0))
         except ConvergenceError as error:
             outcomes.append(error)
     return outcomes

@@ -20,6 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.errors import ReproError
 from repro.obs import recording
 from repro.spice import (
     Circuit,
@@ -80,6 +81,26 @@ class TestEnvKnob:
         monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
         assert sparse_mode() == "auto"
 
+    @pytest.mark.parametrize("value", ["dense", "of", "auot", "2", "sparse",
+                                       "-1", "on off"])
+    def test_unknown_values_are_rejected(self, monkeypatch, value):
+        """A misspelt value never forces a backend: ``REPRO_SPARSE=dense``
+        once made every gate dispatch to SuperLU."""
+        monkeypatch.setenv(SPARSE_ENV_VAR, value)
+        with pytest.raises(ReproError) as info:
+            sparse_enabled(3)
+        message = str(info.value)
+        assert SPARSE_ENV_VAR in message and repr(value) in message
+        for spelling in ("auto", "0/false/no/off", "1/true/yes/on"):
+            assert spelling in message
+
+    def test_unknown_value_fails_the_analysis(self, monkeypatch):
+        """The analysis context decides the backend, so it is where a
+        bad value surfaces, before any solve."""
+        monkeypatch.setenv(SPARSE_ENV_VAR, "dense")
+        with pytest.raises(ReproError, match=SPARSE_ENV_VAR):
+            solve_dc(inverter_chain(2))
+
     def test_auto_dispatches_by_cutover(self, monkeypatch):
         monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
         assert not sparse_enabled(SPARSE_NODE_CUTOVER - 1)
@@ -101,16 +122,17 @@ class TestAssemblyBitIdentity:
         plan = compiled.stamp_plan
         ws = plan.scratch
         known = compiled.known_voltages(0.0)
-        cap_stamps = [(a, b, float(rng.uniform(1e-6, 1e-3)),
-                       float(rng.uniform(-1e-6, 1e-6)))
-                      for a, b in plan.cap_pairs]
+        draws = [(float(rng.uniform(1e-6, 1e-3)),
+                  float(rng.uniform(-1e-6, 1e-6))) for _ in plan.cap_pairs]
+        caps = (np.array([geq for geq, _ in draws], dtype=float),
+                np.array([ieq for _, ieq in draws], dtype=float))
         sp = plan.sparse
         # Dense cell of every stored entry, in original node order.
         columns = np.repeat(np.arange(plan.n), np.diff(sp.matrix.indptr))
         rows, cols = sp.perm[sp.matrix.indices], sp.perm[columns]
         for with_caps in (False, True):
-            stamps = cap_stamps if with_caps else []
-            load_solve(plan, ws, known, 0.0, stamps, 1.0, compiled.isources)
+            load_solve(plan, ws, known, 0.0, caps if with_caps else None,
+                       1.0, compiled.isources)
             x = rng.uniform(0.0, PROC.vdd, plan.n)
             gmin = float(rng.choice([0.0, 1e-12, 1e-9]))
             F_d, J_d = assemble_into(plan, ws, plan.dense, x, gmin,
@@ -154,7 +176,7 @@ class TestAssemblyBitIdentity:
         assert isinstance(sp, SparsePlan)
         assert plan.sparse is sp  # built once, then cached
         ws = plan.scratch
-        load_solve(plan, ws, compiled.known_voltages(0.0), 0.0, [], 1.0,
+        load_solve(plan, ws, compiled.known_voltages(0.0), 0.0, None, 1.0,
                    compiled.isources)
         x = rng.uniform(0.0, PROC.vdd, plan.n)
         _, J = assemble_into(plan, ws, plan.dense, x, 1e-12, False)
@@ -180,8 +202,8 @@ class TestOrderingBoundsFill:
         plan = compiled.stamp_plan
         ws = plan.scratch
         sp = plan.sparse
-        stamps = [(a, b, c / 1e-12, 0.0) for a, b, c in compiled.capacitors]
-        load_solve(plan, ws, compiled.known_voltages(0.0), 0.0, stamps, 1.0,
+        caps = (plan.cap_c / 1e-12, np.zeros(plan.n_cap))
+        load_solve(plan, ws, compiled.known_voltages(0.0), 0.0, caps, 1.0,
                    compiled.isources)
         x = np.random.default_rng(0).uniform(0.0, PROC.vdd, plan.n)
         assemble_sparse(plan, ws, sp, x, 1e-12, True)
@@ -340,11 +362,12 @@ class TestSingularHandling:
         options = NewtonOptions(gmin=0.0)
 
         def attempt(sparse):
+            monkeypatch.setenv(SPARSE_ENV_VAR, "1" if sparse else "0")
             cc = compiled()
             x0 = np.zeros(cc.n_unknown)
             try:
                 return newton_solve(cc, x0, cc.known_voltages(0.0),
-                                    options=options, sparse=sparse)
+                                    options=options)
             except Exception as exc:  # ConvergenceError
                 return type(exc).__name__
 
