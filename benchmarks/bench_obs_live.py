@@ -4,8 +4,15 @@ The live observability plane (:mod:`repro.obs.live`) is sold as
 watch-only: ``--live`` adds a background snapshotter thread, the
 per-driver phase profiler and the solve flight ring, and none of that
 may change what the solver computes or cost more than 5% wall time.
-This bench pins both halves of that claim on a transient workload big
-enough to time honestly:
+This bench pins both halves of that claim on two workloads, one per
+Newton loop, each big enough to time honestly:
+
+* a 12-stage inverter chain (24 transistors, so the NumPy dense loop);
+* 40 seed-11 Table 5-1 configs, NAND3 three-input measurement shots
+  (the generated gate-kernel loop, where a solve is cheap enough that
+  per-solve accounting once cost ~10x the budget).
+
+For each:
 
 * the live run's waveforms are **bit-identical** to the telemetry-off
   run's (any drift means instrumentation leaked into the numerics);
@@ -27,12 +34,15 @@ import time
 
 import numpy as np
 
+from repro.charlib.simulate import multi_input_response
+from repro.experiments import table5_1
+from repro.experiments.common import paper_calculator, paper_gate, paper_thresholds
 from repro.obs import NullRecorder, Recorder, get_recorder, set_recorder
 from repro.obs.live import Snapshotter, read_snapshot
 from repro.spice import TransientOptions, transient
 from repro.spice.builders import inverter_chain
 from repro.tech import default_process
-from repro.waveform import ramp
+from repro.waveform import FALL, Edge, ramp
 
 from conftest import scaled
 
@@ -57,20 +67,38 @@ def run_rounds(rounds):
     return time.perf_counter() - t0, result
 
 
-def test_live_overhead(benchmark, request, tmp_path):
-    rounds = scaled(3, minimum=1)
-    live_dir = tmp_path / "live"
-    off_times, live_times = [], []
-    holder = {}
-    ambient = get_recorder()  # the bench-telemetry fixture's recorder
+def gate_shots():
+    """The gate arm's 40 seed-11 configs: ``(edges, reference)`` each.
 
-    def run_interleaved():
+    The references come from the model, outside the timed region, so
+    the arms time the measurement shots alone.
+    """
+    calc = paper_calculator()
+    shots = []
+    for case in table5_1.random_cases(40, 11):
+        taus, seps = case["taus"], case["seps"]
+        edges = {"a": Edge(FALL, 0.0, taus["a"]),
+                 "b": Edge(FALL, seps["ab"], taus["b"]),
+                 "c": Edge(FALL, seps["ac"], taus["c"])}
+        shots.append((edges, calc.explain(edges).reference))
+    return shots
+
+
+def interleaved(run, live_dir):
+    """``REPS`` telemetry-off and live runs of ``run()``, alternating.
+
+    ``run()`` returns ``(seconds, result)``.  Returns the off and live
+    wall seconds per rep and the last result of each arm.
+    """
+    off_times, live_times = [], []
+    ambient = get_recorder()  # the bench-telemetry fixture's recorder
+    try:
         for _ in range(REPS):
             # Off arm: the true clean path -- NullRecorder, no
             # snapshotter thread, no profiler, no flight ring.
             set_recorder(NullRecorder())
             try:
-                seconds, off = run_rounds(rounds)
+                seconds, off = run()
             finally:
                 set_recorder(ambient)
             off_times.append(seconds)
@@ -81,25 +109,18 @@ def test_live_overhead(benchmark, request, tmp_path):
             set_recorder(recorder)
             snap.start()
             try:
-                seconds, live = run_rounds(rounds)
+                seconds, live = run()
             finally:
                 snap.stop()
                 set_recorder(ambient)
             live_times.append(seconds)
-        holder["off"], holder["live"] = off, live
-
-    try:
-        benchmark.pedantic(run_interleaved, rounds=1, iterations=1)
     finally:
         set_recorder(ambient)
+    return off_times, live_times, off, live
 
-    off, live = holder["off"], holder["live"]
-    assert np.array_equal(off.times, live.times)
-    for name in off.node_names:
-        assert np.array_equal(off.node(name).values,
-                              live.node(name).values), name
 
-    # The snapshot artifacts must be well formed.
+def check_snapshot(live_dir):
+    """The snapshot artifacts must be well formed."""
     document = read_snapshot(str(live_dir / "metrics.json"))
     assert document is not None and document["kind"] == "repro-live"
     assert document["counters"].get("spice.newton.solves", 0) > 0
@@ -108,20 +129,72 @@ def test_live_overhead(benchmark, request, tmp_path):
     assert "repro_spice_newton_solves_total" in prom
     json.dumps(document)  # round-trips
 
-    off_s = min(off_times) / rounds
-    live_s = min(live_times) / rounds
+
+def check_overhead(request, off_times, live_times, runs):
+    """Report the arms, and gate the best pair ratio on the budget."""
+    off_s = min(off_times) / runs
+    live_s = min(live_times) / runs
+    ratios = [on / off for off, on in zip(off_times, live_times)]
     # Adjacent off/live runs share their machine-noise phase; the best
     # pair ratio is the cleanest overhead observation.
-    overhead = min(l / o for o, l in zip(off_times, live_times)) - 1.0
+    overhead = min(ratios) - 1.0
     print(f"\n  telemetry-off {off_s * 1e3:8.2f}ms  "
           f"live {live_s * 1e3:8.2f}ms  "
-          f"overhead {overhead * 100:+.2f}% (best pair)")
+          f"overhead {overhead * 100:+.2f}% (best pair; pairs "
+          + " ".join(f"{r:.3f}" for r in ratios) + ")")
     request.node.bench_extra = {
         "off_ms_per_run": off_s * 1e3,
         "live_ms_per_run": live_s * 1e3,
         "overhead_fraction": overhead,
+        "pair_ratios": ratios,
         "budget_fraction": OVERHEAD_BUDGET,
     }
     assert overhead <= OVERHEAD_BUDGET, (
         f"live-telemetry overhead {overhead * 100:.2f}% exceeds "
         f"{OVERHEAD_BUDGET * 100:.0f}% budget")
+
+
+def test_live_overhead(benchmark, request, tmp_path):
+    rounds = scaled(3, minimum=1)
+    live_dir = tmp_path / "live"
+    holder = {}
+
+    def run_interleaved():
+        holder["runs"] = interleaved(lambda: run_rounds(rounds), live_dir)
+
+    benchmark.pedantic(run_interleaved, rounds=1, iterations=1)
+    off_times, live_times, off, live = holder["runs"]
+    assert np.array_equal(off.times, live.times)
+    for name in off.node_names:
+        assert np.array_equal(off.node(name).values,
+                              live.node(name).values), name
+    check_snapshot(live_dir)
+    check_overhead(request, off_times, live_times, rounds)
+
+
+def test_live_overhead_gate_shots(benchmark, request, tmp_path):
+    gate, thresholds = paper_gate(), paper_thresholds()
+    shots = gate_shots()
+    live_dir = tmp_path / "live"
+    holder = {}
+
+    def run_shots():
+        t0 = time.perf_counter()
+        results = [multi_input_response(gate, edges, thresholds,
+                                        reference=reference)
+                   for edges, reference in shots]
+        return time.perf_counter() - t0, results
+
+    def run_interleaved():
+        holder["runs"] = interleaved(run_shots, live_dir)
+
+    benchmark.pedantic(run_interleaved, rounds=1, iterations=1)
+    off_times, live_times, off, live = holder["runs"]
+    for off_shot, live_shot in zip(off, live):
+        assert off_shot.output.times.tobytes() == live_shot.output.times.tobytes()
+        assert off_shot.output.values.tobytes() == \
+            live_shot.output.values.tobytes()
+        assert (off_shot.delay, off_shot.out_ttime) == \
+            (live_shot.delay, live_shot.out_ttime)
+    check_snapshot(live_dir)
+    check_overhead(request, off_times, live_times, 1)

@@ -480,21 +480,32 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 0
 
 
+def _serve_recorder():
+    """The recorder ``repro serve`` pins, or ``None`` when one is armed.
+
+    ``/metrics`` needs a real registry even when no ``--trace`` or
+    ``--metrics`` flag (or ``REPRO_OBS``) armed one, so the daemon pins
+    a :class:`~repro.obs.MetricsRecorder` for its lifetime: the metric
+    registry and the flight ring, and no span buffer, which nothing in
+    the daemon would ever drain.
+    """
+    from .obs import MetricsRecorder, get_recorder
+
+    return None if get_recorder().enabled else MetricsRecorder()
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     import signal
     import threading
     import time
 
-    from .obs import Recorder, get_recorder, set_recorder
+    from .obs import get_recorder, set_recorder
     from .serve import ReproServer, ServeState
     from .serve.coalesce import coalescing_enabled
 
-    # /metrics needs a real registry even when no --trace/--metrics flag
-    # armed one; pin an enabled recorder for the daemon's lifetime.
-    pinned = None
-    if not get_recorder().enabled:
-        pinned = Recorder()
+    pinned = _serve_recorder()
+    if pinned is not None:
         set_recorder(pinned)
 
     coalesce = coalescing_enabled() and not args.no_coalesce

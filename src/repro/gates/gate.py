@@ -250,11 +250,19 @@ class Gate:
                       bottom: str, params, prefix: str, node_prefix: str,
                       bulk: str, width_fn, with_parasitics: bool,
                       pin_nets: Optional[Mapping[str, str]] = None) -> None:
-        """Recursively instantiate a series/parallel network of MOSFETs."""
+        """Instantiate a series/parallel network of MOSFETs.
+
+        Walks the tree depth first, children in order, through an
+        explicit stack: a recursive closure would hold itself (and the
+        circuit) in a reference cycle, leaving every built circuit to
+        the cyclic garbage collector.  Internal nodes are numbered as
+        their series parent is reached, devices as they are emitted.
+        """
         counter = itertools.count(1)
         device_counter = itertools.count(1)
-
-        def emit(node: Network, hi: str, lo: str) -> None:
+        stack = [(tree, top, bottom)]
+        while stack:
+            node, hi, lo = stack.pop()
             if isinstance(node, Leaf):
                 gate_net = pin_nets[node.name] if pin_nets else node.name
                 circuit.add_mosfet(
@@ -264,19 +272,17 @@ class Gate:
                     width=width_fn(node.name), length=self.sizing.length,
                     with_parasitics=with_parasitics,
                 )
-                return
+                continue
             if isinstance(node, Series):
                 rail_points = [hi]
                 for _ in node.children[:-1]:
                     rail_points.append(f"{node_prefix}{next(counter)}")
                 rail_points.append(lo)
-                for child, (a, b) in zip(node.children, zip(rail_points, rail_points[1:])):
-                    emit(child, a, b)
-                return
-            for child in node.children:  # Parallel
-                emit(child, hi, lo)
-
-        emit(tree, top, bottom)
+                spans = zip(node.children, rail_points, rail_points[1:])
+            else:  # Parallel
+                spans = ((child, hi, lo) for child in node.children)
+            # Reversed, so the first child is popped (and emitted) first.
+            stack.extend(reversed(list(spans)))
 
     # ------------------------------------------------------------------
     # Identification

@@ -134,22 +134,19 @@ def series_depths(tree: Network) -> Dict[str, int]:
     path wins.
     """
     depths: Dict[str, int] = {}
-
-    def visit(node: Network, depth_so_far: int) -> None:
+    # Depth first through an explicit stack, children in order (a
+    # recursive closure would leave a reference cycle per call).
+    stack = [(tree, 1)]
+    while stack:
+        node, depth_so_far = stack.pop()
         if isinstance(node, Leaf):
             depths[node.name] = max(depths.get(node.name, 0), depth_so_far)
-            return
+            continue
         if isinstance(node, Series):
             # Crude but standard: every member of an n-long series chain
             # counts the full chain length (plus any enclosing series).
-            extra = len(node.children) - 1
-            for child in node.children:
-                visit(child, depth_so_far + extra)
-        else:
-            for child in node.children:
-                visit(child, depth_so_far)
-
-    visit(tree, 1)
+            depth_so_far += len(node.children) - 1
+        stack.extend((child, depth_so_far) for child in reversed(node.children))
     return depths
 
 

@@ -16,11 +16,11 @@ Telemetry is off by default; enable it with the ``--trace``/
 ``REPRO_LIVE`` environment variables.  Disabled, every instrumented
 path hits the no-op :class:`NullRecorder` and costs almost nothing.
 
-The live-telemetry plane (this PR's additions) layers three modules on
-the recorder: :mod:`repro.obs.live` (periodic atomic snapshots as
-``metrics.json`` + OpenMetrics ``metrics.prom``, tailed by
-``repro top``), :mod:`repro.obs.flight` (a per-solve ring buffer dumped
-to ``flight_*.json`` on retry-ladder exhaustion), and
+The live-telemetry plane layers three modules on the recorder:
+:mod:`repro.obs.live` (periodic atomic snapshots as ``metrics.json`` +
+OpenMetrics ``metrics.prom``, tailed by ``repro top``),
+:mod:`repro.obs.flight` (a ring of analyses, failed solves and rungs,
+dumped to ``flight_*.json`` on retry-ladder exhaustion), and
 :mod:`repro.obs.profile` (phase-attributed solver timing histograms per
 dense/sparse driver).
 """
@@ -41,6 +41,7 @@ from .recorder import (
     METRICS_ENV_VAR,
     OBS_ENV_VAR,
     TRACE_ENV_VAR,
+    MetricsRecorder,
     NullRecorder,
     Recorder,
     capture_task,
@@ -86,8 +87,8 @@ __all__ = [
     "DEFAULT_TIME_EDGES", "DEFAULT_COUNT_EDGES",
     "metric_key", "merge_payloads", "subtract_payloads",
     # recorder
-    "Recorder", "NullRecorder", "get_recorder", "set_recorder",
-    "reset_recorder", "recording", "traced", "capture_task",
+    "Recorder", "MetricsRecorder", "NullRecorder", "get_recorder",
+    "set_recorder", "reset_recorder", "recording", "traced", "capture_task",
     "TRACE_ENV_VAR", "METRICS_ENV_VAR", "MANIFEST_ENV_VAR", "OBS_ENV_VAR",
     # exporters
     "METRICS_SCHEMA", "trace_document", "write_chrome_trace",

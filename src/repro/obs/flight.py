@@ -1,17 +1,25 @@
-"""Solve flight recorder: a ring buffer of recent solves, dumped on failure.
+"""Solve flight recorder: a ring of failed solves and analyses, dumped on failure.
 
 A ``ConvergenceError`` postmortem used to say only *that* the retry
 ladder ran out -- nothing about the iterations that led up to it.  The
 flight recorder turns every such failure into an actionable artifact:
-each Newton solve appends a small record (circuit size, driver, iteration
-count, phase timings, outcome) to a fixed-size ring, and when a solve
-exhausts the retry ladder the whole ring is dumped -- atomically,
-temp-file + rename -- to ``flight_<ts>_<pid>_<seq>.json``.
+a fixed-size ring of small solve records, dumped when a solve exhausts
+the retry ladder -- atomically, temp-file + rename -- to
+``flight_<ts>_<pid>_<seq>.json``.
 
-Escalation rungs are recorded as their own ring entries (via
-:meth:`FlightRecorder.note_rung`), interleaved with the solve records,
-so a dump shows the *history* of ladder escalation around the failure,
-not just per-solve totals.
+The ring takes three kinds of entry, each as it happens:
+
+* every *failed* Newton solve (circuit size, driver, iteration count,
+  outcome, and the phase seconds its analysis had spent so far);
+* every escalation rung (via :meth:`FlightRecorder.note_rung`), so a
+  dump shows the *history* of ladder escalation around the failure;
+* one record per *analysis*, when it ends and folds its accounting
+  (:meth:`~repro.spice.engine.SolveContext.fold`): a solve record that
+  also counts the analysis's ``solves`` and ``failures``, with
+  ``iterations`` their sum and ``phases`` its phase split.
+
+A healthy solve appends nothing, so the ring costs a constant per
+analysis.
 
 The ring rides on the telemetry :class:`~repro.obs.recorder.Recorder`
 (lazily, as ``recorder.flight``), so it exists only while telemetry is
@@ -70,9 +78,10 @@ class FlightRecorder:
 
     Entries are plain dicts.  Solve records carry ``"event": "solve"``
     plus whatever the solver attached (driver, n, iterations, outcome,
-    phases); rung records carry ``"event": "rung"`` and the
-    rung name.  Every entry is stamped with a monotonic ``t`` so dump
-    readers can order and interval the history.
+    phases; an analysis's record also ``solves`` and ``failures``);
+    rung records carry ``"event": "rung"`` and the rung name.  Every
+    entry is stamped with a monotonic ``t`` so dump readers can order
+    and interval the history.
     """
 
     def __init__(self, size: Optional[int] = None) -> None:
@@ -85,7 +94,8 @@ class FlightRecorder:
         self.enabled = size > 0
 
     def note_solve(self, **record: Any) -> None:
-        """Append one solve record to the ring."""
+        """Append one solve record (a failed solve, or an analysis's
+        solves) to the ring."""
         if not self.enabled:
             return
         record["event"] = "solve"

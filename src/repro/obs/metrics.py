@@ -240,7 +240,8 @@ class MetricRegistry:
             if metric is None:
                 self._check_free(key, self._histograms)
                 metric = self._histograms[key] = Histogram(edges)
-            elif metric.edges != tuple(float(e) for e in edges):
+            elif (metric.edges != edges
+                  and metric.edges != tuple(float(e) for e in edges)):
                 raise ReproError(
                     f"histogram {key!r} already exists with different edges"
                 )

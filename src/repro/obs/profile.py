@@ -1,4 +1,4 @@
-"""Phase-attributed solver timing: where does a Newton solve spend time?
+"""Phase-attributed solver timing: where does Newton solving spend time?
 
 The solver stack has exactly three cost centers, and the scaling story
 of each driver hangs on their ratio:
@@ -10,21 +10,26 @@ of each driver hangs on their ratio:
 * ``back_solve``  -- triangular back-substitution (split out on the
   sparse backend and in the LU-reusing fast-Newton mode).
 
-:class:`PhaseProfiler` records the per-solve phase seconds into
-labelled histograms ``spice.phase.seconds{driver=...,phase=...}`` with
-``driver`` one of ``dense | sparse``.  The accumulator object
-(:class:`PhaseTimes`) is a plain slotted float bag and the timing
-source is ``time.monotonic()``, so an instrumented iteration pays a
-handful of clock reads -- cheap enough that the live-telemetry bench
-(``benchmarks/bench_obs_live.py``) holds the whole telemetry plane,
-profiling included, under its 5% budget.  With telemetry disabled no
-profiler exists and the hot loops skip every timing site.
+Each analysis owns one :class:`PhaseTimes` (on its
+:class:`~repro.spice.engine.SolveContext`), a plain slotted float bag
+that every solve's loop adds its elapsed seconds into; the timing source
+is ``time.monotonic()``, so an instrumented iteration pays a handful of
+clock reads and no allocation.  When the analysis ends,
+:class:`PhaseProfiler` observes its seconds once per phase into the
+labelled histograms ``spice.phase.seconds{driver=...,phase=...}``, with
+``driver`` one of ``dense | sparse``.  One observation is one analysis,
+so a histogram's ``count`` counts analyses and its buckets their phase
+totals, while its ``sum`` is still the driver's seconds in that phase
+over every solve.  With telemetry disabled no accumulator exists and
+the hot loops skip every timing site.  ``benchmarks/bench_obs_live.py``
+holds the live telemetry plane, profiling included, to a 5% budget on
+a dense chain transient and on gate-kernel shots.
 
 The histograms feed three consumers: the flight recorder
-(:mod:`repro.obs.flight`) attaches the failing solve's phase split to
-its postmortem record, ``BENCH_*.json`` records carry per-driver phase
-sums for ``repro stats --trend`` regression attribution, and
-``repro top`` renders the live phase breakdown.
+(:mod:`repro.obs.flight`) attaches the analysis's phase split to its
+records, ``BENCH_*.json`` records carry per-driver phase sums for
+``repro stats --trend`` regression attribution, and ``repro top``
+renders the live phase breakdown.
 """
 
 from __future__ import annotations
@@ -40,16 +45,17 @@ PHASES: Tuple[str, ...] = ("assembly", "factorize", "back_solve")
 #: The histogram family phase seconds are recorded under.
 PHASE_METRIC = "spice.phase.seconds"
 
-#: Bucket edges (seconds) for the phase histograms: per-solve phase
-#: costs run from microseconds (an 8-node assembly) to tens of
-#: milliseconds (a 10k-unknown factorization).
+#: Bucket edges (seconds) for the phase histograms: one analysis's
+#: phase total runs from microseconds (a bare gate DC solve) to seconds
+#: (a transient of a flat netlist with thousands of unknowns).
 PHASE_EDGES: Tuple[float, ...] = (
     1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1,
+    0.3, 1.0, 3.0, 10.0, 30.0,
 )
 
 
 class PhaseTimes:
-    """Per-solve phase-second accumulator.
+    """One analysis's phase-second accumulator.
 
     A plain slotted float bag: the hot loops add elapsed seconds to the
     named attribute directly (``times.assembly += dt``), no dict or
@@ -77,11 +83,10 @@ class PhaseProfiler:
     """Records :class:`PhaseTimes` into per-driver labelled histograms.
 
     One profiler per analysis (held by the analysis's
-    :class:`~repro.spice.engine.SolveContext`); histogram handles are
-    resolved once per ``(driver, phase)`` and cached, so finishing a
-    solve costs three cached-dict lookups and at most three
-    ``Histogram.observe`` calls -- no registry lock traffic on the
-    steady state.
+    :class:`~repro.spice.engine.SolveContext`, whose :meth:`begin`
+    accumulator every solve adds into); the analysis's fold finishes it
+    once.  Histogram handles are resolved once per ``(driver, phase)``
+    and cached.
     """
 
     __slots__ = ("_recorder", "_hists")
@@ -98,7 +103,7 @@ class PhaseProfiler:
         return cls(recorder)
 
     def begin(self) -> PhaseTimes:
-        """A fresh accumulator for one solve."""
+        """A fresh accumulator."""
         return PhaseTimes()
 
     def _handles(self, driver: str) -> tuple:

@@ -49,9 +49,9 @@ from .metrics import (
 
 __all__ = [
     "TRACE_ENV_VAR", "METRICS_ENV_VAR", "OBS_ENV_VAR", "MANIFEST_ENV_VAR",
-    "Recorder", "NullRecorder", "get_recorder", "set_recorder",
-    "reset_recorder", "pinned_recorder", "recording", "traced",
-    "capture_task",
+    "Recorder", "MetricsRecorder", "NullRecorder", "get_recorder",
+    "set_recorder", "reset_recorder", "pinned_recorder", "recording",
+    "traced", "capture_task",
 ]
 
 #: Chrome trace-event output path; any value also enables recording.
@@ -254,6 +254,25 @@ class Recorder:
         if spans:
             with self._lock:
                 self._events.extend(spans)
+
+
+class MetricsRecorder(Recorder):
+    """An enabled recorder without a span buffer: metrics and flight ring.
+
+    For a long-lived process whose spans nothing drains or writes.  The
+    ``repro serve`` daemon pins one so that ``/metrics`` has a registry
+    to scrape; a :class:`Recorder` would keep every shot's
+    ``spice.transient`` span for the life of the daemon.  Spans are the
+    no-op handle, and a pooled task's shipped spans are dropped while
+    its metric delta merges.
+    """
+
+    def span(self, name: str, **args: Any) -> _NullSpan:
+        return _NULL_SPAN
+
+    def absorb_task(self, telemetry: Optional[Dict[str, Any]]) -> None:
+        if telemetry:
+            self.registry.merge(telemetry.get("metrics", {}))
 
 
 def capture_task(fn: Callable[[Any], Any], item: Any,

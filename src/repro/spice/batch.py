@@ -4,11 +4,11 @@ The serve broker hands the simulator whole lists of independent
 transient analyses.  The functions here accept such lists and run
 every analysis, lane by lane, on the scalar solver: each lane solves
 through its own :class:`~repro.spice.engine.SolveContext`
-(:meth:`~repro.spice.engine.SolveContext.for_analysis`), exactly like a
-scalar analysis -- so each lane's result, Newton accounting and solver
-counters are the scalar path's by construction, for any batch size and
-any backend.  A lane's failure is returned in its slot and never aborts
-its siblings.
+(:meth:`~repro.spice.engine.SolveContext.for_analysis`) and folds its
+telemetry when the lane ends, exactly like a scalar analysis -- so each
+lane's result, Newton accounting and solver counters are the scalar
+path's by construction, for any batch size and any backend.  A lane's
+failure is returned in its slot and never aborts its siblings.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ def solve_dc_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]], *,
     recorder.counter("spice.batch.lanes").inc(len(compiled))
     results: list = []
     for c, guess, st in zip(compiled, guesses, stats_list):
-        context = SolveContext.for_analysis(c, stats=st, recorder=recorder)
         try:
-            x = dc_solution(context, initial_guess=guess, time=time,
-                            options=options, retry=retry)
+            with SolveContext.for_analysis(c, stats=st,
+                                           recorder=recorder) as context:
+                x = dc_solution(context, initial_guess=guess, time=time,
+                                options=options, retry=retry)
         except ConvergenceError as error:
             results.append(error)
             continue
@@ -96,12 +97,12 @@ def transient_batch(circuits: Sequence[Union[Circuit, CompiledCircuit]],
     recorder.counter("spice.batch.lanes").inc(len(compiled))
     results: list = []
     for c, stop, rule in zip(compiled, stops, rules):
-        context = SolveContext.for_analysis(c, recorder=recorder)
         try:
-            results.append(transient_result(
-                context, stop, t_start=t_start, record=record,
-                initial_op=initial_op, options=options, retry=retry,
-                settle=rule))
+            with SolveContext.for_analysis(c, recorder=recorder) as context:
+                results.append(transient_result(
+                    context, stop, t_start=t_start, record=record,
+                    initial_op=initial_op, options=options, retry=retry,
+                    settle=rule))
         except ConvergenceError as error:
             results.append(error)
     return results

@@ -20,7 +20,8 @@ Every rung solves through the analysis's one
 :class:`~repro.spice.engine.SolveContext`: :func:`solve_dc` and each
 :func:`dc_sweep` build one, and :func:`dc_solution` takes it, so the
 ladder's solves share one backend decision, one ``NewtonStats`` and one
-recorder.
+recorder, and fold their telemetry into it once, when the analysis
+ends.
 """
 
 from __future__ import annotations
@@ -167,9 +168,9 @@ def solve_dc(circuit: Circuit | CompiledCircuit, *,
     A solve that succeeds on attempt 0 is untouched by the ladder.
     """
     compiled = circuit if isinstance(circuit, CompiledCircuit) else circuit.compile()
-    x = dc_solution(SolveContext.for_analysis(compiled, stats=stats),
-                    initial_guess=initial_guess, time=time, options=options,
-                    retry=retry)
+    with SolveContext.for_analysis(compiled, stats=stats) as context:
+        x = dc_solution(context, initial_guess=initial_guess, time=time,
+                        options=options, retry=retry)
     return operating_point_from_vector(compiled, x,
                                        compiled.known_voltages(time))
 
@@ -212,22 +213,22 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
         compiled = circuit.compile()
         # One context for the whole sweep: one recorder handle (per-point
         # solves skip the environment-signature check), one backend
-        # decision, one fast-Newton state.
-        context = SolveContext.for_analysis(compiled)
-        for value in grid:
-            for name in source_names:
-                compiled.set_source_level(name, float(value))
-            if context.fast is not None:
-                # No LU crosses points: each one starts from a fresh
-                # Jacobian, as it did when every point compiled anew.
-                context.fast.lu = None
-            x = dc_solution(context, initial_guess=guess, options=opts)
-            op = operating_point_from_vector(compiled, x,
-                                             compiled.known_voltages(0.0))
-            guess = {name: op[name] for name in compiled.unknown_names}
-            names = recorded if recorded is not None else list(op.voltages)
-            for name in names:
-                samples.setdefault(name, []).append(op.voltages[name])
+        # decision, one fast-Newton state, one telemetry fold.
+        with SolveContext.for_analysis(compiled) as context:
+            for value in grid:
+                for name in source_names:
+                    compiled.set_source_level(name, float(value))
+                if context.fast is not None:
+                    # No LU crosses points: each one starts from a fresh
+                    # Jacobian, as it did when every point compiled anew.
+                    context.fast.lu = None
+                x = dc_solution(context, initial_guess=guess, options=opts)
+                op = operating_point_from_vector(
+                    compiled, x, compiled.known_voltages(0.0))
+                guess = {name: op[name] for name in compiled.unknown_names}
+                names = recorded if recorded is not None else list(op.voltages)
+                for name in names:
+                    samples.setdefault(name, []).append(op.voltages[name])
     finally:
         for name, original in originals.items():
             circuit._vsources[name] = original

@@ -13,9 +13,17 @@ one form: ``caps=(geq, ieq)``, one value each per compiled capacitor.
 Every analysis solves through one :class:`SolveContext`
 (:meth:`SolveContext.for_analysis`), which decides the backend once --
 ``kernel``, ``dense`` or ``sparse`` -- and owns the analysis's
-:class:`NewtonStats`, recorder, phase profiler and fast-Newton state.
+:class:`NewtonStats`, recorder, phase accumulator and fast-Newton state.
 :meth:`SolveContext.solve` calls :func:`newton_solve`, which reads that
 decision.
+
+Telemetry costs a constant per analysis: solves tally on the context
+and time into its one :class:`~repro.obs.profile.PhaseTimes`, and the
+analysis folds both into the recorder once (:meth:`SolveContext.fold`).
+With per-solve accounting a telemetry-on NAND3 shot cost 1.43x a
+telemetry-off one; it costs ~1.05x since, mostly phase timing's clock
+reads (CPU-time medians of 16 alternating reps of 40 seed-11 shots,
+2-vCPU container).
 
 Gate-sized circuits (below
 :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors) on dense
@@ -28,8 +36,8 @@ the residual, the step norm, the damping and the update as
 straight-line float code.  The only numpy call per iteration is LAPACK
 ``gesv`` (:data:`gesv`, looked up on every solve), reading that buffer
 through two views and solving into a preallocated ``dx``.  The
-singular nudge and the accounting are :class:`KernelNewton` methods,
-called only where they apply.  A singular Jacobian raises only under
+singular nudge and the iteration-limit exit are :class:`KernelNewton`
+methods, called only where they apply.  A singular Jacobian raises only under
 :data:`_SINGULAR_RAISES`, which :func:`newton_solve` enters once per
 solve.  A NumPy array op costs ~1-3 us whatever its size, which was
 most of the ~20 us the NumPy assembly of a 3-unknown NAND3 iteration
@@ -371,9 +379,10 @@ class _DenseOps:
 
     ``direct_solve`` calls the ``gesv`` gufunc through
     :func:`dense_solve`, bit-identical to :func:`numpy.linalg.solve`;
-    the fast-Newton pair is scipy's ``lu_factor``/``lu_solve``.  With a
-    :class:`~repro.obs.profile.PhaseTimes` in ``times`` (telemetry on)
-    the same calls are bracketed by monotonic reads: the fused ``gesv``
+    the fast-Newton pair is scipy's ``lu_factor``/``lu_solve``.  With the
+    analysis's :class:`~repro.obs.profile.PhaseTimes` in ``times``
+    (telemetry on) the same calls are bracketed by monotonic reads: the
+    fused ``gesv``
     lands wholly in ``factorize`` (LAPACK does not expose the split),
     ``lu_factor``/``lu_solve`` split into factorize and back_solve.
     """
@@ -413,26 +422,27 @@ class _DenseOps:
 
 
 class _SparseOps:
-    """SuperLU backend: factorizations count into the metric registry."""
+    """SuperLU backend: with telemetry on, factorizations count into the
+    analysis's :class:`SolveContext`."""
 
-    __slots__ = ("sp", "recorder", "times")
+    __slots__ = ("sp", "context", "times")
 
-    def __init__(self, sp, recorder, times: Optional[PhaseTimes]) -> None:
+    def __init__(self, sp, context: SolveContext) -> None:
         self.sp = sp
-        self.recorder = recorder
-        self.times = times
+        self.context = context
+        self.times = context.times
 
     def factorize(self):
         """Factorize the assembled matrix; raises ``LinAlgError`` if
-        singular, and records factorization/fill telemetry."""
+        singular, and tallies factorization/fill telemetry."""
         lu = self.sp.factorize(times=self.times)
-        if self.recorder.enabled:
-            self.recorder.counter("spice.sparse.factorizations").inc()
+        if self.times is not None:
+            context = self.context
+            context.factorizations += 1
             # SuperLU drops numerically-zero pattern entries (common when
             # many devices are cut off), so L+U can hold fewer entries
             # than the structural pattern: report that as zero fill.
-            self.recorder.counter("spice.sparse.fill_nnz").inc(
-                max(0, int(lu.L.nnz + lu.U.nnz) - self.sp.nnz))
+            context.fill_nnz += max(0, int(lu.L.nnz + lu.U.nnz) - self.sp.nnz)
         return lu
 
     def direct_solve(self, A, F: np.ndarray) -> np.ndarray:
@@ -454,8 +464,8 @@ class _SparseOps:
 
 
 def _newton_fast(context: SolveContext, x: np.ndarray, assemble, key,
-                 options: NewtonOptions, effective_gmin: float, ops,
-                 times: Optional[PhaseTimes]) -> np.ndarray:
+                 options: NewtonOptions, effective_gmin: float,
+                 ops) -> np.ndarray:
     """Modified-Newton loop: reuse the LU factorization while it contracts.
 
     A *stale* iteration evaluates only the residual and steps with the
@@ -497,7 +507,7 @@ def _newton_fast(context: SolveContext, x: np.ndarray, assemble, key,
             fast.key = None  # the nudged LU must not outlive this solve
             dx = ops.fast_solve(fast.lu, -F)
             if not np.all(np.isfinite(dx)):
-                context.end(times, iteration, "singular")
+                context.end(iteration, "singular")
                 raise ConvergenceError(
                     "singular Jacobian during Newton iteration",
                     iterations=iteration, residual=residual,
@@ -509,7 +519,7 @@ def _newton_fast(context: SolveContext, x: np.ndarray, assemble, key,
         x += dx
         if step < options.voltol and residual < options.abstol:
             if fresh:
-                context.end(times, iteration, "converged")
+                context.end(iteration, "converged")
                 return x
             # Tolerance hit on a stale step: polish with a fresh
             # Jacobian before accepting.
@@ -518,7 +528,7 @@ def _newton_fast(context: SolveContext, x: np.ndarray, assemble, key,
             continue
         last_residual = residual
         fresh = False
-    context.end(times, options.max_iterations, "iteration_limit")
+    context.end(options.max_iterations, "iteration_limit")
     raise _not_converged(options.max_iterations, last_residual)
 
 
@@ -532,10 +542,10 @@ class KernelNewton:
     what the loop reads besides a solve's inputs -- the circuit's
     constants, the ``[-F | J]`` buffer (a memoryview the loop packs
     into, and its ``rhs`` and ``J`` views), the ``dx`` that
-    :data:`gesv` solves into, and its :class:`SolveContext`'s profiler
-    -- and the loop's rare exits, which account through the context
-    like the NumPy loop's.  Like a solve through :func:`newton_solve`,
-    each solve starts its own phase accumulator.
+    :data:`gesv` solves into, and its :class:`SolveContext`'s phase
+    accumulator ``times``, which every solve adds into -- and the loop's
+    rare exits.  Every exit accounts through :meth:`SolveContext.end`,
+    like the NumPy loop's.
     :meth:`SolveContext.kernel_newton` builds one per gate-sized
     :func:`newton_solve` and one per transient for its step solves.  The
     error state is the caller's to hold, once for many solves:
@@ -543,7 +553,7 @@ class KernelNewton:
     """
 
     __slots__ = ("newton", "consts", "caps", "buffers", "context",
-                 "profile")
+                 "times")
 
     def __init__(self, plan, with_caps: bool,
                  context: SolveContext) -> None:
@@ -554,7 +564,7 @@ class KernelNewton:
         self.buffers = (memoryview(fj), fj[:n], fj[n:].reshape(n, n),
                         np.empty(n))
         self.context = context
-        self.profile = context.profile
+        self.times = context.times
 
     @staticmethod
     def error_state() -> np.errstate:
@@ -567,8 +577,8 @@ class KernelNewton:
         """:data:`gesv` as it is bound when a solve starts."""
         return gesv
 
-    def nudge(self, solve, gmin: float, iteration: int, residual: float,
-              times: Optional[PhaseTimes]) -> None:
+    def nudge(self, solve, gmin: float, iteration: int,
+              residual: float) -> None:
         """The singular rung: solve again on a nudged diagonal."""
         _, rhs, J, dx = self.buffers
         record_rung("nudge", self.context.recorder)
@@ -576,19 +586,14 @@ class KernelNewton:
         try:
             solve(J, rhs, out=dx)
         except np.linalg.LinAlgError:
-            self.end(times, iteration, "singular")
+            self.context.end(iteration, "singular")
             raise ConvergenceError(
                 "singular Jacobian during Newton iteration",
                 iterations=iteration, residual=residual,
             ) from None
 
-    def end(self, times: Optional[PhaseTimes], iterations: int,
-            outcome: str) -> None:
-        self.context.end(times, iterations, outcome)
-
-    def give_up(self, times: Optional[PhaseTimes], iterations: int,
-                residual: float) -> None:
-        self.end(times, iterations, "iteration_limit")
+    def give_up(self, iterations: int, residual: float) -> None:
+        self.context.end(iterations, "iteration_limit")
         raise _not_converged(iterations, residual)
 
 
@@ -607,11 +612,12 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     ``context`` is the analysis's :class:`SolveContext`
     (:meth:`SolveContext.solve` passes it): the solve runs on the
     backend the context decided, accounts its iterations into the
-    context's stats whether it converges or not (the raised error also
-    carries its count in ``iterations``), records into its recorder,
-    times its phases when it has a profiler, and reuses its LU under
-    ``REPRO_FAST_NEWTON``.  ``None`` makes the solve an analysis of its
-    own (:meth:`SolveContext.for_analysis`).
+    context (:meth:`SolveContext.end`) whether it converges or not (the
+    raised error also carries its count in ``iterations``), adds its
+    phase seconds to the context's accumulator when telemetry is on,
+    and reuses its LU under ``REPRO_FAST_NEWTON``.  ``None`` makes the
+    solve an analysis of its own (:meth:`SolveContext.for_analysis`),
+    folded into the recorder when the solve returns or raises.
 
     On the ``kernel`` backend the solve runs the plan's generated loop
     through a :class:`KernelNewton` (see the module docstring); on
@@ -619,7 +625,10 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     modified-Newton loop when the context has fast-Newton state.
     """
     if context is None:
-        context = SolveContext.for_analysis(compiled)
+        with SolveContext.for_analysis(compiled) as context:
+            return newton_solve(compiled, x0, known, options=options,
+                                gmin=gmin, time=time, caps=caps,
+                                source_scale=source_scale, context=context)
     effective_gmin = options.gmin if gmin is None else gmin
     plan = compiled.stamp_plan
     backend = context.backend
@@ -631,7 +640,7 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
             return np.array(kernel.newton(
                 kernel, np.asarray(x0, dtype=float).tolist(), known_list,
                 isrc, effective_gmin, options, None, False, geq, ieq))
-    times = context.profile.begin() if context.profile is not None else None
+    times = context.times
     x = np.array(x0, dtype=float)
     ws = plan.scratch
     with_caps = load_solve(plan, ws, np.asarray(known, dtype=float), time,
@@ -639,7 +648,7 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     ops: Union[_DenseOps, _SparseOps]
     if backend == "sparse":
         sp = plan.sparse
-        ops = _SparseOps(sp, context.recorder, times)
+        ops = _SparseOps(sp, context)
 
         def assemble(need_jacobian: bool = True):
             return assemble_sparse(plan, ws, sp, x, effective_gmin,
@@ -671,7 +680,7 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
                    if with_caps else ())
         key = (backend, effective_gmin, source_scale, geq_key)
         return _newton_fast(context, x, assemble, key, options,
-                            effective_gmin, ops, times)
+                            effective_gmin, ops)
 
     last_residual = np.inf
     for iteration in range(1, options.max_iterations + 1):
@@ -687,7 +696,7 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
             try:
                 dx = ops.direct_solve(J, F)
             except np.linalg.LinAlgError:
-                context.end(times, iteration, "singular")
+                context.end(iteration, "singular")
                 raise ConvergenceError(
                     "singular Jacobian during Newton iteration",
                     iterations=iteration, residual=residual,
@@ -697,15 +706,15 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
             dx *= options.max_step / step
         x += dx
         if step < options.voltol and residual < options.abstol:
-            context.end(times, iteration, "converged")
+            context.end(iteration, "converged")
             return x
         last_residual = residual
-    context.end(times, options.max_iterations, "iteration_limit")
+    context.end(options.max_iterations, "iteration_limit")
     raise _not_converged(options.max_iterations, last_residual)
 
 
 class SolveContext:
-    """One analysis's Newton solver, decided once.
+    """One analysis's Newton solver, decided once, and its accounting.
 
     Every analysis -- a DC operating point, a sweep, a transient, one
     batch lane -- builds one context (:meth:`for_analysis`) and solves
@@ -717,16 +726,25 @@ class SolveContext:
       loops on LAPACK) or ``"sparse"`` (the NumPy loops on SuperLU);
     * ``stats``: the analysis's :class:`NewtonStats`, which every solve
       accounts into and the retry ladders count their escalations in;
-    * ``recorder``, the telemetry handle, and ``profile``, its
-      :class:`~repro.obs.profile.PhaseProfiler` (``None`` with telemetry
-      off, which skips every timing site);
-    * ``fast``, the modified-Newton state under ``REPRO_FAST_NEWTON``.
+    * ``recorder``, the telemetry handle, ``profile``, its
+      :class:`~repro.obs.profile.PhaseProfiler`, and ``times``, the
+      analysis's one :class:`~repro.obs.profile.PhaseTimes`, which every
+      solve's loop adds its phase seconds into (both ``None`` with
+      telemetry off, which skips every timing site);
+    * ``fast``, the modified-Newton state under ``REPRO_FAST_NEWTON``;
+    * the tallies ``iterations``, ``solves``, ``failures`` and, with
+      telemetry on, the sparse ``factorizations`` and ``fill_nnz``,
+      which :meth:`fold` moves into the recorder.
 
-    The ``kernel`` backend's loops (:meth:`kernel_newton`) refer to it.
+    The drivers fold their context on every exit, raising ones
+    included (``with SolveContext.for_analysis(...) as context:``); a
+    context built by hand shows in the recorder only once folded.  The
+    ``kernel`` backend's loops (:meth:`kernel_newton`) refer to it.
     """
 
     __slots__ = ("compiled", "backend", "stats", "recorder", "profile",
-                 "fast")
+                 "times", "fast", "iterations", "solves", "failures",
+                 "factorizations", "fill_nnz")
 
     def __init__(self, compiled: CompiledCircuit, backend: str,
                  stats: NewtonStats, recorder,
@@ -737,7 +755,10 @@ class SolveContext:
         self.stats = stats
         self.recorder = recorder
         self.profile = profile
+        self.times = profile.begin() if profile is not None else None
         self.fast = fast
+        self.iterations = self.solves = self.failures = 0
+        self.factorizations = self.fill_nnz = 0
 
     @classmethod
     def for_analysis(cls, compiled: CompiledCircuit, *,
@@ -748,7 +769,7 @@ class SolveContext:
         Resolves every solver knob once: ``REPRO_FAST_NEWTON``, the
         ``REPRO_SPARSE`` dispatch for the circuit's unknown count (an
         unknown value raises :class:`~repro.errors.ReproError`), and
-        phase profiling whenever the recorder is enabled.  The backend
+        phase timing whenever the recorder is enabled.  The backend
         is ``sparse`` when ``REPRO_SPARSE`` dispatches this circuit
         there, else ``kernel`` for plans below
         :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors
@@ -767,6 +788,18 @@ class SolveContext:
         return cls(compiled, backend,
                    stats if stats is not None else NewtonStats(), recorder,
                    PhaseProfiler.from_recorder(recorder), fast)
+
+    def __enter__(self) -> SolveContext:
+        return self
+
+    def __exit__(self, kind, error, trace) -> None:
+        self.fold("converged" if kind is None else "failed")
+
+    @property
+    def driver(self) -> str:
+        """The telemetry label of the linear solver: ``sparse``, or
+        ``dense`` for the ``dense`` and ``kernel`` backends alike."""
+        return "sparse" if self.backend == "sparse" else "dense"
 
     def solve(self, x0, known, options: NewtonOptions, *, time: float,
               **shape) -> np.ndarray:
@@ -793,41 +826,73 @@ class SolveContext:
         """
         return KernelNewton(self.compiled.stamp_plan, with_caps, self)
 
-    def end(self, times: Optional[PhaseTimes], iterations: int,
-            outcome: str) -> None:
-        """Account one finished Newton solve: stats, counters, phases, flight.
+    def end(self, iterations: int, outcome: str) -> None:
+        """Account one finished Newton solve: stats and tallies.
 
         Called at every solve exit (converged, iteration limit,
         singular).  This is the single place Newton iterations are
         counted, so parent and worker processes account identically --
         whoever runs the solve records it, and pooled tasks ship the
-        delta back.  The telemetry labels the linear solver: ``sparse``,
-        or ``dense`` for the ``dense`` and ``kernel`` backends alike.
-        Every solve appends a flight record, so the ring holds failures
-        *and* the healthy solves around them.  With telemetry off (a
-        disabled recorder, no profiler) that is the stats alone.
+        delta back.  It touches no registry (:meth:`fold` does).  With
+        telemetry on, a failed solve goes to the flight ring at once,
+        with the analysis's phase seconds so far, so a retry-ladder
+        dump shows each failure among the rungs, in order.
         """
-        solver = "sparse" if self.backend == "sparse" else "dense"
-        converged = outcome == "converged"
-        self.stats.record(iterations, converged=converged)
-        if times is not None:
-            self.profile.finish(solver, times)
-        recorder = self.recorder
-        if not recorder.enabled:
+        self.iterations += iterations
+        if outcome == "converged":
+            self.stats.record(iterations, converged=True)
+            self.solves += 1
             return
-        recorder.counter("spice.newton.iterations").inc(iterations)
-        if converged:
-            recorder.counter("spice.newton.solves").inc()
-        else:
-            recorder.counter("spice.newton.failures").inc()
-        recorder.counter("spice.newton.dispatch", backend=solver).inc()
-        flight = recorder.flight
-        if not flight.enabled:
+        self.stats.record(iterations, converged=False)
+        self.failures += 1
+        times = self.times
+        if times is not None and self.recorder.flight.enabled:
+            self.recorder.flight.note_solve(
+                **self._record(times, iterations, outcome))
+
+    def _record(self, times: PhaseTimes, iterations: int, outcome: str,
+                **counts: int) -> dict:
+        """A flight-ring solve record of this analysis."""
+        record = {"driver": self.driver, "n": self.compiled.n_unknown,
+                  "iterations": iterations, **counts, "outcome": outcome}
+        phases = times.as_dict()
+        if phases:
+            record["phases"] = phases
+        return record
+
+    def fold(self, outcome: str = "converged") -> None:
+        """Move the analysis's tallies into its recorder, once.
+
+        With telemetry on and a solve since the last fold, each tally
+        goes to its counter, each handle resolved once and only the keys
+        per-solve accounting would create (a zero ``solves`` or
+        ``failures`` adds none); each ``spice.phase.seconds`` histogram
+        of the driver is observed once; and the flight ring gets one
+        solve record for the analysis, with ``solves`` and ``failures``
+        counts and its ``outcome`` (``failed`` when it raised).  The
+        tallies restart from zero.  With telemetry off this is one
+        check.
+        """
+        solves = self.solves + self.failures
+        profile, times = self.profile, self.times
+        if profile is None or times is None or not solves:
             return
-        record = {"driver": solver, "n": self.compiled.n_unknown,
-                  "iterations": iterations, "outcome": outcome}
-        if times is not None:
-            phases = times.as_dict()
-            if phases:
-                record["phases"] = phases
-        flight.note_solve(**record)
+        recorder, driver = self.recorder, self.driver
+        recorder.counter("spice.newton.iterations").inc(self.iterations)
+        if self.solves:
+            recorder.counter("spice.newton.solves").inc(self.solves)
+        if self.failures:
+            recorder.counter("spice.newton.failures").inc(self.failures)
+        recorder.counter("spice.newton.dispatch", backend=driver).inc(solves)
+        if self.factorizations:
+            recorder.counter("spice.sparse.factorizations").inc(
+                self.factorizations)
+            recorder.counter("spice.sparse.fill_nnz").inc(self.fill_nnz)
+        profile.finish(driver, times)
+        if recorder.flight.enabled:
+            recorder.flight.note_solve(**self._record(
+                times, self.iterations, outcome, solves=self.solves,
+                failures=self.failures))
+        self.iterations = self.solves = self.failures = 0
+        self.factorizations = self.fill_nnz = 0
+        times.assembly = times.factorize = times.back_solve = 0.0

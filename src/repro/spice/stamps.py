@@ -471,7 +471,10 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
     body once; ``newton`` runs it as the loop of a full-Newton solve,
     with the constants and the solve's inputs unpacked once and the
     step norm, damping and update written out per unknown (see
-    :class:`GateKernel`).  With capacitor stamps the functions of
+    :class:`GateKernel`); with telemetry on (``kn.times``), it times
+    the body and the linear solve into two locals, three clock reads
+    per iteration, and adds them to the analysis's accumulator at each
+    exit.  With capacitor stamps the functions of
     :func:`_integrator_sources` follow.  Each function is its own
     source, so compiling them one at a time keeps the parser's peak
     memory at one function's.
@@ -532,8 +535,7 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
         return ([f"            cg{c} = {geq_of.format(c=c)}" for c in live]
                 + [f"            ci{c} = {ieq_of.format(c=c)}" for c in live])
     newton = ["def newton(kn, x, v, isrc, gmin, options, h, be, bv, bi):",
-              "    solve, times = kn.gesv, kn.profile",
-              "    if times is not None:", "        times = times.begin()",
+              "    solve, times = kn.gesv, kn.times",
               *_unpack(consts, "kn.consts"), *_unpack(xs, "x"),
               *_unpack(vs, "v"), *_unpack(sis, "isrc")]
     if live:
@@ -545,32 +547,40 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
                    "        else:",
                    *_unpack([f"bi{c}" for c in live], "bi", 3),
                    *companion("2.0 * cap{c} / h", "cg{c} * bv{c} + bi{c}")]
+    # Adds the solve's phase seconds to the analysis's accumulator.
+    add_times = ["if times is not None:", "    times.assembly += ta",
+                 "    times.factorize += tf"]
     newton += [
         "    out, rhs, J, dx = kn.buffers",
         "    max_step, voltol, abstol = "
         "options.max_step, options.voltol, options.abstol",
-        "    last = inf",
+        "    last, ta, tf = inf, 0.0, 0.0",
         "    for iteration in range(1, options.max_iterations + 1):",
         "        if times is not None:", "            start = monotonic()",
         *("    " + line for line in body),
         "        if times is not None:",
-        "            times.assembly += monotonic() - start",
-        "            start = monotonic()",
+        "            now = monotonic()",
+        "            ta += now - start",
+        "            start = now",
         "        try:", "            solve(J, rhs, out=dx)",
         "        except LinAlgError:",
-        "            kn.nudge(solve, gmin, iteration, r, times)",
+        *("            " + line for line in add_times),
+        "                ta = tf = 0.0",
+        "            kn.nudge(solve, gmin, iteration, r)",
         "        if times is not None:",
-        "            times.factorize += monotonic() - start",
+        "            tf += monotonic() - start",
         *_unpack(ds, "dx.tolist()", 2),
         *("    " + line for line in _max_abs_lines(ds, "step")),
         "        if step > max_step:", "            scale = max_step / step",
         *(f"            {d} = {d} * scale" for d in ds),
         *(f"        {x} = {x} + {d}" for x, d in zip(xs, ds)),
         "        if step < voltol and r < abstol:",
-        "            kn.end(times, iteration, 'converged')",
+        *("            " + line for line in add_times),
+        "            kn.context.end(iteration, 'converged')",
         f"            return [{', '.join(xs)}]",
         "        last = r",
-        "    kn.give_up(times, options.max_iterations, last)"]
+        *("    " + line for line in add_times),
+        "    kn.give_up(options.max_iterations, last)"]
     sources = ["\n".join(lines) + "\n" for lines in (evaluate, newton)]
     return sources + (_integrator_sources(plan) if with_caps else [])
 
@@ -649,8 +659,11 @@ class GateKernel:
     stamps' ``geq`` in ``bv`` and ``ieq`` in ``bi``.  ``kn`` is the
     :class:`~repro.spice.engine.KernelNewton` holding the rest: the
     constants (``consts``, ``caps``), the buffers, ``gesv``, the
-    profiler, and the rare exits (the singular nudge and the
-    accounting).
+    analysis's phase accumulator ``times`` (``None`` with telemetry
+    off), which the loop adds into, its
+    :class:`~repro.spice.engine.SolveContext`, whose ``end`` accounts a
+    converged solve, and the rare exits (the singular nudge and the
+    iteration limit).
 
     A kernel with capacitor stamps also carries the transient's per-step
     functions (:func:`_integrator_sources`): ``history[use_be]``,

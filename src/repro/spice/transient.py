@@ -421,8 +421,9 @@ def transient_result(context: SolveContext, t_stop: float | str, *,
     here, so :func:`transient` and :func:`~repro.spice.batch.transient_batch`
     produce identical :class:`~repro.spice.results.TransientResult`
     objects.  ``context`` is the analysis's
-    :class:`~repro.spice.engine.SolveContext`: its stats and recorder
-    account the analysis, and its backend decides whether the steps run
+    :class:`~repro.spice.engine.SolveContext`: its stats and tallies
+    account the analysis (the caller folds them into the recorder when
+    the analysis ends), and its backend decides whether the steps run
     on floats through its kernel loop
     (:meth:`~repro.spice.engine.SolveContext.kernel_newton`) or through
     :meth:`~repro.spice.engine.SolveContext.solve`.  ``settle`` is the
@@ -531,8 +532,9 @@ def transient(circuit: Circuit | CompiledCircuit, t_stop: float | str, *,
     count in ``spice.transient.settled``.
     """
     compiled = circuit if isinstance(circuit, CompiledCircuit) else circuit.compile()
-    return transient_result(
-        SolveContext.for_analysis(compiled), t_stop, t_start=t_start,
-        record=record, initial_op=initial_op, options=options, retry=retry,
-        settle=settle,
-    )
+    with SolveContext.for_analysis(compiled) as context:
+        return transient_result(
+            context, t_stop, t_start=t_start, record=record,
+            initial_op=initial_op, options=options, retry=retry,
+            settle=settle,
+        )

@@ -1,5 +1,6 @@
 """Gate cells: logic, sensitization, sizing, circuit emission."""
 
+import gc
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.errors import NetlistError
 from repro.gates import Gate, Leaf
 from repro.spice import solve_dc
+from repro.spice.builders import delay_chain
 from repro.tech import Sizing, default_process
 
 
@@ -178,3 +180,23 @@ class TestValidation:
         g1 = Gate.nand(2, process, load=50e-15)
         g2 = Gate.nand(2, process, load=100e-15)
         assert g1.cache_key() != g2.cache_key()
+
+
+class TestNoReferenceCycles:
+    """Gate construction and emission free by reference counting alone,
+    so a built circuit never waits for the cyclic collector."""
+
+    @pytest.mark.parametrize("make", [
+        lambda p: Gate.nand(3, p).build().compile(),
+        lambda p: Gate.aoi22(p).build().compile(),
+        lambda p: delay_chain(12, 4, p),
+    ], ids=["nand3", "aoi22", "delay_chain"])
+    def test_build_leaves_nothing_unreachable(self, process, make):
+        make(process)  # first use fills process-wide caches
+        gc.collect()
+        gc.disable()
+        try:
+            make(process)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

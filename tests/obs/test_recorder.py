@@ -3,9 +3,12 @@
 import os
 import threading
 
+from repro.charlib.simulate import multi_input_response
+from repro.cli import _serve_recorder
 from repro.obs import (
     OBS_ENV_VAR,
     TRACE_ENV_VAR,
+    MetricsRecorder,
     NullRecorder,
     Recorder,
     capture_task,
@@ -15,6 +18,7 @@ from repro.obs import (
     set_recorder,
     traced,
 )
+from repro.waveform import FALL, Edge
 
 REQUIRED_EVENT_FIELDS = ("name", "cat", "ph", "ts", "dur", "pid", "tid")
 
@@ -156,3 +160,33 @@ class TestCaptureTask:
         parent.absorb_task(None)  # disabled-worker envelope: no-op
         assert parent.metrics_payload()["counters"]["task.units"] == 3
         assert [e["name"] for e in parent.trace_events()] == ["parallel.task"]
+
+
+class TestDaemonRecorder:
+    """``repro serve`` pins a recorder that keeps metrics and buffers no
+    spans: nothing in the daemon drains them."""
+
+    def test_shots_buffer_no_spans(self, nand3, thresholds):
+        recorder = _serve_recorder()
+        assert isinstance(recorder, MetricsRecorder)
+        set_recorder(recorder)
+        for k in range(50):
+            multi_input_response(nand3, {"a": Edge(FALL, 0.0, (200 + k) * 1e-12)},
+                                 thresholds)
+        assert recorder.trace_events() == []
+        counters = recorder.metrics_payload()["counters"]
+        assert counters["spice.transient.analyses"] >= 50
+        assert counters["spice.newton.solves"] > 0
+
+    def test_armed_recorder_is_kept(self, monkeypatch):
+        monkeypatch.setenv(OBS_ENV_VAR, "1")
+        assert get_recorder().enabled
+        assert _serve_recorder() is None
+
+    def test_absorb_merges_metrics_and_drops_spans(self):
+        with recording():
+            _, telemetry = capture_task(_task, 2, 0)
+        recorder = MetricsRecorder()
+        recorder.absorb_task(telemetry)
+        assert recorder.metrics_payload()["counters"]["task.units"] == 2
+        assert recorder.trace_events() == []

@@ -138,10 +138,11 @@ class TestLuReuse:
         x = np.full(compiled.n_unknown, PROC.vdd / 2.0)
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
         with recording() as rec:
-            context = fast_context(monkeypatch, compiled)
-            fast = context.fast
-            for _ in range(3):
-                x = context.solve(x, known, options, time=0.0)
+            # The context folds its tallies into ``rec`` on leaving.
+            with fast_context(monkeypatch, compiled) as context:
+                fast = context.fast
+                for _ in range(3):
+                    x = context.solve(x, known, options, time=0.0)
         assert fast.refactorized >= 1
         assert fast.reused >= 1
         counters = rec.metrics_payload()["counters"]
