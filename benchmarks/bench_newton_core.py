@@ -27,7 +27,7 @@ from repro.spice.engine import (
     assemble_system,
     assemble_system_reference,
 )
-from repro.spice.stamps import assemble_into, load_solve
+from repro.spice.stamps import Workspace, assemble_into, load_solve
 from repro.tech import default_process
 from repro.waveform import ramp
 
@@ -69,7 +69,7 @@ def test_scalar_assembly_speedup_and_identity(benchmark, request):
         assert J_vec.tobytes() == J_ref.tobytes()
 
     plan = compiled.stamp_plan
-    ws = plan.scratch
+    ws = Workspace(plan)
 
     def run_reference():
         for x in xs:
@@ -81,7 +81,7 @@ def test_scalar_assembly_speedup_and_identity(benchmark, request):
         # iteration.
         load_solve(plan, ws, known, 0.0, caps, 1.0, compiled.isources)
         for x in xs:
-            assemble_into(plan, ws, plan.dense, x, 1e-12, True)
+            assemble_into(plan, ws, x, 1e-12, True)
 
     # Interleave the two modes so drift in box load hits both equally;
     # best-of-REPS filters the spikes.

@@ -17,10 +17,11 @@ For each:
 * the live run's waveforms are **bit-identical** to the telemetry-off
   run's (any drift means instrumentation leaked into the numerics);
 * live wall time stays within 5% of the off arm's.  The arms run
-  interleaved and the gate takes the **best per-rep pair ratio**:
-  adjacent runs share their scheduler/thermal phase, so pairing
-  cancels machine noise that a min-over-all comparison would book
-  against whichever arm ran at the wrong moment;
+  interleaved, the first of each pair alternating, and the gate takes
+  the **best per-rep pair ratio**: adjacent runs share their
+  scheduler/thermal phase, so pairing cancels machine noise that a
+  min-over-all comparison would book against whichever arm ran at the
+  wrong moment;
 * the snapshot artifacts themselves are well formed -- ``metrics.json``
   re-reads as a live document and ``metrics.prom`` parses as
   OpenMetrics text ending in ``# EOF``.
@@ -87,36 +88,46 @@ def gate_shots():
 def interleaved(run, live_dir):
     """``REPS`` telemetry-off and live runs of ``run()``, alternating.
 
-    ``run()`` returns ``(seconds, result)``.  Returns the off and live
-    wall seconds per rep and the last result of each arm.
+    ``run()`` returns ``(seconds, result)``.  The arm that runs first
+    alternates from rep to rep, so an order effect (a warmer cache, a
+    later scheduler phase) lands on both arms alike.  Returns the off
+    and live wall seconds per rep and the last result of each arm.
     """
-    off_times, live_times = [], []
+    times = {"off": [], "live": []}
+    last = {}
     ambient = get_recorder()  # the bench-telemetry fixture's recorder
+
+    def run_off():
+        # Off arm: the true clean path -- NullRecorder, no snapshotter
+        # thread, no profiler, no flight ring.
+        set_recorder(NullRecorder())
+        try:
+            return run()
+        finally:
+            set_recorder(ambient)
+
+    def run_live():
+        # Live arm: an enabled recorder with the snapshotter publishing
+        # into ``live_dir`` while the solves run.
+        recorder = Recorder()
+        snap = Snapshotter(recorder, str(live_dir), interval=0.25)
+        set_recorder(recorder)
+        snap.start()
+        try:
+            return run()
+        finally:
+            snap.stop()
+            set_recorder(ambient)
+
+    arms = [("off", run_off), ("live", run_live)]
     try:
-        for _ in range(REPS):
-            # Off arm: the true clean path -- NullRecorder, no
-            # snapshotter thread, no profiler, no flight ring.
-            set_recorder(NullRecorder())
-            try:
-                seconds, off = run()
-            finally:
-                set_recorder(ambient)
-            off_times.append(seconds)
-            # Live arm: an enabled recorder with the snapshotter
-            # publishing into ``live_dir`` while the solves run.
-            recorder = Recorder()
-            snap = Snapshotter(recorder, str(live_dir), interval=0.25)
-            set_recorder(recorder)
-            snap.start()
-            try:
-                seconds, live = run()
-            finally:
-                snap.stop()
-                set_recorder(ambient)
-            live_times.append(seconds)
+        for rep in range(REPS):
+            for name, arm in arms if rep % 2 == 0 else arms[::-1]:
+                seconds, last[name] = arm()
+                times[name].append(seconds)
     finally:
         set_recorder(ambient)
-    return off_times, live_times, off, live
+    return times["off"], times["live"], last["off"], last["live"]
 
 
 def check_snapshot(live_dir):

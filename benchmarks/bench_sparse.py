@@ -31,7 +31,8 @@ import numpy as np
 
 from repro.spice.builders import hierarchical_decoder, inverter_chain
 from repro.spice.sparse import SPARSE_NODE_CUTOVER
-from repro.spice.stamps import assemble_into, assemble_sparse, load_solve
+from repro.spice.stamps import (Workspace, assemble_into, assemble_sparse,
+                                load_solve)
 
 from conftest import scaled
 
@@ -42,18 +43,18 @@ def solve_workload(circuit):
     """Compiled system assembled at a mid-rail state, ready to solve."""
     compiled = circuit.compile()
     plan = compiled.stamp_plan
-    ws = plan.scratch
+    ws, ws_sparse = Workspace(plan), Workspace(plan, sparse=True)
     known = compiled.known_voltages(0.0)
-    load_solve(plan, ws, known, 0.0, None, 1.0, compiled.isources)
+    for space in (ws, ws_sparse):
+        load_solve(plan, space, known, 0.0, None, 1.0, compiled.isources)
     x = np.full(plan.n, float(known.max()) / 2.0)
-    F, J = assemble_into(plan, ws, plan.dense, x, 1e-12, False)
-    F, J = F.copy(), J.copy()
+    F, J = assemble_into(plan, ws, x, 1e-12, False)
     sp = plan.sparse
-    assemble_sparse(plan, ws, sp, x, 1e-12, False)
-    return plan.n, F, J, sp
+    assemble_sparse(plan, ws_sparse, sp, x, 1e-12, False)
+    return plan.n, F, J, sp, ws_sparse
 
 
-def time_per_solve(F, J, sp, rounds):
+def time_per_solve(F, J, sp, ws, rounds):
     """Best-of-REPS per-solve seconds for dense LU and sparse splu."""
     rhs = -F
     dense_times, sparse_times = [], []
@@ -65,14 +66,14 @@ def time_per_solve(F, J, sp, rounds):
 
         t0 = time.perf_counter()
         for _ in range(rounds):
-            lu = sp.factorize()
-            sp.solve_factored(lu, rhs)
+            lu = sp.factorize(ws.data)
+            sp.solve_factored(lu, rhs, ws)
         sparse_times.append(time.perf_counter() - t0)
     dense_s = min(dense_times) / rounds
     sparse_s = min(sparse_times) / rounds
     # Same system, two factorizations: answers agree to solver precision.
     dx_dense = np.linalg.solve(J, rhs)
-    dx_sparse = sp.solve_factored(sp.factorize(), rhs)
+    dx_sparse = sp.solve_factored(sp.factorize(ws.data), rhs, ws)
     scale = max(1.0, float(np.abs(dx_dense).max()))
     assert float(np.abs(dx_dense - dx_sparse).max()) <= 1e-9 * scale
     return dense_s, sparse_s
@@ -92,8 +93,8 @@ def test_per_solve_scaling_curve(benchmark, request):
 
     def run_curve():
         for label, circuit in cases:
-            n, F, J, sp = solve_workload(circuit)
-            dense_s, sparse_s = time_per_solve(F, J, sp, rounds)
+            n, F, J, sp, ws = solve_workload(circuit)
+            dense_s, sparse_s = time_per_solve(F, J, sp, ws, rounds)
             curve.append({
                 "case": label, "n_unknown": n, "nnz": sp.nnz,
                 "dense_us_per_solve": dense_s * 1e6,
@@ -132,10 +133,10 @@ def test_decoder_tree_speedup(benchmark, request):
     holder = {}
 
     def run_case():
-        n, F, J, sp = solve_workload(circuit)
+        n, F, J, sp, ws = solve_workload(circuit)
         holder["n"] = n
         holder["nnz"] = sp.nnz
-        holder["times"] = time_per_solve(F, J, sp, rounds)
+        holder["times"] = time_per_solve(F, J, sp, ws, rounds)
 
     benchmark.pedantic(run_case, rounds=1, iterations=1)
     n, (dense_s, sparse_s) = holder["n"], holder["times"]

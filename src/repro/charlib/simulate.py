@@ -17,6 +17,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..errors import ConvergenceError, MeasurementError
 from ..gates import Gate
 from ..spice import transient, transient_batch
+from ..spice.netlist import CompiledCircuit
+from ..spice.stamps import LruCache
 from ..spice.transient import SettleRule
 from ..units import parse_quantity
 from ..waveform import (
@@ -46,6 +48,11 @@ SETTLE_TOLERANCE = 0.002
 
 #: The installed shot router (see :func:`set_shot_router`), or ``None``.
 _SHOT_ROUTER = None
+
+#: The process's compiled testbenches (:func:`_testbench`), shared by
+#: every thread.  A NAND3 testbench holds ~25 KB; a library build or a
+#: served gate needs a few at a time (one per switching set and load).
+TESTBENCHES = LruCache(size=16)
 
 
 def set_shot_router(router):
@@ -138,10 +145,7 @@ def _edge_ramps(gate: Gate, edges: Mapping[str, Edge],
     cancels; callers that need absolute times subtract it).
     """
     margin = 50e-12
-    starts = []
-    for edge in edges.values():
-        pwl = edge.to_pwl(thresholds)
-        starts.append(pwl.t_start)
+    starts = [edge.ramp_start(thresholds) for edge in edges.values()]
     shift = max(0.0, margin - min(starts)) if starts else 0.0
     ramps: Dict[str, Pwl] = {}
     last_end = 0.0
@@ -172,7 +176,7 @@ class _ShotPlan:
     shift: float
     last_end: float
     settle_time: float
-    circuit: object
+    circuit: CompiledCircuit
     settle_rule: Optional[SettleRule]
     glitch_returns: bool
     attempt: int = 0
@@ -190,26 +194,51 @@ def _glitch_returns(gate: Gate, edges: Mapping[str, Edge], out_dir: str) -> bool
     return gate.logic_output(final) != (out_dir == RISE)
 
 
-def _settle_rule(gate: Gate, edges: Mapping[str, Edge],
-                 out_dir: str) -> Optional[SettleRule]:
+def _settle_rule(gate: Gate, out_dir: str,
+                 glitch_returns: bool) -> Optional[SettleRule]:
     """The transient's early stop: the output near the rail ``out_dir``
     ends on.
 
     ``None`` for a glitch that returns (:func:`_glitch_returns`): the
     output could touch the measured rail and leave it again.
     """
-    if _glitch_returns(gate, edges, out_dir):
+    if glitch_returns:
         return None
     vdd = gate.process.vdd
     rising = out_dir == RISE
     return gate.output, (vdd if rising else 0.0), SETTLE_TOLERANCE * vdd
 
 
+def _testbench(gate: Gate, ramps: Dict[str, Pwl],
+               load: float) -> CompiledCircuit:
+    """The circuit of one shot: its compiled testbench, driven by ``ramps``.
+
+    A testbench is ``gate`` built at ``load`` with the inputs of
+    ``ramps`` switching and compiled, stamp plan included.  Shots differ
+    in their ramps only, so each gets a view of the testbench that owns
+    its sources (:meth:`~repro.spice.netlist.CompiledCircuit.with_waveforms`)
+    and the process keeps the testbenches in :data:`TESTBENCHES`.  The
+    key is what the build reads: the gate's class, name, pull-down
+    network, process, sizing, stack scaling and output pin, the load,
+    and the switching inputs as a set.  It holds values, never the gate
+    object or its ``id``: pool workers unpickle a fresh gate per task,
+    and CPython reuses the ids of freed objects.
+    """
+    def build() -> CompiledCircuit:
+        compiled = gate.build(ramps, load=load, switching=list(ramps)).compile()
+        compiled.stamp_plan  # planned once, before threads share it
+        return compiled
+
+    key = (type(gate), gate.name, gate.pulldown, gate.process, gate.sizing,
+           gate.stack_scaling, gate.output, load, frozenset(ramps))
+    return TESTBENCHES.lookup(key, build).with_waveforms(ramps)
+
+
 def _prepare_shot(gate: Gate, edges: Mapping[str, Edge],
                   thresholds: Thresholds,
                   reference: Optional[str],
                   load: Optional[float | str]) -> _ShotPlan:
-    """Validate one measurement request and build its circuit."""
+    """Validate one measurement request and bind its circuit."""
     if not edges:
         raise MeasurementError("multi_input_response needs at least one edge")
     for name in edges:
@@ -225,12 +254,13 @@ def _prepare_shot(gate: Gate, edges: Mapping[str, Edge],
 
     ref_edge = edges[ref]
     out_dir = gate.output_direction(ref_edge.direction)
-    circuit = gate.build(ramps, load=cl, switching=list(edges))
+    glitch_returns = _glitch_returns(gate, edges, out_dir)
     return _ShotPlan(edges=edges, ref=ref, ref_edge=ref_edge, out_dir=out_dir,
                      cl=cl, ramps=ramps, shift=shift, last_end=last_end,
-                     settle_time=settle_time, circuit=circuit,
-                     settle_rule=_settle_rule(gate, edges, out_dir),
-                     glitch_returns=_glitch_returns(gate, edges, out_dir))
+                     settle_time=settle_time,
+                     circuit=_testbench(gate, ramps, cl),
+                     settle_rule=_settle_rule(gate, out_dir, glitch_returns),
+                     glitch_returns=glitch_returns)
 
 
 def _enrich_convergence(gate: Gate, plan: _ShotPlan,

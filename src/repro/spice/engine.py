@@ -85,8 +85,8 @@ from .guard import record_rung
 from .mosfet import mosfet_current
 from .netlist import CompiledCircuit
 from .sparse import sparse_enabled
-from .stamps import (CapArrays, assemble_into, assemble_sparse, load_kernel,
-                     load_solve, stamped)
+from .stamps import (CapArrays, Workspace, assemble_into, assemble_sparse,
+                     load_kernel, load_solve, stamped)
 
 __all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "assemble_system",
            "assemble_system_reference", "newton_solve", "SolveContext",
@@ -169,13 +169,11 @@ def assemble_system(compiled: CompiledCircuit, x: np.ndarray, known: np.ndarray,
     as the equivalence oracle).
     """
     plan = compiled.stamp_plan
-    ws = plan.scratch
+    ws = Workspace(plan)
     with_caps = load_solve(plan, ws, np.asarray(known, dtype=float), time,
                            caps, source_scale, compiled.isources)
-    F, J = assemble_into(plan, ws, plan.dense, np.asarray(x, dtype=float),
-                         gmin, with_caps)
-    # Fresh copies: callers compare/retain results across calls.
-    return F.copy(), J.copy()
+    return assemble_into(plan, ws, np.asarray(x, dtype=float), gmin,
+                         with_caps)
 
 
 def assemble_system_reference(
@@ -422,20 +420,22 @@ class _DenseOps:
 
 
 class _SparseOps:
-    """SuperLU backend: with telemetry on, factorizations count into the
-    analysis's :class:`SolveContext`."""
+    """SuperLU backend on the analysis's sparse :class:`Workspace`: with
+    telemetry on, factorizations count into its :class:`SolveContext`.
+    The assembled ``data`` the loops pass is the workspace's own."""
 
-    __slots__ = ("sp", "context", "times")
+    __slots__ = ("sp", "ws", "context", "times")
 
-    def __init__(self, sp, context: SolveContext) -> None:
+    def __init__(self, sp, ws: Workspace, context: SolveContext) -> None:
         self.sp = sp
+        self.ws = ws
         self.context = context
         self.times = context.times
 
     def factorize(self):
         """Factorize the assembled matrix; raises ``LinAlgError`` if
         singular, and tallies factorization/fill telemetry."""
-        lu = self.sp.factorize(times=self.times)
+        lu = self.sp.factorize(self.ws.data, times=self.times)
         if self.times is not None:
             context = self.context
             context.factorizations += 1
@@ -445,10 +445,11 @@ class _SparseOps:
             context.fill_nnz += max(0, int(lu.L.nnz + lu.U.nnz) - self.sp.nnz)
         return lu
 
-    def direct_solve(self, A, F: np.ndarray) -> np.ndarray:
-        return self.sp.solve_factored(self.factorize(), -F, times=self.times)
+    def direct_solve(self, data, F: np.ndarray) -> np.ndarray:
+        return self.sp.solve_factored(self.factorize(), -F, self.ws,
+                                      times=self.times)
 
-    def fast_factorize(self, A):
+    def fast_factorize(self, data):
         try:
             return self.factorize()
         except np.linalg.LinAlgError:
@@ -457,10 +458,10 @@ class _SparseOps:
     def fast_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
         if lu is _SPARSE_SINGULAR:
             return np.full(rhs.shape, np.inf)
-        return self.sp.solve_factored(lu, rhs, times=self.times)
+        return self.sp.solve_factored(lu, rhs, self.ws, times=self.times)
 
-    def nudge(self, A, value: float) -> None:
-        self.sp.nudge(value)
+    def nudge(self, data, value: float) -> None:
+        self.sp.nudge(self.ws.data, value)
 
 
 def _newton_fast(context: SolveContext, x: np.ndarray, assemble, key,
@@ -642,24 +643,23 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
                 isrc, effective_gmin, options, None, False, geq, ieq))
     times = context.times
     x = np.array(x0, dtype=float)
-    ws = plan.scratch
+    ws = context.workspace()
     with_caps = load_solve(plan, ws, np.asarray(known, dtype=float), time,
                            caps, source_scale, compiled.isources)
     ops: Union[_DenseOps, _SparseOps]
     if backend == "sparse":
         sp = plan.sparse
-        ops = _SparseOps(sp, context)
+        ops = _SparseOps(sp, ws, context)
 
         def assemble(need_jacobian: bool = True):
             return assemble_sparse(plan, ws, sp, x, effective_gmin,
                                    with_caps, need_jacobian)
     else:
         ops = _DenseOps(times)
-        dense = plan.dense
 
         def assemble(need_jacobian: bool = True):
-            return assemble_into(plan, ws, dense, x, effective_gmin,
-                                 with_caps, need_jacobian)
+            return assemble_into(plan, ws, x, effective_gmin, with_caps,
+                                 need_jacobian)
 
     if times is not None:
         # One wrapper times every assembly call of both Newton loops;
@@ -732,6 +732,9 @@ class SolveContext:
       solve's loop adds its phase seconds into (both ``None`` with
       telemetry off, which skips every timing site);
     * ``fast``, the modified-Newton state under ``REPRO_FAST_NEWTON``;
+    * the ``dense`` and ``sparse`` backends' :class:`Workspace`
+      (:meth:`workspace`), so analyses of one compiled circuit, which
+      share its stamp plan, never write the same buffer;
     * the tallies ``iterations``, ``solves``, ``failures`` and, with
       telemetry on, the sparse ``factorizations`` and ``fill_nnz``,
       which :meth:`fold` moves into the recorder.
@@ -744,7 +747,7 @@ class SolveContext:
 
     __slots__ = ("compiled", "backend", "stats", "recorder", "profile",
                  "times", "fast", "iterations", "solves", "failures",
-                 "factorizations", "fill_nnz")
+                 "factorizations", "fill_nnz", "_workspace")
 
     def __init__(self, compiled: CompiledCircuit, backend: str,
                  stats: NewtonStats, recorder,
@@ -759,6 +762,7 @@ class SolveContext:
         self.fast = fast
         self.iterations = self.solves = self.failures = 0
         self.factorizations = self.fill_nnz = 0
+        self._workspace: Optional[Workspace] = None
 
     @classmethod
     def for_analysis(cls, compiled: CompiledCircuit, *,
@@ -815,6 +819,15 @@ class SolveContext:
         """
         return newton_solve(self.compiled, x0, known, options=options,
                             time=time, context=self, **shape)
+
+    def workspace(self) -> Workspace:
+        """The buffers of this analysis's NumPy Newton solves, built on
+        the first (``dense`` and ``sparse`` backends)."""
+        ws = self._workspace
+        if ws is None:
+            ws = self._workspace = Workspace(self.compiled.stamp_plan,
+                                             self.backend == "sparse")
+        return ws
 
     def kernel_newton(self, with_caps: bool = True) -> KernelNewton:
         """The ``kernel`` backend's loop, with capacitor stamps or without.

@@ -10,9 +10,12 @@ transient engines evaluate.  Compilation partitions nodes into
 * **unknown** nodes -- everything else, solved by KCL.
 
 Compilation fixes structure only: constant source levels live in one
-base vector that :meth:`CompiledCircuit.set_source_level` rebinds in
-place (a DC sweep compiles once), and each PWL source evaluates through
-its own scalar :class:`~repro.waveform.Pwl` path per time point.
+base list that :meth:`CompiledCircuit.set_source_level` rebinds in
+place (a DC sweep compiles once), each PWL source evaluates through its
+own scalar :class:`~repro.waveform.Pwl` path per time point, and
+:meth:`CompiledCircuit.with_waveforms` gives a view that drives the PWL
+sources with other waveforms (a measurement shot compiles no circuit of
+its own).
 
 Restricting voltage sources to node-to-ground keeps the formulation
 purely nodal; gate characterization never needs floating sources.
@@ -20,9 +23,10 @@ purely nodal; gate characterization never needs floating sources.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -244,27 +248,27 @@ class CompiledCircuit:
         # Known nodes: slot 0 reserved for ground, then each driven node.
         # Evaluation is pre-classified so the hot loops skip the
         # per-source Python closures: constants are baked into a base
-        # vector, Pwl sources evaluate through their scalar path, and
-        # only arbitrary callables pay a closure call per sample.
+        # list of floats, Pwl sources evaluate through their scalar
+        # path, and only arbitrary callables pay a closure call per
+        # sample.
         self._known_names: List[str] = ["0"]
         self._known_pwl: List[Tuple[int, Pwl]] = []
         self._known_dyn: List[Tuple[int, Callable[[float], float]]] = []
         breakpoints: set[float] = set()
         self._constant_index: Dict[str, int] = {}
-        known_base: List[float] = [0.0]
+        self._known_base: List[float] = [0.0]
         for src in circuit._vsources.values():
             kidx = len(self._known_names)
             self._known_names.append(src.node)
             breakpoints.update(src.breakpoints)
-            known_base.append(0.0)
+            self._known_base.append(0.0)
             if isinstance(src.spec, Pwl):
                 self._known_pwl.append((kidx, src.spec))
             elif callable(src.spec):
                 self._known_dyn.append((kidx, src.value))
             else:
                 self._constant_index[src.name] = kidx
-                known_base[kidx] = float(src.value(0.0))
-        self._known_base = np.array(known_base, dtype=float)
+                self._known_base[kidx] = float(src.value(0.0))
         self.breakpoints: Tuple[float, ...] = tuple(sorted(breakpoints))
 
         slot: Dict[str, int] = {}
@@ -338,20 +342,44 @@ class CompiledCircuit:
             return None
         return self.breakpoints[-1] if self.breakpoints else -math.inf
 
+    def with_waveforms(self, waves: Mapping[str, Pwl]) -> "CompiledCircuit":
+        """A view of this circuit whose PWL sources follow ``waves``.
+
+        ``waves`` maps every PWL-driven node, and nothing else, to its
+        new waveform.  The view shares the structure -- device tables
+        and the stamp plan, built here if it was not yet -- and owns its
+        sources, breakpoints and constant levels, so views of one
+        compiled circuit can run at once, in any threads; ``self`` is
+        untouched.  As with :meth:`set_source_level`, ``view.circuit``
+        keeps the sources the circuit was built with.
+        """
+        nodes = {self._known_names[kidx]: kidx for kidx, _ in self._known_pwl}
+        if waves.keys() != nodes.keys():
+            raise NetlistError(
+                f"waveforms for {sorted(waves)} do not match the PWL-driven "
+                f"nodes {sorted(nodes)}")
+        self.stamp_plan  # shared by every view
+        view = copy.copy(self)
+        view._known_pwl = [(nodes[node], wave) for node, wave in waves.items()]
+        view._known_base = list(self._known_base)
+        view.breakpoints = tuple(sorted(set().union(
+            *(wave.times.tolist() for wave in waves.values()))))
+        return view
+
     # ------------------------------------------------------------------
     def known_list(self, t: float) -> List[float]:
         """Voltages of the known nodes (ground first) at time ``t``, as floats.
 
-        The constant levels of the base vector; each PWL source fills
-        its slot through the scalar :class:`~repro.waveform.Pwl` path
+        The constant levels of the base list; each PWL source fills its
+        slot through the scalar :class:`~repro.waveform.Pwl` path
         (bit-identical to ``np.interp``), and only arbitrary callables
         pay a closure call.
         """
-        out = self._known_base.tolist()
+        out = self._known_base.copy()
         if self._known_pwl:
             tf = float(t)
             for kidx, wave in self._known_pwl:
-                out[kidx] = wave(tf)
+                out[kidx] = wave._eval_scalar(tf)
         for kidx, fn in self._known_dyn:
             out[kidx] = float(fn(t))
         return out
@@ -373,7 +401,7 @@ class CompiledCircuit:
         except KeyError:
             raise NetlistError(
                 f"no constant voltage source named {name!r}") from None
-        self._known_base[kidx] = level
+        self._known_base[kidx] = float(level)
 
     def known_name(self, slot_index: int) -> str:
         return self._known_names[-slot_index - 1]

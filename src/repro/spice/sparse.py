@@ -136,14 +136,16 @@ def _minimum_degree(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 class SparsePlan:
     """One circuit's compiled CSC scatter plan plus SuperLU bindings.
 
-    Shared-mutable like the stamp plan's scalar workspace: each solve
-    returns before the next one starts on this plan, so the single
-    reused ``[F | data]`` buffer is safe.
+    Structure only: the plan is shared by every analysis of its circuit,
+    in any thread, and the buffers one analysis writes -- the ``[F |
+    data]`` accumulation target and the permuted right-hand side and
+    step -- live in that analysis's
+    :class:`~repro.spice.stamps.Workspace` (``sparse=True``), which the
+    methods here take.
     """
 
-    __slots__ = ("n", "nnz", "perm", "buf", "F", "matrix", "diag_pos",
-                 "op_wc", "op_nc", "_rhs", "_dx", "_csc", "_matvec",
-                 "_gstrf")
+    __slots__ = ("n", "nnz", "perm", "indices", "indptr", "diag_pos",
+                 "op_wc", "op_nc", "_csc", "_matvec", "_gstrf")
 
     def __init__(self, plan) -> None:
         from scipy.sparse import csc_matrix
@@ -182,10 +184,11 @@ class SparsePlan:
         indices = (unique % n).astype(np.int32)
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
-        self.buf = np.zeros(n + self.nnz)
-        self.F = self.buf[:n]
-        self.matrix = csc_matrix((self.buf[n:], indices, indptr),
-                                 shape=(n, n))
+        # The index arrays as scipy's CSC constructor keeps them.
+        pattern = csc_matrix((np.zeros(self.nnz), indices, indptr),
+                             shape=(n, n))
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        rows_out = n + self.nnz
 
         # Scatter operators, cap-companion stamps in or out: CSR
         # ``(indptr, indices, data)`` of the +/-1 signs, rows the ``n``
@@ -196,8 +199,8 @@ class SparsePlan:
         def operator(fk: int, jk: int):
             targets = np.concatenate([f_cells[:fk], slot[:jk]])
             order = np.argsort(targets, kind="stable")
-            indptr = np.zeros(self.buf.size + 1, dtype=np.int32)
-            np.cumsum(np.bincount(targets, minlength=self.buf.size),
+            indptr = np.zeros(rows_out + 1, dtype=np.int32)
+            np.cumsum(np.bincount(targets, minlength=rows_out),
                       out=indptr[1:])
             src = np.concatenate([f_src[:fk], j_src[:jk]])
             sign = np.concatenate([f_sign[:fk], j_sign[:jk]])
@@ -205,35 +208,33 @@ class SparsePlan:
 
         self.op_wc = operator(f_cells.size, j_cells.size)
         self.op_nc = operator(plan.f_split, plan.j_split)
-        self._rhs = np.empty(n)
-        self._dx = np.empty(n)
 
     # ------------------------------------------------------------------
     def assemble(self, ws, with_caps: bool, need_jacobian: bool = True):
         """Scatter this iteration's values into ``F`` and the CSC data.
 
         One ``csr_matvec`` of the operator against ``ws.vals`` into the
-        zeroed ``[F | data]`` buffer; the residual-only call runs just
-        the first ``n`` rows.  Returns ``(F, matrix)`` (``matrix`` is
-        ``None`` when ``need_jacobian`` is false).
+        workspace's zeroed ``[F | data]`` buffer; the residual-only call
+        runs just the first ``n`` rows.  Returns ``(F, data)`` (``data``
+        is ``None`` when ``need_jacobian`` is false).
         """
         indptr, indices, coef = self.op_wc if with_caps else self.op_nc
         if need_jacobian:
-            self.buf.fill(0.0)
-            rows = self.buf.size
+            ws.buf.fill(0.0)
+            rows = ws.buf.size
         else:
-            self.F.fill(0.0)
+            ws.F.fill(0.0)
             rows = self.n
         self._matvec(rows, ws.vals.size, indptr, indices, coef, ws.vals,
-                     self.buf)
-        return self.F, (self.matrix if need_jacobian else None)
+                     ws.buf)
+        return ws.F, (ws.data if need_jacobian else None)
 
-    def nudge(self, value: float) -> None:
-        """Add ``value`` to every diagonal entry of the assembled data."""
-        self.matrix.data[self.diag_pos] += value
+    def nudge(self, data: np.ndarray, value: float) -> None:
+        """Add ``value`` to every diagonal entry of the assembled ``data``."""
+        data[self.diag_pos] += value
 
-    def factorize(self, times=None):
-        """SuperLU factorization of the (pre-permuted) assembled matrix.
+    def factorize(self, data: np.ndarray, times=None):
+        """SuperLU factorization of the (pre-permuted) assembled ``data``.
 
         Raises :class:`numpy.linalg.LinAlgError` on an exactly singular
         matrix, normalizing SuperLU's ``RuntimeError`` so the Newton
@@ -251,37 +252,40 @@ class SparsePlan:
         """
         faults.fire_sparse_factorize()
         start = monotonic() if times is not None else 0.0
-        matrix = self.matrix
         try:
             lu = self._gstrf(
-                self.n, matrix.nnz, matrix.data, matrix.indices,
-                matrix.indptr, csc_construct_func=self._csc,
-                ilu=False, options=_GSTRF_OPTIONS)
+                self.n, self.nnz, data, self.indices, self.indptr,
+                csc_construct_func=self._csc, ilu=False,
+                options=_GSTRF_OPTIONS)
         except RuntimeError as error:
             raise np.linalg.LinAlgError(str(error)) from None
         if times is not None:
             times.factorize += monotonic() - start
         return lu
 
-    def solve_factored(self, lu, rhs: np.ndarray, times=None) -> np.ndarray:
-        """Back-substitute ``rhs`` through ``lu``, undoing the ordering.
+    def solve_factored(self, lu, rhs: np.ndarray, ws,
+                       times=None) -> np.ndarray:
+        """Back-substitute ``rhs`` through ``lu``, undoing the ordering,
+        through the workspace ``ws``'s ``rhs`` and ``dx``.
 
         ``times``, when given, accumulates the wall seconds into
         ``times.back_solve``.
         """
         start = monotonic() if times is not None else 0.0
-        rhs.take(self.perm, out=self._rhs)
-        self._dx[self.perm] = lu.solve(self._rhs)
-        out = self._dx.copy()
+        rhs.take(self.perm, out=ws.rhs)
+        ws.dx[self.perm] = lu.solve(ws.rhs)
+        out = ws.dx.copy()
         if times is not None:
             times.back_solve += monotonic() - start
         return out
 
-    def dense_jacobian(self) -> np.ndarray:
-        """The assembled matrix as a dense array in original node order.
+    def dense_jacobian(self, data: np.ndarray) -> np.ndarray:
+        """The assembled ``data`` as a dense array in original node order.
 
         Test/diagnostic helper: inverts the ordering so entries
         compare directly against the dense backend's Jacobian.
         """
         inv = np.argsort(self.perm)
-        return self.matrix.toarray()[np.ix_(inv, inv)]
+        matrix = self._csc((data, self.indices, self.indptr),
+                           shape=(self.n, self.n))
+        return matrix.toarray()[np.ix_(inv, inv)]

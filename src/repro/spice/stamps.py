@@ -68,8 +68,12 @@ devices to win.
 
 The engine (:mod:`repro.spice.engine`) drives the NumPy paths through a
 preallocated :class:`Workspace` so a Newton iteration allocates no
-``(n, n)`` temporaries.  Each backend's scatter state is built on its
-first use, so a plan that only dispatches sparse never allocates the
+``(n, n)`` temporaries.  A plan holds structure only, and each analysis
+writes into a workspace of its own
+(:meth:`~repro.spice.engine.SolveContext.workspace`), so analyses of
+one plan can run in several threads at once.  Each backend's scatter
+state is built on its first use, and a workspace holds one backend's
+buffers, so a plan that only dispatches sparse never allocates the
 dense ``n + n**2`` buffer.
 
 Companion stamps enter in one form, :data:`CapArrays`: ``(geq, ieq)``
@@ -86,14 +90,15 @@ import threading
 from collections import OrderedDict
 from functools import cached_property
 from time import monotonic
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from .mosfet import channel_source, device_param_rows, mosfet_current_batch
 
 __all__ = ["CapArrays", "DenseScatter", "GateKernel", "KERNELS",
-           "KernelCache", "MosGroup", "StampPlan", "Workspace",
+           "KernelCache", "LruCache", "MosGroup", "StampPlan", "Workspace",
            "assemble_into", "assemble_sparse", "eval_values", "load_kernel",
            "load_solve", "source_currents", "stamped"]
 
@@ -320,18 +325,10 @@ class StampPlan:
         self.f_split = n + f_split
         self.j_split = n + j_split
 
-        #: Per-process scratch for the scalar engine.  Each solve
-        #: returns before the next one starts on this plan, so one
-        #: workspace per plan is safe.
-        self.scratch = Workspace(self)
-
     @cached_property
     def dense(self) -> "DenseScatter":
-        """Scatter arrays and ``[F | J]`` buffer of the dense backend.
-
-        Built on the first dense assembly, so plans that always
-        dispatch sparse never allocate the ``n + n**2`` buffer.
-        """
+        """Scatter arrays of the dense backend, built on the first dense
+        workspace."""
         return DenseScatter(self)
 
     @cached_property
@@ -373,7 +370,7 @@ class StampPlan:
 
 
 class Workspace:
-    """Preallocated per-solve buffers shared by both backends.
+    """Preallocated buffers of the NumPy Newton loops, one per analysis.
 
     ``xk`` fuses unknown and known voltages (``[x | known]``) so device
     gathers index one flat vector.  ``vals`` holds every value column
@@ -382,13 +379,21 @@ class Workspace:
     geq]``, then the ``gmin * x`` row and the ``gmin`` cell); the named
     rows are views into it, so one gather feeds the whole scatter.  The
     static columns (resistor conductances) are filled once here.
+
+    ``buf`` is one backend's accumulation target, ``F`` its first ``n``
+    cells.  The dense backend's is ``[F | J]`` (``J`` row-major, also a
+    view), with ``contrib`` for the scatter's terms; the sparse
+    backend's (``sparse=True``) is ``[F | data]``, ``data`` the
+    :class:`~repro.spice.sparse.SparsePlan`'s CSC entries, with the
+    permuted right-hand side ``rhs`` and step ``dx`` of its solves.
     """
 
     __slots__ = ("n", "xk", "vals", "res_cur", "is_cur", "cap_geq",
                  "cap_ieq", "cap_cur", "id_row", "dvd_row", "dvg_row",
-                 "dvs_row", "gx")
+                 "dvs_row", "gx", "buf", "F", "J", "contrib", "data",
+                 "rhs", "dx")
 
-    def __init__(self, plan: StampPlan) -> None:
+    def __init__(self, plan: StampPlan, sparse: bool = False) -> None:
         n = plan.n
         n_res, n_is = plan.n_res, plan.n_is
         n_mos, n_cap = plan.n_mos, plan.n_cap
@@ -407,30 +412,35 @@ class Workspace:
         self.cap_geq = jv[n_res + 3 * n_mos:]
         self.cap_ieq = np.empty(n_cap)
         self.gx = self.vals[plan.gmin_slot - n:plan.gmin_slot]
+        if sparse:
+            self.buf = np.zeros(n + plan.sparse.nnz)
+            self.data = self.buf[n:]
+            self.rhs, self.dx = np.empty(n), np.empty(n)
+        else:
+            self.buf = np.empty(n + n * n)
+            self.J = self.buf[n:].reshape(n, n)
+            self.contrib = np.empty(plan.dense.full_wc[0].size)
+        self.F = self.buf[:n]
 
 
 class DenseScatter:
-    """Ordered ``np.add.at`` scatter of the dense backend, with its buffers.
+    """Ordered ``np.add.at`` scatter of the dense backend.
 
-    ``fj`` fuses the accumulation targets (``F`` in the first ``n``
-    cells, flattened ``J`` behind it) and is reused across iterations
-    -- no per-iteration ``np.zeros((n, n))``, and one memset clears
-    both.  ``np.add.at`` applies repeated-index additions sequentially
-    in element order, so the emission-ordered arrays reproduce the
-    scalar per-cell accumulation order exactly.  The ``(cells, src,
-    sign)`` triples are pre-sliced per case so the hot path never
-    re-slices: full assembly with/without cap stamps, residual-only
-    (the modified-Newton check) with/without cap stamps.
+    The target is a :class:`Workspace`'s ``buf``, which fuses ``F`` (the
+    first ``n`` cells) and flattened ``J`` behind it and is reused
+    across iterations -- no per-iteration ``np.zeros((n, n))``, and one
+    memset clears both.  ``np.add.at`` applies repeated-index additions
+    sequentially in element order, so the emission-ordered arrays
+    reproduce the scalar per-cell accumulation order exactly.  The
+    ``(cells, src, sign)`` triples are pre-sliced per case so the hot
+    path never re-slices: full assembly with/without cap stamps,
+    residual-only (the modified-Newton check) with/without cap stamps.
     """
 
-    __slots__ = ("fj", "F", "J", "contrib", "full_wc", "full_nc",
-                 "f_wc", "f_nc")
+    __slots__ = ("full_wc", "full_nc", "f_wc", "f_nc")
 
     def __init__(self, plan: StampPlan) -> None:
         n = plan.n
-        self.fj = np.empty(n + n * n)
-        self.F = self.fj[:n]
-        self.J = self.fj[n:].reshape(n, n)
         f_cells, f_src, f_sign = plan.f_emit
         j_cells, j_src, j_sign = plan.j_emit
         fs, js = plan.f_split, plan.j_split
@@ -442,7 +452,6 @@ class DenseScatter:
                         np.concatenate([f_sign[:fs], j_sign[:js]]))
         self.f_wc = plan.f_emit
         self.f_nc = (f_cells[:fs], f_src[:fs], f_sign[:fs])
-        self.contrib = np.empty(self.full_wc[0].size)
 
 
 def _volt(slot: int) -> str:
@@ -681,54 +690,71 @@ class GateKernel:
         self.move = namespace.get("move")
 
 
-class KernelCache:
-    """Generated gate kernels by circuit structure; bounded, thread-safe.
+class LruCache:
+    """A bounded, thread-safe map of built values; least recently used
+    goes first.
+
+    :meth:`lookup` builds a missing value outside the lock: threads that
+    miss one key together each build it, and the first one stored wins,
+    so every caller gets the same object.  Past ``size`` entries the
+    least recently used is dropped.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def lookup(self, key: Hashable, build: Callable[[], Any]):
+        """The value stored under ``key``, built by ``build()`` on a miss."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                return value
+        value = build()
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.size:
+                self._entries.popitem(last=False)
+        return value
+
+
+def _generate(plan: StampPlan, with_caps: bool) -> GateKernel:
+    namespace = {"_pack": struct.Struct(f"{plan.n + plan.n ** 2}d").pack_into,
+                 "LinAlgError": np.linalg.LinAlgError,
+                 "monotonic": monotonic, "inf": float("inf")}
+    for source in _kernel_sources(plan, with_caps):
+        exec(compile(source, "<gate kernel>", "exec"), namespace)
+    return GateKernel(namespace)
+
+
+class KernelCache(LruCache):
+    """Generated gate kernels by circuit structure.
 
     A key holds what the kernel's code depends on -- node slots, the
     emission order they imply, each transistor's polarity and channel
     model, the live capacitors' slots when stamps are present -- and
     never a device value, load or waveform, so every shot of one gate
-    shares its two kernels whatever its load or stimuli.  Past ``size``
-    kernels the least recently used is dropped.  Generation runs outside
-    the lock: threads that miss the same key together each generate it,
-    and the first one stored wins.
+    shares its two kernels whatever its load or stimuli.
     """
 
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._kernels: "OrderedDict[tuple, GateKernel]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._kernels)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._kernels.clear()
-
-    def get(self, plan: StampPlan, with_caps: bool):
+    def get(self, plan: StampPlan, with_caps: bool) -> GateKernel:
         """The :class:`GateKernel` of ``plan``'s structure, generated on
         first use."""
         key = (plan.structure,
                tuple(plan.cap_pairs[c] for c in plan.live_caps)
                if with_caps else None)
-        with self._lock:
-            kernel = self._kernels.get(key)
-            if kernel is not None:
-                self._kernels.move_to_end(key)
-                return kernel
-        namespace = {"_pack": struct.Struct(f"{plan.n + plan.n ** 2}d")
-                     .pack_into, "LinAlgError": np.linalg.LinAlgError,
-                     "monotonic": monotonic, "inf": float("inf")}
-        for source in _kernel_sources(plan, with_caps):
-            exec(compile(source, "<gate kernel>", "exec"), namespace)
-        with self._lock:
-            kernel = self._kernels.setdefault(key, GateKernel(namespace))
-            self._kernels.move_to_end(key)
-            while len(self._kernels) > self.size:
-                self._kernels.popitem(last=False)
-        return kernel
+        return self.lookup(key, lambda: _generate(plan, with_caps))
 
 
 #: The process's gate kernels, shared by every plan and thread.
@@ -846,19 +872,17 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
         ws.vals[plan.gmin_slot] = gmin
 
 
-def assemble_into(plan: StampPlan, ws: Workspace, dense: DenseScatter,
-                  x: np.ndarray, gmin: float, with_caps: bool,
-                  need_jacobian: bool = True):
-    """Residual/Jacobian assembly into the dense buffers.
+def assemble_into(plan: StampPlan, ws: Workspace, x: np.ndarray,
+                  gmin: float, with_caps: bool, need_jacobian: bool = True):
+    """Residual/Jacobian assembly into a dense workspace's buffers.
 
-    ``dense`` is the plan's :attr:`StampPlan.dense`, resolved once per
-    solve.  Requires :func:`load_solve` to have loaded the solve's
-    invariants.  Returns ``(F, J)`` as views of ``dense.fj`` (``J`` is
+    Requires :func:`load_solve` to have loaded the solve's invariants
+    into ``ws``.  Returns ``(F, J)`` as views of ``ws.buf`` (``J`` is
     ``None`` when ``need_jacobian`` is false -- the modified-Newton
     residual check skips the Jacobian scatter entirely).  Gate-sized
     plans run their kernel; larger ones evaluate vectorized and apply
-    the ordered scatter.  Either way every entry is bit-identical to
-    the reference scalar assembler.
+    the ordered scatter (:attr:`StampPlan.dense`).  Either way every
+    entry is bit-identical to the reference scalar assembler.
     """
     if plan.use_scalar_mos:
         n = plan.n
@@ -866,26 +890,27 @@ def assemble_into(plan: StampPlan, ws: Workspace, dense: DenseScatter,
                 if with_caps else ())
         # A residual-only call leaves ``J`` as it is: the kernel packs
         # into a scratch buffer, and only ``F`` is copied over.
-        out = dense.fj if need_jacobian else np.empty(dense.fj.size)
+        out = ws.buf if need_jacobian else np.empty(ws.buf.size)
         plan.kernel(with_caps).evaluate(
             x.tolist(),
             plan.kernel_values(ws.xk[n:].tolist(), ws.is_cur.tolist(), gmin,
                                caps), out)
         # The kernel packs ``-F``; negating it back is exact.
-        np.negative(out[:n], out=dense.F)
-        return dense.F, (dense.J if need_jacobian else None)
+        np.negative(out[:n], out=ws.F)
+        return ws.F, (ws.J if need_jacobian else None)
     eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
+    dense = plan.dense
     if need_jacobian:
-        dense.fj.fill(0.0)
+        ws.buf.fill(0.0)
         cells, src, sign = dense.full_wc if with_caps else dense.full_nc
     else:
-        dense.F.fill(0.0)
+        ws.F.fill(0.0)
         cells, src, sign = dense.f_wc if with_caps else dense.f_nc
-    contrib = dense.contrib[:cells.size]
+    contrib = ws.contrib[:cells.size]
     ws.vals.take(src, out=contrib)
     contrib *= sign
-    np.add.at(dense.fj, cells, contrib)
-    return dense.F, (dense.J if need_jacobian else None)
+    np.add.at(ws.buf, cells, contrib)
+    return ws.F, (ws.J if need_jacobian else None)
 
 
 def assemble_sparse(plan: StampPlan, ws: Workspace, sp, x: np.ndarray,
@@ -893,11 +918,12 @@ def assemble_sparse(plan: StampPlan, ws: Workspace, sp, x: np.ndarray,
                     need_jacobian: bool = True):
     """Residual and CSC ``data`` through the sparse plan's scatter operator.
 
-    ``sp`` is the plan's :class:`~repro.spice.sparse.SparsePlan`.  Its
-    operator replays the dense per-cell accumulation order, so ``F``
-    and every stored entry are bit-identical to the dense assembly.
-    Returns ``(F, A)`` with ``A`` the plan's ``scipy.sparse.csc_matrix``
-    (``None`` when ``need_jacobian`` is false).
+    ``sp`` is the plan's :class:`~repro.spice.sparse.SparsePlan`, ``ws``
+    a sparse workspace.  The operator replays the dense per-cell
+    accumulation order, so ``F`` and every stored entry are
+    bit-identical to the dense assembly.  Returns ``(F, data)``, views
+    of ``ws.buf`` (``data`` is ``None`` when ``need_jacobian`` is
+    false).
     """
     eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
     return sp.assemble(ws, with_caps, need_jacobian)

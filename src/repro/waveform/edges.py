@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import MeasurementError
 from ..units import parse_quantity
+from .pwl import crossing_ramp_start, ramp_crossing_at
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .measure import Thresholds
@@ -103,17 +104,25 @@ class Edge:
         threshold (``V_il`` rising / ``V_ih`` falling, from
         ``thresholds``) exactly at ``t_cross``.
         """
-        from .measure import timing_threshold
-        from .pwl import ramp_crossing_at
-
-        level = timing_threshold(self.direction, thresholds)
-        if self.is_rising:
-            v0, v1 = 0.0, thresholds.vdd
-        else:
-            v0, v1 = thresholds.vdd, 0.0
+        level, v0, v1 = self._ramp(thresholds)
         return ramp_crossing_at(
             self.t_cross, level, v0=v0, v1=v1, tau=self.tau, t_end=t_end
         )
+
+    def ramp_start(self, thresholds: "Thresholds") -> float:
+        """When :meth:`to_pwl`'s ramp starts (its first breakpoint),
+        without building it."""
+        level, v0, v1 = self._ramp(thresholds)
+        return crossing_ramp_start(self.t_cross, level, v0=v0, v1=v1,
+                                   tau=self.tau)[0]
+
+    def _ramp(self, thresholds: "Thresholds") -> tuple[float, float, float]:
+        """``(level, v0, v1)``: the timing threshold the ramp crosses at
+        ``t_cross`` (:func:`~repro.waveform.measure.timing_threshold`)
+        and the rails it runs between."""
+        if self.is_rising:
+            return thresholds.vil, 0.0, thresholds.vdd
+        return thresholds.vih, thresholds.vdd, 0.0
 
     def describe(self) -> str:
         """Short human-readable summary for logs and reports."""

@@ -45,9 +45,11 @@ class Pwl:
             )
         if t.size == 0:
             raise MeasurementError("Pwl requires at least one breakpoint")
-        if t.size > 1 and not np.all(np.diff(t) > 0.0):
+        # ``t[1:] > t[:-1]`` is ``np.diff(t) > 0`` (a float difference is
+        # zero only between equal floats), without ``np.diff``'s checks.
+        if t.size > 1 and not (t[1:] > t[:-1]).all():
             raise MeasurementError("Pwl breakpoint times must be strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise MeasurementError("Pwl breakpoints must be finite")
         self._t = t
         self._v = v
@@ -220,19 +222,17 @@ class Pwl:
         t, v = self._t, self._v
         if t.size < 2:
             return []
-        dv = v[1:] - v[:-1]
         lo = v[:-1] - level
         hi = v[1:] - level
-        hits: list[float] = []
-        rising = (lo < 0.0) & (hi >= 0.0)
-        falling = (lo > 0.0) & (hi <= 0.0)
+        masks = []
         if want in (None, "rise"):
-            for idx in np.nonzero(rising)[0]:
-                frac = (level - v[idx]) / dv[idx]
-                hits.append(float(t[idx] + frac * (t[idx + 1] - t[idx])))
+            masks.append((lo < 0.0) & (hi >= 0.0))
         if want in (None, "fall"):
-            for idx in np.nonzero(falling)[0]:
-                frac = (level - v[idx]) / dv[idx]
+            masks.append((lo > 0.0) & (hi <= 0.0))
+        hits: list[float] = []
+        for mask in masks:
+            for idx in np.nonzero(mask)[0]:
+                frac = (level - v[idx]) / (v[idx + 1] - v[idx])
                 hits.append(float(t[idx] + frac * (t[idx + 1] - t[idx])))
         hits.sort()
         return hits
@@ -302,6 +302,14 @@ def ramp_crossing_at(t_cross: float | str, level: float, *, v0: float, v1: float
     This is how edges with paper-convention arrival times (measured at
     ``V_il``/``V_ih``) are lowered to concrete stimuli.
     """
+    t_start, width = crossing_ramp_start(t_cross, level, v0=v0, v1=v1, tau=tau)
+    return ramp(t_start, v0, v1, width, t_end=t_end)
+
+
+def crossing_ramp_start(t_cross: float | str, level: float, *, v0: float,
+                        v1: float, tau: float | str) -> tuple[float, float]:
+    """``(t_start, width)`` of the ramp :func:`ramp_crossing_at` builds,
+    without building it: ``t_start`` is its first breakpoint."""
     t_at = parse_quantity(t_cross, unit="s")
     width = parse_quantity(tau, unit="s")
     if width <= 0.0:
@@ -313,5 +321,4 @@ def ramp_crossing_at(t_cross: float | str, level: float, *, v0: float, v1: float
         raise MeasurementError(
             f"threshold {level:.4g} lies outside the ramp range [{v0:.4g}, {v1:.4g}]"
         )
-    t_start = t_at - frac * width
-    return ramp(t_start, v0, v1, width, t_end=t_end)
+    return t_at - frac * width, width

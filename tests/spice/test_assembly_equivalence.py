@@ -20,7 +20,8 @@ from repro.spice import Circuit, engine, transient
 from repro.spice.engine import (NewtonOptions, assemble_system,
                                 assemble_system_reference, newton_solve)
 from repro.spice.sparse import SPARSE_ENV_VAR
-from repro.spice.stamps import SCALAR_MOS_CUTOVER, assemble_into, load_solve
+from repro.spice.stamps import (SCALAR_MOS_CUTOVER, Workspace, assemble_into,
+                                load_solve)
 from repro.tech import default_process, submicron_process
 from repro.waveform import ramp
 from repro.waveform.pwl import Pwl
@@ -179,18 +180,18 @@ class TestResidualOnlyAssembly:
                                   process=process).compile()
         plan = compiled.stamp_plan
         assert plan.use_scalar_mos == (n_mos < SCALAR_MOS_CUTOVER)
-        ws = plan.scratch
+        ws = Workspace(plan)
         stamps = ordered_stamps(compiled) if with_caps else None
         loaded = load_solve(plan, ws, compiled.known_voltages(0.13e-9),
                             0.13e-9, caps_of(stamps), 1.0, compiled.isources)
         assert loaded == (with_caps and plan.n_cap > 0)
         for _ in range(5):
             x = rng.uniform(-1.0, process.vdd + 1.0, compiled.n_unknown)
-            F_full, J = assemble_into(plan, ws, plan.dense, x, 1e-12, loaded)
+            F_full, J = assemble_into(plan, ws, x, 1e-12, loaded)
             F_full = F_full.copy()
             assert J is not None
             J.fill(7.0)
-            F_res, J_res = assemble_into(plan, ws, plan.dense, x, 1e-12, loaded,
+            F_res, J_res = assemble_into(plan, ws, x, 1e-12, loaded,
                                          need_jacobian=False)
             assert J_res is None
             assert F_res.tobytes() == F_full.tobytes()

@@ -150,6 +150,27 @@ class TestCompilation:
             with pytest.raises(NetlistError):
                 compiled.set_source_level(name, 1.0)
 
+    def test_with_waveforms_rebinds_pwl_sources_only(self):
+        ckt = Circuit()
+        ckt.add_vsource("v1", "in", 2.0)
+        ckt.add_vsource("v2", "ramp", Pwl([0.0, 1e-9], [0.0, 5.0]))
+        ckt.add_vsource("v3", "fn", lambda t: 1.0)
+        ckt.add_resistor("r1", "in", "mid", 1e3)
+        ckt.add_resistor("r2", "ramp", "mid", 1e3)
+        compiled = ckt.compile()
+        wave = Pwl([2e-10, 4e-10, 6e-10], [5.0, 1.0, 3.0])
+        view = compiled.with_waveforms({"ramp": wave})
+        assert view.stamp_plan is compiled.stamp_plan
+        assert view.breakpoints == (2e-10, 4e-10, 6e-10)
+        assert compiled.breakpoints == (0.0, 1e-9)
+        assert view.known_list(5e-10) == [0.0, 2.0, wave(5e-10), 1.0]
+        assert compiled.known_list(5e-10)[2] == 2.5
+        view.set_source_level("v1", 3.0)
+        assert compiled.known_list(0.0)[1] == 2.0
+        for waves in ({}, {"ramp": wave, "in": wave}, {"fn": wave}):
+            with pytest.raises(NetlistError):
+                compiled.with_waveforms(waves)
+
     def test_source_node_lookup(self):
         ckt = Circuit()
         ckt.add_vsource("v1", "in", 1.0)

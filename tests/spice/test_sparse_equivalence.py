@@ -38,7 +38,8 @@ from repro.spice.sparse import (
     sparse_enabled,
     sparse_mode,
 )
-from repro.spice.stamps import assemble_into, assemble_sparse, load_solve
+from repro.spice.stamps import (Workspace, assemble_into, assemble_sparse,
+                                load_solve)
 from repro.tech import default_process
 from repro.waveform import ramp
 
@@ -120,7 +121,7 @@ class TestAssemblyBitIdentity:
         residual-only calls: the sparse ``F`` and every stored CSC entry
         must equal the dense assembly bit for bit."""
         plan = compiled.stamp_plan
-        ws = plan.scratch
+        ws, ws_sparse = Workspace(plan), Workspace(plan, sparse=True)
         known = compiled.known_voltages(0.0)
         draws = [(float(rng.uniform(1e-6, 1e-3)),
                   float(rng.uniform(-1e-6, 1e-6))) for _ in plan.cap_pairs]
@@ -128,27 +129,27 @@ class TestAssemblyBitIdentity:
                 np.array([ieq for _, ieq in draws], dtype=float))
         sp = plan.sparse
         # Dense cell of every stored entry, in original node order.
-        columns = np.repeat(np.arange(plan.n), np.diff(sp.matrix.indptr))
-        rows, cols = sp.perm[sp.matrix.indices], sp.perm[columns]
+        columns = np.repeat(np.arange(plan.n), np.diff(sp.indptr))
+        rows, cols = sp.perm[sp.indices], sp.perm[columns]
         for with_caps in (False, True):
-            load_solve(plan, ws, known, 0.0, caps if with_caps else None,
-                       1.0, compiled.isources)
+            for space in (ws, ws_sparse):
+                load_solve(plan, space, known, 0.0,
+                           caps if with_caps else None, 1.0,
+                           compiled.isources)
             x = rng.uniform(0.0, PROC.vdd, plan.n)
             gmin = float(rng.choice([0.0, 1e-12, 1e-9]))
-            F_d, J_d = assemble_into(plan, ws, plan.dense, x, gmin,
-                                     with_caps)
-            F_d, J_d = F_d.copy(), J_d.copy()
-            F_s, A = assemble_sparse(plan, ws, sp, x, gmin, with_caps)
+            F_d, J_d = assemble_into(plan, ws, x, gmin, with_caps)
+            F_s, data = assemble_sparse(plan, ws_sparse, sp, x, gmin,
+                                        with_caps)
             assert np.array_equal(bit_pattern(F_s), bit_pattern(F_d))
-            assert np.array_equal(bit_pattern(A.data), bit_pattern(J_d[rows, cols]))
-            assert np.array_equal(J_d, sp.dense_jacobian())
+            assert np.array_equal(bit_pattern(data), bit_pattern(J_d[rows, cols]))
+            assert np.array_equal(J_d, sp.dense_jacobian(data))
 
             x = rng.uniform(0.0, PROC.vdd, plan.n)
-            F_d, J_none = assemble_into(plan, ws, plan.dense, x, gmin,
-                                        with_caps, need_jacobian=False)
+            F_d, J_none = assemble_into(plan, ws, x, gmin, with_caps,
+                                        need_jacobian=False)
             assert J_none is None
-            F_d = F_d.copy()
-            F_s, A = assemble_sparse(plan, ws, sp, x, gmin, with_caps,
+            F_s, A = assemble_sparse(plan, ws_sparse, sp, x, gmin, with_caps,
                                      need_jacobian=False)
             assert A is None
             assert np.array_equal(bit_pattern(F_s), bit_pattern(F_d))
@@ -175,11 +176,11 @@ class TestAssemblyBitIdentity:
         sp = plan.sparse
         assert isinstance(sp, SparsePlan)
         assert plan.sparse is sp  # built once, then cached
-        ws = plan.scratch
+        ws = Workspace(plan)
         load_solve(plan, ws, compiled.known_voltages(0.0), 0.0, None, 1.0,
                    compiled.isources)
         x = rng.uniform(0.0, PROC.vdd, plan.n)
-        _, J = assemble_into(plan, ws, plan.dense, x, 1e-12, False)
+        _, J = assemble_into(plan, ws, x, 1e-12, False)
         assert np.count_nonzero(J) <= sp.nnz <= plan.n * plan.n
 
 
@@ -200,14 +201,14 @@ class TestOrderingBoundsFill:
     def test_factor_fill_within_twice_the_structure(self, build, args):
         compiled = build(*args).compile()
         plan = compiled.stamp_plan
-        ws = plan.scratch
+        ws = Workspace(plan, sparse=True)
         sp = plan.sparse
         caps = (plan.cap_c / 1e-12, np.zeros(plan.n_cap))
         load_solve(plan, ws, compiled.known_voltages(0.0), 0.0, caps, 1.0,
                    compiled.isources)
         x = np.random.default_rng(0).uniform(0.0, PROC.vdd, plan.n)
         assemble_sparse(plan, ws, sp, x, 1e-12, True)
-        lu = sp.factorize()
+        lu = sp.factorize(ws.data)
         assert lu.L.nnz + lu.U.nnz <= 2 * sp.nnz
 
 
