@@ -192,7 +192,8 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
     constants, and each point rebinds their level on the compiled
     circuit (:meth:`~repro.spice.netlist.CompiledCircuit.set_source_level`).
     Every point solves exactly as a freshly compiled circuit would,
-    starting from a fresh Jacobian in ``REPRO_FAST_NEWTON`` mode too.
+    starting from a fresh Jacobian in the sparse backend's
+    ``REPRO_FAST_NEWTON`` mode too.
     """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size < 2:

@@ -26,9 +26,10 @@ reads (CPU-time medians of 16 alternating reps of 40 seed-11 shots,
 2-vCPU container).
 
 Gate-sized circuits (below
-:data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors) on dense
-full Newton take the ``kernel`` backend: one generated loop per circuit
-structure (:attr:`~repro.spice.stamps.GateKernel.newton`, through a
+:data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors) that
+``REPRO_SPARSE`` leaves dense take the ``kernel`` backend: one
+generated loop per circuit structure
+(:attr:`~repro.spice.stamps.GateKernel.newton`, through a
 :class:`KernelNewton`).  It unpacks the circuit's constants and the
 solve's inputs once, evaluates the transistors inline, packs ``[-F |
 J]`` into a preallocated buffer with one ``struct`` call, and computes
@@ -48,8 +49,12 @@ contribution in the plan's emission order (never ``sum()`` or
 negating ``F`` is exact, the norms are NaN-propagating maxima like
 ``np.abs(F).max()``, damping and the update are the same elementwise
 products and sums, and the linear solve is the same ``gesv`` on the
-same bits.  The ``dense`` and ``sparse`` backends, and the opt-in
-modified-Newton mode, run the NumPy loops.
+same bits.  The ``dense`` and ``sparse`` backends run the NumPy
+full-Newton loop; ``sparse`` also runs the opt-in modified-Newton loop
+(``REPRO_FAST_NEWTON``), which reuses its SuperLU factors while they
+contract.  On dense factors that loop was slower than full Newton on
+every circuit measured (DESIGN.md), so the dense layer runs two loops:
+the kernel and the NumPy full-Newton loop.
 
 A gate-sized transient skips :func:`newton_solve` for its steps: its
 context's :meth:`SolveContext.kernel_newton` is the same loop, which
@@ -70,7 +75,6 @@ error state, and from 21.23 to 24.19 with the whole loop generated
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from time import monotonic as _monotonic
 from typing import Optional, Sequence, Tuple, Union
@@ -94,12 +98,14 @@ __all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "assemble_system",
            "KernelNewton", "dense_solve", "gesv", "nudge_diagonal",
            "singular_nudge"]
 
-#: Environment knob enabling the opt-in modified-Newton mode.
+#: Environment knob enabling the opt-in modified-Newton mode of the
+#: sparse backend.
 FAST_NEWTON_ENV_VAR = "REPRO_FAST_NEWTON"
 
 
 def fast_newton_enabled() -> bool:
-    """Whether ``REPRO_FAST_NEWTON`` opts into LU-reusing modified Newton."""
+    """Whether ``REPRO_FAST_NEWTON`` opts sparse analyses into LU-reusing
+    modified Newton."""
     value = os.environ.get(FAST_NEWTON_ENV_VAR, "").strip().lower()
     return value not in ("", "0", "false", "no", "off")
 
@@ -265,9 +271,10 @@ def assemble_system_reference(
 def singular_nudge(effective_gmin: float) -> float:
     """The diagonal escalation value for a singular Jacobian.
 
-    Both Newton loops escalate a singular system by adding this to every
-    diagonal entry; sharing the expression keeps the recovery arithmetic
-    identical across the full, fast and sparse paths.
+    Every Newton loop escalates a singular system by adding this to
+    every diagonal entry; sharing the expression keeps the recovery
+    arithmetic identical across the kernel, dense, sparse and
+    modified-Newton paths.
     """
     return max(effective_gmin, 1e-9)
 
@@ -299,9 +306,9 @@ def _not_converged(iterations: int, residual: float) -> ConvergenceError:
 class FastNewtonState:
     """Cross-solve state of the opt-in modified-Newton mode.
 
-    Holds one analysis's most recent LU factorization together with the
-    key it was computed under: the backend, the effective gmin, the
-    source scale and the capacitor companion conductances.  Consecutive
+    Holds one sparse analysis's most recent LU factorization together
+    with the key it was computed under: the effective gmin, the source
+    scale and the capacitor companion conductances.  Consecutive
     accepted timesteps of the same ``h`` share the same ``geq`` vector,
     so their solves start from the previous step's LU; a key mismatch
     (new ``h``, a homotopy rung) forces refactorization on the first
@@ -347,42 +354,15 @@ def dense_solve(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return gesv(J, rhs)
 
 
-#: scipy.linalg's ``(lu_factor, lu_solve)``, bound by the first
-#: fast-Newton factorization: only opt-in ``REPRO_FAST_NEWTON`` solves
-#: use them, so the default path never imports scipy.linalg.
-_scipy_lu: Optional[tuple] = None
-
-
-def _fast_factorize(J: np.ndarray):
-    """LU-factorize a fresh Jacobian."""
-    global _scipy_lu
-    if _scipy_lu is None:
-        from scipy.linalg import lu_factor, lu_solve
-        _scipy_lu = (lu_factor, lu_solve)
-    with warnings.catch_warnings():
-        # A singular J makes dgetrf warn; we detect it from the
-        # non-finite solution and walk the nudge path instead.
-        warnings.simplefilter("ignore")
-        return _scipy_lu[0](J, check_finite=False)
-
-
-#: Sentinel LU of a singular sparse factorization attempt: its solve
-#: returns all-inf, steering the modified-Newton loop onto the same
-#: non-finite nudge path a singular dense factorization takes.
-_SPARSE_SINGULAR = object()
-
-
 class _DenseOps:
-    """LAPACK backend of the NumPy Newton loops.
+    """LAPACK backend of the NumPy full-Newton loop.
 
     ``direct_solve`` calls the ``gesv`` gufunc through
-    :func:`dense_solve`, bit-identical to :func:`numpy.linalg.solve`;
-    the fast-Newton pair is scipy's ``lu_factor``/``lu_solve``.  With the
-    analysis's :class:`~repro.obs.profile.PhaseTimes` in ``times``
-    (telemetry on) the same calls are bracketed by monotonic reads: the
-    fused ``gesv``
-    lands wholly in ``factorize`` (LAPACK does not expose the split),
-    ``lu_factor``/``lu_solve`` split into factorize and back_solve.
+    :func:`dense_solve`, bit-identical to :func:`numpy.linalg.solve`.
+    With the analysis's :class:`~repro.obs.profile.PhaseTimes` in
+    ``times`` (telemetry on) the call is bracketed by monotonic reads:
+    the fused ``gesv`` lands wholly in ``factorize`` (LAPACK does not
+    expose the split).
     """
 
     __slots__ = ("times",)
@@ -397,22 +377,6 @@ class _DenseOps:
         dx = dense_solve(J, -F)
         self.times.factorize += _monotonic() - start
         return dx
-
-    def fast_factorize(self, J: np.ndarray):
-        if self.times is None:
-            return _fast_factorize(J)
-        start = _monotonic()
-        lu = _fast_factorize(J)
-        self.times.factorize += _monotonic() - start
-        return lu
-
-    def fast_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
-        if self.times is None:
-            return _scipy_lu[1](lu, rhs, check_finite=False)
-        start = _monotonic()
-        out = _scipy_lu[1](lu, rhs, check_finite=False)
-        self.times.back_solve += _monotonic() - start
-        return out
 
     @staticmethod
     def nudge(J: np.ndarray, value: float) -> None:
@@ -449,17 +413,6 @@ class _SparseOps:
         return self.sp.solve_factored(self.factorize(), -F, self.ws,
                                       times=self.times)
 
-    def fast_factorize(self, data):
-        try:
-            return self.factorize()
-        except np.linalg.LinAlgError:
-            return _SPARSE_SINGULAR
-
-    def fast_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
-        if lu is _SPARSE_SINGULAR:
-            return np.full(rhs.shape, np.inf)
-        return self.sp.solve_factored(lu, rhs, self.ws, times=self.times)
-
     def nudge(self, data, value: float) -> None:
         self.sp.nudge(self.ws.data, value)
 
@@ -474,40 +427,48 @@ def _newton_fast(context: SolveContext, x: np.ndarray, assemble, key,
     residual stops contracting (safeguarded fallback to full Newton),
     or on the accepting iteration -- convergence is only declared on a
     fresh-Jacobian step, which polishes the solution to well inside the
-    full-Newton tolerances.  ``ops`` is the context's linear-algebra
-    backend (dense LAPACK or the compiled sparse SuperLU plan); a
-    singular sparse factorization surfaces as an all-inf solve, joining
-    the dense path's non-finite nudge ladder.
+    full-Newton tolerances.  ``ops`` is the sparse analysis's SuperLU
+    backend; a singular factorization (``LinAlgError``) and a
+    non-finite step both take the nudge ladder.
     """
     fast, recorder = context.fast, context.recorder
+    sp, ws, times = ops.sp, ops.ws, ops.times
     nudge = singular_nudge(effective_gmin)
     fresh = fast.lu is None or fast.key != key
     last_residual = np.inf
     for iteration in range(1, options.max_iterations + 1):
         if not fresh:
-            F, _ = assemble(need_jacobian=False)
+            F, _ = assemble(False)
             residual = float(np.abs(F).max())
             if residual >= 0.5 * last_residual:
                 fresh = True  # stalled contraction: refactorize here
                 record_rung("refresh", recorder)
         if fresh:
-            F, J = assemble()
+            F, _ = assemble()
             residual = float(np.abs(F).max())
-            fast.lu = ops.fast_factorize(J)
             fast.key = key
             fast.refactorized += 1
         else:
             fast.reused += 1
-        dx = ops.fast_solve(fast.lu, -F)
-        if not np.all(np.isfinite(dx)):
-            # Singular factorization: rebuild with a nudged diagonal.
+        try:
+            if fresh:
+                fast.lu = ops.factorize()
+            dx = sp.solve_factored(fast.lu, -F, ws, times=times)
+        except np.linalg.LinAlgError:
+            dx = None
+        if dx is None or not np.all(np.isfinite(dx)):
+            # Singular factorization, or a NaN residual on a stale
+            # step: rebuild with a nudged diagonal.
             record_rung("nudge", recorder)
             F, J = assemble()
             ops.nudge(J, nudge)
-            fast.lu = ops.fast_factorize(J)
             fast.key = None  # the nudged LU must not outlive this solve
-            dx = ops.fast_solve(fast.lu, -F)
-            if not np.all(np.isfinite(dx)):
+            try:
+                fast.lu = ops.factorize()
+                dx = sp.solve_factored(fast.lu, -F, ws, times=times)
+            except np.linalg.LinAlgError:
+                dx = None
+            if dx is None or not np.all(np.isfinite(dx)):
                 context.end(iteration, "singular")
                 raise ConvergenceError(
                     "singular Jacobian during Newton iteration",
@@ -616,14 +577,15 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     context (:meth:`SolveContext.end`) whether it converges or not (the
     raised error also carries its count in ``iterations``), adds its
     phase seconds to the context's accumulator when telemetry is on,
-    and reuses its LU under ``REPRO_FAST_NEWTON``.  ``None`` makes the
-    solve an analysis of its own (:meth:`SolveContext.for_analysis`),
-    folded into the recorder when the solve returns or raises.
+    and on the sparse backend reuses its LU under
+    ``REPRO_FAST_NEWTON``.  ``None`` makes the solve an analysis of its
+    own (:meth:`SolveContext.for_analysis`), folded into the recorder
+    when the solve returns or raises.
 
     On the ``kernel`` backend the solve runs the plan's generated loop
     through a :class:`KernelNewton` (see the module docstring); on
-    ``dense`` and ``sparse``, the NumPy full-Newton loop below, or the
-    modified-Newton loop when the context has fast-Newton state.
+    ``dense`` and ``sparse``, the NumPy full-Newton loop below, or, on
+    ``sparse`` with fast-Newton state, the modified-Newton loop.
     """
     if context is None:
         with SolveContext.for_analysis(compiled) as context:
@@ -657,18 +619,17 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     else:
         ops = _DenseOps(times)
 
-        def assemble(need_jacobian: bool = True):
-            return assemble_into(plan, ws, x, effective_gmin, with_caps,
-                                 need_jacobian)
+        def assemble():
+            return assemble_into(plan, ws, x, effective_gmin, with_caps)
 
     if times is not None:
         # One wrapper times every assembly call of both Newton loops;
         # the unprofiled path keeps the raw closure (zero overhead).
         _assemble_inner = assemble
 
-        def assemble(need_jacobian: bool = True):
+        def assemble(*args):
             start = _monotonic()
-            result = _assemble_inner(need_jacobian)
+            result = _assemble_inner(*args)
             times.assembly += _monotonic() - start
             return result
 
@@ -678,7 +639,7 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
         # share the key and reuse the LU.
         geq_key = (np.asarray(caps[0], dtype=float).tobytes()
                    if with_caps else ())
-        key = (backend, effective_gmin, source_scale, geq_key)
+        key = (effective_gmin, source_scale, geq_key)
         return _newton_fast(context, x, assemble, key, options,
                             effective_gmin, ops)
 
@@ -722,8 +683,8 @@ class SolveContext:
     share:
 
     * ``backend``: ``"kernel"`` (the plan's generated loop, for
-      gate-sized circuits on dense full Newton), ``"dense"`` (the NumPy
-      loops on LAPACK) or ``"sparse"`` (the NumPy loops on SuperLU);
+      gate-sized circuits), ``"dense"`` (the NumPy full-Newton loop on
+      LAPACK) or ``"sparse"`` (the NumPy loops on SuperLU);
     * ``stats``: the analysis's :class:`NewtonStats`, which every solve
       accounts into and the retry ladders count their escalations in;
     * ``recorder``, the telemetry handle, ``profile``, its
@@ -731,7 +692,8 @@ class SolveContext:
       analysis's one :class:`~repro.obs.profile.PhaseTimes`, which every
       solve's loop adds its phase seconds into (both ``None`` with
       telemetry off, which skips every timing site);
-    * ``fast``, the modified-Newton state under ``REPRO_FAST_NEWTON``;
+    * ``fast``, the modified-Newton state of a ``sparse`` analysis
+      under ``REPRO_FAST_NEWTON`` (``None`` on every other backend);
     * the ``dense`` and ``sparse`` backends' :class:`Workspace`
       (:meth:`workspace`), so analyses of one compiled circuit, which
       share its stamp plan, never write the same buffer;
@@ -770,22 +732,25 @@ class SolveContext:
                      recorder=None) -> SolveContext:
         """The context one analysis of ``compiled`` runs under.
 
-        Resolves every solver knob once: ``REPRO_FAST_NEWTON``, the
-        ``REPRO_SPARSE`` dispatch for the circuit's unknown count (an
-        unknown value raises :class:`~repro.errors.ReproError`), and
-        phase timing whenever the recorder is enabled.  The backend
-        is ``sparse`` when ``REPRO_SPARSE`` dispatches this circuit
-        there, else ``kernel`` for plans below
-        :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors
-        without fast Newton, else ``dense``.  ``stats`` defaults to a
-        fresh :class:`NewtonStats`, ``recorder`` to the process's.
+        Resolves every solver knob once: the ``REPRO_SPARSE`` dispatch
+        for the circuit's unknown count (an unknown value raises
+        :class:`~repro.errors.ReproError`), ``REPRO_FAST_NEWTON`` on
+        the sparse backend, and phase timing whenever the recorder is
+        enabled.  The backend is ``sparse`` when ``REPRO_SPARSE``
+        dispatches this circuit there (by size, or forced), with
+        fast-Newton state under ``REPRO_FAST_NEWTON``; else ``kernel``
+        for plans below :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER`
+        transistors, else ``dense``.  ``stats`` defaults to a fresh
+        :class:`NewtonStats`, ``recorder`` to the process's.
         """
         if recorder is None:
             recorder = get_recorder()
-        fast = FastNewtonState() if fast_newton_enabled() else None
+        fast: Optional[FastNewtonState] = None
         if sparse_enabled(compiled.n_unknown):
             backend = "sparse"
-        elif compiled.stamp_plan.use_scalar_mos and fast is None:
+            if fast_newton_enabled():
+                fast = FastNewtonState()
+        elif compiled.stamp_plan.use_scalar_mos:
             backend = "kernel"
         else:
             backend = "dense"

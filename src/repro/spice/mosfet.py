@@ -324,7 +324,7 @@ def device_param_rows(mosfets, indices) -> tuple[np.ndarray, np.ndarray,
     """Parameter rows for one :func:`mosfet_current_batch` device group.
 
     ``mosfets`` is a compiled device list (``(d, g, s, params, k)``
-    tuples); ``indices`` selects the devices of one polarity/model
+    tuples); ``indices`` selects the devices of one channel-model
     group.  Returns ``(k, vt, lam, alpha)`` float arrays in selection
     order.
     """
@@ -336,28 +336,29 @@ def device_param_rows(mosfets, indices) -> tuple[np.ndarray, np.ndarray,
     return k, vt, lam, alpha
 
 
-def mosfet_current_batch(is_nmos: bool, alpha_model: bool, k: np.ndarray,
+def mosfet_current_batch(first_pmos: int, alpha_model: bool, k: np.ndarray,
                          vt: np.ndarray, lam: np.ndarray, alpha: np.ndarray,
                          vg: np.ndarray, vd: np.ndarray, vs: np.ndarray):
     """Vectorized :func:`mosfet_current` over one device group.
 
-    Polarity and channel model are constants of the group;
-    ``k``/``vt``/``lam``/``alpha`` and the terminal voltages are
-    per-device arrays.  Returns ``(i_d, di_d/dvd, di_d/dvg, di_d/dvs)``
-    arrays.
+    The channel model is a constant of the group; ``k``/``vt``/``lam``/
+    ``alpha`` and the terminal voltages are per-device arrays, NMOS
+    lanes first: the lanes from ``first_pmos`` on are PMOS, and their
+    voltages and current are negated in place, the same IEEE negations
+    the scalar routine applies, so both polarities share one pass.
+    Returns ``(i_d, di_d/dvd, di_d/dvg, di_d/dvs)`` arrays.
     """
-    if is_nmos:
-        vgs = vg - vs
-        vds = vd - vs
-    else:
-        vgs = -(vg - vs)
-        vds = -(vd - vs)
+    pmos = slice(first_pmos, None)
+    vgs = vg - vs
+    vds = vd - vs
+    np.negative(vgs[pmos], out=vgs[pmos])
+    np.negative(vds[pmos], out=vds[pmos])
     if alpha_model:
         ids, gm, gds = alpha_power_current_batch(k, vt, lam, alpha, vgs, vds)
     else:
         ids, gm, gds = nmos_like_current_batch(k, vt, lam, vgs, vds)
-    i_d = ids if is_nmos else -ids
-    return i_d, gds, gm, -(gm + gds)
+    np.negative(ids[pmos], out=ids[pmos])
+    return ids, gds, gm, -(gm + gds)
 
 
 @dataclass(frozen=True)

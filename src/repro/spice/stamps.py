@@ -10,17 +10,19 @@ do.  A :class:`StampPlan` compiles that structure once per
   fused ``[x | known]`` voltage vector (slot ``>= 0`` indexes the
   unknowns, slot ``< 0`` the knowns, exactly the netlist encoding),
 * a **gate kernel** for gate-sized circuits (fewer than
-  :data:`SCALAR_MOS_CUTOVER` transistors): generated straight-line
-  Python that evaluates every device inline and packs ``[-F | J]``
-  into a buffer, once (``evaluate``) or as the whole Newton loop of a
-  solve (``newton``), plus the transient's history and move-norm code
-  (see below),
-* a **device-axis parameter table** so larger circuits evaluate all
-  transistors of one polarity/channel-model group through a single
-  :func:`~repro.spice.mosfet.mosfet_current_batch` call, and
+  :data:`SCALAR_MOS_CUTOVER` transistors): the whole Newton loop of a
+  solve (``newton``) as generated straight-line Python that evaluates
+  every device inline and packs ``[-F | J]`` into a buffer, plus the
+  transient's history and move-norm code (see below),
+* a **device-axis parameter table** so larger circuits evaluate the
+  transistors of one channel model, both polarities, through one
+  :func:`~repro.spice.mosfet.mosfet_current_batch` call per block of
+  at most :data:`MOS_BLOCK` devices, and
 * **ordered scatter plans** for ``F`` and flattened ``J`` whose
   accumulation order matches the scalar loop of the original
-  ``assemble_system`` cell by cell.
+  ``assemble_system`` cell by cell; :func:`assemble_into` runs them
+  for every plan, gate-sized ones included, which is how
+  :func:`~repro.spice.engine.assemble_system` assembles.
 
 Ordered scatter is what keeps vectorized accumulation *bit-identical*
 to the sequential scalar code.  IEEE addition is not associative, so
@@ -43,14 +45,14 @@ the channel models are the reference assembler's scalar functions
 written out inline (:func:`~repro.spice.mosfet.channel_source`: the
 same comparisons and operand order, no call per transistor).  The
 kernel packs ``-F`` (negation is exact) and ``J`` straight into the
-``gesv`` buffer with one ``struct`` call, and computes the residual
-``max |F|`` inline, NaN-propagating like ``np.abs(F).max()``.  Its
-``newton`` loop wraps the same body in the full-Newton iteration of
-:func:`~repro.spice.engine.newton_solve`, with the step norm, the
-damping and the update written out per unknown.  Only the *live*
-capacitors (:attr:`StampPlan.live_caps`, those with an unknown
-terminal) take companion stamps: one between two known nodes never
-reaches ``F`` or ``J``.  On the transient's float steps the loop computes the live
+``gesv`` buffer with one ``struct`` call, computes the residual
+``max |F|`` inline, NaN-propagating like ``np.abs(F).max()``, and
+runs the full-Newton iteration of
+:func:`~repro.spice.engine.newton_solve` around that body, with the
+step norm, the damping and the update written out per unknown.  Only
+the *live* capacitors (:attr:`StampPlan.live_caps`, those with an
+unknown terminal) take companion stamps: one between two known nodes
+never reaches ``F`` or ``J``.  On the transient's float steps the loop computes the live
 capacitors' backward-Euler or trapezoidal stamps itself, and the
 transient kernel carries the history functions and the step's move
 norm, all in the array integrator's elementwise operand order (``c /
@@ -90,8 +92,7 @@ import threading
 from collections import OrderedDict
 from functools import cached_property
 from time import monotonic
-from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -111,6 +112,14 @@ __all__ = ["CapArrays", "DenseScatter", "GateKernel", "KERNELS",
 #: calls.
 SCALAR_MOS_CUTOVER = 16
 
+#: Most transistors one :func:`~repro.spice.mosfet.mosfet_current_batch`
+#: call evaluates; larger groups are split into even blocks, so the
+#: call's ~35 temporaries stay in cache.  On a 2-vCPU Xeon (2 MiB L2 a
+#: core) one call cost 35-50 ns a lane at 3-7k lanes and 82 at 13,824
+#: (a 48x48 bitcell array's), and blocks of 8192 evaluated the bitcell
+#: arrays faster than blocks of 2048 or 4096.
+MOS_BLOCK = 8192
+
 #: The transient's companion stamps, ``(geq, ieq)``: one conductance and
 #: one current per compiled capacitor, in compiled order.  Capacitor
 #: ``k`` between slots ``a`` and ``b`` contributes ``geq[k] * (va - vb)
@@ -123,21 +132,25 @@ def _intp(values) -> np.ndarray:
 
 
 class MosGroup:
-    """Transistors sharing polarity and channel model.
+    """Transistors sharing a channel model, NMOS first.
 
-    ``indices`` are the device positions in ``compiled.mosfets`` (also
-    the columns of the device-axis value rows); the ``*_cols`` arrays
-    are fused-vector gather columns for the three terminals, and
-    ``k``/``vt``/``lam``/``alpha`` the per-device parameter rows of
-    *this* circuit.
+    ``cols`` are the device positions in ``compiled.mosfets`` (also
+    the columns of the device-axis value rows), the NMOS devices of
+    ``indices`` and then, from ``first_pmos`` on, the PMOS ones; the
+    ``*_cols`` arrays are fused-vector gather columns for the three
+    terminals, and ``k``/``vt``/``lam``/``alpha`` the per-device
+    parameter rows of *this* circuit, all in ``cols`` order.
     """
 
-    __slots__ = ("is_nmos", "alpha_model", "cols", "d_cols", "g_cols",
+    __slots__ = ("first_pmos", "alpha_model", "cols", "d_cols", "g_cols",
                  "s_cols", "k", "vt", "lam", "alpha")
 
-    def __init__(self, is_nmos: bool, alpha_model: bool,
-                 indices: List[int], compiled) -> None:
-        self.is_nmos = is_nmos
+    def __init__(self, alpha_model: bool, indices: List[int],
+                 compiled) -> None:
+        nmos = [mi for mi in indices if compiled.mosfets[mi][3].is_nmos]
+        self.first_pmos = len(nmos)
+        indices = nmos + [mi for mi in indices
+                          if not compiled.mosfets[mi][3].is_nmos]
         self.alpha_model = alpha_model
         self.cols = _intp(indices)
         n = compiled.n_unknown
@@ -190,14 +203,15 @@ class StampPlan:
         self.res_g = np.array([g for _, _, g in compiled.resistors],
                               dtype=float).reshape(num_res)
 
-        grouped: Dict[Tuple[bool, bool], List[int]] = {}
+        grouped: Dict[bool, List[int]] = {}
         for mi, (_, _, _, params, _) in enumerate(compiled.mosfets):
-            key = (params.is_nmos, params.model == "alpha")
-            grouped.setdefault(key, []).append(mi)
-        self.groups: List[MosGroup] = [
-            MosGroup(is_nmos, alpha_model, indices, compiled)
-            for (is_nmos, alpha_model), indices in grouped.items()
-        ]
+            grouped.setdefault(params.model == "alpha", []).append(mi)
+        self.groups: List[MosGroup] = []
+        for alpha_model, indices in grouped.items():
+            blocks = -(-len(indices) // MOS_BLOCK)
+            size = -(-len(indices) // blocks)
+            self.groups += [MosGroup(alpha_model, indices[i:i + size], compiled)
+                            for i in range(0, len(indices), size)]
         self.use_scalar_mos = 0 < num_mos < SCALAR_MOS_CUTOVER
         if self.use_scalar_mos:
             #: What the gate kernel's code depends on: node slots, and per
@@ -354,16 +368,6 @@ class StampPlan:
             kernel = self._kernels[with_caps] = KERNELS.get(self, with_caps)
         return kernel
 
-    def kernel_values(self, known: List[float], isrc: List[float],
-                      gmin: float, caps: Sequence[float] = ()) -> tuple:
-        """The kernel's ``values``: circuit constants, then one solve's inputs.
-
-        ``known`` are the (scaled) known voltages, ``isrc`` the current
-        source values, ``caps`` the live capacitors' ``geq`` then their
-        ``ieq`` (empty for the kernel without stamps).
-        """
-        return (*self.kernel_consts, *known, *isrc, *caps, gmin)
-
     def live(self, per_cap: List[float]) -> List[float]:
         """The :attr:`live_caps` entries of a per-capacitor list."""
         return [per_cap[ci] for ci in self.live_caps]
@@ -432,12 +436,11 @@ class DenseScatter:
     memset clears both.  ``np.add.at`` applies repeated-index additions
     sequentially in element order, so the emission-ordered arrays
     reproduce the scalar per-cell accumulation order exactly.  The
-    ``(cells, src, sign)`` triples are pre-sliced per case so the hot
-    path never re-slices: full assembly with/without cap stamps,
-    residual-only (the modified-Newton check) with/without cap stamps.
+    ``(cells, src, sign)`` triples are pre-sliced with and without cap
+    stamps so the hot path never re-slices.
     """
 
-    __slots__ = ("full_wc", "full_nc", "f_wc", "f_nc")
+    __slots__ = ("full_wc", "full_nc")
 
     def __init__(self, plan: StampPlan) -> None:
         n = plan.n
@@ -450,8 +453,6 @@ class DenseScatter:
         self.full_nc = (np.concatenate([f_cells[:fs], n + j_cells[:js]]),
                         np.concatenate([f_src[:fs], j_src[:js]]),
                         np.concatenate([f_sign[:fs], j_sign[:js]]))
-        self.f_wc = plan.f_emit
-        self.f_nc = (f_cells[:fs], f_src[:fs], f_sign[:fs])
 
 
 def _volt(slot: int) -> str:
@@ -476,11 +477,11 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
     its terms is emitted.  The body packs ``[-F | J]`` into the writable
     buffer ``out`` (``n + n * n`` doubles) with one ``struct`` call,
     ``_pack``, and leaves the residual ``max |F|`` in ``r``,
-    NaN-propagating like ``np.abs(F).max()``.  ``evaluate`` runs the
-    body once; ``newton`` runs it as the loop of a full-Newton solve,
-    with the constants and the solve's inputs unpacked once and the
-    step norm, damping and update written out per unknown (see
-    :class:`GateKernel`); with telemetry on (``kn.times``), it times
+    NaN-propagating like ``np.abs(F).max()``.  ``newton`` runs it as
+    the loop of a full-Newton solve, with the constants and the solve's
+    inputs unpacked once and the step norm, damping and update written
+    out per unknown (see :class:`GateKernel`); with telemetry on
+    (``kn.times``), it times
     the body and the linear solve into two locals, three clock reads
     per iteration, and adds them to the analysis's accumulator at each
     exit.  With capacitor stamps the functions of
@@ -536,9 +537,6 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
     body.append("    _pack(out, 0, {})".format(", ".join(
         [f"-f{i}" for i in range(n)] + [" ".join(cell) for cell in j_cells])))
     body += _max_abs_lines([f"f{i}" for i in range(n)], "r")
-    evaluate = ["def evaluate(x, values, out):", *_unpack(xs, "x"),
-                *_unpack(consts + vs + sis + geq + ieq + ["gmin"], "values"),
-                *body, "    return r"]
 
     def companion(geq_of: str, ieq_of: str) -> List[str]:
         return ([f"            cg{c} = {geq_of.format(c=c)}" for c in live]
@@ -590,8 +588,8 @@ def _kernel_sources(plan: StampPlan, with_caps: bool) -> List[str]:
         "        last = r",
         *("    " + line for line in add_times),
         "    kn.give_up(options.max_iterations, last)"]
-    sources = ["\n".join(lines) + "\n" for lines in (evaluate, newton)]
-    return sources + (_integrator_sources(plan) if with_caps else [])
+    return (["\n".join(newton) + "\n"]
+            + (_integrator_sources(plan) if with_caps else []))
 
 
 def _max_abs_lines(terms: List[str], name: str) -> List[str]:
@@ -653,15 +651,10 @@ def _integrator_sources(plan: StampPlan) -> List[str]:
 class GateKernel:
     """The generated code of one circuit structure.
 
-    ``evaluate(x, values, out)`` takes the unknown voltages, the tuple
-    :meth:`StampPlan.kernel_values` builds and a writable buffer of
-    ``n + n * n`` doubles; it packs ``[-F | J]`` (``J`` row-major) into
-    ``out`` and returns the NaN-propagating residual ``max |F|``.
-
     ``newton(kn, x, v, isrc, gmin, options, h, be, bv, bi)`` is the
-    full-Newton loop of one solve on the same body, from the unknowns
-    ``x``, the known voltages ``v`` and the current sources ``isrc``;
-    it returns the solution as a new list.  Its capacitor stamps come
+    full-Newton loop of one solve, from the unknowns ``x``, the known
+    voltages ``v`` and the current sources ``isrc``; it returns the
+    solution as a new list.  Its capacitor stamps come
     from the live capacitors' previous branch voltages ``bv`` and
     currents ``bi`` by the step ``h``'s backward-Euler (``be``) or
     trapezoidal companion model, or, with ``h`` ``None``, are the
@@ -679,10 +672,9 @@ class GateKernel:
     ``branches`` and ``move``.
     """
 
-    __slots__ = ("evaluate", "newton", "history", "branches", "move")
+    __slots__ = ("newton", "history", "branches", "move")
 
     def __init__(self, namespace: dict) -> None:
-        self.evaluate = namespace["evaluate"]
         self.newton = namespace["newton"]
         self.history = (namespace.get("history_trap"),
                         namespace.get("history_be"))
@@ -841,7 +833,8 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
     expressions mirror the reference scalar assembler's operand order
     exactly; this is the shared front half of :func:`assemble_into`.
     Transistors go through one :func:`mosfet_current_batch` call per
-    group, bit-identical to the scalar channel model lane by lane.
+    :class:`MosGroup`, both polarities together, bit-identical to the
+    scalar channel model lane by lane.
     """
     n = plan.n
     xk = ws.xk
@@ -852,7 +845,7 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
         ws.res_cur *= plan.res_g
     for grp in plan.groups:
         i_d, dvd, dvg, dvs = mosfet_current_batch(
-            grp.is_nmos, grp.alpha_model,
+            grp.first_pmos, grp.alpha_model,
             grp.k, grp.vt, grp.lam, grp.alpha,
             xk[grp.g_cols], xk[grp.d_cols], xk[grp.s_cols],
         )
@@ -873,44 +866,23 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
 
 
 def assemble_into(plan: StampPlan, ws: Workspace, x: np.ndarray,
-                  gmin: float, with_caps: bool, need_jacobian: bool = True):
+                  gmin: float, with_caps: bool):
     """Residual/Jacobian assembly into a dense workspace's buffers.
 
     Requires :func:`load_solve` to have loaded the solve's invariants
-    into ``ws``.  Returns ``(F, J)`` as views of ``ws.buf`` (``J`` is
-    ``None`` when ``need_jacobian`` is false -- the modified-Newton
-    residual check skips the Jacobian scatter entirely).  Gate-sized
-    plans run their kernel; larger ones evaluate vectorized and apply
-    the ordered scatter (:attr:`StampPlan.dense`).  Either way every
-    entry is bit-identical to the reference scalar assembler.
+    into ``ws``.  Evaluates the devices vectorized and applies the
+    ordered scatter (:attr:`StampPlan.dense`), so every entry is
+    bit-identical to the reference scalar assembler.  Returns ``(F,
+    J)`` as views of ``ws.buf``.
     """
-    if plan.use_scalar_mos:
-        n = plan.n
-        caps = (plan.live(ws.cap_geq.tolist()) + plan.live(ws.cap_ieq.tolist())
-                if with_caps else ())
-        # A residual-only call leaves ``J`` as it is: the kernel packs
-        # into a scratch buffer, and only ``F`` is copied over.
-        out = ws.buf if need_jacobian else np.empty(ws.buf.size)
-        plan.kernel(with_caps).evaluate(
-            x.tolist(),
-            plan.kernel_values(ws.xk[n:].tolist(), ws.is_cur.tolist(), gmin,
-                               caps), out)
-        # The kernel packs ``-F``; negating it back is exact.
-        np.negative(out[:n], out=ws.F)
-        return ws.F, (ws.J if need_jacobian else None)
-    eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
-    dense = plan.dense
-    if need_jacobian:
-        ws.buf.fill(0.0)
-        cells, src, sign = dense.full_wc if with_caps else dense.full_nc
-    else:
-        ws.F.fill(0.0)
-        cells, src, sign = dense.f_wc if with_caps else dense.f_nc
+    eval_values(plan, ws, x, gmin, with_caps)
+    cells, src, sign = plan.dense.full_wc if with_caps else plan.dense.full_nc
+    ws.buf.fill(0.0)
     contrib = ws.contrib[:cells.size]
     ws.vals.take(src, out=contrib)
     contrib *= sign
     np.add.at(ws.buf, cells, contrib)
-    return ws.F, (ws.J if need_jacobian else None)
+    return ws.F, ws.J
 
 
 def assemble_sparse(plan: StampPlan, ws: Workspace, sp, x: np.ndarray,

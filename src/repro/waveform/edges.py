@@ -1,5 +1,9 @@
 """Transition-direction vocabulary and the :class:`Edge` descriptor.
 
+The direction tokens (``RISE``, ``FALL``, :func:`normalize_direction`)
+are defined in :mod:`repro.waveform.pwl`, whose crossing search reads
+them, and re-exported here.
+
 An :class:`Edge` is the abstract timing view of a signal transition: a
 direction, the time it crosses its *timing threshold* (``V_il`` for
 rising, ``V_ih`` for falling -- the onset of the transition, matching the
@@ -16,37 +20,14 @@ from typing import TYPE_CHECKING
 
 from ..errors import MeasurementError
 from ..units import parse_quantity
-from .pwl import crossing_ramp_start, ramp_crossing_at
+from .pwl import (FALL, RISE, crossing_ramp_start, normalize_direction,
+                  ramp_crossing_at)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .measure import Thresholds
     from .pwl import Pwl
 
 __all__ = ["RISE", "FALL", "opposite", "normalize_direction", "Edge"]
-
-#: Canonical direction tokens.
-RISE = "rise"
-FALL = "fall"
-
-_ALIASES = {
-    "rise": RISE,
-    "rising": RISE,
-    "r": RISE,
-    "up": RISE,
-    "fall": FALL,
-    "falling": FALL,
-    "f": FALL,
-    "down": FALL,
-}
-
-
-def normalize_direction(direction: str) -> str:
-    """Map any accepted alias to ``RISE``/``FALL``; raise otherwise."""
-    try:
-        return _ALIASES[direction.lower()]
-    except (KeyError, AttributeError):
-        raise MeasurementError(f"unknown transition direction {direction!r}") from None
-
 
 def opposite(direction: str) -> str:
     """The inverse direction (what an inverting gate's output does)."""

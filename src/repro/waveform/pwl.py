@@ -18,6 +18,29 @@ from ..units import parse_quantity
 
 __all__ = ["Pwl", "ramp", "step", "ramp_crossing_at"]
 
+#: Canonical direction tokens (re-exported by :mod:`repro.waveform.edges`).
+RISE = "rise"
+FALL = "fall"
+
+_ALIASES = {
+    "rise": RISE,
+    "rising": RISE,
+    "r": RISE,
+    "up": RISE,
+    "fall": FALL,
+    "falling": FALL,
+    "f": FALL,
+    "down": FALL,
+}
+
+
+def normalize_direction(direction: str) -> str:
+    """Map any accepted alias to ``RISE``/``FALL``; raise otherwise."""
+    try:
+        return _ALIASES[direction.lower()]
+    except (KeyError, AttributeError):
+        raise MeasurementError(f"unknown transition direction {direction!r}") from None
+
 
 class Pwl:
     """An immutable piecewise-linear waveform.
@@ -216,8 +239,6 @@ class Pwl:
         signal actually passes through the level.  Times are returned in
         increasing order.
         """
-        from .edges import normalize_direction
-
         want = None if direction is None else normalize_direction(direction)
         t, v = self._t, self._v
         if t.size < 2:
@@ -225,9 +246,9 @@ class Pwl:
         lo = v[:-1] - level
         hi = v[1:] - level
         masks = []
-        if want in (None, "rise"):
+        if want in (None, RISE):
             masks.append((lo < 0.0) & (hi >= 0.0))
-        if want in (None, "fall"):
+        if want in (None, FALL):
             masks.append((lo > 0.0) & (hi <= 0.0))
         hits: list[float] = []
         for mask in masks:

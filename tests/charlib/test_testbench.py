@@ -50,12 +50,14 @@ def _observed(shot):
 @pytest.fixture(params=["default", "sparse", "fast_newton"])
 def backend(request, monkeypatch):
     """The solver backend the shots run on, forced through the
-    environment before any analysis builds its context."""
+    environment before any analysis builds its context.  Fast Newton
+    acts on the sparse backend only, so its shots are forced sparse: its
+    threads share one gate on the LU-reusing loop."""
     monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
     monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
-    if request.param == "sparse":
+    if request.param in ("sparse", "fast_newton"):
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-    elif request.param == "fast_newton":
+    if request.param == "fast_newton":
         monkeypatch.setenv(FAST_NEWTON_ENV_VAR, "1")
     return request.param
 

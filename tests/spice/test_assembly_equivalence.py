@@ -7,19 +7,24 @@ original scalar loop kept as the equivalence oracle.  IEEE addition is
 not associative, so this holds only because the plan's ordered scatter
 replays the scalar per-cell accumulation order exactly -- these tests
 enforce that contract on randomized circuits, for DC and cap-stamped
-assembly, on both sides of the scalar/batched channel-model cutover,
-for both channel models, and for the residual-only assembly the
-modified-Newton loop runs.
+assembly, on both sides of the scalar/batched channel-model cutover
+and for both channel models.  Gate-sized plans solve on the generated
+kernel loop instead, which evaluates each transistor with the scalar
+channel model inline: at every probe point of a gate-sized plan the
+kernel's ``F`` and ``J``, read from a one-iteration solve, must equal
+the reference bit for bit too.
 """
 
 import numpy as np
 import pytest
 
 from repro.gates import Gate
+from repro.errors import ConvergenceError
 from repro.spice import Circuit, engine, transient
-from repro.spice.engine import (NewtonOptions, assemble_system,
+from repro.spice.engine import (NewtonOptions, SolveContext, assemble_system,
                                 assemble_system_reference, newton_solve)
 from repro.spice.sparse import SPARSE_ENV_VAR
+from repro.spice import stamps
 from repro.spice.stamps import (SCALAR_MOS_CUTOVER, Workspace, assemble_into,
                                 load_solve)
 from repro.tech import default_process, submicron_process
@@ -65,24 +70,62 @@ def random_circuit(rng: np.random.Generator, *, n_mos: int,
     return ckt
 
 
+def kernel_system(compiled, x, known, *, gmin: float, time: float,
+                  caps, source_scale: float):
+    """``(F, J)`` as the generated kernel loop builds them at ``x``.
+
+    Runs one iteration of :func:`newton_solve` on the ``kernel``
+    backend with a stand-in for ``engine.gesv`` (the loop calls
+    ``gesv(J, rhs, out=dx)`` with ``rhs = -F``) that copies what it is
+    handed and steps nowhere.
+    """
+    handed = []
+
+    def capture(J, rhs, out):
+        handed.append((-rhs, J.copy()))
+        out[:] = 0.0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "gesv", capture)
+        patch.setenv(SPARSE_ENV_VAR, "0")
+        with SolveContext.for_analysis(compiled) as context:
+            assert context.backend == "kernel"
+            try:
+                newton_solve(compiled, x, known,
+                             options=NewtonOptions(max_iterations=1),
+                             gmin=gmin, time=time, caps=caps,
+                             source_scale=source_scale, context=context)
+            except ConvergenceError:
+                pass  # one iteration rarely converges; F and J are read
+    (system,) = handed
+    return system
+
+
 def assert_assembly_identical(compiled, rng: np.random.Generator,
                               *, cap_stamps, source_scale: float = 1.0,
                               gmin: float = 1e-12) -> None:
     """The compiled assembly with ``caps_of(cap_stamps)`` against the
-    reference assembler with the tuple stamps, bit for bit."""
+    reference assembler with the tuple stamps, bit for bit; on a
+    gate-sized plan, the kernel loop's ``F`` and ``J`` too."""
     n = compiled.n_unknown
     known = compiled.known_voltages(0.13e-9)
     for _ in range(5):
         x = rng.uniform(-1.0, PROC.vdd + 1.0, n)
-        got = assemble_system(compiled, x, known, gmin=gmin, time=0.13e-9,
-                              caps=caps_of(cap_stamps),
-                              source_scale=source_scale)
         want = assemble_system_reference(
             compiled, x, known, gmin=gmin, time=0.13e-9,
             cap_stamps=cap_stamps, source_scale=source_scale)
-        # Bit-for-bit, not approx: tobytes() compares the raw IEEE bits.
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+        systems = [assemble_system(compiled, x, known, gmin=gmin,
+                                   time=0.13e-9, caps=caps_of(cap_stamps),
+                                   source_scale=source_scale)]
+        if compiled.stamp_plan.use_scalar_mos:
+            systems.append(kernel_system(
+                compiled, x, known, gmin=gmin, time=0.13e-9,
+                caps=caps_of(cap_stamps), source_scale=source_scale))
+        for got in systems:
+            # Bit-for-bit, not approx: tobytes() compares the raw IEEE
+            # bits.
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 def ordered_stamps(compiled):
@@ -134,15 +177,45 @@ class TestRandomizedEquivalence:
                 assert_assembly_identical(
                     compiled, rng, cap_stamps=ordered_stamps(compiled))
 
-    def test_below_cutover_uses_scalar_model(self):
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_blocked_groups_bit_identical(self, monkeypatch, block):
+        """A channel-model group larger than ``MOS_BLOCK`` evaluates in
+        even blocks, each with its NMOS lanes first; the output stays
+        bit-identical for both channel models."""
+        monkeypatch.setattr(stamps, "MOS_BLOCK", block)
+        for process, seed in ((PROC, 44), (ALPHA_PROC, 305)):
+            rng = np.random.default_rng(seed)
+            compiled = random_circuit(rng, n_mos=SCALAR_MOS_CUTOVER + 3,
+                                      process=process).compile()
+            assert len(compiled.stamp_plan.groups) > 1
+            assert_assembly_identical(compiled, rng,
+                                      cap_stamps=ordered_stamps(compiled))
+
+    def test_below_cutover_uses_scalar_model(self, monkeypatch):
+        """A gate-sized plan's solves evaluate the scalar channel model
+        inline in the kernel loop, never the grouped batch model, and
+        its ``F`` and ``J`` match the reference bit for bit."""
         rng = np.random.default_rng(43)
         compiled = random_circuit(rng, n_mos=3).compile()
         assert compiled.stamp_plan.use_scalar_mos
         assert_assembly_identical(compiled, rng, cap_stamps=None)
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel loop reached the batch model")
+
+        monkeypatch.setattr(stamps, "mosfet_current_batch", forbidden)
+        x = rng.uniform(-1.0, PROC.vdd + 1.0, compiled.n_unknown)
+        known = compiled.known_voltages(0.13e-9)
+        F, J = kernel_system(compiled, x, known, gmin=1e-12, time=0.13e-9,
+                             caps=None, source_scale=1.0)
+        want = assemble_system_reference(compiled, x, known, gmin=1e-12,
+                                         time=0.13e-9)
+        assert F.tobytes() == want[0].tobytes()
+        assert J.tobytes() == want[1].tobytes()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_alpha_model_below_cutover_bit_identical(self, seed):
-        """The gate kernel with alpha-power model cards."""
+        """Gate-sized plans with alpha-power model cards."""
         rng = np.random.default_rng(400 + seed)
         compiled = random_circuit(rng, n_mos=int(rng.integers(1, 7)),
                                   process=ALPHA_PROC).compile()
@@ -153,49 +226,26 @@ class TestRandomizedEquivalence:
 
     def test_workspace_reuse_does_not_leak_state(self):
         """Back-to-back assemblies with different shapes (DC after
-        cap-stamped, residual after full) share one workspace."""
+        cap-stamped, and back) in one workspace, as a Newton solve
+        reuses it, leak no state between them."""
         rng = np.random.default_rng(11)
         compiled = random_circuit(rng, n_mos=4).compile()
-        stamps = ordered_stamps(compiled)
-        assert_assembly_identical(compiled, rng, cap_stamps=stamps)
-        assert_assembly_identical(compiled, rng, cap_stamps=None)
-        assert_assembly_identical(compiled, rng, cap_stamps=stamps)
-
-
-class TestResidualOnlyAssembly:
-    """``need_jacobian=False`` (the modified-Newton residual check) must
-    return the full assembly's ``F`` bit for bit, and leave the ``J``
-    cells as they were."""
-
-    @pytest.mark.parametrize("process", [PROC, ALPHA_PROC],
-                             ids=["level1", "alpha"])
-    @pytest.mark.parametrize("n_mos", [4, SCALAR_MOS_CUTOVER + 3],
-                             ids=["scalar", "batched"])
-    @pytest.mark.parametrize("with_caps", [False, True],
-                             ids=["dc", "caps"])
-    def test_residual_matches_full_assembly(self, process, n_mos,
-                                            with_caps):
-        rng = np.random.default_rng(500 + n_mos)
-        compiled = random_circuit(rng, n_mos=n_mos,
-                                  process=process).compile()
         plan = compiled.stamp_plan
-        assert plan.use_scalar_mos == (n_mos < SCALAR_MOS_CUTOVER)
         ws = Workspace(plan)
-        stamps = ordered_stamps(compiled) if with_caps else None
-        loaded = load_solve(plan, ws, compiled.known_voltages(0.13e-9),
-                            0.13e-9, caps_of(stamps), 1.0, compiled.isources)
-        assert loaded == (with_caps and plan.n_cap > 0)
-        for _ in range(5):
-            x = rng.uniform(-1.0, process.vdd + 1.0, compiled.n_unknown)
-            F_full, J = assemble_into(plan, ws, x, 1e-12, loaded)
-            F_full = F_full.copy()
-            assert J is not None
-            J.fill(7.0)
-            F_res, J_res = assemble_into(plan, ws, x, 1e-12, loaded,
-                                         need_jacobian=False)
-            assert J_res is None
-            assert F_res.tobytes() == F_full.tobytes()
-            assert (J == 7.0).all()
+        known = compiled.known_voltages(0.13e-9)
+        stamps = ordered_stamps(compiled)
+        for cap_stamps in (stamps, None, stamps, None):
+            with_caps = load_solve(plan, ws, known, 0.13e-9,
+                                   caps_of(cap_stamps), 1.0,
+                                   compiled.isources)
+            for _ in range(3):
+                x = rng.uniform(-1.0, PROC.vdd + 1.0, compiled.n_unknown)
+                F, J = assemble_into(plan, ws, x, 1e-12, with_caps)
+                want = assemble_system_reference(
+                    compiled, x, known, gmin=1e-12, time=0.13e-9,
+                    cap_stamps=cap_stamps)
+                assert F.tobytes() == want[0].tobytes()
+                assert J.tobytes() == want[1].tobytes()
 
 
 class TestKnownVoltages:

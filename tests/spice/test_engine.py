@@ -169,8 +169,8 @@ class TestSolveContext:
         (lambda: Gate.nand(2, default_process()).build(), "auto", "0",
          "kernel"),
         (lambda: Gate.nand(2, default_process()).build(), "1", "0", "sparse"),
-        (lambda: Gate.nand(2, default_process()).build(), "auto", "1",
-         "dense"),
+        (lambda: Gate.nand(2, default_process()).build(), "1", "1",
+         "sparse"),
         (lambda: inverter_chain(20), "auto", "0", "dense"),
         (lambda: inverter_chain(20), "1", "1", "sparse"),
         (lambda: delay_chain(40, 4), "auto", "0", "sparse"),
@@ -179,6 +179,8 @@ class TestSolveContext:
             "netlist", "netlist-dense"])
     def test_backend_decided_by_size_and_knobs(self, monkeypatch, build,
                                                sparse, fast, backend):
+        """Fast Newton acts on sparse analyses only, so its rows force
+        sparse (``test_fast_newton.py::TestScope`` holds the others)."""
         monkeypatch.setenv(SPARSE_ENV_VAR, sparse)
         monkeypatch.setenv(FAST_NEWTON_ENV_VAR, fast)
         context = SolveContext.for_analysis(build().compile())

@@ -1,21 +1,28 @@
-"""The opt-in modified-Newton mode (``REPRO_FAST_NEWTON``).
+"""The opt-in modified-Newton mode of the sparse backend (``REPRO_FAST_NEWTON``).
 
-Fast Newton reuses the LU factorization across iterations (and across
-same-``h`` accepted timesteps), so it is *tolerance-gated* rather than
-bit-identical: waveforms must track the full-Newton solution to within
-1 nV, measured crossing times to within 1 fs, and the retry/health
-accounting must be unchanged.  The default mode stays bit-identical and
-is pinned elsewhere (``test_assembly_equivalence``,
+Fast Newton reuses the SuperLU factorization across iterations (and
+across same-``h`` accepted timesteps), so it is *tolerance-gated*
+rather than bit-identical: waveforms must track the full-Newton
+solution to within 1 nV, measured crossing times to within 1 fs, and
+the retry/health accounting must be unchanged.  It acts on sparse
+analyses only, so the small circuits here are forced sparse
+(``REPRO_SPARSE=1``, the :func:`forced_sparse` fixture); gate-sized and
+other dense analyses ignore the knob and keep their default bits
+(:class:`TestScope`).  The default mode stays bit-identical and is
+pinned elsewhere (``test_assembly_equivalence``,
 ``test_batch_equivalence``); these tests pin the opt-in contract.
 """
 
 import numpy as np
 import pytest
 
+from repro.gates import Gate
 from repro.obs import recording
 from repro.spice import Circuit, NewtonStats, TransientOptions, solve_dc, transient
+from repro.spice.builders import delay_chain, inverter_chain
 from repro.spice.engine import (
     FAST_NEWTON_ENV_VAR,
+    FastNewtonState,
     NewtonOptions,
     SolveContext,
     fast_newton_enabled,
@@ -28,6 +35,12 @@ from repro.waveform import ramp
 PROC = default_process()
 
 FAST_OPTS = TransientOptions(h_max_ratio=2e-2)
+
+
+@pytest.fixture
+def forced_sparse(monkeypatch):
+    """Every analysis on the sparse backend, where the mode acts."""
+    monkeypatch.setenv(SPARSE_ENV_VAR, "1")
 
 
 def fast_context(monkeypatch, compiled, **kwargs):
@@ -70,6 +83,7 @@ class TestEnvKnob:
         assert not fast_newton_enabled()
 
 
+@pytest.mark.usefixtures("forced_sparse")
 class TestToleranceContract:
     def test_transient_waveforms_within_nanovolt(self, monkeypatch):
         monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
@@ -111,6 +125,7 @@ class TestToleranceContract:
             assert abs(fast.voltages[node] - value) <= 1e-9
 
 
+@pytest.mark.usefixtures("forced_sparse")
 class TestLuReuse:
     def test_reuse_counter_advances(self, monkeypatch):
         """Across repeated solves under one key, the retained LU must
@@ -136,7 +151,6 @@ class TestLuReuse:
         known = compiled.known_voltages(0.0)
         options = NewtonOptions()
         x = np.full(compiled.n_unknown, PROC.vdd / 2.0)
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
         with recording() as rec:
             # The context folds its tallies into ``rec`` on leaving.
             with fast_context(monkeypatch, compiled) as context:
@@ -198,3 +212,60 @@ class TestLuReuse:
             assert fast == ref
         else:
             assert float(np.abs(ref - fast).max()) <= 1e-9
+
+
+def nand3_testbench() -> Circuit:
+    """A loaded NAND3 with a falling input ramp, as a measurement shot
+    builds it."""
+    gate = Gate.nand(3, PROC, load=100e-15)
+    return gate.build({"a": ramp(0.1e-9, PROC.vdd, 0.0, 0.1e-9)})
+
+
+def chain() -> Circuit:
+    """A 20-stage inverter chain: 20 unknowns, 40 transistors."""
+    return inverter_chain(20, input_stimulus=ramp(0.1e-9, 0.0, PROC.vdd,
+                                                  0.1e-9))
+
+
+class TestScope:
+    """The mode acts on sparse analyses only."""
+
+    @pytest.mark.parametrize("build,sparse,backend", [
+        (nand3_testbench, "auto", "kernel"),
+        (chain, "auto", "dense"),
+        (nand3_testbench, "1", "sparse"),
+        (lambda: delay_chain(40, 4), "auto", "sparse"),
+    ], ids=["gate", "chain", "gate-forced-sparse", "netlist"])
+    def test_only_sparse_contexts_carry_state(self, monkeypatch, build,
+                                              sparse, backend):
+        """Gate and dense contexts keep their default backend and carry
+        no fast-Newton state; a sparse context, dispatched by size or
+        forced, carries it."""
+        monkeypatch.setenv(SPARSE_ENV_VAR, sparse)
+        monkeypatch.setenv(FAST_NEWTON_ENV_VAR, "1")
+        context = SolveContext.for_analysis(build().compile())
+        assert context.backend == backend
+        if backend == "sparse":
+            assert isinstance(context.fast, FastNewtonState)
+        else:
+            assert context.fast is None
+
+    @pytest.mark.parametrize("build,t_stop", [
+        (nand3_testbench, 1.5e-9), (chain, 0.6e-9)], ids=["gate", "chain"])
+    def test_gate_and_dense_transients_keep_default_bits(
+            self, monkeypatch, build, t_stop):
+        monkeypatch.setenv(SPARSE_ENV_VAR, "auto")
+        monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
+        base = transient(build(), t_stop)
+        monkeypatch.setenv(FAST_NEWTON_ENV_VAR, "1")
+        knob = transient(build(), t_stop)
+        assert knob.times.tobytes() == base.times.tobytes()
+        assert knob.node_names == base.node_names
+        for name in base.node_names:
+            assert knob.node(name).values.tobytes() == \
+                base.node(name).values.tobytes(), name
+        assert (knob.newton_iterations, knob.newton_failures,
+                knob.rejected_steps, knob.solver_retries,
+                knob.retry_attempts) == \
+            (base.newton_iterations, base.newton_failures,
+             base.rejected_steps, base.solver_retries, base.retry_attempts)

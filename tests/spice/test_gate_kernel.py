@@ -606,10 +606,15 @@ class TestDcIdentity:
                                                 lambda: dc_outcome(run))
             assert_same_dc(kernel, numpy_loop)
 
-    def test_kernel_residual_is_max_abs(self):
-        """The kernel's inline residual on the same cases: one current
-        source per unknown node puts each value into ``F`` as is."""
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_kernel_residual_is_max_abs(self, monkeypatch):
+        """The loop's inline residual ``max |F|``, NaN behind finite
+        entries included: one current source per unknown node puts each
+        value into ``F`` as is, and a one-iteration solve that cannot
+        accept ends with the residual it saw, as the NumPy loop does."""
         nan, inf = float("nan"), float("inf")
+        options = NewtonOptions(max_iterations=1, voltol=-1.0)
         for values in ([0.0], [-0.0, 0.0], [1.0, -2.0, 0.5], [1.0, nan],
                        [nan, 1.0], [-inf, nan, 2.0], [-inf, 1.0],
                        [1e-300, -1e300]):
@@ -621,18 +626,23 @@ class TestDcIdentity:
                                with_parasitics=False)
             for i, value in enumerate(values):
                 circuit.add_isource(f"i{i}", f"n{i}", "0", value)
-            plan = circuit.compile().stamp_plan
-            assert plan.use_scalar_mos
-            out = np.empty(plan.n + plan.n ** 2)
-            residual = plan.kernel(False).evaluate(
-                [0.0] * len(values), plan.kernel_values([0.0, 1.0], values,
-                                                        0.0), out)
+
+            def run():
+                compiled = circuit.compile()
+                with pytest.raises(ConvergenceError) as info:
+                    newton_solve(compiled, np.zeros(compiled.n_unknown),
+                                 compiled.known_voltages(0.0),
+                                 options=options)
+                return info.value.residual, info.value.iterations
+
+            kernel, numpy_loop = both_loops(monkeypatch, run)
+            assert circuit.compile().stamp_plan.use_scalar_mos
             # F is ``0.0 + x * gmin + value``: a -0.0 value reads 0.0.
-            assert out[:len(values)].tobytes() == \
-                np.array([-(0.0 + value) for value in values]).tobytes()
             want = float(np.abs(np.array(values)).max())
-            assert residual == want or (residual != residual
-                                        and want != want), values
+            for residual, iterations in (kernel, numpy_loop):
+                assert iterations == 1
+                assert residual == want or (residual != residual
+                                            and want != want), values
 
 
 class TestKernelCache:
@@ -676,29 +686,29 @@ class TestKernelCache:
         assert cache.get(plans[0], False) is first
         assert cache.get(plans[1], False) is not second
 
-    def test_threads_share_one_kernel_per_structure(self):
-        """More threads than cores, a short switch interval: every
-        thread's kernel gives the same floats, and the cache holds one
-        entry per structure."""
+    def test_threads_share_one_kernel_per_structure(self, monkeypatch):
+        """More threads than cores, a short switch interval, a fresh
+        plan per solve (so each resolves its kernel from the cache):
+        every thread's loop gives the same solution, and the cache holds
+        one entry per structure."""
         cache = KernelCache(size=8)
-        plans = [GATES[name](PROCESSES["level1"]).build().compile().stamp_plan
-                 for name in ("nand2", "nor3", "aoi21")]
-        values = [plan.kernel_values([0.0, 5.0] + [2.5] * (plan.n_known - 2),
-                                     [], 1e-12) for plan in plans]
-        xs = [[1.25] * plan.n for plan in plans]
+        monkeypatch.setattr(stamps, "KERNELS", cache)
+        circuits = [GATES[name](PROCESSES["level1"]).build()
+                    for name in ("nand2", "nor3", "aoi21")]
         results, errors = [], []
 
-        def evaluate(plan, x, vals):
-            out = np.empty(plan.n + plan.n ** 2)
-            residual = cache.get(plan, False).evaluate(x, vals, out)
-            return out.tolist(), residual
+        def solve(circuit):
+            compiled = circuit.compile()
+            x = newton_solve(compiled, np.full(compiled.n_unknown, 1.25),
+                             compiled.known_voltages(0.0),
+                             options=NewtonOptions())
+            return compiled.stamp_plan.structure, x.tobytes()
 
         def worker():
             try:
                 for _ in range(20):
-                    for plan, x, vals in zip(plans, xs, values):
-                        results.append((plan.structure,
-                                        evaluate(plan, x, vals)))
+                    for circuit in circuits:
+                        results.append(solve(circuit))
             except Exception as error:  # reported by the assertion below
                 errors.append(error)
 
@@ -714,8 +724,8 @@ class TestKernelCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(results) == 8 * 20 * len(plans)
-        assert len(cache) == len(plans)
+        assert len(results) == 8 * 20 * len(circuits)
+        assert len(cache) == len(circuits)
         first = {}
         for structure, output in results:
             assert first.setdefault(structure, output) == output

@@ -150,6 +150,8 @@ class TestRungTelemetry:
         assert cuts == result.rejected_steps
 
     def test_refresh_rung_under_fast_newton(self, monkeypatch):
+        """Modified Newton acts on the sparse backend only."""
+        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
         monkeypatch.setenv("REPRO_FAST_NEWTON", "1")
         with recording() as rec:
             transient(inverter(), 2e-9, options=FAST)

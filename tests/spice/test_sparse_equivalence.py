@@ -145,14 +145,16 @@ class TestAssemblyBitIdentity:
             assert np.array_equal(bit_pattern(data), bit_pattern(J_d[rows, cols]))
             assert np.array_equal(J_d, sp.dense_jacobian(data))
 
+            # The residual-only call of the modified-Newton loop: the
+            # full dense assembly's F, and the stored entries untouched.
             x = rng.uniform(0.0, PROC.vdd, plan.n)
-            F_d, J_none = assemble_into(plan, ws, x, gmin, with_caps,
-                                        need_jacobian=False)
-            assert J_none is None
+            F_d, _ = assemble_into(plan, ws, x, gmin, with_caps)
+            data.fill(7.0)
             F_s, A = assemble_sparse(plan, ws_sparse, sp, x, gmin, with_caps,
                                      need_jacobian=False)
             assert A is None
             assert np.array_equal(bit_pattern(F_s), bit_pattern(F_d))
+            assert (data == 7.0).all()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_jacobian_and_residual_bit_identical(self, seed):
@@ -284,6 +286,9 @@ class TestSolveParity:
         assert abs(t_base - t_sparse) <= 1e-15
 
     def test_newton_accounting_unchanged(self, monkeypatch):
+        # Full Newton on both sides: fast Newton would act on the sparse
+        # side only, and its accounting differs by design.
+        monkeypatch.delenv("REPRO_FAST_NEWTON", raising=False)
         monkeypatch.setenv(SPARSE_ENV_VAR, "0")
         base = transient(switching_decoder(), 1.2e-9, options=FAST)
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
@@ -303,6 +308,7 @@ class TestSolveParity:
             return transient(switching_decoder(5), 1.2e-9, options=FAST)
 
         assert switching_decoder(5).compile().n_unknown >= SPARSE_NODE_CUTOVER
+        monkeypatch.delenv("REPRO_FAST_NEWTON", raising=False)  # as above
         monkeypatch.setenv(SPARSE_ENV_VAR, "0")
         base = run()
         monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)

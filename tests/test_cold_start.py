@@ -3,7 +3,7 @@
 ``import repro``, ``repro delay`` in oracle mode, table-model queries
 and serve request parsing must work with only numpy importable: scipy
 serves only the sparse backend (``SPARSE_NODE_CUTOVER`` unknowns and
-up) and the opt-in ``--fast-newton`` LU, and networkx is not a
+up, or any circuit under ``REPRO_SPARSE=1``), and networkx is not a
 dependency at all.  Each check runs in a fresh interpreter and asserts
 exit status and module sets only, never wall time.
 """
@@ -131,12 +131,14 @@ class TestScipyLoadsOnFirstUse:
         )
         assert run_probe(code, tmp_path).split() == ["False", "False", "True"]
 
-    def test_scipy_linalg_only_under_fast_newton(self, tmp_path):
+    def test_dense_solves_load_no_scipy(self, tmp_path):
+        """Fast Newton acts on the sparse backend only, so a dense solve
+        loads no scipy module with or without it."""
         code = (
             "import sys\n"
             "from repro.spice import solve_dc\n"
             "from repro.spice.builders import inverter_chain\n"
-            "solve_dc(inverter_chain(3))\n" + loaded("scipy.linalg")
+            "solve_dc(inverter_chain(3))\n" + loaded("scipy")
         )
         assert run_probe(code, tmp_path).strip() == "False"
-        assert run_probe(code, tmp_path, REPRO_FAST_NEWTON="1").strip() == "True"
+        assert run_probe(code, tmp_path, REPRO_FAST_NEWTON="1").strip() == "False"
