@@ -1,4 +1,4 @@
-"""Newton core: vectorized assembly speedup + fast-Newton tradeoff.
+"""Newton core: vectorized assembly speedup.
 
 The solver-core claim of the compiled stamp plan: the per-iteration
 dense assembly (cap-companion stamps, through ``assemble_into``'s
@@ -11,33 +11,18 @@ It is measured at the cutover, on an 8-stage inverter chain (16
 transistors), the smallest plan the grouped path takes and so the one
 where its fixed per-call cost weighs most.
 
-``BENCH_newton_core.json`` records both per-assembly times and the
-speedup ratio, plus the opt-in ``REPRO_FAST_NEWTON`` transient mode's
-wall time and worst waveform deviation against default full Newton on
-a 5-bit decoder, which the sparse backend takes by size (the mode acts
-on sparse analyses only).  Tolerance-gated, documented honestly: its
-polish iteration can outweigh the factorizations it saves; it wins
-only on the larger decoders.
+``BENCH_newton_core.json`` holds this one record: both per-assembly
+times and the speedup ratio.
 """
 
-import os
 import time
 
 import numpy as np
-import pytest
 
-from repro.spice import TransientOptions, solve_dc, transient
-from repro.spice.builders import hierarchical_decoder, inverter_chain
-from repro.spice.engine import (
-    FAST_NEWTON_ENV_VAR,
-    SolveContext,
-    assemble_system,
-    assemble_system_reference,
-)
+from repro.spice.builders import inverter_chain
+from repro.spice.engine import assemble_system, assemble_system_reference
 from repro.spice.stamps import (SCALAR_MOS_CUTOVER, Workspace, assemble_into,
                                 load_solve)
-from repro.tech import default_process
-from repro.waveform import ramp
 
 from conftest import scaled
 
@@ -125,69 +110,3 @@ def test_scalar_assembly_speedup_and_identity(benchmark, request):
     # The committed baseline records ~2x; the live assertion leaves
     # headroom for noisy shared runners.
     assert speedup >= 1.5
-
-
-def decoder_circuit():
-    """A 5-bit decoder whose address bit 0 rises: wordline 0 hands
-    over to wordline 1."""
-    proc = default_process()
-    return hierarchical_decoder(
-        5, proc, address=0,
-        stimuli={"a0": ramp(0.1e-9, 0.0, proc.vdd, 0.1e-9)})
-
-
-@pytest.fixture(scope="module")
-def sparse_warm():
-    """One sparse solve before the timed record opens: the first one
-    imports ``scipy.sparse``, which is not what the benchmark times."""
-    circuit = decoder_circuit()
-    assert SolveContext.for_analysis(circuit.compile()).backend == "sparse"
-    solve_dc(circuit)
-
-
-def test_fast_newton_transient_tradeoff(benchmark, request, sparse_warm):
-    # A coarse voltage budget keeps the two transients near 0.1 s each
-    # (~0.25 s at the default budget, which sets the step count).
-    options = TransientOptions(dv_target=0.3, dv_reject=0.8,
-                               h_max_ratio=2e-2)
-    t_stop = 0.5e-9
-
-    prior = os.environ.get(FAST_NEWTON_ENV_VAR)
-    os.environ.pop(FAST_NEWTON_ENV_VAR, None)
-    try:
-        t0 = time.perf_counter()
-        base = benchmark.pedantic(
-            lambda: transient(decoder_circuit(), t_stop, options=options),
-            rounds=1, iterations=1)
-        base_s = time.perf_counter() - t0
-
-        os.environ[FAST_NEWTON_ENV_VAR] = "1"
-        t0 = time.perf_counter()
-        fast = transient(decoder_circuit(), t_stop, options=options)
-        fast_s = time.perf_counter() - t0
-    finally:
-        if prior is None:
-            os.environ.pop(FAST_NEWTON_ENV_VAR, None)
-        else:
-            os.environ[FAST_NEWTON_ENV_VAR] = prior
-
-    grid = np.linspace(0.0, t_stop, 400)
-    deviation = max(float(np.abs(base.node(node)(grid)
-                                 - fast.node(node)(grid)).max())
-                    for node in ("wl0", "wl1"))
-    print(f"\ndefault {base_s:.3f}s ({base.newton_iterations} iters), "
-          f"fast-newton {fast_s:.3f}s ({fast.newton_iterations} iters), "
-          f"max |dV| {deviation:.2e} V")
-    request.node.bench_extra = {
-        "default_seconds": base_s,
-        "fast_seconds": fast_s,
-        "default_iterations": base.newton_iterations,
-        "fast_iterations": fast.newton_iterations,
-        "max_waveform_deviation_v": deviation,
-    }
-
-    # The tolerance gate, not a speed gate: correctness within 1 nV and
-    # unchanged retry health are the contract.
-    assert deviation <= 1e-9
-    assert fast.solver_retries == base.solver_retries
-    assert fast.newton_failures == base.newton_failures

@@ -57,7 +57,7 @@ __all__ = ["ENV_KNOBS", "git_sha", "build_manifest", "write_manifest",
 ENV_KNOBS = (
     "REPRO_WORKERS", "REPRO_BATCH", "REPRO_RETRY", "REPRO_TASK_TIMEOUT",
     "REPRO_RESUME", "REPRO_FAULTS", "REPRO_FAULTS_STATE", "REPRO_FAULT_HANG",
-    "REPRO_CACHE_DIR", "REPRO_FAST_NEWTON", "REPRO_SPARSE",
+    "REPRO_CACHE_DIR", "REPRO_SPARSE",
     "REPRO_SERVE_TTL", "REPRO_SERVE_CACHE_MAX", "REPRO_SERVE_COALESCE",
     "REPRO_SERVE_GATHER", "REPRO_SERVE_LANES",
     TRACE_ENV_VAR, METRICS_ENV_VAR, MANIFEST_ENV_VAR, OBS_ENV_VAR,

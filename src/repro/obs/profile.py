@@ -8,7 +8,7 @@ of each driver hangs on their ratio:
   ``gesv`` call fuses factorization and back-substitution, so the
   dense scalar loop's whole linear solve is attributed here),
 * ``back_solve``  -- triangular back-substitution (split out on the
-  sparse backend, LU-reusing fast-Newton mode included).
+  sparse backend).
 
 Each analysis owns one :class:`PhaseTimes` (on its
 :class:`~repro.spice.engine.SolveContext`), a plain slotted float bag

@@ -191,9 +191,7 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
     The circuit compiles once per sweep: the swept sources become
     constants, and each point rebinds their level on the compiled
     circuit (:meth:`~repro.spice.netlist.CompiledCircuit.set_source_level`).
-    Every point solves exactly as a freshly compiled circuit would,
-    starting from a fresh Jacobian in the sparse backend's
-    ``REPRO_FAST_NEWTON`` mode too.
+    Every point solves exactly as a freshly compiled circuit would.
     """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -214,15 +212,11 @@ def dc_sweep(circuit: Circuit, source: str | Sequence[str],
         compiled = circuit.compile()
         # One context for the whole sweep: one recorder handle (per-point
         # solves skip the environment-signature check), one backend
-        # decision, one fast-Newton state, one telemetry fold.
+        # decision, one telemetry fold.
         with SolveContext.for_analysis(compiled) as context:
             for value in grid:
                 for name in source_names:
                     compiled.set_source_level(name, float(value))
-                if context.fast is not None:
-                    # No LU crosses points: each one starts from a fresh
-                    # Jacobian, as it did when every point compiled anew.
-                    context.fast.lu = None
                 x = dc_solution(context, initial_guess=guess, options=opts)
                 op = operating_point_from_vector(
                     compiled, x, compiled.known_voltages(0.0))

@@ -13,7 +13,7 @@ one form: ``caps=(geq, ieq)``, one value each per compiled capacitor.
 Every analysis solves through one :class:`SolveContext`
 (:meth:`SolveContext.for_analysis`), which decides the backend once --
 ``kernel``, ``dense`` or ``sparse`` -- and owns the analysis's
-:class:`NewtonStats`, recorder, phase accumulator and fast-Newton state.
+:class:`NewtonStats`, recorder and phase accumulator.
 :meth:`SolveContext.solve` calls :func:`newton_solve`, which reads that
 decision.
 
@@ -50,11 +50,9 @@ negating ``F`` is exact, the norms are NaN-propagating maxima like
 ``np.abs(F).max()``, damping and the update are the same elementwise
 products and sums, and the linear solve is the same ``gesv`` on the
 same bits.  The ``dense`` and ``sparse`` backends run the NumPy
-full-Newton loop; ``sparse`` also runs the opt-in modified-Newton loop
-(``REPRO_FAST_NEWTON``), which reuses its SuperLU factors while they
-contract.  On dense factors that loop was slower than full Newton on
-every circuit measured (DESIGN.md), so the dense layer runs two loops:
-the kernel and the NumPy full-Newton loop.
+full-Newton loop, so every solve runs one of two loops: the kernel or
+that one.  DESIGN.md records why no loop reuses LU factors across
+iterations.
 
 A gate-sized transient skips :func:`newton_solve` for its steps: its
 context's :meth:`SolveContext.kernel_newton` is the same loop, which
@@ -74,7 +72,6 @@ error state, and from 21.23 to 24.19 with the whole loop generated
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import monotonic as _monotonic
 from typing import Optional, Sequence, Tuple, Union
@@ -94,20 +91,8 @@ from .stamps import (CapArrays, Workspace, assemble_into, assemble_sparse,
 
 __all__ = ["NewtonOptions", "NewtonStats", "CapStamp", "assemble_system",
            "assemble_system_reference", "newton_solve", "SolveContext",
-           "FastNewtonState", "fast_newton_enabled", "FAST_NEWTON_ENV_VAR",
            "KernelNewton", "dense_solve", "gesv", "nudge_diagonal",
            "singular_nudge"]
-
-#: Environment knob enabling the opt-in modified-Newton mode of the
-#: sparse backend.
-FAST_NEWTON_ENV_VAR = "REPRO_FAST_NEWTON"
-
-
-def fast_newton_enabled() -> bool:
-    """Whether ``REPRO_FAST_NEWTON`` opts sparse analyses into LU-reusing
-    modified Newton."""
-    value = os.environ.get(FAST_NEWTON_ENV_VAR, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
 
 #: One capacitor's companion stamp in the reference assembler's input:
 #: current (a -> b) is ``geq * (va - vb) - ieq``.
@@ -273,8 +258,7 @@ def singular_nudge(effective_gmin: float) -> float:
 
     Every Newton loop escalates a singular system by adding this to
     every diagonal entry; sharing the expression keeps the recovery
-    arithmetic identical across the kernel, dense, sparse and
-    modified-Newton paths.
+    arithmetic identical across the kernel, dense and sparse paths.
     """
     return max(effective_gmin, 1e-9)
 
@@ -301,28 +285,6 @@ def _not_converged(iterations: int, residual: float) -> ConvergenceError:
         f"Newton failed to converge in {iterations} iterations "
         f"(residual {residual:.3e} A)",
         iterations=iterations, residual=residual)
-
-
-class FastNewtonState:
-    """Cross-solve state of the opt-in modified-Newton mode.
-
-    Holds one sparse analysis's most recent LU factorization together
-    with the key it was computed under: the effective gmin, the source
-    scale and the capacitor companion conductances.  Consecutive
-    accepted timesteps of the same ``h`` share the same ``geq`` vector,
-    so their solves start from the previous step's LU; a key mismatch
-    (new ``h``, a homotopy rung) forces refactorization on the first
-    iteration.  ``reused`` and ``refactorized`` count factorization
-    reuse for tests/telemetry.
-    """
-
-    __slots__ = ("key", "lu", "reused", "refactorized")
-
-    def __init__(self) -> None:
-        self.key = None
-        self.lu = None
-        self.reused = 0
-        self.refactorized = 0
 
 
 def _raise_singular(err: str, flag: int) -> None:
@@ -386,7 +348,7 @@ class _DenseOps:
 class _SparseOps:
     """SuperLU backend on the analysis's sparse :class:`Workspace`: with
     telemetry on, factorizations count into its :class:`SolveContext`.
-    The assembled ``data`` the loops pass is the workspace's own."""
+    The assembled ``data`` the loop passes is the workspace's own."""
 
     __slots__ = ("sp", "ws", "context", "times")
 
@@ -396,102 +358,23 @@ class _SparseOps:
         self.context = context
         self.times = context.times
 
-    def factorize(self):
-        """Factorize the assembled matrix; raises ``LinAlgError`` if
-        singular, and tallies factorization/fill telemetry."""
-        lu = self.sp.factorize(self.ws.data, times=self.times)
-        if self.times is not None:
+    def direct_solve(self, data, F: np.ndarray) -> np.ndarray:
+        """Factorize the assembled matrix and solve for the step; raises
+        ``LinAlgError`` if singular, and tallies factorization/fill
+        telemetry."""
+        sp, times = self.sp, self.times
+        lu = sp.factorize(self.ws.data, times=times)
+        if times is not None:
             context = self.context
             context.factorizations += 1
             # SuperLU drops numerically-zero pattern entries (common when
             # many devices are cut off), so L+U can hold fewer entries
             # than the structural pattern: report that as zero fill.
-            context.fill_nnz += max(0, int(lu.L.nnz + lu.U.nnz) - self.sp.nnz)
-        return lu
-
-    def direct_solve(self, data, F: np.ndarray) -> np.ndarray:
-        return self.sp.solve_factored(self.factorize(), -F, self.ws,
-                                      times=self.times)
+            context.fill_nnz += max(0, int(lu.L.nnz + lu.U.nnz) - sp.nnz)
+        return sp.solve_factored(lu, -F, self.ws, times=times)
 
     def nudge(self, data, value: float) -> None:
         self.sp.nudge(self.ws.data, value)
-
-
-def _newton_fast(context: SolveContext, x: np.ndarray, assemble, key,
-                 options: NewtonOptions, effective_gmin: float,
-                 ops) -> np.ndarray:
-    """Modified-Newton loop: reuse the LU factorization while it contracts.
-
-    A *stale* iteration evaluates only the residual and steps with the
-    retained LU; the factorization refreshes when the key changes, the
-    residual stops contracting (safeguarded fallback to full Newton),
-    or on the accepting iteration -- convergence is only declared on a
-    fresh-Jacobian step, which polishes the solution to well inside the
-    full-Newton tolerances.  ``ops`` is the sparse analysis's SuperLU
-    backend; a singular factorization (``LinAlgError``) and a
-    non-finite step both take the nudge ladder.
-    """
-    fast, recorder = context.fast, context.recorder
-    sp, ws, times = ops.sp, ops.ws, ops.times
-    nudge = singular_nudge(effective_gmin)
-    fresh = fast.lu is None or fast.key != key
-    last_residual = np.inf
-    for iteration in range(1, options.max_iterations + 1):
-        if not fresh:
-            F, _ = assemble(False)
-            residual = float(np.abs(F).max())
-            if residual >= 0.5 * last_residual:
-                fresh = True  # stalled contraction: refactorize here
-                record_rung("refresh", recorder)
-        if fresh:
-            F, _ = assemble()
-            residual = float(np.abs(F).max())
-            fast.key = key
-            fast.refactorized += 1
-        else:
-            fast.reused += 1
-        try:
-            if fresh:
-                fast.lu = ops.factorize()
-            dx = sp.solve_factored(fast.lu, -F, ws, times=times)
-        except np.linalg.LinAlgError:
-            dx = None
-        if dx is None or not np.all(np.isfinite(dx)):
-            # Singular factorization, or a NaN residual on a stale
-            # step: rebuild with a nudged diagonal.
-            record_rung("nudge", recorder)
-            F, J = assemble()
-            ops.nudge(J, nudge)
-            fast.key = None  # the nudged LU must not outlive this solve
-            try:
-                fast.lu = ops.factorize()
-                dx = sp.solve_factored(fast.lu, -F, ws, times=times)
-            except np.linalg.LinAlgError:
-                dx = None
-            if dx is None or not np.all(np.isfinite(dx)):
-                context.end(iteration, "singular")
-                raise ConvergenceError(
-                    "singular Jacobian during Newton iteration",
-                    iterations=iteration, residual=residual,
-                ) from None
-            fresh = True
-        step = float(np.abs(dx).max())
-        if step > options.max_step:
-            dx *= options.max_step / step
-        x += dx
-        if step < options.voltol and residual < options.abstol:
-            if fresh:
-                context.end(iteration, "converged")
-                return x
-            # Tolerance hit on a stale step: polish with a fresh
-            # Jacobian before accepting.
-            fresh = True
-            last_residual = residual
-            continue
-        last_residual = residual
-        fresh = False
-    context.end(options.max_iterations, "iteration_limit")
-    raise _not_converged(options.max_iterations, last_residual)
 
 
 class KernelNewton:
@@ -575,17 +458,15 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
     (:meth:`SolveContext.solve` passes it): the solve runs on the
     backend the context decided, accounts its iterations into the
     context (:meth:`SolveContext.end`) whether it converges or not (the
-    raised error also carries its count in ``iterations``), adds its
-    phase seconds to the context's accumulator when telemetry is on,
-    and on the sparse backend reuses its LU under
-    ``REPRO_FAST_NEWTON``.  ``None`` makes the solve an analysis of its
-    own (:meth:`SolveContext.for_analysis`), folded into the recorder
-    when the solve returns or raises.
+    raised error also carries its count in ``iterations``) and adds its
+    phase seconds to the context's accumulator when telemetry is on.
+    ``None`` makes the solve an analysis of its own
+    (:meth:`SolveContext.for_analysis`), folded into the recorder when
+    the solve returns or raises.
 
     On the ``kernel`` backend the solve runs the plan's generated loop
     through a :class:`KernelNewton` (see the module docstring); on
-    ``dense`` and ``sparse``, the NumPy full-Newton loop below, or, on
-    ``sparse`` with fast-Newton state, the modified-Newton loop.
+    ``dense`` and ``sparse``, the NumPy full-Newton loop below.
     """
     if context is None:
         with SolveContext.for_analysis(compiled) as context:
@@ -613,9 +494,9 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
         sp = plan.sparse
         ops = _SparseOps(sp, ws, context)
 
-        def assemble(need_jacobian: bool = True):
+        def assemble():
             return assemble_sparse(plan, ws, sp, x, effective_gmin,
-                                   with_caps, need_jacobian)
+                                   with_caps)
     else:
         ops = _DenseOps(times)
 
@@ -623,25 +504,15 @@ def newton_solve(compiled: CompiledCircuit, x0: np.ndarray, known: np.ndarray,
             return assemble_into(plan, ws, x, effective_gmin, with_caps)
 
     if times is not None:
-        # One wrapper times every assembly call of both Newton loops;
-        # the unprofiled path keeps the raw closure (zero overhead).
+        # One wrapper times every assembly call; the unprofiled path
+        # keeps the raw closure (zero overhead).
         _assemble_inner = assemble
 
-        def assemble(*args):
+        def assemble():
             start = _monotonic()
-            result = _assemble_inner(*args)
+            result = _assemble_inner()
             times.assembly += _monotonic() - start
             return result
-
-    if context.fast is not None:
-        # Bytes of the geq array: equal exactly when the per-cap
-        # conductances are equal, so consecutive same-``h`` timesteps
-        # share the key and reuse the LU.
-        geq_key = (np.asarray(caps[0], dtype=float).tobytes()
-                   if with_caps else ())
-        key = (effective_gmin, source_scale, geq_key)
-        return _newton_fast(context, x, assemble, key, options,
-                            effective_gmin, ops)
 
     last_residual = np.inf
     for iteration in range(1, options.max_iterations + 1):
@@ -684,7 +555,7 @@ class SolveContext:
 
     * ``backend``: ``"kernel"`` (the plan's generated loop, for
       gate-sized circuits), ``"dense"`` (the NumPy full-Newton loop on
-      LAPACK) or ``"sparse"`` (the NumPy loops on SuperLU);
+      LAPACK) or ``"sparse"`` (the same loop on SuperLU);
     * ``stats``: the analysis's :class:`NewtonStats`, which every solve
       accounts into and the retry ladders count their escalations in;
     * ``recorder``, the telemetry handle, ``profile``, its
@@ -692,8 +563,6 @@ class SolveContext:
       analysis's one :class:`~repro.obs.profile.PhaseTimes`, which every
       solve's loop adds its phase seconds into (both ``None`` with
       telemetry off, which skips every timing site);
-    * ``fast``, the modified-Newton state of a ``sparse`` analysis
-      under ``REPRO_FAST_NEWTON`` (``None`` on every other backend);
     * the ``dense`` and ``sparse`` backends' :class:`Workspace`
       (:meth:`workspace`), so analyses of one compiled circuit, which
       share its stamp plan, never write the same buffer;
@@ -708,20 +577,18 @@ class SolveContext:
     """
 
     __slots__ = ("compiled", "backend", "stats", "recorder", "profile",
-                 "times", "fast", "iterations", "solves", "failures",
+                 "times", "iterations", "solves", "failures",
                  "factorizations", "fill_nnz", "_workspace")
 
     def __init__(self, compiled: CompiledCircuit, backend: str,
                  stats: NewtonStats, recorder,
-                 profile: Optional[PhaseProfiler],
-                 fast: Optional[FastNewtonState]) -> None:
+                 profile: Optional[PhaseProfiler]) -> None:
         self.compiled = compiled
         self.backend = backend
         self.stats = stats
         self.recorder = recorder
         self.profile = profile
         self.times = profile.begin() if profile is not None else None
-        self.fast = fast
         self.iterations = self.solves = self.failures = 0
         self.factorizations = self.fill_nnz = 0
         self._workspace: Optional[Workspace] = None
@@ -734,29 +601,25 @@ class SolveContext:
 
         Resolves every solver knob once: the ``REPRO_SPARSE`` dispatch
         for the circuit's unknown count (an unknown value raises
-        :class:`~repro.errors.ReproError`), ``REPRO_FAST_NEWTON`` on
-        the sparse backend, and phase timing whenever the recorder is
-        enabled.  The backend is ``sparse`` when ``REPRO_SPARSE``
-        dispatches this circuit there (by size, or forced), with
-        fast-Newton state under ``REPRO_FAST_NEWTON``; else ``kernel``
-        for plans below :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER`
-        transistors, else ``dense``.  ``stats`` defaults to a fresh
+        :class:`~repro.errors.ReproError`) and phase timing whenever the
+        recorder is enabled.  The backend is ``sparse`` when
+        ``REPRO_SPARSE`` dispatches this circuit there (by size, or
+        forced); else ``kernel`` for plans below
+        :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors, else
+        ``dense``.  ``stats`` defaults to a fresh
         :class:`NewtonStats`, ``recorder`` to the process's.
         """
         if recorder is None:
             recorder = get_recorder()
-        fast: Optional[FastNewtonState] = None
         if sparse_enabled(compiled.n_unknown):
             backend = "sparse"
-            if fast_newton_enabled():
-                fast = FastNewtonState()
         elif compiled.stamp_plan.use_scalar_mos:
             backend = "kernel"
         else:
             backend = "dense"
         return cls(compiled, backend,
                    stats if stats is not None else NewtonStats(), recorder,
-                   PhaseProfiler.from_recorder(recorder), fast)
+                   PhaseProfiler.from_recorder(recorder))
 
     def __enter__(self) -> SolveContext:
         return self

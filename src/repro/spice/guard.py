@@ -4,16 +4,14 @@ The Newton core recovers from hard operating points through a fixed
 escalation ladder, each rung owned by the layer that can retry most
 cheaply:
 
-1. **Jacobian refresh** -- the modified-Newton mode refactorizes when a
-   stale LU stops contracting the residual (``spice/engine.py``),
-2. **diagonal nudge** -- a singular factorization retries once with
+1. **diagonal nudge** -- a singular factorization retries once with
    :func:`~repro.spice.engine.singular_nudge` added to the diagonal
-   (full, fast and sparse paths share the arithmetic),
-3. **gmin ramp** -- DC homotopy relaxing a large leak conductance decade
+   (the kernel, dense and sparse paths share the arithmetic),
+2. **gmin ramp** -- DC homotopy relaxing a large leak conductance decade
    by decade (``spice/dc.py``),
-4. **source stepping** -- DC homotopy ramping the sources from zero
+3. **source stepping** -- DC homotopy ramping the sources from zero
    (``spice/dc.py``),
-5. **timestep cut** -- the transient integrator shrinks ``h`` and falls
+4. **timestep cut** -- the transient integrator shrinks ``h`` and falls
    back to backward Euler (``spice/transient.py``).
 
 Convergence itself comes from the Newton tolerances, the iteration cap

@@ -210,24 +210,17 @@ class SparsePlan:
         self.op_nc = operator(plan.f_split, plan.j_split)
 
     # ------------------------------------------------------------------
-    def assemble(self, ws, with_caps: bool, need_jacobian: bool = True):
+    def assemble(self, ws, with_caps: bool):
         """Scatter this iteration's values into ``F`` and the CSC data.
 
         One ``csr_matvec`` of the operator against ``ws.vals`` into the
-        workspace's zeroed ``[F | data]`` buffer; the residual-only call
-        runs just the first ``n`` rows.  Returns ``(F, data)`` (``data``
-        is ``None`` when ``need_jacobian`` is false).
+        workspace's zeroed ``[F | data]`` buffer.  Returns ``(F, data)``.
         """
         indptr, indices, coef = self.op_wc if with_caps else self.op_nc
-        if need_jacobian:
-            ws.buf.fill(0.0)
-            rows = ws.buf.size
-        else:
-            ws.F.fill(0.0)
-            rows = self.n
-        self._matvec(rows, ws.vals.size, indptr, indices, coef, ws.vals,
-                     ws.buf)
-        return ws.F, (ws.data if need_jacobian else None)
+        ws.buf.fill(0.0)
+        self._matvec(ws.buf.size, ws.vals.size, indptr, indices, coef,
+                     ws.vals, ws.buf)
+        return ws.F, ws.data
 
     def nudge(self, data: np.ndarray, value: float) -> None:
         """Add ``value`` to every diagonal entry of the assembled ``data``."""

@@ -823,15 +823,14 @@ def load_kernel(plan: StampPlan, known: np.ndarray, time: float,
 
 
 def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
-                gmin: float, with_caps: bool,
-                need_jacobian: bool = True) -> None:
+                gmin: float, with_caps: bool) -> None:
     """Evaluate every device value column of one Newton iteration.
 
-    Fills the ``ws.vals`` rows (device currents, Jacobian partials when
-    ``need_jacobian``, the ``gmin * x`` diagonal row and the ``gmin``
-    cell) that the dense and sparse scatter passes both consume.  The
-    expressions mirror the reference scalar assembler's operand order
-    exactly; this is the shared front half of :func:`assemble_into`.
+    Fills the ``ws.vals`` rows (device currents, Jacobian partials, the
+    ``gmin * x`` diagonal row and the ``gmin`` cell) that the dense and
+    sparse scatter passes both consume.  The expressions mirror the
+    reference scalar assembler's operand order exactly; this is the
+    shared front half of :func:`assemble_into`.
     Transistors go through one :func:`mosfet_current_batch` call per
     :class:`MosGroup`, both polarities together, bit-identical to the
     scalar channel model lane by lane.
@@ -850,10 +849,9 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
             xk[grp.g_cols], xk[grp.d_cols], xk[grp.s_cols],
         )
         ws.id_row[grp.cols] = i_d
-        if need_jacobian:
-            ws.dvd_row[grp.cols] = dvd
-            ws.dvg_row[grp.cols] = dvg
-            ws.dvs_row[grp.cols] = dvs
+        ws.dvd_row[grp.cols] = dvd
+        ws.dvg_row[grp.cols] = dvg
+        ws.dvs_row[grp.cols] = dvs
 
     if with_caps:
         np.subtract(xk[plan.cap_a], xk[plan.cap_b], out=ws.cap_cur)
@@ -861,8 +859,7 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
         ws.cap_cur -= ws.cap_ieq
 
     np.multiply(x, gmin, out=ws.gx)
-    if need_jacobian:
-        ws.vals[plan.gmin_slot] = gmin
+    ws.vals[plan.gmin_slot] = gmin
 
 
 def assemble_into(plan: StampPlan, ws: Workspace, x: np.ndarray,
@@ -886,16 +883,14 @@ def assemble_into(plan: StampPlan, ws: Workspace, x: np.ndarray,
 
 
 def assemble_sparse(plan: StampPlan, ws: Workspace, sp, x: np.ndarray,
-                    gmin: float, with_caps: bool,
-                    need_jacobian: bool = True):
+                    gmin: float, with_caps: bool):
     """Residual and CSC ``data`` through the sparse plan's scatter operator.
 
     ``sp`` is the plan's :class:`~repro.spice.sparse.SparsePlan`, ``ws``
     a sparse workspace.  The operator replays the dense per-cell
     accumulation order, so ``F`` and every stored entry are
     bit-identical to the dense assembly.  Returns ``(F, data)``, views
-    of ``ws.buf`` (``data`` is ``None`` when ``need_jacobian`` is
-    false).
+    of ``ws.buf``.
     """
-    eval_values(plan, ws, x, gmin, with_caps, need_jacobian)
-    return sp.assemble(ws, with_caps, need_jacobian)
+    eval_values(plan, ws, x, gmin, with_caps)
+    return sp.assemble(ws, with_caps)

@@ -33,10 +33,9 @@ analysis's :class:`~repro.spice.engine.SolveContext` decided:
 * **floats** (:class:`_FloatSteps`) on the ``kernel`` backend:
   gate-sized plans (fewer than
   :data:`~repro.spice.stamps.SCALAR_MOS_CUTOVER` transistors) that
-  ``REPRO_SPARSE`` leaves dense, ``REPRO_FAST_NEWTON`` or not (it acts
-  on the sparse backend only).  The unknowns, known voltages
-  and history are Python float lists, and only capacitors with an
-  unknown terminal carry stamps or history.  Each step calls the
+  ``REPRO_SPARSE`` leaves dense.  The unknowns, known voltages and
+  history are Python float lists, and only capacitors with an unknown
+  terminal carry stamps or history.  Each step calls the
   plan's generated Newton loop directly
   (:meth:`~repro.spice.engine.SolveContext.kernel_newton`) with the
   history, from which the loop computes the companion stamps, and the
@@ -52,8 +51,7 @@ analysis's :class:`~repro.spice.engine.SolveContext` decided:
 * **arrays** (:class:`_ArraySteps`) on ``dense`` and ``sparse``, every
   solve through :meth:`~repro.spice.engine.SolveContext.solve` with the
   companion stamps as ``caps=(geq, ieq)`` arrays over the compiled
-  capacitors (on ``sparse`` under ``REPRO_FAST_NEWTON``, the
-  modified-Newton loop).
+  capacitors.
 
 The two are bit-identical: the generated code applies the same IEEE
 operations in the same order as the elementwise numpy expressions

@@ -23,7 +23,6 @@ from repro import Gate
 from repro.charlib import simulate
 from repro.charlib.simulate import multi_input_response
 from repro.spice import Circuit
-from repro.spice.engine import FAST_NEWTON_ENV_VAR
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.waveform import FALL, RISE, Edge, Thresholds
 
@@ -47,18 +46,13 @@ def _observed(shot):
             shot.delay, shot.out_ttime, shot.vmin, shot.vmax)
 
 
-@pytest.fixture(params=["default", "sparse", "fast_newton"])
+@pytest.fixture(params=["default", "sparse"])
 def backend(request, monkeypatch):
     """The solver backend the shots run on, forced through the
-    environment before any analysis builds its context.  Fast Newton
-    acts on the sparse backend only, so its shots are forced sparse: its
-    threads share one gate on the LU-reusing loop."""
+    environment before any analysis builds its context."""
     monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
-    monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
-    if request.param in ("sparse", "fast_newton"):
+    if request.param == "sparse":
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-    if request.param == "fast_newton":
-        monkeypatch.setenv(FAST_NEWTON_ENV_VAR, "1")
     return request.param
 
 

@@ -108,15 +108,6 @@ class TestSolverWiring:
         assert phases.get("back_solve", 0.0) == 0.0
         assert set(phases) <= set(PHASES)
 
-    def test_fast_newton_splits_back_solve(self, monkeypatch):
-        """Modified Newton acts on the sparse backend only."""
-        monkeypatch.setenv("REPRO_SPARSE", "1")
-        monkeypatch.setenv("REPRO_FAST_NEWTON", "1")
-        breakdown = _run_and_breakdown()
-        phases = breakdown["sparse"]
-        assert phases.get("factorize", 0.0) > 0.0
-        assert phases.get("back_solve", 0.0) > 0.0
-
     def test_sparse_driver_phases(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPARSE", "1")
         breakdown = _run_and_breakdown()

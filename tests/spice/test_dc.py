@@ -106,15 +106,12 @@ class TestDcSweep:
         assert vout[-1] == pytest.approx(0.0, abs=0.05)
         assert np.all(np.diff(vout) <= 1e-6)
 
-    @pytest.mark.parametrize("fast_newton", ["0", "1"])
-    def test_matches_fresh_compile_per_point(self, monkeypatch, fast_newton):
+    @pytest.mark.parametrize("sparse", ["0", "1"])
+    def test_matches_fresh_compile_per_point(self, monkeypatch, sparse):
         """The once-compiled sweep solves every point bit for bit like a
-        freshly compiled circuit warm-started from the previous point;
-        under fast Newton, which acts on the sparse backend only, each
-        point starts from a fresh LU."""
-        monkeypatch.setenv("REPRO_FAST_NEWTON", fast_newton)
-        if fast_newton == "1":
-            monkeypatch.setenv("REPRO_SPARSE", "1")
+        freshly compiled circuit warm-started from the previous point,
+        on the gate kernel and on the forced sparse backend."""
+        monkeypatch.setenv("REPRO_SPARSE", sparse)
         proc = default_process()
         grid = np.linspace(0.0, proc.vdd, 41)
         sweep = dc_sweep(nand2(proc), ["va", "vb"], grid)

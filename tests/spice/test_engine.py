@@ -10,9 +10,8 @@ from repro.errors import ConvergenceError
 from repro.gates import Gate
 from repro.spice import Circuit, solve_dc, transient, transient_batch
 from repro.spice.builders import delay_chain, inverter_chain
-from repro.spice.engine import (FAST_NEWTON_ENV_VAR, NewtonOptions,
-                                NewtonStats, SolveContext, assemble_system,
-                                dense_solve, newton_solve)
+from repro.spice.engine import (NewtonOptions, NewtonStats, SolveContext,
+                                assemble_system, dense_solve, newton_solve)
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.tech import default_process
 from repro.waveform import ramp
@@ -165,27 +164,20 @@ class TestNewtonStats:
 
 
 class TestSolveContext:
-    @pytest.mark.parametrize("build,sparse,fast,backend", [
-        (lambda: Gate.nand(2, default_process()).build(), "auto", "0",
-         "kernel"),
-        (lambda: Gate.nand(2, default_process()).build(), "1", "0", "sparse"),
-        (lambda: Gate.nand(2, default_process()).build(), "1", "1",
-         "sparse"),
-        (lambda: inverter_chain(20), "auto", "0", "dense"),
-        (lambda: inverter_chain(20), "1", "1", "sparse"),
-        (lambda: delay_chain(40, 4), "auto", "0", "sparse"),
-        (lambda: delay_chain(40, 4), "0", "0", "dense"),
-    ], ids=["gate", "gate-sparse", "gate-fast", "chain", "chain-sparse-fast",
-            "netlist", "netlist-dense"])
+    @pytest.mark.parametrize("build,sparse,backend", [
+        (lambda: Gate.nand(2, default_process()).build(), "auto", "kernel"),
+        (lambda: Gate.nand(2, default_process()).build(), "1", "sparse"),
+        (lambda: inverter_chain(20), "auto", "dense"),
+        (lambda: inverter_chain(20), "1", "sparse"),
+        (lambda: delay_chain(40, 4), "auto", "sparse"),
+        (lambda: delay_chain(40, 4), "0", "dense"),
+    ], ids=["gate", "gate-sparse", "chain", "chain-sparse", "netlist",
+            "netlist-dense"])
     def test_backend_decided_by_size_and_knobs(self, monkeypatch, build,
-                                               sparse, fast, backend):
-        """Fast Newton acts on sparse analyses only, so its rows force
-        sparse (``test_fast_newton.py::TestScope`` holds the others)."""
+                                               sparse, backend):
         monkeypatch.setenv(SPARSE_ENV_VAR, sparse)
-        monkeypatch.setenv(FAST_NEWTON_ENV_VAR, fast)
         context = SolveContext.for_analysis(build().compile())
         assert context.backend == backend
-        assert (context.fast is not None) == (fast == "1")
 
     def test_analyses_leave_no_reference_cycles(self):
         """An analysis's context, its kernel loops and its compiled

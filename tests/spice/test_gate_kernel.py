@@ -37,8 +37,8 @@ from repro.resilience.retry import RetryPolicy
 from repro.spice import (Circuit, TransientOptions, engine, solve_dc, stamps,
                          transient)
 from repro.spice.dc import _source_stepping
-from repro.spice.engine import (FAST_NEWTON_ENV_VAR, NewtonOptions,
-                                NewtonStats, SolveContext, newton_solve)
+from repro.spice.engine import (NewtonOptions, NewtonStats, SolveContext,
+                                newton_solve)
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.spice.stamps import KERNELS, KernelCache
 from repro.tech import default_process, submicron_process
@@ -65,9 +65,8 @@ DIRECTIONS = ("fall", "rise", "mixed")
 
 @pytest.fixture(autouse=True)
 def default_solver(monkeypatch):
-    """The default dispatch: dense, full Newton."""
+    """The default dispatch: dense."""
     monkeypatch.setenv(SPARSE_ENV_VAR, "auto")
-    monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
 
 
 def telemetry_off(monkeypatch):

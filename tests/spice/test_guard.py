@@ -2,9 +2,10 @@
 
 Two layers under test:
 
-* the scalar integration -- every escalation rung is counted, and a
-  runaway solve burns its iteration budget, then walks the normal
-  homotopy/degradation ladder;
+* the scalar integration -- every escalation rung is counted, as often
+  on the sparse backend as on the default, and a runaway solve burns
+  its iteration budget, then walks the normal homotopy/degradation
+  ladder;
 * batched and sparse hardening -- batched lanes keep accounting
   identical to the scalar driver, and sparse-dispatched solves recover
   from injected factorization faults through the nudge rung.
@@ -38,11 +39,9 @@ FAST = TransientOptions(h_max_ratio=2e-2)
 @pytest.fixture(autouse=True)
 def pinned_backends(monkeypatch):
     """Pin the dense full-Newton path: the divergence/parity tests
-    monkeypatch :data:`repro.spice.engine.gesv`, which SuperLU and the
-    LU-reusing fast-Newton loop bypass.  Tests that exercise those
-    backends opt back in explicitly."""
+    monkeypatch :data:`repro.spice.engine.gesv`, which SuperLU bypasses.
+    Tests that exercise the sparse backend opt back in explicitly."""
     monkeypatch.setenv(SPARSE_ENV_VAR, "0")
-    monkeypatch.setenv("REPRO_FAST_NEWTON", "0")
 
 
 def inverter(tau: float = 0.3e-9, cl: float = 1e-13) -> Circuit:
@@ -81,6 +80,36 @@ def solver_counters(recorder) -> dict:
         for key, value in recorder.metrics_payload()["counters"].items()
         if key.startswith("spice.") and not key.startswith("spice.batch")
     }
+
+
+#: Step controls under which a fast edge shrinks ``h``: by dv rejection,
+#: and by Newton failure alone (dv never rejects).
+CUTTING_OPTIONS = {
+    "dv_rejection": TransientOptions(h_initial_ratio=0.02, h_max_ratio=0.05,
+                                     dv_target=0.05, dv_reject=0.1),
+    "newton_failure": TransientOptions(
+        h_initial_ratio=0.02, h_max_ratio=0.05, dv_reject=50.0,
+        newton=NewtonOptions(max_iterations=3)),
+}
+
+
+def nudged_solve():
+    """A gmin=0 floating node: every factorization is singular first."""
+    compiled = floating_node().compile()
+    return newton_solve(compiled, np.zeros(compiled.n_unknown),
+                        compiled.known_voltages(0.0),
+                        options=NewtonOptions(gmin=0.0))
+
+
+#: One analysis per rung of the ladder, and the rungs it must engage.
+LADDER_RUNS = {
+    "nudge": (nudged_solve, ("nudge",)),
+    "homotopy": (lambda: solve_dc(dc_inverter(), initial_guess={"out": 80.0}),
+                 ("gmin_ramp", "source_step")),
+    "timestep_cut": (lambda: transient(inverter(tau=0.05e-9), 1.5e-9,
+                                       options=CUTTING_OPTIONS["dv_rejection"]),
+                     ("timestep_cut",)),
+}
 
 
 def runaway_solve(a, b, out=None):
@@ -143,20 +172,34 @@ class TestRungTelemetry:
         """Every shrink of ``h`` -- Newton failure or dv rejection -- is
         one ``timestep_cut`` engagement, which is exactly what the
         result's ``rejected_steps`` counts."""
-        with recording() as rec:
-            result = transient(inverter(tau=0.05e-9), 1.5e-9, options=FAST)
-        counters = rec.metrics_payload()["counters"]
-        cuts = counters.get("spice.guard.rung{rung=timestep_cut}", 0)
-        assert cuts == result.rejected_steps
+        for cause, options in CUTTING_OPTIONS.items():
+            with recording() as rec:
+                result = transient(inverter(tau=0.05e-9), 1.5e-9,
+                                   options=options)
+            counters = rec.metrics_payload()["counters"]
+            cuts = counters.get("spice.guard.rung{rung=timestep_cut}", 0)
+            assert cuts == result.rejected_steps > 0, cause
+        # The last run cut on Newton failures.
+        assert result.newton_failures > 0
 
-    def test_refresh_rung_under_fast_newton(self, monkeypatch):
-        """Modified Newton acts on the sparse backend only."""
+    @pytest.mark.parametrize("ladder", sorted(LADDER_RUNS))
+    def test_rungs_match_on_sparse(self, monkeypatch, ladder):
+        """The sparse backend climbs the same rungs as the pinned
+        default, as many times."""
+        run, rungs = LADDER_RUNS[ladder]
+
+        def rung_counts():
+            with recording() as rec:
+                run()
+            return {key: value
+                    for key, value in solver_counters(rec).items()
+                    if key.startswith("spice.guard.rung")}
+
+        base = rung_counts()
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.setenv("REPRO_FAST_NEWTON", "1")
-        with recording() as rec:
-            transient(inverter(), 2e-9, options=FAST)
-        counters = rec.metrics_payload()["counters"]
-        assert counters.get("spice.guard.rung{rung=refresh}", 0) >= 1
+        assert rung_counts() == base
+        for rung in rungs:
+            assert base[f"spice.guard.rung{{rung={rung}}}"] >= 1
 
 
 class TestDivergenceAbort:

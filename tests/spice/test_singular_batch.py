@@ -20,7 +20,6 @@ from repro.errors import ConvergenceError
 from repro.spice import Circuit, engine
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.spice.engine import (
-    FAST_NEWTON_ENV_VAR,
     NewtonOptions,
     NewtonStats,
     SolveContext,
@@ -35,11 +34,8 @@ def dense_backend(monkeypatch):
     """Pin the dense full-Newton loops: the
     :data:`repro.spice.engine.gesv` monkeypatch reaches only those
     loops.  A ``REPRO_SPARSE=1`` environment (the CI
-    sparse smoke leg) would divert every lane to SuperLU, and
-    ``REPRO_FAST_NEWTON=1`` to the LU-reusing loop, whose singular path
-    ``test_fast_newton.py`` covers."""
+    sparse smoke leg) would divert every lane to SuperLU."""
     monkeypatch.setenv(SPARSE_ENV_VAR, "0")
-    monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
 
 
 def divider() -> Circuit:

@@ -19,10 +19,9 @@ from repro.obs.flight import FLIGHT_ENV_VAR, FlightRecorder
 from repro.obs.metrics import MetricRegistry
 from repro.resilience import FaultInjection
 from repro.spice import (NewtonOptions, NewtonStats, dc_sweep, solve_dc,
-                         transient, transient_batch)
+                         solve_dc_batch, transient, transient_batch)
 from repro.spice.builders import inverter_chain
-from repro.spice.engine import (FAST_NEWTON_ENV_VAR, SolveContext,
-                                newton_solve)
+from repro.spice.engine import SolveContext, newton_solve
 from repro.spice.sparse import SPARSE_ENV_VAR
 from repro.tech import default_process
 from repro.waveform import ramp
@@ -35,7 +34,6 @@ NAND3 = Gate.nand(3, PROCESS)
 @pytest.fixture(autouse=True)
 def default_solver(monkeypatch):
     monkeypatch.setenv(SPARSE_ENV_VAR, "auto")
-    monkeypatch.delenv(FAST_NEWTON_ENV_VAR, raising=False)
     monkeypatch.setenv(FLIGHT_ENV_VAR, "100000")
 
 
@@ -144,6 +142,12 @@ def assert_folded(recorder, contexts, driver: str = "dense") -> None:
         assert context.solves == context.failures == context.iterations == 0
 
 
+def bare_solve(compiled):
+    """One :func:`newton_solve` from mid-rail, outside any driver."""
+    return newton_solve(compiled, np.full(compiled.n_unknown, VDD / 2),
+                        compiled.known_voltages(0.0), options=NewtonOptions())
+
+
 class TestFoldContract:
     def test_gate_transient(self, contexts):
         with recording() as rec:
@@ -179,23 +183,35 @@ class TestFoldContract:
         assert_folded(rec, contexts)
 
     def test_bare_newton_solve(self, contexts):
-        compiled = nand3_circuit().compile()
         with recording() as rec:
-            newton_solve(compiled, np.full(compiled.n_unknown, VDD / 2),
-                         compiled.known_voltages(0.0),
-                         options=NewtonOptions())
+            bare_solve(nand3_circuit().compile())
         assert_folded(rec, contexts)
 
-    def test_sparse_transient_counts_factorizations(self, contexts,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("run", [
+        lambda: transient(inverter_chain(2), "0.2ns"),
+        lambda: solve_dc(nand3_circuit()),
+        lambda: dc_sweep(Gate.inverter(PROCESS).build({"a": 0.0}), "va",
+                         np.linspace(0.0, VDD, 11)),
+        lambda: solve_dc_batch([nand3_circuit("fall"),
+                                nand3_circuit("rise")]),
+        lambda: transient_batch([nand3_circuit("fall"),
+                                 nand3_circuit("rise")], "0.5ns"),
+        lambda: bare_solve(nand3_circuit().compile()),
+    ], ids=["transient", "solve_dc", "dc_sweep", "solve_dc_batch",
+            "transient_batch", "newton_solve"])
+    def test_sparse_drivers_factorize_once_per_iteration(
+            self, contexts, monkeypatch, run):
+        """Every driver folds on the sparse backend, and its Newton loop
+        factorizes once per iteration: no LU outlives an iteration, a
+        sweep point or a lane."""
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
         with recording() as rec:
-            transient(inverter_chain(2), "0.2ns")
+            run()
+        assert {context.backend for context in contexts} == {"sparse"}
         assert_folded(rec, contexts, driver="sparse")
         counters = rec.metrics_payload()["counters"]
-        # Full Newton factorizes once per iteration.
         assert counters["spice.sparse.factorizations"] == \
-            contexts[0].stats.iterations
+            sum(context.stats.iterations for context in contexts)
         assert counters["spice.sparse.fill_nnz"] >= 0
 
     def test_exhausted_ladder(self, contexts, monkeypatch):

@@ -1,6 +1,8 @@
 """Equivalence contract of the sparse solver backend (``REPRO_SPARSE``).
 
-The sparse backend promises, versus the default dense path:
+The sparse backend promises, versus the default dense path (for
+gate-sized circuits the gate kernel, which ``test_gate_kernel.py`` holds
+to the dense loop bit for bit):
 
 * **bit-identical assembly** -- every stored CSC entry equals the
   corresponding dense Jacobian cell bit for bit (the emission-ordered
@@ -9,8 +11,7 @@ The sparse backend promises, versus the default dense path:
 * **tolerance-gated solves** -- SuperLU replaces LAPACK, so Newton
   steps match to machine precision but not bit-for-bit: waveforms must
   track the dense solution within 1 nV, measured crossings within
-  1 fs, and the Newton/retry accounting must be unchanged (the same
-  contract ``REPRO_FAST_NEWTON`` is held to);
+  1 fs, and the Newton/retry accounting must be unchanged;
 * **deterministic dispatch** -- ``auto`` picks exactly one backend per
   circuit from its unknown count, so default-mode results never mix.
 """
@@ -42,6 +43,8 @@ from repro.spice.stamps import (Workspace, assemble_into, assemble_sparse,
                                 load_solve)
 from repro.tech import default_process
 from repro.waveform import ramp
+
+from .test_gate_kernel import GATES, NAND3, SCENARIOS, recorded, stimuli
 
 PROC = default_process()
 
@@ -117,9 +120,9 @@ class TestEnvKnob:
 class TestAssemblyBitIdentity:
     @staticmethod
     def check_bit_identical(compiled, rng) -> None:
-        """Random states, with and without companion stamps, full and
-        residual-only calls: the sparse ``F`` and every stored CSC entry
-        must equal the dense assembly bit for bit."""
+        """Random states, with and without companion stamps: the sparse
+        ``F`` and every stored CSC entry must equal the dense assembly
+        bit for bit."""
         plan = compiled.stamp_plan
         ws, ws_sparse = Workspace(plan), Workspace(plan, sparse=True)
         known = compiled.known_voltages(0.0)
@@ -144,17 +147,6 @@ class TestAssemblyBitIdentity:
             assert np.array_equal(bit_pattern(F_s), bit_pattern(F_d))
             assert np.array_equal(bit_pattern(data), bit_pattern(J_d[rows, cols]))
             assert np.array_equal(J_d, sp.dense_jacobian(data))
-
-            # The residual-only call of the modified-Newton loop: the
-            # full dense assembly's F, and the stored entries untouched.
-            x = rng.uniform(0.0, PROC.vdd, plan.n)
-            F_d, _ = assemble_into(plan, ws, x, gmin, with_caps)
-            data.fill(7.0)
-            F_s, A = assemble_sparse(plan, ws_sparse, sp, x, gmin, with_caps,
-                                     need_jacobian=False)
-            assert A is None
-            assert np.array_equal(bit_pattern(F_s), bit_pattern(F_d))
-            assert (data == 7.0).all()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_jacobian_and_residual_bit_identical(self, seed):
@@ -286,9 +278,6 @@ class TestSolveParity:
         assert abs(t_base - t_sparse) <= 1e-15
 
     def test_newton_accounting_unchanged(self, monkeypatch):
-        # Full Newton on both sides: fast Newton would act on the sparse
-        # side only, and its accounting differs by design.
-        monkeypatch.delenv("REPRO_FAST_NEWTON", raising=False)
         monkeypatch.setenv(SPARSE_ENV_VAR, "0")
         base = transient(switching_decoder(), 1.2e-9, options=FAST)
         monkeypatch.setenv(SPARSE_ENV_VAR, "1")
@@ -308,7 +297,6 @@ class TestSolveParity:
             return transient(switching_decoder(5), 1.2e-9, options=FAST)
 
         assert switching_decoder(5).compile().n_unknown >= SPARSE_NODE_CUTOVER
-        monkeypatch.delenv("REPRO_FAST_NEWTON", raising=False)  # as above
         monkeypatch.setenv(SPARSE_ENV_VAR, "0")
         base = run()
         monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
@@ -324,17 +312,69 @@ class TestSolveParity:
         assert auto.rejected_steps == base.rejected_steps
         assert len(auto.times) == len(base.times)
 
-    def test_fast_newton_composes_with_sparse(self, monkeypatch):
-        """The two opt-in modes stack: sparse fast-Newton must stay
-        within the fast-Newton tolerance contract of the dense run."""
-        monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
-        monkeypatch.delenv("REPRO_FAST_NEWTON", raising=False)
-        base = transient(switching_decoder(), 1.2e-9, options=FAST)
-        monkeypatch.setenv(SPARSE_ENV_VAR, "1")
-        monkeypatch.setenv("REPRO_FAST_NEWTON", "1")
-        both = transient(switching_decoder(), 1.2e-9, options=FAST)
-        gap = waveform_gap(base, both, ("wl0", "wl1"), 1.2e-9)
-        assert gap <= 1e-9
+
+def accounting(result) -> tuple:
+    """A transient's Newton, step and retry accounting."""
+    return (result.newton_iterations, result.newton_failures,
+            result.rejected_steps, result.solver_retries,
+            [attempt.message for attempt in result.retry_attempts])
+
+
+def solver_counters(counters) -> dict:
+    """``spice.*`` counters less the backend-labelled ones."""
+    return {key: value for key, value in counters.items()
+            if not key.startswith(("spice.newton.dispatch", "spice.sparse."))}
+
+
+class TestGateParity:
+    """Gate testbenches, the paper's workload, forced sparse against the
+    default gate kernel: waveforms within 1 nV, the output's crossing and
+    every accepted time within 1 fs, and the same accounting."""
+
+    @pytest.mark.parametrize("direction", ["fall", "rise"])
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    def test_shot_tracks_default(self, monkeypatch, gate, direction):
+        cell = GATES[gate](PROC)
+
+        def shot(sparse):
+            monkeypatch.setenv(SPARSE_ENV_VAR, sparse)
+            return transient(cell.build(stimuli(cell, direction)), 2e-9)
+
+        base, forced = shot("auto"), shot("1")
+        assert accounting(forced) == accounting(base)
+        assert len(forced.times) == len(base.times)
+        assert float(np.abs(forced.times - base.times).max()) <= 1e-15
+        assert waveform_gap(base, forced, base.node_names, 2e-9) <= 1e-9
+        # Every input falls (rises), so the output rises (falls).
+        output = "rise" if direction == "fall" else "fall"
+        level = PROC.vdd / 2.0
+        assert abs(forced.node(cell.output).first_crossing(level, output)
+                   - base.node(cell.output).first_crossing(level, output)) \
+            <= 1e-15
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_step_control_branch_tracks_default(self, monkeypatch,
+                                                scenario):
+        """The step controller's and retry ladder's other branches:
+        rejected steps, Newton failures, retries and their rung counts
+        as on the gate kernel."""
+        kwargs, reached = SCENARIOS[scenario]
+
+        def run(sparse):
+            monkeypatch.setenv(SPARSE_ENV_VAR, sparse)
+            return recorded(lambda: transient(
+                NAND3.build(stimuli(NAND3, "fall")), 2e-9, **kwargs))
+
+        (base, base_counters), (forced, counters) = run("auto"), run("1")
+        assert reached(forced)
+        assert accounting(forced) == accounting(base)
+        assert solver_counters(counters) == solver_counters(base_counters)
+        assert counters["spice.sparse.factorizations"] == \
+            forced.newton_iterations
+        assert len(forced.times) == len(base.times)
+        assert float(np.abs(forced.times - base.times).max()) <= 1e-15
+        assert waveform_gap(base, forced, base.node_names,
+                            float(base.times[-1])) <= 1e-9
 
 
 class TestDispatchTelemetry:

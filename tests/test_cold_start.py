@@ -132,8 +132,6 @@ class TestScipyLoadsOnFirstUse:
         assert run_probe(code, tmp_path).split() == ["False", "False", "True"]
 
     def test_dense_solves_load_no_scipy(self, tmp_path):
-        """Fast Newton acts on the sparse backend only, so a dense solve
-        loads no scipy module with or without it."""
         code = (
             "import sys\n"
             "from repro.spice import solve_dc\n"
@@ -141,4 +139,3 @@ class TestScipyLoadsOnFirstUse:
             "solve_dc(inverter_chain(3))\n" + loaded("scipy")
         )
         assert run_probe(code, tmp_path).strip() == "False"
-        assert run_probe(code, tmp_path, REPRO_FAST_NEWTON="1").strip() == "False"

@@ -1,12 +1,28 @@
 """VTC extraction from gate simulations (paper Section 2 behaviour)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MeasurementError
 from repro.gates import Gate
 from repro.spice.netlist import CompiledCircuit
+from repro.spice.sparse import SPARSE_ENV_VAR
+from repro.tech import default_process, submicron_process
 from repro.vtc import extract_vtc, select_thresholds, vtc_family
 from repro.vtc.extract import gate_thresholds
+
+PROCESSES = {"level1": default_process(), "alpha": submicron_process()}
+
+GATES = {
+    "inv": lambda p: Gate.inverter(p, load=100e-15),
+    "nand2": lambda p: Gate.nand(2, p, load=100e-15),
+    "nand3": lambda p: Gate.nand(3, p, load=100e-15),
+    "nand4": lambda p: Gate.nand(4, p, load=100e-15),
+    "nor2": lambda p: Gate.nor(2, p, load=100e-15),
+    "nor3": lambda p: Gate.nor(3, p, load=100e-15),
+    "aoi21": lambda p: Gate.aoi21(p, load=100e-15),
+    "oai21": lambda p: Gate.oai21(p, load=100e-15),
+}
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +109,30 @@ class TestExtract:
         assert max_vih.label == "a"  # 'a' is adjacent to Vdd in our NOR
         min_vil = min(family, key=lambda c: c.vil)
         assert min_vil.label == "abc"
+
+
+class TestSparseBackend:
+    """The family's DC sweeps forced onto the sparse backend
+    (``REPRO_SPARSE=1``) against the default gate kernel.
+
+    SuperLU replaces the kernel's solve, so the sweeps are held to the
+    sparse backend's tolerance contract rather than to its bits: every
+    curve on the same input grid, each output sample within 1 nV.
+    """
+
+    @pytest.mark.parametrize("process", sorted(PROCESSES))
+    @pytest.mark.parametrize("gate", sorted(GATES))
+    def test_family_tracks_default(self, monkeypatch, gate, process):
+        cell = GATES[gate](PROCESSES[process])
+
+        def family(sparse):
+            monkeypatch.setenv(SPARSE_ENV_VAR, sparse)
+            return vtc_family(cell, coarse_points=21, dense_points=61)
+
+        base, forced = family("auto"), family("1")
+        assert len(base) == 2 ** len(cell.inputs) - 1
+        assert [c.switching for c in forced] == [c.switching for c in base]
+        for got, want in zip(forced, base):
+            assert np.array_equal(got.vin, want.vin), want.label
+            assert float(np.abs(got.vout - want.vout).max()) <= 1e-9, \
+                want.label
