@@ -38,7 +38,8 @@ def chain_assembly_workload():
     # capacitor, in order (geq = C/h for a representative h), as the
     # reference assembler's tuples and as the engine's caps arrays.
     stamps = tuple((a, b, c / 1e-12, (c / 1e-12) * 0.3)
-                   for a, b, c in compiled.capacitors)
+                   for (a, b), c in zip(compiled.cap_nodes.T.tolist(),
+                                        compiled.cap_c.tolist()))
     caps = (np.array([s[2] for s in stamps]), np.array([s[3] for s in stamps]))
     rng = np.random.default_rng(7)
     xs = rng.uniform(0.0, 5.0, (200, compiled.n_unknown))

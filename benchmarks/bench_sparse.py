@@ -1,9 +1,9 @@
-"""Sparse solver backend: node-count scaling curve + decoder-tree gate.
+"""Sparse solver backend: scaling curve, decoder-tree gate, construction.
 
 The tentpole claim of the CSC stamp plan (:mod:`repro.spice.sparse`):
 past the ``auto`` dispatch cutover the per-solve cost (factorize +
 solve, what every Newton iteration pays) beats dense LAPACK LU, and
-the gap widens with node count.  Two records:
+the gap widens with node count.  Three records:
 
 * ``test_per_solve_scaling_curve`` -- dense vs sparse per-solve times
   on inverter chains and hierarchical decoders from below the cutover
@@ -13,7 +13,12 @@ the gap widens with node count.  Two records:
   hierarchical decoder (575 unknowns, 128 wordlines) the sparse
   per-solve is >=5x faster than dense LU (6.8-8.2x measured with the
   minimum-degree ordering).  The live assertion leaves headroom for
-  noisy shared runners (the ``bench_newton_core`` recipe).
+  noisy shared runners (the ``bench_newton_core`` recipe);
+* ``test_construction_cost`` -- what a large netlist costs before its
+  first solve: the median build, compile, stamp-plan and sparse-plan
+  seconds of ``bitcell_array(48, 48)`` and ``hierarchical_decoder(7)``
+  over five constructions each, with their structural counts
+  (unknowns, transistors, capacitors, ``F``/``J`` emissions, nnz).
 
 Both sides time the *same* assembled Jacobian (assembly is
 bit-identical across backends, benched in ``bench_newton_core``), so
@@ -25,11 +30,13 @@ there the ordering matters more
 (``tests/spice/test_sparse_equivalence.py`` bounds their fill).
 """
 
+import statistics
 import time
 
 import numpy as np
 
-from repro.spice.builders import hierarchical_decoder, inverter_chain
+from repro.spice.builders import (bitcell_array, hierarchical_decoder,
+                                  inverter_chain)
 from repro.spice.sparse import SPARSE_NODE_CUTOVER
 from repro.spice.stamps import (Workspace, assemble_into, assemble_sparse,
                                 load_solve)
@@ -155,3 +162,60 @@ def test_decoder_tree_speedup(benchmark, request):
     # The committed baseline records >=5x; the live assertion leaves
     # headroom for noisy shared runners (measured 5.0-5.3x locally).
     assert speedup >= 4.0
+
+
+#: Constructions per circuit in ``test_construction_cost``.
+BUILDS = 5
+
+
+def test_construction_cost(benchmark, request):
+    """Build, compile, stamp plan and sparse plan of the largest flat
+    netlists, each phase's median over :data:`BUILDS` constructions."""
+    cases = [("bitcells48x48", lambda: bitcell_array(48, 48)),
+             ("decoder7", lambda: hierarchical_decoder(7))]
+    records = {}
+
+    def run_cases():
+        for label, build in cases:
+            seconds = {"build": [], "compile": [], "plan": [],
+                       "sparse_plan": []}
+            for _ in range(BUILDS):
+                start = time.perf_counter()
+                circuit = build()
+                built = time.perf_counter()
+                compiled = circuit.compile()
+                compiled_at = time.perf_counter()
+                plan = compiled.stamp_plan
+                planned = time.perf_counter()
+                sp = plan.sparse
+                done = time.perf_counter()
+                for phase, value in zip(seconds, (built - start,
+                                                  compiled_at - built,
+                                                  planned - compiled_at,
+                                                  done - planned)):
+                    seconds[phase].append(value)
+            records[label] = {
+                **{f"{phase}_s": statistics.median(values)
+                   for phase, values in seconds.items()},
+                "n_unknown": plan.n, "transistors": plan.n_mos,
+                "capacitors": plan.n_cap, "f_emissions": plan.f_emit[0].size,
+                "j_emissions": plan.j_emit[0].size, "nnz": sp.nnz,
+            }
+
+    benchmark.pedantic(run_cases, rounds=1, iterations=1)
+    print()
+    for label, record in records.items():
+        total = sum(record[f"{phase}_s"]
+                    for phase in ("build", "compile", "plan", "sparse_plan"))
+        print(f"  {label:<14} n={record['n_unknown']:>5} "
+              f"build {record['build_s'] * 1e3:6.1f}ms "
+              f"compile {record['compile_s'] * 1e3:6.1f}ms "
+              f"plan {record['plan_s'] * 1e3:6.1f}ms "
+              f"sparse {record['sparse_plan_s'] * 1e3:6.1f}ms "
+              f"= {total * 1e3:6.1f}ms")
+    request.node.bench_extra = {"builds": BUILDS, "circuits": records}
+
+    cells = records["bitcells48x48"]
+    assert cells["n_unknown"] == 2 * 48 * 48
+    assert cells["transistors"] == 6 * 48 * 48
+    assert records["decoder7"]["n_unknown"] >= 200

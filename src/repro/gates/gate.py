@@ -12,6 +12,7 @@ every experiment in the paper (e.g. NAND3 with ``c`` tied to Vdd).
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import NetlistError
@@ -204,16 +205,7 @@ class Gate:
                     level = True
                 circuit.add_vsource(f"v{name}", name, self.level_voltage(level))
 
-        self._emit_network(
-            circuit, self.pulldown, top=self.output, bottom="0",
-            params=self.process.nmos, prefix="mn", node_prefix="pd",
-            bulk="0", width_fn=self.nmos_width, with_parasitics=with_parasitics,
-        )
-        self._emit_network(
-            circuit, self.pullup, top="vdd", bottom=self.output,
-            params=self.process.pmos, prefix="mp", node_prefix="pu",
-            bulk="vdd", width_fn=self.pmos_width, with_parasitics=with_parasitics,
-        )
+        self._emit(circuit, "", [*self.inputs, self.output], with_parasitics)
 
         cl = self.load if load is None else parse_quantity(load, unit="F")
         circuit.add_capacitor("cload", self.output, "0", cl)
@@ -233,56 +225,72 @@ class Gate:
         missing = [p for p in (*self.inputs, self.output) if p not in nets]
         if missing:
             raise NetlistError(f"instantiate_into missing nets for pins {missing!r}")
-        self._emit_network(
-            circuit, self.pulldown, top=nets[self.output], bottom="0",
-            params=self.process.nmos, prefix=f"{instance}.mn",
-            node_prefix=f"{instance}.pd", bulk="0", width_fn=self.nmos_width,
-            with_parasitics=with_parasitics, pin_nets=nets,
-        )
-        self._emit_network(
-            circuit, self.pullup, top="vdd", bottom=nets[self.output],
-            params=self.process.pmos, prefix=f"{instance}.mp",
-            node_prefix=f"{instance}.pu", bulk="vdd", width_fn=self.pmos_width,
-            with_parasitics=with_parasitics, pin_nets=nets,
-        )
+        self._emit(circuit, f"{instance}.",
+                   [nets[pin] for pin in (*self.inputs, self.output)],
+                   with_parasitics)
 
-    def _emit_network(self, circuit: Circuit, tree: Network, *, top: str,
-                      bottom: str, params, prefix: str, node_prefix: str,
-                      bulk: str, width_fn, with_parasitics: bool,
-                      pin_nets: Optional[Mapping[str, str]] = None) -> None:
-        """Instantiate a series/parallel network of MOSFETs.
+    @cached_property
+    def _devices(self) -> Tuple[Tuple[str, ...], Tuple[tuple, ...]]:
+        """The transistors of one instance: ``(internal, devices)``.
 
-        Walks the tree depth first, children in order, through an
-        explicit stack: a recursive closure would hold itself (and the
-        circuit) in a reference cycle, leaving every built circuit to
-        the cyclic garbage collector.  Internal nodes are numbered as
-        their series parent is reached, devices as they are emitted.
+        Walks the pull-down and then the pull-up network once per gate,
+        depth first, children in order, through an explicit stack (a
+        recursive closure would hold itself in a reference cycle).
+        Internal stack nodes (``pd1 ..``, ``pu1 ..``, in ``internal``)
+        are numbered as their series parent is reached, devices as they
+        are emitted.  Each device is ``(name, drain, gate, source, bulk,
+        params, width)``, its terminals indices into an instance's net
+        list: the inputs' nets, the output's, ``"vdd"``, ``"0"``, then
+        the internal nodes.
         """
-        counter = itertools.count(1)
-        device_counter = itertools.count(1)
-        stack = [(tree, top, bottom)]
-        while stack:
-            node, hi, lo = stack.pop()
-            if isinstance(node, Leaf):
-                gate_net = pin_nets[node.name] if pin_nets else node.name
-                circuit.add_mosfet(
-                    f"{prefix}{next(device_counter)}_{node.name}",
-                    drain=hi, gate=gate_net, source=lo, bulk=bulk,
-                    params=params,
-                    width=width_fn(node.name), length=self.sizing.length,
-                    with_parasitics=with_parasitics,
-                )
-                continue
-            if isinstance(node, Series):
-                rail_points = [hi]
-                for _ in node.children[:-1]:
-                    rail_points.append(f"{node_prefix}{next(counter)}")
-                rail_points.append(lo)
-                spans = zip(node.children, rail_points, rail_points[1:])
-            else:  # Parallel
-                spans = ((child, hi, lo) for child in node.children)
-            # Reversed, so the first child is popped (and emitted) first.
-            stack.extend(reversed(list(spans)))
+        n_in = len(self.inputs)
+        pin = {name: i for i, name in enumerate(self.inputs)}
+        out, vdd, gnd = n_in, n_in + 1, n_in + 2
+        internal: List[str] = []
+        devices = []
+        for tree, top, bottom, params, prefix, node_prefix, bulk, width in (
+                (self.pulldown, out, gnd, self.process.nmos, "mn", "pd", gnd,
+                 self.nmos_width),
+                (self.pullup, vdd, out, self.process.pmos, "mp", "pu", vdd,
+                 self.pmos_width)):
+            counter = itertools.count(1)
+            device_counter = itertools.count(1)
+            stack = [(tree, top, bottom)]
+            while stack:
+                node, hi, lo = stack.pop()
+                if isinstance(node, Leaf):
+                    devices.append((
+                        f"{prefix}{next(device_counter)}_{node.name}",
+                        hi, pin[node.name], lo, bulk, params,
+                        width(node.name)))
+                    continue
+                if isinstance(node, Series):
+                    rail_points = [hi]
+                    for _ in node.children[:-1]:
+                        internal.append(f"{node_prefix}{next(counter)}")
+                        rail_points.append(gnd + len(internal))
+                    rail_points.append(lo)
+                    spans = zip(node.children, rail_points, rail_points[1:])
+                else:  # Parallel
+                    spans = ((child, hi, lo) for child in node.children)
+                # Reversed, so the first child is popped (and emitted) first.
+                stack.extend(reversed(list(spans)))
+        return tuple(internal), tuple(devices)
+
+    def _emit(self, circuit: Circuit, prefix: str, pins: List[str],
+              with_parasitics: bool) -> None:
+        """Place one instance's transistors into ``circuit``.
+
+        ``pins`` are the nets of the inputs, in order, and the output;
+        device and internal node names take ``prefix``.
+        """
+        internal, devices = self._devices
+        nets = [*pins, "vdd", "0", *(prefix + node for node in internal)]
+        length = self.sizing.length
+        for name, drain, gate, source, bulk, params, width in devices:
+            circuit.add_mosfet(prefix + name, nets[drain], nets[gate],
+                               nets[source], nets[bulk], params, width, length,
+                               with_parasitics=with_parasitics)
 
     # ------------------------------------------------------------------
     # Identification

@@ -195,7 +195,8 @@ def assemble_system_reference(
     F += gmin * x
     J[np.diag_indices(n)] += gmin
 
-    for a, b, g in compiled.resistors:
+    for (a, b), g in zip(compiled.res_nodes.T.tolist(),
+                         compiled.res_g.tolist()):
         va, vb = v_of(a), v_of(b)
         current = g * (va - vb)
         if a >= 0:
@@ -216,7 +217,10 @@ def assemble_system_reference(
         if b >= 0:
             F[b] -= current
 
-    for d, g_node, s, params, k in compiled.mosfets:
+    for (d, g_node, s), card, k in zip(compiled.mos_nodes.T.tolist(),
+                                       compiled.mos_card.tolist(),
+                                       compiled.mos_k.tolist()):
+        params = compiled.cards[card]
         vd, vg, vs = v_of(d), v_of(g_node), v_of(s)
         i_d, di_dvd, di_dvg, di_dvs = mosfet_current(params, k, vg, vd, vs)
         # i_d enters the drain terminal from the node -> leaves node d.

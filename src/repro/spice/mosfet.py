@@ -26,8 +26,7 @@ region boundaries, reversed devices, NaN and infinities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from ..tech import MosfetParams
 
 __all__ = ["nmos_like_current", "mosfet_current", "MosfetInstance",
            "nmos_like_current_batch", "alpha_power_current_batch",
-           "mosfet_current_batch", "device_param_rows", "channel_source"]
+           "mosfet_current_batch", "channel_source"]
 
 
 def nmos_like_current(k: float, vt: float, lam: float,
@@ -233,15 +232,18 @@ def mosfet_current(params: MosfetParams, k: float,
     return i_d, di_dvd, di_dvg, di_dvs
 
 
-def nmos_like_current_batch(k: np.ndarray, vt: np.ndarray, lam: np.ndarray,
-                            vgs: np.ndarray, vds: np.ndarray):
+def nmos_like_current_batch(k: np.ndarray, two_k: np.ndarray, vt: np.ndarray,
+                            lam: np.ndarray, vgs: np.ndarray, vds: np.ndarray):
     """Vectorized :func:`nmos_like_current` over same-shape arrays.
 
+    ``two_k`` is ``2.0 * k``, which a device group forms once.
     Bit-identical to the scalar routine lane by lane: every arithmetic
     expression is written with the same operand order and associativity,
-    the drain/source swap is handled by reflecting into the ``vds >= 0``
-    frame up front, and cutoff zeroing happens *before* un-swapping so
-    reversed off devices keep the scalar recursion's ``-0.0`` outputs.
+    a product the scalar forms twice (``k * core``, ``2.0 * vov``) is
+    formed once and reused, the drain/source swap is handled by
+    reflecting into the ``vds >= 0`` frame up front, and cutoff zeroing
+    happens *before* un-swapping so reversed off devices keep the scalar
+    recursion's ``-0.0`` outputs.
     """
     neg = vds < 0.0
     vgs_eff = np.where(neg, vgs - vds, vgs)
@@ -250,14 +252,15 @@ def nmos_like_current_batch(k: np.ndarray, vt: np.ndarray, lam: np.ndarray,
     vov = vgs_eff - vt
     on = vov > 0.0
     clm = 1.0 + lam * vds_eff
-    core_t = 2.0 * vov * vds_eff - vds_eff * vds_eff
-    core_s = vov * vov
+    two_vov = 2.0 * vov
+    k_core_t = k * (two_vov * vds_eff - vds_eff * vds_eff)
+    k_core_s = k * (vov * vov)
     triode = vds_eff < vov
-    ids = np.where(triode, k * core_t * clm, k * core_s * clm)
-    gm = np.where(triode, 2.0 * k * vds_eff * clm, 2.0 * k * vov * clm)
+    ids = np.where(triode, k_core_t * clm, k_core_s * clm)
+    gm = np.where(triode, two_k * vds_eff * clm, two_k * vov * clm)
     gds = np.where(triode,
-                   k * (2.0 * vov - 2.0 * vds_eff) * clm + k * core_t * lam,
-                   k * core_s * lam)
+                   k * (two_vov - 2.0 * vds_eff) * clm + k_core_t * lam,
+                   k_core_s * lam)
     ids = np.where(on, ids, 0.0)
     gm = np.where(on, gm, 0.0)
     gds = np.where(on, gds, 0.0)
@@ -303,12 +306,13 @@ def alpha_power_current_batch(k: np.ndarray, vt: np.ndarray, lam: np.ndarray,
     vdsat = _pow(safe_vov, 0.5 * alpha)
     gm_base = alpha * k * _pow(safe_vov, alpha - 1.0)
     u = vds_eff / vdsat
-    core = 2.0 * u - u * u
+    two_u = 2.0 * u
+    core = two_u - u * u
     sat = vds_eff >= vdsat
     ids = np.where(sat, i_sat0 * clm, i_sat0 * core * clm)
     gm = np.where(sat, gm_base * clm, gm_base * u * clm)
     gds = np.where(sat, i_sat0 * lam,
-                   i_sat0 * ((2.0 - 2.0 * u) / vdsat * clm + core * lam))
+                   i_sat0 * ((2.0 - two_u) / vdsat * clm + core * lam))
     ids = np.where(on, ids, 0.0)
     gm = np.where(on, gm, 0.0)
     gds = np.where(on, gds, 0.0)
@@ -319,31 +323,16 @@ def alpha_power_current_batch(k: np.ndarray, vt: np.ndarray, lam: np.ndarray,
     return ids_out, gm_out, gds_out
 
 
-def device_param_rows(mosfets, indices) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray, np.ndarray]:
-    """Parameter rows for one :func:`mosfet_current_batch` device group.
-
-    ``mosfets`` is a compiled device list (``(d, g, s, params, k)``
-    tuples); ``indices`` selects the devices of one channel-model
-    group.  Returns ``(k, vt, lam, alpha)`` float arrays in selection
-    order.
-    """
-    k = np.array([mosfets[mi][4] for mi in indices], dtype=float)
-    vt = np.array([abs(mosfets[mi][3].vt0) for mi in indices], dtype=float)
-    lam = np.array([mosfets[mi][3].lam for mi in indices], dtype=float)
-    alpha = np.array([getattr(mosfets[mi][3], "alpha", 2.0)
-                      for mi in indices], dtype=float)
-    return k, vt, lam, alpha
-
-
 def mosfet_current_batch(first_pmos: int, alpha_model: bool, k: np.ndarray,
-                         vt: np.ndarray, lam: np.ndarray, alpha: np.ndarray,
-                         vg: np.ndarray, vd: np.ndarray, vs: np.ndarray):
+                         two_k: np.ndarray, vt: np.ndarray, lam: np.ndarray,
+                         alpha: np.ndarray, vg: np.ndarray, vd: np.ndarray,
+                         vs: np.ndarray):
     """Vectorized :func:`mosfet_current` over one device group.
 
     The channel model is a constant of the group; ``k``/``vt``/``lam``/
     ``alpha`` and the terminal voltages are per-device arrays, NMOS
-    lanes first: the lanes from ``first_pmos`` on are PMOS, and their
+    lanes first, and ``two_k`` is ``2.0 * k`` (read by the square law
+    only): the lanes from ``first_pmos`` on are PMOS, and their
     voltages and current are negated in place, the same IEEE negations
     the scalar routine applies, so both polarities share one pass.
     Returns ``(i_d, di_d/dvd, di_d/dvg, di_d/dvs)`` arrays.
@@ -356,13 +345,12 @@ def mosfet_current_batch(first_pmos: int, alpha_model: bool, k: np.ndarray,
     if alpha_model:
         ids, gm, gds = alpha_power_current_batch(k, vt, lam, alpha, vgs, vds)
     else:
-        ids, gm, gds = nmos_like_current_batch(k, vt, lam, vgs, vds)
+        ids, gm, gds = nmos_like_current_batch(k, two_k, vt, lam, vgs, vds)
     np.negative(ids[pmos], out=ids[pmos])
     return ids, gds, gm, -(gm + gds)
 
 
-@dataclass(frozen=True)
-class MosfetInstance:
+class MosfetInstance(NamedTuple):
     """A MOSFET placed in a circuit.
 
     Terminals are node names; ``width``/``length`` are metres.  The bulk

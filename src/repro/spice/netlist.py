@@ -9,6 +9,15 @@ transient engines evaluate.  Compilation partitions nodes into
   is a function of time, and
 * **unknown** nodes -- everything else, solved by KCL.
 
+Compilation runs in array passes: one table maps every node name to
+its slot, each device kind's terminal names go through it in one
+lookup pass into an int array, and device values become float arrays,
+so a netlist of tens of thousands of devices compiles without a Python
+call per terminal.  Building is lean the same way: each element is one
+tuple record, a transistor places its parasitic capacitors in one pass,
+and a driven node is found in a map rather than by scanning the
+sources.
+
 Compilation fixes structure only: constant source levels live in one
 base list that :meth:`CompiledCircuit.set_source_level` rebinds in
 place (a DC sweep compiles once), each PWL source evaluates through its
@@ -25,8 +34,9 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from operator import attrgetter
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -45,24 +55,21 @@ GROUND_NAMES = frozenset({"0", "gnd", "gnd!", "vss", "ground"})
 SourceValue = Union[float, str, Pwl, Callable[[float], float]]
 
 
-@dataclass(frozen=True)
-class _Resistor:
+class _Resistor(NamedTuple):
     name: str
     a: str
     b: str
     resistance: float
 
 
-@dataclass(frozen=True)
-class _Capacitor:
+class _Capacitor(NamedTuple):
     name: str
     a: str
     b: str
     capacitance: float
 
 
-@dataclass(frozen=True)
-class _CurrentSource:
+class _CurrentSource(NamedTuple):
     """Current ``value`` flows from node ``a`` into node ``b``."""
 
     name: str
@@ -71,8 +78,7 @@ class _CurrentSource:
     value: Callable[[float], float]
 
 
-@dataclass(frozen=True)
-class _VoltageSource:
+class _VoltageSource(NamedTuple):
     """Grounded voltage source driving ``node`` to ``value(t)`` volts.
 
     ``spec`` retains the original user-facing description (a number, a
@@ -110,6 +116,7 @@ class Circuit:
         self._mosfets: List[MosfetInstance] = []
         self._element_names: set[str] = set()
         self._nodes: set[str] = set()
+        self._driven: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -124,10 +131,9 @@ class Circuit:
         if name in self._element_names:
             raise NetlistError(f"duplicate element name {name!r}")
         self._element_names.add(name)
-        for node in nodes:
-            if not node:
-                raise NetlistError(f"element {name!r} has an empty node name")
-            self._nodes.add(node)
+        if not all(nodes):
+            raise NetlistError(f"element {name!r} has an empty node name")
+        self._nodes.update(nodes)
 
     def add_resistor(self, name: str, a: str, b: str, resistance: float | str) -> None:
         """Connect a linear resistor between nodes ``a`` and ``b``."""
@@ -160,12 +166,13 @@ class Circuit:
         """
         if self.is_ground(node):
             raise NetlistError(f"source {name!r} drives the ground node")
-        for src in self._vsources.values():
-            if src.node == node:
-                raise NetlistError(f"node {node!r} is already driven by {src.name!r}")
+        if node in self._driven:
+            raise NetlistError(
+                f"node {node!r} is already driven by {self._driven[node]!r}")
         fn, breakpoints = _as_time_function(value, unit="V")
         self._register(name, node)
         self._vsources[name] = _VoltageSource(name, node, fn, breakpoints, value)
+        self._driven[node] = name
 
     def add_mosfet(self, name: str, drain: str, gate: str, source: str, bulk: str,
                    params: MosfetParams, width: float | str, length: float | str,
@@ -177,10 +184,29 @@ class Circuit:
         self._register(name, drain, gate, source, bulk)
         self._mosfets.append(inst)
         if with_parasitics:
-            for cap_name, a, b, c in inst.parasitic_caps():
-                if a != b:
-                    self.add_capacitor(cap_name, a, b, c)
+            self._add_parasitics(inst.parasitic_caps())
         return inst
+
+    def _add_parasitics(self, caps: Sequence[Tuple[str, str, str, float]]) -> None:
+        """Add ``(name, a, b, farads)`` capacitors between registered nodes.
+
+        :meth:`add_capacitor` for values already parsed and nodes already
+        registered (a transistor's): a capacitor from a node to itself is
+        skipped, and a zero-farad one claims its name only.
+        """
+        names, kept = self._element_names, self._capacitors
+        for cap in caps:
+            name, a, b, c = cap
+            if a == b:
+                continue
+            if c < 0.0:
+                raise NetlistError(
+                    f"capacitor {name!r} must have non-negative capacitance")
+            if name in names:
+                raise NetlistError(f"duplicate element name {name!r}")
+            names.add(name)
+            if c > 0.0:
+                kept.append(_Capacitor._make(cap))
 
     def replace_vsource(self, name: str, value: SourceValue) -> None:
         """Re-drive an existing source with a new value/waveform."""
@@ -211,7 +237,7 @@ class Circuit:
         return self._vsources[name].node
 
     def driven_nodes(self) -> frozenset[str]:
-        return frozenset(src.node for src in self._vsources.values())
+        return frozenset(self._driven)
 
     def unknown_nodes(self) -> list[str]:
         """Nodes the solver must determine, in deterministic order."""
@@ -236,6 +262,13 @@ class CompiledCircuit:
     vector; slot ``< 0`` indexes the known-voltage array as ``-slot - 1``
     (known voltages are ground plus source-driven nodes, refreshed per
     time point).
+
+    Devices are arrays in netlist order, one column per device:
+    ``res_nodes`` (rows ``a``, ``b``) and conductances ``res_g``,
+    ``cap_nodes`` and capacitances ``cap_c``, ``mos_nodes`` (rows
+    drain, gate, source), strengths ``mos_k`` and ``mos_card``, each
+    transistor's index into the distinct model ``cards``.  Current
+    sources stay ``(a, b, fn)`` tuples, since each carries a callable.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -271,52 +304,49 @@ class CompiledCircuit:
                 self._known_base[kidx] = float(src.value(0.0))
         self.breakpoints: Tuple[float, ...] = tuple(sorted(breakpoints))
 
-        slot: Dict[str, int] = {}
-        for idx, name in enumerate(self.unknown_names):
-            slot[name] = idx
-        for kidx, name in enumerate(self._known_names):
-            slot.setdefault(name, -kidx - 1)
-        for g in GROUND_NAMES:
-            slot.setdefault(g, -1)
+        # One table resolves every terminal: each netlist node not
+        # unknown or driven is a ground alias.
+        slot = dict.fromkeys(circuit._nodes, -1)
+        slot.update(zip(self._known_names,
+                        range(-1, -len(self._known_names) - 1, -1)))
+        slot.update(zip(self.unknown_names, range(self.n_unknown)))
+        lookup = slot.__getitem__
 
-        def node_slot(name: str) -> int:
-            if Circuit.is_ground(name):
-                return -1
-            try:
-                return slot[name]
-            except KeyError:  # pragma: no cover - _register guarantees presence
-                raise NetlistError(f"unknown node {name!r}") from None
+        def terminals(records: Sequence[tuple], *fields: str) -> np.ndarray:
+            """The node slots of the records' ``fields``, one row each."""
+            return np.array([
+                np.fromiter(map(lookup, map(attrgetter(field), records)),
+                            np.intp, len(records)) for field in fields])
 
-        self.resistors = [
-            (node_slot(r.a), node_slot(r.b), 1.0 / r.resistance)
-            for r in circuit._resistors
-        ]
-        self.capacitors = [
-            (node_slot(c.a), node_slot(c.b), c.capacitance)
-            for c in circuit._capacitors
-        ]
-        self.isources = [
-            (node_slot(s.a), node_slot(s.b), s.value) for s in circuit._isources
-        ]
-        self.mosfets = [
-            (node_slot(m.drain), node_slot(m.gate), node_slot(m.source),
-             m.params, m.k)
-            for m in circuit._mosfets
-        ]
-        self.mosfet_instances = list(circuit._mosfets)
+        def values(records: Sequence[tuple], field: str) -> np.ndarray:
+            return np.fromiter(map(attrgetter(field), records), float,
+                               len(records))
 
-        # Total capacitance anchored at each unknown node: used by the
-        # transient engine to sanity-check that every unknown node has a
-        # path to reactive storage (otherwise dv/dt is undefined for the
-        # integrator and the node is purely resistive -- allowed, but the
-        # engine must know).
-        cap_at = np.zeros(self.n_unknown)
-        for a, b, c in self.capacitors:
-            if a >= 0:
-                cap_at[a] += c
-            if b >= 0:
-                cap_at[b] += c
-        self.cap_at_unknown = cap_at
+        self.res_nodes = terminals(circuit._resistors, "a", "b")
+        self.res_g = 1.0 / values(circuit._resistors, "resistance")
+        self.cap_nodes = terminals(circuit._capacitors, "a", "b")
+        self.cap_c = values(circuit._capacitors, "capacitance")
+        self.isources = [(slot[s.a], slot[s.b], s.value)
+                         for s in circuit._isources]
+
+        mosfets = circuit._mosfets
+        self.mos_nodes = terminals(mosfets, "drain", "gate", "source")
+        # Model cards by identity, in order of first use.
+        params = list(map(attrgetter("params"), mosfets))
+        by_id = dict(zip(map(id, params), params))
+        self.cards: Tuple[MosfetParams, ...] = tuple(by_id.values())
+        position = dict(zip(by_id, range(len(by_id))))
+        self.mos_card = np.fromiter(map(position.__getitem__, map(id, params)),
+                                    np.intp, len(params))
+        w, l_ = values(mosfets, "width"), values(mosfets, "length")
+        bad = (w <= 0.0) | (l_ <= 0.0)
+        if bad.any():
+            first = mosfets[int(bad.argmax())]
+            first.params.strength(first.width, first.length)  # raises
+        kp = np.array([card.kp for card in self.cards], dtype=float)
+        #: ``K = kp/2 * W/L`` per transistor, in
+        #: :meth:`~repro.tech.MosfetParams.strength`'s operand order.
+        self.mos_k = 0.5 * kp[self.mos_card] * w / l_
 
         self._stamp_plan = None
 

@@ -4,7 +4,10 @@ The KCL system of a compiled circuit has a *fixed* sparsity and
 emission order: which ``F``/``J`` cells each device touches, with which
 sign, never changes between Newton iterations -- only the device values
 do.  A :class:`StampPlan` compiles that structure once per
-:class:`~repro.spice.netlist.CompiledCircuit`:
+:class:`~repro.spice.netlist.CompiledCircuit`, in array passes over its
+device arrays (each device kind's candidate terms stacked, then kept by
+a validity mask in the reference loop's element order; the loops stay
+in ``tests/spice/test_construction_equivalence.py`` as the reference):
 
 * **gather maps** resolving every device terminal to a column of the
   fused ``[x | known]`` voltage vector (slot ``>= 0`` indexes the
@@ -92,11 +95,11 @@ import threading
 from collections import OrderedDict
 from functools import cached_property
 from time import monotonic
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from .mosfet import channel_source, device_param_rows, mosfet_current_batch
+from .mosfet import channel_source, mosfet_current_batch
 
 __all__ = ["CapArrays", "DenseScatter", "GateKernel", "KERNELS",
            "KernelCache", "LruCache", "MosGroup", "StampPlan", "Workspace",
@@ -127,91 +130,122 @@ MOS_BLOCK = 8192
 CapArrays = Tuple[np.ndarray, np.ndarray]
 
 
-def _intp(values) -> np.ndarray:
-    return np.asarray(list(values), dtype=np.intp)
+def _masked(cells: List[np.ndarray], srcs: List[np.ndarray],
+            signs: Tuple[float, ...], valid: List[np.ndarray]):
+    """``(cells, src, sign)`` of the terms whose ``valid`` mask holds.
+
+    Entry ``t`` of each list is one candidate term of every element
+    (one value per element); the kept terms come element by element,
+    and in list order within an element.
+    """
+    keep = np.array(valid).T
+    sign = np.empty(keep.shape)
+    sign[:] = signs
+    return np.array(cells).T[keep], np.array(srcs).T[keep], sign[keep]
+
+
+def _conductance_terms(n: int, nodes: np.ndarray, f_src: np.ndarray,
+                       j_src: np.ndarray):
+    """F and J terms of two-terminal elements, a conductance each from
+    slot ``a`` to slot ``b`` (``nodes`` rows): resistors and capacitor
+    companion stamps."""
+    a, b = nodes
+    on_a, on_b = a >= 0, b >= 0
+    both = on_a & on_b
+    return (_masked([a, b], [f_src, f_src], (1.0, -1.0), [on_a, on_b]),
+            _masked([a * n + a, a * n + b, b * n + b, b * n + a], [j_src] * 4,
+                    (1.0, -1.0, 1.0, -1.0), [on_a, both, on_b, both]))
 
 
 class MosGroup:
     """Transistors sharing a channel model, NMOS first.
 
-    ``cols`` are the device positions in ``compiled.mosfets`` (also
-    the columns of the device-axis value rows), the NMOS devices of
-    ``indices`` and then, from ``first_pmos`` on, the PMOS ones; the
+    ``cols`` are the device positions in the compiled device arrays
+    (also the columns of the device-axis value rows), the NMOS devices
+    of ``indices`` and then, from ``first_pmos`` on, the PMOS ones; the
     ``*_cols`` arrays are fused-vector gather columns for the three
     terminals, and ``k``/``vt``/``lam``/``alpha`` the per-device
-    parameter rows of *this* circuit, all in ``cols`` order.
+    parameter rows of *this* circuit, all in ``cols`` order, with
+    ``two_k`` (``2.0 * k``) formed once here rather than per
+    evaluation.
     """
 
     __slots__ = ("first_pmos", "alpha_model", "cols", "d_cols", "g_cols",
-                 "s_cols", "k", "vt", "lam", "alpha")
+                 "s_cols", "k", "two_k", "vt", "lam", "alpha")
 
-    def __init__(self, alpha_model: bool, indices: List[int],
-                 compiled) -> None:
-        nmos = [mi for mi in indices if compiled.mosfets[mi][3].is_nmos]
-        self.first_pmos = len(nmos)
-        indices = nmos + [mi for mi in indices
-                          if not compiled.mosfets[mi][3].is_nmos]
+    def __init__(self, alpha_model: bool, indices: np.ndarray,
+                 nmos: np.ndarray, terminals: np.ndarray, k: np.ndarray,
+                 params: np.ndarray) -> None:
+        """``indices`` pick the group from per-transistor rows: ``nmos``,
+        ``terminals`` (drain, gate and source columns), ``k`` and
+        ``params`` (``abs(vt0)``, ``lam``, ``alpha``)."""
+        group_nmos = nmos[indices]
+        self.first_pmos = int(np.count_nonzero(group_nmos))
         self.alpha_model = alpha_model
-        self.cols = _intp(indices)
-        n = compiled.n_unknown
-
-        def col(slot: int) -> int:
-            return slot if slot >= 0 else n + (-slot - 1)
-
-        self.d_cols = _intp(col(compiled.mosfets[mi][0]) for mi in indices)
-        self.g_cols = _intp(col(compiled.mosfets[mi][1]) for mi in indices)
-        self.s_cols = _intp(col(compiled.mosfets[mi][2]) for mi in indices)
-        self.k, self.vt, self.lam, self.alpha = device_param_rows(
-            compiled.mosfets, indices)
+        self.cols = np.concatenate([indices[group_nmos],
+                                    indices[~group_nmos]])
+        self.d_cols, self.g_cols, self.s_cols = terminals[:, self.cols]
+        self.k = k[self.cols]
+        self.two_k = 2.0 * self.k
+        self.vt, self.lam, self.alpha = params[:, self.cols]
 
 
 class StampPlan:
     """Stamp structure of one compiled circuit.
 
-    The contribution lists record, per KCL contribution of the scalar
-    reference assembler, its target cell, its source value column and
-    its sign -- in the scalar emission order.  F value columns:
+    The contribution lists record, for each KCL contribution of the
+    scalar reference assembler, its target cell, its source value column
+    and its sign -- in the scalar emission order.  F value columns:
     ``[res cur | isrc cur | mos i_d | cap cur]``; J value columns:
     ``[res g | mos dvd | mos dvg | mos dvs | cap geq]``.  Capacitor
     contributions sit at the tail, so requests without companion stamps
     use plans built from the cap-free prefix (``*_nc``).
+
+    Everything is built in array passes over the compiled device
+    arrays: each device kind's candidate terms stack into one array per
+    field, and a validity mask (a terminal on a known node emits
+    nothing) keeps them element by element, which is the order the
+    reference loops emit in.
     """
 
     def __init__(self, compiled) -> None:
         n = compiled.n_unknown
         self.n = n
         self.n_known = len(compiled._known_names)
-        num_res = len(compiled.resistors)
+        num_res = compiled.res_g.size
         num_is = len(compiled.isources)
-        num_mos = len(compiled.mosfets)
-        num_cap = len(compiled.capacitors)
+        num_mos = compiled.mos_k.size
+        num_cap = compiled.cap_c.size
         self.n_res = num_res
         self.n_is = num_is
         self.n_mos = num_mos
         self.n_cap = num_cap
 
-        def col(slot: int) -> int:
-            return slot if slot >= 0 else n + (-slot - 1)
+        def col(slots: np.ndarray) -> np.ndarray:
+            """Fused ``[x | known]`` columns of node slots."""
+            return np.where(slots >= 0, slots, n - 1 - slots)
 
-        self.res_a = _intp(col(a) for a, _, _ in compiled.resistors)
-        self.res_b = _intp(col(b) for _, b, _ in compiled.resistors)
-        self.cap_a = _intp(col(a) for a, _, _ in compiled.capacitors)
-        self.cap_b = _intp(col(b) for _, b, _ in compiled.capacitors)
-        self.cap_pairs = [(a, b) for a, b, _ in compiled.capacitors]
-        self.cap_c = np.array([c for _, _, c in compiled.capacitors],
-                              dtype=float)
-        self.res_g = np.array([g for _, _, g in compiled.resistors],
-                              dtype=float).reshape(num_res)
+        self.res_a, self.res_b = col(compiled.res_nodes)
+        self.cap_a, self.cap_b = col(compiled.cap_nodes)
+        self.cap_c = compiled.cap_c
+        self.res_g = compiled.res_g
 
-        grouped: Dict[bool, List[int]] = {}
-        for mi, (_, _, _, params, _) in enumerate(compiled.mosfets):
-            grouped.setdefault(params.model == "alpha", []).append(mi)
+        # Per transistor, from its model card: polarity, channel model
+        # and the ``abs(vt0)``, ``lam``, ``alpha`` parameter rows.
+        cards, card = compiled.cards, compiled.mos_card
+        nmos = np.array([c.is_nmos for c in cards], dtype=bool)[card]
+        alpha = np.array([c.model == "alpha" for c in cards], dtype=bool)[card]
+        params = np.array([[abs(c.vt0), c.lam, c.alpha] for c in cards],
+                          dtype=float).reshape(-1, 3)[card].T
+        terminals = col(compiled.mos_nodes)
         self.groups: List[MosGroup] = []
-        for alpha_model, indices in grouped.items():
-            blocks = -(-len(indices) // MOS_BLOCK)
-            size = -(-len(indices) // blocks)
-            self.groups += [MosGroup(alpha_model, indices[i:i + size], compiled)
-                            for i in range(0, len(indices), size)]
+        for alpha_model in dict.fromkeys(alpha.tolist()):
+            indices = np.flatnonzero(alpha == alpha_model)
+            blocks = -(-indices.size // MOS_BLOCK)
+            size = -(-indices.size // blocks)
+            self.groups += [MosGroup(alpha_model, indices[i:i + size], nmos,
+                                     terminals, compiled.mos_k, params)
+                            for i in range(0, indices.size, size)]
         self.use_scalar_mos = 0 < num_mos < SCALAR_MOS_CUTOVER
         if self.use_scalar_mos:
             #: What the gate kernel's code depends on: node slots, and per
@@ -219,98 +253,30 @@ class StampPlan:
             #: card.  The emission order follows from it.
             self.structure = (
                 n, self.n_known,
-                tuple((a, b) for a, b, _ in compiled.resistors),
+                tuple(zip(*compiled.res_nodes.tolist())),
                 tuple((a, b) for a, b, _ in compiled.isources),
-                tuple((d, g, s, params.is_nmos, params.model == "alpha")
-                      for d, g, s, params, _ in compiled.mosfets),
+                tuple(zip(*compiled.mos_nodes.tolist(), nmos.tolist(),
+                          alpha.tolist())),
             )
-            consts: List[float] = [g for _, _, g in compiled.resistors]
-            for _, _, _, params, kk in compiled.mosfets:
-                consts += [kk, abs(params.vt0), params.lam]
-                if params.model == "alpha":
-                    consts.append(params.alpha)
+            consts: List[float] = compiled.res_g.tolist()
+            for kk, (vt, lam, al), alpha_model in zip(
+                    compiled.mos_k.tolist(), params.T.tolist(), alpha.tolist()):
+                consts += [kk, vt, lam] + ([al] if alpha_model else [])
             #: The circuit's values the kernel reads: resistor
             #: conductances, then per transistor ``K``, ``abs(vt0)``,
             #: ``lam`` (and ``alpha``).
             self.kernel_consts = tuple(consts)
+            #: Every capacitor's ``(a, b)`` node slots, in compiled order.
+            self.cap_pairs = list(zip(*compiled.cap_nodes.tolist()))
             #: Capacitors with an unknown terminal, in compiled order,
             #: and their capacitances.  Only these reach ``F`` or ``J``
             #: (one between two known nodes never does), so only these
             #: carry companion stamps into the kernel and history on
             #: the float step path.
-            self.live_caps = [ci for ci, (a, b, _) in
-                              enumerate(compiled.capacitors)
-                              if a >= 0 or b >= 0]
-            self.live_c = [compiled.capacitors[ci][2]
-                           for ci in self.live_caps]
+            self.live_caps = np.flatnonzero(
+                (compiled.cap_nodes >= 0).any(axis=0)).tolist()
+            self.live_c = compiled.cap_c[self.live_caps].tolist()
             self._kernels: List[Optional[GateKernel]] = [None, None]
-
-        f_cells: List[int] = []
-        f_src: List[int] = []
-        f_sign: List[float] = []
-        j_cells: List[int] = []
-        j_src: List[int] = []
-        j_sign: List[float] = []
-
-        def femit(node: int, src: int, sign: float) -> None:
-            f_cells.append(node)
-            f_src.append(src)
-            f_sign.append(sign)
-
-        def jemit(row: int, column: int, src: int, sign: float) -> None:
-            j_cells.append(row * n + column)
-            j_src.append(src)
-            j_sign.append(sign)
-
-        for ri, (a, b, _) in enumerate(compiled.resistors):
-            if a >= 0:
-                femit(a, ri, 1.0)
-                jemit(a, a, ri, 1.0)
-                if b >= 0:
-                    jemit(a, b, ri, -1.0)
-            if b >= 0:
-                femit(b, ri, -1.0)
-                jemit(b, b, ri, 1.0)
-                if a >= 0:
-                    jemit(b, a, ri, -1.0)
-        for si, (a, b, _) in enumerate(compiled.isources):
-            if a >= 0:
-                femit(a, num_res + si, 1.0)
-            if b >= 0:
-                femit(b, num_res + si, -1.0)
-        for mi, (d, g_node, s, _, _) in enumerate(compiled.mosfets):
-            cd = num_res + mi
-            cg = num_res + num_mos + mi
-            cs = num_res + 2 * num_mos + mi
-            if d >= 0:
-                femit(d, num_res + num_is + mi, 1.0)
-                jemit(d, d, cd, 1.0)
-                if g_node >= 0:
-                    jemit(d, g_node, cg, 1.0)
-                if s >= 0:
-                    jemit(d, s, cs, 1.0)
-            if s >= 0:
-                femit(s, num_res + num_is + mi, -1.0)
-                jemit(s, s, cs, -1.0)
-                if d >= 0:
-                    jemit(s, d, cd, -1.0)
-                if g_node >= 0:
-                    jemit(s, g_node, cg, -1.0)
-        f_split = len(f_cells)
-        j_split = len(j_cells)
-        for ci, (a, b, _) in enumerate(compiled.capacitors):
-            fcol = num_res + num_is + num_mos + ci
-            jcol = num_res + 3 * num_mos + ci
-            if a >= 0:
-                femit(a, fcol, 1.0)
-                jemit(a, a, jcol, 1.0)
-                if b >= 0:
-                    jemit(a, b, jcol, -1.0)
-            if b >= 0:
-                femit(b, fcol, -1.0)
-                jemit(b, b, jcol, 1.0)
-                if a >= 0:
-                    jemit(b, a, jcol, -1.0)
 
         # ``vals`` holds the F columns, then the J columns, then the
         # per-iteration ``gmin * x`` row (F diagonal) and one ``gmin``
@@ -319,6 +285,31 @@ class StampPlan:
         self.n_jvals = num_res + 3 * num_mos + num_cap
         gx_base = self.n_fvals + self.n_jvals
         self.gmin_slot = gx_base + n
+
+        # Each device kind's terms; its J value columns follow all
+        # ``n_fvals`` F columns.
+        jv = self.n_fvals
+        res, mos, cap = (np.arange(count) for count in (num_res, num_mos,
+                                                         num_cap))
+        res_f, res_j = _conductance_terms(n, compiled.res_nodes, res,
+                                          jv + res)
+        is_nodes = np.array([(a, b) for a, b, _ in compiled.isources],
+                            dtype=np.intp).reshape(num_is, 2).T
+        is_src = num_res + np.arange(num_is)
+        is_f = _masked(list(is_nodes), [is_src, is_src], (1.0, -1.0),
+                       list(is_nodes >= 0))
+        d, g, s = compiled.mos_nodes
+        on_d, on_g, on_s = d >= 0, g >= 0, s >= 0
+        i_d = num_res + num_is + mos
+        dvd, dvg, dvs = (jv + num_res + k * num_mos + mos for k in range(3))
+        mos_f = _masked([d, s], [i_d, i_d], (1.0, -1.0), [on_d, on_s])
+        mos_j = _masked(
+            [d * n + d, d * n + g, d * n + s, s * n + s, s * n + d, s * n + g],
+            [dvd, dvg, dvs, dvs, dvd, dvg], (1.0, 1.0, 1.0, -1.0, -1.0, -1.0),
+            [on_d, on_d & on_g, on_d & on_s, on_s, on_s & on_d, on_s & on_g])
+        cap_f, cap_j = _conductance_terms(
+            n, compiled.cap_nodes, num_res + num_is + num_mos + cap,
+            jv + num_res + 3 * num_mos + cap)
 
         #: ``(cells, src, sign)`` of every F and J contribution in
         #: scalar emission order, gmin diagonal first (the reference
@@ -329,15 +320,13 @@ class StampPlan:
         #: companion stamps.  Both backends compile their scatter from
         #: these.
         diag = np.arange(n, dtype=np.intp)
-        self.f_emit = (np.concatenate([diag, _intp(f_cells)]),
-                       np.concatenate([gx_base + diag, _intp(f_src)]),
-                       np.concatenate([np.ones(n), f_sign]))
-        self.j_emit = (np.concatenate([diag * (n + 1), _intp(j_cells)]),
-                       np.concatenate([np.full(n, self.gmin_slot, np.intp),
-                                       self.n_fvals + _intp(j_src)]),
-                       np.concatenate([np.ones(n), j_sign]))
-        self.f_split = n + f_split
-        self.j_split = n + j_split
+        self.f_emit = tuple(np.concatenate(field) for field in zip(
+            (diag, gx_base + diag, np.ones(n)), res_f, is_f, mos_f, cap_f))
+        self.j_emit = tuple(np.concatenate(field) for field in zip(
+            (diag * (n + 1), np.full(n, self.gmin_slot, np.intp), np.ones(n)),
+            res_j, mos_j, cap_j))
+        self.f_split = self.f_emit[0].size - cap_f[0].size
+        self.j_split = self.j_emit[0].size - cap_j[0].size
 
     @cached_property
     def dense(self) -> "DenseScatter":
@@ -845,7 +834,7 @@ def eval_values(plan: StampPlan, ws: Workspace, x: np.ndarray,
     for grp in plan.groups:
         i_d, dvd, dvg, dvs = mosfet_current_batch(
             grp.first_pmos, grp.alpha_model,
-            grp.k, grp.vt, grp.lam, grp.alpha,
+            grp.k, grp.two_k, grp.vt, grp.lam, grp.alpha,
             xk[grp.g_cols], xk[grp.d_cols], xk[grp.s_cols],
         )
         ws.id_row[grp.cols] = i_d

@@ -53,7 +53,7 @@ class Pwl:
         ``times[-1]`` are held at the first/last breakpoint value.
     """
 
-    __slots__ = ("_t", "_v", "_t_list", "_v_list")
+    __slots__ = ("_t", "_v", "_t_list", "_v_list", "_last_crossings")
 
     def __init__(self, times: Iterable[float], values: Iterable[float]) -> None:
         t = np.asarray(list(times) if not isinstance(times, np.ndarray) else times,
@@ -82,6 +82,10 @@ class Pwl:
         # scalar evaluation (the transient hot path).
         self._t_list: list[float] | None = None
         self._v_list: list[float] | None = None
+        # The last crossings query, ``(level, direction, hits)``: a
+        # measurement asks for its output's onset crossings twice, for
+        # the delay and for the transition time.
+        self._last_crossings: tuple | None = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -240,9 +244,17 @@ class Pwl:
         increasing order.
         """
         want = None if direction is None else normalize_direction(direction)
+        last = self._last_crossings
+        if last is None or last[0] != level or last[1] != want:
+            last = self._last_crossings = (level, want,
+                                           self._crossings(level, want))
+        return list(last[2])
+
+    def _crossings(self, level: float, want: str | None) -> tuple[float, ...]:
+        """:meth:`crossings` computed, for a normalized direction."""
         t, v = self._t, self._v
         if t.size < 2:
-            return []
+            return ()
         lo = v[:-1] - level
         hi = v[1:] - level
         masks = []
@@ -256,7 +268,7 @@ class Pwl:
                 frac = (level - v[idx]) / (v[idx + 1] - v[idx])
                 hits.append(float(t[idx] + frac * (t[idx + 1] - t[idx])))
         hits.sort()
-        return hits
+        return tuple(hits)
 
     def first_crossing(self, level: float, direction: str | None = None) -> float:
         """First crossing time, raising :class:`MeasurementError` if none."""

@@ -9,6 +9,7 @@ from repro.charlib.simulate import (
 )
 from repro.errors import MeasurementError
 from repro.waveform import Edge, FALL, RISE
+from repro.waveform.pwl import Pwl
 
 
 class TestSingleInput:
@@ -95,6 +96,27 @@ class TestMultiInput:
         shot = multi_input_response(nand3, edges, thresholds)
         assert shot.vmin <= shot.vmax
         assert shot.vmax == pytest.approx(5.0, abs=0.1)
+
+    @pytest.mark.parametrize("direction", [FALL, RISE])
+    def test_each_output_crossing_measured_once(self, nand3, thresholds,
+                                                monkeypatch, direction):
+        """The delay and the transition time share the output's onset
+        crossings: a shot computes each threshold's crossings once."""
+        computed = []
+        original = Pwl._crossings
+
+        def spy(self, level, want):
+            computed.append((id(self), level, want))
+            return original(self, level, want)
+
+        monkeypatch.setattr(Pwl, "_crossings", spy)
+        edges = {"a": Edge(direction, 0.0, 300e-12)}
+        multi_input_response(nand3, edges, thresholds)
+        assert len(computed) == len(set(computed))
+        output = [entry for entry in computed
+                  if entry[2] == nand3.output_direction(direction)]
+        assert sorted(level for _, level, _ in output) == [thresholds.vil,
+                                                           thresholds.vih]
 
 
 class TestSettleEstimate:

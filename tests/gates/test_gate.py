@@ -128,7 +128,7 @@ class TestBuild:
         gate = Gate.nand(2, process, load=100e-15)
         circuit = gate.build({"a": 0.0}, load=55e-15)
         compiled = circuit.compile()
-        loads = [c for a, b, c in compiled.capacitors]
+        loads = compiled.cap_c.tolist()
         assert any(abs(c - 55e-15) < 1e-20 for c in loads)
 
     def test_instantiate_into_shared_circuit(self, process):

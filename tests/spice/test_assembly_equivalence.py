@@ -131,7 +131,8 @@ def assert_assembly_identical(compiled, rng: np.random.Generator,
 def ordered_stamps(compiled):
     """Companion stamps in compiled capacitor order (the transient's)."""
     return [(a, b, c / 1e-12, (c / 1e-12) * 0.3)
-            for a, b, c in compiled.capacitors]
+            for (a, b), c in zip(compiled.cap_nodes.T.tolist(),
+                                 compiled.cap_c.tolist())]
 
 
 def caps_of(stamps):

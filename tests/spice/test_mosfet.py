@@ -4,11 +4,12 @@ import itertools
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.spice.mosfet import (MosfetInstance, channel_source, mosfet_current,
-                                nmos_like_current)
+                                nmos_like_current, nmos_like_current_batch)
 from repro.tech import MosfetParams
 
 K = 1e-4
@@ -229,3 +230,29 @@ class TestGeneratedChannel:
             if outcome(device, k, abs(params.vt0), params.lam, params.alpha,
                        vg, vd, vs) != outcome(scalar, vg, vd, vs)]
         assert mismatches == []
+
+
+class TestBatchedSquareLaw:
+    """The grouped square law against the scalar function, lane by lane:
+    reusing a product (``k * core``, ``2.0 * vov``, the group's
+    ``2.0 * k``) must keep every bit."""
+
+    @pytest.mark.parametrize("lanes", [320, 1150, 6912])
+    def test_matches_the_scalar_function(self, lanes):
+        rng = np.random.default_rng(lanes)
+        finite = [value for value in ADVERSARIAL if np.isfinite(value)]
+        pairs = list(itertools.product(finite, repeat=2))
+        vgs = np.array([p[0] for p in pairs] + rng.uniform(
+            -3.0, 3.0, lanes - len(pairs)).tolist())
+        vds = np.array([p[1] for p in pairs] + rng.uniform(
+            -3.0, 3.0, lanes - len(pairs)).tolist())
+        k = rng.uniform(1e-5, 1e-3, lanes)
+        vt = np.where(rng.random(lanes) < 0.5, 0.5, rng.uniform(0.3, 0.9, lanes))
+        lam = rng.uniform(0.0, 0.1, lanes)
+        got = nmos_like_current_batch(k, 2.0 * k, vt, lam, vgs, vds)
+        want = np.array([
+            nmos_like_current(*lane)
+            for lane in zip(k.tolist(), vt.tolist(), lam.tolist(),
+                            vgs.tolist(), vds.tolist())]).T
+        for name, g, w in zip(("ids", "gm", "gds"), got, want):
+            assert g.tobytes() == w.tobytes(), name

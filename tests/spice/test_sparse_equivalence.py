@@ -127,7 +127,7 @@ class TestAssemblyBitIdentity:
         ws, ws_sparse = Workspace(plan), Workspace(plan, sparse=True)
         known = compiled.known_voltages(0.0)
         draws = [(float(rng.uniform(1e-6, 1e-3)),
-                  float(rng.uniform(-1e-6, 1e-6))) for _ in plan.cap_pairs]
+                  float(rng.uniform(-1e-6, 1e-6))) for _ in range(plan.n_cap)]
         caps = (np.array([geq for geq, _ in draws], dtype=float),
                 np.array([ieq for _, ieq in draws], dtype=float))
         sp = plan.sparse

@@ -46,7 +46,7 @@ class TestFlatten:
         circuit, node_of = flatten_to_circuit(chain, waveforms)
         compiled = circuit.compile()
         # Two explicit 100 fF loads plus parasitics.
-        big_caps = [c for a, b, c in compiled.capacitors if c >= 9e-14]
+        big_caps = [c for c in compiled.cap_c.tolist() if c >= 9e-14]
         assert len(big_caps) == 2
 
 

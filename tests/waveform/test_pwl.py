@@ -155,6 +155,20 @@ class TestCrossings:
         wf = Pwl([0.0, 1.0], [5.0, 5.0])
         assert wf.crossings(5.0) == []
 
+    def test_repeated_query_answers_alike(self):
+        """A repeated query answers from the last one: an equal, fresh
+        list, whatever the caller did to the previous answer."""
+        wf = Pwl([0.0, 1.0, 2.0, 3.0], [0.0, 10.0, 0.0, 10.0])
+        first = wf.crossings(5.0, "rise")
+        first.append(99.0)
+        assert wf.crossings(5.0, "rising") == [pytest.approx(0.5),
+                                               pytest.approx(2.5)]
+        assert wf.crossings(5.0, "fall") == [pytest.approx(1.5)]
+        assert wf.crossings(2.5, "rise") == [pytest.approx(0.25),
+                                             pytest.approx(2.25)]
+        assert wf.crossings(5.0) == [pytest.approx(0.5), pytest.approx(1.5),
+                                     pytest.approx(2.5)]
+
     @given(level=st.floats(min_value=0.05, max_value=4.95))
     def test_ramp_crossing_matches_analytic(self, level):
         wf = ramp(1e-9, 0.0, 5.0, 2e-9)
